@@ -15,7 +15,7 @@
 //!     shards/fig8-2of4.json shards/fig8-3of4.json --out results/fig8.json
 //! ```
 
-use faultmit_bench::figures::find_figure;
+use faultmit_bench::figures::{find_figure, render_recorded};
 use faultmit_bench::shard::{load_shard_files, ShardState};
 use faultmit_bench::RunOptions;
 
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let merged = ShardState::merge(shards)?;
+    let mut merged = ShardState::merge(shards)?;
     let spec = merged.spec.clone();
     let figure = find_figure(&spec.figure)?;
     println!(
@@ -48,14 +48,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The merge aggregated the shard set's telemetry (clocks and counter
-    // snapshots sum across shards); --metrics writes the cross-shard report.
-    options.write_metrics(&merged.metrics)?;
+    // snapshots sum across shards); --metrics writes the cross-shard report
+    // with the render's own span folded in.
+    let mut metrics = std::mem::take(&mut merged.metrics);
 
     // Render through the figure's own reduction path: a merged state is
     // bit-identical to the monolithic accumulator, so the series — and its
     // serialised bytes — match the monolithic binary's --json output.
     let panels = merged.into_panels(&figure.panel_labels(&spec))?;
-    let rendered = figure.render(&spec, options.parallelism(), panels)?;
+    let rendered = render_recorded(
+        figure,
+        &spec,
+        options.parallelism(),
+        panels,
+        options.metrics_path.is_some().then_some(&mut metrics),
+    )?;
+    options.write_metrics(&metrics)?;
 
     if options.json_path.is_some() {
         options.write_json(&rendered.document)?;

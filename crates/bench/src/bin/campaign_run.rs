@@ -23,7 +23,7 @@
 //! ```
 
 use faultmit_bench::figures::{
-    check_identity_flags, check_tuning_flags, find_figure, registry, FigureDef,
+    check_identity_flags, check_tuning_flags, find_figure, registry, render_recorded, FigureDef,
 };
 use faultmit_bench::shard::{load_shard_files, ShardState};
 use faultmit_bench::RunOptions;
@@ -451,16 +451,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!();
     }
 
-    let merged = ShardState::merge(states)?;
+    let mut merged = ShardState::merge(states)?;
     if merged.spec != spec {
         return Err("merged shard set belongs to a different campaign configuration".into());
     }
     // The merge aggregated every shard's metrics (clocks and counter
     // snapshots sum; the kernel identity was validated consistent), so the
-    // cross-shard report comes straight off the merged state.
-    options.write_metrics(&merged.metrics)?;
+    // cross-shard report is the merged state's plus the render's span.
+    let mut metrics = std::mem::take(&mut merged.metrics);
     let panels = merged.into_panels(&figure.panel_labels(&spec))?;
-    let rendered = figure.render(&spec, options.parallelism(), panels)?;
+    let rendered = render_recorded(
+        figure,
+        &spec,
+        options.parallelism(),
+        panels,
+        options.metrics_path.is_some().then_some(&mut metrics),
+    )?;
+    options.write_metrics(&metrics)?;
 
     print!("{}", rendered.report);
     if options.json_path.is_some() {

@@ -14,7 +14,9 @@
 //!
 //! A completed shard file is a checkpoint: when `--out` already holds the
 //! state of exactly this campaign slice, the run is skipped, so re-running
-//! a partially finished campaign recomputes only the missing shards.
+//! a partially finished campaign recomputes only the missing shards. The
+//! file is written to `<out>.tmp` and renamed into place, so a run killed
+//! mid-write leaves no partial checkpoint behind.
 //!
 //! ```text
 //! campaign_shard --figure fig5 --backend dram --shard 0/2 --out shards/fig5-dram-0of2.json
@@ -27,6 +29,9 @@ use faultmit_bench::metrics::ShardMetrics;
 use faultmit_bench::shard::{ShardPanelState, ShardState};
 use faultmit_bench::RunOptions;
 use faultmit_obs as obs;
+use std::fs::File;
+use std::io::Write;
+use std::path::Path;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut options = RunOptions::from_args();
@@ -151,12 +156,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             snapshot: Some(recorder.snapshot()),
         },
     };
-    if let Some(parent) = out_path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(&out_path, state.to_json().to_pretty_string())?;
+    let dir = match out_path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    std::fs::create_dir_all(dir)?;
+    // Write a temp file next to the checkpoint, make it durable and rename
+    // it into place, so a process killed (or a host crashing) mid-write
+    // never leaves a truncated checkpoint under the shard's name. A stale
+    // temp file from such a run is overwritten.
+    let mut temp_path = out_path.clone().into_os_string();
+    temp_path.push(".tmp");
+    let mut temp = File::create(&temp_path)?;
+    temp.write_all(state.to_json().to_pretty_string().as_bytes())?;
+    temp.sync_all()?;
+    std::fs::rename(&temp_path, &out_path)?;
+    // Make the rename itself durable.
+    File::open(dir)?.sync_all()?;
     println!("wrote shard state to {}", out_path.display());
     Ok(())
 }

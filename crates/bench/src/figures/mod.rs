@@ -51,6 +51,7 @@ pub use fig9::{fig9_image_words, Fig9Campaign};
 
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
+use crate::metrics::ShardMetrics;
 use faultmit_analysis::CatalogueAccumulator;
 use faultmit_apps::Benchmark;
 use faultmit_memsim::{BackendKind, FaultKindLaw, ImageSpec};
@@ -768,23 +769,61 @@ pub fn run_monolithic(name: &str) -> Result<(), FigureError> {
     )?;
     let elapsed_seconds = started.elapsed().as_secs_f64();
     drop(guard);
-    let rendered = figure.render(&spec, options.parallelism(), run.panels)?;
+    let mut metrics = recorder.map(|recorder| ShardMetrics {
+        elapsed_seconds: Some(elapsed_seconds),
+        generation_seconds: run.generation_seconds,
+        kernel: figure.resolved_kernel_tuned(&spec, options.tuning()),
+        auto_threshold: options.auto_threshold,
+        snapshot: Some(recorder.snapshot()),
+    });
+    let rendered = render_recorded(
+        figure,
+        &spec,
+        options.parallelism(),
+        run.panels,
+        metrics.as_mut(),
+    )?;
     print!("{}", rendered.report);
     if let Some(generation_seconds) = run.generation_seconds {
         println!("generation time: {generation_seconds:.2}s CPU across all workers");
     }
     options.write_json(&rendered.document)?;
-    if let Some(recorder) = recorder {
-        let metrics = crate::metrics::ShardMetrics {
-            elapsed_seconds: Some(elapsed_seconds),
-            generation_seconds: run.generation_seconds,
-            kernel: figure.resolved_kernel_tuned(&spec, options.tuning()),
-            auto_threshold: options.auto_threshold,
-            snapshot: Some(recorder.snapshot()),
-        };
-        options.write_metrics(&metrics)?;
+    if let Some(metrics) = &metrics {
+        options.write_metrics(metrics)?;
     }
     Ok(())
+}
+
+/// Renders `panels` through [`FigureDef::render`]. Given `metrics` (a
+/// `--metrics` run), a recorder is active during the render, the call is
+/// timed as [`faultmit_obs::Stage::Render`], and what the recorder saw is
+/// folded into `metrics`' snapshot. The span wraps `render` from outside,
+/// so figure definitions carry no instrumentation.
+///
+/// # Errors
+///
+/// Propagates [`FigureDef::render`] errors.
+pub fn render_recorded(
+    figure: &dyn FigureDef,
+    spec: &FigureSpec,
+    parallelism: Parallelism,
+    panels: Vec<PanelState>,
+    metrics: Option<&mut ShardMetrics>,
+) -> Result<RenderedFigure, FigureError> {
+    let Some(metrics) = metrics else {
+        return figure.render(spec, parallelism, panels);
+    };
+    let recorder = std::sync::Arc::new(faultmit_obs::Recorder::new());
+    let rendered = {
+        let _guard = faultmit_obs::install(&recorder);
+        let _span = faultmit_obs::span(faultmit_obs::Stage::Render);
+        figure.render(spec, parallelism, panels)?
+    };
+    metrics
+        .snapshot
+        .get_or_insert_default()
+        .merge(&recorder.snapshot());
+    Ok(rendered)
 }
 
 #[cfg(test)]

@@ -361,6 +361,25 @@ mod tests {
         let text = snapshot_to_json(&snapshot).to_pretty_string();
         let round = snapshot_from_json(&JsonValue::parse(&text).unwrap()).unwrap();
         assert_eq!(round, snapshot);
+
+        // Checkpoints written before the render stage existed hold six
+        // stages; they still load, with the render stage read as zero.
+        let mut older = snapshot_to_json(&snapshot);
+        let JsonValue::Object(fields) = &mut older else {
+            panic!("a snapshot serialises as an object");
+        };
+        let Some((_, JsonValue::Object(stages))) =
+            fields.iter_mut().find(|(key, _)| key == "stages")
+        else {
+            panic!("a snapshot has a stages object");
+        };
+        stages.retain(|(name, _)| name != Stage::Render.name());
+        assert_eq!(stages.len(), 6);
+        let round = snapshot_from_json(&older).unwrap();
+        let mut expected = snapshot;
+        expected.stage_nanos[Stage::Render as usize] = 0;
+        expected.stage_calls[Stage::Render as usize] = 0;
+        assert_eq!(round, expected);
     }
 
     #[test]

@@ -218,6 +218,32 @@ fn completed_shard_files_are_checkpoints() {
 }
 
 #[test]
+fn checkpoints_are_renamed_into_place_and_stale_temp_files_do_not_block_a_resume() {
+    let dir = TempDir::new("atomic");
+    let out = dir.join("s0.json");
+    let temp = format!("{out}.tmp");
+    let args = ["fig5", "--samples", "2", "--shard", "0/2", "--out", &out];
+    let files = || -> Vec<String> {
+        std::fs::read_dir(&dir.0)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect()
+    };
+
+    run(SHARD_BIN, &args);
+    assert_eq!(files(), ["s0.json"], "a temp file was left behind");
+    let state = state_of(&out);
+
+    // A run killed mid-write: the checkpoint never landed, a truncated temp
+    // file did. The resume recomputes the shard and replaces the temp file.
+    std::fs::remove_file(Path::new(&out)).unwrap();
+    std::fs::write(Path::new(&temp), "{\"format\": \"faultmit-shard-st").unwrap();
+    assert!(!stdout_of(&run(SHARD_BIN, &args)).contains("skipping"));
+    assert_eq!(files(), ["s0.json"], "the stale temp file was left behind");
+    assert_eq!(state_of(&out), state);
+}
+
+#[test]
 fn campaign_shard_refuses_an_unparseable_shard_spec() {
     // A bad --shard (e.g. the 1-based typo 2/2) must be fatal, not a silent
     // fallback to the monolithic 0/1 shard.

@@ -255,10 +255,13 @@ pub enum Stage {
     Reduce,
     /// Merging chunk (or shard) results in deterministic order.
     Merge,
+    /// Rendering merged results into the figure document and report
+    /// (yield model, CDF grid, yield queries).
+    Render,
 }
 
 /// Number of [`Stage`] variants.
-pub const STAGE_COUNT: usize = 6;
+pub const STAGE_COUNT: usize = 7;
 
 impl Stage {
     /// Every stage, in pipeline order.
@@ -269,6 +272,7 @@ impl Stage {
         Self::Observe,
         Self::Reduce,
         Self::Merge,
+        Self::Render,
     ];
 
     /// The stage's stable snake_case JSON key.
@@ -281,6 +285,7 @@ impl Stage {
             Self::Observe => "observe",
             Self::Reduce => "reduce",
             Self::Merge => "merge",
+            Self::Render => "render",
         }
     }
 }

@@ -18,6 +18,8 @@
 use faultmit_bench::figures::{find_figure, render_recorded};
 use faultmit_bench::shard::{load_shard_files, ShardState};
 use faultmit_bench::RunOptions;
+use faultmit_obs::Stage;
+use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let options = RunOptions::from_args();
@@ -29,6 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
+    // Shard read, parse and merge make up the persist stage.
+    let persist_started = Instant::now();
     let shards = load_shard_files(&options.positional)?;
     for (path, state) in options.positional.iter().zip(&shards) {
         println!(
@@ -36,8 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             state.shard, state.spec.figure
         );
     }
-
     let mut merged = ShardState::merge(shards)?;
+    let persist = persist_started.elapsed();
     let spec = merged.spec.clone();
     let figure = find_figure(&spec.figure)?;
     println!(
@@ -49,8 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The merge aggregated the shard set's telemetry (clocks and counter
     // snapshots sum across shards); --metrics writes the cross-shard report
-    // with the render's own span folded in.
+    // with this process's persist and render spans folded in.
     let mut metrics = std::mem::take(&mut merged.metrics);
+    if options.metrics_path.is_some() {
+        metrics.add_stage_call(Stage::Persist, persist);
+    }
 
     // Render through the figure's own reduction path: a merged state is
     // bit-identical to the monolithic accumulator, so the series — and its

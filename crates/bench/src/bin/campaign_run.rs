@@ -7,7 +7,9 @@
 //! to `--retries R` times (default 2), then merges the K checkpoint files
 //! and renders the figure JSON — **byte-identical** to the monolithic
 //! figure binary's `--json` output at the same flags, because every stage
-//! shares the `faultmit_bench::figures` registry code path.
+//! shares the `faultmit_bench::figures` registry code path. Each checkpoint
+//! is parsed once, when its shard finishes, and the validated states are
+//! the ones merged.
 //!
 //! Completed shard files under `--dir` (default `campaign-shards/`) are
 //! checkpoints: a killed or crashed driver re-run recomputes only the
@@ -25,8 +27,9 @@
 use faultmit_bench::figures::{
     check_identity_flags, check_tuning_flags, find_figure, registry, render_recorded, FigureDef,
 };
-use faultmit_bench::shard::{load_shard_files, ShardState};
+use faultmit_bench::shard::ShardState;
 use faultmit_bench::RunOptions;
+use faultmit_obs::Stage;
 use faultmit_sim::ShardSpec;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -223,6 +226,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let mut running: Vec<(ShardJob, Child, Instant)> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
+    // Each completed shard's validated checkpoint, by shard index, and the
+    // time spent reading, parsing (and later merging) them: the persist
+    // stage.
+    let mut states: Vec<Option<ShardState>> = vec![None; shard_count];
+    let mut persist = Duration::ZERO;
 
     // Live-progress bookkeeping for the heartbeat: driver-observed attempt
     // durations size the ETA and flag in-flight stragglers, completed
@@ -306,17 +314,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (job, _, started) = running.swap_remove(index);
 
         // A zero exit must also have produced a matching checkpoint; treat
-        // anything else as a failed attempt.
-        let out = shard_path(&dir, figure, job.shard);
-        let checkpoint = std::fs::read_to_string(&out)
+        // anything else as a failed attempt. Matching this campaign slice
+        // also rules out a mix of figures across the set.
+        let read_started = Instant::now();
+        let checkpoint = std::fs::read_to_string(shard_path(&dir, figure, job.shard))
             .ok()
             .and_then(|text| ShardState::parse(&text).ok())
-            .filter(|state| state.matches(&spec, job.shard));
-        let completed = status.success() && checkpoint.is_some();
-        if completed {
-            if let Some(state) = &checkpoint {
-                completed_samples += shard_samples(state);
-            }
+            .filter(|state| status.success() && state.matches(&spec, job.shard));
+        persist += read_started.elapsed();
+        if let Some(state) = checkpoint {
+            completed_samples += shard_samples(&state);
+            states[job.shard.shard_index()] = Some(state);
             completed_count += 1;
             attempt_durations.push(started.elapsed().as_secs_f64());
             println!(
@@ -344,11 +352,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Merge and render in-process through the same registry code path the
-    // monolithic binary uses.
-    let paths: Vec<PathBuf> = ShardSpec::all(shard_count)
-        .map(|shard| shard_path(&dir, figure, shard))
-        .collect();
-    let states = load_shard_files(&paths)?;
+    // monolithic binary uses. Every shard completed, so every slot is set.
+    let states: Vec<ShardState> = states.into_iter().flatten().collect();
 
     // Per-shard wall-clock and throughput summary (timing recorded in each
     // checkpoint by `campaign_shard`): the spread tells the operator how to
@@ -451,14 +456,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!();
     }
 
+    let merge_started = Instant::now();
     let mut merged = ShardState::merge(states)?;
+    persist += merge_started.elapsed();
     if merged.spec != spec {
         return Err("merged shard set belongs to a different campaign configuration".into());
     }
     // The merge aggregated every shard's metrics (clocks and counter
     // snapshots sum; the kernel identity was validated consistent), so the
-    // cross-shard report is the merged state's plus the render's span.
+    // cross-shard report is the merged state's plus this process's persist
+    // and render spans.
     let mut metrics = std::mem::take(&mut merged.metrics);
+    if options.metrics_path.is_some() {
+        metrics.add_stage_call(Stage::Persist, persist);
+    }
     let panels = merged.into_panels(&figure.panel_labels(&spec))?;
     let rendered = render_recorded(
         figure,

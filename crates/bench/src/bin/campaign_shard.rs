@@ -156,6 +156,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             snapshot: Some(recorder.snapshot()),
         },
     };
+    let persist_started = std::time::Instant::now();
     let dir = match out_path.parent() {
         Some(parent) if !parent.as_os_str().is_empty() => parent,
         _ => Path::new("."),
@@ -167,12 +168,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // temp file from such a run is overwritten.
     let mut temp_path = out_path.clone().into_os_string();
     temp_path.push(".tmp");
+    let text = state.to_json().to_pretty_string();
     let mut temp = File::create(&temp_path)?;
-    temp.write_all(state.to_json().to_pretty_string().as_bytes())?;
+    temp.write_all(text.as_bytes())?;
     temp.sync_all()?;
     std::fs::rename(&temp_path, &out_path)?;
     // Make the rename itself durable.
     File::open(dir)?.sync_all()?;
-    println!("wrote shard state to {}", out_path.display());
+    println!(
+        "wrote shard state to {} ({} bytes, encode+write {:.3}s)",
+        out_path.display(),
+        text.len(),
+        persist_started.elapsed().as_secs_f64()
+    );
     Ok(())
 }

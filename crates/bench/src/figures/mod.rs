@@ -239,9 +239,7 @@ impl FigureSpec {
                     .and_then(benchmark_from_name)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        // The image/kind-law axes postdate the v2 shard format; absent
-        // fields mean the figure's defaults, so pre-existing checkpoints
-        // stay valid.
+        // Absent or null image/kind-law fields mean the figure's defaults.
         let image = match value.get("image") {
             None | Some(JsonValue::Null) => None,
             Some(node) => Some(

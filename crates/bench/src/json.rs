@@ -20,6 +20,8 @@
 //! comparisons, quantiles and weight sums — so normalisation cannot change
 //! a rendered figure byte.
 
+use std::fmt::Write as _;
+
 /// A JSON document node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -160,25 +162,19 @@ impl JsonValue {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(value) => out.push_str(if *value { "true" } else { "false" }),
+            JsonValue::Number(value) if !value.is_finite() => out.push_str("null"),
+            // Numbers format straight into `out` (writing to a `String`
+            // cannot fail). Integral values print without a fraction, like
+            // serde_json. Note this normalises -0.0 to "0" (the format every
+            // historical figure JSON was emitted in; empty f64 iterator sums
+            // are -0.0, so figure probabilities do hit this case) — see the
+            // module docs for why the shard-state round-trip tolerates it.
+            JsonValue::Number(value) if *value == value.trunc() && value.abs() < 1e15 => {
+                let _ = write!(out, "{}", *value as i64);
+            }
+            // Shortest representation that round-trips the exact f64.
             JsonValue::Number(value) => {
-                if value.is_finite() {
-                    if *value == value.trunc() && value.abs() < 1e15 {
-                        // Integral values print without a fraction, like
-                        // serde_json. Note this normalises -0.0 to "0" (the
-                        // format every historical figure JSON was emitted
-                        // in; empty f64 iterator sums are -0.0, so figure
-                        // probabilities do hit this case) — see the module
-                        // docs for why the shard-state round-trip tolerates
-                        // it.
-                        out.push_str(&format!("{}", *value as i64));
-                    } else {
-                        // Shortest representation that round-trips the
-                        // exact f64.
-                        out.push_str(&format!("{value}"));
-                    }
-                } else {
-                    out.push_str("null");
-                }
+                let _ = write!(out, "{value}");
             }
             JsonValue::String(value) => write_escaped(out, value),
             JsonValue::Array(items) => {
@@ -468,9 +464,14 @@ impl Parser<'_> {
 }
 
 fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
+    // Two spaces per level, pushed a slice at a time.
+    const SPACES: &str = "                                                                ";
+    let mut width = 2 * indent;
+    while width > SPACES.len() {
+        out.push_str(SPACES);
+        width -= SPACES.len();
     }
+    out.push_str(&SPACES[..width]);
 }
 
 fn write_escaped(out: &mut String, value: &str) {
@@ -482,7 +483,9 @@ fn write_escaped(out: &mut String, value: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -589,6 +592,147 @@ mod tests {
     fn strings_are_escaped() {
         let rendered = "a\"b\\c\nd".to_json().to_pretty_string();
         assert_eq!(rendered, "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(
+            "\u{1}\u{1f}".to_json().to_pretty_string(),
+            "\"\\u0001\\u001f\""
+        );
+    }
+
+    /// The emitter as it was before numbers were formatted in place: one
+    /// `format!` string per number, indentation pushed two spaces at a time.
+    fn format_path_pretty(value: &JsonValue) -> String {
+        fn indent(out: &mut String, depth: usize) {
+            for _ in 0..depth {
+                out.push_str("  ");
+            }
+        }
+        fn write(value: &JsonValue, out: &mut String, depth: usize) {
+            match value {
+                JsonValue::Number(value) => {
+                    if value.is_finite() {
+                        if *value == value.trunc() && value.abs() < 1e15 {
+                            out.push_str(&format!("{}", *value as i64));
+                        } else {
+                            out.push_str(&format!("{value}"));
+                        }
+                    } else {
+                        out.push_str("null");
+                    }
+                }
+                JsonValue::Array(items) if !items.is_empty() => {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        out.push('\n');
+                        indent(out, depth + 1);
+                        write(item, out, depth + 1);
+                    }
+                    out.push('\n');
+                    indent(out, depth);
+                    out.push(']');
+                }
+                JsonValue::Object(fields) if !fields.is_empty() => {
+                    out.push('{');
+                    for (i, (key, value)) in fields.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        out.push('\n');
+                        indent(out, depth + 1);
+                        write_escaped(out, key);
+                        out.push_str(": ");
+                        write(value, out, depth + 1);
+                    }
+                    out.push('\n');
+                    indent(out, depth);
+                    out.push('}');
+                }
+                // Strings, literals and empty containers never went through
+                // `format!` or the indentation.
+                other => out.push_str(&other.to_pretty_string()),
+            }
+        }
+        let mut out = String::new();
+        write(value, &mut out, 0);
+        out
+    }
+
+    /// Pins the in-place number formatting and the slice indentation to the
+    /// old emitter byte for byte: over 10 000 f64 bit patterns plus the
+    /// edge cases (-0.0, integral values either side of the 1e15 cutoff,
+    /// subnormals, the extremes and non-finite values), alone and nested
+    /// in arrays and objects deeper than the indentation slice.
+    #[test]
+    fn emitter_matches_the_format_path_byte_for_byte() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            1e15,
+            -1e15,
+            1e15 - 1.0,
+            -(1e15 - 1.0),
+            1e15 - 0.5,
+            1e15 + 2.0,
+            2f64.powi(53),
+            1e16,
+            1e21,
+            1e22,
+            -1e300,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut state = 0xD1B5_4A32_D192_ED03u64;
+        for i in 0..12_000_i32 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            values.push(match i % 3 {
+                // Any bit pattern (mostly huge or tiny magnitudes).
+                0 => f64::from_bits(state),
+                // Integers around the cutoff, of both signs.
+                1 => (state >> 13) as f64 * if state & 1 == 0 { 1.0 } else { -1.0 } / 4.0,
+                // Typical magnitudes.
+                _ => (state >> 11) as f64 / (1u64 << 53) as f64 * 10f64.powi(i % 41 - 20),
+            });
+        }
+        for &value in &values {
+            let node = JsonValue::Number(value);
+            assert_eq!(
+                node.to_pretty_string(),
+                format_path_pretty(&node),
+                "{value:e} ({:#x})",
+                value.to_bits()
+            );
+        }
+        // Nest runs of values up to 40 levels deep (past the 32 levels
+        // the indentation slice covers) under arrays and objects.
+        let mut nested = Vec::new();
+        for (depth, run) in values.chunks(300).enumerate() {
+            let mut node = JsonValue::array(run.iter().copied());
+            for level in 0..depth {
+                node = if level % 2 == 0 {
+                    JsonValue::Array(vec![node, JsonValue::Null])
+                } else {
+                    JsonValue::object([("level", level.to_json()), ("inner", node)])
+                };
+            }
+            nested.push(node);
+        }
+        let document = JsonValue::object([("nested", JsonValue::Array(nested))]);
+        assert_eq!(document.to_pretty_string(), format_path_pretty(&document));
     }
 
     #[test]

@@ -22,6 +22,7 @@
 
 use crate::json::{JsonValue, ToJson};
 use faultmit_obs::{Counter, Histogram, MetricsSnapshot, Stage, HISTOGRAM_BUCKETS};
+use std::time::Duration;
 
 /// Format tag of `--metrics` output documents.
 pub const METRICS_REPORT_FORMAT: &str = "faultmit-metrics/v1";
@@ -141,15 +142,12 @@ pub fn snapshot_from_json(value: &JsonValue) -> Result<MetricsSnapshot, String> 
     Ok(snapshot)
 }
 
-/// A checkpoint's complete telemetry — the shard-state `metrics` section.
-///
-/// Before the v3 shard format these lived as four ad-hoc top-level
-/// checkpoint fields (`elapsed_seconds`, `kernel`, `generation_seconds`,
-/// `auto_threshold`); they are now one section with one accessor path, and
-/// the v2 loader folds the legacy fields into it so old checkpoints keep
-/// loading. Everything here is **identity-free** telemetry: it never feeds
-/// back into panel states, so figure JSON is byte-identical whether or not
-/// metrics were recorded.
+/// A checkpoint's complete telemetry — the shard-state `metrics` section:
+/// wall and generation clocks, kernel identity, the `--auto-threshold`
+/// override and the observability snapshot, behind one accessor path.
+/// Everything here is **identity-free** telemetry: it never feeds back into
+/// panel states, so figure JSON is byte-identical whether or not metrics
+/// were recorded.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ShardMetrics {
     /// Wall-clock seconds the producing process spent evaluating the shard
@@ -252,6 +250,18 @@ impl ShardMetrics {
             auto_threshold: value.get("auto_threshold").and_then(JsonValue::as_f64),
             snapshot,
         })
+    }
+
+    /// Adds one call of `stage`, lasting `elapsed`, to the snapshot (an
+    /// empty snapshot is created if none was recorded). For driver-side
+    /// stages timed in pieces that still count as one call: `campaign_run`
+    /// reads each checkpoint as its shard finishes and merges them at the
+    /// end, all as one [`Stage::Persist`] call.
+    pub fn add_stage_call(&mut self, stage: Stage, elapsed: Duration) {
+        let snapshot = self.snapshot.get_or_insert_default();
+        snapshot.stage_nanos[stage as usize] +=
+            u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        snapshot.stage_calls[stage as usize] += 1;
     }
 
     /// Folds another shard's telemetry into this one (cross-shard
@@ -362,24 +372,43 @@ mod tests {
         let round = snapshot_from_json(&JsonValue::parse(&text).unwrap()).unwrap();
         assert_eq!(round, snapshot);
 
-        // Checkpoints written before the render stage existed hold six
-        // stages; they still load, with the render stage read as zero.
-        let mut older = snapshot_to_json(&snapshot);
-        let JsonValue::Object(fields) = &mut older else {
-            panic!("a snapshot serialises as an object");
-        };
-        let Some((_, JsonValue::Object(stages))) =
-            fields.iter_mut().find(|(key, _)| key == "stages")
-        else {
-            panic!("a snapshot has a stages object");
-        };
-        stages.retain(|(name, _)| name != Stage::Render.name());
-        assert_eq!(stages.len(), 6);
-        let round = snapshot_from_json(&older).unwrap();
-        let mut expected = snapshot;
-        expected.stage_nanos[Stage::Render as usize] = 0;
-        expected.stage_calls[Stage::Render as usize] = 0;
-        assert_eq!(round, expected);
+        // Snapshots written before the persist stage existed hold seven
+        // stages, and those from before the render stage six; both still
+        // load, with the missing stages read as zero.
+        for missing in [&[Stage::Persist][..], &[Stage::Persist, Stage::Render]] {
+            let mut older = snapshot_to_json(&snapshot);
+            let JsonValue::Object(fields) = &mut older else {
+                panic!("a snapshot serialises as an object");
+            };
+            let Some((_, JsonValue::Object(stages))) =
+                fields.iter_mut().find(|(key, _)| key == "stages")
+            else {
+                panic!("a snapshot has a stages object");
+            };
+            stages.retain(|(name, _)| missing.iter().all(|stage| stage.name() != name));
+            assert_eq!(stages.len(), Stage::ALL.len() - missing.len());
+            let round = snapshot_from_json(&older).unwrap();
+            let mut expected = snapshot;
+            for &stage in missing {
+                expected.stage_nanos[stage as usize] = 0;
+                expected.stage_calls[stage as usize] = 0;
+            }
+            assert_eq!(round, expected);
+        }
+    }
+
+    #[test]
+    fn add_stage_call_counts_one_call_and_creates_a_snapshot() {
+        let mut metrics = ShardMetrics::default();
+        metrics.add_stage_call(Stage::Persist, Duration::from_millis(250));
+        let snapshot = metrics.snapshot.expect("a snapshot is created");
+        assert_eq!(snapshot.stage_calls(Stage::Persist), 1);
+        assert_eq!(snapshot.stage_seconds(Stage::Persist), 0.25);
+        // Only the persist slots moved.
+        let mut expected = MetricsSnapshot::default();
+        expected.stage_nanos[Stage::Persist as usize] = 250_000_000;
+        expected.stage_calls[Stage::Persist as usize] = 1;
+        assert_eq!(snapshot, expected);
     }
 
     #[test]

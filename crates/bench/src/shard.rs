@@ -10,11 +10,12 @@
 //!
 //! 1. chunk boundaries and per-sample RNG streams derive from the global
 //!    plan (see [`faultmit_sim::Campaign::try_run_shard`]),
-//! 2. catalogue state stores each [`CdfSketch`]'s raw `(value, weight)`
-//!    observation list in insertion order and re-accumulates it on read
-//!    ([`CdfSketch::from_observations`]), record state stores the raw
-//!    [`PairedSample`] stream in global sample order, and deterministic
-//!    table state is validated for equality across shards, and
+//! 2. catalogue state stores each [`CdfSketch`]'s observation values in
+//!    insertion order next to their run-length encoded weights and
+//!    re-accumulates them on read ([`CdfSketch::from_observations`]),
+//!    record state stores the raw [`PairedSample`] stream in global sample
+//!    order, and deterministic table state is validated for equality
+//!    across shards, and
 //! 3. the in-tree JSON emitter prints every finite `f64` in its shortest
 //!    round-trippable form (sole exception: `-0.0` normalises to `+0.0`,
 //!    which no downstream reduction can distinguish — see the `json`
@@ -27,7 +28,9 @@
 //! A completed shard file doubles as a checkpoint: `campaign_shard` skips
 //! work when its output file already holds a state whose
 //! [`ShardState::matches`] its request, so re-running a partially finished
-//! K-shard campaign recomputes only the missing shards.
+//! K-shard campaign recomputes only the missing shards. A checkpoint in any
+//! other format — including the older `faultmit-shard-state` versions — does
+//! not parse, so it is recomputed.
 
 use crate::figures::{FigureSpec, PanelState};
 use crate::json::{JsonValue, ToJson};
@@ -41,16 +44,12 @@ use std::path::Path;
 /// Format tag of shard-state documents (bump on incompatible changes).
 ///
 /// `v2` replaced the fig5/fig7-only `v1` layout with the registry's
-/// panel-state union (catalogue / records / table); `v3` folded the four
-/// ad-hoc telemetry fields (`elapsed_seconds`, `kernel`,
-/// `generation_seconds`, `auto_threshold`) into one `metrics` section that
-/// also carries the observability snapshot. `v2` files still load — see
-/// [`ShardState::from_json`].
-pub const SHARD_STATE_FORMAT: &str = "faultmit-shard-state/v3";
-
-/// The previous format tag, still accepted by the loader: its top-level
-/// telemetry fields are folded into [`ShardState::metrics`] on read.
-pub const SHARD_STATE_FORMAT_V2: &str = "faultmit-shard-state/v2";
+/// panel-state union (catalogue / records / table); `v3` folded the
+/// top-level telemetry fields into one `metrics` section; `v4` stores each
+/// catalogue stratum as `{"n", "weights", "values"}` — run-length encoded
+/// weights next to a value column — instead of one `[value, weight]` pair
+/// per observation. The loader reads only this version.
+pub const SHARD_STATE_FORMAT: &str = "faultmit-shard-state/v4";
 
 /// Error reading or merging shard state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,11 +187,10 @@ impl ShardState {
             .get("format")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| ShardStateError::new("missing 'format' tag"))?;
-        let legacy_v2 = format == SHARD_STATE_FORMAT_V2;
-        if format != SHARD_STATE_FORMAT && !legacy_v2 {
+        if format != SHARD_STATE_FORMAT {
             return Err(ShardStateError::new(format!(
-                "unsupported shard-state format '{format}', expected '{SHARD_STATE_FORMAT}' \
-                 (or the legacy '{SHARD_STATE_FORMAT_V2}')"
+                "unsupported shard-state format '{format}', expected '{SHARD_STATE_FORMAT}'; \
+                 campaign_shard and campaign_run recompute such a checkpoint"
             )));
         }
         let spec = document
@@ -209,29 +207,11 @@ impl ShardState {
             .ok_or_else(|| ShardStateError::new("missing 'shard_count'"))?;
         let shard = ShardSpec::new(shard_index as usize, shard_count as usize)
             .map_err(|e| ShardStateError::new(e.to_string()))?;
-        // Telemetry is optional: files from before it existed simply carry
-        // none. v2 checkpoints spread the fields over the document's top
-        // level; v3 folds them into the `metrics` section — either way they
-        // land in the same [`ShardMetrics`], so there is exactly one
-        // accessor path whatever produced the file.
-        let metrics = if legacy_v2 {
-            ShardMetrics {
-                elapsed_seconds: document.get("elapsed_seconds").and_then(JsonValue::as_f64),
-                kernel: document
-                    .get("kernel")
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_owned),
-                generation_seconds: document
-                    .get("generation_seconds")
-                    .and_then(JsonValue::as_f64),
-                auto_threshold: document.get("auto_threshold").and_then(JsonValue::as_f64),
-                snapshot: None,
-            }
-        } else {
-            match document.get("metrics") {
-                None => ShardMetrics::default(),
-                Some(section) => ShardMetrics::from_json(section).map_err(ShardStateError::new)?,
-            }
+        // The telemetry section is optional: a document without one reads
+        // as empty metrics.
+        let metrics = match document.get("metrics") {
+            None => ShardMetrics::default(),
+            Some(section) => ShardMetrics::from_json(section).map_err(ShardStateError::new)?,
         };
         let panels = document
             .get("panels")
@@ -519,52 +499,93 @@ pub fn load_shard_files<P: AsRef<Path>>(paths: &[P]) -> Result<Vec<ShardState>, 
     Ok(states)
 }
 
-/// Serialises a [`CdfSketch`] as its ordered `(value, weight)` observation
-/// list.
+/// Serialises a [`CdfSketch`] as `{"weights": [[w, count], …], "values":
+/// [v, …]}`: the observation values in insertion order, and their weights
+/// run-length encoded, one `[weight, count]` run per maximal stretch of
+/// bit-equal weights. Every die of a catalogue stratum carries the same
+/// weight `pmf(n)/m`, so a registry campaign's stratum is one run, but the
+/// encoding is exact for any sketch.
 #[must_use]
 pub fn sketch_to_json(sketch: &CdfSketch) -> JsonValue {
-    JsonValue::Array(
-        sketch
-            .observations()
-            .iter()
-            .map(|&(value, weight)| {
-                JsonValue::Array(vec![JsonValue::Number(value), JsonValue::Number(weight)])
-            })
-            .collect(),
-    )
+    JsonValue::object(sketch_fields(sketch))
 }
 
-/// Rebuilds a [`CdfSketch`] from its serialised observation list,
-/// re-accumulating the order-sensitive total weight exactly.
+fn sketch_fields(sketch: &CdfSketch) -> [(&'static str, JsonValue); 2] {
+    let observations = sketch.observations();
+    let runs = observations
+        .chunk_by(|a, b| a.1.to_bits() == b.1.to_bits())
+        .map(|run| JsonValue::Array(vec![JsonValue::Number(run[0].1), run.len().to_json()]))
+        .collect();
+    let values = observations
+        .iter()
+        .map(|&(value, _)| JsonValue::Number(value))
+        .collect();
+    [
+        ("weights", JsonValue::Array(runs)),
+        ("values", JsonValue::Array(values)),
+    ]
+}
+
+/// Rebuilds a [`CdfSketch`] from the `weights`/`values` fields
+/// [`sketch_to_json`] writes, re-accumulating the order-sensitive total
+/// weight exactly.
 ///
 /// # Errors
 ///
-/// Returns [`ShardStateError`] when the document is not a list of
-/// `[value, weight]` pairs.
+/// Returns [`ShardStateError`] unless `values` is an array of numbers and
+/// `weights` an array of `[weight, count]` runs — a positive weight, a
+/// positive integer count — whose counts sum to the number of values.
 pub fn sketch_from_json(value: &JsonValue) -> Result<CdfSketch, ShardStateError> {
-    let observations = value
-        .as_array()
-        .ok_or_else(|| ShardStateError::new("sketch must be an array of [value, weight] pairs"))?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_array()
-                .filter(|items| items.len() == 2)
-                .ok_or_else(|| ShardStateError::new("sketch entries must be [value, weight]"))?;
-            let value = pair[0]
+    let values = value
+        .get("values")
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| ShardStateError::new("sketch is missing its 'values' array"))?;
+    let runs = value
+        .get("weights")
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| ShardStateError::new("sketch is missing its 'weights' array"))?;
+    let mut remaining = values.iter();
+    let mut observations = Vec::with_capacity(values.len());
+    for run in runs {
+        let Some([weight, count]) = run.as_array() else {
+            return Err(ShardStateError::new(
+                "sketch weight runs must be [weight, count] pairs",
+            ));
+        };
+        // `CdfSketch::push` would silently drop a non-positive weight, so
+        // refuse it here instead.
+        let weight = weight
+            .as_f64()
+            .filter(|&weight| weight > 0.0)
+            .ok_or_else(|| ShardStateError::new("sketch weights must be positive numbers"))?;
+        let count = count
+            .as_u64()
+            .filter(|&count| count > 0)
+            .ok_or_else(|| ShardStateError::new("sketch run counts must be positive integers"))?;
+        for _ in 0..count {
+            let observed = remaining
+                .next()
+                .ok_or_else(|| run_mismatch(values.len()))?
                 .as_f64()
                 .ok_or_else(|| ShardStateError::new("sketch values must be numbers"))?;
-            let weight = pair[1]
-                .as_f64()
-                .ok_or_else(|| ShardStateError::new("sketch weights must be numbers"))?;
-            Ok((value, weight))
-        })
-        .collect::<Result<Vec<_>, ShardStateError>>()?;
+            observations.push((observed, weight));
+        }
+    }
+    if remaining.next().is_some() {
+        return Err(run_mismatch(values.len()));
+    }
     Ok(CdfSketch::from_observations(observations))
 }
 
+fn run_mismatch(values: usize) -> ShardStateError {
+    ShardStateError::new(format!(
+        "sketch weight run counts do not sum to its {values} values"
+    ))
+}
+
 /// Serialises a [`CatalogueAccumulator`]: one entry per scheme, each a list
-/// of `{n, cdf}` per-failure-count sketches in ascending failure count.
+/// of `{n, weights, values}` per-failure-count sketches (see
+/// [`sketch_to_json`]) in ascending failure count.
 #[must_use]
 pub fn accumulator_to_json(accumulator: &CatalogueAccumulator) -> JsonValue {
     JsonValue::Array(
@@ -576,10 +597,8 @@ pub fn accumulator_to_json(accumulator: &CatalogueAccumulator) -> JsonValue {
                     per_count
                         .iter()
                         .map(|(&n_faults, cdf)| {
-                            JsonValue::object([
-                                ("n", n_faults.to_json()),
-                                ("cdf", sketch_to_json(cdf.sketch())),
-                            ])
+                            let [weights, values] = sketch_fields(cdf.sketch());
+                            JsonValue::object([("n", n_faults.to_json()), weights, values])
                         })
                         .collect(),
                 )
@@ -601,16 +620,15 @@ pub fn accumulator_from_json(value: &JsonValue) -> Result<CatalogueAccumulator, 
         .map(|scheme| {
             let mut per_count = BTreeMap::new();
             for entry in scheme.as_array().ok_or_else(|| {
-                ShardStateError::new("per-scheme state must be an array of {n, cdf} entries")
+                ShardStateError::new(
+                    "per-scheme state must be an array of {n, weights, values} entries",
+                )
             })? {
                 let n_faults = entry
                     .get("n")
                     .and_then(JsonValue::as_u64)
                     .ok_or_else(|| ShardStateError::new("count entry is missing 'n'"))?;
-                let sketch = entry
-                    .get("cdf")
-                    .ok_or_else(|| ShardStateError::new("count entry is missing 'cdf'"))
-                    .and_then(sketch_from_json)?;
+                let sketch = sketch_from_json(entry)?;
                 if per_count
                     .insert(n_faults, EmpiricalCdf::from_sketch(sketch))
                     .is_some()
@@ -812,39 +830,162 @@ mod tests {
         find_figure("fig5").unwrap().spec(&RunOptions::default())
     }
 
-    #[test]
-    fn empty_sketch_round_trips() {
-        let sketch = CdfSketch::new();
-        let round = sketch_from_json(&sketch_to_json(&sketch)).unwrap();
-        assert_eq!(round, sketch);
-        assert_eq!(round.total_weight().to_bits(), 0f64.to_bits());
-    }
+    /// A tiny deterministic xorshift for the sweeps below.
+    struct SweepRng(u64);
 
-    #[test]
-    fn single_sample_sketch_round_trips_bit_exactly() {
-        let mut sketch = CdfSketch::new();
-        sketch.push(1.0 / 3.0, 5e-324_f64.max(1e-17));
-        let round = sketch_from_json(&sketch_to_json(&sketch)).unwrap();
-        assert_eq!(round, sketch);
-        assert_eq!(
-            round.total_weight().to_bits(),
-            sketch.total_weight().to_bits()
-        );
-    }
-
-    #[test]
-    fn sketch_round_trip_preserves_order_sensitive_weight_sums() {
-        let mut sketch = CdfSketch::new();
-        for (i, w) in [1e-3, 1e16, 1.0, 1e-7, 3.5, 1e12].into_iter().enumerate() {
-            sketch.push(i as f64 * 0.1, w);
+    impl SweepRng {
+        fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            self.0 = x;
+            x
         }
-        let text = sketch_to_json(&sketch).to_pretty_string();
-        let round = sketch_from_json(&JsonValue::parse(&text).unwrap()).unwrap();
-        assert_eq!(round, sketch);
-        assert_eq!(
-            round.total_weight().to_bits(),
-            sketch.total_weight().to_bits()
-        );
+
+        /// A value in `lo..=hi`.
+        fn pick(&mut self, lo: usize, hi: usize) -> usize {
+            lo + (self.next() as usize) % (hi - lo + 1)
+        }
+
+        /// A value in `[0, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// Sketches in every weight layout — one constant run, two alternating
+    /// weights, all-distinct weights, random runs — plus the empty and the
+    /// single-observation sketch, round-tripped through text. Values include
+    /// zeros of both signs, subnormals and 1e300; weights span twelve
+    /// decades, so the order of the total-weight summation shows in its low
+    /// bits. Observations and the total must come back bit for bit, except
+    /// that -0.0 reads back as +0.0 (see the `json` module docs).
+    #[test]
+    fn sketch_round_trip_is_bit_exact_across_a_randomized_sweep() {
+        let specials = [0.0, -0.0, 5e-324, f64::MIN_POSITIVE / 3.0, 1e300, 1.0 / 3.0];
+        let mut sweep = SweepRng(0x5EED_5A4D | 1);
+        for case in 0..64 {
+            let len = match case {
+                0 => 0,
+                1 => 1,
+                _ => sweep.pick(2, 300),
+            };
+            let weight_of = |sweep: &mut SweepRng| {
+                (0.5 + sweep.unit()) * 10f64.powi(sweep.pick(0, 12) as i32 - 6)
+            };
+            let pair = [weight_of(&mut sweep), weight_of(&mut sweep)];
+            let mut run_weight = pair[0];
+            let mut sketch = CdfSketch::new();
+            for i in 0..len {
+                let weight = match case % 4 {
+                    0 => pair[0],
+                    1 => pair[i % 2],
+                    2 => weight_of(&mut sweep),
+                    _ => {
+                        if sweep.pick(0, 7) == 0 {
+                            run_weight = weight_of(&mut sweep);
+                        }
+                        run_weight
+                    }
+                };
+                let value = if sweep.pick(0, 2) == 0 {
+                    specials[sweep.pick(0, specials.len() - 1)]
+                } else {
+                    sweep.unit() * 10f64.powi(sweep.pick(0, 20) as i32 - 10)
+                };
+                sketch.push(value, weight);
+            }
+            assert_eq!(sketch.observations().len(), len);
+
+            let document = sketch_to_json(&sketch);
+            let distinct_runs = sketch
+                .observations()
+                .windows(2)
+                .filter(|pair| pair[0].1.to_bits() != pair[1].1.to_bits())
+                .count()
+                + usize::from(len > 0);
+            let runs = document.get("weights").and_then(JsonValue::as_array);
+            assert_eq!(runs.map(<[_]>::len), Some(distinct_runs), "case {case}");
+
+            let round = sketch_from_json(&JsonValue::parse(&document.to_pretty_string()).unwrap())
+                .unwrap_or_else(|e| panic!("case {case}: {e}"));
+            assert_eq!(round.observations().len(), len, "case {case}");
+            for (i, (a, b)) in sketch
+                .observations()
+                .iter()
+                .zip(round.observations())
+                .enumerate()
+            {
+                // `+ 0.0` maps -0.0 to +0.0 and leaves every other value.
+                assert_eq!(
+                    (a.0 + 0.0).to_bits(),
+                    b.0.to_bits(),
+                    "case {case}, value {i}"
+                );
+                assert_eq!(a.1.to_bits(), b.1.to_bits(), "case {case}, weight {i}");
+            }
+            assert_eq!(
+                round.total_weight().to_bits(),
+                sketch.total_weight().to_bits(),
+                "case {case}"
+            );
+        }
+    }
+
+    #[test]
+    fn sketch_loader_rejects_inconsistent_runs_weights_and_values() {
+        let good = JsonValue::parse("{\"weights\": [[0.5, 2]], \"values\": [1, 2.5]}").unwrap();
+        assert_eq!(sketch_from_json(&good).unwrap().observations().len(), 2);
+        for (bad, reason) in [
+            // Run counts that do not sum to the number of values.
+            (
+                "{\"weights\": [[0.5, 1]], \"values\": [1, 2]}",
+                "do not sum",
+            ),
+            (
+                "{\"weights\": [[0.5, 3]], \"values\": [1, 2]}",
+                "do not sum",
+            ),
+            ("{\"weights\": [], \"values\": [1]}", "do not sum"),
+            // Counts must be positive integers.
+            (
+                "{\"weights\": [[0.5, 0], [0.5, 2]], \"values\": [1, 2]}",
+                "counts",
+            ),
+            ("{\"weights\": [[0.5, 1.5]], \"values\": [1, 2]}", "counts"),
+            ("{\"weights\": [[0.5, -2]], \"values\": [1, 2]}", "counts"),
+            (
+                "{\"weights\": [[0.5, \"2\"]], \"values\": [1, 2]}",
+                "counts",
+            ),
+            // Weights must be positive numbers: `CdfSketch::push` would
+            // silently drop the observation otherwise.
+            ("{\"weights\": [[0, 2]], \"values\": [1, 2]}", "weights"),
+            ("{\"weights\": [[-0.5, 2]], \"values\": [1, 2]}", "weights"),
+            ("{\"weights\": [[null, 2]], \"values\": [1, 2]}", "weights"),
+            (
+                "{\"weights\": [[\"0.5\", 2]], \"values\": [1, 2]}",
+                "weights",
+            ),
+            // Values must be numbers.
+            (
+                "{\"weights\": [[0.5, 2]], \"values\": [1, \"x\"]}",
+                "values",
+            ),
+            ("{\"weights\": [[0.5, 2]], \"values\": [null, 1]}", "values"),
+            // Structural defects.
+            ("{\"weights\": [[0.5]], \"values\": [1]}", "pairs"),
+            ("{\"weights\": [[0.5, 1, 1]], \"values\": [1]}", "pairs"),
+            ("{\"weights\": [0.5], \"values\": [1]}", "pairs"),
+            ("{\"values\": [1]}", "'weights'"),
+            ("{\"weights\": [[0.5, 1]]}", "'values'"),
+            ("[[1.0, 0.5]]", "'values'"),
+        ] {
+            let error = sketch_from_json(&JsonValue::parse(bad).unwrap())
+                .expect_err(&format!("accepted {bad}"));
+            assert!(error.reason.contains(reason), "{bad} gave: {error}");
+        }
     }
 
     #[test]
@@ -893,11 +1034,18 @@ mod tests {
     #[test]
     fn malformed_state_documents_are_rejected() {
         assert!(sketch_from_json(&JsonValue::Null).is_err());
-        assert!(sketch_from_json(&JsonValue::parse("[[1.0]]").unwrap()).is_err());
-        assert!(sketch_from_json(&JsonValue::parse("[[1.0, true]]").unwrap()).is_err());
         assert!(accumulator_from_json(&JsonValue::parse("[{}]").unwrap()).is_err());
+        let stratum = "{\"n\": 1, \"weights\": [], \"values\": []}";
+        assert!(
+            accumulator_from_json(&JsonValue::parse(&format!("[[{stratum}]]")).unwrap()).is_ok()
+        );
         assert!(accumulator_from_json(
-            &JsonValue::parse("[[{\"n\": 1, \"cdf\": []}, {\"n\": 1, \"cdf\": []}]]").unwrap()
+            &JsonValue::parse(&format!("[[{stratum}, {stratum}]]")).unwrap()
+        )
+        .is_err());
+        // The v3 pair layout is not a v4 stratum.
+        assert!(accumulator_from_json(
+            &JsonValue::parse("[[{\"n\": 1, \"cdf\": [[1.0, 0.5]]}]]").unwrap()
         )
         .is_err());
         assert!(records_from_json(&JsonValue::Null).is_err());
@@ -1014,41 +1162,79 @@ mod tests {
         if let JsonValue::Object(fields) = &mut document {
             fields.retain(|(key, _)| key != "metrics");
         }
-        let legacy = ShardState::from_json(&document).unwrap();
-        assert!(legacy.metrics.is_empty());
-        assert_eq!(legacy.elapsed_seconds(), None);
-        assert_eq!(legacy.kernel(), None);
-        assert!(legacy.matches(&spec(), ShardSpec::new(1, 3).unwrap()));
+        let bare = ShardState::from_json(&document).unwrap();
+        assert!(bare.metrics.is_empty());
+        assert_eq!(bare.elapsed_seconds(), None);
+        assert_eq!(bare.kernel(), None);
+        assert!(bare.matches(&spec(), ShardSpec::new(1, 3).unwrap()));
     }
 
     #[test]
-    fn legacy_v2_checkpoints_with_top_level_telemetry_still_parse() {
-        // A literal v2 document, exactly as `campaign_shard` wrote it before
-        // the `metrics` section existed: telemetry lives at the top level.
-        let mut document = shard_with(1, 3, &[7.5]).to_json();
-        let JsonValue::Object(fields) = &mut document else {
-            panic!("shard state serialises as an object");
-        };
-        fields.retain(|(key, _)| key != "metrics");
-        for (key, value) in fields.iter_mut() {
-            if key == "format" {
-                *value = JsonValue::String(SHARD_STATE_FORMAT_V2.to_owned());
+    fn legacy_format_tags_are_refused_with_a_recompute_hint() {
+        let document = shard_with(1, 3, &[7.5]).to_json();
+        assert!(ShardState::from_json(&document).is_ok());
+        for tag in [
+            "faultmit-shard-state/v1",
+            "faultmit-shard-state/v2",
+            "faultmit-shard-state/v3",
+        ] {
+            let mut legacy = document.clone();
+            let JsonValue::Object(fields) = &mut legacy else {
+                panic!("shard state serialises as an object");
+            };
+            for (key, value) in fields.iter_mut() {
+                if key == "format" {
+                    *value = JsonValue::String(tag.to_owned());
+                }
             }
+            let error = ShardState::parse(&legacy.to_pretty_string()).unwrap_err();
+            assert!(error.reason.contains(&format!("'{tag}'")), "{error}");
+            assert!(error.reason.contains(SHARD_STATE_FORMAT), "{error}");
+            assert!(error.reason.contains("recompute"), "{error}");
         }
-        fields.push(("elapsed_seconds".to_owned(), JsonValue::Number(1.25)));
-        fields.push(("kernel".to_owned(), JsonValue::String("sparse".to_owned())));
-        fields.push(("generation_seconds".to_owned(), JsonValue::Number(0.625)));
-        fields.push(("auto_threshold".to_owned(), JsonValue::Number(0.0625)));
+    }
 
-        let migrated = ShardState::from_json(&document).unwrap();
-        assert_eq!(migrated.elapsed_seconds(), Some(1.25));
-        assert_eq!(migrated.kernel(), Some("sparse"));
-        assert_eq!(migrated.generation_seconds(), Some(0.625));
-        assert_eq!(migrated.auto_threshold(), Some(0.0625));
-        assert!(migrated.metrics.snapshot.is_none());
-        // The migrated state re-serialises as v3 with a `metrics` section.
-        let round = ShardState::parse(&migrated.to_json().to_pretty_string()).unwrap();
-        assert_eq!(round, migrated);
+    /// A crash mid-write must never leave a loadable checkpoint: every
+    /// strict prefix of a real one fails to parse.
+    #[test]
+    fn every_strict_prefix_of_a_real_checkpoint_fails_to_parse() {
+        let figure = find_figure("fig5").unwrap();
+        let spec = figure.spec(&RunOptions::parse(["--samples", "2"].map(str::to_owned)));
+        let shard = ShardSpec::new(0, 2).unwrap();
+        let recorder = std::sync::Arc::new(faultmit_obs::Recorder::new());
+        let panels = {
+            let _guard = faultmit_obs::install(&recorder);
+            figure
+                .run_shard(&spec, faultmit_sim::Parallelism::threads(1), shard)
+                .unwrap()
+        };
+        let state = ShardState {
+            panels: figure
+                .panel_labels(&spec)
+                .into_iter()
+                .zip(panels)
+                .map(|(label, state)| ShardPanelState { label, state })
+                .collect(),
+            metrics: ShardMetrics {
+                elapsed_seconds: Some(0.5),
+                generation_seconds: Some(0.25),
+                kernel: figure.resolved_kernel(&spec),
+                auto_threshold: None,
+                snapshot: Some(recorder.snapshot()),
+            },
+            spec,
+            shard,
+        };
+        let text = state.to_json().to_pretty_string();
+        assert!(text.is_ascii());
+        assert_eq!(ShardState::parse(&text).unwrap(), state);
+        for end in 0..text.len() {
+            assert!(
+                ShardState::parse(&text[..end]).is_err(),
+                "a {end}-byte prefix of a {}-byte checkpoint parsed",
+                text.len()
+            );
+        }
     }
 
     #[test]

@@ -255,13 +255,16 @@ pub enum Stage {
     Reduce,
     /// Merging chunk (or shard) results in deterministic order.
     Merge,
+    /// Reading shard checkpoints back: file read, parse and the cross-shard
+    /// merge in the `campaign_merge`/`campaign_run` drivers.
+    Persist,
     /// Rendering merged results into the figure document and report
     /// (yield model, CDF grid, yield queries).
     Render,
 }
 
 /// Number of [`Stage`] variants.
-pub const STAGE_COUNT: usize = 7;
+pub const STAGE_COUNT: usize = 8;
 
 impl Stage {
     /// Every stage, in pipeline order.
@@ -272,6 +275,7 @@ impl Stage {
         Self::Observe,
         Self::Reduce,
         Self::Merge,
+        Self::Persist,
         Self::Render,
     ];
 
@@ -285,6 +289,7 @@ impl Stage {
             Self::Observe => "observe",
             Self::Reduce => "reduce",
             Self::Merge => "merge",
+            Self::Persist => "persist",
             Self::Render => "render",
         }
     }

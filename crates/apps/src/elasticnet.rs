@@ -125,18 +125,27 @@ impl ElasticNet {
         let y_mean = y.iter().sum::<f64>() / n_f;
         let x_means = x.column_means();
 
-        // Centred copies keep the intercept out of the penalty.
-        let mut xc = x.clone();
-        for r in 0..n {
-            for (c, &mean) in x_means.iter().enumerate() {
-                xc.set(r, c, x.get(r, c) - mean);
-            }
-        }
+        // Centred copies keep the intercept out of the penalty. The features
+        // are stored column-major: coordinate descent walks one feature at a
+        // time, so each column is one contiguous slice.
+        let xc: Vec<f64> = x_means
+            .iter()
+            .enumerate()
+            .flat_map(|(c, &mean)| {
+                x.as_slice()
+                    .iter()
+                    .skip(c)
+                    .step_by(p)
+                    .map(move |v| v - mean)
+            })
+            .collect();
+        let columns: Vec<&[f64]> = xc.chunks_exact(n).collect();
         let yc: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
 
         // Per-feature squared norms (the coordinate-descent denominators).
-        let col_sq: Vec<f64> = (0..p)
-            .map(|c| xc.column(c).iter().map(|v| v * v).sum::<f64>() / n_f)
+        let col_sq: Vec<f64> = columns
+            .iter()
+            .map(|column| column.iter().map(|v| v * v).sum::<f64>() / n_f)
             .collect();
 
         let l1 = self.alpha * self.l1_ratio;
@@ -151,17 +160,18 @@ impl ElasticNet {
                 if col_sq[j] <= 1e-18 {
                     continue;
                 }
+                let column = columns[j];
                 let old = weights[j];
                 // rho = (1/n)·Σ x_ij·(residual_i + x_ij·w_j)
                 let mut rho = 0.0;
-                for (i, &res) in residual.iter().enumerate() {
-                    rho += xc.get(i, j) * (res + xc.get(i, j) * old);
+                for (&xij, &res) in column.iter().zip(&residual) {
+                    rho += xij * (res + xij * old);
                 }
                 rho /= n_f;
                 let new = soft_threshold(rho, l1) / (col_sq[j] + l2);
                 if (new - old).abs() > 0.0 {
-                    for (i, res) in residual.iter_mut().enumerate() {
-                        *res += xc.get(i, j) * (old - new);
+                    for (res, &xij) in residual.iter_mut().zip(column) {
+                        *res += xij * (old - new);
                     }
                 }
                 weights[j] = new;

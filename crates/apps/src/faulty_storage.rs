@@ -10,12 +10,55 @@
 //! Datasets larger than one memory bank wrap around: word `k` lands in row
 //! `k mod rows`, modelling a tiled/banked layout where the same physical rows
 //! (and therefore the same faulty cells) are reused across tiles.
+//!
+//! A die has a few fault-bearing rows among thousands, and a row without
+//! faults reads back what was written under every scheme. So
+//! [`FaultyStore::read_back`] quantises a matrix once ([`StoredMatrix`]) and
+//! reads back only the words that live in fault-bearing rows;
+//! [`FaultyStore::round_trip_matrix`] is the dense reference it matches bit
+//! for bit.
 
 use crate::error::AppError;
 use crate::fixedpoint::FixedPointFormat;
 use crate::linalg::Matrix;
 use faultmit_core::MitigationScheme;
 use faultmit_memsim::FaultMap;
+
+/// A matrix quantised to its storage words, together with the matrix a
+/// fault-free memory reads those words back as.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StoredMatrix {
+    format: FixedPointFormat,
+    words: Vec<u64>,
+    clean: Matrix,
+}
+
+impl StoredMatrix {
+    /// Quantises `matrix` (row-major) to words of the given format.
+    #[must_use]
+    pub fn new(matrix: &Matrix, format: FixedPointFormat) -> Self {
+        let words = format.encode_all(matrix.as_slice());
+        let clean = Matrix::from_vec(matrix.rows(), matrix.cols(), format.decode_all(&words))
+            .expect("one decoded value per element");
+        Self {
+            format,
+            words,
+            clean,
+        }
+    }
+
+    /// The storage words, in row-major element order.
+    #[must_use]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// What a fault-free memory reads the words back as.
+    #[must_use]
+    pub fn clean(&self) -> &Matrix {
+        &self.clean
+    }
+}
 
 /// Stores values through a protection scheme backed by a faulty memory.
 #[derive(Debug, Clone)]
@@ -100,6 +143,42 @@ impl<'a, S: MitigationScheme> FaultyStore<'a, S> {
         Matrix::from_vec(matrix.rows(), matrix.cols(), corrupted)
     }
 
+    /// Reads a stored matrix back through the faulty memory, visiting only
+    /// the words that live in fault-bearing rows.
+    ///
+    /// Returns `None` when each of those words reads back exactly as
+    /// written: the read-back is then [`StoredMatrix::clean`] bit for bit.
+    /// Otherwise returns the clean read-back with the changed words patched
+    /// in, bit-identical to [`FaultyStore::round_trip_matrix`] on the
+    /// original matrix. Words in fault-free rows are never read, which is
+    /// sound because [`MitigationScheme::observe`] delivers such a word
+    /// intact.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `stored` was quantised with a different format.
+    #[must_use]
+    pub fn read_back(&self, stored: &StoredMatrix) -> Option<Matrix> {
+        assert_eq!(stored.format, self.format, "stored with another format");
+        let rows = self.faults.config().rows();
+        let mut patched: Option<Matrix> = None;
+        for (row, row_faults) in self.faults.rows_with_faults() {
+            for index in (row..stored.words.len()).step_by(rows) {
+                let written = stored.words[index];
+                let observed = self
+                    .scheme
+                    .observe_sparse(row_faults, written)
+                    .unwrap_or_else(|| self.scheme.observe(self.faults, row, written));
+                if observed.value != written {
+                    patched
+                        .get_or_insert_with(|| stored.clean.clone())
+                        .as_mut_slice()[index] = self.format.decode(observed.value);
+                }
+            }
+        }
+        patched
+    }
+
     /// Number of memory words the given matrix occupies (before wrapping).
     #[must_use]
     pub fn words_required(&self, matrix: &Matrix) -> usize {
@@ -182,6 +261,33 @@ mod tests {
             .count();
         assert_eq!(damaged, 3, "indices 0, 64 and 128 must be corrupted");
         assert_eq!(store.words_required(&matrix), 130);
+    }
+
+    #[test]
+    fn read_back_patches_only_changed_words() {
+        // Row 0 holds a flip (indices 0, 64 and 128); row 2 holds two
+        // stuck-at cells that agree with every stored 1.0.
+        let faults = fault_map(&[
+            Fault::bit_flip(0, 31),
+            Fault::stuck_at_zero(2, 0),
+            Fault::stuck_at_zero(2, 1),
+        ]);
+        let matrix = Matrix::from_vec(13, 10, vec![1.0; 130]).unwrap();
+        let format = FixedPointFormat::q15_16();
+        let stored = StoredMatrix::new(&matrix, format);
+        assert_eq!(stored.words().len(), 130);
+
+        let unprotected = Scheme::unprotected32();
+        let store = FaultyStore::new(&unprotected, &faults, format).unwrap();
+        let patched = store.read_back(&stored).expect("the flip changes words");
+        assert_eq!(patched, store.round_trip_matrix(&matrix).unwrap());
+
+        // SECDED corrects the single flip and the stuck-at cells read back
+        // what was written: nothing changes, so there is nothing to patch.
+        let secded = Scheme::secded32();
+        let store = FaultyStore::new(&secded, &faults, format).unwrap();
+        assert_eq!(store.read_back(&stored), None);
+        assert_eq!(&store.round_trip_matrix(&matrix).unwrap(), stored.clean());
     }
 
     #[test]

@@ -141,25 +141,34 @@ impl KnnClassifier {
     }
 
     fn vote(&self, query: &[f64], train_x: &Matrix, train_y: &[usize]) -> usize {
-        // Collect squared distances to every training sample.
+        // Squared distance to every training sample, tagged with its index.
+        let cols = train_x.cols();
+        let data = train_x.as_slice();
         let mut distances: Vec<(f64, usize)> = (0..train_x.rows())
             .map(|i| {
                 let mut d = 0.0;
-                for (c, &q) in query.iter().enumerate().take(train_x.cols()) {
-                    let diff = train_x.get(i, c) - q;
+                for (&x, &q) in data[i * cols..(i + 1) * cols].iter().zip(query) {
+                    let diff = x - q;
                     d += diff * diff;
                 }
-                (d, train_y[i])
+                (d, i)
             })
             .collect();
-        distances.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("distances are finite"));
+        // The k nearest by (distance, index): an equal distance goes to the
+        // earlier training sample. `fit` guarantees k ≤ the sample count.
+        let k = self.k;
+        distances.select_nth_unstable_by(k - 1, |a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("distances are finite")
+                .then(a.1.cmp(&b.1))
+        });
 
         // Majority vote over the k nearest; ties break towards the smaller
         // label for determinism.
         let mut counts: std::collections::BTreeMap<usize, usize> =
             std::collections::BTreeMap::new();
-        for &(_, label) in distances.iter().take(self.k) {
-            *counts.entry(label).or_insert(0) += 1;
+        for &(_, index) in &distances[..k] {
+            *counts.entry(train_y[index]).or_insert(0) += 1;
         }
         counts
             .into_iter()
@@ -255,6 +264,29 @@ mod tests {
         knn.fit(&x, &y).unwrap();
         let query = Matrix::from_rows(&[vec![0.0]]).unwrap();
         assert_eq!(knn.predict(&query).unwrap(), vec![0]);
+    }
+
+    #[test]
+    fn equal_distances_at_the_k_boundary_go_to_the_earlier_sample() {
+        // Query 0 with k = 3: sample 4 (label 1) is nearest, then samples
+        // 0..=3 tie at distance 1 for the last two places. The index
+        // tie-break admits samples 0 and 1 (label 0), so label 0 wins 2:1;
+        // admitting samples 2 and 3 instead would vote 3:0 for label 1.
+        let x =
+            Matrix::from_rows(&[vec![1.0], vec![-1.0], vec![1.0], vec![-1.0], vec![0.0]]).unwrap();
+        let y = vec![0, 0, 1, 1, 1];
+        let mut knn = KnnClassifier::new(3).unwrap();
+        knn.fit(&x, &y).unwrap();
+        let query = Matrix::from_rows(&[vec![0.0]]).unwrap();
+        assert_eq!(knn.predict(&query).unwrap(), vec![0]);
+
+        // Reversed sample order: the tied label-1 samples now come first,
+        // so the same selection rule votes 3:0 for label 1.
+        let x_rev =
+            Matrix::from_rows(&[vec![0.0], vec![-1.0], vec![1.0], vec![-1.0], vec![1.0]]).unwrap();
+        let y_rev = vec![1, 1, 1, 0, 0];
+        knn.fit(&x_rev, &y_rev).unwrap();
+        assert_eq!(knn.predict(&query).unwrap(), vec![1]);
     }
 
     #[test]

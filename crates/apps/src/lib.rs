@@ -59,7 +59,7 @@ pub mod quality_eval;
 
 pub use elasticnet::ElasticNet;
 pub use error::AppError;
-pub use faulty_storage::FaultyStore;
+pub use faulty_storage::{FaultyStore, StoredMatrix};
 pub use fixedpoint::FixedPointFormat;
 pub use knn::KnnClassifier;
 pub use linalg::Matrix;

@@ -68,12 +68,7 @@ pub fn jacobi_eigen(matrix: &Matrix, max_sweeps: usize) -> Result<EigenDecomposi
     let tolerance = 1e-12 * scale;
 
     for _sweep in 0..max_sweeps {
-        let off_diagonal: f64 = (0..n)
-            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
-            .map(|(i, j)| a.get(i, j).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        if off_diagonal < tolerance {
+        if off_diagonal_norm(&a) < tolerance {
             return Ok(sort_descending(a, v, n));
         }
         for p in 0..n {
@@ -89,41 +84,58 @@ pub fn jacobi_eigen(matrix: &Matrix, max_sweeps: usize) -> Result<EigenDecomposi
                 let c = 1.0 / (t * t + 1.0).sqrt();
                 let s = t * c;
 
-                for k in 0..n {
-                    let akp = a.get(k, p);
-                    let akq = a.get(k, q);
-                    a.set(k, p, c * akp - s * akq);
-                    a.set(k, q, s * akp + c * akq);
-                }
-                for k in 0..n {
-                    let apk = a.get(p, k);
-                    let aqk = a.get(q, k);
-                    a.set(p, k, c * apk - s * aqk);
-                    a.set(q, k, s * apk + c * aqk);
-                }
-                for k in 0..n {
-                    let vkp = v.get(k, p);
-                    let vkq = v.get(k, q);
-                    v.set(k, p, c * vkp - s * vkq);
-                    v.set(k, q, s * vkp + c * vkq);
-                }
+                // A = Jᵀ·A·J: columns p and q first, then rows p and q of
+                // the updated matrix; V accumulates the column rotations.
+                rotate_columns(a.as_mut_slice(), n, p, q, c, s);
+                rotate_rows(a.as_mut_slice(), n, p, q, c, s);
+                rotate_columns(v.as_mut_slice(), n, p, q, c, s);
             }
         }
     }
 
     // Final convergence check after the sweep budget.
-    let off_diagonal: f64 = (0..n)
-        .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
-        .map(|(i, j)| a.get(i, j).powi(2))
-        .sum::<f64>()
-        .sqrt();
-    if off_diagonal < tolerance.max(1e-9 * scale) {
+    if off_diagonal_norm(&a) < tolerance.max(1e-9 * scale) {
         Ok(sort_descending(a, v, n))
     } else {
         Err(AppError::DidNotConverge {
             routine: "jacobi eigen-decomposition".to_owned(),
             iterations: max_sweeps,
         })
+    }
+}
+
+/// Frobenius norm of the strict upper triangle of a square matrix, summed
+/// row by row.
+fn off_diagonal_norm(a: &Matrix) -> f64 {
+    // `max(1)` keeps the chunk size valid for the empty 0×0 matrix.
+    a.as_slice()
+        .chunks_exact(a.cols().max(1))
+        .enumerate()
+        .flat_map(|(i, row)| &row[i + 1..])
+        .map(|x| x.powi(2))
+        .sum::<f64>()
+        .sqrt()
+}
+
+/// Rotates columns `p` and `q` of a row-major `n`-column matrix by the
+/// Jacobi rotation `(c, s)`.
+fn rotate_columns(data: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
+    for row in data.chunks_exact_mut(n) {
+        let (xp, xq) = (row[p], row[q]);
+        row[p] = c * xp - s * xq;
+        row[q] = s * xp + c * xq;
+    }
+}
+
+/// Rotates rows `p < q` of a row-major `n`-column matrix by the Jacobi
+/// rotation `(c, s)`.
+fn rotate_rows(data: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
+    let (head, tail) = data.split_at_mut(q * n);
+    let row_p = &mut head[p * n..(p + 1) * n];
+    for (xp, xq) in row_p.iter_mut().zip(&mut tail[..n]) {
+        let (pk, qk) = (*xp, *xq);
+        *xp = c * pk - s * qk;
+        *xq = s * pk + c * qk;
     }
 }
 

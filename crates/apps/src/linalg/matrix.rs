@@ -254,17 +254,31 @@ impl Matrix {
                 reason: "covariance of an empty matrix".to_owned(),
             });
         }
-        let means = self.column_means();
+        // Centre each column into a contiguous slice, so every pairwise sum
+        // below runs over unit-stride memory.
+        let centred: Vec<f64> = self
+            .column_means()
+            .into_iter()
+            .enumerate()
+            .flat_map(|(c, mean)| {
+                self.data
+                    .iter()
+                    .skip(c)
+                    .step_by(self.cols)
+                    .map(move |v| v - mean)
+            })
+            .collect();
+        let columns: Vec<&[f64]> = centred.chunks_exact(self.rows).collect();
         let mut cov = Matrix::zeros(self.cols, self.cols);
         for i in 0..self.cols {
             for j in i..self.cols {
                 let mut acc = 0.0;
-                for r in 0..self.rows {
-                    acc += (self.get(r, i) - means[i]) * (self.get(r, j) - means[j]);
+                for (x, y) in columns[i].iter().zip(columns[j]) {
+                    acc += x * y;
                 }
                 let value = acc / self.rows as f64;
-                cov.set(i, j, value);
-                cov.set(j, i, value);
+                cov.data[i * self.cols + j] = value;
+                cov.data[j * self.cols + i] = value;
             }
         }
         Ok(cov)

@@ -203,7 +203,9 @@ impl FigureDef for Fig7Def {
             backend: Some(options.backend_kind()),
             full_scale: options.full_scale,
             samples_per_count: options.samples_or(default_samples),
-            benchmarks: selected_benchmarks(&options.positional),
+            // An unknown selector leaves no panels here;
+            // `check_identity_flags` rejects it before any campaign runs.
+            benchmarks: selected_benchmarks(&options.positional).unwrap_or_default(),
             image: None,
             kind_law: None,
             // Quality campaigns evaluate through the apps layer, not the

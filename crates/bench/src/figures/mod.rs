@@ -63,23 +63,24 @@ pub type FigureError = Box<dyn std::error::Error>;
 /// Resolves benchmark selectors (`elasticnet`, `pca`, `knn` and their
 /// aliases) into [`Benchmark`]s; an empty selector list selects all three.
 ///
-/// Unknown names are reported on stderr and skipped — the behaviour
-/// `fig7_quality` has always had.
-#[must_use]
-pub fn selected_benchmarks(selectors: &[String]) -> Vec<Benchmark> {
+/// # Errors
+///
+/// Returns a message naming the first unknown selector and the accepted
+/// ones.
+pub fn selected_benchmarks(selectors: &[String]) -> Result<Vec<Benchmark>, String> {
     if selectors.is_empty() {
-        return Benchmark::ALL.to_vec();
+        return Ok(Benchmark::ALL.to_vec());
     }
     selectors
         .iter()
-        .filter_map(|name| match name.to_ascii_lowercase().as_str() {
-            "elasticnet" | "wine" => Some(Benchmark::Elasticnet),
-            "pca" | "madelon" => Some(Benchmark::Pca),
-            "knn" | "har" | "activity" => Some(Benchmark::Knn),
-            other => {
-                eprintln!("unknown benchmark '{other}', expected elasticnet|pca|knn");
-                None
-            }
+        .map(|name| match name.to_ascii_lowercase().as_str() {
+            "elasticnet" | "wine" => Ok(Benchmark::Elasticnet),
+            "pca" | "madelon" => Ok(Benchmark::Pca),
+            "knn" | "har" | "activity" => Ok(Benchmark::Knn),
+            _ => Err(format!(
+                "unknown benchmark '{name}', expected one of: elasticnet|wine, pca|madelon, \
+                 knn|har|activity"
+            )),
         })
         .collect()
 }
@@ -675,12 +676,18 @@ where
 /// Rejects campaign-identity flags (`--image`/`--kind-law`) that the
 /// resolved spec does not carry: a figure that normalises the flag away
 /// would silently run a different campaign than the one the user asked
-/// for — the same policy an unparseable value already gets.
+/// for — the same policy an unparseable value already gets. Fig. 7's
+/// benchmark selectors are identity too, so an unknown one is rejected
+/// rather than dropped.
 ///
 /// # Errors
 ///
-/// Returns a message naming the unsupported flag and the figure.
+/// Returns a message naming the unsupported flag and the figure, or the
+/// unknown benchmark selector.
 pub fn check_identity_flags(spec: &FigureSpec, options: &RunOptions) -> Result<(), FigureError> {
+    if spec.figure == fig7::Fig7Def.name() {
+        selected_benchmarks(&options.positional)?;
+    }
     if options.image.is_some() && spec.image != options.image {
         return Err(format!(
             "figure '{}' does not support --image (only fig9_data_sensitivity evaluates \
@@ -867,12 +874,31 @@ mod tests {
 
     #[test]
     fn benchmark_selection_matches_fig7_behaviour() {
-        assert_eq!(selected_benchmarks(&[]), Benchmark::ALL.to_vec());
+        assert_eq!(selected_benchmarks(&[]), Ok(Benchmark::ALL.to_vec()));
         assert_eq!(
             selected_benchmarks(&["knn".to_owned(), "wine".to_owned()]),
-            vec![Benchmark::Knn, Benchmark::Elasticnet]
+            Ok(vec![Benchmark::Knn, Benchmark::Elasticnet])
         );
-        assert!(selected_benchmarks(&["bogus".to_owned()]).is_empty());
+        let Err(message) = selected_benchmarks(&["knn".to_owned(), "knn_typo".to_owned()]) else {
+            panic!("an unknown selector must not resolve");
+        };
+        assert!(message.contains("'knn_typo'"), "{message}");
+        assert!(message.contains("elasticnet|wine, pca|madelon, knn|har|activity"));
+    }
+
+    #[test]
+    fn unknown_benchmark_selectors_fail_the_fig7_identity_check() {
+        let fig7 = find_figure("fig7").unwrap();
+        let typo = RunOptions::parse(["knn_typo".to_owned()]);
+        let Err(error) = check_identity_flags(&fig7.spec(&typo), &typo) else {
+            panic!("fig7 must reject an unknown benchmark selector");
+        };
+        assert!(error.to_string().contains("knn|har|activity"), "{error}");
+        let valid = RunOptions::parse(["har".to_owned()]);
+        assert!(check_identity_flags(&fig7.spec(&valid), &valid).is_ok());
+        // Figures without benchmark panels ignore positionals, as before.
+        let fig5 = find_figure("fig5").unwrap();
+        assert!(check_identity_flags(&fig5.spec(&typo), &typo).is_ok());
     }
 
     #[test]

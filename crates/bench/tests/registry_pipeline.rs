@@ -219,6 +219,33 @@ fn campaign_run_rejects_unknown_figures() {
 }
 
 #[test]
+fn unknown_fig7_benchmark_selectors_fail_before_any_output() {
+    let dir = TempDir::new("selector");
+    let out = dir.join("fig7.json");
+    let shards = dir.join("shards");
+    let shard_args = ["--figure", "fig7", "--shard", "0/1", "--out", &out];
+    let run_args = driver_args("fig7", &[], "2", &shards, &out);
+    for (binary, args) in [
+        (
+            env!("CARGO_BIN_EXE_fig7_quality"),
+            vec!["knn_typo", "--samples", "1", "--json", &out],
+        ),
+        (SHARD_BIN, [&shard_args[..], &["knn_typo"]].concat()),
+        (RUN_BIN, [&run_args[..], &["knn_typo"]].concat()),
+    ] {
+        let output = Command::new(binary).args(&args).output().unwrap();
+        assert!(!output.status.success(), "{binary} {args:?} must fail");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("unknown benchmark 'knn_typo'")
+                && stderr.contains("elasticnet|wine, pca|madelon, knn|har|activity"),
+            "{binary}: {stderr}"
+        );
+        assert!(!Path::new(&out).exists(), "{binary} wrote {out}");
+    }
+}
+
+#[test]
 fn merge_rejects_mixed_figure_shard_sets_by_name() {
     let dir = TempDir::new("mixed");
     let fig5 = dir.join("fig5-0of2.json");

@@ -77,6 +77,11 @@ pub trait MitigationScheme {
 
     /// The value the application observes when `written` was stored at `row`
     /// of a memory with the given fault map.
+    ///
+    /// A row with no faults must read back [`ObservedWord::intact`]`(written)`,
+    /// whatever the map holds elsewhere. Readers that visit only
+    /// fault-bearing rows rely on it: the sparse MSE kernels and the sparse
+    /// `FaultyStore::read_back` of the application crate.
     fn observe(&self, faults: &FaultMap, row: usize, written: u64) -> ObservedWord;
 
     /// Allocation-free fast path over one row's fault slice.
@@ -759,10 +764,42 @@ mod tests {
 
     #[test]
     fn fault_free_rows_are_intact_under_every_scheme() {
-        let faults = map(&[]);
-        for scheme in Scheme::fig5_catalogue() {
-            let observed = scheme.observe(&faults, 0, 0xDEAD_BEEF);
-            assert_eq!(observed, ObservedWord::intact(0xDEAD_BEEF));
+        // The `observe` contract that sparse readers rely on: a row without
+        // faults reads back what was written, whatever the rest of the map
+        // holds — multi-fault rows, stuck-at cells, or nothing at all.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut schemes = Scheme::fig5_catalogue();
+        schemes.extend(Scheme::fig7_catalogue());
+        let mut rng = StdRng::seed_from_u64(761);
+        let mut maps = vec![map(&[])];
+        for _ in 0..24 {
+            let faults: Vec<Fault> = (0..rng.gen_range(1usize..12))
+                .map(|_| {
+                    let (row, col) = (rng.gen_range(0usize..16), rng.gen_range(0usize..32));
+                    match rng.gen_range(0u32..3) {
+                        0 => Fault::bit_flip(row, col),
+                        1 => Fault::stuck_at_zero(row, col),
+                        _ => Fault::stuck_at_one(row, col),
+                    }
+                })
+                .collect();
+            maps.push(map(&faults));
+        }
+        for faults in &maps {
+            for row in (0..16).filter(|&row| !faults.row_has_fault(row)) {
+                for scheme in &schemes {
+                    for written in [0, 0xFFFF_FFFF, 0xDEAD_BEEF, rng.gen_range(0u64..1 << 32)] {
+                        assert_eq!(
+                            scheme.observe(faults, row, written),
+                            ObservedWord::intact(written),
+                            "{} row {row} written={written:#x} faults={:?}",
+                            scheme.name(),
+                            faults.iter().collect::<Vec<_>>()
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -14,12 +14,12 @@
 use crate::accumulate::CatalogueAccumulator;
 use crate::cdf::EmpiricalCdf;
 use crate::error::AnalysisError;
-use crate::mse::{block_mse_into, memory_mse_for_data, memory_mse_sparse_with};
+use crate::mse::{block_mse_into, memory_mse_sparse_with};
 use crate::yield_model::YieldModel;
 use faultmit_core::MitigationScheme;
 use faultmit_memsim::{
     DataImage, DieBlock, FailureCountDistribution, FaultBackend, ImageSpec, MemoryConfig,
-    OperatingPoint, SramVddBackend, W256,
+    OperatingPoint, SramVddBackend,
 };
 use faultmit_obs as obs;
 use faultmit_sim::{
@@ -175,12 +175,10 @@ impl<B: FaultBackend> MonteCarloConfig<B> {
     /// Selects the evaluation kernel (default: [`KernelKind::Sparse`]).
     ///
     /// All kernels accumulate **bit-identical** results — the choice only
-    /// trades throughput: `scalar` walks every faulty row through the
-    /// generic path against a materialised image, `sparse` is event-driven,
-    /// `bitsliced` evaluates up to 64 dies per `u64` lane, `bitsliced256`
-    /// evaluates up to 256 dies per [`W256`] lane, and `auto` resolves to
-    /// `sparse` or `bitsliced256` from the campaign's expected fault
-    /// density before any sampling happens (see
+    /// trades throughput: `sparse` is event-driven, `bitsliced` evaluates up
+    /// to [`faultmit_memsim::BLOCK_DIES`] dies per `u64` lane, and `auto`
+    /// resolves to `sparse` or `bitsliced` from the campaign's expected
+    /// fault density before any sampling happens (see
     /// [`MonteCarloConfig::resolved_kernel`]).
     #[must_use]
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
@@ -566,10 +564,8 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
         obs::count(
             match kernel {
                 KernelKind::Auto => unreachable!("resolved_kernel always returns a fixed kernel"),
-                KernelKind::Scalar => obs::Counter::DispatchScalar,
                 KernelKind::Sparse => obs::Counter::DispatchSparse,
                 KernelKind::Bitsliced => obs::Counter::DispatchBitsliced,
-                KernelKind::Bitsliced256 => obs::Counter::DispatchBitsliced256,
             },
             1,
         );
@@ -587,24 +583,6 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
                     gen_timer,
                 )
                 .map_err(run_to_analysis_error),
-            KernelKind::Scalar => {
-                // The flat-scan kernel walks a dense image, so materialise
-                // `written` once up front; the per-row words are the same
-                // ones the sparse closure would return.
-                let data: Vec<u64> = (0..self.config.memory().rows()).map(&written).collect();
-                campaign
-                    .try_run_shard_timed(
-                        schemes,
-                        seed,
-                        shard,
-                        |scheme, map| {
-                            Ok::<f64, Infallible>(memory_mse_for_data(scheme, map, &data))
-                        },
-                        || CatalogueAccumulator::new(schemes.len()),
-                        gen_timer,
-                    )
-                    .map_err(run_to_analysis_error)
-            }
             KernelKind::Bitsliced => campaign
                 .run_shard_blocks_timed(
                     schemes,
@@ -612,19 +590,6 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
                     shard,
                     |scheme, map| memory_mse_sparse_with(scheme, map, &written),
                     |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
-                        block_mse_into(scheme, block, &written, out);
-                    },
-                    || CatalogueAccumulator::new(schemes.len()),
-                    gen_timer,
-                )
-                .map_err(sim_to_analysis_error),
-            KernelKind::Bitsliced256 => campaign
-                .run_shard_blocks_timed(
-                    schemes,
-                    seed,
-                    shard,
-                    |scheme, map| memory_mse_sparse_with(scheme, map, &written),
-                    |scheme, block: &DieBlock<'_, W256>, out: &mut [f64]| {
                         block_mse_into(scheme, block, &written, out);
                     },
                     || CatalogueAccumulator::new(schemes.len()),
@@ -1027,14 +992,9 @@ mod tests {
                     .unwrap()
             };
             let sparse = run(KernelKind::Sparse);
-            assert_eq!(sparse, run(KernelKind::Scalar), "{image:?}: scalar");
-            assert_eq!(sparse, run(KernelKind::Bitsliced), "{image:?}: bitsliced");
-            assert_eq!(
-                sparse,
-                run(KernelKind::Bitsliced256),
-                "{image:?}: bitsliced256"
-            );
-            assert_eq!(sparse, run(KernelKind::Auto), "{image:?}: auto");
+            for kernel in KernelKind::ALL {
+                assert_eq!(sparse, run(kernel), "{image:?}: {kernel}");
+            }
         }
     }
 
@@ -1042,7 +1002,7 @@ mod tests {
     fn auto_kernel_resolution_tracks_the_campaign_density() {
         // 5 expected faults spread over 128 rows is far below the 8-per-row
         // threshold → sparse; the same kernel over an 8-row memory crosses
-        // it → bitsliced256.
+        // it → bitsliced.
         let sparse_config = MonteCarloConfig::new(MemoryConfig::new(128, 32).unwrap(), 1e-3)
             .unwrap()
             .with_max_failures(5)
@@ -1055,7 +1015,7 @@ mod tests {
             .with_kernel(KernelKind::Auto);
         assert_eq!(
             dense_config.resolved_kernel().unwrap(),
-            KernelKind::Bitsliced256
+            KernelKind::Bitsliced
         );
         // Fixed kernels resolve to themselves.
         assert_eq!(

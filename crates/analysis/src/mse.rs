@@ -17,18 +17,22 @@
 //! `4^b` over the bit positions that differ — identical to Eq. (6) for the
 //! paper's bit-flip injection model.
 //!
-//! Two kernels compute the same sum. The scalar kernels ([`memory_mse`],
-//! [`memory_mse_for_data`]) drive the generic `observe` path row by row; the
-//! event-driven kernels ([`memory_mse_sparse`], [`memory_mse_sparse_with`])
-//! walk the fault map's sorted row groups once, hand each scheme its row
-//! slice through
+//! Three evaluators compute the same sum. The dense scalar evaluators
+//! ([`memory_mse`], [`memory_mse_for_data`]) drive the generic `observe`
+//! path row by row and are the reference the campaign kernels are gated
+//! against; the event-driven kernels ([`memory_mse_sparse`],
+//! [`memory_mse_sparse_with`]) walk the fault map's sorted row groups once,
+//! hand each scheme its row slice through
 //! [`observe_sparse`](faultmit_core::MitigationScheme::observe_sparse), and
-//! gather written words only for fault-bearing rows. Both accumulate
-//! per-row contributions in ascending row order, so their results are
+//! gather written words only for fault-bearing rows; [`block_mse_into`]
+//! evaluates a whole transposed die block at once. All accumulate per-row
+//! contributions in ascending row order, so their results are
 //! **bit-identical** (the `kernel_equivalence` integration suite pins this).
 
-use faultmit_core::{BlockLane, MitigationScheme};
-use faultmit_memsim::{DieBlock, Fault, FaultKind, FaultMap, ResidualLanes};
+use faultmit_core::MitigationScheme;
+use faultmit_memsim::{
+    for_each_die, DieBlock, Fault, FaultKind, FaultMap, ResidualLanes, BLOCK_DIES,
+};
 use faultmit_obs as obs;
 
 /// Exact `4^b` for every data-bit position, precomputed so the hot
@@ -173,31 +177,28 @@ where
 /// transposed [`DieBlock`] in one walk over its faulty rows, writing die
 /// `j`'s MSE to `out[j]`.
 ///
-/// Generic over the [`Lane`](faultmit_memsim::Lane) width `L` (`u64` = 64
-/// dies, `W256` = 256): per
-/// row the scheme's lane-parallel block observer — selected by width
-/// through [`BlockLane::observe_block_on`] — produces per-data-bit
+/// Per row the scheme's lane-parallel
+/// [`observe_block`](MitigationScheme::observe_block) produces per-data-bit
 /// residual-error lanes; the reduction then scatters each residual lane's
 /// `4^col` weight into per-die row partials in ascending column order,
 /// touching every residual bit exactly once. Bit-identity with the sparse
-/// kernel holds by construction at every width: the visit set is fault
-/// **presence** per die (exactly the rows `rows_with_faults` hands the
-/// sparse kernel), rows are walked in the same ascending order, each die's
-/// sum starts from the same `-0.0` IEEE additive identity, and the
-/// column-order scatter folds the identical diff bits in the identical
-/// LSB-first order `word_squared_error(0, diff)` would. Schemes without a
-/// block path at width `L` fall back to their sparse path per die.
+/// kernel holds by construction: the visit set is fault **presence** per
+/// die (exactly the rows `rows_with_faults` hands the sparse kernel), rows
+/// are walked in the same ascending order, each die's sum starts from the
+/// same `-0.0` IEEE additive identity, and the column-order scatter folds
+/// the identical diff bits in the identical LSB-first order
+/// `word_squared_error(0, diff)` would. Schemes without a block path fall
+/// back to their sparse path per die.
 ///
 /// # Panics
 ///
 /// Panics if `out` is shorter than the block's die count, or if the scheme
 /// provides neither a block nor a sparse path (block evaluation requires a
 /// sparse-capable scheme).
-pub fn block_mse_into<S, W, L>(scheme: &S, block: &DieBlock<'_, L>, written: W, out: &mut [f64])
+pub fn block_mse_into<S, W>(scheme: &S, block: &DieBlock<'_>, written: W, out: &mut [f64])
 where
     S: MitigationScheme + ?Sized,
     W: Fn(usize) -> u64,
-    L: BlockLane,
 {
     let dies = block.die_count();
     assert!(
@@ -208,16 +209,14 @@ where
     let rows = block.config().rows() as f64;
     // One running sum per die, each starting from the -0.0 additive
     // identity the scalar kernels fold from. Stack storage sized by the
-    // lane width: the block path allocates nothing in steady state.
-    let mut totals = L::die_array(-0.0f64);
-    let totals = totals.as_mut();
+    // block width: the block path allocates nothing in steady state.
+    let mut totals = [-0.0f64; BLOCK_DIES];
     // Per-row squared-error partials, scattered column-by-column so every
     // residual bit is touched exactly once (a per-die `gather_die` walk
     // would re-scan the full column mask once per dirty die). Entries are
     // cleared sparsely through the seen-die mask after each row.
-    let mut row_err = L::die_array(0.0f64);
-    let row_err = row_err.as_mut();
-    let mut residual = ResidualLanes::<L>::new();
+    let mut row_err = [0.0f64; BLOCK_DIES];
+    let mut residual = ResidualLanes::new();
     // Block-observer vs whole-row-fallback tallies, flushed once per block.
     let mut block_rows = 0u64;
     let mut fallback_rows = 0u64;
@@ -225,21 +224,21 @@ where
     for row in block.rows() {
         let stored = written(row.row);
         residual.clear();
-        if L::observe_block_on(scheme, row.cells, stored, &mut residual) {
+        if scheme.observe_block(row.cells, stored, &mut residual) {
             block_rows += 1;
         } else {
             // Per-die fallback through the sparse path: rebuild each dirty
             // die's sorted fault slice on the stack.
             fallback_rows += 1;
             let mut scratch = [Fault::bit_flip(0, 0); 64];
-            row.dirty.for_each_die(|die| {
+            for_each_die(row.dirty, |die| {
                 fallback_dies += 1;
                 let mut len = 0;
                 for cell in row.cells {
-                    if cell.presence().bit(die) != 0 {
-                        let kind = if cell.flips.bit(die) != 0 {
+                    if (cell.presence() >> die) & 1 != 0 {
+                        let kind = if (cell.flips >> die) & 1 != 0 {
                             FaultKind::BitFlip
-                        } else if cell.stuck_value.bit(die) != 0 {
+                        } else if (cell.stuck_value >> die) & 1 != 0 {
                             FaultKind::StuckAtOne
                         } else {
                             FaultKind::StuckAtZero
@@ -255,27 +254,27 @@ where
                 while diff != 0 {
                     let col = diff.trailing_zeros() as usize;
                     diff &= diff - 1;
-                    residual.accumulate(col, L::lane_bit(die));
+                    residual.accumulate(col, 1u64 << die);
                 }
             });
         }
         // Scatter the residual into per-die partials in ascending column
         // order — the same LSB-first `4^b` fold `word_squared_error` applies
         // to a gathered diff, so each partial is bit-identical to it.
-        let mut seen = L::ZERO;
+        let mut seen = 0u64;
         let mut mask = residual.colmask();
         while mask != 0 {
             let col = mask.trailing_zeros() as usize;
             mask &= mask - 1;
             let lane = residual.lane(col);
             seen |= lane;
-            lane.for_each_die(|die| row_err[die] += POW4[col]);
+            for_each_die(lane, |die| row_err[die] += POW4[col]);
         }
         // Visit exactly the dies whose map holds a fault in this row — the
         // sparse kernel's visit set — even when their residual is zero
         // (silent stuck-at faults still contribute a +0.0 term).
-        row.dirty.for_each_die(|die| totals[die] += row_err[die]);
-        seen.for_each_die(|die| row_err[die] = 0.0);
+        for_each_die(row.dirty, |die| totals[die] += row_err[die]);
+        for_each_die(seen, |die| row_err[die] = 0.0);
     }
     obs::count(obs::Counter::ObserveBlockRows, block_rows);
     if fallback_rows != 0 {
@@ -459,10 +458,12 @@ mod tests {
         }
     }
 
-    /// The width-generic body of the block bit-identity sweep: every die of
-    /// a `dies`-sample block must reproduce the sparse kernel's MSE bit for
-    /// bit, across backends, kind laws and catalogue schemes.
-    fn check_block_kernel_against_sparse<L: BlockLane>(dies: u64) {
+    #[test]
+    fn block_kernel_is_bit_identical_to_the_sparse_kernel() {
+        // Every die of a block must reproduce the sparse kernel's MSE bit
+        // for bit, across backends, kind laws and catalogue schemes. A
+        // deliberately non-multiple-of-64 block size.
+        let dies = 37u64;
         use faultmit_memsim::{
             Backend, BackendKind, BlockScratch, DieScratch, FaultKindLaw, PlannedSample,
             StreamSeeder,
@@ -491,7 +492,7 @@ mod tests {
                         n_faults: 1 + (index * 5) % 30,
                     })
                     .collect();
-                let mut scratch = BlockScratch::<L>::new(config);
+                let mut scratch = BlockScratch::new(config);
                 let block = scratch
                     .generate_block(&backend, &seeder, &plan, None)
                     .unwrap();
@@ -514,19 +515,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn block_kernel_is_bit_identical_to_the_sparse_kernel() {
-        // A deliberately non-multiple-of-64 block size.
-        check_block_kernel_against_sparse::<u64>(37);
-    }
-
-    #[test]
-    fn wide_block_kernel_is_bit_identical_to_the_sparse_kernel() {
-        // More dies than a u64 lane holds, not a multiple of 64, so dies in
-        // every W256 word (and a ragged tail) are exercised.
-        check_block_kernel_against_sparse::<faultmit_memsim::W256>(201);
     }
 
     #[test]
@@ -574,7 +562,7 @@ mod tests {
         let plan: Vec<PlannedSample> = (0..16u64)
             .map(|index| PlannedSample { index, n_faults: 8 })
             .collect();
-        let mut scratch = BlockScratch::<u64>::new(config);
+        let mut scratch = BlockScratch::new(config);
         let block = scratch
             .generate_block(&backend, &seeder, &plan, None)
             .unwrap();
@@ -583,15 +571,6 @@ mod tests {
         let mut expected = vec![0.0f64; plan.len()];
         block_mse_into(&Scheme::unprotected32(), &block, |_| 0, &mut expected);
         for (a, b) in out.iter().zip(&expected) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // The wide kernel takes the same per-die fallback: SparseOnly has
-        // no observe_block_wide either.
-        let mut wide = BlockScratch::<faultmit_memsim::W256>::new(config);
-        let block = wide.generate_block(&backend, &seeder, &plan, None).unwrap();
-        let mut wide_out = vec![0.0f64; plan.len()];
-        block_mse_into(&SparseOnly, &block, |_| 0, &mut wide_out);
-        for (a, b) in wide_out.iter().zip(&expected) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

@@ -19,8 +19,8 @@ use faultmit_bench::json::{JsonValue, ToJson};
 use faultmit_core::{rotate_left, rotate_right, Scheme, SegmentGeometry, ShuffledMemory};
 use faultmit_ecc::{HammingSecded, PriorityEcc, SecdedCode};
 use faultmit_memsim::{
-    Backend, BackendKind, BlockScratch, DieScratch, Fault, FaultMap, Lane, MarchBist, MemoryConfig,
-    PlannedSample, SramArray, SramVddBackend, StreamSeeder, W256,
+    Backend, BackendKind, BlockScratch, DieScratch, Fault, FaultMap, MarchBist, MemoryConfig,
+    PlannedSample, SramArray, SramVddBackend, StreamSeeder, BLOCK_DIES,
 };
 use faultmit_obs as obs;
 use std::time::Instant;
@@ -182,9 +182,10 @@ impl ToJson for GenerationRow {
     }
 }
 
-/// Dies generated per second through a 256-die `BlockScratch` with the
-/// wide lane-interleaved path on or off, single-threaded: a warm-up pass
-/// grows the arena, then `reps × blocks` full blocks are timed.
+/// Dies generated per second through a [`BLOCK_DIES`]-die `BlockScratch`
+/// with the wide lane-interleaved path on or off, single-threaded: a
+/// warm-up pass grows the arena, then `reps × blocks` full blocks are
+/// timed.
 fn measure_generation(
     memory: MemoryConfig,
     backend: &Backend,
@@ -194,9 +195,9 @@ fn measure_generation(
     reps: u32,
 ) -> f64 {
     let seeder = StreamSeeder::new(0xD1E5);
-    let mut scratch = BlockScratch::<W256>::new(memory);
+    let mut scratch = BlockScratch::new(memory);
     scratch.set_wide_generation(wide_generation);
-    let lanes = W256::LANES as u64;
+    let lanes = BLOCK_DIES as u64;
     let plan_for = |block: u64| {
         (0..lanes)
             .map(|j| PlannedSample {
@@ -205,7 +206,7 @@ fn measure_generation(
             })
             .collect::<Vec<_>>()
     };
-    let run = |scratch: &mut BlockScratch<W256>, first: u64| {
+    let run = |scratch: &mut BlockScratch, first: u64| {
         for block in first..first + blocks {
             let plan = plan_for(block);
             let die_block = scratch
@@ -240,15 +241,15 @@ fn bench_datapath_json(_c: &mut Criterion) {
     // in the thousands either way.
     let cells = (memory.rows() * 32) as f64;
     let points: [(&'static str, BackendKind, f64, u64, u64); 4] = [
-        ("fig5_p1e-4", BackendKind::Sram, 1e-4, 12, 24),
-        ("fig5_p1e-4", BackendKind::Dram, 1e-4, 12, 24),
-        ("fig5_p1e-4", BackendKind::Mlc, 1e-4, 12, 24),
+        ("fig5_p1e-4", BackendKind::Sram, 1e-4, 12, 96),
+        ("fig5_p1e-4", BackendKind::Dram, 1e-4, 12, 96),
+        ("fig5_p1e-4", BackendKind::Mlc, 1e-4, 12, 96),
         (
             "dense_ecc_p6.3e-2",
             BackendKind::Sram,
             8192.0 / cells,
             8192,
-            4,
+            16,
         ),
     ];
 

@@ -10,9 +10,8 @@
 //! `determinism` integration test, while this bench tracks the speed.
 
 //! Besides the Criterion groups, `bench_throughput_json` measures the
-//! worker-count sweep 1/2/4/8 plus the kernel-generation comparison
-//! (`scalar_btree` → `scalar_flat` → `sparse` → `bitsliced` →
-//! `bitsliced256`, plus the density-resolved `auto` row) and writes
+//! worker-count sweep 1/2/4/8 plus the kernel comparison (`sparse` →
+//! `bitsliced`, plus the density-resolved `auto` row) and writes
 //! `BENCH_pipeline.json` (path overridable via the `BENCH_PIPELINE_JSON`
 //! environment variable) through the in-tree JSON emitter, so throughput can
 //! be re-measured and tracked on any host. Worker counts above the host's
@@ -23,20 +22,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use faultmit_analysis::{
-    block_mse_into, memory_mse_for_data, memory_mse_sparse_with, MonteCarloConfig, MonteCarloEngine,
+    block_mse_into, memory_mse_sparse_with, MonteCarloConfig, MonteCarloEngine,
 };
 use faultmit_bench::json::{JsonValue, ToJson};
 use faultmit_core::Scheme;
-use faultmit_memsim::{
-    corrupt_word, DieBlock, FaultKind, FaultKindLaw, FaultMap, ImageSpec, Lane, MemoryConfig,
-    SramVddBackend, W256,
-};
+use faultmit_memsim::{DieBlock, FaultKindLaw, FaultMap, ImageSpec, MemoryConfig, SramVddBackend};
 use faultmit_obs as obs;
 use faultmit_sim::{
     Accumulator, Campaign, CampaignConfig, KernelKind, PairedSample, Parallelism, ShardSpec,
 };
-use std::collections::BTreeMap;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Reduced Fig. 5 operating point: same geometry and failure counts that
@@ -127,22 +121,22 @@ impl ToJson for WorkerScalingRow {
     }
 }
 
-/// One row of the kernel-generation comparison (`speedup_vs_scalar` is
-/// relative to the `scalar_btree` baseline — the pre-flat-map kernel).
+/// One row of the kernel comparison (`speedup_vs_sparse` is relative to the
+/// default `sparse` kernel at the same operating point).
 struct KernelRow {
     config: &'static str,
     kernel: &'static str,
     mean_seconds_per_campaign: f64,
     samples_per_second: f64,
     words_per_second: f64,
-    speedup_vs_scalar: f64,
+    speedup_vs_sparse: f64,
     /// Fraction of wide-generation lane steps with the lane still live
     /// (from the per-row metrics delta; absent for kernels that never
     /// enter the wide path).
     widegen_lane_utilisation: Option<f64>,
     /// Fraction of observed rows that fell back off the bit-sliced block
-    /// path (absent for the scalar/sparse kernels, which have no block
-    /// path to fall back from).
+    /// path (absent for the sparse kernel, which has no block path to fall
+    /// back from).
     observe_fallback_rate: Option<f64>,
 }
 
@@ -157,7 +151,7 @@ impl ToJson for KernelRow {
             ),
             ("samples_per_second", self.samples_per_second.to_json()),
             ("words_per_second", self.words_per_second.to_json()),
-            ("speedup_vs_scalar", self.speedup_vs_scalar.to_json()),
+            ("speedup_vs_sparse", self.speedup_vs_sparse.to_json()),
             (
                 "widegen_lane_utilisation",
                 self.widegen_lane_utilisation.to_json(),
@@ -196,214 +190,6 @@ impl Accumulator for SumMetrics {
 /// Seed of the kernel-comparison campaigns (arbitrary fixed constant).
 const KERNEL_SEED: u64 = 0x5E1F_F165;
 
-/// The pre-flat-map fault-map layout: per-die nested B-trees, rebuilt from
-/// each sampled flat map so the RNG schedule (and therefore every fault
-/// population) stays authoritative. The rebuild mirrors the tree
-/// construction the historical sampler performed during die generation.
-#[derive(Default)]
-struct LegacyDie {
-    by_row: BTreeMap<usize, BTreeMap<usize, FaultKind>>,
-    rows: usize,
-}
-
-impl LegacyDie {
-    fn rebuild(&mut self, map: &FaultMap) {
-        self.by_row.clear();
-        self.rows = map.config().rows();
-        for fault in map.iter() {
-            self.by_row
-                .entry(fault.row)
-                .or_default()
-                .insert(fault.col, fault.kind);
-        }
-    }
-
-    /// Historical `FaultMap::faulty_columns`: a fresh `Vec` per call.
-    fn faulty_columns(&self, row: usize) -> Vec<usize> {
-        self.by_row
-            .get(&row)
-            .map(|m| m.keys().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Historical `Scheme::corrupt`: re-walks the columns and performs a
-    /// tree lookup per fault.
-    fn corrupt(&self, row: usize, stored: u64) -> u64 {
-        let mut observed = stored;
-        for col in self.faulty_columns(row) {
-            if let Some(kind) = self.by_row.get(&row).and_then(|m| m.get(&col)).copied() {
-                observed = corrupt_word(observed, col, kind);
-            }
-        }
-        observed
-    }
-}
-
-/// Historical `word_squared_error`: `4^b` via `powi` (the flat kernels use a
-/// precomputed table that is bit-identical — pinned by a unit test).
-fn legacy_word_squared_error(written: u64, observed: u64) -> f64 {
-    let mut diff = written ^ observed;
-    let mut total = 0.0;
-    while diff != 0 {
-        let bit = diff.trailing_zeros();
-        total += 4.0_f64.powi(bit as i32);
-        diff &= diff - 1;
-    }
-    total
-}
-
-/// Historical `rotate_right`: reduces the shift with an integer modulo
-/// (today's shifter skips the division for in-range shifts).
-fn legacy_rotate_right(value: u64, shift: usize, width: usize) -> u64 {
-    let mask = if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
-    let shift = shift % width;
-    if shift == 0 {
-        return value;
-    }
-    ((value >> shift) | (value << (width - shift))) & mask
-}
-
-fn legacy_rotate_left(value: u64, shift: usize, width: usize) -> u64 {
-    let shift = shift % width;
-    if shift == 0 {
-        return value;
-    }
-    legacy_rotate_right(value, width - shift, width)
-}
-
-/// Historical `FmLut::choose_shift` + `shift_amount`: per-candidate costs via
-/// `/`, `%` and `pow` (today's versions exploit the power-of-two widths).
-fn legacy_shift_for(geometry: &faultmit_core::SegmentGeometry, columns: &[usize]) -> usize {
-    let word_bits = geometry.word_bits();
-    let segment_bits = geometry.segment_bits();
-    let x_fm = match columns {
-        [] => 0,
-        [single] => *single / segment_bits,
-        _ => {
-            let mut best_index = 0usize;
-            let mut best_cost = u128::MAX;
-            for candidate in 0..geometry.segment_count() {
-                let shift = candidate * segment_bits;
-                let cost: u128 = columns
-                    .iter()
-                    .map(|&col| {
-                        let data_bit = (col + word_bits - shift) % word_bits;
-                        (1u128 << data_bit).pow(2)
-                    })
-                    .sum();
-                if cost < best_cost {
-                    best_cost = cost;
-                    best_index = candidate;
-                }
-            }
-            best_index
-        }
-    };
-    (segment_bits * (geometry.segment_count() - x_fm)) % word_bits
-}
-
-/// Historical `Scheme::observe` against the nested-tree layout (value only —
-/// the MSE kernel never reads the reliability flag).
-fn legacy_observe(scheme: &Scheme, die: &LegacyDie, row: usize, written: u64) -> u64 {
-    let columns = die.faulty_columns(row);
-    if columns.is_empty() {
-        return written;
-    }
-    match scheme {
-        Scheme::Unprotected { .. } => die.corrupt(row, written),
-        Scheme::Secded { .. } => {
-            let corrupted = die.corrupt(row, written);
-            if (corrupted ^ written).count_ones() <= 1 {
-                written
-            } else {
-                corrupted
-            }
-        }
-        Scheme::PriorityEcc {
-            word_bits,
-            protected_bits,
-        } => {
-            let corrupted = die.corrupt(row, written);
-            let unprotected_bits = word_bits - protected_bits;
-            let msb_mask = if *word_bits == 64 && unprotected_bits == 0 {
-                u64::MAX
-            } else {
-                (((1u64 << protected_bits) - 1) << unprotected_bits) & ((1u64 << word_bits) - 1)
-            };
-            if ((corrupted ^ written) & msb_mask).count_ones() <= 1 {
-                (written & msb_mask) | (corrupted & !msb_mask)
-            } else {
-                corrupted
-            }
-        }
-        Scheme::BitShuffle(geometry) => {
-            let shift = legacy_shift_for(geometry, &columns);
-            let stored = legacy_rotate_right(written, shift, geometry.word_bits());
-            let corrupted = die.corrupt(row, stored);
-            legacy_rotate_left(corrupted, shift, geometry.word_bits())
-        }
-    }
-}
-
-/// Historical MSE kernel over the nested-tree layout.
-fn legacy_memory_mse<W: Fn(usize) -> u64>(scheme: &Scheme, die: &LegacyDie, written: &W) -> f64 {
-    let rows = die.rows as f64;
-    let total: f64 = die
-        .by_row
-        .keys()
-        .map(|&row| {
-            let data = written(row);
-            legacy_word_squared_error(data, legacy_observe(scheme, die, row, data))
-        })
-        .sum();
-    total / rows
-}
-
-/// Times the pre-PR kernel: per-die nested B-trees and the allocating
-/// `observe` path. Die sampling still runs through the (flat) campaign
-/// sampler — the RNG authority — and the nested trees are rebuilt once per
-/// die inside the evaluation closure, standing in for the tree construction
-/// the historical sampler did at generation time.
-fn time_legacy_campaign<W>(
-    config: CampaignConfig<SramVddBackend>,
-    schemes: &[Scheme],
-    written: W,
-    reps: u32,
-) -> (f64, f64, u64)
-where
-    W: Fn(usize) -> u64 + Sync,
-{
-    struct LegacyState {
-        die: LegacyDie,
-        calls: usize,
-    }
-    let state = Mutex::new(LegacyState {
-        die: LegacyDie::default(),
-        calls: 0,
-    });
-    let n_schemes = schemes.len();
-    time_campaign(
-        config,
-        schemes,
-        |scheme, map| {
-            // The campaign evaluates all schemes of the catalogue against
-            // each die in order (serial parallelism), so every n-th call
-            // marks a fresh die.
-            let mut state = state.lock().unwrap();
-            if state.calls.is_multiple_of(n_schemes) {
-                state.die.rebuild(map);
-            }
-            state.calls += 1;
-            legacy_memory_mse(scheme, &state.die, &written)
-        },
-        reps,
-    )
-}
-
 /// Times `reps` runs of a single-threaded campaign and returns
 /// `(mean seconds per campaign, metric-sum witness, samples per campaign)`.
 ///
@@ -440,11 +226,11 @@ where
     )
 }
 
-/// Times `reps` runs of the bit-sliced block scheduler (`L::LANES`-die
+/// Times `reps` runs of the bit-sliced block scheduler (64-die
 /// [`DieBlock`]s with a scalar tail) and returns the same
 /// `(mean seconds, witness, samples)` triple as [`time_campaign`], so the
-/// witness proves the lane kernels reproduced the scalar MSEs bit for bit.
-fn time_campaign_blocks<L, F, G>(
+/// witness proves the block kernel reproduced the sparse MSEs bit for bit.
+fn time_campaign_blocks<F, G>(
     config: CampaignConfig<SramVddBackend>,
     schemes: &[Scheme],
     evaluate_sample: F,
@@ -452,9 +238,8 @@ fn time_campaign_blocks<L, F, G>(
     reps: u32,
 ) -> (f64, f64, u64)
 where
-    L: Lane,
     F: Fn(&Scheme, &FaultMap) -> f64 + Sync,
-    G: Fn(&Scheme, &DieBlock<'_, L>, &mut [f64]) + Sync,
+    G: Fn(&Scheme, &DieBlock<'_>, &mut [f64]) + Sync,
 {
     let campaign = Campaign::new(config);
     let run = || {
@@ -486,56 +271,43 @@ where
     )
 }
 
-/// Times every kernel generation at one operating point and appends the
-/// rows, with each witness sum cross-checked bit for bit against the
-/// `scalar_btree` baseline.
+/// Times every kernel at one operating point and appends the rows, with
+/// each witness sum cross-checked bit for bit against the `sparse` kernel.
 ///
-/// `config(scratch_reuse)` builds the point's campaign configuration and
-/// `written(row)` supplies its stored words, so each generation times the
-/// identical campaign. The `auto` row runs the kernel the density policy of
-/// [`KernelKind::resolve`] picks for this configuration — resolution
-/// happens once per campaign, before any sampling — and its `kernel` stamp
-/// records the resolved choice (`auto:sparse` / `auto:bitsliced256`), the
-/// same telemetry the sharded CLI writes into checkpoints.
+/// `config` is the point's campaign configuration and `written(row)`
+/// supplies its stored words, so each kernel times the identical campaign.
+/// The `auto` row runs the kernel the density policy of
+/// [`KernelKind::resolve`] picks for this configuration — resolution happens
+/// once per campaign, before any sampling — and its `kernel` stamp records
+/// the resolved choice (`auto:sparse` / `auto:bitsliced`), the same
+/// telemetry the sharded CLI writes into checkpoints.
 fn push_point<W>(
     rows: &mut Vec<KernelRow>,
     label: &'static str,
     memory: MemoryConfig,
-    config: &dyn Fn(bool) -> CampaignConfig<SramVddBackend>,
+    config: CampaignConfig<SramVddBackend>,
     schemes: &[Scheme],
     written: W,
     reps: u32,
 ) where
     W: Fn(usize) -> u64 + Sync,
 {
-    let words: Vec<u64> = (0..memory.rows()).map(&written).collect();
     let words_per_sample = memory.rows() as f64;
 
     let time_sparse = || {
         time_campaign(
-            config(true),
+            config,
             schemes,
             |scheme, map| memory_mse_sparse_with(scheme, map, &written),
             reps,
         )
     };
-    let time_blocks_narrow = || {
+    let time_blocks = || {
         time_campaign_blocks(
-            config(true),
+            config,
             schemes,
             |scheme, map| memory_mse_sparse_with(scheme, map, &written),
             |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
-                block_mse_into(scheme, block, &written, out);
-            },
-            reps,
-        )
-    };
-    let time_blocks_wide = || {
-        time_campaign_blocks(
-            config(true),
-            schemes,
-            |scheme, map| memory_mse_sparse_with(scheme, map, &written),
-            |scheme, block: &DieBlock<'_, W256>, out: &mut [f64]| {
                 block_mse_into(scheme, block, &written, out);
             },
             reps,
@@ -555,42 +327,26 @@ fn push_point<W>(
         (triple, delta)
     };
 
-    let (legacy, legacy_metrics) =
-        timed(&|| time_legacy_campaign(config(false), schemes, &written, reps));
-    let (scalar, scalar_metrics) = timed(&|| {
-        time_campaign(
-            config(false),
-            schemes,
-            |scheme, map| memory_mse_for_data(scheme, map, &words),
-            reps,
-        )
-    });
     let (sparse, sparse_metrics) = timed(&time_sparse);
-    let (bitsliced, bitsliced_metrics) = timed(&time_blocks_narrow);
-    let (bitsliced256, bitsliced256_metrics) = timed(&time_blocks_wide);
-    let resolved = KernelKind::Auto.resolve(
-        config(true).expected_faults_per_die().unwrap(),
-        memory.rows(),
-    );
+    let (bitsliced, bitsliced_metrics) = timed(&time_blocks);
+    let resolved =
+        KernelKind::Auto.resolve(config.expected_faults_per_die().unwrap(), memory.rows());
     // The auto row re-times the resolved kernel end to end, so any gap
     // between `auto` and its fixed twin is pure measurement noise.
     let (auto_name, (auto, auto_metrics)) = match resolved {
-        KernelKind::Bitsliced256 => ("auto:bitsliced256", timed(&time_blocks_wide)),
+        KernelKind::Bitsliced => ("auto:bitsliced", timed(&time_blocks)),
         _ => ("auto:sparse", timed(&time_sparse)),
     };
 
     for (kernel, (seconds, witness, samples), metrics) in [
-        ("scalar_btree", legacy, legacy_metrics),
-        ("scalar_flat", scalar, scalar_metrics),
         ("sparse", sparse, sparse_metrics),
         ("bitsliced", bitsliced, bitsliced_metrics),
-        ("bitsliced256", bitsliced256, bitsliced256_metrics),
         (auto_name, auto, auto_metrics),
     ] {
         assert_eq!(
-            legacy.1.to_bits(),
+            sparse.1.to_bits(),
             witness.to_bits(),
-            "{label}: scalar_btree and {kernel} kernels disagree on the MSE sum"
+            "{label}: sparse and {kernel} kernels disagree on the MSE sum"
         );
         rows.push(KernelRow {
             config: label,
@@ -598,31 +354,22 @@ fn push_point<W>(
             mean_seconds_per_campaign: seconds,
             samples_per_second: samples as f64 / seconds,
             words_per_second: samples as f64 * words_per_sample / seconds,
-            speedup_vs_scalar: legacy.0 / seconds,
+            speedup_vs_sparse: sparse.0 / seconds,
             widegen_lane_utilisation: metrics.wide_lane_utilisation(),
             observe_fallback_rate: metrics.observe_fallback_rate(),
         });
     }
 }
 
-/// Measures six generations of the evaluation kernel at three
-/// single-threaded operating points:
+/// Measures the evaluation kernels at three single-threaded operating
+/// points:
 ///
-/// * `scalar_btree` — the pre-PR baseline: per-die nested
-///   `BTreeMap<row, BTreeMap<col, kind>>` storage and the allocating
-///   `observe` path (`faulty_columns` vectors, per-fault tree lookups,
-///   `powi`);
-/// * `scalar_flat` — the flat sorted fault map with fresh per-die
-///   allocations and the generic `observe` path over dense image vectors;
 /// * `sparse` — the event-driven kernel: reusable `DieScratch` arena,
 ///   `observe_sparse` row slices, per-faulty-row image gather;
 /// * `bitsliced` — the lane-parallel kernel: 64 dies transposed into
 ///   `u64` lanes per `DieBlock`, `observe_block` scheme transforms and the
 ///   `block_mse_into` reduction, with a scalar (`sparse`) tail for the
 ///   final partial block;
-/// * `bitsliced256` — the same pipeline at the 256-die `W256` lane width
-///   (four `u64` words per lane, element-wise ops the compiler
-///   autovectorises);
 /// * `auto` — the density-adaptive kernel, stamped with what it resolved
 ///   to at this operating point.
 ///
@@ -635,15 +382,15 @@ fn push_point<W>(
 /// * `dense_ecc`: the deep-voltage-scaling end of the Fig. 5 axis — 8192
 ///   faults per die (`P_cell = 1/16`), benched on the ECC design space
 ///   (unprotected, the P-ECC protected-width sweep `4, 8, …, 28`, full
-///   SECDED) whose block paths are fully lane-parallel. Here ~16 of a wide
-///   block's 256 dies share every faulty *cell*, so one lane operation
-///   does the work the sparse kernel repeats per die.
+///   SECDED) whose block paths are fully lane-parallel. Here ~4 of a
+///   block's 64 dies share every faulty *cell*, so one lane operation does
+///   the work the sparse kernel repeats per die.
 fn kernel_rows() -> Vec<KernelRow> {
     const REPS: u32 = 5;
     let memory = MemoryConfig::paper_16kb();
     let schemes = Scheme::fig5_catalogue();
 
-    let config = |scratch_reuse: bool, law: FaultKindLaw| {
+    let config = |law: FaultKindLaw| {
         let backend = SramVddBackend::with_p_cell(memory, 1e-4)
             .unwrap()
             .with_kind_law(law)
@@ -656,10 +403,9 @@ fn kernel_rows() -> Vec<KernelRow> {
             // Blocks are grouped within chunks, so the default 32-sample
             // chunk would cap the bit-sliced kernel at half lane occupancy;
             // 64 gives full blocks (results are chunk-size-independent —
-            // pinned by `chunk_size_does_not_change_results`). The scalar
-            // kernels are insensitive to this knob.
+            // pinned by `chunk_size_does_not_change_results`). The sparse
+            // kernel is insensitive to this knob.
             .with_chunk_size(64)
-            .with_scratch_reuse(scratch_reuse)
     };
     let stuck = FaultKindLaw::AsymmetricStuckAt {
         p_stuck_at_zero: 0.9,
@@ -667,14 +413,14 @@ fn kernel_rows() -> Vec<KernelRow> {
     let image = ImageSpec::UniformRandom { seed: 0xF169_DA7A }
         .try_materialise(memory)
         .unwrap();
-    let dense = image.materialise(memory.rows());
+    let words = image.materialise(memory.rows());
 
     let mut rows = Vec::new();
     push_point(
         &mut rows,
         "fig5_p1e-4",
         memory,
-        &|reuse| config(reuse, FaultKindLaw::AlwaysFlip),
+        config(FaultKindLaw::AlwaysFlip),
         &schemes,
         |_| 0,
         REPS,
@@ -683,20 +429,19 @@ fn kernel_rows() -> Vec<KernelRow> {
         &mut rows,
         "fig9_random_stuck",
         memory,
-        &|reuse| config(reuse, stuck),
+        config(stuck),
         &schemes,
-        |row| dense[row],
+        |row| words[row],
         REPS,
     );
 
     // Deep-scaling density: exactly 8192 faults in every die (one cell in
-    // sixteen), 256 samples in one chunk so the wide kernel packs one full
-    // 256-die block (the narrow kernel packs four 64-die blocks). Every
-    // faulty cell is shared by ~4 of any 64 dies (~16 of 256), which is the
-    // regime the transposed lanes were built for. The shuffle schemes'
-    // FM-LUT vote falls back to the scalar path for multi-fault dies
-    // (dominant at this density), so this point measures the ECC design
-    // space instead: the P-ECC protected-width sweep between the
+    // sixteen), 256 samples in one chunk so the block kernel packs four
+    // full 64-die blocks. Every faulty cell is shared by ~4 of any 64 dies,
+    // which is the regime the transposed lanes were built for. The shuffle
+    // schemes' FM-LUT vote falls back to the scalar path for multi-fault
+    // dies (dominant at this density), so this point measures the ECC
+    // design space instead: the P-ECC protected-width sweep between the
     // unprotected and full-SECDED endpoints, whose block paths stay
     // lane-parallel at any density.
     let ecc_schemes: Vec<Scheme> = std::iter::once(Scheme::unprotected32())
@@ -707,21 +452,18 @@ fn kernel_rows() -> Vec<KernelRow> {
         .chain(std::iter::once(Scheme::secded32()))
         .collect();
     let cells = (memory.rows() * 32) as f64;
-    let dense_config = |scratch_reuse: bool| {
-        let backend = SramVddBackend::with_p_cell(memory, 8192.0 / cells).unwrap();
-        CampaignConfig::for_backend(backend)
-            .unwrap()
-            .with_samples_per_count(256)
-            .with_exact_failures(8192)
-            .with_parallelism(Parallelism::Serial)
-            .with_chunk_size(256)
-            .with_scratch_reuse(scratch_reuse)
-    };
+    let backend = SramVddBackend::with_p_cell(memory, 8192.0 / cells).unwrap();
+    let dense_config = CampaignConfig::for_backend(backend)
+        .unwrap()
+        .with_samples_per_count(256)
+        .with_exact_failures(8192)
+        .with_parallelism(Parallelism::Serial)
+        .with_chunk_size(256);
     push_point(
         &mut rows,
         "dense_ecc_p6.3e-2",
         memory,
-        &dense_config,
+        dense_config,
         &ecc_schemes,
         |_| 0,
         REPS,
@@ -729,8 +471,8 @@ fn kernel_rows() -> Vec<KernelRow> {
     rows
 }
 
-/// Times the reduced Fig. 5 campaign at 1/2/4/8 workers plus the
-/// kernel-generation comparison and writes both series as
+/// Times the reduced Fig. 5 campaign at 1/2/4/8 workers plus the kernel
+/// comparison and writes both series as
 /// `BENCH_pipeline.json` — the ROADMAP's throughput baseline, reproducible
 /// on any host.
 ///
@@ -813,13 +555,13 @@ fn bench_throughput_json(_c: &mut Criterion) {
             rates.push_str(&format!(", fallback {:.1}%", 100.0 * fallback));
         }
         println!(
-            "{:<18} {:<6} {:>10.2} ms/campaign   ({:>8.1} samples/s, {:.3e} words/s, {:.2}x vs scalar{rates})",
+            "{:<18} {:<6} {:>10.2} ms/campaign   ({:>8.1} samples/s, {:.3e} words/s, {:.2}x vs sparse{rates})",
             row.config,
             row.kernel,
             row.mean_seconds_per_campaign * 1e3,
             row.samples_per_second,
             row.words_per_second,
-            row.speedup_vs_scalar,
+            row.speedup_vs_sparse,
         );
     }
 

@@ -154,7 +154,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     \n       [--dir <checkpoint-dir>] [--out <figure-json-path>]\
                     \n       [--backend sram|dram|mlc] [--samples N] [--threads N] [--full]\
                     \n       [--image <spec>] [--kind-law flip|stuck-at|stuck-at:P]\
-                    \n       [--kernel scalar|sparse|bitsliced|bitsliced256|auto]\
+                    \n       [--kernel sparse|bitsliced|auto]\
                     \n       [--wide-generation on|off] [--auto-threshold <faults-per-row>]\
                     \n       [--metrics <metrics-json-path>]\
                     \nrun 'campaign_run --figure list' for the figure catalogue"

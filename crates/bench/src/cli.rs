@@ -32,11 +32,12 @@
 //!   `stuck-at:P` with `P = Pr(stuck at 0)`, see
 //!   [`faultmit_memsim::FaultKindLaw`]); honoured by
 //!   `fig8_backend_matrix` and `fig9_data_sensitivity`;
-//! * `--kernel <scalar|sparse|bitsliced|bitsliced256|auto>` — the
-//!   Monte-Carlo evaluation kernel ([`faultmit_sim::KernelKind`]); every
-//!   kernel produces bit-identical campaign state, so this selects
-//!   throughput only (`auto` picks sparse or bitsliced256 from the
-//!   campaign's fault density). Honoured by the MSE catalogue campaigns
+//! * `--kernel <sparse|bitsliced|auto>` — the Monte-Carlo evaluation
+//!   kernel ([`faultmit_sim::KernelKind`]); every kernel produces
+//!   bit-identical campaign state, so this selects throughput only (`auto`
+//!   picks sparse or bitsliced from the campaign's fault density). The
+//!   removed kernels' names (`scalar`, `bitsliced256`) are refused like any
+//!   unknown name. Honoured by the MSE catalogue campaigns
 //!   (`fig5_mse_cdf`, `fig8_backend_matrix`, `fig9_data_sensitivity`);
 //! * `--wide-generation <on|off>` — force the lane-interleaved block fault
 //!   generation path on or off (default on; bit-identical either way, a
@@ -772,10 +773,6 @@ mod tests {
         assert_eq!(opts.kernel, Some(KernelKind::Bitsliced));
         assert!(opts.spec_flag_errors.is_empty());
 
-        let opts = RunOptions::parse(["--kernel", "bitsliced256"].iter().map(|s| (*s).to_owned()));
-        assert_eq!(opts.kernel, Some(KernelKind::Bitsliced256));
-        assert!(opts.spec_flag_errors.is_empty());
-
         let opts = RunOptions::parse(["--kernel", "auto"].iter().map(|s| (*s).to_owned()));
         assert_eq!(opts.kernel, Some(KernelKind::Auto));
         assert!(opts.spec_flag_errors.is_empty());
@@ -789,6 +786,12 @@ mod tests {
         assert!(opts.kernel.is_none());
         assert_eq!(opts.spec_flag_errors.len(), 1);
         assert!(opts.spec_flag_errors[0].contains("vectorised"));
+
+        // So must a removed kernel's name: it is refused, never remapped.
+        let opts = RunOptions::parse(["--kernel", "bitsliced256"].iter().map(|s| (*s).to_owned()));
+        assert!(opts.kernel.is_none());
+        assert_eq!(opts.spec_flag_errors.len(), 1);
+        assert!(opts.spec_flag_errors[0].contains("'bitsliced256' was removed"));
 
         // A dropped value is recorded too.
         let opts = RunOptions::parse(["--kernel", "--full"].iter().map(|s| (*s).to_owned()));

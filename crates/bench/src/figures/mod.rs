@@ -540,7 +540,7 @@ pub trait FigureDef: Sync {
     /// under `spec` — the kernel that actually executes. The default
     /// reports the spec's kernel name verbatim; the MSE catalogue figures
     /// override it so `--kernel auto` records the density-resolved choice
-    /// (`"auto:sparse"` / `"auto:bitsliced256"`), letting merges verify
+    /// (`"auto:sparse"` / `"auto:bitsliced"`), letting merges verify
     /// every shard resolved identically.
     fn resolved_kernel(&self, spec: &FigureSpec) -> Option<String> {
         spec.kernel.map(|kernel| kernel.as_str().to_owned())

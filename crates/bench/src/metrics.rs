@@ -158,7 +158,7 @@ pub struct ShardMetrics {
     /// threads (can exceed `elapsed_seconds` at worker counts above one).
     pub generation_seconds: Option<f64>,
     /// Name of the evaluation kernel that produced the state (`"sparse"`,
-    /// `"auto:bitsliced256"`, …). Must agree across a shard set — see
+    /// `"auto:bitsliced"`, …). Must agree across a shard set — see
     /// [`crate::shard::ShardState::merge`].
     pub kernel: Option<String>,
     /// The `--auto-threshold` density override the run resolved its `auto`

@@ -1194,6 +1194,33 @@ mod tests {
         }
     }
 
+    /// A v4 checkpoint whose spec names a removed kernel is refused, never
+    /// loaded under a remapped one; `campaign_shard` then recomputes it.
+    #[test]
+    fn checkpoints_naming_a_removed_kernel_are_refused() {
+        let state = ShardState {
+            spec: FigureSpec {
+                kernel: Some(faultmit_sim::KernelKind::Bitsliced),
+                ..spec()
+            },
+            ..shard_with(0, 2, &[1.0])
+        };
+        let text = state.to_json().to_pretty_string();
+        assert_eq!(ShardState::parse(&text).unwrap(), state);
+        let spec_kernel = "\"kernel\": \"bitsliced\"";
+        assert_eq!(text.matches(spec_kernel).count(), 1, "{text}");
+        for removed in ["scalar", "bitsliced256"] {
+            let old = text.replace(spec_kernel, &format!("\"kernel\": \"{removed}\""));
+            let error = ShardState::parse(&old).unwrap_err();
+            assert!(
+                error
+                    .reason
+                    .contains(&format!("kernel '{removed}' was removed")),
+                "{error}"
+            );
+        }
+    }
+
     /// A crash mid-write must never leave a loadable checkpoint: every
     /// strict prefix of a real one fails to parse.
     #[test]
@@ -1286,15 +1313,15 @@ mod tests {
     fn merge_verifies_kernel_consistency_across_the_shard_set() {
         // A disagreeing kernel is a re-sharded campaign with different
         // flags (or inconsistent auto resolutions) — refuse, naming both.
-        let mut wide = shard_with(1, 2, &[2.0]);
-        wide.metrics.kernel = Some("auto:bitsliced256".to_owned());
+        let mut block = shard_with(1, 2, &[2.0]);
+        block.metrics.kernel = Some("auto:bitsliced".to_owned());
         let mut sparse = shard_with(0, 2, &[1.0]);
         sparse.metrics.kernel = Some("auto:sparse".to_owned());
-        let error = ShardState::merge(vec![sparse, wide]).unwrap_err();
+        let error = ShardState::merge(vec![sparse, block]).unwrap_err();
         assert!(
             error.reason.contains(
                 "shards disagree on the evaluation kernel \
-                 ('auto:bitsliced256' vs 'auto:sparse')"
+                 ('auto:bitsliced' vs 'auto:sparse')"
             ),
             "{error}"
         );

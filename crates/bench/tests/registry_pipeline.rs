@@ -246,6 +246,36 @@ fn unknown_fig7_benchmark_selectors_fail_before_any_output() {
 }
 
 #[test]
+fn removed_kernel_names_fail_before_any_output() {
+    let dir = TempDir::new("removed-kernel");
+    let out = dir.join("fig5.json");
+    let shards = dir.join("shards");
+    let kernel = ["--kernel", "bitsliced256"];
+    let shard_args = ["--figure", "fig5", "--shard", "0/1", "--out", &out];
+    let run_args = driver_args("fig5", &["--samples", "1"], "2", &shards, &out);
+    for (binary, args) in [
+        (
+            env!("CARGO_BIN_EXE_fig5_mse_cdf"),
+            vec!["--samples", "1", "--json", &out],
+        ),
+        (SHARD_BIN, shard_args.to_vec()),
+        (RUN_BIN, run_args),
+    ] {
+        let args = [&args[..], &kernel[..]].concat();
+        let output = Command::new(binary).args(&args).output().unwrap();
+        assert!(!output.status.success(), "{binary} {args:?} must fail");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("kernel 'bitsliced256' was removed")
+                && stderr.contains("sparse|bitsliced|auto"),
+            "{binary}: {stderr}"
+        );
+        assert!(!Path::new(&out).exists(), "{binary} wrote {out}");
+        assert!(!Path::new(&shards).exists(), "{binary} wrote {shards}");
+    }
+}
+
+#[test]
 fn merge_rejects_mixed_figure_shard_sets_by_name() {
     let dir = TempDir::new("mixed");
     let fig5 = dir.join("fig5-0of2.json");

@@ -20,7 +20,7 @@ use crate::segment::SegmentGeometry;
 use crate::shifter::{rotate_left, rotate_right};
 use faultmit_ecc::{HammingSecded, LaneCounter, SecdedCode};
 use faultmit_memsim::{
-    corrupt_word, Fault, FaultKind, FaultMap, Lane, LaneCell, ResidualLanes, W256,
+    corrupt_word, for_each_die, Fault, FaultKind, FaultMap, LaneCell, ResidualLanes,
 };
 use faultmit_obs as obs;
 
@@ -121,25 +121,6 @@ pub trait MitigationScheme {
         false
     }
 
-    /// The 256-die twin of [`MitigationScheme::observe_block`], evaluating
-    /// one faulty row across up to 256 dies packed into [`W256`] lanes.
-    ///
-    /// Same contract as `observe_block`, at the wider lane width. The two
-    /// methods are concrete (not generic) so the trait stays object-safe;
-    /// the campaign kernels dispatch between them through
-    /// [`BlockLane::observe_block_on`]. The default falls back, so custom
-    /// schemes stay correct without opting in — the wide kernel then
-    /// evaluates their dies through [`MitigationScheme::observe_sparse`].
-    fn observe_block_wide(
-        &self,
-        cells: &[LaneCell<W256>],
-        written: u64,
-        residual: &mut ResidualLanes<W256>,
-    ) -> bool {
-        let _ = (cells, written, residual);
-        false
-    }
-
     /// Worst-case error magnitude caused by a single fault at data bit
     /// position `bit` (0 when the scheme corrects such a fault).
     fn worst_case_error_magnitude(&self, bit: usize) -> u64;
@@ -175,68 +156,12 @@ impl<T: MitigationScheme + ?Sized> MitigationScheme for &T {
         (**self).observe_block(cells, written, residual)
     }
 
-    fn observe_block_wide(
-        &self,
-        cells: &[LaneCell<W256>],
-        written: u64,
-        residual: &mut ResidualLanes<W256>,
-    ) -> bool {
-        (**self).observe_block_wide(cells, written, residual)
-    }
-
     fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
         (**self).worst_case_error_magnitude(bit)
     }
 
     fn extra_bits_per_row(&self) -> usize {
         (**self).extra_bits_per_row()
-    }
-}
-
-/// Lane-width dispatch for the bit-sliced campaign kernels.
-///
-/// [`MitigationScheme`] exposes one concrete block observer per supported
-/// width ([`observe_block`](MitigationScheme::observe_block) for `u64`,
-/// [`observe_block_wide`](MitigationScheme::observe_block_wide) for
-/// [`W256`]) so the trait stays object-safe. Width-generic callers — the
-/// block MSE reduction in `faultmit-analysis` — bound their lane parameter
-/// by `BlockLane` and call [`BlockLane::observe_block_on`], which routes to
-/// the observer matching `L`. A scheme that opted into only one width
-/// returns `false` at the other and falls back to its per-die sparse path,
-/// so correctness never depends on the width chosen.
-pub trait BlockLane: Lane {
-    /// Calls `scheme`'s block observer for this lane width. Returns `false`
-    /// when the scheme has no block path at this width (the caller must
-    /// then evaluate die by die).
-    fn observe_block_on<S: MitigationScheme + ?Sized>(
-        scheme: &S,
-        cells: &[LaneCell<Self>],
-        written: u64,
-        residual: &mut ResidualLanes<Self>,
-    ) -> bool;
-}
-
-impl BlockLane for u64 {
-    #[inline]
-    fn observe_block_on<S: MitigationScheme + ?Sized>(
-        scheme: &S,
-        cells: &[LaneCell],
-        written: u64,
-        residual: &mut ResidualLanes,
-    ) -> bool {
-        scheme.observe_block(cells, written, residual)
-    }
-}
-
-impl BlockLane for W256 {
-    #[inline]
-    fn observe_block_on<S: MitigationScheme + ?Sized>(
-        scheme: &S,
-        cells: &[LaneCell<W256>],
-        written: u64,
-        residual: &mut ResidualLanes<W256>,
-    ) -> bool {
-        scheme.observe_block_wide(cells, written, residual)
     }
 }
 
@@ -356,142 +281,6 @@ impl Scheme {
             (((1u64 << protected_bits) - 1) << unprotected_bits) & ((1u64 << word_bits) - 1)
         }
     }
-
-    /// The width-generic body behind both block observers
-    /// ([`MitigationScheme::observe_block`] and
-    /// [`MitigationScheme::observe_block_wide`]): one algorithm, evaluated
-    /// at whichever [`Lane`] width the campaign kernel selected. Every fold
-    /// is pure lane algebra, so the per-die results are identical at any
-    /// width by construction.
-    fn observe_block_lanes<L: Lane>(
-        &self,
-        cells: &[LaneCell<L>],
-        written: u64,
-        residual: &mut ResidualLanes<L>,
-    ) -> bool {
-        match self {
-            Scheme::Unprotected { .. } => {
-                // Every observable error reaches the application unchanged.
-                for cell in cells {
-                    residual.accumulate(cell.col as usize, lane_observable_error(cell, written));
-                }
-            }
-            Scheme::Secded { .. } => {
-                // Every die's syndrome weight at once: a carry-save fold
-                // over the per-column error lanes answers "two or more
-                // observable errors?" per die; only those dies keep their
-                // corruption.
-                let mut counter = LaneCounter::<L>::new();
-                for cell in cells {
-                    counter.add(lane_observable_error(cell, written));
-                }
-                let uncorrectable = counter.at_least_two();
-                if !uncorrectable.is_zero() {
-                    for cell in cells {
-                        residual.accumulate(
-                            cell.col as usize,
-                            lane_observable_error(cell, written) & uncorrectable,
-                        );
-                    }
-                }
-            }
-            Scheme::PriorityEcc {
-                word_bits,
-                protected_bits,
-            } => {
-                // The correction radius only counts protected-MSB errors;
-                // LSB errors always pass through.
-                let msb_mask = Self::pecc_msb_mask(*word_bits, *protected_bits);
-                let mut counter = LaneCounter::<L>::new();
-                for cell in cells {
-                    if (msb_mask >> cell.col) & 1 == 1 {
-                        counter.add(lane_observable_error(cell, written));
-                    }
-                }
-                let uncorrectable = counter.at_least_two();
-                for cell in cells {
-                    let err = lane_observable_error(cell, written);
-                    let lane = if (msb_mask >> cell.col) & 1 == 1 {
-                        err & uncorrectable
-                    } else {
-                        err
-                    };
-                    residual.accumulate(cell.col as usize, lane);
-                }
-            }
-            Scheme::BitShuffle(geometry) => {
-                let word_bits = geometry.word_bits();
-                // The FM-LUT vote keys on fault *presence* (BIST sees stuck
-                // cells whether or not the stored data exposes them).
-                let mut presence = LaneCounter::<L>::new();
-                for cell in cells {
-                    presence.add(cell.presence());
-                }
-                let singles = presence.exactly_one();
-                let multi = presence.at_least_two();
-                if !singles.is_zero() {
-                    // A single-fault die shifts by its fault's segment, and
-                    // its residual can only surface at its own faulty cell
-                    // (its presence lane is zero everywhere else). One pass
-                    // therefore serves every single-fault die: the cell's
-                    // column fixes the segment — and thus the shift — for
-                    // all dies voting on it at once.
-                    for cell in cells {
-                        let group = cell.presence() & singles;
-                        if group.is_zero() {
-                            continue;
-                        }
-                        let shift = geometry
-                            .shift_amount(geometry.segment_of_bit(cell.col as usize))
-                            .expect("segment_of_bit returns a valid segment index");
-                        let stored = rotate_right(written, shift, word_bits);
-                        // A physical error at column c surfaces at data
-                        // position (c + shift) mod W after the un-rotate.
-                        let lane = lane_observable_error(cell, stored) & group;
-                        if !lane.is_zero() {
-                            let data_pos = (cell.col as usize + shift) & (word_bits - 1);
-                            residual.accumulate(data_pos, lane);
-                        }
-                    }
-                }
-                if !multi.is_zero() {
-                    // Dies with several faulty cells in the row are rare at
-                    // campaign densities; rebuild their sorted fault slice
-                    // on the stack and reuse the scalar sparse path.
-                    let mut scratch = [Fault::bit_flip(0, 0); 64];
-                    let mut fallback_dies = 0u64;
-                    multi.for_each_die(|die| {
-                        fallback_dies += 1;
-                        let mut len = 0;
-                        for cell in cells {
-                            if cell.presence().bit(die) != 0 {
-                                let kind = if cell.flips.bit(die) != 0 {
-                                    FaultKind::BitFlip
-                                } else if cell.stuck_value.bit(die) != 0 {
-                                    FaultKind::StuckAtOne
-                                } else {
-                                    FaultKind::StuckAtZero
-                                };
-                                scratch[len] = Fault::new(0, cell.col as usize, kind);
-                                len += 1;
-                            }
-                        }
-                        let observed = self
-                            .observe_sparse(&scratch[..len], written)
-                            .expect("a word has at most 64 columns");
-                        let mut diff = written ^ observed.value;
-                        while diff != 0 {
-                            let col = diff.trailing_zeros() as usize;
-                            diff &= diff - 1;
-                            residual.accumulate(col, L::lane_bit(die));
-                        }
-                    });
-                    obs::count(obs::Counter::ObserveFallbackDies, fallback_dies);
-                }
-            }
-        }
-        true
-    }
 }
 
 /// The *observable-error* lane of one transposed cell: bit `j` set ⇔ die
@@ -499,9 +288,9 @@ impl Scheme {
 /// bit-flip always corrupts, a stuck cell only when its stuck value differs
 /// from the stored bit.
 #[inline]
-fn lane_observable_error<L: Lane>(cell: &LaneCell<L>, stored: u64) -> L {
+fn lane_observable_error(cell: &LaneCell, stored: u64) -> u64 {
     // Broadcast the stored bit to every die lane (all-ones iff the bit is 1).
-    let stored_lane = L::splat(0u64.wrapping_sub((stored >> cell.col) & 1));
+    let stored_lane = 0u64.wrapping_sub((stored >> cell.col) & 1);
     cell.flips | (cell.stuck & (cell.stuck_value ^ stored_lane))
 }
 
@@ -685,16 +474,128 @@ impl MitigationScheme for Scheme {
         written: u64,
         residual: &mut ResidualLanes,
     ) -> bool {
-        self.observe_block_lanes(cells, written, residual)
-    }
-
-    fn observe_block_wide(
-        &self,
-        cells: &[LaneCell<W256>],
-        written: u64,
-        residual: &mut ResidualLanes<W256>,
-    ) -> bool {
-        self.observe_block_lanes(cells, written, residual)
+        match self {
+            Scheme::Unprotected { .. } => {
+                // Every observable error reaches the application unchanged.
+                for cell in cells {
+                    residual.accumulate(cell.col as usize, lane_observable_error(cell, written));
+                }
+            }
+            Scheme::Secded { .. } => {
+                // Every die's syndrome weight at once: a carry-save fold
+                // over the per-column error lanes answers "two or more
+                // observable errors?" per die; only those dies keep their
+                // corruption.
+                let mut counter = LaneCounter::new();
+                for cell in cells {
+                    counter.add(lane_observable_error(cell, written));
+                }
+                let uncorrectable = counter.at_least_two();
+                if uncorrectable != 0 {
+                    for cell in cells {
+                        residual.accumulate(
+                            cell.col as usize,
+                            lane_observable_error(cell, written) & uncorrectable,
+                        );
+                    }
+                }
+            }
+            Scheme::PriorityEcc {
+                word_bits,
+                protected_bits,
+            } => {
+                // The correction radius only counts protected-MSB errors;
+                // LSB errors always pass through.
+                let msb_mask = Self::pecc_msb_mask(*word_bits, *protected_bits);
+                let mut counter = LaneCounter::new();
+                for cell in cells {
+                    if (msb_mask >> cell.col) & 1 == 1 {
+                        counter.add(lane_observable_error(cell, written));
+                    }
+                }
+                let uncorrectable = counter.at_least_two();
+                for cell in cells {
+                    let err = lane_observable_error(cell, written);
+                    let lane = if (msb_mask >> cell.col) & 1 == 1 {
+                        err & uncorrectable
+                    } else {
+                        err
+                    };
+                    residual.accumulate(cell.col as usize, lane);
+                }
+            }
+            Scheme::BitShuffle(geometry) => {
+                let word_bits = geometry.word_bits();
+                // The FM-LUT vote keys on fault *presence* (BIST sees stuck
+                // cells whether or not the stored data exposes them).
+                let mut presence = LaneCounter::new();
+                for cell in cells {
+                    presence.add(cell.presence());
+                }
+                let singles = presence.exactly_one();
+                let multi = presence.at_least_two();
+                if singles != 0 {
+                    // A single-fault die shifts by its fault's segment, and
+                    // its residual can only surface at its own faulty cell
+                    // (its presence lane is zero everywhere else). One pass
+                    // therefore serves every single-fault die: the cell's
+                    // column fixes the segment — and thus the shift — for
+                    // all dies voting on it at once.
+                    for cell in cells {
+                        let group = cell.presence() & singles;
+                        if group == 0 {
+                            continue;
+                        }
+                        let shift = geometry
+                            .shift_amount(geometry.segment_of_bit(cell.col as usize))
+                            .expect("segment_of_bit returns a valid segment index");
+                        let stored = rotate_right(written, shift, word_bits);
+                        // A physical error at column c surfaces at data
+                        // position (c + shift) mod W after the un-rotate.
+                        let lane = lane_observable_error(cell, stored) & group;
+                        if lane != 0 {
+                            let data_pos = (cell.col as usize + shift) & (word_bits - 1);
+                            residual.accumulate(data_pos, lane);
+                        }
+                    }
+                }
+                if multi != 0 {
+                    // Dies with several faulty cells in the row are rare at
+                    // campaign densities; rebuild their sorted fault slice
+                    // on the stack and reuse the scalar sparse path.
+                    let mut scratch = [Fault::bit_flip(0, 0); 64];
+                    let mut fallback_dies = 0u64;
+                    for_each_die(multi, |die| {
+                        fallback_dies += 1;
+                        let mut len = 0;
+                        for cell in cells {
+                            if (cell.presence() >> die) & 1 != 0 {
+                                let kind = if (cell.flips >> die) & 1 != 0 {
+                                    FaultKind::BitFlip
+                                } else if (cell.stuck_value >> die) & 1 != 0 {
+                                    FaultKind::StuckAtOne
+                                } else {
+                                    FaultKind::StuckAtZero
+                                };
+                                scratch[len] = Fault::new(0, cell.col as usize, kind);
+                                len += 1;
+                            }
+                        }
+                        let observed = self
+                            .observe_sparse(&scratch[..len], written)
+                            .expect("a word has at most 64 columns");
+                        let mut diff = written ^ observed.value;
+                        while diff != 0 {
+                            let col = diff.trailing_zeros() as usize;
+                            diff &= diff - 1;
+                            residual.accumulate(col, 1u64 << die);
+                        }
+                    });
+                    obs::count(obs::Counter::ObserveFallbackDies, fallback_dies);
+                }
+            }
+        }
+        true
     }
 
     fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
@@ -1083,122 +984,6 @@ mod tests {
     }
 
     #[test]
-    fn observe_block_wide_matches_observe_sparse_for_every_scheme() {
-        // The 256-die twin of the block equivalence test: dies 64.. live in
-        // the upper W256 words, so every lane fold must cross u64 word
-        // boundaries without mixing dies.
-        let mut state = 0x51DE_B10Cu64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let mut schemes = Scheme::fig5_catalogue();
-        schemes.push(Scheme::secded32());
-        for round in 0..4u64 {
-            // Die j gets j % 5 faults (die 0 stays fault-free on purpose).
-            let mut dies: Vec<Vec<Fault>> = Vec::new();
-            for die in 0..256usize {
-                let mut faults: Vec<Fault> = Vec::new();
-                for _ in 0..die % 5 {
-                    let col = (next() as usize) % 32;
-                    if faults.iter().any(|f| f.col == col) {
-                        continue;
-                    }
-                    let kind = match next() % 3 {
-                        0 => FaultKind::StuckAtZero,
-                        1 => FaultKind::StuckAtOne,
-                        _ => FaultKind::BitFlip,
-                    };
-                    faults.push(Fault::new(0, col, kind));
-                }
-                faults.sort_by_key(|f| f.col);
-                dies.push(faults);
-            }
-            // Hand-rolled transposition into sorted wide lane cells.
-            let mut cells: Vec<LaneCell<W256>> = Vec::new();
-            for col in 0..32u32 {
-                let mut cell = LaneCell {
-                    col,
-                    flips: W256::ZERO,
-                    stuck: W256::ZERO,
-                    stuck_value: W256::ZERO,
-                };
-                for (die, faults) in dies.iter().enumerate() {
-                    for fault in faults.iter().filter(|f| f.col == col as usize) {
-                        let bit = W256::lane_bit(die);
-                        match fault.kind {
-                            FaultKind::BitFlip => cell.flips |= bit,
-                            FaultKind::StuckAtOne => {
-                                cell.stuck |= bit;
-                                cell.stuck_value |= bit;
-                            }
-                            FaultKind::StuckAtZero => cell.stuck |= bit,
-                        }
-                    }
-                }
-                if !cell.presence().is_zero() {
-                    cells.push(cell);
-                }
-            }
-            for scheme in &schemes {
-                for &written in &[0u64, 0xFFFF_FFFF, 0xDEAD_BEEF, 0x8000_0001] {
-                    let mut residual = ResidualLanes::<W256>::new();
-                    assert!(scheme.observe_block_wide(&cells, written, &mut residual));
-                    for (die, faults) in dies.iter().enumerate() {
-                        let observed = scheme
-                            .observe_sparse(faults, written)
-                            .expect("catalogue schemes have a sparse path");
-                        assert_eq!(
-                            residual.gather_die(die),
-                            written ^ observed.value,
-                            "round {round}, {}, die {die}, written {written:#x}, faults {faults:?}",
-                            scheme.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn block_lane_dispatch_routes_to_the_width_observer() {
-        // BlockLane::observe_block_on must hit observe_block at u64 and
-        // observe_block_wide at W256 — including through &dyn references.
-        let scheme = Scheme::unprotected32();
-        let narrow = LaneCell::<u64> {
-            col: 3,
-            flips: 0b1,
-            stuck: 0,
-            stuck_value: 0,
-        };
-        let mut residual = ResidualLanes::<u64>::new();
-        assert!(<u64 as BlockLane>::observe_block_on(
-            &scheme,
-            &[narrow],
-            0,
-            &mut residual
-        ));
-        assert_eq!(residual.gather_die(0), 1 << 3);
-        let wide = LaneCell::<W256> {
-            col: 5,
-            flips: W256::lane_bit(200),
-            stuck: W256::ZERO,
-            stuck_value: W256::ZERO,
-        };
-        let mut residual = ResidualLanes::<W256>::new();
-        let by_ref: &dyn MitigationScheme = &scheme;
-        assert!(<W256 as BlockLane>::observe_block_on(
-            by_ref,
-            &[wide],
-            0,
-            &mut residual
-        ));
-        assert_eq!(residual.gather_die(200), 1 << 5);
-    }
-
-    #[test]
     fn observe_block_default_falls_back() {
         struct Passthrough;
         impl MitigationScheme for Passthrough {
@@ -1220,8 +1005,6 @@ mod tests {
         }
         let mut residual = ResidualLanes::new();
         assert!(!Passthrough.observe_block(&[], 0, &mut residual));
-        let mut wide_residual = ResidualLanes::<W256>::new();
-        assert!(!Passthrough.observe_block_wide(&[], 0, &mut wide_residual));
         // The blanket `&T` impl forwards the concrete scheme's block path.
         let scheme = Scheme::unprotected32();
         let by_ref: &dyn MitigationScheme = &scheme;

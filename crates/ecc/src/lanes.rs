@@ -1,53 +1,48 @@
 //! Lane-parallel (bit-sliced) helpers for evaluating a block of codewords
 //! at once.
 //!
-//! The bit-sliced Monte-Carlo kernels pack the same bit position of
-//! `L::LANES` sampled dies into one [`Lane`] (64 per `u64`, 256 per
-//! [`W256`](faultmit_memsim::W256)), so the SECDED / P-ECC decision "does
-//! this word hold two or more observable errors?" must be answered for all
-//! dies with bitwise logic instead of per-die `count_ones` calls.
-//! [`LaneCounter`] is the classic carry-save (ripple-carry) popcount
-//! saturating at two: after feeding every per-column error lane through
-//! [`LaneCounter::add`], bit `j` of [`LaneCounter::at_least_two`] answers
-//! the SECDED correction-radius question for die `j`.
+//! The bit-sliced Monte-Carlo kernel packs the same bit position of up to
+//! [`BLOCK_DIES`](faultmit_memsim::BLOCK_DIES) sampled dies into one `u64`
+//! lane, so the SECDED / P-ECC decision "does this word hold two or more
+//! observable errors?" must be answered for all dies with bitwise logic
+//! instead of per-die `count_ones` calls. [`LaneCounter`] is the classic
+//! carry-save (ripple-carry) popcount saturating at two: after feeding
+//! every per-column error lane through [`LaneCounter::add`], bit `j` of
+//! [`LaneCounter::at_least_two`] answers the SECDED correction-radius
+//! question for die `j`.
 
-use faultmit_memsim::Lane;
-
-/// A saturating-at-two carry-save counter over `L::LANES` parallel lanes.
+/// A saturating-at-two carry-save counter over 64 parallel lanes.
 ///
-/// Feeding `n` lanes costs `2n` lane-wide bitwise ops total — the XOR-fold
-/// that lets the block kernels compute every die's syndrome weight at once.
+/// Feeding `n` lanes costs `2n` bitwise ops total — the XOR-fold that lets
+/// the block kernel compute every die's syndrome weight at once.
 ///
 /// # Example
 ///
 /// ```
 /// use faultmit_ecc::LaneCounter;
 ///
-/// let mut counter = LaneCounter::<u64>::new();
+/// let mut counter = LaneCounter::new();
 /// counter.add(0b1011); // dies 0, 1, 3 see an error in some column
 /// counter.add(0b0011); // dies 0, 1 see an error in another column
 /// assert_eq!(counter.at_least_one(), 0b1011);
 /// assert_eq!(counter.at_least_two(), 0b0011); // only dies 0 and 1 hit twice
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LaneCounter<L: Lane = u64> {
-    ones: L,
-    twos: L,
+pub struct LaneCounter {
+    ones: u64,
+    twos: u64,
 }
 
-impl<L: Lane> LaneCounter<L> {
+impl LaneCounter {
     /// A counter with every lane at zero.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            ones: L::ZERO,
-            twos: L::ZERO,
-        }
+        Self::default()
     }
 
     /// Adds one error lane: bit `j` of `lane` increments die `j`'s count.
     #[inline]
-    pub fn add(&mut self, lane: L) {
+    pub fn add(&mut self, lane: u64) {
         self.twos |= self.ones & lane;
         self.ones ^= lane;
     }
@@ -55,7 +50,7 @@ impl<L: Lane> LaneCounter<L> {
     /// Lanes whose count is at least one.
     #[must_use]
     #[inline]
-    pub fn at_least_one(&self) -> L {
+    pub fn at_least_one(&self) -> u64 {
         self.ones | self.twos
     }
 
@@ -63,14 +58,14 @@ impl<L: Lane> LaneCounter<L> {
     /// exceeded the single-error correction radius.
     #[must_use]
     #[inline]
-    pub fn at_least_two(&self) -> L {
+    pub fn at_least_two(&self) -> u64 {
         self.twos
     }
 
     /// Lanes whose count is exactly one — the dies SECDED corrects.
     #[must_use]
     #[inline]
-    pub fn exactly_one(&self) -> L {
+    pub fn exactly_one(&self) -> u64 {
         self.ones & !self.twos
     }
 }
@@ -78,7 +73,6 @@ impl<L: Lane> LaneCounter<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultmit_memsim::W256;
 
     #[test]
     fn counter_matches_scalar_popcount_per_lane() {
@@ -87,7 +81,7 @@ mod tests {
         let lanes: Vec<u64> = (0..7u64)
             .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17))
             .collect();
-        let mut counter = LaneCounter::<u64>::new();
+        let mut counter = LaneCounter::new();
         for &lane in &lanes {
             counter.add(lane);
         }
@@ -112,52 +106,16 @@ mod tests {
     }
 
     #[test]
-    fn wide_counter_matches_scalar_popcount_per_die() {
-        // The same property at 256 lanes, with per-word pseudo-random fills
-        // so every W256 word participates.
-        let lanes: Vec<W256> = (0..7u64)
-            .map(|i| {
-                W256([
-                    i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17),
-                    i.wrapping_mul(0xC2B2_AE3D_27D4_EB4F).rotate_left(31),
-                    i.wrapping_mul(0x1656_67B1_9E37_79F9).rotate_left(7),
-                    i.wrapping_mul(0xD6E8_FEB8_6659_FD93).rotate_left(43),
-                ])
-            })
-            .collect();
-        let mut counter = LaneCounter::<W256>::new();
-        for &lane in &lanes {
-            counter.add(lane);
-        }
-        for die in 0..256 {
-            let count: u32 = lanes.iter().map(|lane| lane.bit(die) as u32).sum();
-            assert_eq!(
-                counter.at_least_one().bit(die) == 1,
-                count >= 1,
-                "die {die}"
-            );
-            assert_eq!(
-                counter.at_least_two().bit(die) == 1,
-                count >= 2,
-                "die {die}"
-            );
-            assert_eq!(counter.exactly_one().bit(die) == 1, count == 1, "die {die}");
-        }
-    }
-
-    #[test]
     fn empty_counter_reports_nothing() {
-        let counter = LaneCounter::<u64>::new();
+        let counter = LaneCounter::new();
         assert_eq!(counter.at_least_one(), 0);
         assert_eq!(counter.at_least_two(), 0);
         assert_eq!(counter.exactly_one(), 0);
-        let wide = LaneCounter::<W256>::new();
-        assert!(wide.at_least_one().is_zero());
     }
 
     #[test]
     fn saturation_holds_beyond_two() {
-        let mut counter = LaneCounter::<u64>::new();
+        let mut counter = LaneCounter::new();
         for _ in 0..5 {
             counter.add(1);
         }

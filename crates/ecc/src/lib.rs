@@ -12,10 +12,10 @@
 //! * [`EccMemory`] / [`PeccMemory`] — protected memories that couple a codec
 //!   with a faulty [`SramArray`](faultmit_memsim::SramArray) storing the
 //!   widened codewords.
-//! * [`LaneCounter`] — a carry-save popcount saturating at two, generic
-//!   over the [`Lane`](faultmit_memsim::Lane) width: the bit-sliced
-//!   primitive behind the whole-block (64 or 256 dies at once) SECDED /
-//!   P-ECC correction-radius test of the block evaluation kernels.
+//! * [`LaneCounter`] — a carry-save popcount saturating at two over `u64`
+//!   lanes: the bit-sliced primitive behind the whole-block (64 dies at
+//!   once) SECDED / P-ECC correction-radius test of the block evaluation
+//!   kernel.
 //!
 //! # Example
 //!

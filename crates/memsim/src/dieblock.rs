@@ -1,16 +1,15 @@
-//! Transposed (bit-sliced) die blocks, generic over the lane width: up to
-//! [`Lane::LANES`] Monte-Carlo dies per lane value (64 for `u64`, 256 for
-//! [`W256`]).
+//! Transposed (bit-sliced) die blocks: up to [`BLOCK_DIES`] (64)
+//! Monte-Carlo dies per `u64` lane.
 //!
 //! # Transposed layout
 //!
-//! The scalar and sparse kernels evaluate one die at a time: a die is a
+//! The sparse kernel evaluates one die at a time: a die is a
 //! [`FaultMap`](crate::FaultMap), and every scheme walks its faulty rows.
-//! The bit-sliced kernels instead pack **up to `L::LANES` consecutive
-//! samples of the global plan** into one [`DieBlock`] and transpose the
+//! The bit-sliced kernel instead packs **up to [`BLOCK_DIES`] consecutive
+//! samples of the global plan** into one [`DieBlock`] and transposes the
 //! fault data: for every `(row, column)` cell that is faulty in *any* die
-//! of the block, a [`LaneCell`] holds three lanes whose bit `j` (bit
-//! `j % 64` of lane word `j / 64`) describes die `j`:
+//! of the block, a [`LaneCell`] holds three `u64` lanes whose bit `j`
+//! describes die `j`:
 //!
 //! * `flips` — die `j` has a bit-flip fault at this cell;
 //! * `stuck` — die `j` has a stuck-at fault at this cell;
@@ -28,41 +27,10 @@
 //! reproduce the sparse kernel's `-0.0 + 0.0` accumulation bit for bit.
 //!
 //! With this layout one bitwise operation on a lane does the work of
-//! `L::LANES` scalar dies, which is how the mitigation schemes'
+//! [`BLOCK_DIES`] scalar dies, which is how the mitigation schemes'
 //! `observe_block` paths (in `faultmit-core`) evaluate a whole block per
-//! row walk.
-//!
-//! # The `Lane` contract
-//!
-//! [`Lane`] is a **sealed** trait abstracting "a bitset with one bit per
-//! die of the block". An implementation must provide:
-//!
-//! * `LANES` — the die capacity; `WORDS = LANES / 64` — the number of
-//!   backing `u64` words; `ZERO` — the all-clear lane.
-//! * The bitwise algebra (`&`, `|`, `^`, `!` and the assign forms), acting
-//!   independently per bit. These are the only operations the hot loops
-//!   use, which is what keeps a plain-array implementation like [`W256`]
-//!   autovectorisable: no lane ever crosses a word boundary.
-//! * `splat(word)` — broadcast one `u64` bit pattern to every backing word
-//!   (used to turn a scalar stored bit into an all-die lane:
-//!   `splat(0u64.wrapping_sub(bit))` is all-ones when `bit` is 1).
-//! * Per-die access: `lane_bit(die)` (single-bit lane), `bit(self, die)`
-//!   (extract one die's bit), `word(self, index)` (read one backing word),
-//!   `is_zero`, `count_ones`, and the derived `for_each_die` visitor that
-//!   walks set bits word by word via `trailing_zeros` — so die indices are
-//!   always visited in ascending order, matching the per-sample kernels'
-//!   reduction order.
-//! * `DieArray<T>` / `die_array(fill)` — a `[T; LANES]` stack buffer for
-//!   per-die accumulators, so reductions over a block never heap-allocate.
-//!
-//! **Adding a new width** (say `u64x8` = 512 dies) is three steps: define a
-//! newtype over `[u64; 8]` with element-wise bit ops, implement `Lane`
-//! (every method is a per-word loop or a `die / 64` + `die % 64` split),
-//! and add it to the private `sealed` module. Nothing downstream changes:
-//! `DieBlock`, the mitigation schemes' lane folds and the campaign executor
-//! are generic over `L: Lane`. The fault-event encoding supports die
-//! indices up to 255 per block; widths beyond 256 dies would also widen the
-//! die field of the crate-private `pack_event` encoding.
+//! row walk. [`for_each_die`] visits a lane's set dies in ascending order,
+//! matching the per-sample kernels' reduction order.
 //!
 //! # Why RNG stream order is preserved (the generation contract)
 //!
@@ -88,238 +56,37 @@
 //!
 //! Either way every sample consumes exactly the RNG stream it consumes on
 //! the scalar path — determinism, sharding and paired scheme comparison
-//! are untouched, and the block kernels' fault populations are
-//! *bit-identical* to the scalar and sparse kernels': by construction on
-//! the fallback path, by the golden-vector and `kernel_equivalence` gates
-//! on the wide path (see the [`crate::widegen`] module docs for the
+//! are untouched, and the block kernel's fault populations are
+//! *bit-identical* to the sparse kernel's: by construction on the fallback
+//! path, by the golden-vector and `kernel_equivalence` gates on the wide
+//! path (see the [`crate::widegen`] module docs for the
 //! structural-vs-gated split of that contract).
 //!
 //! # The scalar tail
 //!
-//! Campaign plans are not multiples of the lane width, and chunk boundaries
-//! (a pure function of the global plan) never move: the executor groups
-//! each chunk's samples into blocks of at most `L::LANES` and falls back to
-//! the per-sample sparse path for degenerate single-sample groups. Any
-//! grouping yields identical results because per-sample RNG streams and
-//! the chunk-order reduction are independent of how samples are batched.
+//! Campaign plans are not multiples of the block width, and chunk
+//! boundaries (a pure function of the global plan) never move: the
+//! executor groups each chunk's samples into blocks of at most
+//! [`BLOCK_DIES`] and falls back to the per-sample sparse path for
+//! degenerate single-sample groups. Any grouping yields identical results
+//! because per-sample RNG streams and the chunk-order reduction are
+//! independent of how samples are batched.
 
 use crate::config::MemoryConfig;
 use crate::fault::FaultKind;
-use std::fmt::Debug;
-use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
 
-mod sealed {
-    /// Seals [`super::Lane`]: lane widths are in-tree types whose bit-level
-    /// layout the kernels may rely on.
-    pub trait Sealed {}
-    impl Sealed for u64 {}
-    impl Sealed for super::W256 {}
-}
+/// Dies per transposed [`DieBlock`]: one bit of a `u64` lane per die. The
+/// campaign executor groups its samples into blocks of this many dies and
+/// sizes its per-scheme block output matrix by it.
+pub const BLOCK_DIES: usize = 64;
 
-/// A bitset with one bit per die of a block — the lane type the bit-sliced
-/// kernels are generic over.
-///
-/// See the [module docs](self) for the full contract and for how to add a
-/// new width. The trait is sealed: in-tree implementations are `u64`
-/// (64 dies) and [`W256`] (256 dies).
-pub trait Lane:
-    sealed::Sealed
-    + Copy
-    + Eq
-    + Default
-    + Debug
-    + Send
-    + Sync
-    + 'static
-    + BitAnd<Output = Self>
-    + BitOr<Output = Self>
-    + BitXor<Output = Self>
-    + Not<Output = Self>
-    + BitAndAssign
-    + BitOrAssign
-    + BitXorAssign
-{
-    /// Number of dies a lane addresses (one bit per die).
-    const LANES: usize;
-    /// Number of backing `u64` words (`LANES / 64`).
-    const WORDS: usize;
-    /// The all-clear lane.
-    const ZERO: Self;
-
-    /// A `[T; LANES]` stack buffer for per-die accumulators.
-    type DieArray<T: Copy>: AsRef<[T]> + AsMut<[T]>;
-
-    /// Builds a [`Lane::DieArray`] with every element set to `fill`.
-    fn die_array<T: Copy>(fill: T) -> Self::DieArray<T>;
-
-    /// Broadcasts one `u64` bit pattern to every backing word.
-    fn splat(word: u64) -> Self;
-
-    /// The lane with only die `die`'s bit set.
-    fn lane_bit(die: usize) -> Self;
-
-    /// Whether no die's bit is set.
-    fn is_zero(self) -> bool;
-
-    /// Die `die`'s bit, as `0` or `1`.
-    fn bit(self, die: usize) -> u64;
-
-    /// Backing word `index` (dies `index * 64 ..= index * 64 + 63`).
-    fn word(self, index: usize) -> u64;
-
-    /// Total number of set bits (dies) across all backing words.
-    fn count_ones(self) -> u32;
-
-    /// Visits every set die in ascending die order.
-    #[inline]
-    fn for_each_die(self, mut f: impl FnMut(usize)) {
-        for index in 0..Self::WORDS {
-            let mut lanes = self.word(index);
-            while lanes != 0 {
-                let die = index * 64 + lanes.trailing_zeros() as usize;
-                lanes &= lanes - 1;
-                f(die);
-            }
-        }
-    }
-}
-
-impl Lane for u64 {
-    const LANES: usize = 64;
-    const WORDS: usize = 1;
-    const ZERO: Self = 0;
-
-    type DieArray<T: Copy> = [T; 64];
-
-    #[inline]
-    fn die_array<T: Copy>(fill: T) -> [T; 64] {
-        [fill; 64]
-    }
-
-    #[inline]
-    fn splat(word: u64) -> Self {
-        word
-    }
-
-    #[inline]
-    fn lane_bit(die: usize) -> Self {
-        1u64 << die
-    }
-
-    #[inline]
-    fn is_zero(self) -> bool {
-        self == 0
-    }
-
-    #[inline]
-    fn bit(self, die: usize) -> u64 {
-        (self >> die) & 1
-    }
-
-    #[inline]
-    fn word(self, _index: usize) -> u64 {
-        self
-    }
-
-    #[inline]
-    fn count_ones(self) -> u32 {
-        u64::count_ones(self)
-    }
-}
-
-/// A 256-die lane: four `u64` words with element-wise bit operations.
-///
-/// The representation is a plain array and every operation is a
-/// fixed-length per-element loop with no cross-word data flow, which is
-/// exactly the shape LLVM's autovectoriser turns into SIMD on wide hosts —
-/// no `std::simd`, no `unsafe`, no target-feature gates. Die `j` lives in
-/// bit `j % 64` of word `j / 64`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct W256(pub [u64; 4]);
-
-macro_rules! w256_binop {
-    ($op_trait:ident, $op_method:ident, $assign_trait:ident, $assign_method:ident, $op:tt) => {
-        impl $op_trait for W256 {
-            type Output = W256;
-
-            #[inline]
-            fn $op_method(self, rhs: W256) -> W256 {
-                W256([
-                    self.0[0] $op rhs.0[0],
-                    self.0[1] $op rhs.0[1],
-                    self.0[2] $op rhs.0[2],
-                    self.0[3] $op rhs.0[3],
-                ])
-            }
-        }
-
-        impl $assign_trait for W256 {
-            #[inline]
-            fn $assign_method(&mut self, rhs: W256) {
-                *self = *self $op rhs;
-            }
-        }
-    };
-}
-
-w256_binop!(BitAnd, bitand, BitAndAssign, bitand_assign, &);
-w256_binop!(BitOr, bitor, BitOrAssign, bitor_assign, |);
-w256_binop!(BitXor, bitxor, BitXorAssign, bitxor_assign, ^);
-
-impl Not for W256 {
-    type Output = W256;
-
-    #[inline]
-    fn not(self) -> W256 {
-        W256([!self.0[0], !self.0[1], !self.0[2], !self.0[3]])
-    }
-}
-
-impl Lane for W256 {
-    const LANES: usize = 256;
-    const WORDS: usize = 4;
-    const ZERO: Self = W256([0; 4]);
-
-    type DieArray<T: Copy> = [T; 256];
-
-    #[inline]
-    fn die_array<T: Copy>(fill: T) -> [T; 256] {
-        [fill; 256]
-    }
-
-    #[inline]
-    fn splat(word: u64) -> Self {
-        W256([word; 4])
-    }
-
-    #[inline]
-    fn lane_bit(die: usize) -> Self {
-        let mut words = [0u64; 4];
-        words[die / 64] = 1u64 << (die % 64);
-        W256(words)
-    }
-
-    #[inline]
-    fn is_zero(self) -> bool {
-        (self.0[0] | self.0[1] | self.0[2] | self.0[3]) == 0
-    }
-
-    #[inline]
-    fn bit(self, die: usize) -> u64 {
-        (self.0[die / 64] >> (die % 64)) & 1
-    }
-
-    #[inline]
-    fn word(self, index: usize) -> u64 {
-        self.0[index]
-    }
-
-    #[inline]
-    fn count_ones(self) -> u32 {
-        self.0[0].count_ones()
-            + self.0[1].count_ones()
-            + self.0[2].count_ones()
-            + self.0[3].count_ones()
+/// Visits every die whose bit is set in `lanes`, in ascending die order.
+#[inline]
+pub fn for_each_die(mut lanes: u64, mut f: impl FnMut(usize)) {
+    while lanes != 0 {
+        let die = lanes.trailing_zeros() as usize;
+        lanes &= lanes - 1;
+        f(die);
     }
 }
 
@@ -329,23 +96,23 @@ impl Lane for W256 {
 /// sample). At most one of `flips` / `stuck` is set per die — a physical
 /// cell has exactly one behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneCell<L: Lane = u64> {
+pub struct LaneCell {
     /// Bit position (column) of the cell within the word, 0 = LSB.
     pub col: u32,
     /// Dies whose cell flips the stored bit on read.
-    pub flips: L,
+    pub flips: u64,
     /// Dies whose cell is stuck at `stuck_value`.
-    pub stuck: L,
+    pub stuck: u64,
     /// The stuck-at value per die (only bits under `stuck` are meaningful).
-    pub stuck_value: L,
+    pub stuck_value: u64,
 }
 
-impl<L: Lane> LaneCell<L> {
+impl LaneCell {
     /// Dies that have *any* fault at this cell — the fault-presence lane
     /// that drives row-visit bookkeeping and the bit-shuffle FM-LUT vote.
     #[must_use]
     #[inline]
-    pub fn presence(&self) -> L {
+    pub fn presence(&self) -> u64 {
         self.flips | self.stuck
     }
 }
@@ -353,39 +120,39 @@ impl<L: Lane> LaneCell<L> {
 /// One faulty row of a block: its index, its fault-presence (`dirty`) lane,
 /// and its transposed cells sorted by ascending column.
 #[derive(Debug, Clone, Copy)]
-pub struct BlockRow<'a, L: Lane = u64> {
+pub struct BlockRow<'a> {
     /// Row (word address) within the memory.
     pub row: usize,
     /// Bit `j` set ⇔ die `j` has at least one fault in this row.
-    pub dirty: L,
+    pub dirty: u64,
     /// The row's lane cells, ascending by column.
-    pub cells: &'a [LaneCell<L>],
+    pub cells: &'a [LaneCell],
 }
 
 /// Internal row directory entry: the cell range backing one [`BlockRow`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct BlockRowEntry<L: Lane = u64> {
+pub(crate) struct BlockRowEntry {
     pub(crate) row: usize,
     pub(crate) start: u32,
     pub(crate) end: u32,
-    pub(crate) dirty: L,
+    pub(crate) dirty: u64,
 }
 
-/// A transposed view over up to `L::LANES` generated dies, borrowed from
+/// A transposed view over up to [`BLOCK_DIES`] generated dies, borrowed from
 /// the [`BlockScratch`](crate::BlockScratch) arena that generated them
 /// (valid until the next generation call).
 #[derive(Debug, Clone, Copy)]
-pub struct DieBlock<'a, L: Lane = u64> {
-    rows: &'a [BlockRowEntry<L>],
-    cells: &'a [LaneCell<L>],
+pub struct DieBlock<'a> {
+    rows: &'a [BlockRowEntry],
+    cells: &'a [LaneCell],
     dies: usize,
     config: MemoryConfig,
 }
 
-impl<'a, L: Lane> DieBlock<'a, L> {
+impl<'a> DieBlock<'a> {
     pub(crate) fn new(
-        rows: &'a [BlockRowEntry<L>],
-        cells: &'a [LaneCell<L>],
+        rows: &'a [BlockRowEntry],
+        cells: &'a [LaneCell],
         dies: usize,
         config: MemoryConfig,
     ) -> Self {
@@ -397,7 +164,7 @@ impl<'a, L: Lane> DieBlock<'a, L> {
         }
     }
 
-    /// Number of dies packed into the block (`1..=L::LANES`); die `j`
+    /// Number of dies packed into the block (`1..=BLOCK_DIES`); die `j`
     /// occupies bit `j` of every lane.
     #[must_use]
     pub fn die_count(&self) -> usize {
@@ -417,7 +184,7 @@ impl<'a, L: Lane> DieBlock<'a, L> {
     }
 
     /// Iterates the block's faulty rows in ascending row order.
-    pub fn rows(&self) -> impl Iterator<Item = BlockRow<'a, L>> + '_ {
+    pub fn rows(&self) -> impl Iterator<Item = BlockRow<'a>> + '_ {
         self.rows.iter().map(|entry| BlockRow {
             row: entry.row,
             dirty: entry.dirty,
@@ -430,10 +197,10 @@ impl<'a, L: Lane> DieBlock<'a, L> {
 /// 2 kind bits, 8 die bits, 6 column bits, then the row — so an unstable
 /// sort of the packed words yields `(row, col, die)` order and equal keys
 /// are impossible (a die has at most one fault per cell). The 8-bit die
-/// field caps blocks at 256 dies, today's widest [`Lane`].
+/// field holds any die index of a [`BLOCK_DIES`]-die block.
 #[inline]
 pub(crate) fn pack_event(row: usize, col: usize, die: usize, kind: FaultKind) -> u64 {
-    debug_assert!(col < 64 && die < 256);
+    debug_assert!(col < 64 && die < BLOCK_DIES);
     let kind_code = match kind {
         FaultKind::StuckAtZero => 0u64,
         FaultKind::StuckAtOne => 1,
@@ -453,10 +220,10 @@ pub(crate) fn event_sort_key(event: u64) -> usize {
 
 /// Rebuilds the row directory and lane cells from sorted packed events.
 /// Clears (but never shrinks) the output buffers.
-pub(crate) fn transpose_events<L: Lane>(
+pub(crate) fn transpose_events(
     events: &[u64],
-    cells: &mut Vec<LaneCell<L>>,
-    rows: &mut Vec<BlockRowEntry<L>>,
+    cells: &mut Vec<LaneCell>,
+    rows: &mut Vec<BlockRowEntry>,
 ) {
     cells.clear();
     rows.clear();
@@ -465,7 +232,7 @@ pub(crate) fn transpose_events<L: Lane>(
         let col = ((event >> 10) & 0x3F) as u32;
         let die = ((event >> 2) & 0xFF) as usize;
         let kind_code = event & 0b11;
-        let die_bit = L::lane_bit(die);
+        let die_bit = 1u64 << die;
 
         let new_row = rows.last().is_none_or(|entry| entry.row != row);
         if new_row {
@@ -473,7 +240,7 @@ pub(crate) fn transpose_events<L: Lane>(
                 row,
                 start: cells.len() as u32,
                 end: cells.len() as u32,
-                dirty: L::ZERO,
+                dirty: 0,
             });
         }
         let entry = rows.last_mut().expect("a row entry was just ensured");
@@ -484,9 +251,9 @@ pub(crate) fn transpose_events<L: Lane>(
         if new_cell {
             cells.push(LaneCell {
                 col,
-                flips: L::ZERO,
-                stuck: L::ZERO,
-                stuck_value: L::ZERO,
+                flips: 0,
+                stuck: 0,
+                stuck_value: 0,
             });
             entry.end = cells.len() as u32;
         }
@@ -507,27 +274,27 @@ pub(crate) fn transpose_events<L: Lane>(
 /// lane `c` says the word die `j` observes differs from the written word at
 /// data bit `c`, after the mitigation scheme has done its work.
 ///
-/// The buffer is fixed-size stack storage (64 lanes of `L`, ≤ 2 KiB at 256
-/// dies) and clears sparsely through its column mask, so per-row reuse is
+/// The buffer is fixed-size stack storage (64 `u64` lanes, 512 bytes) and
+/// clears sparsely through its column mask, so per-row reuse is
 /// allocation-free.
 #[derive(Debug, Clone)]
-pub struct ResidualLanes<L: Lane = u64> {
-    lanes: [L; 64],
+pub struct ResidualLanes {
+    lanes: [u64; 64],
     colmask: u64,
 }
 
-impl<L: Lane> Default for ResidualLanes<L> {
+impl Default for ResidualLanes {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<L: Lane> ResidualLanes<L> {
+impl ResidualLanes {
     /// An all-clear residual buffer.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            lanes: [L::ZERO; 64],
+            lanes: [0; 64],
             colmask: 0,
         }
     }
@@ -538,7 +305,7 @@ impl<L: Lane> ResidualLanes<L> {
         while mask != 0 {
             let col = mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            self.lanes[col] = L::ZERO;
+            self.lanes[col] = 0;
         }
         self.colmask = 0;
     }
@@ -546,8 +313,8 @@ impl<L: Lane> ResidualLanes<L> {
     /// ORs `lane` into data column `col` (no-op for an all-zero lane, so
     /// the column mask stays tight).
     #[inline]
-    pub fn accumulate(&mut self, col: usize, lane: L) {
-        if !lane.is_zero() {
+    pub fn accumulate(&mut self, col: usize, lane: u64) {
+        if lane != 0 {
             self.lanes[col] |= lane;
             self.colmask |= 1u64 << col;
         }
@@ -564,7 +331,7 @@ impl<L: Lane> ResidualLanes<L> {
     /// [`colmask`](Self::colmask) read as zero.
     #[must_use]
     #[inline]
-    pub fn lane(&self, col: usize) -> L {
+    pub fn lane(&self, col: usize) -> u64 {
         self.lanes[col]
     }
 
@@ -578,7 +345,7 @@ impl<L: Lane> ResidualLanes<L> {
         while mask != 0 {
             let col = mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            diff |= self.lanes[col].bit(die) << col;
+            diff |= ((self.lanes[col] >> die) & 1) << col;
         }
         diff
     }
@@ -605,7 +372,7 @@ mod tests {
     }
 
     /// Generates `plan` die by die through the per-sample path — the
-    /// reference population every block width must reproduce exactly.
+    /// reference population a block must reproduce exactly.
     fn per_sample_reference(
         backend: &Backend,
         seeder: &StreamSeeder,
@@ -625,15 +392,15 @@ mod tests {
     }
 
     /// Untransposes a block back into per-die fault lists.
-    fn untranspose<L: Lane>(block: &DieBlock<'_, L>) -> Vec<Vec<crate::fault::Fault>> {
+    fn untranspose(block: &DieBlock<'_>) -> Vec<Vec<crate::fault::Fault>> {
         let mut rebuilt: Vec<Vec<crate::fault::Fault>> = vec![Vec::new(); block.die_count()];
         for row in block.rows() {
             for cell in row.cells {
                 for (die, faults) in rebuilt.iter_mut().enumerate() {
-                    let fault = if cell.flips.bit(die) != 0 {
+                    let fault = if (cell.flips >> die) & 1 != 0 {
                         Some(crate::fault::Fault::bit_flip(row.row, cell.col as usize))
-                    } else if cell.stuck.bit(die) != 0 {
-                        Some(if cell.stuck_value.bit(die) != 0 {
+                    } else if (cell.stuck >> die) & 1 != 0 {
+                        Some(if (cell.stuck_value >> die) & 1 != 0 {
                             crate::fault::Fault::stuck_at_one(row.row, cell.col as usize)
                         } else {
                             crate::fault::Fault::stuck_at_zero(row.row, cell.col as usize)
@@ -667,7 +434,7 @@ mod tests {
                 let plan = plan(3, 40, 9);
                 let expected = per_sample_reference(&backend, &seeder, &plan);
                 // Block path over the same plan.
-                let mut scratch = BlockScratch::<u64>::new(config());
+                let mut scratch = BlockScratch::new(config());
                 let block = scratch
                     .generate_block(&backend, &seeder, &plan, None)
                     .unwrap();
@@ -678,40 +445,12 @@ mod tests {
     }
 
     #[test]
-    fn wide_block_lanes_match_per_sample_maps_on_every_backend() {
-        let seeder = StreamSeeder::new(0x256B);
-        for kind in BackendKind::ALL {
-            for law in [
-                FaultKindLaw::AlwaysFlip,
-                FaultKindLaw::AsymmetricStuckAt {
-                    p_stuck_at_zero: 0.4,
-                },
-            ] {
-                let backend = Backend::at_p_cell(kind, config(), 1e-3)
-                    .unwrap()
-                    .with_kind_law(law)
-                    .unwrap();
-                // More dies than any single u64 lane can hold, and not a
-                // multiple of 64, so every W256 word boundary is exercised.
-                let plan = plan(5, 200, 9);
-                let expected = per_sample_reference(&backend, &seeder, &plan);
-                let mut scratch = BlockScratch::<W256>::new(config());
-                let block = scratch
-                    .generate_block(&backend, &seeder, &plan, None)
-                    .unwrap();
-                assert_eq!(block.die_count(), 200);
-                assert_eq!(untranspose(&block), expected, "{kind} {law:?}");
-            }
-        }
-    }
-
-    #[test]
     fn block_rows_ascend_and_dirty_matches_presence() {
         let seeder = StreamSeeder::new(7);
         let backend = Backend::at_p_cell(BackendKind::Sram, config(), 1e-3).unwrap();
-        let mut scratch = BlockScratch::<W256>::new(config());
+        let mut scratch = BlockScratch::new(config());
         let block = scratch
-            .generate_block(&backend, &seeder, &plan(0, 256, 12), None)
+            .generate_block(&backend, &seeder, &plan(0, BLOCK_DIES, 12), None)
             .unwrap();
         let mut previous_row = None;
         for row in block.rows() {
@@ -719,28 +458,23 @@ mod tests {
                 assert!(row.row > previous, "rows must ascend");
             }
             previous_row = Some(row.row);
-            let mut presence = W256::ZERO;
+            let mut presence = 0u64;
             let mut previous_col = None;
             for cell in row.cells {
                 if let Some(previous) = previous_col {
                     assert!(cell.col > previous, "columns must ascend");
                 }
                 previous_col = Some(cell.col);
-                assert!(
-                    (cell.flips & cell.stuck).is_zero(),
-                    "one behaviour per cell"
-                );
-                assert!(
-                    (cell.stuck_value & !cell.stuck).is_zero(),
+                assert_eq!(cell.flips & cell.stuck, 0, "one behaviour per cell");
+                assert_eq!(
+                    cell.stuck_value & !cell.stuck,
+                    0,
                     "stuck values only under stuck lanes"
                 );
                 presence |= cell.presence();
             }
             assert_eq!(row.dirty, presence);
-            assert!(
-                !row.dirty.is_zero(),
-                "rows without faults must not be listed"
-            );
+            assert_ne!(row.dirty, 0, "rows without faults must not be listed");
         }
     }
 
@@ -758,7 +492,7 @@ mod tests {
                 .unwrap();
             expected.push(map.iter().collect());
         }
-        let mut scratch = BlockScratch::<u64>::new(config());
+        let mut scratch = BlockScratch::new(config());
         let block = scratch
             .generate_block(&backend, &seeder, &plan, Some(8))
             .unwrap();
@@ -773,64 +507,34 @@ mod tests {
     }
 
     #[test]
-    fn oversized_plans_are_rejected_per_width() {
+    fn oversized_plans_are_rejected() {
         let seeder = StreamSeeder::new(1);
         let backend = Backend::at_p_cell(BackendKind::Sram, config(), 1e-3).unwrap();
-        let mut narrow = BlockScratch::<u64>::new(config());
-        assert!(narrow
-            .generate_block(&backend, &seeder, &plan(0, 65, 1), None)
+        let mut scratch = BlockScratch::new(config());
+        assert!(scratch
+            .generate_block(&backend, &seeder, &plan(0, BLOCK_DIES + 1, 1), None)
             .is_err());
-        let mut wide = BlockScratch::<W256>::new(config());
-        assert!(wide
-            .generate_block(&backend, &seeder, &plan(0, 257, 1), None)
-            .is_err());
-        assert!(wide
-            .generate_block(&backend, &seeder, &plan(0, 256, 1), None)
+        assert!(scratch
+            .generate_block(&backend, &seeder, &plan(0, BLOCK_DIES, 1), None)
             .is_ok());
     }
 
     #[test]
-    fn w256_lane_algebra_matches_the_u64_reference_per_word() {
-        // Per-word equivalence: every Lane operation on W256 must act like
-        // four independent u64 lanes.
-        let a = W256([0x0123_4567_89AB_CDEF, !0, 0, 0xDEAD_BEEF_F00D_5EED]);
-        let b = W256([0xFEDC_BA98_7654_3210, 0x5555_5555_5555_5555, 7, 0]);
-        for index in 0..4 {
-            assert_eq!((a & b).word(index), a.word(index) & b.word(index));
-            assert_eq!((a | b).word(index), a.word(index) | b.word(index));
-            assert_eq!((a ^ b).word(index), a.word(index) ^ b.word(index));
-            assert_eq!((!a).word(index), !a.word(index));
-            assert_eq!(W256::splat(0xAB).word(index), 0xAB);
-        }
-        assert_eq!(
-            a.count_ones(),
-            (0..4).map(|index| a.word(index).count_ones()).sum::<u32>()
-        );
-        assert!(W256::ZERO.is_zero());
-        assert!(!a.is_zero());
-    }
-
-    #[test]
-    fn w256_die_addressing_spans_word_boundaries() {
-        for die in [0usize, 1, 63, 64, 100, 127, 128, 200, 255] {
-            let lane = W256::lane_bit(die);
-            assert_eq!(lane.count_ones(), 1, "die {die}");
-            assert_eq!(lane.bit(die), 1, "die {die}");
-            assert_eq!(lane.bit((die + 1) % 256), 0, "die {die}");
+    fn for_each_die_visits_set_dies_in_ascending_order() {
+        for die in [0usize, 1, 31, 62, 63] {
             let mut visited = Vec::new();
-            lane.for_each_die(|d| visited.push(d));
+            for_each_die(1u64 << die, |d| visited.push(d));
             assert_eq!(visited, vec![die]);
         }
-        // for_each_die ascends across words.
-        let lane = W256::lane_bit(3) | W256::lane_bit(64) | W256::lane_bit(255);
         let mut visited = Vec::new();
-        lane.for_each_die(|d| visited.push(d));
-        assert_eq!(visited, vec![3, 64, 255]);
+        for_each_die((1 << 3) | (1 << 40) | (1 << 63), |d| visited.push(d));
+        assert_eq!(visited, vec![3, 40, 63]);
+        for_each_die(0, |_| panic!("an empty lane has no dies"));
     }
 
     #[test]
     fn residual_lanes_round_trip_and_clear_sparsely() {
-        let mut residual = ResidualLanes::<u64>::new();
+        let mut residual = ResidualLanes::new();
         residual.accumulate(3, 0b101);
         residual.accumulate(3, 0b010);
         residual.accumulate(31, 1 << 63);
@@ -844,24 +548,6 @@ mod tests {
         residual.clear();
         assert_eq!(residual.colmask(), 0);
         for die in 0..64 {
-            assert_eq!(residual.gather_die(die), 0);
-        }
-    }
-
-    #[test]
-    fn wide_residual_lanes_round_trip_beyond_die_64() {
-        let mut residual = ResidualLanes::<W256>::new();
-        residual.accumulate(3, W256::lane_bit(70) | W256::lane_bit(2));
-        residual.accumulate(31, W256::lane_bit(255));
-        residual.accumulate(9, W256::ZERO); // no-op
-        assert_eq!(residual.colmask(), (1 << 3) | (1 << 31));
-        assert_eq!(residual.gather_die(70), 1 << 3);
-        assert_eq!(residual.gather_die(2), 1 << 3);
-        assert_eq!(residual.gather_die(255), 1 << 31);
-        assert_eq!(residual.gather_die(64), 0);
-        residual.clear();
-        assert_eq!(residual.colmask(), 0);
-        for die in [0usize, 70, 255] {
             assert_eq!(residual.gather_die(die), 0);
         }
     }

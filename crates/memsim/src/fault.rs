@@ -590,7 +590,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_capacity_for_scratch_reuse() {
+    fn clear_keeps_capacity_for_arena_reuse() {
         let mut map = FaultMap::new(config());
         for col in 0..16 {
             map.insert(Fault::bit_flip(3, col)).unwrap();

@@ -30,11 +30,11 @@
 //!   index)`, never on which worker thread draws them.
 //! * [`MarchBist`] — a March C- built-in self test that locates faulty cells,
 //!   producing the per-row report that seeds the bit-shuffling FM-LUT.
-//! * [`dieblock`] — transposed (bit-sliced) die blocks, generic over the
-//!   sealed [`Lane`] width: up to `L::LANES` planned samples packed into
-//!   lanes ([`DieBlock`], [`LaneCell`], [`ResidualLanes`]) — 64 dies per
-//!   `u64` or 256 per [`W256`] — for the lane-parallel evaluation kernels,
-//!   generated from the same per-sample RNG streams as the scalar paths.
+//! * [`dieblock`] — transposed (bit-sliced) die blocks: up to
+//!   [`BLOCK_DIES`] (64) planned samples packed into `u64` lanes
+//!   ([`DieBlock`], [`LaneCell`], [`ResidualLanes`]) for the lane-parallel
+//!   evaluation kernel, generated from the same per-sample RNG streams as
+//!   the scalar paths.
 //! * [`widegen`] — lane-interleaved die-block *generation*: [`WIDE_LANES`]
 //!   independent per-sample xoshiro256++ streams advanced as SoA array ops
 //!   ([`rand::wide::WideXoshiro`]), lane-masked Floyd sampling and kind
@@ -88,7 +88,7 @@ pub use backend::{
 };
 pub use bist::{BistReport, MarchBist, RowFaultReport};
 pub use config::MemoryConfig;
-pub use dieblock::{BlockRow, DieBlock, Lane, LaneCell, ResidualLanes, W256};
+pub use dieblock::{for_each_die, BlockRow, DieBlock, LaneCell, ResidualLanes, BLOCK_DIES};
 pub use error::MemError;
 pub use failure_model::{CellFailureModel, FailureModelBuilder};
 pub use fault::{Fault, FaultKind, FaultMap};

@@ -4,9 +4,9 @@
 //! generation (the warm [`FaultMap`] plus every auxiliary container the
 //! backends' samplers need — the Floyd-sampling index buffers for iid
 //! placement, the occupancy set for rejection placement), or a
-//! [`BlockScratch`] when the bit-sliced kernels run, which wraps a
-//! `DieScratch` and adds the lane-typed transposition buffers for one
-//! [`DieBlock`] of up to `L::LANES` dies. After a short warm-up the
+//! [`BlockScratch`] when the bit-sliced kernel runs, which wraps a
+//! `DieScratch` and adds the transposition buffers for one [`DieBlock`] of
+//! up to [`BLOCK_DIES`] dies. After a short warm-up the
 //! containers reach their high-water capacities and steady-state die
 //! generation performs **zero heap allocations** — the arena is cleared,
 //! never dropped, between dies. The [`DieScratch::realloc_events`] /
@@ -17,7 +17,7 @@
 use crate::backend::FaultBackend;
 use crate::config::MemoryConfig;
 use crate::dieblock::{
-    event_sort_key, pack_event, transpose_events, BlockRowEntry, DieBlock, Lane, LaneCell,
+    event_sort_key, pack_event, transpose_events, BlockRowEntry, DieBlock, LaneCell, BLOCK_DIES,
 };
 use crate::error::MemError;
 use crate::fault::FaultMap;
@@ -173,7 +173,7 @@ impl DieScratch {
 }
 
 /// A reusable arena for generating transposed [`DieBlock`]s of up to
-/// `L::LANES` dies, wrapping a [`DieScratch`] for the per-sample draws.
+/// [`BLOCK_DIES`] dies, wrapping a [`DieScratch`] for the per-sample draws.
 ///
 /// Create one per worker thread ([`BlockScratch::new`]) and call
 /// [`BlockScratch::generate_block`] once per block; the returned
@@ -182,7 +182,7 @@ impl DieScratch {
 /// [`BlockScratch::scalar_mut`] for the campaign executor's per-sample
 /// tail, so one arena serves both paths of a mixed block/scalar shard.
 #[derive(Debug)]
-pub struct BlockScratch<L: Lane = u64> {
+pub struct BlockScratch {
     /// The per-sample arena every planned die is drawn into.
     scalar: DieScratch,
     /// Packed `(row, col, die, kind)` events for block transposition.
@@ -192,9 +192,9 @@ pub struct BlockScratch<L: Lane = u64> {
     /// Scatter target for the counting sort of dense event batches.
     sorted: Vec<u64>,
     /// Transposed lane cells backing the current [`DieBlock`] view.
-    cells: Vec<LaneCell<L>>,
+    cells: Vec<LaneCell>,
     /// Row directory backing the current [`DieBlock`] view.
-    rows: Vec<BlockRowEntry<L>>,
+    rows: Vec<BlockRowEntry>,
     /// Per-lane buffers of the lane-interleaved generator.
     wide: WideGenScratch,
     /// Whether wide-capable backends take the lane-interleaved path.
@@ -202,7 +202,7 @@ pub struct BlockScratch<L: Lane = u64> {
     realloc_events: u64,
 }
 
-impl<L: Lane> BlockScratch<L> {
+impl BlockScratch {
     /// Creates an empty (cold) block arena for dies of the given geometry.
     #[must_use]
     pub fn new(config: MemoryConfig) -> Self {
@@ -269,7 +269,7 @@ impl<L: Lane> BlockScratch<L> {
         ]
     }
 
-    /// Generates up to `L::LANES` planned samples into one transposed
+    /// Generates up to [`BLOCK_DIES`] planned samples into one transposed
     /// [`DieBlock`]: die `j` of the block is `plan[j]`, generated with the
     /// *same* RNG stream ([`StreamSeeder::rng_for_sample`]) and the same
     /// per-sample protocol (plain, or single-fault-per-row when
@@ -279,7 +279,7 @@ impl<L: Lane> BlockScratch<L> {
     ///
     /// # Errors
     ///
-    /// Rejects plans longer than `L::LANES` samples and propagates the
+    /// Rejects plans longer than [`BLOCK_DIES`] samples and propagates the
     /// backend's sampling errors.
     pub fn generate_block<B: FaultBackend + ?Sized>(
         &mut self,
@@ -287,13 +287,12 @@ impl<L: Lane> BlockScratch<L> {
         seeder: &StreamSeeder,
         plan: &[PlannedSample],
         max_redraws: Option<usize>,
-    ) -> Result<DieBlock<'_, L>, MemError> {
-        if plan.len() > L::LANES {
+    ) -> Result<DieBlock<'_>, MemError> {
+        if plan.len() > BLOCK_DIES {
             return Err(MemError::InvalidParameter {
                 reason: format!(
-                    "die block plan of {} samples exceeds the {}-die lane width",
+                    "die block plan of {} samples exceeds the {BLOCK_DIES}-die block width",
                     plan.len(),
-                    L::LANES
                 ),
             });
         }
@@ -407,7 +406,6 @@ impl<L: Lane> BlockScratch<L> {
 mod tests {
     use super::*;
     use crate::backend::{Backend, BackendKind, FaultKindLaw};
-    use crate::dieblock::W256;
     use rand::SeedableRng;
 
     fn config() -> MemoryConfig {
@@ -477,14 +475,14 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_wide_block_generation_performs_no_reallocation() {
+    fn steady_state_block_generation_performs_no_reallocation() {
         use crate::seeder::{PlannedSample, StreamSeeder};
         let seeder = StreamSeeder::new(0x1D1E);
         for kind in BackendKind::ALL {
             let backend = Backend::at_p_cell(kind, config(), 1e-3).unwrap();
-            let mut scratch = BlockScratch::<W256>::new(config());
+            let mut scratch = BlockScratch::new(config());
             let plan_at = |start: u64, n_faults: u64| -> Vec<PlannedSample> {
-                (0..256u64)
+                (0..BLOCK_DIES as u64)
                     .map(|j| PlannedSample {
                         index: start + j,
                         n_faults,
@@ -492,9 +490,10 @@ mod tests {
                     .collect()
             };
             // Warm-up: containers grow to their high-water capacities.
+            let lanes = BLOCK_DIES as u64;
             for round in 0..4u64 {
                 scratch
-                    .generate_block(&backend, &seeder, &plan_at(round * 256, 40), None)
+                    .generate_block(&backend, &seeder, &plan_at(round * lanes, 40), None)
                     .unwrap();
             }
             let warm = scratch.realloc_events();
@@ -504,7 +503,7 @@ mod tests {
                     .generate_block(
                         &backend,
                         &seeder,
-                        &plan_at(1024 + round * 256, 1 + round % 40),
+                        &plan_at((4 + round) * lanes, 1 + round % 40),
                         None,
                     )
                     .unwrap();
@@ -512,7 +511,7 @@ mod tests {
             assert_eq!(
                 scratch.realloc_events(),
                 warm,
-                "{kind}: steady-state wide block generation reallocated"
+                "{kind}: steady-state block generation reallocated"
             );
         }
     }

@@ -58,9 +58,9 @@ use rand::Rng;
 
 /// How many per-sample streams the wide generator advances per step. Eight
 /// `u64` lanes fill one AVX-512 register (or two AVX2 registers) in the
-/// autovectorised element-wise loops; the width-generic machinery itself is
-/// `const`-generic like [`crate::dieblock::Lane`], so narrower widths (the
-/// four-lane variant the tests also pin) compile from the same code.
+/// autovectorised element-wise loops; the machinery itself is
+/// `const`-generic over the stream count, so narrower widths (the four-lane
+/// variant the tests also pin) compile from the same code.
 pub const WIDE_LANES: usize = 8;
 
 /// Above this fault count a lane's Floyd de-duplication switches from a

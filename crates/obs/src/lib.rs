@@ -110,14 +110,10 @@ pub enum Counter {
     WideGenScalarDrains,
     /// Die blocks transposed into lane-sliced form.
     BlocksTransposed,
-    /// Campaign shard runs dispatched to the scalar kernel.
-    DispatchScalar,
     /// Campaign shard runs dispatched to the event-driven sparse kernel.
     DispatchSparse,
-    /// Campaign shard runs dispatched to the 64-die bit-sliced kernel.
+    /// Campaign shard runs dispatched to the bit-sliced kernel.
     DispatchBitsliced,
-    /// Campaign shard runs dispatched to the 256-die bit-sliced kernel.
-    DispatchBitsliced256,
     /// Faulty block rows evaluated through the lane-parallel block
     /// observer.
     ObserveBlockRows,
@@ -138,7 +134,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants (the length of [`Counter::ALL`]).
-pub const COUNTER_COUNT: usize = 19;
+pub const COUNTER_COUNT: usize = 17;
 
 impl Counter {
     /// Every counter, in declaration (and serialisation) order.
@@ -152,10 +148,8 @@ impl Counter {
         Self::WideGenLanesActive,
         Self::WideGenScalarDrains,
         Self::BlocksTransposed,
-        Self::DispatchScalar,
         Self::DispatchSparse,
         Self::DispatchBitsliced,
-        Self::DispatchBitsliced256,
         Self::ObserveBlockRows,
         Self::ObserveFallbackRows,
         Self::ObserveFallbackDies,
@@ -177,10 +171,8 @@ impl Counter {
             Self::WideGenLanesActive => "widegen_lanes_active",
             Self::WideGenScalarDrains => "widegen_scalar_drains",
             Self::BlocksTransposed => "blocks_transposed",
-            Self::DispatchScalar => "dispatch_scalar",
             Self::DispatchSparse => "dispatch_sparse",
             Self::DispatchBitsliced => "dispatch_bitsliced",
-            Self::DispatchBitsliced256 => "dispatch_bitsliced256",
             Self::ObserveBlockRows => "observe_block_rows",
             Self::ObserveFallbackRows => "observe_fallback_rows",
             Self::ObserveFallbackDies => "observe_fallback_dies",

@@ -26,8 +26,8 @@ use crate::error::{RunError, SimError};
 use crate::executor::{run_chunked_with, Parallelism};
 use faultmit_core::MitigationScheme;
 use faultmit_memsim::{
-    BlockScratch, DieBatch, DieBlock, DieScratch, FailureCountDistribution, FaultBackend, FaultMap,
-    ImageSpec, Lane, MemoryConfig, PlannedSample, SramVddBackend, StreamSeeder,
+    BlockScratch, DieBlock, DieScratch, FailureCountDistribution, FaultBackend, FaultMap,
+    ImageSpec, MemoryConfig, PlannedSample, SramVddBackend, StreamSeeder, BLOCK_DIES,
 };
 use faultmit_obs as obs;
 use std::convert::Infallible;
@@ -198,22 +198,15 @@ pub struct ShardStats {
 /// inherits the same bit-identity guarantee.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelKind {
-    /// The dense row-walking kernel over the generic `observe` path.
-    Scalar,
     /// The event-driven kernel walking only fault-bearing rows through
     /// `observe_sparse` — the default.
     #[default]
     Sparse,
-    /// The bit-sliced kernel: up to 64 dies transposed into `u64` lanes and
-    /// evaluated together through `observe_block`, with a scalar tail for
-    /// leftover samples.
+    /// The bit-sliced kernel: up to [`BLOCK_DIES`] dies transposed into
+    /// `u64` lanes and evaluated together through `observe_block`, with a
+    /// scalar tail for leftover samples.
     Bitsliced,
-    /// The wide bit-sliced kernel: up to 256 dies transposed into
-    /// [`W256`](faultmit_memsim::W256) lanes (four `u64` words per lane,
-    /// autovectorisable element-wise ops) and evaluated together through the
-    /// wide block observer, with a scalar tail for leftover samples.
-    Bitsliced256,
-    /// Density-adaptive choice: resolves to [`KernelKind::Bitsliced256`]
+    /// Density-adaptive choice: resolves to [`KernelKind::Bitsliced`]
     /// when the expected fault density meets
     /// [`AUTO_FAULTS_PER_ROW_THRESHOLD`] faults per row, and to
     /// [`KernelKind::Sparse`] otherwise. See [`KernelKind::resolve`].
@@ -225,31 +218,22 @@ pub enum KernelKind {
 ///
 /// At or above this density (one expected fault per sixteen rows), most
 /// sampled dies carry enough fault-bearing rows that the per-row transpose
-/// and lane-wide evaluation of the 256-die bit-sliced kernel amortises its
-/// fixed cost; below it, the event-driven sparse kernel's skip-empty-rows
+/// and lane-wide evaluation of the bit-sliced kernel amortises its fixed
+/// cost; below it, the event-driven sparse kernel's skip-empty-rows
 /// advantage wins. The constant is pinned by a unit test against the benched
 /// operating points in `benches/pipeline.rs`.
 pub const AUTO_FAULTS_PER_ROW_THRESHOLD: f64 = 1.0 / 16.0;
 
 impl KernelKind {
-    /// All kernels, in scalar → sparse → bitsliced → bitsliced256 → auto
-    /// order.
-    pub const ALL: [KernelKind; 5] = [
-        KernelKind::Scalar,
-        KernelKind::Sparse,
-        KernelKind::Bitsliced,
-        KernelKind::Bitsliced256,
-        KernelKind::Auto,
-    ];
+    /// All kernels, in sparse → bitsliced → auto order.
+    pub const ALL: [KernelKind; 3] = [KernelKind::Sparse, KernelKind::Bitsliced, KernelKind::Auto];
 
     /// The CLI / telemetry name of the kernel.
     #[must_use]
     pub fn as_str(&self) -> &'static str {
         match self {
-            KernelKind::Scalar => "scalar",
             KernelKind::Sparse => "sparse",
             KernelKind::Bitsliced => "bitsliced",
-            KernelKind::Bitsliced256 => "bitsliced256",
             KernelKind::Auto => "auto",
         }
     }
@@ -258,7 +242,7 @@ impl KernelKind {
     /// campaign expecting `expected_faults_per_die` faults spread over
     /// `rows` memory rows; fixed kernels return themselves unchanged.
     ///
-    /// `Auto` picks [`KernelKind::Bitsliced256`] when the expected density
+    /// `Auto` picks [`KernelKind::Bitsliced`] when the expected density
     /// reaches [`AUTO_FAULTS_PER_ROW_THRESHOLD`] faults per row and
     /// [`KernelKind::Sparse`] otherwise (including the degenerate
     /// `rows == 0` case).
@@ -282,7 +266,7 @@ impl KernelKind {
                 #[allow(clippy::cast_precision_loss)]
                 let dense_threshold = rows as f64 * faults_per_row_threshold;
                 if rows > 0 && expected_faults_per_die >= dense_threshold {
-                    KernelKind::Bitsliced256
+                    KernelKind::Bitsliced
                 } else {
                     KernelKind::Sparse
                 }
@@ -301,18 +285,19 @@ impl fmt::Display for KernelKind {
 impl FromStr for KernelKind {
     type Err = SimError;
 
+    /// Parses a kernel's CLI name. The names of removed kernels (`scalar`,
+    /// `bitsliced256`) are refused with an error saying so, never remapped
+    /// to a surviving kernel.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim() {
-            "scalar" => Ok(KernelKind::Scalar),
             "sparse" => Ok(KernelKind::Sparse),
             "bitsliced" => Ok(KernelKind::Bitsliced),
-            "bitsliced256" => Ok(KernelKind::Bitsliced256),
             "auto" => Ok(KernelKind::Auto),
+            removed @ ("scalar" | "bitsliced256") => Err(SimError::InvalidParameter {
+                reason: format!("kernel '{removed}' was removed (expected sparse|bitsliced|auto)"),
+            }),
             other => Err(SimError::InvalidParameter {
-                reason: format!(
-                    "unknown kernel '{other}' (expected \
-                     scalar|sparse|bitsliced|bitsliced256|auto)"
-                ),
+                reason: format!("unknown kernel '{other}' (expected sparse|bitsliced|auto)"),
             }),
         }
     }
@@ -332,7 +317,6 @@ pub struct CampaignConfig<B: FaultBackend = SramVddBackend> {
     parallelism: Parallelism,
     map_policy: MapPolicy,
     image: ImageSpec,
-    scratch_reuse: bool,
     wide_generation: bool,
 }
 
@@ -388,7 +372,6 @@ impl<B: FaultBackend> CampaignConfig<B> {
             parallelism: Parallelism::default(),
             map_policy: MapPolicy::default(),
             image: ImageSpec::Zeros,
-            scratch_reuse: true,
             wide_generation: true,
         })
     }
@@ -462,28 +445,9 @@ impl<B: FaultBackend> CampaignConfig<B> {
         self
     }
 
-    /// Toggles per-worker [`DieScratch`] reuse (default **on**): each worker
-    /// thread keeps one warm arena across all its chunks, so steady-state
-    /// die generation performs zero heap allocations. Turning it off
-    /// restores the legacy fresh-allocation `DieBatch` path — results are
-    /// **bit-identical** either way (the kernel-equivalence suite pins
-    /// this); the toggle exists as the scalar baseline for throughput
-    /// benches and as the cross-check in equivalence tests.
-    #[must_use]
-    pub fn with_scratch_reuse(mut self, scratch_reuse: bool) -> Self {
-        self.scratch_reuse = scratch_reuse;
-        self
-    }
-
-    /// Whether per-worker scratch arenas are reused across dies.
-    #[must_use]
-    pub fn scratch_reuse(&self) -> bool {
-        self.scratch_reuse
-    }
-
     /// Toggles the lane-interleaved block generation path (default **on**):
-    /// block kernels ([`KernelKind::Bitsliced`]/[`KernelKind::Bitsliced256`])
-    /// generate wide-capable backends' dies [`faultmit_memsim::WIDE_LANES`]
+    /// the block kernel ([`KernelKind::Bitsliced`]) generates wide-capable
+    /// backends' dies [`faultmit_memsim::WIDE_LANES`]
     /// at a time through [`faultmit_memsim::widegen`]. Results are
     /// **bit-identical** either way — each lane replays the exact scalar
     /// per-sample RNG stream — so the toggle exists as the scalar baseline
@@ -724,6 +688,38 @@ impl<B: FaultBackend> Campaign<B> {
         })
     }
 
+    /// The global work list and the per-failure-count sample weights, built
+    /// inside the plan span: `samples_per_count` samples at the exact
+    /// failure count (weight `1 / samples_per_count` each), or at every
+    /// count `1..=N_max` weighted `Pr(N = n) / samples_per_count`. Every
+    /// shard of every kernel builds the identical plan.
+    fn plan_and_weights(&self) -> Result<(Vec<PlannedSample>, Vec<f64>), SimError> {
+        let _plan_span = obs::span(obs::Stage::Plan);
+        let distribution = self.config.failure_distribution()?;
+        let samples_per_count = self.config.samples_per_count;
+        Ok(match self.config.exact_failures {
+            Some(n) => {
+                let plan: Vec<PlannedSample> = (0..samples_per_count as u64)
+                    .map(|k| PlannedSample {
+                        index: k,
+                        n_faults: n,
+                    })
+                    .collect();
+                let mut weights = vec![0.0; n as usize + 1];
+                weights[n as usize] = 1.0 / samples_per_count as f64;
+                (plan, weights)
+            }
+            None => {
+                let max_failures = self.config.effective_max_failures()?;
+                let plan = build_plan(max_failures, samples_per_count);
+                let weights = (0..=max_failures)
+                    .map(|n| distribution.pmf(n) / samples_per_count as f64)
+                    .collect();
+                (plan, weights)
+            }
+        })
+    }
+
     /// Runs one shard of the campaign: only the chunks of
     /// [`ShardSpec::chunk_range`] are generated and evaluated, but chunk
     /// boundaries and per-sample RNG streams are computed from the *global*
@@ -822,31 +818,7 @@ impl<B: FaultBackend> Campaign<B> {
         A: Accumulator,
         E: Send,
     {
-        let plan_span = obs::span(obs::Stage::Plan);
-        let distribution = self.config.failure_distribution()?;
-        let samples_per_count = self.config.samples_per_count;
-        let (plan, weights) = match self.config.exact_failures {
-            Some(n) => {
-                let plan: Vec<PlannedSample> = (0..samples_per_count as u64)
-                    .map(|k| PlannedSample {
-                        index: k,
-                        n_faults: n,
-                    })
-                    .collect();
-                let mut weights = vec![0.0; n as usize + 1];
-                weights[n as usize] = 1.0 / samples_per_count as f64;
-                (plan, weights)
-            }
-            None => {
-                let max_failures = self.config.effective_max_failures()?;
-                let plan = build_plan(max_failures, samples_per_count);
-                let weights = (0..=max_failures)
-                    .map(|n| distribution.pmf(n) / samples_per_count as f64)
-                    .collect();
-                (plan, weights)
-            }
-        };
-        drop(plan_span);
+        let (plan, weights) = self.plan_and_weights()?;
 
         let backend = &self.config.backend;
         let seeder = StreamSeeder::new(seed);
@@ -859,7 +831,6 @@ impl<B: FaultBackend> Campaign<B> {
         let owned_chunks = shard.chunk_range(chunk_count);
         let workers = self.config.parallelism.worker_count();
         let map_policy = self.config.map_policy;
-        let scratch_reuse = self.config.scratch_reuse;
 
         // The calling thread's recorder (if any) is re-installed on every
         // worker so hot-path counters land in one place regardless of the
@@ -897,58 +868,14 @@ impl<B: FaultBackend> Campaign<B> {
                 let mut reduce_nanos = 0u64;
                 let evaluated = (end - start) as u64;
 
-                if scratch_reuse {
-                    for planned in &plan[start..end] {
-                        let mut rng = seeder.rng_for_sample(planned.index);
-                        let n = planned.n_faults as usize;
-                        let clock = timing.then(Instant::now);
-                        let map = match map_policy {
-                            MapPolicy::Unrestricted => scratch.generate(backend, &mut rng, n),
-                            MapPolicy::SingleFaultPerRow { max_redraws } => scratch
-                                .generate_single_fault_per_row(backend, &mut rng, n, max_redraws),
-                        }
-                        .map_err(|e| RunError::Sim(SimError::from(e)))?;
-                        let clock = clock.map(|t| {
-                            gen_nanos += t.elapsed().as_nanos() as u64;
-                            Instant::now()
-                        });
-                        metrics.clear();
-                        for scheme in schemes {
-                            metrics.push(evaluate(scheme, map).map_err(RunError::Eval)?);
-                        }
-                        let clock = clock.map(|t| {
-                            observe_nanos += t.elapsed().as_nanos() as u64;
-                            Instant::now()
-                        });
-                        let sample = PairedSample {
-                            sample_index: planned.index,
-                            n_faults: planned.n_faults,
-                            weight: weights[planned.n_faults as usize],
-                            metrics: std::mem::take(metrics),
-                        };
-                        accumulator.record(&sample);
-                        // Reclaim the metrics buffer for the next die.
-                        *metrics = sample.metrics;
-                        if let Some(t) = clock {
-                            reduce_nanos += t.elapsed().as_nanos() as u64;
-                        }
-                    }
-                } else {
-                    // Legacy fresh-allocation path: one `DieBatch` per chunk
-                    // — the reference the equivalence suite compares against
-                    // and the scalar baseline of the throughput benches.
+                for planned in &plan[start..end] {
+                    let mut rng = seeder.rng_for_sample(planned.index);
+                    let n = planned.n_faults as usize;
                     let clock = timing.then(Instant::now);
-                    let batch = match map_policy {
-                        MapPolicy::Unrestricted => {
-                            DieBatch::generate_with_backend(backend, &seeder, &plan[start..end])
-                        }
+                    let map = match map_policy {
+                        MapPolicy::Unrestricted => scratch.generate(backend, &mut rng, n),
                         MapPolicy::SingleFaultPerRow { max_redraws } => {
-                            DieBatch::generate_single_fault_per_row_with_backend(
-                                backend,
-                                &seeder,
-                                &plan[start..end],
-                                max_redraws,
-                            )
+                            scratch.generate_single_fault_per_row(backend, &mut rng, n, max_redraws)
                         }
                     }
                     .map_err(|e| RunError::Sim(SimError::from(e)))?;
@@ -956,22 +883,25 @@ impl<B: FaultBackend> Campaign<B> {
                         gen_nanos += t.elapsed().as_nanos() as u64;
                         Instant::now()
                     });
-
-                    for (planned, map) in batch.iter() {
-                        let metrics = schemes
-                            .iter()
-                            .map(|scheme| evaluate(scheme, map))
-                            .collect::<Result<Vec<f64>, E>>()
-                            .map_err(RunError::Eval)?;
-                        accumulator.record(&PairedSample {
-                            sample_index: planned.index,
-                            n_faults: planned.n_faults,
-                            weight: weights[planned.n_faults as usize],
-                            metrics,
-                        });
+                    metrics.clear();
+                    for scheme in schemes {
+                        metrics.push(evaluate(scheme, map).map_err(RunError::Eval)?);
                     }
-                    if let Some(t) = clock {
+                    let clock = clock.map(|t| {
                         observe_nanos += t.elapsed().as_nanos() as u64;
+                        Instant::now()
+                    });
+                    let sample = PairedSample {
+                        sample_index: planned.index,
+                        n_faults: planned.n_faults,
+                        weight: weights[planned.n_faults as usize],
+                        metrics: std::mem::take(metrics),
+                    };
+                    accumulator.record(&sample);
+                    // Reclaim the metrics buffer for the next die.
+                    *metrics = sample.metrics;
+                    if let Some(t) = clock {
+                        reduce_nanos += t.elapsed().as_nanos() as u64;
                     }
                 }
 
@@ -1001,23 +931,21 @@ impl<B: FaultBackend> Campaign<B> {
 
     /// Runs one shard through the **bit-sliced** evaluation pipeline: each
     /// chunk's samples are grouped into transposed [`DieBlock`]s of up to
-    /// `L::LANES` dies (64 for `u64` lanes, 256 for
-    /// [`W256`](faultmit_memsim::W256)), `evaluate_block(scheme, block,
-    /// out)` fills `out[j]` with die `j`'s metric for all dies at once, and
-    /// degenerate single-sample groups fall back to the scalar
-    /// `evaluate_sample` tail — so any `(samples, chunk size, shard)` plan
-    /// still works at any lane width.
+    /// [`BLOCK_DIES`] dies, `evaluate_block(scheme, block, out)` fills
+    /// `out[j]` with die `j`'s metric for all dies at once, and degenerate
+    /// single-sample groups fall back to the scalar `evaluate_sample` tail —
+    /// so any `(samples, chunk size, shard)` plan still works.
     ///
     /// Chunk boundaries, per-sample RNG streams, weights and record order
     /// are computed exactly as in [`Campaign::try_run_shard`]; when the two
     /// evaluators agree per die, the resulting accumulator is
-    /// **bit-identical** to the per-sample kernels at any worker count,
-    /// shard split and lane width.
+    /// **bit-identical** to the per-sample kernels at any worker count and
+    /// shard split.
     ///
     /// # Errors
     ///
     /// Propagates configuration and sampling errors.
-    pub fn run_shard_blocks<L, S, F, G, A>(
+    pub fn run_shard_blocks<S, F, G, A>(
         &self,
         schemes: &[S],
         seed: u64,
@@ -1027,10 +955,9 @@ impl<B: FaultBackend> Campaign<B> {
         make_accumulator: impl Fn() -> A + Sync,
     ) -> Result<A, SimError>
     where
-        L: Lane,
         S: MitigationScheme + Sync,
         F: Fn(&S, &FaultMap) -> f64 + Sync,
-        G: Fn(&S, &DieBlock<'_, L>, &mut [f64]) + Sync,
+        G: Fn(&S, &DieBlock<'_>, &mut [f64]) + Sync,
         A: Accumulator,
     {
         self.run_shard_blocks_timed(
@@ -1050,7 +977,7 @@ impl<B: FaultBackend> Campaign<B> {
     /// # Errors
     ///
     /// Same contract as [`Campaign::run_shard_blocks`].
-    pub fn run_shard_blocks_stats<L, S, F, G, A>(
+    pub fn run_shard_blocks_stats<S, F, G, A>(
         &self,
         schemes: &[S],
         seed: u64,
@@ -1060,10 +987,9 @@ impl<B: FaultBackend> Campaign<B> {
         make_accumulator: impl Fn() -> A + Sync,
     ) -> Result<(A, ShardStats), SimError>
     where
-        L: Lane,
         S: MitigationScheme + Sync,
         F: Fn(&S, &FaultMap) -> f64 + Sync,
-        G: Fn(&S, &DieBlock<'_, L>, &mut [f64]) + Sync,
+        G: Fn(&S, &DieBlock<'_>, &mut [f64]) + Sync,
         A: Accumulator,
     {
         let gen_nanos = AtomicU64::new(0);
@@ -1095,7 +1021,7 @@ impl<B: FaultBackend> Campaign<B> {
     ///
     /// Same contract as [`Campaign::run_shard_blocks`].
     #[allow(clippy::too_many_arguments)]
-    pub fn run_shard_blocks_timed<L, S, F, G, A>(
+    pub fn run_shard_blocks_timed<S, F, G, A>(
         &self,
         schemes: &[S],
         seed: u64,
@@ -1106,37 +1032,12 @@ impl<B: FaultBackend> Campaign<B> {
         gen_timer: Option<&AtomicU64>,
     ) -> Result<A, SimError>
     where
-        L: Lane,
         S: MitigationScheme + Sync,
         F: Fn(&S, &FaultMap) -> f64 + Sync,
-        G: Fn(&S, &DieBlock<'_, L>, &mut [f64]) + Sync,
+        G: Fn(&S, &DieBlock<'_>, &mut [f64]) + Sync,
         A: Accumulator,
     {
-        let plan_span = obs::span(obs::Stage::Plan);
-        let distribution = self.config.failure_distribution()?;
-        let samples_per_count = self.config.samples_per_count;
-        let (plan, weights) = match self.config.exact_failures {
-            Some(n) => {
-                let plan: Vec<PlannedSample> = (0..samples_per_count as u64)
-                    .map(|k| PlannedSample {
-                        index: k,
-                        n_faults: n,
-                    })
-                    .collect();
-                let mut weights = vec![0.0; n as usize + 1];
-                weights[n as usize] = 1.0 / samples_per_count as f64;
-                (plan, weights)
-            }
-            None => {
-                let max_failures = self.config.effective_max_failures()?;
-                let plan = build_plan(max_failures, samples_per_count);
-                let weights = (0..=max_failures)
-                    .map(|n| distribution.pmf(n) / samples_per_count as f64)
-                    .collect();
-                (plan, weights)
-            }
-        };
-        drop(plan_span);
+        let (plan, weights) = self.plan_and_weights()?;
 
         let backend = &self.config.backend;
         let seeder = StreamSeeder::new(seed);
@@ -1159,18 +1060,18 @@ impl<B: FaultBackend> Campaign<B> {
 
         // Per-worker scratch: one warm arena (fault map + transposed block
         // buffers), a recycled per-die metrics vector, and the per-scheme
-        // block output matrix (schemes × L::LANES lanes).
+        // block output matrix (schemes × BLOCK_DIES dies).
         let chunk_results: Vec<Result<A, SimError>> = run_chunked_with(
             owned_chunks.len(),
             workers,
             || {
-                let mut scratch = BlockScratch::<L>::new(backend.config());
+                let mut scratch = BlockScratch::new(backend.config());
                 scratch.set_wide_generation(wide_generation);
                 (
                     recorder.as_ref().map(obs::install),
                     scratch,
                     Vec::<f64>::with_capacity(schemes.len()),
-                    vec![0.0f64; schemes.len() * L::LANES],
+                    vec![0.0f64; schemes.len() * BLOCK_DIES],
                 )
             },
             |(_recorder_guard, scratch, metrics, block_out), local_index| {
@@ -1185,7 +1086,7 @@ impl<B: FaultBackend> Campaign<B> {
                 let mut reduce_nanos = 0u64;
                 let evaluated = (end - start) as u64;
 
-                for group in plan[start..end].chunks(L::LANES) {
+                for group in plan[start..end].chunks(BLOCK_DIES) {
                     if let [planned] = group {
                         // Scalar tail: a lone sample is cheaper through the
                         // per-die sparse path than through transposition.
@@ -1238,7 +1139,7 @@ impl<B: FaultBackend> Campaign<B> {
                         evaluate_block(
                             scheme,
                             &block,
-                            &mut block_out[s * L::LANES..(s + 1) * L::LANES],
+                            &mut block_out[s * BLOCK_DIES..(s + 1) * BLOCK_DIES],
                         );
                     }
                     let clock = clock.map(|t| {
@@ -1248,7 +1149,7 @@ impl<B: FaultBackend> Campaign<B> {
                     for (j, planned) in group.iter().enumerate() {
                         metrics.clear();
                         for s in 0..schemes.len() {
-                            metrics.push(block_out[s * L::LANES + j]);
+                            metrics.push(block_out[s * BLOCK_DIES + j]);
                         }
                         let sample = PairedSample {
                             sample_index: planned.index,
@@ -1661,28 +1562,32 @@ mod tests {
 
     #[test]
     fn kernel_kind_parses_and_displays() {
-        assert_eq!(KernelKind::ALL.len(), 5);
+        assert_eq!(KernelKind::ALL.len(), 3);
         for kernel in KernelKind::ALL {
             assert_eq!(kernel.as_str().parse::<KernelKind>().unwrap(), kernel);
             assert_eq!(kernel.to_string(), kernel.as_str());
         }
         assert_eq!(KernelKind::default(), KernelKind::Sparse);
-        let error = "simd".parse::<KernelKind>().unwrap_err().to_string();
-        assert!(
-            error.contains("scalar|sparse|bitsliced|bitsliced256|auto"),
-            "the unknown-kernel error must list the full valid set: {error}"
-        );
+        // Unknown names and the names of removed kernels all fail, naming
+        // the input and listing the valid set; a removed kernel is never
+        // remapped to a surviving one.
+        for name in ["simd", "scalar", "bitsliced256"] {
+            let error = name.parse::<KernelKind>().unwrap_err().to_string();
+            assert!(
+                error.contains(&format!("'{name}'")) && error.contains("sparse|bitsliced|auto"),
+                "the kernel error must name the input and list the valid set: {error}"
+            );
+        }
+        for removed in ["scalar", "bitsliced256"] {
+            let error = removed.parse::<KernelKind>().unwrap_err().to_string();
+            assert!(error.contains("removed"), "{error}");
+        }
     }
 
     #[test]
     fn auto_kernel_resolves_by_fault_density() {
         // Fixed kernels resolve to themselves regardless of density.
-        for kernel in [
-            KernelKind::Scalar,
-            KernelKind::Sparse,
-            KernelKind::Bitsliced,
-            KernelKind::Bitsliced256,
-        ] {
+        for kernel in [KernelKind::Sparse, KernelKind::Bitsliced] {
             assert_eq!(kernel.resolve(1e9, 128), kernel);
             assert_eq!(kernel.resolve(0.0, 128), kernel);
         }
@@ -1691,7 +1596,7 @@ mod tests {
         let threshold = rows as f64 * AUTO_FAULTS_PER_ROW_THRESHOLD;
         assert_eq!(
             KernelKind::Auto.resolve(threshold, rows),
-            KernelKind::Bitsliced256
+            KernelKind::Bitsliced
         );
         assert_eq!(
             KernelKind::Auto.resolve(threshold - 1.0, rows),
@@ -1716,22 +1621,14 @@ mod tests {
         // A per-die metric computable from both representations: the die's
         // fault count. The block path must reproduce the per-sample path's
         // records exactly — indices, weights, metric values, order — for
-        // non-multiple-of-lane-width plans, any shard split, both map
-        // policies, and both lane widths.
-        use faultmit_memsim::{Backend, BackendKind, W256};
+        // non-multiple-of-block-width plans, any shard split and both map
+        // policies.
+        use faultmit_memsim::{for_each_die, Backend, BackendKind};
         let count_block = |_: &Scheme, block: &DieBlock<'_>, out: &mut [f64]| {
             out[..block.die_count()].fill(0.0);
             for row in block.rows() {
                 for cell in row.cells {
-                    cell.presence().for_each_die(|die| out[die] += 1.0);
-                }
-            }
-        };
-        let count_block_wide = |_: &Scheme, block: &DieBlock<'_, W256>, out: &mut [f64]| {
-            out[..block.die_count()].fill(0.0);
-            for row in block.rows() {
-                for cell in row.cells {
-                    cell.presence().for_each_die(|die| out[die] += 1.0);
+                    for_each_die(cell.presence(), |die| out[die] += 1.0);
                 }
             }
         };
@@ -1759,7 +1656,6 @@ mod tests {
                     .unwrap();
                 for shard_count in [1usize, 3] {
                     let mut merged = CollectRecords::new();
-                    let mut merged_wide = CollectRecords::new();
                     for index in 0..shard_count {
                         let shard = ShardSpec::new(index, shard_count).unwrap();
                         merged.merge(
@@ -1774,24 +1670,8 @@ mod tests {
                                 )
                                 .unwrap(),
                         );
-                        merged_wide.merge(
-                            campaign
-                                .run_shard_blocks(
-                                    &schemes,
-                                    23,
-                                    shard,
-                                    count_sample,
-                                    count_block_wide,
-                                    CollectRecords::new,
-                                )
-                                .unwrap(),
-                        );
                     }
                     assert_eq!(merged, reference, "{kind} {policy:?} {shard_count} shards");
-                    assert_eq!(
-                        merged_wide, reference,
-                        "{kind} {policy:?} {shard_count} shards (W256 lanes)"
-                    );
                 }
             }
         }
@@ -1812,7 +1692,7 @@ mod tests {
             )
             .unwrap();
         let blocks = campaign
-            .run_shard_blocks::<u64, _, _, _, _>(
+            .run_shard_blocks(
                 &schemes,
                 3,
                 ShardSpec::solo(),

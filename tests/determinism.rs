@@ -276,12 +276,7 @@ fn metrics_counter_snapshots_are_bit_identical_serial_vs_threaded() {
     let memory = MemoryConfig::new(256, 32).unwrap();
     let schemes = [Scheme::unprotected32(), Scheme::shuffle32(2).unwrap()];
     for kind in BackendKind::ALL {
-        for kernel in [
-            KernelKind::Scalar,
-            KernelKind::Sparse,
-            KernelKind::Bitsliced,
-            KernelKind::Bitsliced256,
-        ] {
+        for kernel in KernelKind::ALL {
             let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
             let run = |parallelism| {
                 let recorder = std::sync::Arc::new(obs::Recorder::new());

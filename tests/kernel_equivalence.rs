@@ -1,22 +1,21 @@
-//! Equivalence suite for the evaluation kernel generations: the sparse MSE
-//! kernel (`memory_mse_sparse*`, built on `observe_sparse` and the flat
-//! fault map's row groups) and the bit-sliced block kernels
-//! (`block_mse_into` over 64-die `u64` and 256-die `W256` `DieBlock` lanes
-//! with a scalar tail) must be **bit-identical** to the scalar
-//! `observe`-based kernel on every backend, image, and fault-kind law; the
-//! campaign's reusable arenas — scalar, 64-die and 256-die transposed paths
-//! alike, with lane-interleaved wide fault generation on or off — must
-//! reproduce the fresh-allocation behaviour sample for sample with zero
-//! steady-state heap traffic; and `--kernel auto` must resolve to the
-//! documented kernel at every benched operating point.
+//! Equivalence suite for the evaluation kernels: the sparse MSE kernel
+//! (`memory_mse_sparse*`, built on `observe_sparse` and the flat fault
+//! map's row groups) and the bit-sliced block kernel (`block_mse_into` over
+//! 64-die `DieBlock` lanes with a scalar tail, with lane-interleaved wide
+//! fault generation on or off) must be **bit-identical** to the dense
+//! `observe`-based evaluators (`memory_mse`, `memory_mse_for_data`) on every
+//! backend, image, and fault-kind law; the campaign's reusable arenas —
+//! per-die and transposed alike — must reach zero steady-state heap
+//! traffic; and `--kernel auto` must resolve to the documented kernel at
+//! every benched operating point.
 
 use faultmit::analysis::{
     block_mse_into, memory_mse, memory_mse_for_data, memory_mse_sparse, memory_mse_sparse_with,
 };
 use faultmit::core::Scheme;
 use faultmit::memsim::{
-    Backend, BackendKind, BlockScratch, DieBlock, DieScratch, FaultKindLaw, ImageSpec, Lane,
-    MemoryConfig, PlannedSample, SramVddBackend, StreamSeeder, W256,
+    Backend, BackendKind, BlockScratch, DieBlock, DieScratch, FaultKindLaw, ImageSpec,
+    MemoryConfig, PlannedSample, SramVddBackend, StreamSeeder, BLOCK_DIES,
 };
 use faultmit::sim::{
     Campaign, CampaignConfig, CollectRecords, KernelKind, MapPolicy, Parallelism, ShardSpec,
@@ -53,13 +52,12 @@ fn images() -> Vec<ImageSpec> {
     ]
 }
 
-fn campaign_config(backend: Backend, scratch_reuse: bool) -> CampaignConfig<Backend> {
+fn campaign_config(backend: Backend) -> CampaignConfig<Backend> {
     CampaignConfig::for_backend(backend)
         .unwrap()
         .with_samples_per_count(5)
         .with_max_failures(6)
         .with_parallelism(Parallelism::Serial)
-        .with_scratch_reuse(scratch_reuse)
 }
 
 fn assert_records_bit_identical(a: &CollectRecords, b: &CollectRecords, context: &str) {
@@ -81,10 +79,10 @@ fn assert_records_bit_identical(a: &CollectRecords, b: &CollectRecords, context:
     }
 }
 
-/// The tentpole guarantee: sparse and scalar MSE kernels agree bit for bit
-/// on every (geometry × backend × kind-law × image) combination, sample for
-/// sample — so flipping the engine to the sparse kernel cannot move any
-/// figure by even one ULP.
+/// The tentpole guarantee: the sparse MSE kernel and the dense scalar
+/// evaluator agree bit for bit on every (geometry × backend × kind-law ×
+/// image) combination, sample for sample — so the sparse kernel cannot move
+/// any figure by even one ULP.
 #[test]
 fn sparse_mse_kernel_is_bit_identical_to_the_scalar_kernel() {
     let schemes = Scheme::fig5_catalogue();
@@ -100,9 +98,9 @@ fn sparse_mse_kernel_is_bit_identical_to_the_scalar_kernel() {
                     let image = spec.try_materialise(memory).unwrap();
                     let words = image.materialise(memory.rows());
 
-                    // Scalar baseline: fresh allocations per die, generic
-                    // observe path over a dense image vector.
-                    let scalar = Campaign::new(campaign_config(backend, false))
+                    // Dense baseline: the generic observe path over a dense
+                    // image vector.
+                    let scalar = Campaign::new(campaign_config(backend))
                         .run(
                             &schemes,
                             SEED,
@@ -111,9 +109,9 @@ fn sparse_mse_kernel_is_bit_identical_to_the_scalar_kernel() {
                         )
                         .unwrap();
 
-                    // Sparse kernel: scratch arena, row-group walk,
-                    // observe_sparse, per-faulty-row image gather.
-                    let sparse = Campaign::new(campaign_config(backend, true))
+                    // Sparse kernel: row-group walk, observe_sparse,
+                    // per-faulty-row image gather.
+                    let sparse = Campaign::new(campaign_config(backend))
                         .run(
                             &schemes,
                             SEED,
@@ -143,11 +141,10 @@ fn zeros_background_kernels_agree_under_every_map_policy() {
             MapPolicy::SingleFaultPerRow { max_redraws: 100 },
         ] {
             let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
-            let config = campaign_config(backend, false).with_map_policy(policy);
+            let config = campaign_config(backend).with_map_policy(policy);
             let scalar = Campaign::new(config)
                 .run(&schemes, SEED, memory_mse, CollectRecords::new)
                 .unwrap();
-            let config = campaign_config(backend, true).with_map_policy(policy);
             let sparse = Campaign::new(config)
                 .run(&schemes, SEED, memory_mse_sparse, CollectRecords::new)
                 .unwrap();
@@ -156,43 +153,19 @@ fn zeros_background_kernels_agree_under_every_map_policy() {
     }
 }
 
-/// The DieScratch arena path must be indistinguishable from the legacy
-/// fresh-allocation path when *everything else* is held fixed — isolating
-/// the arena itself (the previous test also swaps the MSE kernel).
-#[test]
-fn scratch_reuse_toggle_does_not_change_any_sample() {
-    let schemes = [Scheme::unprotected32(), Scheme::shuffle32(2).unwrap()];
-    let memory = MemoryConfig::new(256, 32).unwrap();
-    for kind in BackendKind::ALL {
-        for law in kind_laws() {
-            let backend = Backend::at_p_cell(kind, memory, 2e-3)
-                .unwrap()
-                .with_kind_law(law)
-                .unwrap();
-            let fresh = Campaign::new(campaign_config(backend, false))
-                .run(&schemes, SEED, memory_mse, CollectRecords::new)
-                .unwrap();
-            let reused = Campaign::new(campaign_config(backend, true))
-                .run(&schemes, SEED, memory_mse, CollectRecords::new)
-                .unwrap();
-            assert_records_bit_identical(&fresh, &reused, &format!("{kind} {law:?}"));
-        }
-    }
-}
-
-/// Scratch reuse stays bit-identical at any worker count (per-worker arenas
+/// Arena reuse stays bit-identical at any worker count (per-worker arenas
 /// must not leak state between chunks).
 #[test]
-fn scratch_reuse_is_bit_identical_across_worker_counts() {
+fn arena_reuse_is_bit_identical_across_worker_counts() {
     let schemes = Scheme::fig7_catalogue();
     let memory = MemoryConfig::new(512, 32).unwrap();
     let backend = Backend::at_p_cell(BackendKind::Sram, memory, 1e-3).unwrap();
-    let reference = Campaign::new(campaign_config(backend, true))
+    let reference = Campaign::new(campaign_config(backend))
         .run(&schemes, SEED, memory_mse_sparse, CollectRecords::new)
         .unwrap();
     for workers in [2usize, 4, 8] {
         let threaded = Campaign::new(
-            campaign_config(backend, true)
+            campaign_config(backend)
                 .with_parallelism(Parallelism::threads(workers))
                 .with_chunk_size(3),
         )
@@ -223,17 +196,16 @@ impl SweepRng {
     }
 }
 
-/// The bit-sliced block kernels join the equivalence family: across a
+/// The bit-sliced block kernel joins the equivalence family: across a
 /// randomized sweep of backend × image × kind-law × campaign shape —
-/// including budgets that are **not** multiples of either the 64-die or the
-/// 256-die lane width, so the scalar tail and partial trailing blocks are
-/// exercised in both widths — all four of the `scalar`, `sparse`,
-/// `bitsliced`, and `bitsliced256` kernels agree bit for bit, sample for
-/// sample. The block runs generate faults through the lane-interleaved
-/// wide RNG path by default (on backends that opt in), so the sweep also
-/// pins wide generation to the scalar RNG schedule; an explicit
-/// wide-generation-off run closes the loop by checking the pure scalar
-/// generation path against the same baseline.
+/// including budgets that are **not** multiples of the 64-die block width,
+/// so the scalar tail and partial trailing blocks are exercised — the
+/// `sparse` and `bitsliced` kernels agree bit for bit, sample for sample,
+/// with the dense `memory_mse_for_data` evaluator. The block runs generate
+/// faults through the lane-interleaved wide RNG path by default (on
+/// backends that opt in), so the sweep also pins wide generation to the
+/// scalar RNG schedule; an explicit wide-generation-off run closes the loop
+/// by checking the pure scalar generation path against the same baseline.
 #[test]
 fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
     let schemes = Scheme::fig5_catalogue();
@@ -242,10 +214,8 @@ fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
         for law in kind_laws() {
             for spec in images() {
                 // Odd budgets on both axes keep the total sample count an
-                // odd number: never a multiple of 64 (let alone 256),
-                // frequently below one full block, sometimes several
-                // narrow blocks plus a tail — and always a partial block
-                // plus tail for the 256-die width.
+                // odd number: never a multiple of 64, frequently below one
+                // full block, sometimes several blocks plus a tail.
                 let samples_per_count = 2 * sweep.pick(1, 4) + 1;
                 let max_failures = 2 * sweep.pick(2, 5) as u64 + 1;
                 let chunk_size = sweep.pick(1, 17);
@@ -261,19 +231,17 @@ fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
                 );
                 let image = spec.try_materialise(memory).unwrap();
                 let words = image.materialise(memory.rows());
-                let tuned = |scratch_reuse: bool, wide_generation: bool| {
+                let config = |wide_generation: bool| {
                     CampaignConfig::for_backend(backend)
                         .unwrap()
                         .with_samples_per_count(samples_per_count)
                         .with_max_failures(max_failures)
                         .with_parallelism(Parallelism::Serial)
                         .with_chunk_size(chunk_size)
-                        .with_scratch_reuse(scratch_reuse)
                         .with_wide_generation(wide_generation)
                 };
-                let config = |scratch_reuse: bool| tuned(scratch_reuse, true);
 
-                let scalar = Campaign::new(config(false))
+                let scalar = Campaign::new(config(true))
                     .run(
                         &schemes,
                         SEED,
@@ -301,28 +269,16 @@ fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
                         CollectRecords::new,
                     )
                     .unwrap();
-                let bitsliced256 = Campaign::new(config(true))
-                    .run_shard_blocks(
-                        &schemes,
-                        SEED,
-                        ShardSpec::solo(),
-                        |scheme, map| memory_mse_sparse_with(scheme, map, |row| image.word(row)),
-                        |scheme, block: &DieBlock<'_, W256>, out: &mut [f64]| {
-                            block_mse_into(scheme, block, |row| image.word(row), out);
-                        },
-                        CollectRecords::new,
-                    )
-                    .unwrap();
                 // Same kernel, wide generation forced off: the scalar
                 // per-die generation path must reproduce the exact same
                 // records, proving the wide path changed nothing.
-                let scalar_generation = Campaign::new(tuned(true, false))
+                let scalar_generation = Campaign::new(config(false))
                     .run_shard_blocks(
                         &schemes,
                         SEED,
                         ShardSpec::solo(),
                         |scheme, map| memory_mse_sparse_with(scheme, map, |row| image.word(row)),
-                        |scheme, block: &DieBlock<'_, W256>, out: &mut [f64]| {
+                        |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
                             block_mse_into(scheme, block, |row| image.word(row), out);
                         },
                         CollectRecords::new,
@@ -333,13 +289,8 @@ fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
                 assert_records_bit_identical(&scalar, &bitsliced, &context);
                 assert_records_bit_identical(
                     &scalar,
-                    &bitsliced256,
-                    &format!("{context} (W256 lanes)"),
-                );
-                assert_records_bit_identical(
-                    &scalar,
                     &scalar_generation,
-                    &format!("{context} (W256 lanes, wide generation off)"),
+                    &format!("{context} (wide generation off)"),
                 );
             }
         }
@@ -375,18 +326,17 @@ fn die_generation_reaches_zero_allocation_steady_state() {
     }
 }
 
-/// The transposed block path holds the same guarantee at any lane width:
-/// once the lane buffers have grown to the campaign's peak demand
-/// (`L::LANES` dies at the largest fault count), steady-state
-/// `generate_block` calls — full blocks and partial tails alike — never
-/// touch the heap. The gate runs with lane-interleaved wide generation
-/// both on (the default, exercising the `WideRng` batch path on backends
-/// that opt in) and off (the per-die scalar path), since the two paths
-/// use different working buffers.
-fn block_zero_alloc_gate<L: Lane>(width_label: &str, wide_generation: bool) {
+/// The transposed block path holds the same guarantee: once the lane
+/// buffers have grown to the campaign's peak demand (`BLOCK_DIES` dies at
+/// the largest fault count), steady-state `generate_block` calls — full
+/// blocks and partial tails alike — never touch the heap. The gate runs
+/// with lane-interleaved wide generation both on (the default, exercising
+/// the `WideRng` batch path on backends that opt in) and off (the per-die
+/// scalar path), since the two paths use different working buffers.
+fn block_zero_alloc_gate(label: &str, wide_generation: bool) {
     let memory = MemoryConfig::new(256, 32).unwrap();
     let seeder = StreamSeeder::new(SEED);
-    let lanes = L::LANES as u64;
+    let lanes = BLOCK_DIES as u64;
     let block_plan = |start: u64, len: usize, n_faults: &dyn Fn(u64) -> u64| {
         (0..len as u64)
             .map(|j| PlannedSample {
@@ -397,12 +347,12 @@ fn block_zero_alloc_gate<L: Lane>(width_label: &str, wide_generation: bool) {
     };
     for kind in BackendKind::ALL {
         let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
-        let mut scratch = BlockScratch::<L>::new(memory);
+        let mut scratch = BlockScratch::new(memory);
         scratch.set_wide_generation(wide_generation);
         // Warm-up: full blocks at the peak fault count grow every lane
         // buffer to the campaign's maximum demand.
         for block in 0..4u64 {
-            let plan = block_plan(block * lanes, L::LANES, &|_| 48);
+            let plan = block_plan(block * lanes, BLOCK_DIES, &|_| 48);
             scratch
                 .generate_block(&backend, &seeder, &plan, None)
                 .unwrap();
@@ -410,9 +360,9 @@ fn block_zero_alloc_gate<L: Lane>(width_label: &str, wide_generation: bool) {
         let after_warmup = scratch.realloc_events();
         for block in 0..64u64 {
             let start = 4 * lanes + block * lanes;
-            // Partial tails (any length up to the lane width) and varying
+            // Partial tails (any length up to the block width) and varying
             // per-die fault counts must all stay inside grown capacity.
-            let len = 1 + (block as usize * 13) % L::LANES;
+            let len = 1 + (block as usize * 13) % BLOCK_DIES;
             let plan = block_plan(start, len, &|index| 1 + index % 48);
             scratch
                 .generate_block(&backend, &seeder, &plan, None)
@@ -421,7 +371,7 @@ fn block_zero_alloc_gate<L: Lane>(width_label: &str, wide_generation: bool) {
         assert_eq!(
             scratch.realloc_events(),
             after_warmup,
-            "{kind} ({width_label}, wide_generation={wide_generation}): \
+            "{kind} ({label}, wide_generation={wide_generation}): \
              steady-state block generation must not touch the heap"
         );
     }
@@ -429,14 +379,8 @@ fn block_zero_alloc_gate<L: Lane>(width_label: &str, wide_generation: bool) {
 
 #[test]
 fn block_generation_reaches_zero_allocation_steady_state() {
-    block_zero_alloc_gate::<u64>("64-die u64 lanes", true);
-    block_zero_alloc_gate::<u64>("64-die u64 lanes", false);
-}
-
-#[test]
-fn wide_block_generation_reaches_zero_allocation_steady_state() {
-    block_zero_alloc_gate::<W256>("256-die W256 lanes", true);
-    block_zero_alloc_gate::<W256>("256-die W256 lanes", false);
+    block_zero_alloc_gate("metrics off", true);
+    block_zero_alloc_gate("metrics off", false);
 }
 
 /// The zero-allocation guarantee holds with metrics recording switched on:
@@ -451,8 +395,7 @@ fn zero_allocation_steady_state_holds_with_metrics_recording_on() {
     let guard = obs::install(&recorder);
 
     die_generation_reaches_zero_allocation_steady_state();
-    block_zero_alloc_gate::<u64>("64-die u64 lanes, metrics on", true);
-    block_zero_alloc_gate::<W256>("256-die W256 lanes, metrics on", true);
+    block_zero_alloc_gate("metrics on", true);
 
     drop(guard);
     let snapshot = recorder.snapshot();
@@ -473,10 +416,9 @@ fn zero_allocation_steady_state_holds_with_metrics_recording_on() {
 /// `--kernel auto` resolves to the documented kernel at each benched
 /// operating point of `BENCH_pipeline.json`: the Fig. 5 / Fig. 9 densities
 /// (a 16 KB array simulated up to 24 faults per die) sit far below the
-/// wide kernel's break-even and stay on the sparse kernel, while the
+/// block kernel's break-even and stay on the sparse kernel, while the
 /// dense-ECC point (8192 faults per die, `P_cell ≈ 6.3e-2`) crosses it and
-/// picks the 256-die bit-sliced kernel. Fixed kernels resolve to
-/// themselves.
+/// picks the bit-sliced kernel. Fixed kernels resolve to themselves.
 #[test]
 fn auto_kernel_resolves_to_the_documented_kernel_at_each_benched_point() {
     let memory = MemoryConfig::paper_16kb();
@@ -514,16 +456,11 @@ fn auto_kernel_resolves_to_the_documented_kernel_at_each_benched_point() {
     assert!(expected >= threshold);
     assert_eq!(
         KernelKind::Auto.resolve(expected, memory.rows()),
-        KernelKind::Bitsliced256
+        KernelKind::Bitsliced
     );
 
     // Fixed kernels ignore the density entirely.
-    for kernel in [
-        KernelKind::Scalar,
-        KernelKind::Sparse,
-        KernelKind::Bitsliced,
-        KernelKind::Bitsliced256,
-    ] {
+    for kernel in [KernelKind::Sparse, KernelKind::Bitsliced] {
         assert_eq!(kernel.resolve(expected, memory.rows()), kernel);
     }
 }

@@ -14,7 +14,7 @@
 use crate::accumulate::CatalogueAccumulator;
 use crate::cdf::EmpiricalCdf;
 use crate::error::AnalysisError;
-use crate::mse::{block_mse_into, memory_mse_sparse_with};
+use crate::mse::{block_mse_into, memory_mse_sparse_with, CatalogueMse};
 use crate::yield_model::YieldModel;
 use faultmit_core::MitigationScheme;
 use faultmit_memsim::{
@@ -542,9 +542,10 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
     /// Dispatches one shard of the paired campaign to the configured
     /// evaluation kernel (`auto` resolves first, via
     /// [`MonteCarloConfig::resolved_kernel`]), with `written` supplying the
-    /// stored word of every row. Every kernel folds the identical per-die
-    /// squared-error sums in the identical order, so the returned
-    /// accumulator is bit-identical across [`KernelKind`] choices.
+    /// stored word of every row. The sparse kernel scores each die's whole
+    /// catalogue in one [`CatalogueMse`] walk. Every kernel folds the
+    /// identical per-die squared-error sums in the identical order, so the
+    /// returned accumulator is bit-identical across [`KernelKind`] choices.
     fn run_campaign_kernel<S, W>(
         &self,
         schemes: &[S],
@@ -571,18 +572,22 @@ impl<B: FaultBackend + Clone> MonteCarloEngine<B> {
         );
         match kernel {
             KernelKind::Auto => unreachable!("resolved_kernel always returns a fixed kernel"),
-            KernelKind::Sparse => campaign
-                .try_run_shard_timed(
-                    schemes,
-                    seed,
-                    shard,
-                    |scheme, map| {
-                        Ok::<f64, Infallible>(memory_mse_sparse_with(scheme, map, &written))
-                    },
-                    || CatalogueAccumulator::new(schemes.len()),
-                    gen_timer,
-                )
-                .map_err(run_to_analysis_error),
+            KernelKind::Sparse => {
+                let walk = CatalogueMse::new(schemes, self.config.memory().word_bits());
+                campaign
+                    .try_run_shard_timed(
+                        schemes,
+                        seed,
+                        shard,
+                        |map, metrics| {
+                            walk.mse_into(map, &written, metrics);
+                            Ok::<(), Infallible>(())
+                        },
+                        || CatalogueAccumulator::new(schemes.len()),
+                        gen_timer,
+                    )
+                    .map_err(run_to_analysis_error)
+            }
             KernelKind::Bitsliced => campaign
                 .run_shard_blocks_timed(
                     schemes,

@@ -449,9 +449,12 @@ impl QualityEvaluator {
                 schemes,
                 seed,
                 shard,
-                |scheme, faults| {
-                    let quality = prepared.quality(scheme, faults)?;
-                    Ok::<f64, AppError>(normalized_quality(quality, baseline))
+                |faults, metrics| {
+                    for (metric, scheme) in metrics.iter_mut().zip(schemes) {
+                        let quality = prepared.quality(scheme, faults)?;
+                        *metric = normalized_quality(quality, baseline);
+                    }
+                    Ok::<(), AppError>(())
                 },
                 || CatalogueAccumulator::new(schemes.len()),
             )

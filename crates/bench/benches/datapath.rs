@@ -14,7 +14,7 @@
 //! `"datapath"` section, preserving the sections the pipeline bench wrote.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use faultmit_analysis::memory_mse_sparse;
+use faultmit_analysis::CatalogueMse;
 use faultmit_bench::json::{JsonValue, ToJson};
 use faultmit_core::{rotate_left, rotate_right, Scheme, SegmentGeometry, ShuffledMemory};
 use faultmit_ecc::{HammingSecded, PriorityEcc, SecdedCode};
@@ -138,12 +138,12 @@ fn bench_die_pipeline(c: &mut Criterion) {
     let mut rng = seeder.rng_for_sample(0);
     scratch.generate(&backend, &mut rng, 12).unwrap();
     let map = scratch.map();
+    let walk = CatalogueMse::new(&schemes, memory.word_bits());
+    let mut out = vec![0.0; schemes.len()];
     group.bench_function("evaluate_catalogue_n12", |b| {
         b.iter(|| {
-            schemes
-                .iter()
-                .map(|scheme| memory_mse_sparse(scheme, black_box(map)))
-                .sum::<f64>()
+            walk.mse_into(black_box(map), |_| 0, &mut out);
+            out.iter().sum::<f64>()
         })
     });
     group.finish();
@@ -301,20 +301,20 @@ fn bench_datapath_json(_c: &mut Criterion) {
     }
 
     // Evaluation half of the split, in the same units: fig5-catalogue
-    // sparse MSE over a fixed 12-fault die (the generation rows' sparse
-    // operating point), so generation and evaluation cost are directly
-    // comparable per die.
+    // sparse MSE (one catalogue walk) over a fixed 12-fault die (the
+    // generation rows' sparse operating point), so generation and
+    // evaluation cost are directly comparable per die.
     let schemes = Scheme::fig5_catalogue();
     let backend = SramVddBackend::with_p_cell(memory, 1e-4).unwrap();
     let mut scratch = DieScratch::new(memory);
     let mut rng = StreamSeeder::new(0xD1E5).rng_for_sample(0);
     scratch.generate(&backend, &mut rng, 12).unwrap();
     let map = scratch.map();
-    let evaluate = || {
-        schemes
-            .iter()
-            .map(|scheme| memory_mse_sparse(scheme, black_box(map)))
-            .sum::<f64>()
+    let walk = CatalogueMse::new(&schemes, memory.word_bits());
+    let mut out = vec![0.0; schemes.len()];
+    let mut evaluate = || {
+        walk.mse_into(black_box(map), |_| 0, &mut out);
+        out.iter().sum::<f64>()
     };
     let eval_dies = 4096u64;
     black_box(evaluate()); // warm-up

@@ -22,7 +22,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use faultmit_analysis::{
-    block_mse_into, memory_mse_sparse_with, MonteCarloConfig, MonteCarloEngine,
+    block_mse_into, memory_mse_sparse_with, CatalogueMse, MonteCarloConfig, MonteCarloEngine,
 };
 use faultmit_bench::json::{JsonValue, ToJson};
 use faultmit_core::Scheme;
@@ -202,7 +202,7 @@ fn time_campaign<F>(
     reps: u32,
 ) -> (f64, f64, u64)
 where
-    F: Fn(&Scheme, &FaultMap) -> f64 + Sync,
+    F: Fn(&FaultMap, &mut [f64]) + Sync,
 {
     let campaign = Campaign::new(config);
     // One warm-up campaign, then the mean of the timed repetitions.
@@ -294,11 +294,12 @@ fn push_point<W>(
 {
     let words_per_sample = memory.rows() as f64;
 
+    let walk = CatalogueMse::new(schemes, memory.word_bits());
     let time_sparse = || {
         time_campaign(
             config,
             schemes,
-            |scheme, map| memory_mse_sparse_with(scheme, map, &written),
+            |map, metrics| walk.mse_into(map, &written, metrics),
             reps,
         )
     };

@@ -184,7 +184,11 @@ impl FigureDef for AblationShiftDef {
                     &schemes,
                     ABLATION_SHIFT_SEED,
                     shard,
-                    memory_mse,
+                    |map, metrics| {
+                        for (metric, scheme) in metrics.iter_mut().zip(&schemes) {
+                            *metric = memory_mse(scheme, map);
+                        }
+                    },
                     CollectRecords::new,
                 )?;
                 Ok(PanelState::Records {

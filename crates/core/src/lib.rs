@@ -63,7 +63,7 @@ pub mod shifter;
 pub use error::CoreError;
 pub use error_magnitude::{max_error_magnitude, worst_case_error_magnitude};
 pub use fmlut::FmLut;
-pub use mitigation::{MitigationScheme, ObservedWord, Scheme};
+pub use mitigation::{MitigationScheme, ObservedWord, Scheme, SingleFault};
 pub use scheme::ShuffledMemory;
 pub use segment::SegmentGeometry;
 pub use shifter::{rotate_left, rotate_right};

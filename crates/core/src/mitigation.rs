@@ -66,6 +66,22 @@ fn to_signed(value: u64, word_bits: usize) -> i64 {
     }
 }
 
+/// Where a fault that sits alone in its row ends up after a scheme's read
+/// path — one entry of the single-fault table the catalogue MSE walk scores
+/// single-fault rows from (see [`MitigationScheme::single_fault`]).
+///
+/// The entry depends on the faulty column only, never on the fault kind or
+/// the stored word: a stuck-at cell surfaces at the same data bit as a
+/// flip, but only when the written word's bit there differs from the stuck
+/// value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SingleFault {
+    /// The read returns the written word, whatever the fault's kind.
+    Corrected,
+    /// The fault corrupts data bit `b` of the word the read returns.
+    SurfacesAt(usize),
+}
+
 /// Behaviour of a fault-mitigation scheme on a single memory word.
 pub trait MitigationScheme {
     /// Human-readable name used in reports ("no-correction", "H(22,16) P-ECC",
@@ -121,6 +137,24 @@ pub trait MitigationScheme {
         false
     }
 
+    /// What a read returns when the row's only fault sits at physical
+    /// column `col`.
+    ///
+    /// `Some(entry)` must agree with
+    /// [`observe_sparse`](MitigationScheme::observe_sparse) on the
+    /// one-fault slice for every fault kind and written word:
+    /// [`SingleFault::Corrected`] means the read returns `written`, and
+    /// [`SingleFault::SurfacesAt`]`(b)` means it returns `written` with bit
+    /// `b` flipped — always for a bit-flip, and for a stuck-at cell exactly
+    /// when bit `b` of `written` differs from the stuck value. `None`
+    /// means "no entry": callers score the row through `observe_sparse`
+    /// instead. The default has no entries, so custom schemes stay correct
+    /// without opting in.
+    fn single_fault(&self, col: usize) -> Option<SingleFault> {
+        let _ = col;
+        None
+    }
+
     /// Worst-case error magnitude caused by a single fault at data bit
     /// position `bit` (0 when the scheme corrects such a fault).
     fn worst_case_error_magnitude(&self, bit: usize) -> u64;
@@ -154,6 +188,10 @@ impl<T: MitigationScheme + ?Sized> MitigationScheme for &T {
         residual: &mut ResidualLanes,
     ) -> bool {
         (**self).observe_block(cells, written, residual)
+    }
+
+    fn single_fault(&self, col: usize) -> Option<SingleFault> {
+        (**self).single_fault(col)
     }
 
     fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
@@ -272,14 +310,14 @@ impl Scheme {
         observed
     }
 
-    /// The P-ECC protected-MSB mask for the given partition.
+    /// The P-ECC protected-MSB mask for the given partition: the top
+    /// `protected_bits` bits of a `word_bits`-bit word. Every shift stays
+    /// below 64, so 64-bit words are exact.
     fn pecc_msb_mask(word_bits: usize, protected_bits: usize) -> u64 {
-        let unprotected_bits = word_bits - protected_bits;
-        if word_bits == 64 && unprotected_bits == 0 {
-            u64::MAX
-        } else {
-            (((1u64 << protected_bits) - 1) << unprotected_bits) & ((1u64 << word_bits) - 1)
+        if protected_bits == 0 {
+            return 0;
         }
+        (u64::MAX >> (64 - protected_bits)) << (word_bits - protected_bits)
     }
 }
 
@@ -356,12 +394,7 @@ impl MitigationScheme for Scheme {
                 protected_bits,
             } => {
                 let corrupted = Self::corrupt(faults, row, written);
-                let unprotected_bits = word_bits - protected_bits;
-                let msb_mask = if *word_bits == 64 && unprotected_bits == 0 {
-                    u64::MAX
-                } else {
-                    (((1u64 << protected_bits) - 1) << unprotected_bits) & ((1u64 << word_bits) - 1)
-                };
+                let msb_mask = Self::pecc_msb_mask(*word_bits, *protected_bits);
                 let msb_errors = ((corrupted ^ written) & msb_mask).count_ones();
                 if msb_errors <= 1 {
                     // The protected slice is repaired; LSB errors pass through.
@@ -417,12 +450,7 @@ impl MitigationScheme for Scheme {
                 protected_bits,
             } => {
                 let corrupted = Self::corrupt_slice(row_faults, written);
-                let unprotected_bits = word_bits - protected_bits;
-                let msb_mask = if *word_bits == 64 && unprotected_bits == 0 {
-                    u64::MAX
-                } else {
-                    (((1u64 << protected_bits) - 1) << unprotected_bits) & ((1u64 << word_bits) - 1)
-                };
+                let msb_mask = Self::pecc_msb_mask(*word_bits, *protected_bits);
                 let msb_errors = ((corrupted ^ written) & msb_mask).count_ones();
                 if msb_errors <= 1 {
                     ObservedWord {
@@ -596,6 +624,37 @@ impl MitigationScheme for Scheme {
             }
         }
         true
+    }
+
+    fn single_fault(&self, col: usize) -> Option<SingleFault> {
+        if col >= self.word_bits() {
+            return None;
+        }
+        Some(match self {
+            Scheme::Unprotected { .. } => SingleFault::SurfacesAt(col),
+            // One observable error is corrected; an unobservable one
+            // leaves nothing to correct.
+            Scheme::Secded { .. } => SingleFault::Corrected,
+            Scheme::PriorityEcc {
+                word_bits,
+                protected_bits,
+            } => {
+                if (Self::pecc_msb_mask(*word_bits, *protected_bits) >> col) & 1 == 1 {
+                    SingleFault::Corrected
+                } else {
+                    SingleFault::SurfacesAt(col)
+                }
+            }
+            // The lone fault picks the shift; after the un-rotate its error
+            // surfaces at data position (col + shift) mod W, where the
+            // stored bit is the written word's bit.
+            Scheme::BitShuffle(geometry) => {
+                let shift = geometry
+                    .shift_amount(geometry.segment_of_bit(col))
+                    .expect("segment_of_bit returns a valid segment index");
+                SingleFault::SurfacesAt((col + shift) & (geometry.word_bits() - 1))
+            }
+        })
     }
 
     fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
@@ -1016,6 +1075,73 @@ mod tests {
         };
         assert!((&by_ref).observe_block(&[cell], 0, &mut residual));
         assert_eq!(residual.gather_die(0), 1 << 3);
+    }
+
+    #[test]
+    fn single_fault_default_has_no_entries() {
+        struct Passthrough;
+        impl MitigationScheme for Passthrough {
+            fn name(&self) -> String {
+                "passthrough".to_owned()
+            }
+            fn word_bits(&self) -> usize {
+                32
+            }
+            fn observe(&self, _: &FaultMap, _: usize, written: u64) -> ObservedWord {
+                ObservedWord::intact(written)
+            }
+            fn worst_case_error_magnitude(&self, _: usize) -> u64 {
+                0
+            }
+            fn extra_bits_per_row(&self) -> usize {
+                0
+            }
+        }
+        assert_eq!(Passthrough.single_fault(0), None);
+        // In-tree schemes have entries for their own columns only; the
+        // analysis crate pins every entry against `observe_sparse`.
+        assert_eq!(
+            Scheme::pecc32().single_fault(31),
+            Some(SingleFault::Corrected)
+        );
+        assert_eq!(Scheme::pecc32().single_fault(32), None);
+        // The blanket `&T` impl forwards the concrete scheme's entries.
+        let scheme = Scheme::shuffle32(5).unwrap();
+        let by_ref: &dyn MitigationScheme = &scheme;
+        assert_eq!(
+            (&by_ref).single_fault(3),
+            Some(SingleFault::SurfacesAt(0)),
+            "nFM=5 rotates a lone bit-3 fault down to bit 0"
+        );
+    }
+
+    #[test]
+    fn pecc_on_64_bit_words_corrects_the_top_half() {
+        // H(39,32) over the 32 MSBs of a 64-bit word: building the mask
+        // must not shift by the word width.
+        let scheme = Scheme::PriorityEcc {
+            word_bits: 64,
+            protected_bits: 32,
+        };
+        assert_eq!(Scheme::pecc_msb_mask(64, 32), 0xFFFF_FFFF_0000_0000);
+        assert_eq!(Scheme::pecc_msb_mask(64, 64), u64::MAX);
+        assert_eq!(Scheme::pecc_msb_mask(32, 16), 0xFFFF_0000);
+        let config = MemoryConfig::new(16, 64).unwrap();
+        let msb = FaultMap::from_faults(config, [Fault::bit_flip(3, 63)]).unwrap();
+        assert_eq!(scheme.observe(&msb, 3, 0), ObservedWord::intact(0));
+        assert_eq!(
+            scheme.observe_sparse(msb.row_faults(3), 0),
+            Some(ObservedWord::intact(0))
+        );
+        let lsb = FaultMap::from_faults(config, [Fault::bit_flip(3, 31)]).unwrap();
+        assert_eq!(scheme.observe(&lsb, 3, 0).value, 1 << 31);
+        assert_eq!(scheme.single_fault(63), Some(SingleFault::Corrected));
+        assert_eq!(scheme.single_fault(31), Some(SingleFault::SurfacesAt(31)));
+        // Two protected-half errors are detected, not corrected.
+        let double =
+            FaultMap::from_faults(config, [Fault::bit_flip(3, 63), Fault::bit_flip(3, 40)])
+                .unwrap();
+        assert!(!scheme.observe(&double, 3, 0).reliable);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Multi-level-cell (MLC) NVM backend: drift-broadened level margins and
 //! level-dependent, asymmetric bit-error placement.
 
-use super::{place_distinct_into, FaultBackend, FaultKindLaw, OperatingPoint};
+use super::{place_distinct, place_distinct_into, FaultBackend, FaultKindLaw, OperatingPoint};
 use crate::config::MemoryConfig;
 use crate::error::MemError;
 use crate::fault::FaultMap;
@@ -277,6 +277,69 @@ impl MlcNvmBackend {
             (per_boundary * scale).min(1.0)
         }
     }
+
+    /// The backend's spatial proposal law, shared verbatim by the
+    /// allocating and scratch sampling paths: a uniform row, then a column
+    /// drawn by page fault mass.
+    ///
+    /// MLC cells split into an LSB page (even columns, weight `lsb_weight`)
+    /// and an MSB page (odd columns). TLC/QLC columns cycle through the b
+    /// pages (col % b) with per-column fault mass w^(b−1−p) for page p — at
+    /// the default w = 2 the Gray-code boundary transition counts 4 : 2 : 1
+    /// (TLC) and 8 : 4 : 2 : 1 (QLC). Page tables live on the stack (b ≤ 4)
+    /// so the scratch path stays allocation-free.
+    fn proposer(&self) -> impl FnMut(&mut StdRng) -> (usize, usize) {
+        let rows = self.config.rows();
+        let cols = self.config.word_bits();
+        let lsb_weight = self.lsb_weight;
+        let two_pages = self.bits_per_cell == 2;
+        let even_cols = cols.div_ceil(2);
+        let odd_cols = cols / 2;
+        let even_mass = even_cols as f64 * lsb_weight;
+        let mlc_mass = even_mass + odd_cols as f64;
+
+        let pages = self.bits_per_cell as usize;
+        let mut page_cols = [0usize; 4];
+        let mut page_weights = [0f64; 4];
+        let mut page_masses = [0f64; 4];
+        let mut total_mass = 0f64;
+        for p in 0..pages {
+            page_cols[p] = (cols + pages - 1 - p) / pages;
+            page_weights[p] = lsb_weight.powi((pages - 1 - p) as i32);
+            page_masses[p] = page_cols[p] as f64 * page_weights[p];
+            total_mass += page_masses[p];
+        }
+        let last_page = page_cols[..pages]
+            .iter()
+            .rposition(|&count| count > 0)
+            .expect("a memory word has at least one column");
+        move |rng: &mut StdRng| {
+            let row = rng.gen_range(0..rows);
+            if two_pages {
+                let u: f64 = rng.gen::<f64>() * mlc_mass;
+                let col = if u < even_mass || odd_cols == 0 {
+                    // LSB page: even columns, uniform within the page.
+                    2 * ((u / lsb_weight) as usize).min(even_cols - 1)
+                } else {
+                    // MSB page: odd columns.
+                    2 * ((u - even_mass) as usize).min(odd_cols - 1) + 1
+                };
+                return (row, col);
+            }
+            let mut u: f64 = rng.gen::<f64>() * total_mass;
+            let mut chosen = last_page;
+            for page in 0..pages {
+                if page_cols[page] > 0 && (u < page_masses[page] || page == last_page) {
+                    chosen = page;
+                    break;
+                }
+                u -= page_masses[page];
+            }
+            let col =
+                pages * ((u / page_weights[chosen]) as usize).min(page_cols[chosen] - 1) + chosen;
+            (row, col)
+        }
+    }
 }
 
 impl FaultBackend for MlcNvmBackend {
@@ -300,12 +363,7 @@ impl FaultBackend for MlcNvmBackend {
     }
 
     fn sample_with_count(&self, rng: &mut StdRng, n_faults: usize) -> Result<FaultMap, MemError> {
-        // One sampling implementation only: the scratch path with a fresh
-        // (cold) arena — RNG consumption and resulting maps are identical
-        // by construction.
-        let mut scratch = DieScratch::new(self.config);
-        self.sample_into(rng, n_faults, &mut scratch)?;
-        Ok(scratch.into_map())
+        place_distinct(self.config, rng, n_faults, self.kind_law, self.proposer())
     }
 
     fn sample_into(
@@ -314,71 +372,14 @@ impl FaultBackend for MlcNvmBackend {
         n_faults: usize,
         scratch: &mut DieScratch,
     ) -> Result<(), MemError> {
-        let rows = self.config.rows();
-        let cols = self.config.word_bits();
-        if self.bits_per_cell == 2 {
-            let even_cols = cols.div_ceil(2);
-            let odd_cols = cols / 2;
-            let even_mass = even_cols as f64 * self.lsb_weight;
-            let total_mass = even_mass + odd_cols as f64;
-            let propose = move |rng: &mut StdRng| {
-                let row = rng.gen_range(0..rows);
-                let u: f64 = rng.gen::<f64>() * total_mass;
-                let col = if u < even_mass || odd_cols == 0 {
-                    // LSB page: even columns, uniform within the page.
-                    2 * ((u / self.lsb_weight) as usize).min(even_cols - 1)
-                } else {
-                    // MSB page: odd columns.
-                    2 * ((u - even_mass) as usize).min(odd_cols - 1) + 1
-                };
-                (row, col)
-            };
-            return place_distinct_into(
-                self.config,
-                rng,
-                n_faults,
-                self.kind_law,
-                propose,
-                scratch,
-            );
-        }
-
-        // TLC/QLC: columns cycle through the b pages (col % b) with
-        // per-column fault mass w^(b−1−p) for page p — at the default w = 2
-        // the Gray-code boundary transition counts 4 : 2 : 1 (TLC) and
-        // 8 : 4 : 2 : 1 (QLC). Page tables live on the stack (b ≤ 4) so the
-        // scratch path stays allocation-free.
-        let pages = self.bits_per_cell as usize;
-        let mut page_cols = [0usize; 4];
-        let mut page_weights = [0f64; 4];
-        let mut page_masses = [0f64; 4];
-        let mut total_mass = 0f64;
-        for p in 0..pages {
-            page_cols[p] = (cols + pages - 1 - p) / pages;
-            page_weights[p] = self.lsb_weight.powi((pages - 1 - p) as i32);
-            page_masses[p] = page_cols[p] as f64 * page_weights[p];
-            total_mass += page_masses[p];
-        }
-        let last_page = page_cols[..pages]
-            .iter()
-            .rposition(|&count| count > 0)
-            .expect("a memory word has at least one column");
-        let propose = move |rng: &mut StdRng| {
-            let row = rng.gen_range(0..rows);
-            let mut u: f64 = rng.gen::<f64>() * total_mass;
-            let mut chosen = last_page;
-            for page in 0..pages {
-                if page_cols[page] > 0 && (u < page_masses[page] || page == last_page) {
-                    chosen = page;
-                    break;
-                }
-                u -= page_masses[page];
-            }
-            let col =
-                pages * ((u / page_weights[chosen]) as usize).min(page_cols[chosen] - 1) + chosen;
-            (row, col)
-        };
-        place_distinct_into(self.config, rng, n_faults, self.kind_law, propose, scratch)
+        place_distinct_into(
+            self.config,
+            rng,
+            n_faults,
+            self.kind_law,
+            self.proposer(),
+            scratch,
+        )
     }
 }
 

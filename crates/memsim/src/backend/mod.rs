@@ -142,7 +142,7 @@ use crate::config::MemoryConfig;
 use crate::error::MemError;
 use crate::fault::{FaultKind, FaultMap};
 use crate::montecarlo::FailureCountDistribution;
-use crate::scratch::DieScratch;
+use crate::scratch::{fault_key, DieScratch};
 use crate::widegen::WideGenSpec;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -702,6 +702,9 @@ impl From<MlcNvmBackend> for Backend {
 /// sampling when a proposal streak keeps hitting occupied cells — this
 /// guarantees the exact count and termination for every density up to a full
 /// array.
+///
+/// The allocating reference of [`place_distinct_into`]: occupancy lives in a
+/// hash set and the map is sorted once at the end.
 pub(crate) fn place_distinct<R, P>(
     config: MemoryConfig,
     rng: &mut R,
@@ -716,14 +719,25 @@ where
     let mut taken = std::collections::HashSet::with_capacity(n_faults);
     let mut map = FaultMap::new(config);
     place_distinct_core(
-        config, rng, n_faults, kind_law, propose, &mut taken, &mut map,
+        config,
+        rng,
+        n_faults,
+        kind_law,
+        propose,
+        |cell| taken.insert(cell),
+        |cell, kind| {
+            let (row, col) = config.cell_position(cell);
+            map.push_unsorted(crate::fault::Fault::new(row, col, kind))
+        },
     )?;
+    map.restore_sorted_order();
     Ok(map)
 }
 
 /// [`place_distinct`] into a scratch arena: identical placement algorithm
-/// and RNG consumption, but the occupancy set and the fault map are the
-/// arena's reusable (cleared, never dropped) containers.
+/// and RNG consumption, but occupancy is the arena's cell bitmap and the
+/// faults are collected as packed sort keys, then loaded into the arena's
+/// map in one pass.
 pub(crate) fn place_distinct_into<R, P>(
     config: MemoryConfig,
     rng: &mut R,
@@ -736,27 +750,34 @@ where
     R: Rng + ?Sized,
     P: FnMut(&mut R) -> (usize, usize),
 {
-    scratch.reset_map(config);
-    scratch.taken.clear();
+    scratch.start_die(config);
     place_distinct_core(
         config,
         rng,
         n_faults,
         kind_law,
         propose,
-        &mut scratch.taken,
-        &mut scratch.map,
-    )
+        |cell| scratch.cells.insert(cell),
+        |cell, kind| {
+            scratch.keys.push(fault_key(cell, kind));
+            Ok(())
+        },
+    )?;
+    scratch.finish_die();
+    Ok(())
 }
 
+/// The placement schedule both paths share: `take(cell)` marks a cell,
+/// reporting whether it was free, and `place(cell, kind)` records a fault
+/// right after its kind draw.
 fn place_distinct_core<R, P>(
     config: MemoryConfig,
     rng: &mut R,
     n_faults: usize,
     kind_law: FaultKindLaw,
     mut propose: P,
-    taken: &mut std::collections::HashSet<usize>,
-    map: &mut FaultMap,
+    mut take: impl FnMut(usize) -> bool,
+    mut place: impl FnMut(usize, FaultKind) -> Result<(), MemError>,
 ) -> Result<(), MemError>
 where
     R: Rng + ?Sized,
@@ -769,16 +790,16 @@ where
             reason: format!("cannot place {n_faults} faults in {total} cells"),
         });
     }
-    // `taken` guarantees distinct cells, so the map is bulk-loaded and
+    // `take` guarantees distinct cells, so the faults are bulk-loaded and
     // sorted once at the end (a per-fault sorted insert is quadratic at
     // dense fault counts). The RNG schedule is untouched.
-    while map.fault_count() < n_faults {
+    for _ in 0..n_faults {
         let mut placed = false;
         for _ in 0..MAX_PROPOSALS_PER_FAULT {
             let (row, col) = propose(rng);
-            if taken.insert(config.cell_index(row, col)) {
-                let kind = kind_law.sample(rng);
-                map.push_unsorted(crate::fault::Fault::new(row, col, kind))?;
+            let cell = config.cell_index(row, col);
+            if take(cell) {
+                place(cell, kind_law.sample(rng))?;
                 placed = true;
                 break;
             }
@@ -786,17 +807,14 @@ where
         if !placed {
             // Uniform fallback over the remaining free cells.
             loop {
-                let index = rng.gen_range(0..total);
-                if taken.insert(index) {
-                    let (row, col) = config.cell_position(index);
-                    let kind = kind_law.sample(rng);
-                    map.push_unsorted(crate::fault::Fault::new(row, col, kind))?;
+                let cell = rng.gen_range(0..total);
+                if take(cell) {
+                    place(cell, kind_law.sample(rng))?;
                     break;
                 }
             }
         }
     }
-    map.restore_sorted_order();
     Ok(())
 }
 

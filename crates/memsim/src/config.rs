@@ -183,7 +183,16 @@ impl MemoryConfig {
     /// Inverse of [`MemoryConfig::cell_index`].
     #[must_use]
     pub fn cell_position(&self, index: usize) -> (usize, usize) {
-        (index / self.word_bits, index % self.word_bits)
+        // Every shipped geometry has a power-of-two word width, which
+        // splits by shift and mask instead of two divisions.
+        if self.word_bits.is_power_of_two() {
+            (
+                index >> self.word_bits.trailing_zeros(),
+                index & (self.word_bits - 1),
+            )
+        } else {
+            (index / self.word_bits, index % self.word_bits)
+        }
     }
 }
 
@@ -244,11 +253,14 @@ mod tests {
 
     #[test]
     fn cell_index_round_trips() {
-        let c = MemoryConfig::new(8, 32).unwrap();
-        for row in 0..8 {
-            for col in 0..32 {
-                let idx = c.cell_index(row, col);
-                assert_eq!(c.cell_position(idx), (row, col));
+        // Power-of-two widths split by shift and mask, others by division.
+        for word_bits in [32, 24] {
+            let c = MemoryConfig::new(8, word_bits).unwrap();
+            for row in 0..8 {
+                for col in 0..word_bits {
+                    let idx = c.cell_index(row, col);
+                    assert_eq!(c.cell_position(idx), (row, col));
+                }
             }
         }
     }

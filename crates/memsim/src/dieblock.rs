@@ -201,12 +201,7 @@ impl<'a> DieBlock<'a> {
 #[inline]
 pub(crate) fn pack_event(row: usize, col: usize, die: usize, kind: FaultKind) -> u64 {
     debug_assert!(col < 64 && die < BLOCK_DIES);
-    let kind_code = match kind {
-        FaultKind::StuckAtZero => 0u64,
-        FaultKind::StuckAtOne => 1,
-        FaultKind::BitFlip => 2,
-    };
-    ((row as u64) << 16) | ((col as u64) << 10) | ((die as u64) << 2) | kind_code
+    ((row as u64) << 16) | ((col as u64) << 10) | ((die as u64) << 2) | kind.code()
 }
 
 /// The `(row, col)` bucket key of a packed event — what the counting sort

@@ -45,6 +45,26 @@ impl FaultKind {
     pub fn corrupts(self, stored: bool) -> bool {
         self.apply(stored) != stored
     }
+
+    /// The two-bit code generators pack into sort keys and block events.
+    #[inline]
+    pub(crate) fn code(self) -> u64 {
+        match self {
+            FaultKind::StuckAtZero => 0,
+            FaultKind::StuckAtOne => 1,
+            FaultKind::BitFlip => 2,
+        }
+    }
+
+    /// Inverse of [`FaultKind::code`], reading the low two bits.
+    #[inline]
+    pub(crate) fn from_code(code: u64) -> Self {
+        match code & 0b11 {
+            0 => FaultKind::StuckAtZero,
+            1 => FaultKind::StuckAtOne,
+            _ => FaultKind::BitFlip,
+        }
+    }
 }
 
 /// A single faulty bit-cell: its location and behaviour.
@@ -189,6 +209,19 @@ impl FaultMap {
         self.config.check_col(fault.col)?;
         self.faults.push(fault);
         Ok(())
+    }
+
+    /// Appends a fault that sorts after every stored one — the bulk load of
+    /// generators that emit faults already in `(row, col)` order, which need
+    /// no [`restore_sorted_order`](Self::restore_sorted_order) pass. The
+    /// caller guarantees the location is inside the array.
+    pub(crate) fn push_in_order(&mut self, fault: Fault) {
+        debug_assert!(fault.row < self.config.rows() && fault.col < self.config.word_bits());
+        debug_assert!(self
+            .faults
+            .last()
+            .is_none_or(|last| (last.row, last.col) < (fault.row, fault.col)));
+        self.faults.push(fault);
     }
 
     /// Restores the `(row, col)` sort invariant after a `push_unsorted`

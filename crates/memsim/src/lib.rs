@@ -72,6 +72,7 @@ pub mod dieblock;
 pub mod error;
 pub mod failure_model;
 pub mod fault;
+mod floyd;
 pub mod image;
 pub mod montecarlo;
 pub mod redundancy;

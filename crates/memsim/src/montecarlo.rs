@@ -17,10 +17,10 @@
 use crate::config::MemoryConfig;
 use crate::error::MemError;
 use crate::fault::{Fault, FaultKind, FaultMap};
-use crate::scratch::DieScratch;
+use crate::floyd::floyd_step;
+use crate::scratch::{fault_key, DieScratch};
 use crate::stats::{binomial_pmf, sample_binomial};
 use rand::seq::index::sample as sample_indices;
-use rand::seq::index::sample_into as sample_indices_into;
 use rand::Rng;
 
 /// Binomial distribution of the failure count `N` of a memory sample
@@ -202,10 +202,10 @@ impl FaultMapSampler {
     }
 
     /// The allocation-free twin of [`FaultMapSampler::sample_with_count`]:
-    /// draws into the scratch arena's reusable buffers (Floyd's algorithm
-    /// via [`sample_indices_into`], map cleared in place) with **identical
-    /// RNG consumption**, so the two paths produce bit-identical maps from
-    /// the same RNG state.
+    /// draws into the scratch arena's reusable buffers with **identical RNG
+    /// consumption** — the same Floyd draws, answered from the arena's cell
+    /// bitmap instead of a hash set, then the same kind draws — so the two
+    /// paths produce bit-identical maps from the same RNG state.
     ///
     /// # Errors
     ///
@@ -223,22 +223,17 @@ impl FaultMapSampler {
                 reason: format!("cannot place {n_faults} faults in {total} cells"),
             });
         }
-        scratch.reset_map(self.config);
-        sample_indices_into(
-            rng,
-            total,
-            n_faults,
-            &mut scratch.chosen,
-            &mut scratch.indices,
-        );
-        // Same bulk-load-then-sort as `sample_with_count`: indices are
-        // distinct and kind draws keep their index-order RNG schedule.
-        for i in 0..scratch.indices.len() {
-            let (row, col) = self.config.cell_position(scratch.indices[i]);
-            let kind = self.sample_kind(rng);
-            scratch.map.push_unsorted(Fault::new(row, col, kind))?;
+        scratch.start_die(self.config);
+        for j in total - n_faults..total {
+            let cell = floyd_step(&mut scratch.cells, rng.gen_range(0..=j), j);
+            scratch.keys.push(cell as u64);
         }
-        scratch.map.restore_sorted_order();
+        // Kind draws keep their Floyd-order RNG schedule; each kind rides in
+        // its cell's sort key, so one sort of raw keys orders the map.
+        for key in &mut scratch.keys {
+            *key = fault_key(*key as usize, self.sample_kind(rng));
+        }
+        scratch.finish_die();
         Ok(())
     }
 

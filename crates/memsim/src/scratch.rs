@@ -2,8 +2,9 @@
 //!
 //! Each Monte-Carlo worker owns one arena: a [`DieScratch`] for per-sample
 //! generation (the warm [`FaultMap`] plus every auxiliary container the
-//! backends' samplers need — the Floyd-sampling index buffers for iid
-//! placement, the occupancy set for rejection placement), or a
+//! backends' samplers need — one cell bitmap serving as Floyd's chosen set
+//! for iid placement and as the occupancy set for rejection placement, and
+//! the die's packed sort keys), or a
 //! [`BlockScratch`] when the bit-sliced kernel runs, which wraps a
 //! `DieScratch` and adds the transposition buffers for one [`DieBlock`] of
 //! up to [`BLOCK_DIES`] dies. After a short warm-up the
@@ -20,12 +21,12 @@ use crate::dieblock::{
     event_sort_key, pack_event, transpose_events, BlockRowEntry, DieBlock, LaneCell, BLOCK_DIES,
 };
 use crate::error::MemError;
-use crate::fault::FaultMap;
+use crate::fault::{Fault, FaultKind, FaultMap};
+use crate::floyd::CellBitmap;
 use crate::seeder::{PlannedSample, StreamSeeder};
 use crate::widegen::WideGenScratch;
 use faultmit_obs as obs;
 use rand::rngs::StdRng;
-use std::collections::HashSet;
 
 /// A reusable arena for sampling one die at a time without steady-state
 /// heap allocation.
@@ -41,15 +42,21 @@ use std::collections::HashSet;
 pub struct DieScratch {
     /// The die's fault map, cleared (capacity kept) between generations.
     pub(crate) map: FaultMap,
-    /// Occupied-cell set for the backends' rejection placement
-    /// (`place_distinct_into`).
-    pub(crate) taken: HashSet<usize>,
-    /// Chosen-index set for Floyd's sampling algorithm
-    /// (`rand::seq::index::sample_into`).
-    pub(crate) chosen: HashSet<usize>,
-    /// Sampled-index output buffer for Floyd's algorithm.
-    pub(crate) indices: Vec<usize>,
+    /// The cells of the die being placed — Floyd's chosen set for iid
+    /// placement, the occupancy set for rejection placement. Empty between
+    /// dies: [`DieScratch::finish_die`] clears exactly the die's cells.
+    pub(crate) cells: CellBitmap,
+    /// The die's faults as sort keys, `cell index << 2 | kind code`: cell
+    /// indices order like `(row, col)`, so sorting the keys orders the
+    /// faults without moving `Fault` structs.
+    pub(crate) keys: Vec<u64>,
     realloc_events: u64,
+}
+
+/// The sort key of a fault at cell `cell` (see [`DieScratch::keys`]).
+#[inline]
+pub(crate) fn fault_key(cell: usize, kind: FaultKind) -> u64 {
+    ((cell as u64) << 2) | kind.code()
 }
 
 impl DieScratch {
@@ -58,9 +65,8 @@ impl DieScratch {
     pub fn new(config: MemoryConfig) -> Self {
         Self {
             map: FaultMap::new(config),
-            taken: HashSet::new(),
-            chosen: HashSet::new(),
-            indices: Vec::new(),
+            cells: CellBitmap::default(),
+            keys: Vec::new(),
             realloc_events: 0,
         }
     }
@@ -94,22 +100,39 @@ impl DieScratch {
         self.realloc_events
     }
 
-    /// Clears the map for a new die of geometry `config`, keeping capacity
-    /// when the geometry is unchanged.
-    pub(crate) fn reset_map(&mut self, config: MemoryConfig) {
+    /// Starts placing a die of geometry `config`: an empty map (capacity
+    /// kept when the geometry is unchanged), no keys, and a cell set sized
+    /// for the array.
+    pub(crate) fn start_die(&mut self, config: MemoryConfig) {
         if self.map.config() == config {
             self.map.clear();
         } else {
             self.map = FaultMap::new(config);
         }
+        self.cells.reserve(config.total_cells());
+        self.keys.clear();
     }
 
-    pub(crate) fn capacity_signature(&self) -> [usize; 4] {
+    /// Finishes the die [`DieScratch::start_die`] began: sorts its keys,
+    /// loads the faults into the map in `(row, col)` order and clears their
+    /// cells from the cell set, leaving it empty for the next die.
+    pub(crate) fn finish_die(&mut self) {
+        self.keys.sort_unstable();
+        let config = self.map.config();
+        for &key in &self.keys {
+            let cell = (key >> 2) as usize;
+            self.cells.clear_word_of(cell);
+            let (row, col) = config.cell_position(cell);
+            self.map
+                .push_in_order(Fault::new(row, col, FaultKind::from_code(key)));
+        }
+    }
+
+    pub(crate) fn capacity_signature(&self) -> [usize; 3] {
         [
             self.map.capacity(),
-            self.taken.capacity(),
-            self.chosen.capacity(),
-            self.indices.capacity(),
+            self.cells.capacity(),
+            self.keys.capacity(),
         ]
     }
 
@@ -248,7 +271,7 @@ impl BlockScratch {
         self.realloc_events + self.scalar.realloc_events()
     }
 
-    fn capacity_signature(&self) -> [usize; 10] {
+    fn capacity_signature(&self) -> [usize; 9] {
         let scalar = self.scalar.capacity_signature();
         // The counting sort swaps the `events` and `sorted` buffers, so
         // record that pair order-independently: a swap of warm buffers is
@@ -259,7 +282,6 @@ impl BlockScratch {
             scalar[0],
             scalar[1],
             scalar[2],
-            scalar[3],
             events.min(sorted),
             events.max(sorted),
             self.counts.capacity(),
@@ -447,6 +469,73 @@ mod tests {
                 let fresh = backend.sample_with_count(&mut rng_fresh, 25).unwrap();
                 let reused = scratch.generate(&backend, &mut rng_scratch, 25).unwrap();
                 assert_eq!(reused, &fresh, "{kind}, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_generation_matches_the_hash_set_references_at_every_density() {
+        // One warm arena, reused across backends, kind laws, geometries and
+        // amounts from empty through dense to the full array: the bitmap
+        // must come back empty after every die, or a later die would see
+        // phantom occupied cells and diverge from the allocating reference.
+        use crate::montecarlo::{FaultKindPolicy, FaultMapSampler};
+        use rand::Rng;
+        let laws = [
+            FaultKindLaw::AlwaysFlip,
+            FaultKindLaw::RandomStuckAt,
+            FaultKindLaw::AsymmetricStuckAt {
+                p_stuck_at_zero: 0.3,
+            },
+        ];
+        let mut scratch = DieScratch::new(config());
+        for geometry in [
+            MemoryConfig::new(16, 32).unwrap(),
+            MemoryConfig::new(8, 24).unwrap(),
+        ] {
+            let cells = geometry.total_cells();
+            for amount in [0, 1, cells / 2, cells, 3] {
+                for kind in BackendKind::ALL {
+                    for law in laws {
+                        let backend = Backend::at_p_cell(kind, geometry, 1e-2)
+                            .unwrap()
+                            .with_kind_law(law)
+                            .unwrap();
+                        let seed = amount as u64 * 31 + kind as u64;
+                        let mut rng_fresh = StdRng::seed_from_u64(seed);
+                        let mut rng_scratch = StdRng::seed_from_u64(seed);
+                        let fresh = backend.sample_with_count(&mut rng_fresh, amount).unwrap();
+                        let reused = scratch
+                            .generate(&backend, &mut rng_scratch, amount)
+                            .unwrap();
+                        assert_eq!(reused, &fresh, "{kind} {law} {amount} of {cells} cells");
+                        assert_eq!(rng_scratch.gen::<u64>(), rng_fresh.gen::<u64>(), "{kind}");
+                    }
+                }
+                // Kinds drawn in Floyd order ride in the sort keys.
+                for policy in [
+                    FaultKindPolicy::AlwaysFlip,
+                    FaultKindPolicy::RandomStuckAt,
+                    FaultKindPolicy::Mixed,
+                ] {
+                    let sampler = FaultMapSampler::with_policy(geometry, policy);
+                    let seed = amount as u64 ^ 0x5EED;
+                    let fresh = sampler
+                        .sample_with_count(&mut StdRng::seed_from_u64(seed), amount)
+                        .unwrap();
+                    sampler
+                        .sample_with_count_into(
+                            &mut StdRng::seed_from_u64(seed),
+                            amount,
+                            &mut scratch,
+                        )
+                        .unwrap();
+                    assert_eq!(
+                        scratch.map(),
+                        &fresh,
+                        "{policy:?} {amount} of {cells} cells"
+                    );
+                }
             }
         }
     }

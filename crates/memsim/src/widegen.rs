@@ -51,6 +51,7 @@ use crate::config::MemoryConfig;
 use crate::dieblock::pack_event;
 use crate::error::MemError;
 use crate::fault::FaultKind;
+use crate::floyd::{floyd_step, CellBitmap};
 use crate::seeder::{PlannedSample, StreamSeeder};
 use faultmit_obs as obs;
 use rand::wide::WideXoshiro;
@@ -63,13 +64,11 @@ use rand::Rng;
 /// variant the tests also pin) compile from the same code.
 pub const WIDE_LANES: usize = 8;
 
-/// Above this fault count a lane's Floyd de-duplication switches from a
-/// linear scan of its (short) chosen list to a cell-indexed bitmap. The
-/// scan and the bitmap answer the same membership question, so the RNG
-/// schedule is unaffected — only the bookkeeping cost changes (the bitmap
-/// costs one `total_cells`-bit clear per die, which the per-draw savings
-/// repay many times over at these densities).
-const LINEAR_SCAN_MAX: usize = 128;
+/// Above this fault count a lane's sampled cells are listed in order by a
+/// walk over its chosen bitmap instead of a comparison sort of the draws.
+/// Both give the same sorted list; the walk costs one pass over the
+/// `total_cells / 64` bitmap words, which only a dense die repays.
+const BITMAP_WALK_MIN: usize = 128;
 
 /// A backend's declaration that its per-sample schedule is wide-capable:
 /// iid-uniform Floyd placement over the whole array, then (for non-flip
@@ -91,9 +90,8 @@ pub(crate) struct WideGenScratch {
     indices: Vec<Vec<usize>>,
     /// Per-lane packed events awaiting the die-major flush.
     events: Vec<Vec<u64>>,
-    /// Per-lane chosen bitmaps (one bit per cell) for fault counts past
-    /// [`LINEAR_SCAN_MAX`].
-    chosen: Vec<Vec<u64>>,
+    /// Per-lane Floyd chosen sets, empty between dies.
+    chosen: Vec<CellBitmap>,
 }
 
 impl WideGenScratch {
@@ -102,7 +100,7 @@ impl WideGenScratch {
     pub(crate) fn capacity_sum(&self) -> usize {
         self.indices.iter().map(Vec::capacity).sum::<usize>()
             + self.events.iter().map(Vec::capacity).sum::<usize>()
-            + self.chosen.iter().map(Vec::capacity).sum::<usize>()
+            + self.chosen.iter().map(CellBitmap::capacity).sum::<usize>()
             + self.indices.capacity()
             + self.events.capacity()
             + self.chosen.capacity()
@@ -112,19 +110,9 @@ impl WideGenScratch {
         while self.indices.len() < lanes {
             self.indices.push(Vec::new());
             self.events.push(Vec::new());
-            self.chosen.push(Vec::new());
+            self.chosen.push(CellBitmap::default());
         }
     }
-}
-
-/// Marks cell `t` in a chosen bitmap, reporting whether it was fresh.
-#[inline]
-fn bitmap_insert(bitmap: &mut [u64], t: usize) -> bool {
-    let word = &mut bitmap[t >> 6];
-    let bit = 1u64 << (t & 63);
-    let fresh = *word & bit == 0;
-    *word |= bit;
-    fresh
 }
 
 /// Generates every planned sample of `plan` through the wide path and
@@ -199,43 +187,31 @@ fn generate_chunk<const N: usize>(
     wide_floyd(&mut wide, total, &amounts, lanes, scratch, arena);
 
     // Restore each lane's `(row, col)` order — raw cell indices sort
-    // exactly like the scalar map's `(row, col)` key — and pack the
-    // events. The kind code of stuck-at laws is OR-ed in afterwards, one
-    // lane-masked draw per fault in that same sorted order, replicating
-    // the scalar `rekind_in_order` schedule.
+    // exactly like the scalar map's `(row, col)` key — empty its chosen
+    // set, and pack the events. The kind code of stuck-at laws is OR-ed in
+    // afterwards, one lane-masked draw per fault in that same sorted order,
+    // replicating the scalar `rekind_in_order` schedule.
     let flip = matches!(spec.kind_law, FaultKindLaw::AlwaysFlip);
-    // Power-of-two word widths (every shipped geometry) split the cell
-    // index with shift/mask instead of two divisions per event.
-    let word_bits = config.word_bits();
-    let word_shift = word_bits
-        .is_power_of_two()
-        .then(|| word_bits.trailing_zeros());
     for (j, &amount) in amounts[..lanes].iter().enumerate() {
         let indices = &mut scratch.indices[j];
-        if amount > LINEAR_SCAN_MAX {
+        let chosen = &mut scratch.chosen[j];
+        if amount > BITMAP_WALK_MIN {
             // Dense lanes: the chosen bitmap *is* the sampled set, so a
-            // word-order walk re-derives the indices already sorted —
-            // no comparison sort over thousands of elements.
+            // word-order walk re-derives the indices already sorted.
             indices.clear();
-            for (word_index, &word) in scratch.chosen[j].iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    indices.push((word_index << 6) | bits.trailing_zeros() as usize);
-                    bits &= bits - 1;
-                }
-            }
+            chosen.drain_sorted(indices);
             debug_assert_eq!(indices.len(), amount);
         } else {
             indices.sort_unstable();
+            for &index in indices.iter() {
+                chosen.clear_word_of(index);
+            }
         }
         let lane_events = &mut scratch.events[j];
         lane_events.clear();
         let die = base_die + j;
         for &index in indices.iter() {
-            let (row, col) = match word_shift {
-                Some(shift) => (index >> shift, index & (word_bits - 1)),
-                None => config.cell_position(index),
-            };
+            let (row, col) = config.cell_position(index);
             let kind = if flip {
                 FaultKind::BitFlip
             } else {
@@ -297,17 +273,9 @@ fn wide_floyd<const N: usize>(
     scratch: &mut WideGenScratch,
     arena: &mut obs::MetricsArena,
 ) {
-    let mut use_set = [false; N];
     for j in 0..lanes {
         scratch.indices[j].clear();
-        use_set[j] = amounts[j] > LINEAR_SCAN_MAX;
-        if use_set[j] {
-            // One zeroed word per 64 cells; `clear` + `resize` reuses the
-            // grown allocation on every die after the first.
-            let chosen = &mut scratch.chosen[j];
-            chosen.clear();
-            chosen.resize(total.div_ceil(64), 0);
-        }
+        scratch.chosen[j].reserve(total);
     }
     let max_amount = amounts[..lanes].iter().copied().max().unwrap_or(0);
     for step in 0..max_amount {
@@ -332,13 +300,8 @@ fn wide_floyd<const N: usize>(
             for s in step..amounts[j] {
                 let bound = total - amounts[j] + s;
                 let t = rng.gen_range(0..=bound);
-                floyd_push(
-                    t,
-                    bound,
-                    use_set[j],
-                    &mut scratch.indices[j],
-                    &mut scratch.chosen[j],
-                );
+                let cell = floyd_step(&mut scratch.chosen[j], t, bound);
+                scratch.indices[j].push(cell);
             }
             wide.store_lane(j, &rng);
             return;
@@ -348,37 +311,14 @@ fn wide_floyd<const N: usize>(
         let draws = wide.gen_bounded_masked(&bounds, &active);
         for j in 0..lanes {
             if active[j] {
-                floyd_push(
+                let cell = floyd_step(
+                    &mut scratch.chosen[j],
                     draws[j] as usize,
                     bounds[j] as usize,
-                    use_set[j],
-                    &mut scratch.indices[j],
-                    &mut scratch.chosen[j],
                 );
+                scratch.indices[j].push(cell);
             }
         }
-    }
-}
-
-/// One Floyd step's bookkeeping: keep `t` if it is new, otherwise
-/// substitute the step bound (which is provably not yet chosen). Membership
-/// is answered by a linear scan of the lane's short chosen list or by its
-/// cell bitmap — the same answer either way, so the substitution pattern
-/// (and with it the sampled set) is identical to the scalar algorithm's.
-#[inline]
-fn floyd_push(t: usize, bound: usize, use_set: bool, indices: &mut Vec<usize>, chosen: &mut [u64]) {
-    let fresh = if use_set {
-        bitmap_insert(chosen, t)
-    } else {
-        !indices.contains(&t)
-    };
-    if fresh {
-        indices.push(t);
-    } else {
-        if use_set {
-            bitmap_insert(chosen, bound);
-        }
-        indices.push(bound);
     }
 }
 
@@ -444,13 +384,15 @@ mod tests {
         let spec = backend.wide_generation().unwrap();
         let seeder = StreamSeeder::new(0xBEEF);
         // Full chunks, ragged tails, odd lane counts, zero-fault lanes,
-        // mixed amounts and a fault count past the hash-set threshold.
+        // mixed amounts and fault counts past the bitmap-walk threshold.
         let plans = [
             plan(&[12; 16]),
             plan(&[1, 0, 7, 3, 12, 12, 5]),
             plan(&[40]),
             plan(&[0, 0, 0]),
             plan(&[3, 200, 3, 150, 1, 0, 9, 12, 33]),
+            // The full 4096-cell array next to empty, single and half-full lanes.
+            plan(&[4096, 0, 1, 2048]),
         ];
         for (i, plan) in plans.iter().enumerate() {
             assert_eq!(

@@ -570,12 +570,15 @@ impl<B: FaultBackend> Campaign<B> {
         &self.config
     }
 
-    /// Runs the campaign with an infallible per-sample metric.
+    /// Runs the campaign with an infallible per-die catalogue evaluator.
     ///
-    /// `evaluate(scheme, fault_map)` is called once per `(scheme, die)` pair
-    /// — every scheme sees the identical die. `make_accumulator` creates one
-    /// chunk-local accumulator per work chunk; chunk results merge in chunk
-    /// order into the returned accumulator.
+    /// `evaluate(fault_map, metrics)` is called once per die and must write
+    /// `metrics[s]`, the metric of `schemes[s]` on that die, for every
+    /// scheme — every scheme sees the identical die, and an evaluator may
+    /// score the whole catalogue in one pass over the map. A per-scheme
+    /// metric loops over `schemes` inside the closure. `make_accumulator`
+    /// creates one chunk-local accumulator per work chunk; chunk results
+    /// merge in chunk order into the returned accumulator.
     ///
     /// Monolithic execution is the [`ShardSpec::solo`] special case of
     /// [`Campaign::run_shard`].
@@ -592,14 +595,14 @@ impl<B: FaultBackend> Campaign<B> {
     ) -> Result<A, SimError>
     where
         S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> f64 + Sync,
+        F: Fn(&FaultMap, &mut [f64]) + Sync,
         A: Accumulator,
     {
         self.run_shard(schemes, seed, ShardSpec::solo(), evaluate, make_accumulator)
     }
 
-    /// Runs one shard of the campaign with an infallible per-sample metric
-    /// (see [`Campaign::try_run_shard`]).
+    /// Runs one shard of the campaign with an infallible per-die catalogue
+    /// evaluator (see [`Campaign::run`] and [`Campaign::try_run_shard`]).
     ///
     /// # Errors
     ///
@@ -614,14 +617,17 @@ impl<B: FaultBackend> Campaign<B> {
     ) -> Result<A, SimError>
     where
         S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> f64 + Sync,
+        F: Fn(&FaultMap, &mut [f64]) + Sync,
         A: Accumulator,
     {
         self.try_run_shard(
             schemes,
             seed,
             shard,
-            |scheme, map| Ok::<f64, Infallible>(evaluate(scheme, map)),
+            |map, metrics| {
+                evaluate(map, metrics);
+                Ok::<(), Infallible>(())
+            },
             make_accumulator,
         )
         .map_err(|error| match error {
@@ -630,8 +636,9 @@ impl<B: FaultBackend> Campaign<B> {
         })
     }
 
-    /// Runs the campaign with a fallible per-sample metric (e.g. the
-    /// application-quality evaluator, which can fail on degenerate data).
+    /// Runs the campaign with a fallible per-die catalogue evaluator (e.g.
+    /// the application-quality evaluator, which can fail on degenerate
+    /// data); `evaluate` fills the metrics as in [`Campaign::run`].
     ///
     /// # Errors
     ///
@@ -647,7 +654,7 @@ impl<B: FaultBackend> Campaign<B> {
     ) -> Result<A, RunError<E>>
     where
         S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> Result<f64, E> + Sync,
+        F: Fn(&FaultMap, &mut [f64]) -> Result<(), E> + Sync,
         A: Accumulator,
         E: Send,
     {
@@ -744,7 +751,7 @@ impl<B: FaultBackend> Campaign<B> {
     ) -> Result<A, RunError<E>>
     where
         S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> Result<f64, E> + Sync,
+        F: Fn(&FaultMap, &mut [f64]) -> Result<(), E> + Sync,
         A: Accumulator,
         E: Send,
     {
@@ -767,7 +774,7 @@ impl<B: FaultBackend> Campaign<B> {
     ) -> Result<(A, ShardStats), RunError<E>>
     where
         S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> Result<f64, E> + Sync,
+        F: Fn(&FaultMap, &mut [f64]) -> Result<(), E> + Sync,
         A: Accumulator,
         E: Send,
     {
@@ -814,7 +821,7 @@ impl<B: FaultBackend> Campaign<B> {
     ) -> Result<A, RunError<E>>
     where
         S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> Result<f64, E> + Sync,
+        F: Fn(&FaultMap, &mut [f64]) -> Result<(), E> + Sync,
         A: Accumulator,
         E: Send,
     {
@@ -841,8 +848,8 @@ impl<B: FaultBackend> Campaign<B> {
         // Per-worker scratch: a warm `DieScratch` arena plus a recycled
         // metrics buffer, both reused across every chunk the worker claims.
         // Scratch holds storage only — each chunk's result stays a pure
-        // function of its index, so bit-identity at any worker count is
-        // unaffected.
+        // function of its index (the evaluator overwrites every metric of
+        // every die), so bit-identity at any worker count is unaffected.
         let chunk_results: Vec<Result<A, RunError<E>>> = run_chunked_with(
             owned_chunks.len(),
             workers,
@@ -850,7 +857,7 @@ impl<B: FaultBackend> Campaign<B> {
                 (
                     recorder.as_ref().map(obs::install),
                     DieScratch::new(backend.config()),
-                    Vec::<f64>::with_capacity(schemes.len()),
+                    vec![0.0f64; schemes.len()],
                 )
             },
             |(_recorder_guard, scratch, metrics), local_index| {
@@ -883,10 +890,7 @@ impl<B: FaultBackend> Campaign<B> {
                         gen_nanos += t.elapsed().as_nanos() as u64;
                         Instant::now()
                     });
-                    metrics.clear();
-                    for scheme in schemes {
-                        metrics.push(evaluate(scheme, map).map_err(RunError::Eval)?);
-                    }
+                    evaluate(map, metrics).map_err(RunError::Eval)?;
                     let clock = clock.map(|t| {
                         observe_nanos += t.elapsed().as_nanos() as u64;
                         Instant::now()
@@ -1253,7 +1257,11 @@ mod tests {
             .run(
                 &schemes,
                 1,
-                |scheme, map| map.fault_count() as f64 + scheme.extra_bits_per_row() as f64,
+                |map, metrics| {
+                    for (metric, scheme) in metrics.iter_mut().zip(&schemes) {
+                        *metric = map.fault_count() as f64 + scheme.extra_bits_per_row() as f64;
+                    }
+                },
                 CollectRecords::new,
             )
             .unwrap();
@@ -1274,7 +1282,7 @@ mod tests {
             .run(
                 &[Scheme::unprotected32()],
                 2,
-                |_, map| map.fault_count() as f64,
+                |map, metrics| metrics.fill(map.fault_count() as f64),
                 CollectRecords::new,
             )
             .unwrap();
@@ -1287,8 +1295,11 @@ mod tests {
         let serial = Campaign::new(config().with_parallelism(Parallelism::Serial));
         let parallel = Campaign::new(config().with_parallelism(Parallelism::threads(8)));
         let schemes = [Scheme::unprotected32(), Scheme::shuffle32(3).unwrap()];
-        let evaluate =
-            |scheme: &Scheme, map: &FaultMap| map.fault_count() as f64 * scheme.word_bits() as f64;
+        let evaluate = |map: &FaultMap, metrics: &mut [f64]| {
+            for (metric, scheme) in metrics.iter_mut().zip(&schemes) {
+                *metric = map.fault_count() as f64 * scheme.word_bits() as f64;
+            }
+        };
         let a = serial
             .run(&schemes, 7, evaluate, CollectRecords::new)
             .unwrap();
@@ -1301,7 +1312,7 @@ mod tests {
     #[test]
     fn chunk_size_does_not_change_results() {
         let schemes = [Scheme::unprotected32()];
-        let evaluate = |_: &Scheme, map: &FaultMap| map.fault_count() as f64;
+        let evaluate = |map: &FaultMap, metrics: &mut [f64]| metrics.fill(map.fault_count() as f64);
         let small = Campaign::new(config().with_chunk_size(1))
             .run(&schemes, 3, evaluate, CollectRecords::new)
             .unwrap();
@@ -1319,7 +1330,7 @@ mod tests {
             .run(
                 &[Scheme::unprotected32()],
                 5,
-                |_, _| 0.0,
+                |_, metrics| metrics.fill(0.0),
                 CollectRecords::new,
             )
             .unwrap();
@@ -1338,9 +1349,9 @@ mod tests {
             .run(
                 &[Scheme::secded32()],
                 11,
-                |scheme, map| {
+                |map, metrics| {
                     // Under the policy SECDED corrects every die.
-                    faultmit_core::MitigationScheme::observe(scheme, map, 0, 0).value as f64
+                    metrics[0] = Scheme::secded32().observe(map, 0, 0).value as f64;
                 },
                 CollectRecords::new,
             )
@@ -1355,7 +1366,7 @@ mod tests {
             .run(
                 &[Scheme::unprotected32()],
                 9,
-                |_, map| map.fault_count() as f64,
+                |map, metrics| metrics.fill(map.fault_count() as f64),
                 CollectRecords::new,
             )
             .unwrap();
@@ -1373,11 +1384,12 @@ mod tests {
         let result = campaign.try_run(
             &[Scheme::unprotected32()],
             1,
-            |_, map| {
+            |map, metrics| {
                 if map.fault_count() >= 3 {
                     Err("too many faults")
                 } else {
-                    Ok(0.0)
+                    metrics.fill(0.0);
+                    Ok(())
                 }
             },
             CollectRecords::new,
@@ -1413,7 +1425,7 @@ mod tests {
                 .with_max_failures(6),
         );
         let schemes = [Scheme::unprotected32()];
-        let evaluate = |_: &Scheme, map: &FaultMap| map.fault_count() as f64;
+        let evaluate = |map: &FaultMap, metrics: &mut [f64]| metrics.fill(map.fault_count() as f64);
         let a = legacy
             .run(&schemes, 31, evaluate, CollectRecords::new)
             .unwrap();
@@ -1428,7 +1440,7 @@ mod tests {
         use faultmit_memsim::{Backend, BackendKind};
         let memory = MemoryConfig::new(128, 32).unwrap();
         let schemes = [Scheme::unprotected32(), Scheme::shuffle32(3).unwrap()];
-        let evaluate = |_: &Scheme, map: &FaultMap| map.fault_count() as f64;
+        let evaluate = |map: &FaultMap, metrics: &mut [f64]| metrics.fill(map.fault_count() as f64);
         for kind in BackendKind::ALL {
             let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
             let base = CampaignConfig::for_backend(backend)
@@ -1498,8 +1510,11 @@ mod tests {
     fn sharded_runs_merged_in_order_match_the_monolithic_run() {
         let campaign = Campaign::new(config().with_parallelism(Parallelism::threads(4)));
         let schemes = [Scheme::unprotected32(), Scheme::shuffle32(3).unwrap()];
-        let evaluate =
-            |scheme: &Scheme, map: &FaultMap| map.fault_count() as f64 * scheme.word_bits() as f64;
+        let evaluate = |map: &FaultMap, metrics: &mut [f64]| {
+            for (metric, scheme) in metrics.iter_mut().zip(&schemes) {
+                *metric = map.fault_count() as f64 * scheme.word_bits() as f64;
+            }
+        };
         let monolithic = campaign
             .run(&schemes, 19, evaluate, CollectRecords::new)
             .unwrap();
@@ -1539,7 +1554,7 @@ mod tests {
     fn exact_failure_campaigns_shard_identically() {
         let campaign = Campaign::new(config().with_exact_failures(4));
         let schemes = [Scheme::unprotected32()];
-        let evaluate = |_: &Scheme, map: &FaultMap| map.fault_count() as f64;
+        let evaluate = |map: &FaultMap, metrics: &mut [f64]| metrics.fill(map.fault_count() as f64);
         let monolithic = campaign
             .run(&schemes, 5, evaluate, CollectRecords::new)
             .unwrap();
@@ -1652,7 +1667,12 @@ mod tests {
                     .with_map_policy(policy);
                 let campaign = Campaign::new(base);
                 let reference = campaign
-                    .run(&schemes, 23, count_sample, CollectRecords::new)
+                    .run(
+                        &schemes,
+                        23,
+                        |map, metrics| metrics.fill(map.fault_count() as f64),
+                        CollectRecords::new,
+                    )
                     .unwrap();
                 for shard_count in [1usize, 3] {
                     let mut merged = CollectRecords::new();
@@ -1687,7 +1707,7 @@ mod tests {
             .run(
                 &schemes,
                 3,
-                |_, map| map.fault_count() as f64,
+                |map, metrics| metrics.fill(map.fault_count() as f64),
                 CollectRecords::new,
             )
             .unwrap();
@@ -1720,7 +1740,7 @@ mod tests {
             .run(
                 &[Scheme::unprotected32()],
                 3,
-                |_, map| map.max_faults_per_row() as f64,
+                |map, metrics| metrics.fill(map.max_faults_per_row() as f64),
                 CollectRecords::new,
             )
             .unwrap();

@@ -23,7 +23,7 @@
 //! processes.
 //!
 //! ```
-//! use faultmit_core::Scheme;
+//! use faultmit_core::{MitigationScheme, Scheme};
 //! use faultmit_memsim::MemoryConfig;
 //! use faultmit_sim::{Campaign, CampaignConfig, CollectRecords, Parallelism};
 //!
@@ -34,10 +34,15 @@
 //!     .with_parallelism(Parallelism::threads(2));
 //! let campaign = Campaign::new(config);
 //! let schemes = [Scheme::unprotected32(), Scheme::shuffle32(5)?];
+//! // One call per die fills one metric per scheme.
 //! let records = campaign.run(
 //!     &schemes,
 //!     42,
-//!     |scheme, map| faultmit_core::MitigationScheme::observe(scheme, map, 0, 0).value as f64,
+//!     |map, metrics| {
+//!         for (metric, scheme) in metrics.iter_mut().zip(&schemes) {
+//!             *metric = scheme.observe(map, 0, 0).value as f64;
+//!         }
+//!     },
 //!     CollectRecords::new,
 //! )?;
 //! // 4 failure counts × 5 samples, each evaluated under both schemes.
@@ -68,7 +73,8 @@
 //!     .with_chunk_size(4);
 //! let campaign = Campaign::new(config);
 //! let schemes = [Scheme::unprotected32()];
-//! let metric = |_: &Scheme, map: &faultmit_memsim::FaultMap| map.fault_count() as f64;
+//! let metric =
+//!     |map: &faultmit_memsim::FaultMap, metrics: &mut [f64]| metrics.fill(map.fault_count() as f64);
 //!
 //! let monolithic = campaign.run(&schemes, 7, metric, CollectRecords::new)?;
 //! let mut merged = CollectRecords::new();

@@ -4,7 +4,10 @@
 //! every layer that feeds the figures (raw records, per-count CDFs, combined
 //! `EmpiricalCdf`s, application quality).
 
-use faultmit::analysis::{MonteCarloConfig, MonteCarloEngine};
+mod common;
+
+use common::per_scheme;
+use faultmit::analysis::{memory_mse, MonteCarloConfig, MonteCarloEngine};
 use faultmit::apps::{Benchmark, QualityEvaluator};
 use faultmit::core::Scheme;
 use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
@@ -60,7 +63,7 @@ fn raw_record_stream_is_independent_of_chunking_and_workers() {
         .run(
             &schemes,
             SEED,
-            faultmit::analysis::memory_mse,
+            per_scheme(&schemes, memory_mse),
             CollectRecords::new,
         )
         .unwrap();
@@ -73,7 +76,7 @@ fn raw_record_stream_is_independent_of_chunking_and_workers() {
         .run(
             &schemes,
             SEED,
-            faultmit::analysis::memory_mse,
+            per_scheme(&schemes, memory_mse),
             CollectRecords::new,
         )
         .unwrap();
@@ -95,7 +98,7 @@ fn different_seeds_produce_different_populations() {
         .run(
             &scheme,
             1,
-            faultmit::analysis::memory_mse,
+            per_scheme(&scheme, memory_mse),
             CollectRecords::new,
         )
         .unwrap();
@@ -103,7 +106,7 @@ fn different_seeds_produce_different_populations() {
         .run(
             &scheme,
             2,
-            faultmit::analysis::memory_mse,
+            per_scheme(&scheme, memory_mse),
             CollectRecords::new,
         )
         .unwrap();
@@ -129,7 +132,7 @@ fn every_backend_is_bit_identical_serial_vs_threaded_at_any_chunk_size() {
             .run(
                 &schemes,
                 SEED,
-                faultmit::analysis::memory_mse,
+                per_scheme(&schemes, memory_mse),
                 CollectRecords::new,
             )
             .unwrap();
@@ -143,7 +146,7 @@ fn every_backend_is_bit_identical_serial_vs_threaded_at_any_chunk_size() {
             .run(
                 &schemes,
                 SEED,
-                faultmit::analysis::memory_mse,
+                per_scheme(&schemes, memory_mse),
                 CollectRecords::new,
             )
             .unwrap();

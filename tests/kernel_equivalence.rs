@@ -1,16 +1,22 @@
-//! Equivalence suite for the evaluation kernels: the sparse MSE kernel
-//! (`memory_mse_sparse*`, built on `observe_sparse` and the flat fault
-//! map's row groups) and the bit-sliced block kernel (`block_mse_into` over
-//! 64-die `DieBlock` lanes with a scalar tail, with lane-interleaved wide
-//! fault generation on or off) must be **bit-identical** to the dense
-//! `observe`-based evaluators (`memory_mse`, `memory_mse_for_data`) on every
-//! backend, image, and fault-kind law; the campaign's reusable arenas —
+//! Equivalence suite for the evaluation kernels: the sparse MSE kernels
+//! (the per-scheme `memory_mse_sparse*`, built on `observe_sparse` and the
+//! flat fault map's row groups, and the `CatalogueMse` walk that scores a
+//! whole catalogue per die from its single-fault table) and the bit-sliced
+//! block kernel (`block_mse_into` over 64-die `DieBlock` lanes with a scalar
+//! tail, with lane-interleaved wide fault generation on or off) must be
+//! **bit-identical** to the dense `observe`-based evaluators (`memory_mse`,
+//! `memory_mse_for_data`) on every backend, image, and fault-kind law,
+//! including dies with multi-fault rows; the campaign's reusable arenas —
 //! per-die and transposed alike — must reach zero steady-state heap
 //! traffic; and `--kernel auto` must resolve to the documented kernel at
 //! every benched operating point.
 
+mod common;
+
+use common::per_scheme;
 use faultmit::analysis::{
     block_mse_into, memory_mse, memory_mse_for_data, memory_mse_sparse, memory_mse_sparse_with,
+    CatalogueMse,
 };
 use faultmit::core::Scheme;
 use faultmit::memsim::{
@@ -37,6 +43,7 @@ fn geometries() -> Vec<MemoryConfig> {
 fn kind_laws() -> Vec<FaultKindLaw> {
     vec![
         FaultKindLaw::AlwaysFlip,
+        FaultKindLaw::RandomStuckAt,
         FaultKindLaw::AsymmetricStuckAt {
             p_stuck_at_zero: 0.35,
         },
@@ -79,14 +86,15 @@ fn assert_records_bit_identical(a: &CollectRecords, b: &CollectRecords, context:
     }
 }
 
-/// The tentpole guarantee: the sparse MSE kernel and the dense scalar
-/// evaluator agree bit for bit on every (geometry × backend × kind-law ×
-/// image) combination, sample for sample — so the sparse kernel cannot move
-/// any figure by even one ULP.
+/// The tentpole guarantee: the sparse MSE kernels — per scheme and as one
+/// catalogue walk — and the dense scalar evaluator agree bit for bit on
+/// every (geometry × backend × kind-law × image) combination, sample for
+/// sample — so the sparse kernel cannot move any figure by even one ULP.
 #[test]
 fn sparse_mse_kernel_is_bit_identical_to_the_scalar_kernel() {
     let schemes = Scheme::fig5_catalogue();
     for memory in geometries() {
+        let walk = CatalogueMse::new(&schemes, memory.word_bits());
         for kind in BackendKind::ALL {
             for law in kind_laws() {
                 for spec in images() {
@@ -104,7 +112,9 @@ fn sparse_mse_kernel_is_bit_identical_to_the_scalar_kernel() {
                         .run(
                             &schemes,
                             SEED,
-                            |scheme, map| memory_mse_for_data(scheme, map, &words),
+                            per_scheme(&schemes, |scheme, map| {
+                                memory_mse_for_data(scheme, map, &words)
+                            }),
                             CollectRecords::new,
                         )
                         .unwrap();
@@ -115,14 +125,30 @@ fn sparse_mse_kernel_is_bit_identical_to_the_scalar_kernel() {
                         .run(
                             &schemes,
                             SEED,
-                            |scheme, map| {
+                            per_scheme(&schemes, |scheme, map| {
                                 memory_mse_sparse_with(scheme, map, |row| image.word(row))
-                            },
+                            }),
+                            CollectRecords::new,
+                        )
+                        .unwrap();
+
+                    // The same walk fused over the catalogue: one pass per
+                    // die, single-fault rows scored from the table.
+                    let fused = Campaign::new(campaign_config(backend))
+                        .run(
+                            &schemes,
+                            SEED,
+                            |map, metrics| walk.mse_into(map, |row| image.word(row), metrics),
                             CollectRecords::new,
                         )
                         .unwrap();
 
                     assert_records_bit_identical(&scalar, &sparse, &context);
+                    assert_records_bit_identical(
+                        &scalar,
+                        &fused,
+                        &format!("{context} (catalogue walk)"),
+                    );
                 }
             }
         }
@@ -135,6 +161,7 @@ fn sparse_mse_kernel_is_bit_identical_to_the_scalar_kernel() {
 fn zeros_background_kernels_agree_under_every_map_policy() {
     let schemes = Scheme::fig5_catalogue();
     let memory = MemoryConfig::new(128, 32).unwrap();
+    let walk = CatalogueMse::new(&schemes, memory.word_bits());
     for kind in BackendKind::ALL {
         for policy in [
             MapPolicy::Unrestricted,
@@ -143,12 +170,96 @@ fn zeros_background_kernels_agree_under_every_map_policy() {
             let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
             let config = campaign_config(backend).with_map_policy(policy);
             let scalar = Campaign::new(config)
-                .run(&schemes, SEED, memory_mse, CollectRecords::new)
+                .run(
+                    &schemes,
+                    SEED,
+                    per_scheme(&schemes, memory_mse),
+                    CollectRecords::new,
+                )
                 .unwrap();
             let sparse = Campaign::new(config)
-                .run(&schemes, SEED, memory_mse_sparse, CollectRecords::new)
+                .run(
+                    &schemes,
+                    SEED,
+                    per_scheme(&schemes, memory_mse_sparse),
+                    CollectRecords::new,
+                )
+                .unwrap();
+            let fused = Campaign::new(config)
+                .run(
+                    &schemes,
+                    SEED,
+                    |map, metrics| walk.mse_into(map, |_| 0, metrics),
+                    CollectRecords::new,
+                )
                 .unwrap();
             assert_records_bit_identical(&scalar, &sparse, &format!("{kind} {policy:?}"));
+            assert_records_bit_identical(&scalar, &fused, &format!("{kind} {policy:?} walk"));
+        }
+    }
+}
+
+/// The catalogue walk against the dense evaluator on dies crowded enough
+/// that most fault rows hold several faults: every backend, every kind law,
+/// zeros and data images. Multi-fault rows leave the single-fault table for
+/// `observe_sparse`, so this pins the mixed path of the walk.
+#[test]
+fn catalogue_walk_is_bit_identical_on_multi_fault_dies() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let mut schemes = Scheme::fig5_catalogue();
+    schemes.push(Scheme::secded32());
+    let memory = MemoryConfig::new(24, 32).unwrap();
+    let walk = CatalogueMse::new(&schemes, memory.word_bits());
+    for kind in BackendKind::ALL {
+        for law in kind_laws() {
+            for spec in images() {
+                let backend = Backend::at_p_cell(kind, memory, 2e-2)
+                    .unwrap()
+                    .with_kind_law(law)
+                    .unwrap();
+                let context = format!("{kind} {law:?} {spec:?}");
+                let image = spec.try_materialise(memory).unwrap();
+                let words = image.materialise(memory.rows());
+                let config = CampaignConfig::for_backend(backend)
+                    .unwrap()
+                    .with_samples_per_count(3)
+                    .with_max_failures(40)
+                    .with_parallelism(Parallelism::Serial);
+                let dense = Campaign::new(config)
+                    .run(
+                        &schemes,
+                        SEED,
+                        per_scheme(&schemes, |scheme, map| {
+                            memory_mse_for_data(scheme, map, &words)
+                        }),
+                        CollectRecords::new,
+                    )
+                    .unwrap();
+                let (single_rows, multi_rows) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                let fused = Campaign::new(config)
+                    .run(
+                        &schemes,
+                        SEED,
+                        |map, metrics| {
+                            for (_, row_faults) in map.rows_with_faults() {
+                                let counter = if row_faults.len() == 1 {
+                                    &single_rows
+                                } else {
+                                    &multi_rows
+                                };
+                                counter.fetch_add(1, Ordering::Relaxed);
+                            }
+                            walk.mse_into(map, |row| image.word(row), metrics);
+                        },
+                        CollectRecords::new,
+                    )
+                    .unwrap();
+                assert_records_bit_identical(&dense, &fused, &context);
+                assert!(
+                    single_rows.into_inner() > 0 && multi_rows.into_inner() > 0,
+                    "{context}: the sweep must mix single- and multi-fault rows"
+                );
+            }
         }
     }
 }
@@ -160,8 +271,10 @@ fn arena_reuse_is_bit_identical_across_worker_counts() {
     let schemes = Scheme::fig7_catalogue();
     let memory = MemoryConfig::new(512, 32).unwrap();
     let backend = Backend::at_p_cell(BackendKind::Sram, memory, 1e-3).unwrap();
+    let walk = CatalogueMse::new(&schemes, memory.word_bits());
+    let evaluate = |map: &_, metrics: &mut [f64]| walk.mse_into(map, |_| 0, metrics);
     let reference = Campaign::new(campaign_config(backend))
-        .run(&schemes, SEED, memory_mse_sparse, CollectRecords::new)
+        .run(&schemes, SEED, evaluate, CollectRecords::new)
         .unwrap();
     for workers in [2usize, 4, 8] {
         let threaded = Campaign::new(
@@ -169,7 +282,7 @@ fn arena_reuse_is_bit_identical_across_worker_counts() {
                 .with_parallelism(Parallelism::threads(workers))
                 .with_chunk_size(3),
         )
-        .run(&schemes, SEED, memory_mse_sparse, CollectRecords::new)
+        .run(&schemes, SEED, evaluate, CollectRecords::new)
         .unwrap();
         assert_records_bit_identical(&reference, &threaded, &format!("{workers} workers"));
     }
@@ -245,15 +358,18 @@ fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
                     .run(
                         &schemes,
                         SEED,
-                        |scheme, map| memory_mse_for_data(scheme, map, &words),
+                        per_scheme(&schemes, |scheme, map| {
+                            memory_mse_for_data(scheme, map, &words)
+                        }),
                         CollectRecords::new,
                     )
                     .unwrap();
+                let walk = CatalogueMse::new(&schemes, memory.word_bits());
                 let sparse = Campaign::new(config(true))
                     .run(
                         &schemes,
                         SEED,
-                        |scheme, map| memory_mse_sparse_with(scheme, map, |row| image.word(row)),
+                        |map, metrics| walk.mse_into(map, |row| image.word(row), metrics),
                         CollectRecords::new,
                     )
                     .unwrap();

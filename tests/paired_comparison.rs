@@ -10,6 +10,9 @@
 //! with per-scheme resampling (the pre-pipeline engine) the comparison would
 //! only hold in distribution, not per die.
 
+mod common;
+
+use common::per_scheme;
 use faultmit::analysis::memory_mse;
 use faultmit::core::{Scheme, SegmentGeometry};
 use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
@@ -49,7 +52,12 @@ fn shuffling_never_exceeds_unprotected_mse_on_shared_dies() {
             .with_max_failures(max_failures)
             .with_parallelism(Parallelism::threads(2));
         let records = Campaign::new(config)
-            .run(&schemes, 0xBEEF ^ case, memory_mse, CollectRecords::new)
+            .run(
+                &schemes,
+                0xBEEF ^ case,
+                per_scheme(&schemes, memory_mse),
+                CollectRecords::new,
+            )
             .unwrap();
 
         assert!(!records.records.is_empty());
@@ -89,7 +97,7 @@ fn shuffling_never_exceeds_unprotected_mse_on_any_backend() {
                 .run(
                     &schemes,
                     0xBAC2 + n_fm as u64,
-                    memory_mse,
+                    per_scheme(&schemes, memory_mse),
                     CollectRecords::new,
                 )
                 .unwrap();
@@ -121,7 +129,12 @@ fn finer_segments_never_lose_on_shared_single_fault_dies() {
         .with_max_failures(6)
         .with_map_policy(faultmit::sim::MapPolicy::SingleFaultPerRow { max_redraws: 1000 });
     let records = Campaign::new(config)
-        .run(&schemes, 0x51CE, memory_mse, CollectRecords::new)
+        .run(
+            &schemes,
+            0x51CE,
+            per_scheme(&schemes, memory_mse),
+            CollectRecords::new,
+        )
         .unwrap();
 
     for record in &records.records {

@@ -5,7 +5,10 @@
 //! weight sums alike — at any worker count. Monolithic execution must
 //! itself be the 0/1 shard, not a separate code path.
 
-use faultmit::analysis::{CatalogueAccumulator, MonteCarloConfig, MonteCarloEngine};
+mod common;
+
+use common::per_scheme;
+use faultmit::analysis::{memory_mse, CatalogueAccumulator, MonteCarloConfig, MonteCarloEngine};
 use faultmit::core::Scheme;
 use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
 use faultmit::sim::{
@@ -35,7 +38,7 @@ fn every_backend_shards_bit_identically_at_every_split() {
             .run(
                 &schemes,
                 SEED,
-                faultmit::analysis::memory_mse,
+                per_scheme(&schemes, memory_mse),
                 CollectRecords::new,
             )
             .unwrap();
@@ -51,7 +54,7 @@ fn every_backend_shards_bit_identically_at_every_split() {
                             &schemes,
                             SEED,
                             shard,
-                            faultmit::analysis::memory_mse,
+                            per_scheme(&schemes, memory_mse),
                             CollectRecords::new,
                         )
                         .unwrap(),
@@ -177,7 +180,7 @@ fn shards_are_worker_count_independent() {
                 &schemes,
                 SEED,
                 shard,
-                faultmit::analysis::memory_mse,
+                per_scheme(&schemes, memory_mse),
                 CollectRecords::new,
             )
             .unwrap();
@@ -186,7 +189,7 @@ fn shards_are_worker_count_independent() {
                 &schemes,
                 SEED,
                 shard,
-                faultmit::analysis::memory_mse,
+                per_scheme(&schemes, memory_mse),
                 CollectRecords::new,
             )
             .unwrap();

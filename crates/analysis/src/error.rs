@@ -57,6 +57,17 @@ impl From<faultmit_core::CoreError> for AnalysisError {
     }
 }
 
+impl From<faultmit_sim::SimError> for AnalysisError {
+    fn from(value: faultmit_sim::SimError) -> Self {
+        match value {
+            faultmit_sim::SimError::InvalidParameter { reason } => {
+                AnalysisError::InvalidParameter { reason }
+            }
+            faultmit_sim::SimError::Memory(e) => AnalysisError::Memory(e),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

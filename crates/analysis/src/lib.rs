@@ -19,18 +19,19 @@
 //! # Example
 //!
 //! ```
-//! use faultmit_analysis::{MonteCarloConfig, MonteCarloEngine};
+//! use faultmit_analysis::MonteCarloEngine;
 //! use faultmit_core::Scheme;
 //! use faultmit_memsim::MemoryConfig;
+//! use faultmit_sim::CampaignConfig;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let config = MonteCarloConfig::new(MemoryConfig::new(256, 32)?, 1e-4)?
+//! let config = CampaignConfig::new(MemoryConfig::new(256, 32)?, 1e-4)?
 //!     .with_samples_per_count(20)
 //!     .with_max_failures(8);
 //! let engine = MonteCarloEngine::new(config);
-//! let result = engine.run(&Scheme::shuffle32(5)?, 42)?;
+//! let results = engine.run_catalogue(&[Scheme::shuffle32(5)?], 42)?;
 //! // With single-bit segments every fault costs at most 1², so the MSE stays tiny.
-//! assert!(result.cdf.quantile(0.999) <= 1.0);
+//! assert!(results[0].cdf.quantile(0.999) <= 1.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -49,7 +50,7 @@ pub mod yield_model;
 pub use accumulate::CatalogueAccumulator;
 pub use cdf::{CdfSketch, EmpiricalCdf};
 pub use error::AnalysisError;
-pub use mc_engine::{MonteCarloConfig, MonteCarloEngine, SchemeMseResult};
+pub use mc_engine::{MonteCarloEngine, SchemeMseResult};
 pub use mse::{
     block_mse_into, memory_mse, memory_mse_for_data, memory_mse_sparse, memory_mse_sparse_with,
     row_squared_error, word_squared_error, CatalogueMse,

@@ -33,7 +33,7 @@ use crate::preprocessing::{train_test_split, Standardizer};
 use faultmit_analysis::{CatalogueAccumulator, EmpiricalCdf, YieldModel};
 use faultmit_core::MitigationScheme;
 use faultmit_memsim::{FaultBackend, FaultMap, FaultMapSampler, MemoryConfig, SramVddBackend};
-use faultmit_sim::{Campaign, CampaignConfig, MapPolicy, Parallelism, ShardSpec};
+use faultmit_sim::{Campaign, CampaignConfig, MapPolicy, Parallelism, ShardSpec, ShardStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -384,7 +384,7 @@ impl QualityEvaluator {
         seed: u64,
         discard_multi_fault_words: bool,
     ) -> Result<Vec<QualityCdfResult>, AppError> {
-        let state = self.quality_shard_on(
+        let (state, _) = self.quality_shard_on(
             schemes,
             backend,
             max_failures,
@@ -397,7 +397,8 @@ impl QualityEvaluator {
     }
 
     /// Runs one shard of the paired Fig. 7 campaign, returning the raw
-    /// accumulator state instead of finished results.
+    /// accumulator state (and the shard's [`ShardStats`]) instead of
+    /// finished results.
     ///
     /// Shard states merged in shard order (via
     /// [`faultmit_sim::Accumulator::merge`]) are bit-identical to the
@@ -421,7 +422,7 @@ impl QualityEvaluator {
         seed: u64,
         discard_multi_fault_words: bool,
         shard: ShardSpec,
-    ) -> Result<CatalogueAccumulator, AppError> {
+    ) -> Result<(CatalogueAccumulator, ShardStats), AppError> {
         self.check_backend_geometry(backend)?;
         // Everything that does not depend on the fault map is computed once
         // for the whole shard; each (die, scheme) evaluation then reads back
@@ -445,7 +446,7 @@ impl QualityEvaluator {
             .with_chunk_size(4);
 
         Campaign::new(config)
-            .try_run_shard(
+            .run_shard(
                 schemes,
                 seed,
                 shard,
@@ -816,7 +817,8 @@ mod tests {
                 let shard = faultmit_sim::ShardSpec::new(index, shard_count).unwrap();
                 merged.merge(
                     eval.quality_shard_on(&schemes, &backend, 4, 2, 19, true, shard)
-                        .unwrap(),
+                        .unwrap()
+                        .0,
                 );
             }
             let results = eval

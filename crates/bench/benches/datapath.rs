@@ -7,9 +7,8 @@
 //!
 //! Besides the Criterion groups, `bench_datapath_json` measures the
 //! generation-vs-evaluation split in campaign units (dies/s, single
-//! thread): per-backend block generation through the scalar per-die RNG
-//! path and the lane-interleaved wide path, plus fig5-catalogue evaluation
-//! over a fixed die. The rows are merged into `BENCH_pipeline.json` (path
+//! thread): per-backend block generation (per-die RNG streams, then the
+//! transposition) plus fig5-catalogue evaluation over a fixed die. The rows are merged into `BENCH_pipeline.json` (path
 //! overridable via the `BENCH_PIPELINE_JSON` environment variable) as a
 //! `"datapath"` section, preserving the sections the pipeline bench wrote.
 
@@ -22,7 +21,6 @@ use faultmit_memsim::{
     Backend, BackendKind, BlockScratch, DieScratch, Fault, FaultMap, MarchBist, MemoryConfig,
     PlannedSample, SramArray, SramVddBackend, StreamSeeder, BLOCK_DIES,
 };
-use faultmit_obs as obs;
 use std::time::Instant;
 
 fn bench_shifter(c: &mut Criterion) {
@@ -150,19 +148,13 @@ fn bench_die_pipeline(c: &mut Criterion) {
 }
 
 /// One generation row of the `BENCH_pipeline.json` `"datapath"` section:
-/// how many dies per second one thread can *generate* (fault sampling
-/// only, no evaluation) through the named path.
+/// how many dies per second one thread can *generate* (fault sampling and
+/// block transposition, no evaluation) for one backend and configuration.
 struct GenerationRow {
     config: &'static str,
     backend: String,
-    path: &'static str,
     faults_per_die: u64,
     dies_per_second: f64,
-    speedup_vs_scalar: f64,
-    /// Fraction of wide-RNG lane steps with the lane still drawing faults
-    /// (from the per-row metrics delta; absent on the scalar path and on
-    /// backends that never enter the wide generator).
-    widegen_lane_utilisation: Option<f64>,
 }
 
 impl ToJson for GenerationRow {
@@ -170,33 +162,24 @@ impl ToJson for GenerationRow {
         JsonValue::object([
             ("config", self.config.to_json()),
             ("backend", self.backend.to_json()),
-            ("path", self.path.to_json()),
             ("faults_per_die", self.faults_per_die.to_json()),
             ("dies_per_second", self.dies_per_second.to_json()),
-            ("speedup_vs_scalar", self.speedup_vs_scalar.to_json()),
-            (
-                "widegen_lane_utilisation",
-                self.widegen_lane_utilisation.to_json(),
-            ),
         ])
     }
 }
 
-/// Dies generated per second through a [`BLOCK_DIES`]-die `BlockScratch`
-/// with the wide lane-interleaved path on or off, single-threaded: a
-/// warm-up pass grows the arena, then `reps × blocks` full blocks are
-/// timed.
+/// Dies generated per second through a [`BLOCK_DIES`]-die `BlockScratch`,
+/// single-threaded: a warm-up pass grows the arena, then `reps × blocks`
+/// full blocks are timed.
 fn measure_generation(
     memory: MemoryConfig,
     backend: &Backend,
     n_faults: u64,
-    wide_generation: bool,
     blocks: u64,
     reps: u32,
 ) -> f64 {
     let seeder = StreamSeeder::new(0xD1E5);
     let mut scratch = BlockScratch::new(memory);
-    scratch.set_wide_generation(wide_generation);
     let lanes = BLOCK_DIES as u64;
     let plan_for = |block: u64| {
         (0..lanes)
@@ -236,9 +219,8 @@ fn bench_datapath_json(_c: &mut Criterion) {
     // The benched operating points mirror the kernel section's configs:
     // the Fig. 5 `P_cell = 1e-4` density (12 faults per die — its mean
     // failure count) on every backend, and the dense-ECC point (8192
-    // faults per die) where batched sampling amortises best. Fewer blocks
-    // at the dense point keep the run short; the per-rep die count stays
-    // in the thousands either way.
+    // faults per die). Fewer blocks at the dense point keep the run short;
+    // the per-rep die count stays in the thousands either way.
     let cells = (memory.rows() * 32) as f64;
     let points: [(&'static str, BackendKind, f64, u64, u64); 4] = [
         ("fig5_p1e-4", BackendKind::Sram, 1e-4, 12, 96),
@@ -255,49 +237,20 @@ fn bench_datapath_json(_c: &mut Criterion) {
 
     println!("\n== group: datapath_generation (BENCH_pipeline.json) ==");
     const REPS: u32 = 3;
-    // A recorder brackets each measured path so the wide rows report how
-    // full their RNG lanes actually ran, next to the dies/s.
-    let recorder = std::sync::Arc::new(obs::Recorder::new());
-    let _metrics_guard = obs::install(&recorder);
     let mut rows = Vec::new();
     for (config, kind, p_cell, n_faults, blocks) in points {
         let backend = Backend::at_p_cell(kind, memory, p_cell).unwrap();
-        let timed = |wide_generation: bool| {
-            let before = recorder.snapshot();
-            let dies =
-                measure_generation(memory, &backend, n_faults, wide_generation, blocks, REPS);
-            (dies, recorder.snapshot().since(&before))
+        let row = GenerationRow {
+            config,
+            backend: kind.to_string(),
+            faults_per_die: n_faults,
+            dies_per_second: measure_generation(memory, &backend, n_faults, blocks, REPS),
         };
-        let (scalar, scalar_metrics) = timed(false);
-        let (wide, wide_metrics) = timed(true);
-        for (path, dies_per_second, metrics) in [
-            ("scalar", scalar, scalar_metrics),
-            ("wide", wide, wide_metrics),
-        ] {
-            let row = GenerationRow {
-                config,
-                backend: kind.to_string(),
-                path,
-                faults_per_die: n_faults,
-                dies_per_second,
-                speedup_vs_scalar: dies_per_second / scalar,
-                widegen_lane_utilisation: metrics.wide_lane_utilisation(),
-            };
-            let lanes = row
-                .widegen_lane_utilisation
-                .map(|utilisation| format!(", lanes {:.0}%", 100.0 * utilisation))
-                .unwrap_or_default();
-            println!(
-                "{:<18} {:<5} {:<7} n={:<5} {:>12.0} dies/s   ({:.2}x vs scalar{lanes})",
-                row.config,
-                row.backend,
-                row.path,
-                row.faults_per_die,
-                row.dies_per_second,
-                row.speedup_vs_scalar,
-            );
-            rows.push(row);
-        }
+        println!(
+            "{:<18} {:<9} n={:<5} {:>12.0} dies/s",
+            row.config, row.backend, row.faults_per_die, row.dies_per_second,
+        );
+        rows.push(row);
     }
 
     // Evaluation half of the split, in the same units: fig5-catalogue
@@ -324,8 +277,8 @@ fn bench_datapath_json(_c: &mut Criterion) {
     }
     let eval_dies_per_second = eval_dies as f64 / started.elapsed().as_secs_f64();
     println!(
-        "{:<18} {:<5} {:<7} n={:<5} {:>12.0} dies/s   (fig5 catalogue, sparse kernel)",
-        "fig5_p1e-4", "sram", "eval", 12, eval_dies_per_second,
+        "{:<18} {:<9} n={:<5} {:>12.0} dies/s   (evaluation: fig5 catalogue, sparse kernel)",
+        "fig5_p1e-4", "sram", 12, eval_dies_per_second,
     );
 
     let section = JsonValue::object([

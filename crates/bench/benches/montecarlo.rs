@@ -3,9 +3,10 @@
 //! end-to-end campaign.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use faultmit_analysis::{memory_mse, MonteCarloConfig, MonteCarloEngine};
+use faultmit_analysis::{memory_mse, MonteCarloEngine};
 use faultmit_core::Scheme;
 use faultmit_memsim::{FaultMapSampler, MemoryConfig};
+use faultmit_sim::CampaignConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -50,17 +51,14 @@ fn bench_mse_per_scheme(c: &mut Criterion) {
 fn bench_small_campaign(c: &mut Criterion) {
     let mut group = c.benchmark_group("mc_campaign");
     group.sample_size(10);
-    let config = MonteCarloConfig::new(MemoryConfig::new(512, 32).unwrap(), 1e-4)
+    let config = CampaignConfig::new(MemoryConfig::new(512, 32).unwrap(), 1e-4)
         .unwrap()
         .with_samples_per_count(10)
         .with_max_failures(6);
     let engine = MonteCarloEngine::new(config);
+    let schemes = [Scheme::shuffle32(2).unwrap()];
     group.bench_function("fig5_reduced_single_scheme", |b| {
-        b.iter(|| {
-            engine
-                .run(&Scheme::shuffle32(2).unwrap(), black_box(7))
-                .unwrap()
-        })
+        b.iter(|| engine.run_catalogue(&schemes, black_box(7)).unwrap())
     });
     group.finish();
 }

@@ -21,9 +21,7 @@
 //! the `host_cpus` stamp inside each JSON section to interpret the rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use faultmit_analysis::{
-    block_mse_into, memory_mse_sparse_with, CatalogueMse, MonteCarloConfig, MonteCarloEngine,
-};
+use faultmit_analysis::{block_mse_into, CatalogueMse, MonteCarloEngine};
 use faultmit_bench::json::{JsonValue, ToJson};
 use faultmit_core::Scheme;
 use faultmit_memsim::{DieBlock, FaultKindLaw, FaultMap, ImageSpec, MemoryConfig, SramVddBackend};
@@ -31,13 +29,14 @@ use faultmit_obs as obs;
 use faultmit_sim::{
     Accumulator, Campaign, CampaignConfig, KernelKind, PairedSample, Parallelism, ShardSpec,
 };
+use std::convert::Infallible;
 use std::time::Instant;
 
 /// Reduced Fig. 5 operating point: same geometry and failure counts that
 /// dominate the paper's campaign, small enough per-iteration budget for a
 /// stable benchmark.
 fn operating_point(parallelism: Parallelism) -> MonteCarloEngine {
-    let config = MonteCarloConfig::new(MemoryConfig::paper_16kb(), 5e-6)
+    let config = CampaignConfig::new(MemoryConfig::paper_16kb(), 5e-6)
         .expect("valid paper P_cell")
         .with_samples_per_count(10)
         .with_max_failures(12)
@@ -90,7 +89,11 @@ fn bench_single_scheme_vs_paired(c: &mut Criterion) {
         b.iter(|| {
             schemes
                 .iter()
-                .map(|scheme| engine.run(scheme, 7).unwrap())
+                .map(|scheme| {
+                    engine
+                        .run_catalogue(std::slice::from_ref(scheme), 7)
+                        .unwrap()
+                })
                 .collect::<Vec<_>>()
         })
     });
@@ -130,10 +133,6 @@ struct KernelRow {
     samples_per_second: f64,
     words_per_second: f64,
     speedup_vs_sparse: f64,
-    /// Fraction of wide-generation lane steps with the lane still live
-    /// (from the per-row metrics delta; absent for kernels that never
-    /// enter the wide path).
-    widegen_lane_utilisation: Option<f64>,
     /// Fraction of observed rows that fell back off the bit-sliced block
     /// path (absent for the sparse kernel, which has no block path to fall
     /// back from).
@@ -152,10 +151,6 @@ impl ToJson for KernelRow {
             ("samples_per_second", self.samples_per_second.to_json()),
             ("words_per_second", self.words_per_second.to_json()),
             ("speedup_vs_sparse", self.speedup_vs_sparse.to_json()),
-            (
-                "widegen_lane_utilisation",
-                self.widegen_lane_utilisation.to_json(),
-            ),
             (
                 "observe_fallback_rate",
                 self.observe_fallback_rate.to_json(),
@@ -190,71 +185,13 @@ impl Accumulator for SumMetrics {
 /// Seed of the kernel-comparison campaigns (arbitrary fixed constant).
 const KERNEL_SEED: u64 = 0x5E1F_F165;
 
-/// Times `reps` runs of a single-threaded campaign and returns
-/// `(mean seconds per campaign, metric-sum witness, samples per campaign)`.
+/// Times `reps` runs of a single-threaded campaign (after one warm-up)
+/// and returns `(mean seconds per campaign, metric-sum witness, samples per
+/// campaign)`.
 ///
 /// The metric sum is accumulated identically for every kernel, so matching
 /// witnesses prove the timed kernels computed the same MSEs.
-fn time_campaign<F>(
-    config: CampaignConfig<SramVddBackend>,
-    schemes: &[Scheme],
-    evaluate: F,
-    reps: u32,
-) -> (f64, f64, u64)
-where
-    F: Fn(&FaultMap, &mut [f64]) + Sync,
-{
-    let campaign = Campaign::new(config);
-    // One warm-up campaign, then the mean of the timed repetitions.
-    campaign
-        .run(schemes, KERNEL_SEED, &evaluate, SumMetrics::default)
-        .unwrap();
-    let started = Instant::now();
-    let mut witness = 0.0;
-    let mut samples = 0;
-    for _ in 0..reps {
-        let acc = campaign
-            .run(schemes, KERNEL_SEED, &evaluate, SumMetrics::default)
-            .unwrap();
-        witness = acc.total;
-        samples = acc.samples;
-    }
-    (
-        started.elapsed().as_secs_f64() / f64::from(reps),
-        witness,
-        samples,
-    )
-}
-
-/// Times `reps` runs of the bit-sliced block scheduler (64-die
-/// [`DieBlock`]s with a scalar tail) and returns the same
-/// `(mean seconds, witness, samples)` triple as [`time_campaign`], so the
-/// witness proves the block kernel reproduced the sparse MSEs bit for bit.
-fn time_campaign_blocks<F, G>(
-    config: CampaignConfig<SramVddBackend>,
-    schemes: &[Scheme],
-    evaluate_sample: F,
-    evaluate_block: G,
-    reps: u32,
-) -> (f64, f64, u64)
-where
-    F: Fn(&Scheme, &FaultMap) -> f64 + Sync,
-    G: Fn(&Scheme, &DieBlock<'_>, &mut [f64]) + Sync,
-{
-    let campaign = Campaign::new(config);
-    let run = || {
-        campaign
-            .run_shard_blocks(
-                schemes,
-                KERNEL_SEED,
-                ShardSpec::solo(),
-                &evaluate_sample,
-                &evaluate_block,
-                SumMetrics::default,
-            )
-            .unwrap()
-    };
-    // One warm-up campaign, then the mean of the timed repetitions.
+fn time_campaign(run: impl Fn() -> SumMetrics, reps: u32) -> (f64, f64, u64) {
     run();
     let started = Instant::now();
     let mut witness = 0.0;
@@ -294,30 +231,47 @@ fn push_point<W>(
 {
     let words_per_sample = memory.rows() as f64;
 
+    let campaign = Campaign::new(config);
     let walk = CatalogueMse::new(schemes, memory.word_bits());
+    let evaluate = |map: &FaultMap, metrics: &mut [f64]| {
+        walk.mse_into(map, &written, metrics);
+        Ok::<(), Infallible>(())
+    };
+    let seed = KERNEL_SEED;
+    let shard = ShardSpec::solo();
     let time_sparse = || {
         time_campaign(
-            config,
-            schemes,
-            |map, metrics| walk.mse_into(map, &written, metrics),
+            || {
+                let run = campaign.run_shard(schemes, seed, shard, evaluate, SumMetrics::default);
+                run.unwrap().0
+            },
             reps,
         )
     };
+    // The bit-sliced block scheduler: 64-die `DieBlock`s with the per-die
+    // walk for lone samples.
     let time_blocks = || {
-        time_campaign_blocks(
-            config,
-            schemes,
-            |scheme, map| memory_mse_sparse_with(scheme, map, &written),
-            |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
-                block_mse_into(scheme, block, &written, out);
+        time_campaign(
+            || {
+                let run = campaign.run_shard_blocks(
+                    schemes,
+                    seed,
+                    shard,
+                    evaluate,
+                    |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
+                        block_mse_into(scheme, block, &written, out);
+                    },
+                    SumMetrics::default,
+                );
+                run.unwrap().0
             },
             reps,
         )
     };
 
     // Per-row metrics delta: when the bench runner installed a recorder,
-    // each kernel's timed window is bracketed by snapshots so the lane
-    // utilisation and fallback rates belong to that kernel alone.
+    // each kernel's timed window is bracketed by snapshots so the fallback
+    // rate belongs to that kernel alone.
     let timed = |run: &dyn Fn() -> (f64, f64, u64)| {
         let recorder = obs::current();
         let before = recorder.as_ref().map(|r| r.snapshot()).unwrap_or_default();
@@ -356,7 +310,6 @@ fn push_point<W>(
             samples_per_second: samples as f64 / seconds,
             words_per_second: samples as f64 * words_per_sample / seconds,
             speedup_vs_sparse: sparse.0 / seconds,
-            widegen_lane_utilisation: metrics.wide_lane_utilisation(),
             observe_fallback_rate: metrics.observe_fallback_rate(),
         });
     }
@@ -545,16 +498,12 @@ fn bench_throughput_json(_c: &mut Criterion) {
     println!("\n== group: pipeline_kernels (BENCH_pipeline.json) ==");
     let kernels = kernel_rows();
     for row in &kernels {
-        // The counter-derived rates print next to the throughput numbers:
-        // lane utilisation says how full the wide-generation lanes ran,
-        // the fallback rate how often observation left the block path.
-        let mut rates = String::new();
-        if let Some(utilisation) = row.widegen_lane_utilisation {
-            rates.push_str(&format!(", lanes {:.0}%", 100.0 * utilisation));
-        }
-        if let Some(fallback) = row.observe_fallback_rate {
-            rates.push_str(&format!(", fallback {:.1}%", 100.0 * fallback));
-        }
+        // The counter-derived fallback rate prints next to the throughput
+        // numbers: how often observation left the block path.
+        let rates = row
+            .observe_fallback_rate
+            .map(|fallback| format!(", fallback {:.1}%", 100.0 * fallback))
+            .unwrap_or_default();
         println!(
             "{:<18} {:<6} {:>10.2} ms/campaign   ({:>8.1} samples/s, {:.3e} words/s, {:.2}x vs sparse{rates})",
             row.config,

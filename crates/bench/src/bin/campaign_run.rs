@@ -25,7 +25,7 @@
 //! ```
 
 use faultmit_bench::figures::{
-    check_identity_flags, check_tuning_flags, find_figure, registry, render_recorded, FigureDef,
+    check_identity_flags, find_figure, registry, render_recorded, FigureDef,
 };
 use faultmit_bench::shard::ShardState;
 use faultmit_bench::RunOptions;
@@ -117,14 +117,6 @@ fn passthrough_args(
         args.push("--kernel".to_owned());
         args.push(kernel.to_string());
     }
-    if let Some(wide) = options.wide_generation {
-        args.push("--wide-generation".to_owned());
-        args.push(if wide { "on" } else { "off" }.to_owned());
-    }
-    if let Some(threshold) = options.auto_threshold {
-        args.push("--auto-threshold".to_owned());
-        args.push(threshold.to_string());
-    }
     let threads = options.threads.unwrap_or_else(|| {
         let cpus = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -155,7 +147,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     \n       [--backend sram|dram|mlc] [--samples N] [--threads N] [--full]\
                     \n       [--image <spec>] [--kind-law flip|stuck-at|stuck-at:P]\
                     \n       [--kernel sparse|bitsliced|auto]\
-                    \n       [--wide-generation on|off] [--auto-threshold <faults-per-row>]\
                     \n       [--metrics <metrics-json-path>]\
                     \nrun 'campaign_run --figure list' for the figure catalogue"
                 .into(),
@@ -173,21 +164,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Err(error.clone().into());
     }
     // A typo in --shards/--jobs/--retries must not silently degrade the
-    // campaign split (the same policy an unparseable --shard has), and a
-    // typo in --image/--kind-law must not silently select a different
-    // campaign sweep.
+    // campaign split (the same policy an unparseable --shard has), a typo
+    // in --image/--kind-law must not silently select a different campaign
+    // sweep, and a removed flag must not be silently ignored.
     if !options.driver_flag_errors.is_empty() {
         return Err(options.driver_flag_errors.join("; ").into());
     }
     if !options.spec_flag_errors.is_empty() {
         return Err(options.spec_flag_errors.join("; ").into());
     }
-    // Same policy for the tuning flags: a typo'd --auto-threshold must not
-    // silently run (and checkpoint) a different tuning.
-    if !options.tuning_flag_errors.is_empty() {
-        return Err(options.tuning_flag_errors.join("; ").into());
-    }
-    check_tuning_flags(&options)?;
 
     let shard_count = options.shards.unwrap_or(1).max(1);
     let jobs = options
@@ -383,15 +368,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|kernel| format!(", {kernel} kernel"))
             .unwrap_or_default();
         // Generation share from the checkpoint telemetry (absent in files
-        // from before it existed). Generation seconds are CPU time summed
-        // across the shard's workers, so the share of the wall clock can
-        // exceed 100% at worker counts above one.
+        // from before it existed). Generation seconds are worker-seconds:
+        // wall spans summed across the shard's workers, so the share of
+        // the wall clock can exceed 100% at worker counts above one.
         let generation = match (state.generation_seconds(), state.elapsed_seconds()) {
             (Some(gen_seconds), Some(seconds)) if seconds > 0.0 => format!(
-                ", gen {gen_seconds:.2}s CPU ({:.0}% of wall)",
+                ", gen {gen_seconds:.2} worker-seconds ({:.0}% of wall)",
                 100.0 * gen_seconds / seconds
             ),
-            (Some(gen_seconds), _) => format!(", gen {gen_seconds:.2}s CPU"),
+            (Some(gen_seconds), _) => format!(", gen {gen_seconds:.2} worker-seconds"),
             (None, _) => String::new(),
         };
         // A shard's sample count spans every Monte-Carlo panel it evaluated

@@ -24,7 +24,7 @@
 //! campaign_shard fig7 elasticnet --shard 1/3 --samples 4 --out shards/fig7-el-1of3.json
 //! ```
 
-use faultmit_bench::figures::{check_identity_flags, check_tuning_flags, find_figure};
+use faultmit_bench::figures::{check_identity_flags, find_figure};
 use faultmit_bench::metrics::ShardMetrics;
 use faultmit_bench::shard::{ShardPanelState, ShardState};
 use faultmit_bench::RunOptions;
@@ -55,16 +55,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // Same policy for the campaign-identity flags: a typo in --image or
     // --kind-law must not silently evaluate a different campaign and write
-    // its state under this shard file's name.
+    // its state under this shard file's name, and a removed flag must not
+    // be silently ignored.
     if !options.spec_flag_errors.is_empty() {
         return Err(options.spec_flag_errors.join("; ").into());
     }
-    // And for the tuning flags: a typo'd --auto-threshold must not silently
-    // record default-threshold telemetry under this shard file's name.
-    if !options.tuning_flag_errors.is_empty() {
-        return Err(options.tuning_flag_errors.join("; ").into());
-    }
-    check_tuning_flags(&options)?;
     let shard = options.shard_or_solo();
     let out_path = options
         .json_path
@@ -114,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let recorder = std::sync::Arc::new(obs::Recorder::new());
     let guard = obs::install(&recorder);
     let started = std::time::Instant::now();
-    let run = figure.run_shard_tuned(&spec, options.tuning(), options.parallelism(), shard)?;
+    let run = figure.run_shard(&spec, options.parallelism(), shard)?;
     let elapsed_seconds = started.elapsed().as_secs_f64();
     drop(guard);
     let panels = run.panels;
@@ -128,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into());
     }
 
-    let kernel = figure.resolved_kernel_tuned(&spec, options.tuning());
+    let kernel = figure.resolved_kernel(&spec);
     let state = ShardState {
         spec,
         shard,
@@ -141,18 +136,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // (and for sizing future splits to the slowest host), plus which
         // evaluation kernel produced the state so throughput numbers stay
         // comparable across checkpoints — `--kernel auto` records the
-        // density-resolved choice (`auto:<kernel>`), next to the
-        // --auto-threshold override that resolution used (the merge
-        // validates it across the set). Figures without a kernel axis
-        // (deterministic tables, app-quality campaigns) record none, and
-        // only engines that time generation record generation seconds.
+        // density-resolved choice (`auto:<kernel>`; the merge validates it
+        // across the set). Figures without a kernel axis (deterministic
+        // tables, app-quality campaigns) record none, and figures that
+        // generate no dies record no generation seconds.
         // The snapshot carries the typed counters/histograms/stage clocks
         // this shard's pipeline recorded.
         metrics: ShardMetrics {
             elapsed_seconds: Some(elapsed_seconds),
             kernel,
             generation_seconds: run.generation_seconds,
-            auto_threshold: options.auto_threshold,
+            auto_threshold: None,
             snapshot: Some(recorder.snapshot()),
         },
     };

@@ -38,16 +38,14 @@
 //!   picks sparse or bitsliced from the campaign's fault density). The
 //!   removed kernels' names (`scalar`, `bitsliced256`) are refused like any
 //!   unknown name. Honoured by the MSE catalogue campaigns
-//!   (`fig5_mse_cdf`, `fig8_backend_matrix`, `fig9_data_sensitivity`);
-//! * `--wide-generation <on|off>` — force the lane-interleaved block fault
-//!   generation path on or off (default on; bit-identical either way, a
-//!   generation-throughput knob for the same catalogue campaigns);
-//! * `--auto-threshold <f/row>` — override the `auto` kernel's density
-//!   threshold in expected faults per row (requires `--kernel auto`; see
-//!   [`faultmit_sim::AUTO_FAULTS_PER_ROW_THRESHOLD`]).
+//!   (`fig5_mse_cdf`, `fig8_backend_matrix`, `fig9_data_sensitivity`).
 //!
-//! Anything else is collected as a positional argument (e.g. the benchmark
-//! selector of `fig7_quality`).
+//! The removed tuning flags `--wide-generation` and `--auto-threshold` are
+//! refused (with their value, if one follows) through
+//! [`RunOptions::spec_flag_errors`], so a campaign entry point given one
+//! fails before any output instead of silently ignoring it. Anything else
+//! is collected as a positional argument (e.g. the benchmark selector of
+//! `fig7_quality`).
 
 use crate::json::ToJson;
 use faultmit_memsim::{
@@ -124,30 +122,12 @@ pub struct RunOptions {
     /// of the campaign spec so shard checkpoints record which kernel
     /// produced them.
     pub kernel: Option<KernelKind>,
-    /// Wide-generation toggle selected with `--wide-generation <on|off>`
-    /// (`None` = the engine default, on). An identity-free tuning knob: the
-    /// lane-interleaved generation path is bit-identical to the scalar one,
-    /// so this selects generation throughput only. Only the block kernels
-    /// of the MSE catalogue campaigns generate through it; elsewhere the
-    /// toggle is inert.
-    pub wide_generation: Option<bool>,
-    /// Density threshold override for the `auto` kernel in expected faults
-    /// per row, `--auto-threshold <f/row>` (`None` = the engine default,
-    /// [`faultmit_sim::AUTO_FAULTS_PER_ROW_THRESHOLD`]). Identity-free like
-    /// [`RunOptions::wide_generation`], but it can flip which kernel `auto`
-    /// resolves to, so shard checkpoints record it and the merge validates
-    /// it across the set. Requires `--kernel auto`.
-    pub auto_threshold: Option<f64>,
-    /// Unparseable values seen for the engine-tuning flags
-    /// (`--wide-generation`/`--auto-threshold`). The campaign entry points
-    /// treat these as fatal: a typo in `--auto-threshold` must not silently
-    /// run (and record telemetry for) a different tuning than the one the
-    /// user asked for.
-    pub tuning_flag_errors: Vec<String>,
     /// Unparseable values seen for the campaign-identity flags
-    /// (`--image`/`--kind-law`). The campaign entry points treat these as
-    /// fatal: a typo in `--image` must not silently run a different (and
-    /// much larger) sweep than the one the user asked for.
+    /// (`--image`/`--kind-law`/`--kernel`), and the removed tuning flags
+    /// (`--wide-generation`/`--auto-threshold`). The campaign entry points
+    /// treat these as fatal: a typo in `--image` must not silently run a
+    /// different (and much larger) sweep than the one the user asked for,
+    /// and a removed flag must not be silently ignored.
     pub spec_flag_errors: Vec<String>,
     /// Positional arguments (e.g. the benchmark selector of `fig7_quality`).
     pub positional: Vec<String>,
@@ -287,41 +267,16 @@ impl RunOptions {
                         .spec_flag_errors
                         .push("--kernel requires a value".to_owned()),
                 },
-                "--wide-generation" => match next_value(&mut iter, "--wide-generation") {
-                    Some(value) => match value.as_str() {
-                        "on" => options.wide_generation = Some(true),
-                        "off" => options.wide_generation = Some(false),
-                        other => {
-                            let message =
-                                format!("invalid --wide-generation value '{other}' (on|off)");
-                            eprintln!("{message}");
-                            options.tuning_flag_errors.push(message);
-                        }
-                    },
-                    None => options
-                        .tuning_flag_errors
-                        .push("--wide-generation requires a value (on|off)".to_owned()),
-                },
-                "--auto-threshold" => match next_value(&mut iter, "--auto-threshold") {
-                    Some(value) => match value.parse::<f64>() {
-                        // The threshold is a fault density (faults per row):
-                        // only finite positive values describe one.
-                        Ok(threshold) if threshold.is_finite() && threshold > 0.0 => {
-                            options.auto_threshold = Some(threshold);
-                        }
-                        _ => {
-                            let message = format!(
-                                "invalid --auto-threshold value '{value}' \
-                                 (expected a finite faults-per-row density > 0)"
-                            );
-                            eprintln!("{message}");
-                            options.tuning_flag_errors.push(message);
-                        }
-                    },
-                    None => options
-                        .tuning_flag_errors
-                        .push("--auto-threshold requires a value".to_owned()),
-                },
+                "--wide-generation" | "--auto-threshold" => {
+                    // Consume the flag's old value so it is not mistaken
+                    // for a positional argument.
+                    if iter.peek().is_some_and(|value| !value.starts_with("--")) {
+                        iter.next();
+                    }
+                    options.spec_flag_errors.push(format!(
+                        "{arg} was removed; drop the flag (it tuned throughput, never results)"
+                    ));
+                }
                 "--t-ref-ns" => {
                     if let Some(value) =
                         next_value(&mut iter, "--t-ref-ns").and_then(|v| v.parse().ok())
@@ -371,16 +326,6 @@ impl RunOptions {
     #[must_use]
     pub fn samples_or(&self, default: usize) -> usize {
         self.samples.unwrap_or(default).max(1)
-    }
-
-    /// The engine tuning implied by `--wide-generation`/`--auto-threshold`
-    /// (defaults keep the engine defaults).
-    #[must_use]
-    pub fn tuning(&self) -> crate::figures::EngineTuning {
-        crate::figures::EngineTuning {
-            wide_generation: self.wide_generation,
-            auto_threshold: self.auto_threshold,
-        }
     }
 
     /// Writes `value` as pretty JSON to the configured path, if any.
@@ -800,57 +745,23 @@ mod tests {
     }
 
     #[test]
-    fn parse_recognises_the_tuning_flags() {
-        let opts = RunOptions::parse(
-            ["--wide-generation", "off", "--auto-threshold", "0.25"]
-                .iter()
-                .map(|s| (*s).to_owned()),
-        );
-        assert_eq!(opts.wide_generation, Some(false));
-        assert_eq!(opts.auto_threshold, Some(0.25));
-        assert!(opts.tuning_flag_errors.is_empty());
-        assert_eq!(opts.tuning().wide_generation, Some(false));
-        assert_eq!(opts.tuning().auto_threshold, Some(0.25));
-
-        let opts = RunOptions::parse(["--wide-generation", "on"].iter().map(|s| (*s).to_owned()));
-        assert_eq!(opts.wide_generation, Some(true));
-
-        let opts = RunOptions::parse(std::iter::empty());
-        assert!(opts.wide_generation.is_none());
-        assert!(opts.auto_threshold.is_none());
-        assert_eq!(opts.tuning(), crate::figures::EngineTuning::default());
-
-        // Typos and out-of-domain thresholds are consumed and recorded as
-        // fatal: a bad tuning flag must not silently run (and record
-        // telemetry for) a different tuning than the one asked for.
-        let opts = RunOptions::parse(
-            ["--wide-generation", "wide", "--auto-threshold", "-1"]
-                .iter()
-                .map(|s| (*s).to_owned()),
-        );
-        assert!(opts.wide_generation.is_none());
-        assert!(opts.auto_threshold.is_none());
-        assert_eq!(opts.tuning_flag_errors.len(), 2);
-        assert!(opts.tuning_flag_errors[0].contains("wide"));
-        assert!(opts.tuning_flag_errors[1].contains("-1"));
-        for bad in ["nan", "inf", "0"] {
-            let opts = RunOptions::parse(["--auto-threshold".to_owned(), bad.to_owned()]);
-            assert!(opts.auto_threshold.is_none(), "{bad} must be rejected");
-            assert_eq!(opts.tuning_flag_errors.len(), 1, "{bad}");
+    fn removed_tuning_flags_are_refused() {
+        for flag in ["--wide-generation", "--auto-threshold"] {
+            // With a value: both words are consumed, neither becomes a
+            // positional, and the refusal is a fatal spec error.
+            let opts = RunOptions::parse([flag, "off", "--full"].iter().map(|s| (*s).to_owned()));
+            assert!(opts.positional.is_empty(), "{flag}");
+            assert!(opts.full_scale, "{flag}");
+            assert_eq!(opts.spec_flag_errors.len(), 1, "{flag}");
+            assert!(
+                opts.spec_flag_errors[0].contains(&format!("{flag} was removed")),
+                "{:?}",
+                opts.spec_flag_errors
+            );
+            // Without a value: still refused.
+            let opts = RunOptions::parse([flag.to_owned()]);
+            assert_eq!(opts.spec_flag_errors.len(), 1, "{flag}");
         }
-
-        // A dropped value is recorded too.
-        let opts = RunOptions::parse(
-            ["--auto-threshold", "--full"]
-                .iter()
-                .map(|s| (*s).to_owned()),
-        );
-        assert!(opts.auto_threshold.is_none());
-        assert!(opts.full_scale);
-        assert_eq!(
-            opts.tuning_flag_errors,
-            vec!["--auto-threshold requires a value"]
-        );
     }
 
     #[test]

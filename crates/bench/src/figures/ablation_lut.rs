@@ -4,6 +4,7 @@
 
 use super::{
     single_panel, take_table, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
+    ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -112,11 +113,9 @@ impl FigureDef for AblationLutDef {
         _spec: &FigureSpec,
         _parallelism: Parallelism,
         _shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
+    ) -> Result<ShardRun, FigureError> {
         let model = OverheadModel::paper_16kb();
-        Ok(vec![PanelState::Table {
-            rows: compute_series(&model).to_json(),
-        }])
+        Ok(ShardRun::table(compute_series(&model).to_json()))
     }
 
     fn render(

@@ -1,7 +1,9 @@
 //! Ablation — FM-LUT shift-selection policy for rows with multiple faults,
 //! as a paired campaign over raw record streams.
 
-use super::{take_records, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure};
+use super::{
+    take_records, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure, ShardRun,
+};
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::memory_mse;
@@ -13,6 +15,7 @@ use faultmit_memsim::{corrupt_word, Backend, FaultMap, MemoryConfig};
 use faultmit_sim::{
     Campaign, CampaignConfig, CollectRecords, PairedSample, Parallelism, ShardSpec,
 };
+use std::convert::Infallible;
 use std::fmt::Write as _;
 
 /// The campaign seed baked into the shift-policy ablation.
@@ -170,8 +173,9 @@ impl FigureDef for AblationShiftDef {
         spec: &FigureSpec,
         parallelism: Parallelism,
         shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
-        sweep_points(spec)
+    ) -> Result<ShardRun, FigureError> {
+        let mut generation_seconds = 0.0;
+        let panels = sweep_points(spec)
             .into_iter()
             .map(|(n_fm, faults_per_map)| {
                 let geometry = SegmentGeometry::new(32, n_fm)?;
@@ -180,7 +184,7 @@ impl FigureDef for AblationShiftDef {
                 let optimal = Scheme::BitShuffle(geometry);
                 let schemes: [&(dyn MitigationScheme + Sync); 2] = [&naive, &optimal];
                 let campaign = point_campaign(spec, parallelism, faults_per_map)?;
-                let collected = campaign.run_shard(
+                let (collected, stats) = campaign.run_shard(
                     &schemes,
                     ABLATION_SHIFT_SEED,
                     shard,
@@ -188,15 +192,21 @@ impl FigureDef for AblationShiftDef {
                         for (metric, scheme) in metrics.iter_mut().zip(&schemes) {
                             *metric = memory_mse(scheme, map);
                         }
+                        Ok::<(), Infallible>(())
                     },
                     CollectRecords::new,
                 )?;
+                generation_seconds += stats.generation_seconds;
                 Ok(PanelState::Records {
                     metric_names: schemes.iter().map(|s| s.name()).collect(),
                     records: collected.records,
                 })
             })
-            .collect()
+            .collect::<Result<_, FigureError>>()?;
+        Ok(ShardRun {
+            panels,
+            generation_seconds: Some(generation_seconds),
+        })
     }
 
     fn render(

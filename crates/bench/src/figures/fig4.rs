@@ -3,6 +3,7 @@
 
 use super::{
     single_panel, take_table, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
+    ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -87,12 +88,10 @@ impl FigureDef for Fig4Def {
         _spec: &FigureSpec,
         _parallelism: Parallelism,
         _shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
+    ) -> Result<ShardRun, FigureError> {
         // Deterministic figures are recomputed by every shard; the merge
         // validates the copies agree.
-        Ok(vec![PanelState::Table {
-            rows: compute_series()?.to_json(),
-        }])
+        Ok(ShardRun::table(compute_series()?.to_json()))
     }
 
     fn render(

@@ -2,18 +2,16 @@
 //! under the full protection catalogue.
 
 use super::{
-    single_panel, take_catalogue, EngineTuning, FigureDef, FigureError, FigureSpec, PanelState,
-    RenderedFigure, ShardRun,
+    single_panel, take_catalogue, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
+    ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::{format_percent, format_sci, Table};
-use faultmit_analysis::{
-    CatalogueAccumulator, MonteCarloConfig, MonteCarloEngine, SchemeMseResult,
-};
+use faultmit_analysis::{CatalogueAccumulator, MonteCarloEngine, SchemeMseResult};
 use faultmit_core::{MitigationScheme, Scheme};
 use faultmit_memsim::{Backend, FaultBackend, MemoryConfig};
-use faultmit_sim::{Parallelism, ShardSpec};
+use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec, ShardStats};
 use std::fmt::Write as _;
 
 /// The campaign seed baked into the Fig. 5 protocol.
@@ -40,33 +38,17 @@ impl Fig5Campaign {
     ///
     /// Propagates backend-calibration errors.
     pub fn from_spec(spec: &FigureSpec, parallelism: Parallelism) -> Result<Self, FigureError> {
-        Self::from_spec_tuned(spec, EngineTuning::default(), parallelism)
-    }
-
-    /// [`Fig5Campaign::from_spec`] with identity-free engine tuning applied
-    /// (results stay bit-identical under any tuning).
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend-calibration errors.
-    pub fn from_spec_tuned(
-        spec: &FigureSpec,
-        tuning: EngineTuning,
-        parallelism: Parallelism,
-    ) -> Result<Self, FigureError> {
         assert_eq!(spec.figure, "fig5", "not a Fig. 5 spec");
         // The paper evaluates a 16 KB memory at P_cell = 5e-6 over failure
         // counts 1..150 with 1e7 MC runs; the reduced default keeps the same
         // memory and P_cell with a smaller budget.
         let max_failures = if spec.full_scale { 150 } else { 24 };
         let backend = Backend::at_p_cell(spec.backend_kind(), MemoryConfig::paper_16kb(), 5e-6)?;
-        let config = MonteCarloConfig::for_backend(backend)
+        let config = CampaignConfig::for_backend(backend)?
             .with_samples_per_count(spec.samples_per_count)
             .with_max_failures(max_failures)
             .with_parallelism(parallelism)
-            .with_kernel(spec.kernel_kind())
-            .with_auto_threshold(tuning.auto_threshold)
-            .with_wide_generation(tuning.wide_generation.unwrap_or(true));
+            .with_kernel(spec.kernel_kind());
         Ok(Self {
             engine: MonteCarloEngine::new(config),
             schemes: Scheme::fig5_catalogue(),
@@ -75,19 +57,8 @@ impl Fig5Campaign {
         })
     }
 
-    /// Runs one shard, returning the raw accumulator state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates campaign errors.
-    pub fn run_shard(&self, shard: ShardSpec) -> Result<CatalogueAccumulator, FigureError> {
-        Ok(self
-            .engine
-            .run_catalogue_shard(&self.schemes, self.seed, shard)?)
-    }
-
-    /// Runs one shard, returning the accumulator state plus the run's
-    /// generation-time telemetry.
+    /// Runs one shard, returning the raw accumulator state plus the run's
+    /// telemetry.
     ///
     /// # Errors
     ///
@@ -95,10 +66,10 @@ impl Fig5Campaign {
     pub fn run_shard_stats(
         &self,
         shard: ShardSpec,
-    ) -> Result<(CatalogueAccumulator, faultmit_sim::ShardStats), FigureError> {
+    ) -> Result<(CatalogueAccumulator, ShardStats), FigureError> {
         Ok(self
             .engine
-            .run_catalogue_shard_stats(&self.schemes, self.seed, shard)?)
+            .run_catalogue_shard_on_image_stats(&self.schemes, self.seed, shard, None)?)
     }
 
     /// Reduces (possibly shard-merged) state to per-scheme results.
@@ -199,11 +170,7 @@ impl FigureDef for Fig5Def {
     }
 
     fn resolved_kernel(&self, spec: &FigureSpec) -> Option<String> {
-        self.resolved_kernel_tuned(spec, EngineTuning::default())
-    }
-
-    fn resolved_kernel_tuned(&self, spec: &FigureSpec, tuning: EngineTuning) -> Option<String> {
-        let campaign = Fig5Campaign::from_spec_tuned(spec, tuning, Parallelism::Serial).ok()?;
+        let campaign = Fig5Campaign::from_spec(spec, Parallelism::Serial).ok()?;
         super::kernel_telemetry(spec.kernel, campaign.engine.config().resolved_kernel().ok())
     }
 
@@ -212,20 +179,8 @@ impl FigureDef for Fig5Def {
         spec: &FigureSpec,
         parallelism: Parallelism,
         shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
-        Ok(self
-            .run_shard_tuned(spec, EngineTuning::default(), parallelism, shard)?
-            .panels)
-    }
-
-    fn run_shard_tuned(
-        &self,
-        spec: &FigureSpec,
-        tuning: EngineTuning,
-        parallelism: Parallelism,
-        shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {
-        let campaign = Fig5Campaign::from_spec_tuned(spec, tuning, parallelism)?;
+        let campaign = Fig5Campaign::from_spec(spec, parallelism)?;
         let (accumulator, stats) = campaign.run_shard_stats(shard)?;
         Ok(ShardRun {
             panels: vec![PanelState::Catalogue {

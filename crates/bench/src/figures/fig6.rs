@@ -3,6 +3,7 @@
 
 use super::{
     single_panel, take_table, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
+    ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -90,11 +91,9 @@ impl FigureDef for Fig6Def {
         _spec: &FigureSpec,
         _parallelism: Parallelism,
         _shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
+    ) -> Result<ShardRun, FigureError> {
         let model = OverheadModel::paper_16kb();
-        Ok(vec![PanelState::Table {
-            rows: compute_entries(&model).to_json(),
-        }])
+        Ok(ShardRun::table(compute_entries(&model).to_json()))
     }
 
     fn render(

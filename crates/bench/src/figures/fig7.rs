@@ -3,7 +3,7 @@
 
 use super::{
     selected_benchmarks, take_catalogue, FigureDef, FigureError, FigureSpec, PanelState,
-    RenderedFigure,
+    RenderedFigure, ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -86,18 +86,24 @@ impl Fig7Campaign {
     }
 
     /// Runs one shard of every benchmark panel, returning one accumulator
-    /// per panel in spec order.
+    /// per panel in spec order and the generation worker-seconds summed
+    /// over the panels.
     ///
     /// # Errors
     ///
     /// Propagates campaign errors.
-    pub fn run_shard(&self, shard: ShardSpec) -> Result<Vec<CatalogueAccumulator>, FigureError> {
-        self.evaluators
+    pub fn run_shard_stats(
+        &self,
+        shard: ShardSpec,
+    ) -> Result<(Vec<CatalogueAccumulator>, f64), FigureError> {
+        let mut generation_seconds = 0.0;
+        let states = self
+            .evaluators
             .iter()
             .map(|evaluator| {
                 // The paper's protocol discards fault maps with more than
                 // one fault per word (bounded redraw).
-                Ok(evaluator.quality_shard_on(
+                let (state, stats) = evaluator.quality_shard_on(
                     &self.schemes,
                     &self.backend,
                     self.max_failures,
@@ -105,9 +111,21 @@ impl Fig7Campaign {
                     self.seed,
                     true,
                     shard,
-                )?)
+                )?;
+                generation_seconds += stats.generation_seconds;
+                Ok(state)
             })
-            .collect()
+            .collect::<Result<_, FigureError>>()?;
+        Ok((states, generation_seconds))
+    }
+
+    /// [`Fig7Campaign::run_shard_stats`] without the telemetry.
+    ///
+    /// # Errors
+    ///
+    /// Propagates campaign errors.
+    pub fn run_shard(&self, shard: ShardSpec) -> Result<Vec<CatalogueAccumulator>, FigureError> {
+        Ok(self.run_shard_stats(shard)?.0)
     }
 
     /// Reduces one panel's (possibly shard-merged) state to per-scheme
@@ -230,21 +248,24 @@ impl FigureDef for Fig7Def {
         spec: &FigureSpec,
         parallelism: Parallelism,
         shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
+    ) -> Result<ShardRun, FigureError> {
         let campaign = Fig7Campaign::from_spec(spec, parallelism)?;
         let scheme_names: Vec<String> = campaign
             .schemes
             .iter()
             .map(MitigationScheme::name)
             .collect();
-        Ok(campaign
-            .run_shard(shard)?
-            .into_iter()
-            .map(|accumulator| PanelState::Catalogue {
-                scheme_names: scheme_names.clone(),
-                accumulator,
-            })
-            .collect())
+        let (states, generation_seconds) = campaign.run_shard_stats(shard)?;
+        Ok(ShardRun {
+            panels: states
+                .into_iter()
+                .map(|accumulator| PanelState::Catalogue {
+                    scheme_names: scheme_names.clone(),
+                    accumulator,
+                })
+                .collect(),
+            generation_seconds: Some(generation_seconds),
+        })
     }
 
     fn render(

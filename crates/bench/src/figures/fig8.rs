@@ -2,19 +2,18 @@
 //! across memory technologies and operating points.
 
 use super::{
-    take_catalogue, EngineTuning, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
-    ShardRun,
+    take_catalogue, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure, ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::{format_percent, format_sci, Table};
-use faultmit_analysis::{MonteCarloConfig, MonteCarloEngine};
+use faultmit_analysis::MonteCarloEngine;
 use faultmit_core::{MitigationScheme, Scheme};
 use faultmit_memsim::{
     Backend, BackendKind, CellFailureModel, DramRetentionBackend, FaultBackend, MemoryConfig,
     MlcNvmBackend, SramVddBackend,
 };
-use faultmit_sim::{Parallelism, ShardSpec};
+use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec};
 use std::fmt::Write as _;
 
 /// The campaign seed baked into the Fig. 8 protocol.
@@ -94,11 +93,10 @@ fn failure_cap(spec: &FigureSpec) -> u64 {
     }
 }
 
-/// One cell of the backend × operating-point matrix, materialised into a
-/// catalogue engine with the (identity-free) tuning applied.
+/// Every cell of the backend × operating-point matrix, materialised into a
+/// catalogue engine.
 fn panel_engines(
     spec: &FigureSpec,
-    tuning: EngineTuning,
     parallelism: Parallelism,
 ) -> Result<Vec<(BackendKind, MonteCarloEngine<Backend>)>, FigureError> {
     let memory = MemoryConfig::paper_16kb();
@@ -114,13 +112,11 @@ fn panel_engines(
             // operating point, bounded so aggressive corners stay cheap.
             let max_failures = backend.failure_distribution()?.n_max(0.99).clamp(1, cap);
             let engine = MonteCarloEngine::new(
-                MonteCarloConfig::for_backend(backend)
+                CampaignConfig::for_backend(backend)?
                     .with_samples_per_count(spec.samples_per_count)
                     .with_max_failures(max_failures)
                     .with_parallelism(parallelism)
-                    .with_kernel(spec.kernel_kind())
-                    .with_auto_threshold(tuning.auto_threshold)
-                    .with_wide_generation(tuning.wide_generation.unwrap_or(true)),
+                    .with_kernel(spec.kernel_kind()),
             );
             engines.push((kind, engine));
         }
@@ -173,13 +169,9 @@ impl FigureDef for Fig8Def {
     }
 
     fn resolved_kernel(&self, spec: &FigureSpec) -> Option<String> {
-        self.resolved_kernel_tuned(spec, EngineTuning::default())
-    }
-
-    fn resolved_kernel_tuned(&self, spec: &FigureSpec, tuning: EngineTuning) -> Option<String> {
         // Each operating point of the matrix resolves `auto` at its own
         // density; the telemetry joins the distinct choices.
-        let engines = panel_engines(spec, tuning, Parallelism::Serial).ok()?;
+        let engines = panel_engines(spec, Parallelism::Serial).ok()?;
         super::kernel_telemetry(
             spec.kernel,
             engines
@@ -193,27 +185,15 @@ impl FigureDef for Fig8Def {
         spec: &FigureSpec,
         parallelism: Parallelism,
         shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
-        Ok(self
-            .run_shard_tuned(spec, EngineTuning::default(), parallelism, shard)?
-            .panels)
-    }
-
-    fn run_shard_tuned(
-        &self,
-        spec: &FigureSpec,
-        tuning: EngineTuning,
-        parallelism: Parallelism,
-        shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {
         let schemes = spec_schemes();
         let scheme_names: Vec<String> = schemes.iter().map(MitigationScheme::name).collect();
         let mut generation_seconds = 0.0;
-        let panels = panel_engines(spec, tuning, parallelism)?
+        let panels = panel_engines(spec, parallelism)?
             .into_iter()
             .map(|(_, engine)| {
                 let (accumulator, stats) =
-                    engine.run_catalogue_shard_stats(&schemes, FIG8_SEED, shard)?;
+                    engine.run_catalogue_shard_on_image_stats(&schemes, FIG8_SEED, shard, None)?;
                 generation_seconds += stats.generation_seconds;
                 Ok(PanelState::Catalogue {
                     scheme_names: scheme_names.clone(),
@@ -234,7 +214,7 @@ impl FigureDef for Fig8Def {
         panels: Vec<PanelState>,
     ) -> Result<RenderedFigure, FigureError> {
         let schemes = spec_schemes();
-        let engines = panel_engines(spec, EngineTuning::default(), parallelism)?;
+        let engines = panel_engines(spec, parallelism)?;
         if panels.len() != engines.len() {
             return Err(format!(
                 "fig8 expects {} operating-point panels, got {}",
@@ -349,7 +329,8 @@ mod tests {
         // default flip law.
         let panels = figure
             .run_shard(&spec, Parallelism::Serial, ShardSpec::solo())
-            .unwrap();
+            .unwrap()
+            .panels;
         let rendered = figure.render(&spec, Parallelism::Serial, panels).unwrap();
         assert!(rendered.report.contains("fault-kind law: stuck-at:1"));
         for row in rendered.document.as_array().unwrap() {

@@ -13,19 +13,16 @@
 //! rows measures the data dependence directly.
 
 use super::{
-    take_catalogue, EngineTuning, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
-    ShardRun,
+    take_catalogue, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure, ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::{format_percent, format_sci, Table};
-use faultmit_analysis::{
-    CatalogueAccumulator, MonteCarloConfig, MonteCarloEngine, SchemeMseResult,
-};
+use faultmit_analysis::{CatalogueAccumulator, MonteCarloEngine, SchemeMseResult};
 use faultmit_core::{MitigationScheme, Scheme};
 use faultmit_memsim::image::{AppImage, ImageSpec};
 use faultmit_memsim::{Backend, BackendKind, FaultBackend, FaultKindLaw, MemoryConfig};
-use faultmit_sim::{Parallelism, ShardSpec};
+use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec, ShardStats};
 use std::fmt::Write as _;
 
 /// The campaign seed baked into the Fig. 9 protocol.
@@ -121,8 +118,8 @@ pub struct Fig9Campaign {
     pub engine: MonteCarloEngine<Backend>,
 }
 
-/// Materialises one image of the Fig. 9 sweep (`None` = the all-zeros
-/// fast path of the MSE engine).
+/// Materialises one image of the Fig. 9 sweep (`None` for the all-zeros
+/// image, which the MSE engine evaluates through its zeros fast path).
 ///
 /// # Errors
 ///
@@ -148,20 +145,6 @@ impl Fig9Campaign {
         spec: &FigureSpec,
         parallelism: Parallelism,
     ) -> Result<Vec<Fig9Campaign>, FigureError> {
-        Self::matrix_tuned(spec, EngineTuning::default(), parallelism)
-    }
-
-    /// [`Fig9Campaign::matrix`] with identity-free engine tuning applied to
-    /// every cell (results stay bit-identical under any tuning).
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend-calibration and image-materialisation errors.
-    pub fn matrix_tuned(
-        spec: &FigureSpec,
-        tuning: EngineTuning,
-        parallelism: Parallelism,
-    ) -> Result<Vec<Fig9Campaign>, FigureError> {
         let memory = MemoryConfig::paper_16kb();
         let cap = failure_cap(spec);
         let mut cells = Vec::new();
@@ -172,14 +155,12 @@ impl Fig9Campaign {
                         Backend::at_p_cell(kind, memory, FIG9_P_CELL)?.with_kind_law(law)?;
                     let max_failures = backend.failure_distribution()?.n_max(0.99).clamp(1, cap);
                     let engine = MonteCarloEngine::new(
-                        MonteCarloConfig::for_backend(backend)
+                        CampaignConfig::for_backend(backend)?
                             .with_samples_per_count(spec.samples_per_count)
                             .with_max_failures(max_failures)
                             .with_parallelism(parallelism)
                             .with_image(image)
-                            .with_kernel(spec.kernel_kind())
-                            .with_auto_threshold(tuning.auto_threshold)
-                            .with_wide_generation(tuning.wide_generation.unwrap_or(true)),
+                            .with_kernel(spec.kernel_kind()),
                     );
                     cells.push(Fig9Campaign {
                         kind,
@@ -200,24 +181,9 @@ impl Fig9Campaign {
     }
 
     /// Runs one shard of the cell's data-aware campaign against the cell's
-    /// materialised image (`None` = the all-zeros fast path; see
-    /// [`fig9_image_words`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates campaign errors.
-    pub fn run_shard(
-        &self,
-        shard: ShardSpec,
-        data: Option<&[u64]>,
-    ) -> Result<CatalogueAccumulator, FigureError> {
-        Ok(self
-            .engine
-            .run_catalogue_shard_on_image(&spec_schemes(), FIG9_SEED, shard, data)?)
-    }
-
-    /// [`Fig9Campaign::run_shard`] returning the run's generation-time
-    /// telemetry alongside the accumulator.
+    /// materialised image words ([`fig9_image_words`]; `None` evaluates the
+    /// cell's configured image), returning the accumulator and the run's
+    /// telemetry.
     ///
     /// # Errors
     ///
@@ -226,7 +192,7 @@ impl Fig9Campaign {
         &self,
         shard: ShardSpec,
         data: Option<&[u64]>,
-    ) -> Result<(CatalogueAccumulator, faultmit_sim::ShardStats), FigureError> {
+    ) -> Result<(CatalogueAccumulator, ShardStats), FigureError> {
         Ok(self.engine.run_catalogue_shard_on_image_stats(
             &spec_schemes(),
             FIG9_SEED,
@@ -329,13 +295,9 @@ impl FigureDef for Fig9Def {
     }
 
     fn resolved_kernel(&self, spec: &FigureSpec) -> Option<String> {
-        self.resolved_kernel_tuned(spec, EngineTuning::default())
-    }
-
-    fn resolved_kernel_tuned(&self, spec: &FigureSpec, tuning: EngineTuning) -> Option<String> {
         // Every cell of the matrix resolves `auto` at its own density; the
         // telemetry joins the distinct choices.
-        let cells = Fig9Campaign::matrix_tuned(spec, tuning, Parallelism::Serial).ok()?;
+        let cells = Fig9Campaign::matrix(spec, Parallelism::Serial).ok()?;
         super::kernel_telemetry(
             spec.kernel,
             cells
@@ -349,18 +311,6 @@ impl FigureDef for Fig9Def {
         spec: &FigureSpec,
         parallelism: Parallelism,
         shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
-        Ok(self
-            .run_shard_tuned(spec, EngineTuning::default(), parallelism, shard)?
-            .panels)
-    }
-
-    fn run_shard_tuned(
-        &self,
-        spec: &FigureSpec,
-        tuning: EngineTuning,
-        parallelism: Parallelism,
-        shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {
         let scheme_names: Vec<String> = spec_schemes().iter().map(MitigationScheme::name).collect();
         // One materialisation per distinct image, shared across the
@@ -370,7 +320,7 @@ impl FigureDef for Fig9Def {
             .map(|image| Ok((image, fig9_image_words(image)?)))
             .collect::<Result<_, FigureError>>()?;
         let mut generation_seconds = 0.0;
-        let panels = Fig9Campaign::matrix_tuned(spec, tuning, parallelism)?
+        let panels = Fig9Campaign::matrix(spec, parallelism)?
             .into_iter()
             .map(|cell| {
                 let data = words_by_image
@@ -558,7 +508,8 @@ mod tests {
         let spec = figure.spec(&options);
         let panels = figure
             .run_shard(&spec, Parallelism::Serial, ShardSpec::solo())
-            .unwrap();
+            .unwrap()
+            .panels;
         let rendered = figure.render(&spec, Parallelism::Serial, panels).unwrap();
 
         let mean_for = |image: &str, scheme: &str| -> f64 {
@@ -593,7 +544,8 @@ mod tests {
         let spec = figure.spec(&options);
         let panels = figure
             .run_shard(&spec, Parallelism::Serial, ShardSpec::solo())
-            .unwrap();
+            .unwrap()
+            .panels;
         let rendered = figure.render(&spec, Parallelism::Serial, panels).unwrap();
         let rows = rendered.document.as_array().unwrap();
         let mean = |image: &str| -> Vec<f64> {

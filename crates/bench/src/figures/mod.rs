@@ -281,34 +281,27 @@ impl FigureSpec {
     }
 }
 
-/// Identity-free engine tuning the campaign drivers thread into a figure's
-/// engines: knobs that change *how fast* a campaign runs, never *what* it
-/// computes, so they are deliberately **not** part of [`FigureSpec`] —
-/// checkpoints produced under different tuning merge freely and render
-/// byte-identical documents.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EngineTuning {
-    /// Forces the lane-interleaved block generation path on or off
-    /// (`--wide-generation`); `None` keeps the engine default (on). Only
-    /// block kernels generate through it, and only for backends that opt
-    /// in — elsewhere the toggle is inert.
-    pub wide_generation: Option<bool>,
-    /// Overrides the `auto` kernel's density threshold in expected faults
-    /// per row (`--auto-threshold`); `None` keeps
-    /// [`faultmit_sim::AUTO_FAULTS_PER_ROW_THRESHOLD`].
-    pub auto_threshold: Option<f64>,
-}
-
-/// The outcome of one tuned shard evaluation: the panel states plus
-/// whatever run telemetry the figure's engines surfaced.
+/// The outcome of one shard evaluation: the panel states plus the shard's
+/// generation telemetry.
 #[derive(Debug)]
 pub struct ShardRun {
     /// One state per campaign panel, in panel order.
     pub panels: Vec<PanelState>,
-    /// Seconds the shard spent generating dies, summed across panels and
-    /// worker threads — `None` for figures whose engines do not time
-    /// generation (deterministic tables, figures without the stats hook).
+    /// Worker-seconds the shard spent generating dies: per-worker wall
+    /// spans summed across panels and worker threads (a descheduled
+    /// worker's span still counts). `None` for deterministic tables, which
+    /// generate no dies.
     pub generation_seconds: Option<f64>,
+}
+
+impl ShardRun {
+    /// The shard of a deterministic table: its one panel, no dies.
+    pub(crate) fn table(rows: JsonValue) -> Self {
+        Self {
+            panels: vec![PanelState::Table { rows }],
+            generation_seconds: None,
+        }
+    }
 }
 
 /// The accumulated state of one campaign panel inside a shard — the three
@@ -546,7 +539,8 @@ pub trait FigureDef: Sync {
         spec.kernel.map(|kernel| kernel.as_str().to_owned())
     }
 
-    /// Evaluates one shard of every panel, in panel order.
+    /// Evaluates one shard of every panel, in panel order, with the
+    /// shard's generation telemetry (every Monte-Carlo figure reports it).
     ///
     /// # Errors
     ///
@@ -557,41 +551,7 @@ pub trait FigureDef: Sync {
         spec: &FigureSpec,
         parallelism: Parallelism,
         shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError>;
-
-    /// [`FigureDef::run_shard`] with [`EngineTuning`] applied and run
-    /// telemetry surfaced. The default ignores the tuning and reports no
-    /// generation time — correct for figures without campaign engines; the
-    /// MSE catalogue figures override it. Tuning never changes panel
-    /// states: for any tuning, the returned panels are bit-identical to
-    /// [`FigureDef::run_shard`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`FigureDef::run_shard`].
-    fn run_shard_tuned(
-        &self,
-        spec: &FigureSpec,
-        tuning: EngineTuning,
-        parallelism: Parallelism,
-        shard: ShardSpec,
-    ) -> Result<ShardRun, FigureError> {
-        let _ = tuning;
-        Ok(ShardRun {
-            panels: self.run_shard(spec, parallelism, shard)?,
-            generation_seconds: None,
-        })
-    }
-
-    /// [`FigureDef::resolved_kernel`] under [`EngineTuning`] — the
-    /// telemetry must reflect an `--auto-threshold` override, since the
-    /// override can flip which kernel `auto` resolves to. The default
-    /// ignores the tuning (correct for figures whose telemetry never says
-    /// `auto:`); the MSE catalogue figures override it.
-    fn resolved_kernel_tuned(&self, spec: &FigureSpec, tuning: EngineTuning) -> Option<String> {
-        let _ = tuning;
-        self.resolved_kernel(spec)
-    }
+    ) -> Result<ShardRun, FigureError>;
 
     /// Renders merged panel states into the figure's document and report.
     ///
@@ -715,26 +675,6 @@ pub fn check_identity_flags(spec: &FigureSpec, options: &RunOptions) -> Result<(
     Ok(())
 }
 
-/// Rejects an inconsistent engine-tuning request: `--auto-threshold`
-/// re-tunes the `auto` kernel's density resolution, so it is meaningless —
-/// and silently inert — under any other `--kernel` choice.
-/// (`--wide-generation` needs no such check: it is accepted everywhere and
-/// simply inert for campaigns without block-kernel generation.)
-///
-/// # Errors
-///
-/// Returns a message naming the missing `--kernel auto`.
-pub fn check_tuning_flags(options: &RunOptions) -> Result<(), FigureError> {
-    if options.auto_threshold.is_some() && options.kernel != Some(KernelKind::Auto) {
-        return Err(
-            "--auto-threshold requires --kernel auto (it overrides the auto \
-                    kernel's faults-per-row density threshold)"
-                .into(),
-        );
-    }
-    Ok(())
-}
-
 /// The shared main body of every monolithic figure binary: parse the
 /// process arguments, run the figure's whole campaign as the `0/1` shard,
 /// print the report and write the `--json` document.
@@ -746,15 +686,11 @@ pub fn run_monolithic(name: &str) -> Result<(), FigureError> {
     let options = RunOptions::from_args();
     let figure = find_figure(name)?;
     // A typo in a campaign-identity flag (--image/--kind-law) must not
-    // silently run a different campaign than the one the user asked for —
-    // and a typo in a tuning flag must not silently run a different tuning.
+    // silently run a different campaign than the one the user asked for,
+    // and a removed flag must not be silently ignored.
     if !options.spec_flag_errors.is_empty() {
         return Err(options.spec_flag_errors.join("; ").into());
     }
-    if !options.tuning_flag_errors.is_empty() {
-        return Err(options.tuning_flag_errors.join("; ").into());
-    }
-    check_tuning_flags(&options)?;
     let spec = figure.spec(&options);
     check_identity_flags(&spec, &options)?;
     // The metrics recorder is installed only when --metrics asks for a
@@ -766,19 +702,14 @@ pub fn run_monolithic(name: &str) -> Result<(), FigureError> {
         .map(|_| std::sync::Arc::new(faultmit_obs::Recorder::new()));
     let guard = recorder.as_ref().map(faultmit_obs::install);
     let started = std::time::Instant::now();
-    let run = figure.run_shard_tuned(
-        &spec,
-        options.tuning(),
-        options.parallelism(),
-        ShardSpec::solo(),
-    )?;
+    let run = figure.run_shard(&spec, options.parallelism(), ShardSpec::solo())?;
     let elapsed_seconds = started.elapsed().as_secs_f64();
     drop(guard);
     let mut metrics = recorder.map(|recorder| ShardMetrics {
         elapsed_seconds: Some(elapsed_seconds),
         generation_seconds: run.generation_seconds,
-        kernel: figure.resolved_kernel_tuned(&spec, options.tuning()),
-        auto_threshold: options.auto_threshold,
+        kernel: figure.resolved_kernel(&spec),
+        auto_threshold: None,
         snapshot: Some(recorder.snapshot()),
     });
     let rendered = render_recorded(
@@ -790,7 +721,7 @@ pub fn run_monolithic(name: &str) -> Result<(), FigureError> {
     )?;
     print!("{}", rendered.report);
     if let Some(generation_seconds) = run.generation_seconds {
-        println!("generation time: {generation_seconds:.2}s CPU across all workers");
+        println!("generation time: {generation_seconds:.2} worker-seconds across all workers");
     }
     options.write_json(&rendered.document)?;
     if let Some(metrics) = &metrics {

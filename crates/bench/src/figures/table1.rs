@@ -4,6 +4,7 @@
 
 use super::{
     single_panel, take_table, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure,
+    ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
@@ -99,10 +100,8 @@ impl FigureDef for Table1Def {
         spec: &FigureSpec,
         _parallelism: Parallelism,
         _shard: ShardSpec,
-    ) -> Result<Vec<PanelState>, FigureError> {
-        Ok(vec![PanelState::Table {
-            rows: compute_rows(spec)?.to_json(),
-        }])
+    ) -> Result<ShardRun, FigureError> {
+        Ok(ShardRun::table(compute_rows(spec)?.to_json()))
     }
 
     fn render(

@@ -143,8 +143,8 @@ pub fn snapshot_from_json(value: &JsonValue) -> Result<MetricsSnapshot, String> 
 }
 
 /// A checkpoint's complete telemetry — the shard-state `metrics` section:
-/// wall and generation clocks, kernel identity, the `--auto-threshold`
-/// override and the observability snapshot, behind one accessor path.
+/// wall and generation clocks, kernel identity and the observability
+/// snapshot, behind one accessor path.
 /// Everything here is **identity-free** telemetry: it never feeds back into
 /// panel states, so figure JSON is byte-identical whether or not metrics
 /// were recorded.
@@ -154,15 +154,17 @@ pub struct ShardMetrics {
     /// (aggregated checkpoints sum across shards, so the total is CPU-side
     /// "shard seconds", not the driver's wall clock).
     pub elapsed_seconds: Option<f64>,
-    /// CPU seconds spent generating fault maps, summed across worker
-    /// threads (can exceed `elapsed_seconds` at worker counts above one).
+    /// Worker-seconds spent generating fault maps: per-worker wall spans
+    /// summed across worker threads, so a descheduled worker's span still
+    /// counts and the total can exceed `elapsed_seconds` at worker counts
+    /// above one.
     pub generation_seconds: Option<f64>,
     /// Name of the evaluation kernel that produced the state (`"sparse"`,
     /// `"auto:bitsliced"`, …). Must agree across a shard set — see
     /// [`crate::shard::ShardState::merge`].
     pub kernel: Option<String>,
-    /// The `--auto-threshold` density override the run resolved its `auto`
-    /// kernel with; must also agree across a shard set.
+    /// Vestigial: the `--auto-threshold` override was removed, so nothing
+    /// sets this. Writers emit `null` and readers ignore the stored value.
     pub auto_threshold: Option<f64>,
     /// The observability snapshot the run recorded, when a recorder was
     /// installed (see [`faultmit_obs::install`]); `None` for runs without
@@ -177,7 +179,6 @@ impl ShardMetrics {
         self.elapsed_seconds.is_none()
             && self.generation_seconds.is_none()
             && self.kernel.is_none()
-            && self.auto_threshold.is_none()
             && self.snapshot.is_none()
     }
 
@@ -210,13 +211,7 @@ impl ShardMetrics {
                     Some(kernel) => kernel.to_json(),
                 },
             ),
-            (
-                "auto_threshold",
-                match self.auto_threshold {
-                    None => JsonValue::Null,
-                    Some(threshold) => JsonValue::Number(threshold),
-                },
-            ),
+            ("auto_threshold", JsonValue::Null),
             (
                 "snapshot",
                 match &self.snapshot {
@@ -247,7 +242,7 @@ impl ShardMetrics {
                 .get("kernel")
                 .and_then(JsonValue::as_str)
                 .map(str::to_owned),
-            auto_threshold: value.get("auto_threshold").and_then(JsonValue::as_f64),
+            auto_threshold: None,
             snapshot,
         })
     }
@@ -265,17 +260,14 @@ impl ShardMetrics {
     }
 
     /// Folds another shard's telemetry into this one (cross-shard
-    /// aggregation): clocks and snapshots **sum**, the kernel/threshold
-    /// identity is kept from whichever shard recorded it (callers validate
-    /// agreement first — see [`crate::shard::ShardState::merge`]).
+    /// aggregation): clocks and snapshots **sum**, the kernel identity is
+    /// kept from whichever shard recorded it (callers validate agreement
+    /// first — see [`crate::shard::ShardState::merge`]).
     pub fn absorb(&mut self, other: &ShardMetrics) {
         self.elapsed_seconds = sum_opt(self.elapsed_seconds, other.elapsed_seconds);
         self.generation_seconds = sum_opt(self.generation_seconds, other.generation_seconds);
         if self.kernel.is_none() {
             self.kernel.clone_from(&other.kernel);
-        }
-        if self.auto_threshold.is_none() {
-            self.auto_threshold = other.auto_threshold;
         }
         match (&mut self.snapshot, &other.snapshot) {
             (Some(into), Some(from)) => into.merge(from),
@@ -293,8 +285,8 @@ fn sum_opt(a: Option<f64>, b: Option<f64>) -> Option<f64> {
 }
 
 /// Renders the `--metrics` output document: the aggregated telemetry plus
-/// the derived rates operators actually read (wide-generation lane
-/// utilisation, `observe_block` fallback rate, per-stage time split).
+/// the derived rates operators actually read (`observe_block` fallback
+/// rate, per-stage time split, samples per second).
 #[must_use]
 pub fn metrics_report(metrics: &ShardMetrics) -> JsonValue {
     let snapshot = metrics.snapshot.unwrap_or_default();
@@ -330,10 +322,6 @@ pub fn metrics_report(metrics: &ShardMetrics) -> JsonValue {
             "derived",
             JsonValue::object([
                 ("stage_seconds", stage_split),
-                (
-                    "widegen_lane_utilisation",
-                    optional_rate(snapshot.wide_lane_utilisation()),
-                ),
                 (
                     "observe_fallback_rate",
                     optional_rate(snapshot.observe_fallback_rate()),
@@ -450,11 +438,23 @@ mod tests {
             elapsed_seconds: Some(2.5),
             generation_seconds: Some(0.75),
             kernel: Some("auto:sparse".to_owned()),
-            auto_threshold: Some(0.0625),
+            auto_threshold: None,
             snapshot: Some(populated_snapshot()),
         };
         let text = metrics.to_json().to_pretty_string();
         let round = ShardMetrics::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+        assert_eq!(round, metrics);
+
+        // The removed `--auto-threshold` override is written as null, and a
+        // stored value from an older checkpoint is ignored.
+        let stale = ShardMetrics {
+            auto_threshold: Some(0.0625),
+            ..metrics.clone()
+        };
+        let text = stale.to_json().to_pretty_string();
+        assert!(text.contains("\"auto_threshold\": null"), "{text}");
+        let old = text.replace("\"auto_threshold\": null", "\"auto_threshold\": 0.0625");
+        let round = ShardMetrics::from_json(&JsonValue::parse(&old).unwrap()).unwrap();
         assert_eq!(round, metrics);
     }
 
@@ -471,14 +471,13 @@ mod tests {
             elapsed_seconds: Some(2.0),
             generation_seconds: Some(0.5),
             kernel: Some("sparse".to_owned()),
-            auto_threshold: Some(0.25),
+            auto_threshold: None,
             snapshot: Some(populated_snapshot()),
         };
         a.absorb(&b);
         assert_eq!(a.elapsed_seconds, Some(3.0));
         assert_eq!(a.generation_seconds, Some(0.5));
         assert_eq!(a.kernel.as_deref(), Some("sparse"));
-        assert_eq!(a.auto_threshold, Some(0.25));
         let merged = a.snapshot.unwrap();
         let single = populated_snapshot();
         for (&counter, _) in Counter::ALL.iter().zip(0..) {
@@ -493,8 +492,6 @@ mod tests {
     #[test]
     fn metrics_report_carries_the_derived_rates() {
         let mut snapshot = MetricsSnapshot::default();
-        snapshot.counters[Counter::WideGenLaneSteps as usize] = 100;
-        snapshot.counters[Counter::WideGenLanesActive as usize] = 80;
         snapshot.counters[Counter::ObserveBlockRows as usize] = 90;
         snapshot.counters[Counter::ObserveFallbackRows as usize] = 10;
         snapshot.counters[Counter::SamplesEvaluated as usize] = 500;
@@ -510,12 +507,6 @@ mod tests {
         let derived = report.get("derived").unwrap();
         assert_eq!(
             derived
-                .get("widegen_lane_utilisation")
-                .and_then(JsonValue::as_f64),
-            Some(0.8)
-        );
-        assert_eq!(
-            derived
                 .get("observe_fallback_rate")
                 .and_then(JsonValue::as_f64),
             Some(0.1)
@@ -526,13 +517,10 @@ mod tests {
                 .and_then(JsonValue::as_f64),
             Some(250.0)
         );
-        // No lane steps → no utilisation claim.
+        // No block rows → no fallback-rate claim.
         let empty = metrics_report(&ShardMetrics::default());
         assert!(matches!(
-            empty
-                .get("derived")
-                .unwrap()
-                .get("widegen_lane_utilisation"),
+            empty.get("derived").unwrap().get("observe_fallback_rate"),
             Some(JsonValue::Null)
         ));
     }

@@ -9,7 +9,7 @@
 //! Because
 //!
 //! 1. chunk boundaries and per-sample RNG streams derive from the global
-//!    plan (see [`faultmit_sim::Campaign::try_run_shard`]),
+//!    plan (see [`faultmit_sim::Campaign::run_shard`]),
 //! 2. catalogue state stores each [`CdfSketch`]'s observation values in
 //!    insertion order next to their run-length encoded weights and
 //!    re-accumulates them on read ([`CdfSketch::from_observations`]),
@@ -95,12 +95,11 @@ pub struct ShardState {
     /// Per-panel state, in panel order.
     pub panels: Vec<ShardPanelState>,
     /// The shard's telemetry section — wall/generation clocks, kernel
-    /// identity, the `--auto-threshold` override and the observability
-    /// snapshot (see [`ShardMetrics`]). Never part of the campaign
-    /// identity: panel states (and the rendered figure JSON) are
-    /// byte-identical whatever this records. [`ShardState::merge`]
-    /// validates the kernel/threshold identity across a shard set and
-    /// **aggregates** the rest (clocks and snapshots sum).
+    /// identity and the observability snapshot (see [`ShardMetrics`]).
+    /// Never part of the campaign identity: panel states (and the rendered
+    /// figure JSON) are byte-identical whatever this records.
+    /// [`ShardState::merge`] validates the kernel identity across a shard
+    /// set and **aggregates** the rest (clocks and snapshots sum).
     pub metrics: ShardMetrics,
 }
 
@@ -120,7 +119,7 @@ impl ShardState {
         self.metrics.elapsed_seconds
     }
 
-    /// CPU seconds spent generating fault maps, summed across workers.
+    /// Worker-seconds spent generating fault maps, summed across workers.
     #[must_use]
     pub fn generation_seconds(&self) -> Option<f64> {
         self.metrics.generation_seconds
@@ -130,12 +129,6 @@ impl ShardState {
     #[must_use]
     pub fn kernel(&self) -> Option<&str> {
         self.metrics.kernel.as_deref()
-    }
-
-    /// The `--auto-threshold` override the producing run resolved with.
-    #[must_use]
-    pub fn auto_threshold(&self) -> Option<f64> {
-        self.metrics.auto_threshold
     }
 
     /// Serialises the state to the shard-file document.
@@ -291,17 +284,6 @@ impl ShardState {
             .collect();
         kernels.sort();
         kernels.dedup();
-        // The auto-threshold override can flip which kernel `auto` resolves
-        // to, so the same consistency argument applies: shards recording
-        // different thresholds were produced with inconsistent flags.
-        // Compared by bit pattern — the threshold is recorded verbatim, so
-        // exact equality is the right notion.
-        let mut thresholds: Vec<u64> = shards
-            .iter()
-            .filter_map(|shard| shard.metrics.auto_threshold.map(f64::to_bits))
-            .collect();
-        thresholds.sort_unstable();
-        thresholds.dedup();
         let labels: Vec<(String, &'static str)> = first
             .panels
             .iter()
@@ -352,7 +334,6 @@ impl ShardState {
             && missing.is_empty()
             && duplicated.is_empty()
             && kernels.len() <= 1
-            && thresholds.len() <= 1
             && shards.len() == shard_count)
         {
             let mut problems = Vec::new();
@@ -389,16 +370,6 @@ impl ShardState {
                         .join(" vs ")
                 ));
             }
-            if thresholds.len() > 1 {
-                problems.push(format!(
-                    "shards disagree on the auto-kernel threshold ({})",
-                    thresholds
-                        .iter()
-                        .map(|&bits| format!("{}", f64::from_bits(bits)))
-                        .collect::<Vec<_>>()
-                        .join(" vs ")
-                ));
-            }
             if problems.is_empty() {
                 problems.push(format!(
                     "{} file(s) provided for a {shard_count}-shard campaign",
@@ -421,8 +392,7 @@ impl ShardState {
             // Telemetry aggregates across the set: clocks and snapshots
             // sum (counter sums are the monolithic run's counters, since
             // every chunk's contribution lands in exactly one shard); the
-            // kernel/threshold identity was validated consistent above and
-            // is kept.
+            // kernel identity was validated consistent above and is kept.
             merged.metrics.absorb(&shard.metrics);
         }
         merged.shard = ShardSpec::solo();
@@ -1147,8 +1117,7 @@ mod tests {
     #[test]
     fn elapsed_telemetry_round_trips_and_is_optional() {
         // Telemetry survives the round trip…
-        let mut state = shard_with(1, 3, &[7.5]);
-        state.metrics.auto_threshold = Some(0.0625);
+        let state = shard_with(1, 3, &[7.5]);
         assert_eq!(state.elapsed_seconds(), Some(1.25));
         assert_eq!(state.kernel(), Some("sparse"));
         assert_eq!(state.generation_seconds(), Some(0.625));
@@ -1156,7 +1125,6 @@ mod tests {
         assert_eq!(round.elapsed_seconds(), Some(1.25));
         assert_eq!(round.kernel(), Some("sparse"));
         assert_eq!(round.generation_seconds(), Some(0.625));
-        assert_eq!(round.auto_threshold(), Some(0.0625));
         // …and files without the `metrics` section parse as empty metrics.
         let mut document = state.to_json();
         if let JsonValue::Object(fields) = &mut document {
@@ -1234,6 +1202,7 @@ mod tests {
             figure
                 .run_shard(&spec, faultmit_sim::Parallelism::threads(1), shard)
                 .unwrap()
+                .panels
         };
         let state = ShardState {
             panels: figure
@@ -1340,37 +1309,6 @@ mod tests {
         b.metrics.kernel = Some("auto:sparse".to_owned());
         let merged = ShardState::merge(vec![a, b]).unwrap();
         assert_eq!(merged.kernel(), Some("auto:sparse"));
-    }
-
-    #[test]
-    fn merge_verifies_auto_threshold_consistency_across_the_shard_set() {
-        // Different recorded thresholds mean the campaign was re-sharded
-        // with inconsistent --auto-threshold flags — refuse, naming both.
-        let mut a = shard_with(0, 2, &[1.0]);
-        let mut b = shard_with(1, 2, &[2.0]);
-        a.metrics.auto_threshold = Some(0.0625);
-        b.metrics.auto_threshold = Some(0.25);
-        let error = ShardState::merge(vec![a, b]).unwrap_err();
-        assert!(
-            error
-                .reason
-                .contains("disagree on the auto-kernel threshold (0.0625 vs 0.25)"),
-            "{error}"
-        );
-
-        // Legacy checkpoints without the field merge with anything, and an
-        // agreeing override merges — keeping the validated threshold.
-        let mut a = shard_with(0, 2, &[1.0]);
-        let mut b = shard_with(1, 2, &[2.0]);
-        a.metrics.auto_threshold = Some(0.0625);
-        b.metrics.auto_threshold = Some(0.0625);
-        let merged = ShardState::merge(vec![a, b]).unwrap();
-        assert_eq!(merged.auto_threshold(), Some(0.0625));
-        let mut legacy = shard_with(0, 2, &[1.0]);
-        legacy.metrics.auto_threshold = None;
-        let mut tuned = shard_with(1, 2, &[2.0]);
-        tuned.metrics.auto_threshold = Some(0.5);
-        assert!(ShardState::merge(vec![legacy, tuned]).is_ok());
     }
 
     #[test]

@@ -276,6 +276,43 @@ fn removed_kernel_names_fail_before_any_output() {
 }
 
 #[test]
+fn removed_tuning_flags_fail_before_any_output() {
+    // `--wide-generation` and `--auto-threshold` were removed: every
+    // campaign entry point refuses them by name instead of swallowing the
+    // flag (or its value) as a positional argument.
+    let dir = TempDir::new("removed-tuning");
+    let out = dir.join("fig.json");
+    let shards = dir.join("shards");
+    let shard_args = ["--figure", "fig5", "--shard", "0/1", "--out", &out];
+    let run_args = driver_args("fig5", &["--samples", "1"], "2", &shards, &out);
+    for removed in [["--wide-generation", "off"], ["--auto-threshold", "0.25"]] {
+        for (binary, args) in [
+            (
+                env!("CARGO_BIN_EXE_fig5_mse_cdf"),
+                vec!["--samples", "1", "--json", &out],
+            ),
+            (
+                env!("CARGO_BIN_EXE_fig7_quality"),
+                vec!["--samples", "1", "--json", &out],
+            ),
+            (SHARD_BIN, shard_args.to_vec()),
+            (RUN_BIN, run_args.clone()),
+        ] {
+            let args = [&args[..], &removed[..]].concat();
+            let output = Command::new(binary).args(&args).output().unwrap();
+            assert!(!output.status.success(), "{binary} {args:?} must fail");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(
+                stderr.contains(&format!("{} was removed", removed[0])),
+                "{binary}: {stderr}"
+            );
+            assert!(!Path::new(&out).exists(), "{binary} wrote {out}");
+            assert!(!Path::new(&shards).exists(), "{binary} wrote {shards}");
+        }
+    }
+}
+
+#[test]
 fn merge_rejects_mixed_figure_shard_sets_by_name() {
     let dir = TempDir::new("mixed");
     let fig5 = dir.join("fig5-0of2.json");

@@ -295,3 +295,32 @@ fn merge_rejects_mismatched_or_incomplete_shard_sets() {
         .unwrap();
     assert!(!status.status.success());
 }
+
+#[test]
+fn every_monte_carlo_figure_reports_its_generation_time() {
+    // One clock for every campaign: each figure that draws dies reports the
+    // worker-seconds it spent generating them, and only the deterministic
+    // tables report none.
+    use faultmit_bench::figures::{registry, PanelState};
+    use faultmit_bench::RunOptions;
+    use faultmit_sim::{Parallelism, ShardSpec};
+    let options = RunOptions::parse(["--samples", "1", "elasticnet"].map(str::to_owned));
+    for figure in registry() {
+        let spec = figure.spec(&options);
+        let run = figure
+            .run_shard(&spec, Parallelism::threads(1), ShardSpec::solo())
+            .unwrap();
+        let monte_carlo = run
+            .panels
+            .iter()
+            .any(|panel| !matches!(panel, PanelState::Table { .. }));
+        match run.generation_seconds {
+            Some(seconds) => assert!(
+                monte_carlo && seconds > 0.0,
+                "{}: {seconds} generation seconds",
+                figure.name()
+            ),
+            None => assert!(!monte_carlo, "{}: no generation time", figure.name()),
+        }
+    }
+}

@@ -143,7 +143,6 @@ use crate::error::MemError;
 use crate::fault::{FaultKind, FaultMap};
 use crate::montecarlo::FailureCountDistribution;
 use crate::scratch::{fault_key, DieScratch};
-use crate::widegen::WideGenSpec;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::fmt;
@@ -412,22 +411,6 @@ pub trait FaultBackend: fmt::Debug + Send + Sync {
         Ok(())
     }
 
-    /// Declares whether the backend's [`FaultBackend::sample_into`]
-    /// schedule can be replayed by the lane-interleaved block generator
-    /// ([`crate::widegen`]): iid-uniform Floyd placement over the whole
-    /// array, then one kind draw per fault in `(row, col)` order.
-    ///
-    /// Returning `Some` is a *promise* that the wide generator consuming
-    /// each lane's stream that way produces exactly the faults
-    /// `sample_into` would — the wide path is used as a drop-in for the
-    /// scalar one wherever block kernels generate dies. Backends with any
-    /// other schedule (data-dependent placement proposals, per-cell
-    /// weighting) must keep the default `None`, which routes block
-    /// generation through the scalar path unchanged.
-    fn wide_generation(&self) -> Option<WideGenSpec> {
-        None
-    }
-
     /// Distribution of the die failure count `N` implied by the per-cell
     /// law (binomial over the marginal `p_cell`; for spatially correlated
     /// backends this is the matched-marginal approximation used to weight
@@ -470,10 +453,6 @@ impl<B: FaultBackend + ?Sized> FaultBackend for &B {
         scratch: &mut DieScratch,
     ) -> Result<(), MemError> {
         (**self).sample_into(rng, n_faults, scratch)
-    }
-
-    fn wide_generation(&self) -> Option<WideGenSpec> {
-        (**self).wide_generation()
     }
 
     fn failure_distribution(&self) -> Result<FailureCountDistribution, MemError> {
@@ -667,14 +646,6 @@ impl FaultBackend for Backend {
             Backend::Sram(b) => b.sample_into(rng, n_faults, scratch),
             Backend::Dram(b) => b.sample_into(rng, n_faults, scratch),
             Backend::Mlc(b) => b.sample_into(rng, n_faults, scratch),
-        }
-    }
-
-    fn wide_generation(&self) -> Option<WideGenSpec> {
-        match self {
-            Backend::Sram(b) => b.wide_generation(),
-            Backend::Dram(b) => b.wide_generation(),
-            Backend::Mlc(b) => b.wide_generation(),
         }
     }
 }

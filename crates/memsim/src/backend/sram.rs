@@ -7,7 +7,6 @@ use crate::failure_model::{CellFailureModel, NOMINAL_VDD};
 use crate::fault::{Fault, FaultMap};
 use crate::montecarlo::FaultMapSampler;
 use crate::scratch::DieScratch;
-use crate::widegen::WideGenSpec;
 use rand::rngs::StdRng;
 
 /// SRAM bit-cell failures exposed by supply-voltage scaling — the paper's
@@ -189,15 +188,6 @@ impl FaultBackend for SramVddBackend {
             scratch.map.rekind_in_order(|| self.kind_law.sample(rng));
         }
         Ok(())
-    }
-
-    fn wide_generation(&self) -> Option<WideGenSpec> {
-        // The two methods above are exactly the wide-capable schedule:
-        // iid-uniform Floyd placement, then one kind draw per fault in
-        // (row, column) order.
-        Some(WideGenSpec {
-            kind_law: self.kind_law,
-        })
     }
 }
 

@@ -34,33 +34,17 @@
 //!
 //! # Why RNG stream order is preserved (the generation contract)
 //!
-//! Block *generation* preserves the scalar per-sample RNG schedule even
-//! where it is lane-parallel. Every planned sample owns the stream
+//! Block *generation* is the scalar per-sample generation, transposed.
+//! Every planned sample owns the stream
 //! [`StreamSeeder::rng_for_sample`](crate::StreamSeeder::rng_for_sample)
-//! derives for it, and a block is filled one of two ways:
-//!
-//! * **Scalar fallback** — the existing per-sample generation path
-//!   ([`DieScratch::generate`](crate::DieScratch::generate) /
-//!   [`generate_single_fault_per_row`](crate::DieScratch::generate_single_fault_per_row))
-//!   runs once per sample and the resulting faults are transposed
-//!   afterwards. Used whenever a backend's schedule is data-dependent
-//!   (DRAM clustering, MLC column weighting) or a redraw policy is active.
-//! * **Wide generation** (the [`crate::widegen`] module) — backends that
-//!   declare an iid-uniform Floyd schedule via
-//!   [`FaultBackend::wide_generation`](crate::backend::FaultBackend::wide_generation)
-//!   are generated [`WIDE_LANES`](crate::widegen::WIDE_LANES) samples at a
-//!   time on lane-interleaved xoshiro256++ streams, each lane seeded and
-//!   advanced **exactly** as its scalar stream would be (masked advances,
-//!   per-lane rejection, scalar drain of a divergent tail), with events
-//!   emitted directly in the scalar order.
-//!
-//! Either way every sample consumes exactly the RNG stream it consumes on
-//! the scalar path — determinism, sharding and paired scheme comparison
+//! derives for it; the per-sample path
+//! ([`DieScratch::generate`](crate::DieScratch::generate) /
+//! [`generate_single_fault_per_row`](crate::DieScratch::generate_single_fault_per_row))
+//! runs once per sample and the resulting faults are transposed afterwards.
+//! Every sample therefore consumes exactly the RNG stream it consumes on
+//! the sparse kernel — determinism, sharding and paired scheme comparison
 //! are untouched, and the block kernel's fault populations are
-//! *bit-identical* to the sparse kernel's: by construction on the fallback
-//! path, by the golden-vector and `kernel_equivalence` gates on the wide
-//! path (see the [`crate::widegen`] module docs for the
-//! structural-vs-gated split of that contract).
+//! *bit-identical* to the sparse kernel's by construction.
 //!
 //! # The scalar tail
 //!

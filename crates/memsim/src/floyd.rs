@@ -1,10 +1,9 @@
-//! Distinct-cell bookkeeping shared by the die generators: a one-bit-per-cell
+//! Distinct-cell bookkeeping of the per-die generator: a one-bit-per-cell
 //! set and the Floyd-sampling step built on it.
 //!
-//! The per-die arena ([`DieScratch`](crate::scratch::DieScratch)) and the
-//! lane-interleaved block generator ([`widegen`](crate::widegen)) both draw
+//! The per-die arena ([`DieScratch`](crate::scratch::DieScratch)) draws
 //! distinct cell indices with Floyd's algorithm, and rejection placement
-//! tracks occupied cells; all three answer "is this cell taken?" from a
+//! tracks occupied cells; both answer "is this cell taken?" from a
 //! [`CellBitmap`]. Membership answers are the same as a hash set's, so the
 //! substitution pattern — and with it every sampled map — is unchanged.
 
@@ -43,19 +42,6 @@ impl CellBitmap {
     #[inline]
     pub(crate) fn clear_word_of(&mut self, cell: usize) {
         self.words[cell >> 6] = 0;
-    }
-
-    /// Appends every marked cell to `out` in ascending order and empties
-    /// the set. The pass reads every word, so it beats a comparison sort of
-    /// the marked cells only for dense dies.
-    pub(crate) fn drain_sorted(&mut self, out: &mut Vec<usize>) {
-        for (index, word) in self.words.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                out.push((index << 6) | bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
     }
 
     /// Heap capacity in words — what the arenas' realloc counters watch.
@@ -109,9 +95,10 @@ mod tests {
                 for &cell in &picked {
                     chosen.clear_word_of(cell);
                 }
-                let mut left = Vec::new();
-                chosen.drain_sorted(&mut left);
-                assert!(left.is_empty(), "sparse clearing left cells marked");
+                assert!(
+                    chosen.words.iter().all(|&word| word == 0),
+                    "sparse clearing left cells marked"
+                );
             }
         }
     }

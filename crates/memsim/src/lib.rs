@@ -35,13 +35,6 @@
 //!   ([`DieBlock`], [`LaneCell`], [`ResidualLanes`]) for the lane-parallel
 //!   evaluation kernel, generated from the same per-sample RNG streams as
 //!   the scalar paths.
-//! * [`widegen`] — lane-interleaved die-block *generation*: [`WIDE_LANES`]
-//!   independent per-sample xoshiro256++ streams advanced as SoA array ops
-//!   ([`rand::wide::WideXoshiro`]), lane-masked Floyd sampling and kind
-//!   draws, emitting straight into the block event buffer. Backends opt in
-//!   via [`FaultBackend::wide_generation`] ([`WideGenSpec`]); each lane's
-//!   stream stays bit-for-bit the one [`StreamSeeder::rng_for_sample`]
-//!   produces, so the wide and scalar generators are interchangeable.
 //!
 //! # Example
 //!
@@ -80,7 +73,6 @@ pub mod scratch;
 pub mod seeder;
 pub mod stats;
 pub mod voltage;
-pub mod widegen;
 
 pub use array::{corrupt_word, SramArray};
 pub use backend::{
@@ -99,4 +91,3 @@ pub use redundancy::{repair_yield, spares_for_full_repair, RowRepair};
 pub use scratch::{BlockScratch, DieScratch};
 pub use seeder::{DieBatch, PlannedSample, StreamSeeder};
 pub use voltage::{VddSweep, VoltageScaledDie};
-pub use widegen::{WideGenSpec, WIDE_LANES};

@@ -24,7 +24,6 @@ use crate::error::MemError;
 use crate::fault::{Fault, FaultKind, FaultMap};
 use crate::floyd::CellBitmap;
 use crate::seeder::{PlannedSample, StreamSeeder};
-use crate::widegen::WideGenScratch;
 use faultmit_obs as obs;
 use rand::rngs::StdRng;
 
@@ -218,10 +217,6 @@ pub struct BlockScratch {
     cells: Vec<LaneCell>,
     /// Row directory backing the current [`DieBlock`] view.
     rows: Vec<BlockRowEntry>,
-    /// Per-lane buffers of the lane-interleaved generator.
-    wide: WideGenScratch,
-    /// Whether wide-capable backends take the lane-interleaved path.
-    wide_generation: bool,
     realloc_events: u64,
 }
 
@@ -236,19 +231,8 @@ impl BlockScratch {
             sorted: Vec::new(),
             cells: Vec::new(),
             rows: Vec::new(),
-            wide: WideGenScratch::default(),
-            wide_generation: true,
             realloc_events: 0,
         }
-    }
-
-    /// Enables or disables the lane-interleaved generation path (on by
-    /// default). With it off — or for backends that do not opt in via
-    /// [`FaultBackend::wide_generation`] — every block is generated through
-    /// the scalar per-die path. Both paths produce bit-identical blocks;
-    /// the switch exists for benchmarking and for the equivalence gates.
-    pub fn set_wide_generation(&mut self, enabled: bool) {
-        self.wide_generation = enabled;
     }
 
     /// The wrapped per-sample arena.
@@ -271,7 +255,7 @@ impl BlockScratch {
         self.realloc_events + self.scalar.realloc_events()
     }
 
-    fn capacity_signature(&self) -> [usize; 9] {
+    fn capacity_signature(&self) -> [usize; 8] {
         let scalar = self.scalar.capacity_signature();
         // The counting sort swaps the `events` and `sorted` buffers, so
         // record that pair order-independently: a swap of warm buffers is
@@ -287,7 +271,6 @@ impl BlockScratch {
             self.counts.capacity(),
             self.cells.capacity(),
             self.rows.capacity(),
-            self.wide.capacity_sum(),
         ]
     }
 
@@ -318,28 +301,10 @@ impl BlockScratch {
                 ),
             });
         }
-        // The lane-interleaved path handles the plain per-sample protocol
-        // only; the single-fault-per-row redraw loop is data-dependent, so
-        // `max_redraws` plans always take the scalar path.
-        let wide_spec = if self.wide_generation && max_redraws.is_none() {
-            backend.wide_generation()
-        } else {
-            None
-        };
         let before = self.capacity_signature();
         let mut events = std::mem::take(&mut self.events);
         events.clear();
-        let result = match wide_spec {
-            Some(spec) => crate::widegen::generate_block_events(
-                spec,
-                self.scalar.map.config(),
-                seeder,
-                plan,
-                &mut self.wide,
-                &mut events,
-            ),
-            None => self.fill_events_scalar(backend, seeder, plan, max_redraws, &mut events),
-        };
+        let result = self.fill_events(backend, seeder, plan, max_redraws, &mut events);
         self.events = events;
         result?;
         let transpose_span = obs::span(obs::Stage::Transpose);
@@ -388,9 +353,9 @@ impl BlockScratch {
         ))
     }
 
-    /// The scalar fallback of [`BlockScratch::generate_block`]: one die at
+    /// The generation half of [`BlockScratch::generate_block`]: one die at
     /// a time through the wrapped [`DieScratch`], repacked into events.
-    fn fill_events_scalar<B: FaultBackend + ?Sized>(
+    fn fill_events<B: FaultBackend + ?Sized>(
         &mut self,
         backend: &B,
         seeder: &StreamSeeder,

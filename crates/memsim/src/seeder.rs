@@ -14,14 +14,9 @@
 //! The seeds this type derives are the RNG authority for the whole
 //! pipeline: every generation path must reproduce, bit for bit, the stream
 //! a scalar [`StdRng`] seeded from [`StreamSeeder::derive_seed`] produces.
-//! That holds *structurally* for the scalar paths
-//! ([`StreamSeeder::rng_for_sample`] simply performs that seeding) and for
-//! the lane-interleaved wide generator ([`crate::widegen`]), which seeds
-//! each lane of its [`WideXoshiro`](rand::wide::WideXoshiro) from the same
-//! `derive_seed` value and advances it only when the scalar stream would
-//! advance. The *gated* half — that the faults generated from those
-//! streams land identically on either path — is pinned by the golden-vector
-//! and `kernel_equivalence` suites. Changing this derivation (or the
+//! That holds *structurally*: [`StreamSeeder::rng_for_sample`] simply
+//! performs that seeding, and the block kernel generates each of its dies
+//! through the same per-sample path. Changing this derivation (or the
 //! xoshiro256++ engine behind [`StdRng`]) invalidates every published
 //! figure byte, so both are frozen.
 

@@ -97,17 +97,6 @@ pub enum Counter {
     SamplesEvaluated,
     /// Work chunks executed by the pipeline.
     ChunksExecuted,
-    /// Lane-interleaved generation chunks (up to `WIDE_LANES` dies each).
-    WideGenChunks,
-    /// Lane slots offered by the wide generator's lock-step Floyd loop
-    /// (lane width × steps); the denominator of lane utilisation.
-    WideGenLaneSteps,
-    /// Lane slots that carried an active draw; the numerator of lane
-    /// utilisation.
-    WideGenLanesActive,
-    /// Times the wide Floyd loop fell to a single divergent lane and
-    /// drained it through a scalar RNG.
-    WideGenScalarDrains,
     /// Die blocks transposed into lane-sliced form.
     BlocksTransposed,
     /// Campaign shard runs dispatched to the event-driven sparse kernel.
@@ -134,7 +123,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants (the length of [`Counter::ALL`]).
-pub const COUNTER_COUNT: usize = 17;
+pub const COUNTER_COUNT: usize = 13;
 
 impl Counter {
     /// Every counter, in declaration (and serialisation) order.
@@ -143,10 +132,6 @@ impl Counter {
         Self::FaultsGenerated,
         Self::SamplesEvaluated,
         Self::ChunksExecuted,
-        Self::WideGenChunks,
-        Self::WideGenLaneSteps,
-        Self::WideGenLanesActive,
-        Self::WideGenScalarDrains,
         Self::BlocksTransposed,
         Self::DispatchSparse,
         Self::DispatchBitsliced,
@@ -166,10 +151,6 @@ impl Counter {
             Self::FaultsGenerated => "faults_generated",
             Self::SamplesEvaluated => "samples_evaluated",
             Self::ChunksExecuted => "chunks_executed",
-            Self::WideGenChunks => "widegen_chunks",
-            Self::WideGenLaneSteps => "widegen_lane_steps",
-            Self::WideGenLanesActive => "widegen_lanes_active",
-            Self::WideGenScalarDrains => "widegen_scalar_drains",
             Self::BlocksTransposed => "blocks_transposed",
             Self::DispatchSparse => "dispatch_sparse",
             Self::DispatchBitsliced => "dispatch_bitsliced",
@@ -237,7 +218,8 @@ impl Histogram {
 pub enum Stage {
     /// Building the campaign's per-sample fault-count plan.
     Plan,
-    /// Generating fault maps (scalar, sparse or wide path).
+    /// Generating fault maps (per die, or per block for the bit-sliced
+    /// kernel).
     Generate,
     /// Transposing generated events into lane-sliced die blocks.
     Transpose,
@@ -562,12 +544,11 @@ impl MetricsSnapshot {
             .collect()
     }
 
-    /// Wide-generation lane utilisation in `[0, 1]` (`None` when the wide
-    /// path never ran).
+    /// Lane utilisation of the removed lane-interleaved generator: always
+    /// `None`. Kept so callers that report the rate keep compiling.
     #[must_use]
     pub fn wide_lane_utilisation(&self) -> Option<f64> {
-        let steps = self.counter(Counter::WideGenLaneSteps);
-        (steps != 0).then(|| self.counter(Counter::WideGenLanesActive) as f64 / steps as f64)
+        None
     }
 
     /// Fraction of faulty block rows that fell back to whole-row scalar
@@ -737,15 +718,12 @@ mod tests {
     #[test]
     fn derived_rates() {
         let recorder = Recorder::new();
-        assert_eq!(recorder.snapshot().wide_lane_utilisation(), None);
         assert_eq!(recorder.snapshot().observe_fallback_rate(), None);
-        recorder.add(Counter::WideGenLaneSteps, 8);
-        recorder.add(Counter::WideGenLanesActive, 6);
         recorder.add(Counter::ObserveBlockRows, 3);
         recorder.add(Counter::ObserveFallbackRows, 1);
         let snapshot = recorder.snapshot();
-        assert_eq!(snapshot.wide_lane_utilisation(), Some(0.75));
         assert_eq!(snapshot.observe_fallback_rate(), Some(0.25));
+        assert_eq!(snapshot.wide_lane_utilisation(), None);
     }
 
     #[test]

@@ -26,15 +26,13 @@ use crate::error::{RunError, SimError};
 use crate::executor::{run_chunked_with, Parallelism};
 use faultmit_core::MitigationScheme;
 use faultmit_memsim::{
-    BlockScratch, DieBlock, DieScratch, FailureCountDistribution, FaultBackend, FaultMap,
-    ImageSpec, MemoryConfig, PlannedSample, SramVddBackend, StreamSeeder, BLOCK_DIES,
+    BlockScratch, DieBlock, FailureCountDistribution, FaultBackend, FaultMap, ImageSpec,
+    MemoryConfig, OperatingPoint, PlannedSample, SramVddBackend, StreamSeeder, BLOCK_DIES,
 };
 use faultmit_obs as obs;
-use std::convert::Infallible;
 use std::fmt;
 use std::ops::Range;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// One shard of a campaign split across `shard_count` independent runs.
@@ -170,18 +168,19 @@ pub enum MapPolicy {
     },
 }
 
-/// Timing breakdown of one shard run, returned by the `_stats` variants of
-/// the shard runners ([`Campaign::try_run_shard_stats`],
-/// [`Campaign::run_shard_blocks_stats`]).
-///
-/// The plain runners skip the timing instrumentation entirely (no clock
-/// reads in the hot loop), and results are bit-identical either way — the
-/// stats are observability, not configuration.
+/// Telemetry of one shard run, returned by both runners
+/// ([`Campaign::run_shard`], [`Campaign::run_shard_blocks`]). Results are
+/// bit-identical whatever is recorded — the stats are observability, not
+/// configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ShardStats {
-    /// Wall-clock seconds spent generating dies (sampling fault maps /
-    /// blocks), summed across worker threads — with more than one worker
-    /// this is CPU time and can exceed the shard's elapsed time.
+    /// Worker-seconds spent generating dies (sampling fault maps /
+    /// blocks): every chunk's generation wall spans, summed in chunk
+    /// order. These are wall spans, not CPU time — a descheduled worker's
+    /// span still counts — and with more than one worker the sum can
+    /// exceed the shard's elapsed time. They are the nanoseconds the run
+    /// flushes to [`faultmit_obs::Stage::Generate`], so with a recorder
+    /// installed this equals `metrics.stage_seconds(Stage::Generate)`.
     pub generation_seconds: f64,
     /// Everything the observability layer recorded during the run: the
     /// delta of the calling thread's current [`faultmit_obs::Recorder`]
@@ -248,23 +247,10 @@ impl KernelKind {
     /// `rows == 0` case).
     #[must_use]
     pub fn resolve(self, expected_faults_per_die: f64, rows: usize) -> KernelKind {
-        self.resolve_with_threshold(expected_faults_per_die, rows, AUTO_FAULTS_PER_ROW_THRESHOLD)
-    }
-
-    /// [`KernelKind::resolve`] with an explicit density threshold in faults
-    /// per row, the hook behind the `--auto-threshold` CLI override. The
-    /// default threshold is [`AUTO_FAULTS_PER_ROW_THRESHOLD`].
-    #[must_use]
-    pub fn resolve_with_threshold(
-        self,
-        expected_faults_per_die: f64,
-        rows: usize,
-        faults_per_row_threshold: f64,
-    ) -> KernelKind {
         match self {
             KernelKind::Auto => {
                 #[allow(clippy::cast_precision_loss)]
-                let dense_threshold = rows as f64 * faults_per_row_threshold;
+                let dense_threshold = rows as f64 * AUTO_FAULTS_PER_ROW_THRESHOLD;
                 if rows > 0 && expected_faults_per_die >= dense_threshold {
                     KernelKind::Bitsliced
                 } else {
@@ -317,7 +303,7 @@ pub struct CampaignConfig<B: FaultBackend = SramVddBackend> {
     parallelism: Parallelism,
     map_policy: MapPolicy,
     image: ImageSpec,
-    wide_generation: bool,
+    kernel: KernelKind,
 }
 
 impl CampaignConfig<SramVddBackend> {
@@ -327,8 +313,9 @@ impl CampaignConfig<SramVddBackend> {
     /// [`SramVddBackend::with_p_cell`].
     ///
     /// Defaults: 100 fault maps per failure count, failure counts up to the
-    /// 99th percentile of the binomial distribution, unrestricted maps,
-    /// chunked in blocks of 32 samples, one worker per CPU.
+    /// 99th percentile of the binomial distribution (the paper's `N_max`
+    /// choice), unrestricted maps, chunked in blocks of 32 samples, one
+    /// worker per CPU, the all-zeros image and the sparse kernel.
     ///
     /// # Errors
     ///
@@ -372,7 +359,7 @@ impl<B: FaultBackend> CampaignConfig<B> {
             parallelism: Parallelism::default(),
             map_policy: MapPolicy::default(),
             image: ImageSpec::Zeros,
-            wide_generation: true,
+            kernel: KernelKind::default(),
         })
     }
 
@@ -437,33 +424,46 @@ impl<B: FaultBackend> CampaignConfig<B> {
     /// The campaign core hands every evaluator the raw fault map regardless
     /// of the image — data-awareness belongs to the metric — but recording
     /// the image here makes it part of the campaign's identity, so
-    /// data-aware evaluator layers (the MSE engine of `faultmit-analysis`)
-    /// and campaign reports read one authoritative value.
+    /// data-aware evaluator layers (the MSE engine of `faultmit-analysis`,
+    /// which applies faults relative to the stored word) and campaign
+    /// reports read one authoritative value.
     #[must_use]
     pub fn with_image(mut self, image: ImageSpec) -> Self {
         self.image = image;
         self
     }
 
-    /// Toggles the lane-interleaved block generation path (default **on**):
-    /// the block kernel ([`KernelKind::Bitsliced`]) generates wide-capable
-    /// backends' dies [`faultmit_memsim::WIDE_LANES`]
-    /// at a time through [`faultmit_memsim::widegen`]. Results are
-    /// **bit-identical** either way — each lane replays the exact scalar
-    /// per-sample RNG stream — so the toggle exists as the scalar baseline
-    /// for throughput benches and as the cross-check in equivalence tests.
-    /// Backends that do not opt in, and single-fault-per-row map policies,
-    /// take the scalar path regardless.
+    /// Selects the evaluation kernel a kernel-dispatching layer (the MSE
+    /// engine of `faultmit-analysis`) runs the campaign with (default:
+    /// [`KernelKind::Sparse`]). Every kernel accumulates bit-identical
+    /// results; the choice only trades throughput.
     #[must_use]
-    pub fn with_wide_generation(mut self, wide_generation: bool) -> Self {
-        self.wide_generation = wide_generation;
+    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
+        self.kernel = kernel;
         self
     }
 
-    /// Whether block kernels use the lane-interleaved generation path.
+    /// The evaluation kernel as configured (`auto` stays `auto`; see
+    /// [`CampaignConfig::resolved_kernel`] for the kernel that executes).
     #[must_use]
-    pub fn wide_generation(&self) -> bool {
-        self.wide_generation
+    pub fn kernel(&self) -> KernelKind {
+        self.kernel
+    }
+
+    /// The fixed kernel the configured [`KernelKind`] resolves to: fixed
+    /// kernels return themselves, while [`KernelKind::Auto`] applies the
+    /// density policy of [`KernelKind::resolve`] to
+    /// [`CampaignConfig::expected_faults_per_die`]. The resolution depends
+    /// only on the configuration, so every shard of a campaign resolves
+    /// identically.
+    ///
+    /// # Errors
+    ///
+    /// Propagates errors from building the failure distribution.
+    pub fn resolved_kernel(&self) -> Result<KernelKind, SimError> {
+        Ok(self
+            .kernel
+            .resolve(self.expected_faults_per_die()?, self.memory().rows()))
     }
 
     /// The data image the campaign's metric is declared against.
@@ -476,6 +476,14 @@ impl<B: FaultBackend> CampaignConfig<B> {
     #[must_use]
     pub fn backend(&self) -> &B {
         &self.backend
+    }
+
+    /// The backend's operating point (the technology knob the campaign is
+    /// evaluated at — `V_DD` for SRAM, refresh interval + temperature for
+    /// DRAM, level spacing + drift time for MLC NVM).
+    #[must_use]
+    pub fn operating_point(&self) -> OperatingPoint {
+        self.backend.operating_point()
     }
 
     /// Memory geometry under study.
@@ -570,97 +578,6 @@ impl<B: FaultBackend> Campaign<B> {
         &self.config
     }
 
-    /// Runs the campaign with an infallible per-die catalogue evaluator.
-    ///
-    /// `evaluate(fault_map, metrics)` is called once per die and must write
-    /// `metrics[s]`, the metric of `schemes[s]` on that die, for every
-    /// scheme — every scheme sees the identical die, and an evaluator may
-    /// score the whole catalogue in one pass over the map. A per-scheme
-    /// metric loops over `schemes` inside the closure. `make_accumulator`
-    /// creates one chunk-local accumulator per work chunk; chunk results
-    /// merge in chunk order into the returned accumulator.
-    ///
-    /// Monolithic execution is the [`ShardSpec::solo`] special case of
-    /// [`Campaign::run_shard`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and sampling errors.
-    pub fn run<S, F, A>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        evaluate: F,
-        make_accumulator: impl Fn() -> A + Sync,
-    ) -> Result<A, SimError>
-    where
-        S: MitigationScheme + Sync,
-        F: Fn(&FaultMap, &mut [f64]) + Sync,
-        A: Accumulator,
-    {
-        self.run_shard(schemes, seed, ShardSpec::solo(), evaluate, make_accumulator)
-    }
-
-    /// Runs one shard of the campaign with an infallible per-die catalogue
-    /// evaluator (see [`Campaign::run`] and [`Campaign::try_run_shard`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and sampling errors.
-    pub fn run_shard<S, F, A>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-        evaluate: F,
-        make_accumulator: impl Fn() -> A + Sync,
-    ) -> Result<A, SimError>
-    where
-        S: MitigationScheme + Sync,
-        F: Fn(&FaultMap, &mut [f64]) + Sync,
-        A: Accumulator,
-    {
-        self.try_run_shard(
-            schemes,
-            seed,
-            shard,
-            |map, metrics| {
-                evaluate(map, metrics);
-                Ok::<(), Infallible>(())
-            },
-            make_accumulator,
-        )
-        .map_err(|error| match error {
-            RunError::Sim(e) => e,
-            RunError::Eval(infallible) => match infallible {},
-        })
-    }
-
-    /// Runs the campaign with a fallible per-die catalogue evaluator (e.g.
-    /// the application-quality evaluator, which can fail on degenerate
-    /// data); `evaluate` fills the metrics as in [`Campaign::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::Sim`] for pipeline errors and [`RunError::Eval`]
-    /// with the first evaluator error in deterministic (chunk-order)
-    /// position.
-    pub fn try_run<S, F, A, E>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        evaluate: F,
-        make_accumulator: impl Fn() -> A + Sync,
-    ) -> Result<A, RunError<E>>
-    where
-        S: MitigationScheme + Sync,
-        F: Fn(&FaultMap, &mut [f64]) -> Result<(), E> + Sync,
-        A: Accumulator,
-        E: Send,
-    {
-        self.try_run_shard(schemes, seed, ShardSpec::solo(), evaluate, make_accumulator)
-    }
-
     /// The number of chunks the campaign's work list is split into — the
     /// granularity at which [`ShardSpec::chunk_range`] partitions work.
     ///
@@ -731,40 +648,25 @@ impl<B: FaultBackend> Campaign<B> {
     /// [`ShardSpec::chunk_range`] are generated and evaluated, but chunk
     /// boundaries and per-sample RNG streams are computed from the *global*
     /// plan, so shard accumulators merged in shard order (in the sense of
-    /// [`Accumulator::merge`]) are **bit-identical** to the monolithic run —
-    /// including order-sensitive floating-point weight sums — for every
-    /// backend and any worker count. [`Campaign::try_run`] is the
-    /// [`ShardSpec::solo`] special case of this method.
+    /// [`Accumulator::merge`]) are **bit-identical** to the monolithic
+    /// ([`ShardSpec::solo`]) run — including order-sensitive floating-point
+    /// weight sums — for every backend and any worker count.
+    ///
+    /// `evaluate(fault_map, metrics)` is called once per die and must write
+    /// `metrics[s]`, the metric of `schemes[s]` on that die, for every
+    /// scheme — every scheme sees the identical die, and an evaluator may
+    /// score the whole catalogue in one pass over the map. A per-scheme
+    /// metric loops over `schemes` inside the closure; an infallible one
+    /// returns `Ok::<(), Infallible>(())`. `make_accumulator` creates one
+    /// chunk-local accumulator per work chunk; chunk results merge in chunk
+    /// order into the returned accumulator.
     ///
     /// # Errors
     ///
     /// Returns [`RunError::Sim`] for pipeline errors and [`RunError::Eval`]
     /// with the first evaluator error in deterministic (chunk-order)
     /// position within the shard.
-    pub fn try_run_shard<S, F, A, E>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-        evaluate: F,
-        make_accumulator: impl Fn() -> A + Sync,
-    ) -> Result<A, RunError<E>>
-    where
-        S: MitigationScheme + Sync,
-        F: Fn(&FaultMap, &mut [f64]) -> Result<(), E> + Sync,
-        A: Accumulator,
-        E: Send,
-    {
-        self.try_run_shard_timed(schemes, seed, shard, evaluate, make_accumulator, None)
-    }
-
-    /// [`Campaign::try_run_shard`] plus a [`ShardStats`] timing breakdown.
-    /// The accumulator is bit-identical to the untimed runner's.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Campaign::try_run_shard`].
-    pub fn try_run_shard_stats<S, F, A, E>(
+    pub fn run_shard<S, F, A, E>(
         &self,
         schemes: &[S],
         seed: u64,
@@ -778,53 +680,82 @@ impl<B: FaultBackend> Campaign<B> {
         A: Accumulator,
         E: Send,
     {
-        let gen_nanos = AtomicU64::new(0);
-        let recorder = obs::current();
-        let before = recorder.as_ref().map(|r| r.snapshot());
-        let accumulator = self.try_run_shard_timed(
+        self.run_chunks(
             schemes,
             seed,
             shard,
             evaluate,
+            None::<fn(&S, &DieBlock<'_>, &mut [f64])>,
             make_accumulator,
-            Some(&gen_nanos),
-        )?;
-        let stats = ShardStats {
-            generation_seconds: gen_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-            metrics: match (&recorder, &before) {
-                (Some(recorder), Some(before)) => recorder.snapshot().since(before),
-                _ => obs::MetricsSnapshot::default(),
-            },
-        };
-        Ok((accumulator, stats))
+        )
     }
 
-    /// [`Campaign::try_run_shard`] with an optional generation timer:
-    /// workers add the nanoseconds they spend generating dies to
-    /// `gen_timer` (the mechanism behind
-    /// [`Campaign::try_run_shard_stats`]). `None` skips every clock read —
-    /// the plain runner delegates here with `None` at zero cost. Layers
-    /// that dispatch kernels themselves (the analysis engine) thread their
-    /// own timer through this entry point.
+    /// Runs one shard through the **bit-sliced** evaluation pipeline: each
+    /// chunk's samples are grouped into transposed [`DieBlock`]s of up to
+    /// [`BLOCK_DIES`] dies, and `evaluate_block(scheme, block, out)` fills
+    /// `out[j]` with die `j`'s metric for all dies at once. Degenerate
+    /// single-sample groups take the per-die `evaluate` of
+    /// [`Campaign::run_shard`] instead, so any `(samples, chunk size,
+    /// shard)` plan still works.
+    ///
+    /// Chunk boundaries, per-sample RNG streams, weights and record order
+    /// are those of [`Campaign::run_shard`]; when the two evaluators agree
+    /// per die, the accumulator is **bit-identical** to it at any worker
+    /// count and shard split.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Campaign::try_run_shard`].
-    pub fn try_run_shard_timed<S, F, A, E>(
+    /// Same contract as [`Campaign::run_shard`].
+    pub fn run_shard_blocks<S, F, G, A, E>(
         &self,
         schemes: &[S],
         seed: u64,
         shard: ShardSpec,
         evaluate: F,
+        evaluate_block: G,
         make_accumulator: impl Fn() -> A + Sync,
-        gen_timer: Option<&AtomicU64>,
-    ) -> Result<A, RunError<E>>
+    ) -> Result<(A, ShardStats), RunError<E>>
     where
         S: MitigationScheme + Sync,
         F: Fn(&FaultMap, &mut [f64]) -> Result<(), E> + Sync,
+        G: Fn(&S, &DieBlock<'_>, &mut [f64]) + Sync,
         A: Accumulator,
         E: Send,
     {
+        self.run_chunks(
+            schemes,
+            seed,
+            shard,
+            evaluate,
+            Some(evaluate_block),
+            make_accumulator,
+        )
+    }
+
+    /// The one body behind both runners: plan, seeding, chunk ownership,
+    /// recorder propagation, per-stage timing and the chunk-order merge.
+    /// Without a block evaluator every die takes the per-die path.
+    fn run_chunks<S, F, G, A, E>(
+        &self,
+        schemes: &[S],
+        seed: u64,
+        shard: ShardSpec,
+        evaluate: F,
+        evaluate_block: Option<G>,
+        make_accumulator: impl Fn() -> A + Sync,
+    ) -> Result<(A, ShardStats), RunError<E>>
+    where
+        S: MitigationScheme + Sync,
+        F: Fn(&FaultMap, &mut [f64]) -> Result<(), E> + Sync,
+        G: Fn(&S, &DieBlock<'_>, &mut [f64]) + Sync,
+        A: Accumulator,
+        E: Send,
+    {
+        // The calling thread's recorder (if any) is re-installed on every
+        // worker so hot-path counters land in one place regardless of the
+        // thread the chunk happens to run on.
+        let recorder = obs::current();
+        let before = recorder.as_ref().map(|r| r.snapshot());
         let (plan, weights) = self.plan_and_weights()?;
 
         let backend = &self.config.backend;
@@ -837,245 +768,31 @@ impl<B: FaultBackend> Campaign<B> {
         // campaign runs monolithically or split across processes.
         let owned_chunks = shard.chunk_range(chunk_count);
         let workers = self.config.parallelism.worker_count();
-        let map_policy = self.config.map_policy;
-
-        // The calling thread's recorder (if any) is re-installed on every
-        // worker so hot-path counters land in one place regardless of the
-        // thread the chunk happens to run on.
-        let recorder = obs::current();
-        let timing = gen_timer.is_some() || recorder.is_some();
-
-        // Per-worker scratch: a warm `DieScratch` arena plus a recycled
-        // metrics buffer, both reused across every chunk the worker claims.
-        // Scratch holds storage only — each chunk's result stays a pure
-        // function of its index (the evaluator overwrites every metric of
-        // every die), so bit-identity at any worker count is unaffected.
-        let chunk_results: Vec<Result<A, RunError<E>>> = run_chunked_with(
-            owned_chunks.len(),
-            workers,
-            || {
-                (
-                    recorder.as_ref().map(obs::install),
-                    DieScratch::new(backend.config()),
-                    vec![0.0f64; schemes.len()],
-                )
-            },
-            |(_recorder_guard, scratch, metrics), local_index| {
-                let chunk_index = owned_chunks.start + local_index;
-                let start = chunk_index * chunk_size;
-                let end = (start + chunk_size).min(plan.len());
-                let mut accumulator = make_accumulator();
-                // Timing is accumulated locally per chunk and flushed with
-                // one atomic add (and one arena flush), so the (optional)
-                // stage clocks cost a few reads per die and nothing
-                // cross-thread.
-                let mut arena = obs::MetricsArena::new();
-                let mut gen_nanos = 0u64;
-                let mut observe_nanos = 0u64;
-                let mut reduce_nanos = 0u64;
-                let evaluated = (end - start) as u64;
-
-                for planned in &plan[start..end] {
-                    let mut rng = seeder.rng_for_sample(planned.index);
-                    let n = planned.n_faults as usize;
-                    let clock = timing.then(Instant::now);
-                    let map = match map_policy {
-                        MapPolicy::Unrestricted => scratch.generate(backend, &mut rng, n),
-                        MapPolicy::SingleFaultPerRow { max_redraws } => {
-                            scratch.generate_single_fault_per_row(backend, &mut rng, n, max_redraws)
-                        }
-                    }
-                    .map_err(|e| RunError::Sim(SimError::from(e)))?;
-                    let clock = clock.map(|t| {
-                        gen_nanos += t.elapsed().as_nanos() as u64;
-                        Instant::now()
-                    });
-                    evaluate(map, metrics).map_err(RunError::Eval)?;
-                    let clock = clock.map(|t| {
-                        observe_nanos += t.elapsed().as_nanos() as u64;
-                        Instant::now()
-                    });
-                    let sample = PairedSample {
-                        sample_index: planned.index,
-                        n_faults: planned.n_faults,
-                        weight: weights[planned.n_faults as usize],
-                        metrics: std::mem::take(metrics),
-                    };
-                    accumulator.record(&sample);
-                    // Reclaim the metrics buffer for the next die.
-                    *metrics = sample.metrics;
-                    if let Some(t) = clock {
-                        reduce_nanos += t.elapsed().as_nanos() as u64;
-                    }
-                }
-
-                if let Some(timer) = gen_timer {
-                    timer.fetch_add(gen_nanos, Ordering::Relaxed);
-                }
-                arena.count(obs::Counter::ChunksExecuted, 1);
-                arena.count(obs::Counter::SamplesEvaluated, evaluated);
-                if timing {
-                    arena.add_stage(obs::Stage::Generate, gen_nanos, evaluated);
-                    arena.add_stage(obs::Stage::Observe, observe_nanos, evaluated);
-                    arena.add_stage(obs::Stage::Reduce, reduce_nanos, evaluated);
-                }
-                arena.flush();
-                Ok(accumulator)
-            },
-        );
-
-        let merge_span = obs::span(obs::Stage::Merge);
-        let mut merged = make_accumulator();
-        for result in chunk_results {
-            merged.merge(result?);
-        }
-        drop(merge_span);
-        Ok(merged)
-    }
-
-    /// Runs one shard through the **bit-sliced** evaluation pipeline: each
-    /// chunk's samples are grouped into transposed [`DieBlock`]s of up to
-    /// [`BLOCK_DIES`] dies, `evaluate_block(scheme, block, out)` fills
-    /// `out[j]` with die `j`'s metric for all dies at once, and degenerate
-    /// single-sample groups fall back to the scalar `evaluate_sample` tail —
-    /// so any `(samples, chunk size, shard)` plan still works.
-    ///
-    /// Chunk boundaries, per-sample RNG streams, weights and record order
-    /// are computed exactly as in [`Campaign::try_run_shard`]; when the two
-    /// evaluators agree per die, the resulting accumulator is
-    /// **bit-identical** to the per-sample kernels at any worker count and
-    /// shard split.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and sampling errors.
-    pub fn run_shard_blocks<S, F, G, A>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-        evaluate_sample: F,
-        evaluate_block: G,
-        make_accumulator: impl Fn() -> A + Sync,
-    ) -> Result<A, SimError>
-    where
-        S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> f64 + Sync,
-        G: Fn(&S, &DieBlock<'_>, &mut [f64]) + Sync,
-        A: Accumulator,
-    {
-        self.run_shard_blocks_timed(
-            schemes,
-            seed,
-            shard,
-            evaluate_sample,
-            evaluate_block,
-            make_accumulator,
-            None,
-        )
-    }
-
-    /// [`Campaign::run_shard_blocks`] plus a [`ShardStats`] timing
-    /// breakdown. The accumulator is bit-identical to the untimed runner's.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Campaign::run_shard_blocks`].
-    pub fn run_shard_blocks_stats<S, F, G, A>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-        evaluate_sample: F,
-        evaluate_block: G,
-        make_accumulator: impl Fn() -> A + Sync,
-    ) -> Result<(A, ShardStats), SimError>
-    where
-        S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> f64 + Sync,
-        G: Fn(&S, &DieBlock<'_>, &mut [f64]) + Sync,
-        A: Accumulator,
-    {
-        let gen_nanos = AtomicU64::new(0);
-        let recorder = obs::current();
-        let before = recorder.as_ref().map(|r| r.snapshot());
-        let accumulator = self.run_shard_blocks_timed(
-            schemes,
-            seed,
-            shard,
-            evaluate_sample,
-            evaluate_block,
-            make_accumulator,
-            Some(&gen_nanos),
-        )?;
-        let stats = ShardStats {
-            generation_seconds: gen_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-            metrics: match (&recorder, &before) {
-                (Some(recorder), Some(before)) => recorder.snapshot().since(before),
-                _ => obs::MetricsSnapshot::default(),
-            },
-        };
-        Ok((accumulator, stats))
-    }
-
-    /// [`Campaign::run_shard_blocks`] with an optional generation timer
-    /// (see [`Campaign::try_run_shard_timed`] for the protocol).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Campaign::run_shard_blocks`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_shard_blocks_timed<S, F, G, A>(
-        &self,
-        schemes: &[S],
-        seed: u64,
-        shard: ShardSpec,
-        evaluate_sample: F,
-        evaluate_block: G,
-        make_accumulator: impl Fn() -> A + Sync,
-        gen_timer: Option<&AtomicU64>,
-    ) -> Result<A, SimError>
-    where
-        S: MitigationScheme + Sync,
-        F: Fn(&S, &FaultMap) -> f64 + Sync,
-        G: Fn(&S, &DieBlock<'_>, &mut [f64]) + Sync,
-        A: Accumulator,
-    {
-        let (plan, weights) = self.plan_and_weights()?;
-
-        let backend = &self.config.backend;
-        let seeder = StreamSeeder::new(seed);
-        let chunk_size = self.config.chunk_size;
-        let chunk_count = plan.len().div_ceil(chunk_size);
-        let owned_chunks = shard.chunk_range(chunk_count);
-        let workers = self.config.parallelism.worker_count();
-        // The single-fault-per-row protocol threads through the block
-        // generator as a redraw budget so RNG consumption stays identical.
         let max_redraws = match self.config.map_policy {
             MapPolicy::Unrestricted => None,
             MapPolicy::SingleFaultPerRow { max_redraws } => Some(max_redraws),
         };
-        let wide_generation = self.config.wide_generation;
+        let (group_width, block_len) = match evaluate_block {
+            Some(_) => (BLOCK_DIES, schemes.len() * BLOCK_DIES),
+            None => (1, 0),
+        };
 
-        // Re-install the calling thread's recorder (if any) on every worker
-        // so block-kernel counters land in one place.
-        let recorder = obs::current();
-        let timing = gen_timer.is_some() || recorder.is_some();
-
-        // Per-worker scratch: one warm arena (fault map + transposed block
-        // buffers), a recycled per-die metrics vector, and the per-scheme
-        // block output matrix (schemes × BLOCK_DIES dies).
-        let chunk_results: Vec<Result<A, SimError>> = run_chunked_with(
+        // Per-worker scratch: one warm arena (the per-die `DieScratch` plus
+        // the block transposition buffers), a recycled per-die metrics
+        // buffer and the per-scheme block output matrix, all reused across
+        // every chunk the worker claims. Scratch holds storage only — each
+        // chunk's result stays a pure function of its index (evaluators
+        // overwrite every metric of every die), so bit-identity at any
+        // worker count is unaffected.
+        let chunk_results: Vec<Result<(A, u64), RunError<E>>> = run_chunked_with(
             owned_chunks.len(),
             workers,
             || {
-                let mut scratch = BlockScratch::new(backend.config());
-                scratch.set_wide_generation(wide_generation);
                 (
                     recorder.as_ref().map(obs::install),
-                    scratch,
-                    Vec::<f64>::with_capacity(schemes.len()),
-                    vec![0.0f64; schemes.len() * BLOCK_DIES],
+                    BlockScratch::new(backend.config()),
+                    vec![0.0f64; schemes.len()],
+                    vec![0.0f64; block_len],
                 )
             },
             |(_recorder_guard, scratch, metrics, block_out), local_index| {
@@ -1083,114 +800,117 @@ impl<B: FaultBackend> Campaign<B> {
                 let start = chunk_index * chunk_size;
                 let end = (start + chunk_size).min(plan.len());
                 let mut accumulator = make_accumulator();
-                // Per-chunk local accumulation, one atomic flush per chunk.
-                let mut arena = obs::MetricsArena::new();
-                let mut gen_nanos = 0u64;
-                let mut observe_nanos = 0u64;
-                let mut reduce_nanos = 0u64;
-                let evaluated = (end - start) as u64;
+                // Stage time is accumulated locally and flushed once per
+                // chunk: three clock reads per die, nothing cross-thread.
+                let (mut generate, mut observe, mut reduce) = (0u64, 0u64, 0u64);
+                let mut mark = Instant::now();
 
-                for group in plan[start..end].chunks(BLOCK_DIES) {
-                    if let [planned] = group {
-                        // Scalar tail: a lone sample is cheaper through the
-                        // per-die sparse path than through transposition.
-                        let scalar = scratch.scalar_mut();
-                        let mut rng = seeder.rng_for_sample(planned.index);
-                        let n = planned.n_faults as usize;
-                        let clock = timing.then(Instant::now);
-                        let map = match max_redraws {
-                            None => scalar.generate(backend, &mut rng, n),
-                            Some(budget) => {
-                                scalar.generate_single_fault_per_row(backend, &mut rng, n, budget)
+                for group in plan[start..end].chunks(group_width) {
+                    match &evaluate_block {
+                        Some(evaluate_block) if group.len() > 1 => {
+                            let block = scratch
+                                .generate_block(backend, &seeder, group, max_redraws)
+                                .map_err(SimError::from)?;
+                            generate += lap(&mut mark);
+                            for (s, scheme) in schemes.iter().enumerate() {
+                                evaluate_block(
+                                    scheme,
+                                    &block,
+                                    &mut block_out[s * BLOCK_DIES..(s + 1) * BLOCK_DIES],
+                                );
+                            }
+                            observe += lap(&mut mark);
+                            for (j, planned) in group.iter().enumerate() {
+                                for (s, metric) in metrics.iter_mut().enumerate() {
+                                    *metric = block_out[s * BLOCK_DIES + j];
+                                }
+                                record(&mut accumulator, planned, &weights, metrics);
+                            }
+                            reduce += lap(&mut mark);
+                        }
+                        // The per-die path; on the block pipeline, the tail
+                        // for a lone sample, cheaper than a transposition.
+                        _ => {
+                            for planned in group {
+                                let mut rng = seeder.rng_for_sample(planned.index);
+                                let n = planned.n_faults as usize;
+                                let die = scratch.scalar_mut();
+                                let map = match max_redraws {
+                                    None => die.generate(backend, &mut rng, n),
+                                    Some(budget) => die.generate_single_fault_per_row(
+                                        backend, &mut rng, n, budget,
+                                    ),
+                                }
+                                .map_err(SimError::from)?;
+                                generate += lap(&mut mark);
+                                evaluate(map, metrics).map_err(RunError::Eval)?;
+                                observe += lap(&mut mark);
+                                record(&mut accumulator, planned, &weights, metrics);
+                                reduce += lap(&mut mark);
                             }
                         }
-                        .map_err(SimError::from)?;
-                        let clock = clock.map(|t| {
-                            gen_nanos += t.elapsed().as_nanos() as u64;
-                            Instant::now()
-                        });
-                        metrics.clear();
-                        for scheme in schemes {
-                            metrics.push(evaluate_sample(scheme, map));
-                        }
-                        let clock = clock.map(|t| {
-                            observe_nanos += t.elapsed().as_nanos() as u64;
-                            Instant::now()
-                        });
-                        let sample = PairedSample {
-                            sample_index: planned.index,
-                            n_faults: planned.n_faults,
-                            weight: weights[planned.n_faults as usize],
-                            metrics: std::mem::take(metrics),
-                        };
-                        accumulator.record(&sample);
-                        *metrics = sample.metrics;
-                        if let Some(t) = clock {
-                            reduce_nanos += t.elapsed().as_nanos() as u64;
-                        }
-                        continue;
                     }
+                }
 
-                    let clock = timing.then(Instant::now);
-                    let block = scratch
-                        .generate_block(backend, &seeder, group, max_redraws)
-                        .map_err(SimError::from)?;
-                    let clock = clock.map(|t| {
-                        gen_nanos += t.elapsed().as_nanos() as u64;
-                        Instant::now()
-                    });
-                    for (s, scheme) in schemes.iter().enumerate() {
-                        evaluate_block(
-                            scheme,
-                            &block,
-                            &mut block_out[s * BLOCK_DIES..(s + 1) * BLOCK_DIES],
-                        );
-                    }
-                    let clock = clock.map(|t| {
-                        observe_nanos += t.elapsed().as_nanos() as u64;
-                        Instant::now()
-                    });
-                    for (j, planned) in group.iter().enumerate() {
-                        metrics.clear();
-                        for s in 0..schemes.len() {
-                            metrics.push(block_out[s * BLOCK_DIES + j]);
-                        }
-                        let sample = PairedSample {
-                            sample_index: planned.index,
-                            n_faults: planned.n_faults,
-                            weight: weights[planned.n_faults as usize],
-                            metrics: std::mem::take(metrics),
-                        };
-                        accumulator.record(&sample);
-                        *metrics = sample.metrics;
-                    }
-                    if let Some(t) = clock {
-                        reduce_nanos += t.elapsed().as_nanos() as u64;
-                    }
-                }
-                if let Some(timer) = gen_timer {
-                    timer.fetch_add(gen_nanos, Ordering::Relaxed);
-                }
+                let evaluated = (end - start) as u64;
+                let mut arena = obs::MetricsArena::new();
                 arena.count(obs::Counter::ChunksExecuted, 1);
                 arena.count(obs::Counter::SamplesEvaluated, evaluated);
-                if timing {
-                    arena.add_stage(obs::Stage::Generate, gen_nanos, evaluated);
-                    arena.add_stage(obs::Stage::Observe, observe_nanos, evaluated);
-                    arena.add_stage(obs::Stage::Reduce, reduce_nanos, evaluated);
-                }
+                arena.add_stage(obs::Stage::Generate, generate, evaluated);
+                arena.add_stage(obs::Stage::Observe, observe, evaluated);
+                arena.add_stage(obs::Stage::Reduce, reduce, evaluated);
                 arena.flush();
-                Ok(accumulator)
+                Ok((accumulator, generate))
             },
         );
 
         let merge_span = obs::span(obs::Stage::Merge);
         let mut merged = make_accumulator();
+        let mut generate_nanos = 0u64;
         for result in chunk_results {
-            merged.merge(result?);
+            let (accumulator, nanos) = result?;
+            merged.merge(accumulator);
+            generate_nanos += nanos;
         }
         drop(merge_span);
-        Ok(merged)
+        let stats = ShardStats {
+            // The same integer nanoseconds and the same conversion as
+            // `MetricsSnapshot::stage_seconds`.
+            generation_seconds: generate_nanos as f64 / 1e9,
+            metrics: match (&recorder, &before) {
+                (Some(recorder), Some(before)) => recorder.snapshot().since(before),
+                _ => obs::MetricsSnapshot::default(),
+            },
+        };
+        Ok((merged, stats))
     }
+}
+
+/// Nanoseconds since `mark`, moving the mark to now: one clock read per
+/// stage boundary.
+fn lap(mark: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let nanos = u64::try_from(now.duration_since(*mark).as_nanos()).unwrap_or(u64::MAX);
+    *mark = now;
+    nanos
+}
+
+/// Records one die's metrics with its plan weight, then reclaims the
+/// metrics buffer for the next die.
+fn record<A: Accumulator>(
+    accumulator: &mut A,
+    planned: &PlannedSample,
+    weights: &[f64],
+    metrics: &mut Vec<f64>,
+) {
+    let sample = PairedSample {
+        sample_index: planned.index,
+        n_faults: planned.n_faults,
+        weight: weights[planned.n_faults as usize],
+        metrics: std::mem::take(metrics),
+    };
+    accumulator.record(&sample);
+    *metrics = sample.metrics;
 }
 
 /// The campaign's work list: `samples_per_count` samples for every failure
@@ -1213,6 +933,45 @@ mod tests {
     use super::*;
     use crate::accumulate::CollectRecords;
     use faultmit_core::Scheme;
+
+    /// Test-side shorthand for running infallible evaluators into
+    /// [`CollectRecords`].
+    trait Records {
+        fn records(
+            &self,
+            schemes: &[Scheme],
+            seed: u64,
+            shard: ShardSpec,
+            evaluate: impl Fn(&FaultMap, &mut [f64]) + Sync,
+        ) -> CollectRecords;
+
+        fn solo(
+            &self,
+            schemes: &[Scheme],
+            seed: u64,
+            evaluate: impl Fn(&FaultMap, &mut [f64]) + Sync,
+        ) -> CollectRecords {
+            self.records(schemes, seed, ShardSpec::solo(), evaluate)
+        }
+    }
+
+    impl<B: FaultBackend> Records for Campaign<B> {
+        fn records(
+            &self,
+            schemes: &[Scheme],
+            seed: u64,
+            shard: ShardSpec,
+            evaluate: impl Fn(&FaultMap, &mut [f64]) + Sync,
+        ) -> CollectRecords {
+            let evaluate = |map: &FaultMap, metrics: &mut [f64]| {
+                evaluate(map, metrics);
+                Ok::<(), std::convert::Infallible>(())
+            };
+            self.run_shard(schemes, seed, shard, evaluate, CollectRecords::new)
+                .unwrap()
+                .0
+        }
+    }
 
     fn config() -> CampaignConfig {
         CampaignConfig::new(MemoryConfig::new(128, 32).unwrap(), 1e-3)
@@ -1253,18 +1012,11 @@ mod tests {
     fn paired_metrics_line_up_with_schemes() {
         let campaign = Campaign::new(config());
         let schemes = [Scheme::unprotected32(), Scheme::secded32()];
-        let result = campaign
-            .run(
-                &schemes,
-                1,
-                |map, metrics| {
-                    for (metric, scheme) in metrics.iter_mut().zip(&schemes) {
-                        *metric = map.fault_count() as f64 + scheme.extra_bits_per_row() as f64;
-                    }
-                },
-                CollectRecords::new,
-            )
-            .unwrap();
+        let result = campaign.solo(&schemes, 1, |map, metrics| {
+            for (metric, scheme) in metrics.iter_mut().zip(&schemes) {
+                *metric = map.fault_count() as f64 + scheme.extra_bits_per_row() as f64;
+            }
+        });
         assert_eq!(result.records.len(), 60);
         for record in &result.records {
             assert_eq!(record.metrics.len(), 2);
@@ -1278,14 +1030,9 @@ mod tests {
     #[test]
     fn records_arrive_in_global_sample_order() {
         let campaign = Campaign::new(config().with_parallelism(Parallelism::threads(4)));
-        let result = campaign
-            .run(
-                &[Scheme::unprotected32()],
-                2,
-                |map, metrics| metrics.fill(map.fault_count() as f64),
-                CollectRecords::new,
-            )
-            .unwrap();
+        let result = campaign.solo(&[Scheme::unprotected32()], 2, |map, metrics| {
+            metrics.fill(map.fault_count() as f64)
+        });
         let indices: Vec<u64> = result.records.iter().map(|r| r.sample_index).collect();
         assert_eq!(indices, (0..60).collect::<Vec<u64>>());
     }
@@ -1300,12 +1047,8 @@ mod tests {
                 *metric = map.fault_count() as f64 * scheme.word_bits() as f64;
             }
         };
-        let a = serial
-            .run(&schemes, 7, evaluate, CollectRecords::new)
-            .unwrap();
-        let b = parallel
-            .run(&schemes, 7, evaluate, CollectRecords::new)
-            .unwrap();
+        let a = serial.solo(&schemes, 7, evaluate);
+        let b = parallel.solo(&schemes, 7, evaluate);
         assert_eq!(a, b);
     }
 
@@ -1313,12 +1056,8 @@ mod tests {
     fn chunk_size_does_not_change_results() {
         let schemes = [Scheme::unprotected32()];
         let evaluate = |map: &FaultMap, metrics: &mut [f64]| metrics.fill(map.fault_count() as f64);
-        let small = Campaign::new(config().with_chunk_size(1))
-            .run(&schemes, 3, evaluate, CollectRecords::new)
-            .unwrap();
-        let large = Campaign::new(config().with_chunk_size(1000))
-            .run(&schemes, 3, evaluate, CollectRecords::new)
-            .unwrap();
+        let small = Campaign::new(config().with_chunk_size(1)).solo(&schemes, 3, evaluate);
+        let large = Campaign::new(config().with_chunk_size(1000)).solo(&schemes, 3, evaluate);
         assert_eq!(small, large);
     }
 
@@ -1326,14 +1065,9 @@ mod tests {
     fn weights_follow_the_binomial_pmf() {
         let campaign = Campaign::new(config());
         let distribution = campaign.config().failure_distribution().unwrap();
-        let result = campaign
-            .run(
-                &[Scheme::unprotected32()],
-                5,
-                |_, metrics| metrics.fill(0.0),
-                CollectRecords::new,
-            )
-            .unwrap();
+        let result = campaign.solo(&[Scheme::unprotected32()], 5, |_, metrics| {
+            metrics.fill(0.0)
+        });
         for record in &result.records {
             let expected = distribution.pmf(record.n_faults) / 10.0;
             assert!((record.weight - expected).abs() <= 1e-18 + expected * 1e-12);
@@ -1345,31 +1079,19 @@ mod tests {
         let campaign = Campaign::new(
             config().with_map_policy(MapPolicy::SingleFaultPerRow { max_redraws: 1000 }),
         );
-        let result = campaign
-            .run(
-                &[Scheme::secded32()],
-                11,
-                |map, metrics| {
-                    // Under the policy SECDED corrects every die.
-                    metrics[0] = Scheme::secded32().observe(map, 0, 0).value as f64;
-                },
-                CollectRecords::new,
-            )
-            .unwrap();
+        let result = campaign.solo(&[Scheme::secded32()], 11, |map, metrics| {
+            // Under the policy SECDED corrects every die.
+            metrics[0] = Scheme::secded32().observe(map, 0, 0).value as f64;
+        });
         assert!(!result.records.is_empty());
     }
 
     #[test]
     fn exact_failure_count_mode_samples_one_count() {
         let campaign = Campaign::new(config().with_exact_failures(5));
-        let result = campaign
-            .run(
-                &[Scheme::unprotected32()],
-                9,
-                |map, metrics| metrics.fill(map.fault_count() as f64),
-                CollectRecords::new,
-            )
-            .unwrap();
+        let result = campaign.solo(&[Scheme::unprotected32()], 9, |map, metrics| {
+            metrics.fill(map.fault_count() as f64)
+        });
         assert_eq!(result.records.len(), 10);
         for record in &result.records {
             assert_eq!(record.n_faults, 5);
@@ -1381,9 +1103,10 @@ mod tests {
     #[test]
     fn evaluator_errors_surface_deterministically() {
         let campaign = Campaign::new(config().with_parallelism(Parallelism::threads(4)));
-        let result = campaign.try_run(
+        let result = campaign.run_shard(
             &[Scheme::unprotected32()],
             1,
+            ShardSpec::solo(),
             |map, metrics| {
                 if map.fault_count() >= 3 {
                     Err("too many faults")
@@ -1426,12 +1149,8 @@ mod tests {
         );
         let schemes = [Scheme::unprotected32()];
         let evaluate = |map: &FaultMap, metrics: &mut [f64]| metrics.fill(map.fault_count() as f64);
-        let a = legacy
-            .run(&schemes, 31, evaluate, CollectRecords::new)
-            .unwrap();
-        let b = explicit
-            .run(&schemes, 31, evaluate, CollectRecords::new)
-            .unwrap();
+        let a = legacy.solo(&schemes, 31, evaluate);
+        let b = explicit.solo(&schemes, 31, evaluate);
         assert_eq!(a, b);
     }
 
@@ -1449,11 +1168,9 @@ mod tests {
                 .with_max_failures(5)
                 .with_chunk_size(3);
             let serial = Campaign::new(base.with_parallelism(Parallelism::Serial))
-                .run(&schemes, 13, evaluate, CollectRecords::new)
-                .unwrap();
+                .solo(&schemes, 13, evaluate);
             let threaded = Campaign::new(base.with_parallelism(Parallelism::threads(4)))
-                .run(&schemes, 13, evaluate, CollectRecords::new)
-                .unwrap();
+                .solo(&schemes, 13, evaluate);
             assert_eq!(serial, threaded, "{kind} diverges across worker counts");
             assert_eq!(serial.records.len(), 40, "{kind}");
         }
@@ -1515,16 +1232,12 @@ mod tests {
                 *metric = map.fault_count() as f64 * scheme.word_bits() as f64;
             }
         };
-        let monolithic = campaign
-            .run(&schemes, 19, evaluate, CollectRecords::new)
-            .unwrap();
+        let monolithic = campaign.solo(&schemes, 19, evaluate);
         for shard_count in [1usize, 2, 3, 7, 64] {
             let mut merged = CollectRecords::new();
             for index in 0..shard_count {
                 let shard = ShardSpec::new(index, shard_count).unwrap();
-                let part = campaign
-                    .run_shard(&schemes, 19, shard, evaluate, CollectRecords::new)
-                    .unwrap();
+                let part = campaign.records(&schemes, 19, shard, evaluate);
                 merged.merge(part);
             }
             assert_eq!(merged, monolithic, "{shard_count} shards diverge");
@@ -1555,22 +1268,15 @@ mod tests {
         let campaign = Campaign::new(config().with_exact_failures(4));
         let schemes = [Scheme::unprotected32()];
         let evaluate = |map: &FaultMap, metrics: &mut [f64]| metrics.fill(map.fault_count() as f64);
-        let monolithic = campaign
-            .run(&schemes, 5, evaluate, CollectRecords::new)
-            .unwrap();
+        let monolithic = campaign.solo(&schemes, 5, evaluate);
         let mut merged = CollectRecords::new();
         for index in 0..3 {
-            merged.merge(
-                campaign
-                    .run_shard(
-                        &schemes,
-                        5,
-                        ShardSpec::new(index, 3).unwrap(),
-                        evaluate,
-                        CollectRecords::new,
-                    )
-                    .unwrap(),
-            );
+            merged.merge(campaign.records(
+                &schemes,
+                5,
+                ShardSpec::new(index, 3).unwrap(),
+                evaluate,
+            ));
         }
         assert_eq!(merged, monolithic);
     }
@@ -1647,7 +1353,10 @@ mod tests {
                 }
             }
         };
-        let count_sample = |_: &Scheme, map: &FaultMap| map.fault_count() as f64;
+        let count_sample = |map: &FaultMap, metrics: &mut [f64]| {
+            metrics.fill(map.fault_count() as f64);
+            Ok::<(), std::convert::Infallible>(())
+        };
         let schemes = [Scheme::unprotected32(), Scheme::shuffle32(3).unwrap()];
         for kind in [BackendKind::Sram, BackendKind::Dram] {
             for policy in [
@@ -1666,14 +1375,9 @@ mod tests {
                     .with_chunk_size(70)
                     .with_map_policy(policy);
                 let campaign = Campaign::new(base);
-                let reference = campaign
-                    .run(
-                        &schemes,
-                        23,
-                        |map, metrics| metrics.fill(map.fault_count() as f64),
-                        CollectRecords::new,
-                    )
-                    .unwrap();
+                let reference = campaign.solo(&schemes, 23, |map, metrics| {
+                    metrics.fill(map.fault_count() as f64)
+                });
                 for shard_count in [1usize, 3] {
                     let mut merged = CollectRecords::new();
                     for index in 0..shard_count {
@@ -1688,7 +1392,8 @@ mod tests {
                                     count_block,
                                     CollectRecords::new,
                                 )
-                                .unwrap(),
+                                .unwrap()
+                                .0,
                         );
                     }
                     assert_eq!(merged, reference, "{kind} {policy:?} {shard_count} shards");
@@ -1703,25 +1408,78 @@ mod tests {
         // must still match.
         let campaign = Campaign::new(config().with_chunk_size(1));
         let schemes = [Scheme::unprotected32()];
-        let reference = campaign
-            .run(
-                &schemes,
-                3,
-                |map, metrics| metrics.fill(map.fault_count() as f64),
-                CollectRecords::new,
-            )
-            .unwrap();
+        let reference = campaign.solo(&schemes, 3, |map, metrics| {
+            metrics.fill(map.fault_count() as f64)
+        });
         let blocks = campaign
             .run_shard_blocks(
                 &schemes,
                 3,
                 ShardSpec::solo(),
-                |_, map| map.fault_count() as f64,
+                |map, metrics| {
+                    metrics.fill(map.fault_count() as f64);
+                    Ok::<(), std::convert::Infallible>(())
+                },
                 |_, _, _| panic!("single-sample groups must use the scalar tail"),
                 CollectRecords::new,
             )
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(blocks, reference);
+    }
+
+    #[test]
+    fn generation_seconds_are_the_recorded_generate_stage() {
+        // One clock: the stats report exactly the nanoseconds the chunks
+        // flush to the Generate stage, for both runners at any worker
+        // count.
+        use std::sync::Arc;
+        let schemes = [Scheme::unprotected32()];
+        let count = |map: &FaultMap, metrics: &mut [f64]| {
+            metrics.fill(map.fault_count() as f64);
+            Ok::<(), std::convert::Infallible>(())
+        };
+        let count_block = |_: &Scheme, block: &DieBlock<'_>, out: &mut [f64]| {
+            out[..block.die_count()].fill(0.0);
+        };
+        for workers in [1usize, 4] {
+            let campaign = Campaign::new(
+                config()
+                    .with_chunk_size(20)
+                    .with_parallelism(Parallelism::threads(workers)),
+            );
+            for blocks in [false, true] {
+                let recorder = Arc::new(obs::Recorder::new());
+                let stats = {
+                    let _guard = obs::install(&recorder);
+                    if blocks {
+                        campaign
+                            .run_shard_blocks(
+                                &schemes,
+                                4,
+                                ShardSpec::solo(),
+                                count,
+                                count_block,
+                                CollectRecords::new,
+                            )
+                            .unwrap()
+                            .1
+                    } else {
+                        campaign
+                            .run_shard(&schemes, 4, ShardSpec::solo(), count, CollectRecords::new)
+                            .unwrap()
+                            .1
+                    }
+                };
+                assert!(stats.generation_seconds > 0.0, "{workers} workers");
+                assert_eq!(
+                    stats.generation_seconds.to_bits(),
+                    stats.metrics.stage_seconds(obs::Stage::Generate).to_bits(),
+                    "{workers} workers, blocks {blocks}"
+                );
+                assert_eq!(stats.metrics, recorder.snapshot());
+            }
+        }
     }
 
     #[test]
@@ -1736,14 +1494,9 @@ mod tests {
                 .with_max_failures(4)
                 .with_map_policy(MapPolicy::SingleFaultPerRow { max_redraws: 2000 }),
         );
-        let result = campaign
-            .run(
-                &[Scheme::unprotected32()],
-                3,
-                |map, metrics| metrics.fill(map.max_faults_per_row() as f64),
-                CollectRecords::new,
-            )
-            .unwrap();
+        let result = campaign.solo(&[Scheme::unprotected32()], 3, |map, metrics| {
+            metrics.fill(map.max_faults_per_row() as f64)
+        });
         // Clustered placement collides often; the redraw budget must still
         // deliver single-fault rows for these low counts.
         for record in &result.records {

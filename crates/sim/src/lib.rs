@@ -25,7 +25,8 @@
 //! ```
 //! use faultmit_core::{MitigationScheme, Scheme};
 //! use faultmit_memsim::MemoryConfig;
-//! use faultmit_sim::{Campaign, CampaignConfig, CollectRecords, Parallelism};
+//! use faultmit_sim::{Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec};
+//! use std::convert::Infallible;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = CampaignConfig::new(MemoryConfig::new(256, 32)?, 1e-3)?
@@ -35,19 +36,24 @@
 //! let campaign = Campaign::new(config);
 //! let schemes = [Scheme::unprotected32(), Scheme::shuffle32(5)?];
 //! // One call per die fills one metric per scheme.
-//! let records = campaign.run(
+//! let (records, stats) = campaign.run_shard(
 //!     &schemes,
 //!     42,
+//!     ShardSpec::solo(),
 //!     |map, metrics| {
 //!         for (metric, scheme) in metrics.iter_mut().zip(&schemes) {
 //!             *metric = scheme.observe(map, 0, 0).value as f64;
 //!         }
+//!         Ok::<(), Infallible>(())
 //!     },
 //!     CollectRecords::new,
 //! )?;
 //! // 4 failure counts × 5 samples, each evaluated under both schemes.
 //! assert_eq!(records.records.len(), 20);
 //! assert!(records.records.iter().all(|r| r.metrics.len() == 2));
+//! // Generation is timed in worker-seconds whether or not a metrics
+//! // recorder is installed.
+//! assert!(stats.generation_seconds >= 0.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -58,8 +64,7 @@
 //! [`ShardSpec`] shards whose chunk ranges tile the global plan: each shard
 //! is an independent process (or machine), and shard accumulators merged in
 //! shard order are **bit-identical** to the monolithic run — monolithic
-//! execution is just the `0/1` shard ([`Campaign::run`] delegates to
-//! [`Campaign::run_shard`] with [`ShardSpec::solo`]). In-process:
+//! execution is just the `0/1` shard ([`ShardSpec::solo`]). In-process:
 //!
 //! ```
 //! use faultmit_core::Scheme;
@@ -73,14 +78,16 @@
 //!     .with_chunk_size(4);
 //! let campaign = Campaign::new(config);
 //! let schemes = [Scheme::unprotected32()];
-//! let metric =
-//!     |map: &faultmit_memsim::FaultMap, metrics: &mut [f64]| metrics.fill(map.fault_count() as f64);
+//! let metric = |map: &faultmit_memsim::FaultMap, metrics: &mut [f64]| {
+//!     metrics.fill(map.fault_count() as f64);
+//!     Ok::<(), std::convert::Infallible>(())
+//! };
+//! let run = |shard| campaign.run_shard(&schemes, 7, shard, metric, CollectRecords::new);
 //!
-//! let monolithic = campaign.run(&schemes, 7, metric, CollectRecords::new)?;
+//! let (monolithic, _) = run(ShardSpec::solo())?;
 //! let mut merged = CollectRecords::new();
 //! for index in 0..3 {
-//!     let shard = ShardSpec::new(index, 3)?;
-//!     merged.merge(campaign.run_shard(&schemes, 7, shard, metric, CollectRecords::new)?);
+//!     merged.merge(run(ShardSpec::new(index, 3)?)?.0);
 //! }
 //! assert_eq!(merged, monolithic); // bit-identical, not just statistically equal
 //! # Ok(())

@@ -11,9 +11,10 @@
 //! ```
 
 use faultmit::analysis::report::{format_percent, format_sci, Table};
-use faultmit::analysis::{MonteCarloConfig, MonteCarloEngine};
+use faultmit::analysis::MonteCarloEngine;
 use faultmit::core::Scheme;
 use faultmit::memsim::MemoryConfig;
+use faultmit::sim::CampaignConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 4 KB slice of the paper's memory keeps the example fast while showing
@@ -29,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     for &p_cell in &[1e-5, 1e-4, 1e-3] {
-        let config = MonteCarloConfig::new(memory, p_cell)?
+        let config = CampaignConfig::new(memory, p_cell)?
             .with_samples_per_count(40)
             .with_coverage(0.99);
         let engine = MonteCarloEngine::new(config);
@@ -42,8 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "yield @ MSE<1e6".into(),
             ],
         );
-        for scheme in &schemes {
-            let result = engine.run(scheme, 2024)?;
+        // One paired campaign: every scheme is scored on the same dies.
+        for result in engine.run_catalogue(&schemes, 2024)? {
             let mse_needed = result
                 .mse_for_yield(0.9999)
                 .map_or_else(|| "unreachable".to_owned(), format_sci);

@@ -6,17 +6,17 @@
 
 mod common;
 
-use common::per_scheme;
-use faultmit::analysis::{memory_mse, MonteCarloConfig, MonteCarloEngine};
+use common::{per_scheme, Records};
+use faultmit::analysis::{memory_mse, MonteCarloEngine};
 use faultmit::apps::{Benchmark, QualityEvaluator};
 use faultmit::core::Scheme;
 use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
-use faultmit::sim::{Campaign, CampaignConfig, CollectRecords, Parallelism};
+use faultmit::sim::{Campaign, CampaignConfig, Parallelism, ShardSpec};
 
 const SEED: u64 = 0xD373_1213;
 
 fn engine(parallelism: Parallelism) -> MonteCarloEngine {
-    let config = MonteCarloConfig::new(MemoryConfig::new(512, 32).unwrap(), 5e-4)
+    let config = CampaignConfig::new(MemoryConfig::new(512, 32).unwrap(), 5e-4)
         .unwrap()
         .with_samples_per_count(20)
         .with_max_failures(12)
@@ -59,27 +59,24 @@ fn raw_record_stream_is_independent_of_chunking_and_workers() {
         .with_samples_per_count(15)
         .with_max_failures(8);
 
-    let reference = Campaign::new(base.with_parallelism(Parallelism::Serial))
-        .run(
-            &schemes,
-            SEED,
-            per_scheme(&schemes, memory_mse),
-            CollectRecords::new,
-        )
-        .unwrap();
+    let reference = Campaign::new(base.with_parallelism(Parallelism::Serial)).records(
+        &schemes,
+        SEED,
+        ShardSpec::solo(),
+        per_scheme(&schemes, memory_mse),
+    );
 
     for (workers, chunk_size) in [(2usize, 1usize), (3, 7), (8, 64), (4, 1000)] {
         let variant = Campaign::new(
             base.with_parallelism(Parallelism::threads(workers))
                 .with_chunk_size(chunk_size),
         )
-        .run(
+        .records(
             &schemes,
             SEED,
+            ShardSpec::solo(),
             per_scheme(&schemes, memory_mse),
-            CollectRecords::new,
-        )
-        .unwrap();
+        );
         assert_eq!(
             reference, variant,
             "{workers} workers, chunk size {chunk_size}"
@@ -94,22 +91,18 @@ fn different_seeds_produce_different_populations() {
         .unwrap()
         .with_samples_per_count(10)
         .with_max_failures(5);
-    let a = Campaign::new(config)
-        .run(
-            &scheme,
-            1,
-            per_scheme(&scheme, memory_mse),
-            CollectRecords::new,
-        )
-        .unwrap();
-    let b = Campaign::new(config)
-        .run(
-            &scheme,
-            2,
-            per_scheme(&scheme, memory_mse),
-            CollectRecords::new,
-        )
-        .unwrap();
+    let a = Campaign::new(config).records(
+        &scheme,
+        1,
+        ShardSpec::solo(),
+        per_scheme(&scheme, memory_mse),
+    );
+    let b = Campaign::new(config).records(
+        &scheme,
+        2,
+        ShardSpec::solo(),
+        per_scheme(&scheme, memory_mse),
+    );
     assert_ne!(a, b);
 }
 
@@ -128,14 +121,12 @@ fn every_backend_is_bit_identical_serial_vs_threaded_at_any_chunk_size() {
             .with_samples_per_count(12)
             .with_max_failures(10);
 
-        let reference = Campaign::new(base.with_parallelism(Parallelism::Serial))
-            .run(
-                &schemes,
-                SEED,
-                per_scheme(&schemes, memory_mse),
-                CollectRecords::new,
-            )
-            .unwrap();
+        let reference = Campaign::new(base.with_parallelism(Parallelism::Serial)).records(
+            &schemes,
+            SEED,
+            ShardSpec::solo(),
+            per_scheme(&schemes, memory_mse),
+        );
         assert_eq!(reference.records.len(), 120, "{kind}");
 
         for (workers, chunk_size) in [(2usize, 1usize), (4, 7), (8, 64)] {
@@ -143,13 +134,12 @@ fn every_backend_is_bit_identical_serial_vs_threaded_at_any_chunk_size() {
                 base.with_parallelism(Parallelism::threads(workers))
                     .with_chunk_size(chunk_size),
             )
-            .run(
+            .records(
                 &schemes,
                 SEED,
+                ShardSpec::solo(),
                 per_scheme(&schemes, memory_mse),
-                CollectRecords::new,
-            )
-            .unwrap();
+            );
             assert_eq!(
                 reference, variant,
                 "{kind}: {workers} workers, chunk size {chunk_size}"
@@ -168,7 +158,8 @@ fn backend_engine_cdfs_are_bit_identical_serial_vs_threaded() {
         let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
         let build = |parallelism| {
             MonteCarloEngine::new(
-                MonteCarloConfig::for_backend(backend)
+                CampaignConfig::for_backend(backend)
+                    .unwrap()
                     .with_samples_per_count(10)
                     .with_max_failures(8)
                     .with_parallelism(parallelism),
@@ -216,7 +207,8 @@ fn data_image_campaigns_are_bit_identical_serial_vs_threaded() {
     ] {
         let build = |parallelism| {
             MonteCarloEngine::new(
-                MonteCarloConfig::for_backend(backend)
+                CampaignConfig::for_backend(backend)
+                    .unwrap()
                     .with_samples_per_count(10)
                     .with_max_failures(8)
                     .with_image(image)
@@ -285,7 +277,8 @@ fn metrics_counter_snapshots_are_bit_identical_serial_vs_threaded() {
                 let recorder = std::sync::Arc::new(obs::Recorder::new());
                 let guard = obs::install(&recorder);
                 MonteCarloEngine::new(
-                    MonteCarloConfig::for_backend(backend)
+                    CampaignConfig::for_backend(backend)
+                        .unwrap()
                         .with_samples_per_count(10)
                         .with_max_failures(8)
                         .with_kernel(kernel)

@@ -2,8 +2,8 @@
 //! (the per-scheme `memory_mse_sparse*`, built on `observe_sparse` and the
 //! flat fault map's row groups, and the `CatalogueMse` walk that scores a
 //! whole catalogue per die from its single-fault table) and the bit-sliced
-//! block kernel (`block_mse_into` over 64-die `DieBlock` lanes with a scalar
-//! tail, with lane-interleaved wide fault generation on or off) must be
+//! block kernel (`block_mse_into` over 64-die `DieBlock` lanes with a
+//! per-die tail) must be
 //! **bit-identical** to the dense `observe`-based evaluators (`memory_mse`,
 //! `memory_mse_for_data`) on every backend, image, and fault-kind law,
 //! including dies with multi-fault rows; the campaign's reusable arenas —
@@ -13,20 +13,22 @@
 
 mod common;
 
-use common::per_scheme;
+use common::{per_scheme, Records};
 use faultmit::analysis::{
     block_mse_into, memory_mse, memory_mse_for_data, memory_mse_sparse, memory_mse_sparse_with,
     CatalogueMse,
 };
 use faultmit::core::Scheme;
 use faultmit::memsim::{
-    Backend, BackendKind, BlockScratch, DieBlock, DieScratch, FaultKindLaw, ImageSpec,
+    Backend, BackendKind, BlockScratch, DieBlock, DieScratch, FaultKindLaw, FaultMap, ImageSpec,
     MemoryConfig, PlannedSample, SramVddBackend, StreamSeeder, BLOCK_DIES,
 };
 use faultmit::sim::{
     Campaign, CampaignConfig, CollectRecords, KernelKind, MapPolicy, Parallelism, ShardSpec,
     AUTO_FAULTS_PER_ROW_THRESHOLD,
 };
+
+use std::convert::Infallible;
 
 const SEED: u64 = 0x5AB5_EED6;
 
@@ -108,40 +110,34 @@ fn sparse_mse_kernel_is_bit_identical_to_the_scalar_kernel() {
 
                     // Dense baseline: the generic observe path over a dense
                     // image vector.
-                    let scalar = Campaign::new(campaign_config(backend))
-                        .run(
-                            &schemes,
-                            SEED,
-                            per_scheme(&schemes, |scheme, map| {
-                                memory_mse_for_data(scheme, map, &words)
-                            }),
-                            CollectRecords::new,
-                        )
-                        .unwrap();
+                    let scalar = Campaign::new(campaign_config(backend)).records(
+                        &schemes,
+                        SEED,
+                        ShardSpec::solo(),
+                        per_scheme(&schemes, |scheme, map| {
+                            memory_mse_for_data(scheme, map, &words)
+                        }),
+                    );
 
                     // Sparse kernel: row-group walk, observe_sparse,
                     // per-faulty-row image gather.
-                    let sparse = Campaign::new(campaign_config(backend))
-                        .run(
-                            &schemes,
-                            SEED,
-                            per_scheme(&schemes, |scheme, map| {
-                                memory_mse_sparse_with(scheme, map, |row| image.word(row))
-                            }),
-                            CollectRecords::new,
-                        )
-                        .unwrap();
+                    let sparse = Campaign::new(campaign_config(backend)).records(
+                        &schemes,
+                        SEED,
+                        ShardSpec::solo(),
+                        per_scheme(&schemes, |scheme, map| {
+                            memory_mse_sparse_with(scheme, map, |row| image.word(row))
+                        }),
+                    );
 
                     // The same walk fused over the catalogue: one pass per
                     // die, single-fault rows scored from the table.
-                    let fused = Campaign::new(campaign_config(backend))
-                        .run(
-                            &schemes,
-                            SEED,
-                            |map, metrics| walk.mse_into(map, |row| image.word(row), metrics),
-                            CollectRecords::new,
-                        )
-                        .unwrap();
+                    let fused = Campaign::new(campaign_config(backend)).records(
+                        &schemes,
+                        SEED,
+                        ShardSpec::solo(),
+                        |map, metrics| walk.mse_into(map, |row| image.word(row), metrics),
+                    );
 
                     assert_records_bit_identical(&scalar, &sparse, &context);
                     assert_records_bit_identical(
@@ -169,30 +165,22 @@ fn zeros_background_kernels_agree_under_every_map_policy() {
         ] {
             let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
             let config = campaign_config(backend).with_map_policy(policy);
-            let scalar = Campaign::new(config)
-                .run(
-                    &schemes,
-                    SEED,
-                    per_scheme(&schemes, memory_mse),
-                    CollectRecords::new,
-                )
-                .unwrap();
-            let sparse = Campaign::new(config)
-                .run(
-                    &schemes,
-                    SEED,
-                    per_scheme(&schemes, memory_mse_sparse),
-                    CollectRecords::new,
-                )
-                .unwrap();
-            let fused = Campaign::new(config)
-                .run(
-                    &schemes,
-                    SEED,
-                    |map, metrics| walk.mse_into(map, |_| 0, metrics),
-                    CollectRecords::new,
-                )
-                .unwrap();
+            let scalar = Campaign::new(config).records(
+                &schemes,
+                SEED,
+                ShardSpec::solo(),
+                per_scheme(&schemes, memory_mse),
+            );
+            let sparse = Campaign::new(config).records(
+                &schemes,
+                SEED,
+                ShardSpec::solo(),
+                per_scheme(&schemes, memory_mse_sparse),
+            );
+            let fused =
+                Campaign::new(config).records(&schemes, SEED, ShardSpec::solo(), |map, metrics| {
+                    walk.mse_into(map, |_| 0, metrics)
+                });
             assert_records_bit_identical(&scalar, &sparse, &format!("{kind} {policy:?}"));
             assert_records_bit_identical(&scalar, &fused, &format!("{kind} {policy:?} walk"));
         }
@@ -225,35 +213,31 @@ fn catalogue_walk_is_bit_identical_on_multi_fault_dies() {
                     .with_samples_per_count(3)
                     .with_max_failures(40)
                     .with_parallelism(Parallelism::Serial);
-                let dense = Campaign::new(config)
-                    .run(
-                        &schemes,
-                        SEED,
-                        per_scheme(&schemes, |scheme, map| {
-                            memory_mse_for_data(scheme, map, &words)
-                        }),
-                        CollectRecords::new,
-                    )
-                    .unwrap();
+                let dense = Campaign::new(config).records(
+                    &schemes,
+                    SEED,
+                    ShardSpec::solo(),
+                    per_scheme(&schemes, |scheme, map| {
+                        memory_mse_for_data(scheme, map, &words)
+                    }),
+                );
                 let (single_rows, multi_rows) = (AtomicUsize::new(0), AtomicUsize::new(0));
-                let fused = Campaign::new(config)
-                    .run(
-                        &schemes,
-                        SEED,
-                        |map, metrics| {
-                            for (_, row_faults) in map.rows_with_faults() {
-                                let counter = if row_faults.len() == 1 {
-                                    &single_rows
-                                } else {
-                                    &multi_rows
-                                };
-                                counter.fetch_add(1, Ordering::Relaxed);
-                            }
-                            walk.mse_into(map, |row| image.word(row), metrics);
-                        },
-                        CollectRecords::new,
-                    )
-                    .unwrap();
+                let fused = Campaign::new(config).records(
+                    &schemes,
+                    SEED,
+                    ShardSpec::solo(),
+                    |map, metrics| {
+                        for (_, row_faults) in map.rows_with_faults() {
+                            let counter = if row_faults.len() == 1 {
+                                &single_rows
+                            } else {
+                                &multi_rows
+                            };
+                            counter.fetch_add(1, Ordering::Relaxed);
+                        }
+                        walk.mse_into(map, |row| image.word(row), metrics);
+                    },
+                );
                 assert_records_bit_identical(&dense, &fused, &context);
                 assert!(
                     single_rows.into_inner() > 0 && multi_rows.into_inner() > 0,
@@ -273,17 +257,19 @@ fn arena_reuse_is_bit_identical_across_worker_counts() {
     let backend = Backend::at_p_cell(BackendKind::Sram, memory, 1e-3).unwrap();
     let walk = CatalogueMse::new(&schemes, memory.word_bits());
     let evaluate = |map: &_, metrics: &mut [f64]| walk.mse_into(map, |_| 0, metrics);
-    let reference = Campaign::new(campaign_config(backend))
-        .run(&schemes, SEED, evaluate, CollectRecords::new)
-        .unwrap();
+    let reference = Campaign::new(campaign_config(backend)).records(
+        &schemes,
+        SEED,
+        ShardSpec::solo(),
+        evaluate,
+    );
     for workers in [2usize, 4, 8] {
         let threaded = Campaign::new(
             campaign_config(backend)
                 .with_parallelism(Parallelism::threads(workers))
                 .with_chunk_size(3),
         )
-        .run(&schemes, SEED, evaluate, CollectRecords::new)
-        .unwrap();
+        .records(&schemes, SEED, ShardSpec::solo(), evaluate);
         assert_records_bit_identical(&reference, &threaded, &format!("{workers} workers"));
     }
 }
@@ -314,11 +300,7 @@ impl SweepRng {
 /// including budgets that are **not** multiples of the 64-die block width,
 /// so the scalar tail and partial trailing blocks are exercised — the
 /// `sparse` and `bitsliced` kernels agree bit for bit, sample for sample,
-/// with the dense `memory_mse_for_data` evaluator. The block runs generate
-/// faults through the lane-interleaved wide RNG path by default (on
-/// backends that opt in), so the sweep also pins wide generation to the
-/// scalar RNG schedule; an explicit wide-generation-off run closes the loop
-/// by checking the pure scalar generation path against the same baseline.
+/// with the dense `memory_mse_for_data` evaluator.
 #[test]
 fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
     let schemes = Scheme::fig5_catalogue();
@@ -344,70 +326,54 @@ fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
                 );
                 let image = spec.try_materialise(memory).unwrap();
                 let words = image.materialise(memory.rows());
-                let config = |wide_generation: bool| {
+                let campaign = Campaign::new(
                     CampaignConfig::for_backend(backend)
                         .unwrap()
                         .with_samples_per_count(samples_per_count)
                         .with_max_failures(max_failures)
                         .with_parallelism(Parallelism::Serial)
-                        .with_chunk_size(chunk_size)
-                        .with_wide_generation(wide_generation)
-                };
+                        .with_chunk_size(chunk_size),
+                );
 
-                let scalar = Campaign::new(config(true))
-                    .run(
-                        &schemes,
-                        SEED,
-                        per_scheme(&schemes, |scheme, map| {
-                            memory_mse_for_data(scheme, map, &words)
-                        }),
-                        CollectRecords::new,
-                    )
-                    .unwrap();
+                let scalar = campaign.records(
+                    &schemes,
+                    SEED,
+                    ShardSpec::solo(),
+                    per_scheme(&schemes, |scheme, map| {
+                        memory_mse_for_data(scheme, map, &words)
+                    }),
+                );
                 let walk = CatalogueMse::new(&schemes, memory.word_bits());
-                let sparse = Campaign::new(config(true))
-                    .run(
+                let walk_die = |map: &FaultMap, metrics: &mut [f64]| {
+                    walk.mse_into(map, |row| image.word(row), metrics);
+                    Ok::<(), Infallible>(())
+                };
+                let sparse = campaign
+                    .run_shard(
                         &schemes,
                         SEED,
-                        |map, metrics| walk.mse_into(map, |row| image.word(row), metrics),
+                        ShardSpec::solo(),
+                        walk_die,
                         CollectRecords::new,
                     )
-                    .unwrap();
-                let bitsliced = Campaign::new(config(true))
+                    .unwrap()
+                    .0;
+                let bitsliced = campaign
                     .run_shard_blocks(
                         &schemes,
                         SEED,
                         ShardSpec::solo(),
-                        |scheme, map| memory_mse_sparse_with(scheme, map, |row| image.word(row)),
+                        walk_die,
                         |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
                             block_mse_into(scheme, block, |row| image.word(row), out);
                         },
                         CollectRecords::new,
                     )
-                    .unwrap();
-                // Same kernel, wide generation forced off: the scalar
-                // per-die generation path must reproduce the exact same
-                // records, proving the wide path changed nothing.
-                let scalar_generation = Campaign::new(config(false))
-                    .run_shard_blocks(
-                        &schemes,
-                        SEED,
-                        ShardSpec::solo(),
-                        |scheme, map| memory_mse_sparse_with(scheme, map, |row| image.word(row)),
-                        |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
-                            block_mse_into(scheme, block, |row| image.word(row), out);
-                        },
-                        CollectRecords::new,
-                    )
-                    .unwrap();
+                    .unwrap()
+                    .0;
 
                 assert_records_bit_identical(&scalar, &sparse, &context);
                 assert_records_bit_identical(&scalar, &bitsliced, &context);
-                assert_records_bit_identical(
-                    &scalar,
-                    &scalar_generation,
-                    &format!("{context} (wide generation off)"),
-                );
             }
         }
     }
@@ -445,11 +411,8 @@ fn die_generation_reaches_zero_allocation_steady_state() {
 /// The transposed block path holds the same guarantee: once the lane
 /// buffers have grown to the campaign's peak demand (`BLOCK_DIES` dies at
 /// the largest fault count), steady-state `generate_block` calls — full
-/// blocks and partial tails alike — never touch the heap. The gate runs
-/// with lane-interleaved wide generation both on (the default, exercising
-/// the `WideRng` batch path on backends that opt in) and off (the per-die
-/// scalar path), since the two paths use different working buffers.
-fn block_zero_alloc_gate(label: &str, wide_generation: bool) {
+/// blocks and partial tails alike — never touch the heap.
+fn block_zero_alloc_gate(label: &str) {
     let memory = MemoryConfig::new(256, 32).unwrap();
     let seeder = StreamSeeder::new(SEED);
     let lanes = BLOCK_DIES as u64;
@@ -464,7 +427,6 @@ fn block_zero_alloc_gate(label: &str, wide_generation: bool) {
     for kind in BackendKind::ALL {
         let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
         let mut scratch = BlockScratch::new(memory);
-        scratch.set_wide_generation(wide_generation);
         // Warm-up: full blocks at the peak fault count grow every lane
         // buffer to the campaign's maximum demand.
         for block in 0..4u64 {
@@ -487,16 +449,14 @@ fn block_zero_alloc_gate(label: &str, wide_generation: bool) {
         assert_eq!(
             scratch.realloc_events(),
             after_warmup,
-            "{kind} ({label}, wide_generation={wide_generation}): \
-             steady-state block generation must not touch the heap"
+            "{kind} ({label}): steady-state block generation must not touch the heap"
         );
     }
 }
 
 #[test]
 fn block_generation_reaches_zero_allocation_steady_state() {
-    block_zero_alloc_gate("metrics off", true);
-    block_zero_alloc_gate("metrics off", false);
+    block_zero_alloc_gate("metrics off");
 }
 
 /// The zero-allocation guarantee holds with metrics recording switched on:
@@ -511,14 +471,14 @@ fn zero_allocation_steady_state_holds_with_metrics_recording_on() {
     let guard = obs::install(&recorder);
 
     die_generation_reaches_zero_allocation_steady_state();
-    block_zero_alloc_gate("metrics on", true);
+    block_zero_alloc_gate("metrics on");
 
     drop(guard);
     let snapshot = recorder.snapshot();
     // The gates really were recorded: dies flowed through the counters and
     // the only realloc events are the warm-up growth the gates tolerate.
     assert!(snapshot.counter(obs::Counter::DiesGenerated) > 0);
-    assert!(snapshot.counter(obs::Counter::WideGenLaneSteps) > 0);
+    assert!(snapshot.counter(obs::Counter::BlocksTransposed) > 0);
     assert!(snapshot.counter(obs::Counter::ReallocEvents) > 0);
     assert!(
         snapshot

@@ -12,11 +12,11 @@
 
 mod common;
 
-use common::per_scheme;
+use common::{per_scheme, Records};
 use faultmit::analysis::memory_mse;
 use faultmit::core::{Scheme, SegmentGeometry};
 use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
-use faultmit::sim::{Campaign, CampaignConfig, CollectRecords, Parallelism};
+use faultmit::sim::{Campaign, CampaignConfig, Parallelism, ShardSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,14 +51,12 @@ fn shuffling_never_exceeds_unprotected_mse_on_shared_dies() {
             .with_samples_per_count(samples_per_count)
             .with_max_failures(max_failures)
             .with_parallelism(Parallelism::threads(2));
-        let records = Campaign::new(config)
-            .run(
-                &schemes,
-                0xBEEF ^ case,
-                per_scheme(&schemes, memory_mse),
-                CollectRecords::new,
-            )
-            .unwrap();
+        let records = Campaign::new(config).records(
+            &schemes,
+            0xBEEF ^ case,
+            ShardSpec::solo(),
+            per_scheme(&schemes, memory_mse),
+        );
 
         assert!(!records.records.is_empty());
         for record in &records.records {
@@ -93,14 +91,12 @@ fn shuffling_never_exceeds_unprotected_mse_on_any_backend() {
                 .with_samples_per_count(6)
                 .with_max_failures(16)
                 .with_parallelism(Parallelism::threads(2));
-            let records = Campaign::new(config)
-                .run(
-                    &schemes,
-                    0xBAC2 + n_fm as u64,
-                    per_scheme(&schemes, memory_mse),
-                    CollectRecords::new,
-                )
-                .unwrap();
+            let records = Campaign::new(config).records(
+                &schemes,
+                0xBAC2 + n_fm as u64,
+                ShardSpec::solo(),
+                per_scheme(&schemes, memory_mse),
+            );
 
             assert!(!records.records.is_empty(), "{kind}");
             for record in &records.records {
@@ -128,14 +124,12 @@ fn finer_segments_never_lose_on_shared_single_fault_dies() {
         .with_samples_per_count(10)
         .with_max_failures(6)
         .with_map_policy(faultmit::sim::MapPolicy::SingleFaultPerRow { max_redraws: 1000 });
-    let records = Campaign::new(config)
-        .run(
-            &schemes,
-            0x51CE,
-            per_scheme(&schemes, memory_mse),
-            CollectRecords::new,
-        )
-        .unwrap();
+    let records = Campaign::new(config).records(
+        &schemes,
+        0x51CE,
+        ShardSpec::solo(),
+        per_scheme(&schemes, memory_mse),
+    );
 
     for record in &records.records {
         for pair in record.metrics.windows(2) {

@@ -7,8 +7,8 @@
 
 mod common;
 
-use common::per_scheme;
-use faultmit::analysis::{memory_mse, CatalogueAccumulator, MonteCarloConfig, MonteCarloEngine};
+use common::{per_scheme, Records};
+use faultmit::analysis::{memory_mse, CatalogueAccumulator, MonteCarloEngine};
 use faultmit::core::Scheme;
 use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
 use faultmit::sim::{
@@ -34,31 +34,24 @@ fn every_backend_shards_bit_identically_at_every_split() {
                 .with_max_failures(10)
                 .with_chunk_size(5),
         );
-        let monolithic = campaign
-            .run(
-                &schemes,
-                SEED,
-                per_scheme(&schemes, memory_mse),
-                CollectRecords::new,
-            )
-            .unwrap();
+        let monolithic = campaign.records(
+            &schemes,
+            SEED,
+            ShardSpec::solo(),
+            per_scheme(&schemes, memory_mse),
+        );
         assert_eq!(monolithic.records.len(), 120, "{kind}");
 
         for shard_count in SHARD_COUNTS {
             let mut merged = CollectRecords::new();
             for index in 0..shard_count {
                 let shard = ShardSpec::new(index, shard_count).unwrap();
-                merged.merge(
-                    campaign
-                        .run_shard(
-                            &schemes,
-                            SEED,
-                            shard,
-                            per_scheme(&schemes, memory_mse),
-                            CollectRecords::new,
-                        )
-                        .unwrap(),
-                );
+                merged.merge(campaign.records(
+                    &schemes,
+                    SEED,
+                    shard,
+                    per_scheme(&schemes, memory_mse),
+                ));
             }
             assert_eq!(merged, monolithic, "{kind}: {shard_count} shards diverge");
         }
@@ -74,7 +67,8 @@ fn engine_shard_states_merge_bit_identically_for_every_backend() {
     for kind in BackendKind::ALL {
         let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
         let engine = MonteCarloEngine::new(
-            MonteCarloConfig::for_backend(backend)
+            CampaignConfig::for_backend(backend)
+                .unwrap()
                 .with_samples_per_count(10)
                 .with_max_failures(8),
         );
@@ -84,7 +78,12 @@ fn engine_shard_states_merge_bit_identically_for_every_backend() {
             let mut merged = CatalogueAccumulator::new(schemes.len());
             for index in 0..shard_count {
                 let shard = ShardSpec::new(index, shard_count).unwrap();
-                merged.merge(engine.run_catalogue_shard(&schemes, SEED, shard).unwrap());
+                merged.merge(
+                    engine
+                        .run_catalogue_shard_on_image_stats(&schemes, SEED, shard, None)
+                        .unwrap()
+                        .0,
+                );
             }
             let results = engine.results_from_state(&schemes, merged).unwrap();
             for (a, b) in monolithic.iter().zip(&results) {
@@ -132,7 +131,8 @@ fn data_image_campaigns_shard_bit_identically() {
         ImageSpec::Sparse { seed: 7 },
     ] {
         let engine = MonteCarloEngine::new(
-            MonteCarloConfig::for_backend(backend)
+            CampaignConfig::for_backend(backend)
+                .unwrap()
                 .with_samples_per_count(9)
                 .with_max_failures(7)
                 .with_image(image),
@@ -142,7 +142,12 @@ fn data_image_campaigns_shard_bit_identically() {
             let mut merged = CatalogueAccumulator::new(schemes.len());
             for index in 0..shard_count {
                 let shard = ShardSpec::new(index, shard_count).unwrap();
-                merged.merge(engine.run_catalogue_shard(&schemes, SEED, shard).unwrap());
+                merged.merge(
+                    engine
+                        .run_catalogue_shard_on_image_stats(&schemes, SEED, shard, None)
+                        .unwrap()
+                        .0,
+                );
             }
             let results = engine.results_from_state(&schemes, merged).unwrap();
             for (a, b) in monolithic.iter().zip(&results) {
@@ -175,24 +180,18 @@ fn shards_are_worker_count_independent() {
             .with_max_failures(6)
             .with_chunk_size(3);
         let shard = ShardSpec::new(1, 3).unwrap();
-        let serial = Campaign::new(base.with_parallelism(Parallelism::Serial))
-            .run_shard(
-                &schemes,
-                SEED,
-                shard,
-                per_scheme(&schemes, memory_mse),
-                CollectRecords::new,
-            )
-            .unwrap();
-        let threaded = Campaign::new(base.with_parallelism(Parallelism::threads(4)))
-            .run_shard(
-                &schemes,
-                SEED,
-                shard,
-                per_scheme(&schemes, memory_mse),
-                CollectRecords::new,
-            )
-            .unwrap();
+        let serial = Campaign::new(base.with_parallelism(Parallelism::Serial)).records(
+            &schemes,
+            SEED,
+            shard,
+            per_scheme(&schemes, memory_mse),
+        );
+        let threaded = Campaign::new(base.with_parallelism(Parallelism::threads(4))).records(
+            &schemes,
+            SEED,
+            shard,
+            per_scheme(&schemes, memory_mse),
+        );
         assert_eq!(serial, threaded, "{kind}");
         // The shard evaluated exactly its own sample range.
         let range = Campaign::new(base).shard_sample_range(shard).unwrap();

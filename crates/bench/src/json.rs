@@ -12,13 +12,14 @@
 //! checkpoints back. Numbers parse through [`str::parse::<f64>`], and the
 //! emitter prints floats with Rust's shortest round-trippable
 //! representation, so an emit → parse cycle reproduces every finite `f64`
-//! bit-for-bit — the property the byte-identical shard-merge invariant
-//! rests on. The single exception is `-0.0`, which the emitter has always
-//! normalised to `"0"` (the byte format of every historical figure JSON):
-//! shard-state observations tolerate this because CDF weights are strictly
-//! positive and `±0.0` *values* are indistinguishable to every CDF query —
-//! comparisons, quantiles and weight sums — so normalisation cannot change
-//! a rendered figure byte.
+//! bit-for-bit. The single exception is `-0.0`, which the emitter has always
+//! normalised to `"0"` (the byte format of every historical figure JSON).
+//! Shard-state catalogue values do not depend on either property: they are
+//! stored as hex strings of their raw bits. The numbers a checkpoint still
+//! writes through this path are the CDF weights, which are strictly
+//! positive, and the record metrics, whose `±0.0` no reduction of a rendered
+//! figure distinguishes, so normalisation cannot change a rendered figure
+//! byte.
 
 use std::fmt::Write as _;
 
@@ -351,9 +352,8 @@ impl Parser<'_> {
         loop {
             let start = self.pos;
             // Consume a run of plain UTF-8 characters in one go.
-            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
-                self.pos += 1;
-            }
+            let rest = &self.bytes[start..];
+            self.pos += find_byte(rest, |byte| byte == b'"' || byte == b'\\').unwrap_or(rest.len());
             out.push_str(
                 std::str::from_utf8(&self.bytes[start..self.pos])
                     .map_err(|_| self.error("invalid UTF-8 in string"))?,
@@ -474,21 +474,46 @@ fn push_indent(out: &mut String, indent: usize) {
     out.push_str(&SPACES[..width]);
 }
 
+/// Index of the first byte `hit` accepts. Scans whole 16-byte chunks
+/// without an early exit, which the compiler vectorises, before locating
+/// the byte inside the chunk that has one.
+fn find_byte(bytes: &[u8], hit: impl Fn(u8) -> bool) -> Option<usize> {
+    const CHUNK: usize = 16;
+    let mut offset = 0;
+    for chunk in bytes.chunks_exact(CHUNK) {
+        if chunk.iter().fold(false, |found, &byte| found | hit(byte)) {
+            break;
+        }
+        offset += CHUNK;
+    }
+    bytes[offset..]
+        .iter()
+        .position(|&byte| hit(byte))
+        .map(|i| offset + i)
+}
+
 fn write_escaped(out: &mut String, value: &str) {
     out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = value;
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // split `value` on char boundaries and go out as slices.
+    while let Some(i) = find_byte(rest.as_bytes(), |byte| {
+        byte < 0x20 || byte == b'"' || byte == b'\\'
+    }) {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            byte => {
+                let _ = write!(out, "\\u{byte:04x}");
             }
-            c => out.push(c),
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -596,6 +621,40 @@ mod tests {
             "\u{1}\u{1f}".to_json().to_pretty_string(),
             "\"\\u0001\\u001f\""
         );
+        // The escaper and the parser search whole chunks of bytes, so put
+        // each special character at every offset of a string longer than
+        // two chunks, next to multi-byte characters, and compare with a
+        // character-at-a-time escaper.
+        fn escape_by_char(value: &str) -> String {
+            let mut out = String::from('"');
+            for c in value.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        for special in [
+            "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1f}", "\u{7f}", "é", "😀",
+        ] {
+            for offset in 0..40 {
+                let value = format!(
+                    "{}{special}{}é",
+                    "a".repeat(offset),
+                    "b".repeat(39 - offset)
+                );
+                let rendered = value.to_json().to_pretty_string();
+                assert_eq!(rendered, escape_by_char(&value), "{value:?}");
+                assert_eq!(JsonValue::parse(&rendered).unwrap().as_str(), Some(&*value));
+            }
+        }
     }
 
     /// The emitter as it was before numbers were formatted in place: one
@@ -958,8 +1017,9 @@ mod tests {
         // Empty f64 iterator sums are -0.0, so figure probabilities hit
         // this path; the byte format of the historical figure JSON ("0")
         // wins over sign preservation. Parsing normalises to +0.0 — safe
-        // for shard state because ±0.0 are indistinguishable to every CDF
-        // query and weights are strictly positive.
+        // for the numbers shard state writes through this path: weights
+        // are strictly positive and no figure distinguishes ±0.0 record
+        // metrics (catalogue values are stored as raw bits instead).
         let rendered = JsonValue::Number(-0.0).to_pretty_string();
         assert_eq!(rendered, "0");
         let parsed = JsonValue::parse(&rendered).unwrap().as_f64().unwrap();

@@ -287,6 +287,10 @@ fn sum_opt(a: Option<f64>, b: Option<f64>) -> Option<f64> {
 /// Renders the `--metrics` output document: the aggregated telemetry plus
 /// the derived rates operators actually read (`observe_block` fallback
 /// rate, per-stage time split, samples per second).
+///
+/// The per-stage split, `derived.stage_seconds`, is in worker-seconds:
+/// each stage's wall spans summed over the workers that recorded them, so
+/// at more than one worker a stage can exceed `elapsed_seconds`.
 #[must_use]
 pub fn metrics_report(metrics: &ShardMetrics) -> JsonValue {
     let snapshot = metrics.snapshot.unwrap_or_default();

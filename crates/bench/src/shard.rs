@@ -16,10 +16,14 @@
 //!    record state stores the raw [`PairedSample`] stream in global sample
 //!    order, and deterministic table state is validated for equality
 //!    across shards, and
-//! 3. the in-tree JSON emitter prints every finite `f64` in its shortest
+//! 3. catalogue values are stored as their raw bits (`f64::to_bits`, 16
+//!    lowercase hex digits each), so they round-trip exactly by
+//!    construction, `-0.0` included; the remaining numbers — the
+//!    always-positive weights and the record metrics — go through the
+//!    in-tree JSON emitter, which prints every finite `f64` in its shortest
 //!    round-trippable form (sole exception: `-0.0` normalises to `+0.0`,
-//!    which no downstream reduction can distinguish — see the `json`
-//!    module docs),
+//!    which no downstream reduction of a record metric can distinguish —
+//!    see the `json` module docs),
 //!
 //! the merged state — and therefore the rendered figure JSON — is
 //! **byte-identical** to the monolithic single-process run for every
@@ -48,8 +52,10 @@ use std::path::Path;
 /// top-level telemetry fields into one `metrics` section; `v4` stores each
 /// catalogue stratum as `{"n", "weights", "values"}` — run-length encoded
 /// weights next to a value column — instead of one `[value, weight]` pair
-/// per observation. The loader reads only this version.
-pub const SHARD_STATE_FORMAT: &str = "faultmit-shard-state/v4";
+/// per observation; `v5` writes that value column as one string of
+/// 16-digit lowercase hex words (`f64::to_bits`) instead of an array of
+/// decimal numbers. The loader reads only this version.
+pub const SHARD_STATE_FORMAT: &str = "faultmit-shard-state/v5";
 
 /// Error reading or merging shard state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -470,15 +476,38 @@ pub fn load_shard_files<P: AsRef<Path>>(paths: &[P]) -> Result<Vec<ShardState>, 
 }
 
 /// Serialises a [`CdfSketch`] as `{"weights": [[w, count], …], "values":
-/// [v, …]}`: the observation values in insertion order, and their weights
-/// run-length encoded, one `[weight, count]` run per maximal stretch of
-/// bit-equal weights. Every die of a catalogue stratum carries the same
-/// weight `pmf(n)/m`, so a registry campaign's stratum is one run, but the
-/// encoding is exact for any sketch.
+/// "<hex>"}`: the observation values in insertion order, each as the 16
+/// lowercase hex digits of its bits (`f64::to_bits`, most significant
+/// first), and their weights run-length encoded, one `[weight, count]` run
+/// per maximal stretch of bit-equal weights. Every die of a catalogue
+/// stratum carries the same weight `pmf(n)/m`, so a registry campaign's
+/// stratum is one run, but the encoding is exact for any sketch.
 #[must_use]
 pub fn sketch_to_json(sketch: &CdfSketch) -> JsonValue {
     JsonValue::object(sketch_fields(sketch))
 }
+
+/// Hex digits of one value word.
+const WORD_DIGITS: usize = 16;
+
+/// The lowercase hex digit of each nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// A bit no nibble has, so OR-ing a word's [`NIBBLES`] entries shows
+/// whether any of its digits was invalid.
+const INVALID_DIGIT: u8 = 0x10;
+
+/// The nibble each byte denotes as a lowercase hex digit, and
+/// [`INVALID_DIGIT`] for every other byte.
+const NIBBLES: [u8; 256] = {
+    let mut table = [INVALID_DIGIT; 256];
+    let mut nibble = 0;
+    while nibble < HEX_DIGITS.len() {
+        table[HEX_DIGITS[nibble] as usize] = nibble as u8;
+        nibble += 1;
+    }
+    table
+};
 
 fn sketch_fields(sketch: &CdfSketch) -> [(&'static str, JsonValue); 2] {
     let observations = sketch.observations();
@@ -486,14 +515,42 @@ fn sketch_fields(sketch: &CdfSketch) -> [(&'static str, JsonValue); 2] {
         .chunk_by(|a, b| a.1.to_bits() == b.1.to_bits())
         .map(|run| JsonValue::Array(vec![JsonValue::Number(run[0].1), run.len().to_json()]))
         .collect();
-    let values = observations
-        .iter()
-        .map(|&(value, _)| JsonValue::Number(value))
-        .collect();
+    let mut hex = vec![0u8; WORD_DIGITS * observations.len()];
+    for (word, &(value, _)) in hex.chunks_exact_mut(WORD_DIGITS).zip(observations) {
+        for (digits, byte) in word.chunks_exact_mut(2).zip(value.to_bits().to_be_bytes()) {
+            digits[0] = HEX_DIGITS[usize::from(byte >> 4)];
+            digits[1] = HEX_DIGITS[usize::from(byte & 0xf)];
+        }
+    }
+    let values = String::from_utf8(hex).expect("hex digits are ASCII");
     [
         ("weights", JsonValue::Array(runs)),
-        ("values", JsonValue::Array(values)),
+        ("values", JsonValue::String(values)),
     ]
+}
+
+/// Decodes one 16-digit value word, refusing a byte that is not a
+/// lowercase hex digit and the bits of a non-finite value.
+fn value_from_word(word: &[u8]) -> Result<f64, ShardStateError> {
+    let mut bits = 0u64;
+    let mut invalid = 0u8;
+    for &digit in word {
+        let nibble = NIBBLES[usize::from(digit)];
+        invalid |= nibble;
+        bits = bits << 4 | u64::from(nibble);
+    }
+    if invalid & INVALID_DIGIT != 0 {
+        return Err(ShardStateError::new(
+            "sketch values must be lowercase hex digits",
+        ));
+    }
+    let value = f64::from_bits(bits);
+    if !value.is_finite() {
+        return Err(ShardStateError::new(format!(
+            "sketch values must be finite, found word {bits:016x}"
+        )));
+    }
+    Ok(value)
 }
 
 /// Rebuilds a [`CdfSketch`] from the `weights`/`values` fields
@@ -502,20 +559,29 @@ fn sketch_fields(sketch: &CdfSketch) -> [(&'static str, JsonValue); 2] {
 ///
 /// # Errors
 ///
-/// Returns [`ShardStateError`] unless `values` is an array of numbers and
-/// `weights` an array of `[weight, count]` runs — a positive weight, a
-/// positive integer count — whose counts sum to the number of values.
+/// Returns [`ShardStateError`] unless `values` is a string of 16-digit
+/// lowercase hex words, each the bits of a finite value, and `weights` an
+/// array of `[weight, count]` runs — a positive weight, a positive integer
+/// count — whose counts sum to the number of words.
 pub fn sketch_from_json(value: &JsonValue) -> Result<CdfSketch, ShardStateError> {
-    let values = value
+    let hex = value
         .get("values")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| ShardStateError::new("sketch is missing its 'values' array"))?;
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| ShardStateError::new("sketch is missing its 'values' hex string"))?
+        .as_bytes();
     let runs = value
         .get("weights")
         .and_then(JsonValue::as_array)
         .ok_or_else(|| ShardStateError::new("sketch is missing its 'weights' array"))?;
-    let mut remaining = values.iter();
-    let mut observations = Vec::with_capacity(values.len());
+    if hex.len() % WORD_DIGITS != 0 {
+        return Err(ShardStateError::new(format!(
+            "sketch values hold {} hex digits, not a multiple of {WORD_DIGITS}",
+            hex.len()
+        )));
+    }
+    let len = hex.len() / WORD_DIGITS;
+    let mut words = hex.chunks_exact(WORD_DIGITS);
+    let mut observations = Vec::with_capacity(len);
     for run in runs {
         let Some([weight, count]) = run.as_array() else {
             return Err(ShardStateError::new(
@@ -533,16 +599,12 @@ pub fn sketch_from_json(value: &JsonValue) -> Result<CdfSketch, ShardStateError>
             .filter(|&count| count > 0)
             .ok_or_else(|| ShardStateError::new("sketch run counts must be positive integers"))?;
         for _ in 0..count {
-            let observed = remaining
-                .next()
-                .ok_or_else(|| run_mismatch(values.len()))?
-                .as_f64()
-                .ok_or_else(|| ShardStateError::new("sketch values must be numbers"))?;
-            observations.push((observed, weight));
+            let word = words.next().ok_or_else(|| run_mismatch(len))?;
+            observations.push((value_from_word(word)?, weight));
         }
     }
-    if remaining.next().is_some() {
-        return Err(run_mismatch(values.len()));
+    if words.next().is_some() {
+        return Err(run_mismatch(len));
     }
     Ok(CdfSketch::from_observations(observations))
 }
@@ -829,8 +891,8 @@ mod tests {
     /// single-observation sketch, round-tripped through text. Values include
     /// zeros of both signs, subnormals and 1e300; weights span twelve
     /// decades, so the order of the total-weight summation shows in its low
-    /// bits. Observations and the total must come back bit for bit, except
-    /// that -0.0 reads back as +0.0 (see the `json` module docs).
+    /// bits. Observations and the total must come back bit for bit, -0.0
+    /// included.
     #[test]
     fn sketch_round_trip_is_bit_exact_across_a_randomized_sweep() {
         let specials = [0.0, -0.0, 5e-324, f64::MIN_POSITIVE / 3.0, 1e300, 1.0 / 3.0];
@@ -887,12 +949,7 @@ mod tests {
                 .zip(round.observations())
                 .enumerate()
             {
-                // `+ 0.0` maps -0.0 to +0.0 and leaves every other value.
-                assert_eq!(
-                    (a.0 + 0.0).to_bits(),
-                    b.0.to_bits(),
-                    "case {case}, value {i}"
-                );
+                assert_eq!(a.0.to_bits(), b.0.to_bits(), "case {case}, value {i}");
                 assert_eq!(a.1.to_bits(), b.1.to_bits(), "case {case}, weight {i}");
             }
             assert_eq!(
@@ -903,56 +960,98 @@ mod tests {
         }
     }
 
+    /// The value column as an independent encoder writes it: each value's
+    /// bits as 16 lowercase hex digits, in order.
+    fn hex_words(values: &[f64]) -> String {
+        values
+            .iter()
+            .map(|value| format!("{:016x}", value.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn value_words_are_the_raw_bits_in_lowercase_hex() {
+        let known = [
+            (1.0, "3ff0000000000000"),
+            (-0.0, "8000000000000000"),
+            (5e-324, "0000000000000001"),
+            (f64::MAX, "7fefffffffffffff"),
+        ];
+        let mut sketch = CdfSketch::new();
+        for &(value, _) in &known {
+            sketch.push(value, 0.25);
+        }
+        let document = sketch_to_json(&sketch);
+        let words: String = known.iter().map(|&(_, word)| word).collect();
+        assert_eq!(
+            document.get("values").and_then(JsonValue::as_str),
+            Some(&*words)
+        );
+        assert_eq!(words, hex_words(&known.map(|(value, _)| value)));
+        let round = sketch_from_json(&document).unwrap();
+        for (&(value, word), (read, _)) in known.iter().zip(round.observations()) {
+            assert_eq!(read.to_bits(), value.to_bits(), "{word}");
+        }
+    }
+
     #[test]
     fn sketch_loader_rejects_inconsistent_runs_weights_and_values() {
-        let good = JsonValue::parse("{\"weights\": [[0.5, 2]], \"values\": [1, 2.5]}").unwrap();
-        assert_eq!(sketch_from_json(&good).unwrap().observations().len(), 2);
-        for (bad, reason) in [
+        let sketch = |weights: &str, values: &str| {
+            JsonValue::parse(&format!("{{\"weights\": {weights}, \"values\": {values}}}")).unwrap()
+        };
+        let two = format!("\"{}\"", hex_words(&[1.0, 2.5]));
+        let good = sketch("[[0.5, 2]]", &two);
+        assert_eq!(
+            sketch_from_json(&good).unwrap().observations(),
+            [(1.0, 0.5), (2.5, 0.5)]
+        );
+        // The word of 1.0 followed by `word`, as a JSON string.
+        let one_word = |word: &str| format!("\"{}{word}\"", hex_words(&[1.0]));
+        for (weights, values, reason) in [
             // Run counts that do not sum to the number of values.
-            (
-                "{\"weights\": [[0.5, 1]], \"values\": [1, 2]}",
-                "do not sum",
-            ),
-            (
-                "{\"weights\": [[0.5, 3]], \"values\": [1, 2]}",
-                "do not sum",
-            ),
-            ("{\"weights\": [], \"values\": [1]}", "do not sum"),
+            ("[[0.5, 1]]", two.clone(), "do not sum"),
+            ("[[0.5, 3]]", two.clone(), "do not sum"),
+            ("[]", one_word(""), "do not sum"),
             // Counts must be positive integers.
-            (
-                "{\"weights\": [[0.5, 0], [0.5, 2]], \"values\": [1, 2]}",
-                "counts",
-            ),
-            ("{\"weights\": [[0.5, 1.5]], \"values\": [1, 2]}", "counts"),
-            ("{\"weights\": [[0.5, -2]], \"values\": [1, 2]}", "counts"),
-            (
-                "{\"weights\": [[0.5, \"2\"]], \"values\": [1, 2]}",
-                "counts",
-            ),
+            ("[[0.5, 0], [0.5, 2]]", two.clone(), "counts"),
+            ("[[0.5, 1.5]]", two.clone(), "counts"),
+            ("[[0.5, -2]]", two.clone(), "counts"),
+            ("[[0.5, \"2\"]]", two.clone(), "counts"),
             // Weights must be positive numbers: `CdfSketch::push` would
             // silently drop the observation otherwise.
-            ("{\"weights\": [[0, 2]], \"values\": [1, 2]}", "weights"),
-            ("{\"weights\": [[-0.5, 2]], \"values\": [1, 2]}", "weights"),
-            ("{\"weights\": [[null, 2]], \"values\": [1, 2]}", "weights"),
-            (
-                "{\"weights\": [[\"0.5\", 2]], \"values\": [1, 2]}",
-                "weights",
-            ),
-            // Values must be numbers.
-            (
-                "{\"weights\": [[0.5, 2]], \"values\": [1, \"x\"]}",
-                "values",
-            ),
-            ("{\"weights\": [[0.5, 2]], \"values\": [null, 1]}", "values"),
+            ("[[0, 2]]", two.clone(), "weights"),
+            ("[[-0.5, 2]]", two.clone(), "weights"),
+            ("[[null, 2]]", two.clone(), "weights"),
+            ("[[\"0.5\", 2]]", two.clone(), "weights"),
+            // Values must be whole 16-digit words…
+            ("[[0.5, 2]]", one_word("3ff000000000000"), "multiple of 16"),
+            ("[[0.5, 1]]", "\"3ff\"".to_owned(), "multiple of 16"),
+            // …of lowercase hex digits…
+            ("[[0.5, 2]]", one_word("3FF0000000000000"), "lowercase hex"),
+            ("[[0.5, 2]]", one_word("3ff000000000000g"), "lowercase hex"),
+            ("[[0.5, 2]]", one_word("3ff00000000000 0"), "lowercase hex"),
+            // …that hold finite values.
+            ("[[0.5, 2]]", one_word("7ff8000000000000"), "finite"),
+            ("[[0.5, 2]]", one_word("7ff0000000000000"), "finite"),
+            ("[[0.5, 2]]", one_word("fff0000000000000"), "finite"),
+            // The v4 numeric column is not a v5 one.
+            ("[[0.5, 2]]", "[1, 2.5]".to_owned(), "'values'"),
+            ("[[0.5, 2]]", "null".to_owned(), "'values'"),
             // Structural defects.
-            ("{\"weights\": [[0.5]], \"values\": [1]}", "pairs"),
-            ("{\"weights\": [[0.5, 1, 1]], \"values\": [1]}", "pairs"),
-            ("{\"weights\": [0.5], \"values\": [1]}", "pairs"),
-            ("{\"values\": [1]}", "'weights'"),
-            ("{\"weights\": [[0.5, 1]]}", "'values'"),
-            ("[[1.0, 0.5]]", "'values'"),
+            ("[[0.5]]", one_word(""), "pairs"),
+            ("[[0.5, 1, 1]]", one_word(""), "pairs"),
+            ("[0.5]", one_word(""), "pairs"),
         ] {
-            let error = sketch_from_json(&JsonValue::parse(bad).unwrap())
+            let bad = sketch(weights, &values);
+            let error = sketch_from_json(&bad).expect_err(&format!("accepted {bad:?}"));
+            assert!(error.reason.contains(reason), "{bad:?} gave: {error}");
+        }
+        for (bad, reason) in [
+            (format!("{{\"values\": {two}}}"), "'weights'"),
+            ("{\"weights\": [[0.5, 1]]}".to_owned(), "'values'"),
+            ("[[1.0, 0.5]]".to_owned(), "'values'"),
+        ] {
+            let error = sketch_from_json(&JsonValue::parse(&bad).unwrap())
                 .expect_err(&format!("accepted {bad}"));
             assert!(error.reason.contains(reason), "{bad} gave: {error}");
         }
@@ -1005,7 +1104,7 @@ mod tests {
     fn malformed_state_documents_are_rejected() {
         assert!(sketch_from_json(&JsonValue::Null).is_err());
         assert!(accumulator_from_json(&JsonValue::parse("[{}]").unwrap()).is_err());
-        let stratum = "{\"n\": 1, \"weights\": [], \"values\": []}";
+        let stratum = "{\"n\": 1, \"weights\": [], \"values\": \"\"}";
         assert!(
             accumulator_from_json(&JsonValue::parse(&format!("[[{stratum}]]")).unwrap()).is_ok()
         );
@@ -1013,11 +1112,19 @@ mod tests {
             &JsonValue::parse(&format!("[[{stratum}, {stratum}]]")).unwrap()
         )
         .is_err());
-        // The v3 pair layout is not a v4 stratum.
-        assert!(accumulator_from_json(
-            &JsonValue::parse("[[{\"n\": 1, \"cdf\": [[1.0, 0.5]]}]]").unwrap()
-        )
-        .is_err());
+        // Neither the v4 numeric column nor the v3 pair layout is a v5
+        // stratum.
+        for legacy in [
+            "{\"n\": 1, \"weights\": [], \"values\": []}",
+            "{\"n\": 1, \"weights\": [[0.5, 1]], \"values\": [1.0]}",
+            "{\"n\": 1, \"cdf\": [[1.0, 0.5]]}",
+        ] {
+            assert!(
+                accumulator_from_json(&JsonValue::parse(&format!("[[{legacy}]]")).unwrap())
+                    .is_err(),
+                "accepted {legacy}"
+            );
+        }
         assert!(records_from_json(&JsonValue::Null).is_err());
         assert!(records_from_json(&JsonValue::parse("[[1, 2, 3]]").unwrap()).is_err());
         assert!(records_from_json(&JsonValue::parse("[[1, 2, 3.0, 4]]").unwrap()).is_err());
@@ -1145,6 +1252,7 @@ mod tests {
             "faultmit-shard-state/v1",
             "faultmit-shard-state/v2",
             "faultmit-shard-state/v3",
+            "faultmit-shard-state/v4",
         ] {
             let mut legacy = document.clone();
             let JsonValue::Object(fields) = &mut legacy else {
@@ -1162,7 +1270,7 @@ mod tests {
         }
     }
 
-    /// A v4 checkpoint whose spec names a removed kernel is refused, never
+    /// A checkpoint whose spec names a removed kernel is refused, never
     /// loaded under a remapped one; `campaign_shard` then recomputes it.
     #[test]
     fn checkpoints_naming_a_removed_kernel_are_refused() {

@@ -4,6 +4,7 @@
 //! **byte-identical** to the monolithic figure binary's `--json` output.
 //! Completed shard files must act as checkpoints (resumability).
 
+use faultmit_bench::shard::SHARD_STATE_FORMAT;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -203,6 +204,21 @@ fn completed_shard_files_are_checkpoints() {
     assert!(run_shard("1/2", &s1).contains("skipping"));
     assert_eq!(state_of(&s0), s0_state, "recomputed shard diverged");
     assert_eq!(state_of(&s1), s1_state);
+
+    // A finished checkpoint in the retired v4 format is refused with its tag
+    // named and recomputed, not skipped, to the same state.
+    let current = format!("\"format\": \"{SHARD_STATE_FORMAT}\"");
+    let retired = "\"format\": \"faultmit-shard-state/v4\"";
+    let retagged = read(&s1).replacen(&current, retired, 1);
+    assert!(retagged.contains(retired));
+    std::fs::write(Path::new(&s1), retagged).unwrap();
+    let args = shard_args("1/2", &s1);
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let recompute = run(SHARD_BIN, &args);
+    assert!(!stdout_of(&recompute).contains("skipping"));
+    let refusal = String::from_utf8_lossy(&recompute.stderr);
+    assert!(refusal.contains("'faultmit-shard-state/v4'"), "{refusal}");
+    assert_eq!(state_of(&s1), s1_state, "recomputed v4 shard diverged");
 
     // A shard file from a different campaign configuration is recomputed,
     // not trusted.

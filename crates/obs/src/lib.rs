@@ -520,7 +520,8 @@ impl MetricsSnapshot {
         &self.histograms[histogram as usize]
     }
 
-    /// A stage's accumulated wall-clock seconds.
+    /// A stage's accumulated wall-clock seconds, summed over every worker
+    /// that recorded it (worker-seconds).
     #[must_use]
     pub fn stage_seconds(&self, stage: Stage) -> f64 {
         self.stage_nanos[stage as usize] as f64 / 1e9

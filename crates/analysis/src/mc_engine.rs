@@ -159,12 +159,12 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
     }
 
     /// Dispatches one shard of the paired campaign to the configured
-    /// evaluation kernel (`auto` resolves first, via
-    /// [`CampaignConfig::resolved_kernel`]), with `written` supplying the
-    /// stored word of every row. The sparse kernel scores each die's whole
-    /// catalogue in one [`CatalogueMse`] walk. Every kernel folds the
-    /// identical per-die squared-error sums in the identical order, so the
-    /// returned accumulator is bit-identical across [`KernelKind`] choices.
+    /// evaluation kernel ([`CampaignConfig::kernel`]), with `written`
+    /// supplying the stored word of every row. The sparse kernel scores
+    /// each die's whole catalogue in one [`CatalogueMse`] walk. Every
+    /// kernel folds the identical per-die squared-error sums in the
+    /// identical order, so the returned accumulator is bit-identical
+    /// across [`KernelKind`] choices.
     fn run_kernel<S, W>(
         &self,
         schemes: &[S],
@@ -182,10 +182,8 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
             walk.mse_into(map, &written, metrics);
             Ok::<(), Infallible>(())
         };
-        // One dispatch event per shard run: `auto` resolves before any
-        // sampling, so the counters record the kernel that actually executed.
-        let run = match self.config().resolved_kernel()? {
-            KernelKind::Auto => unreachable!("resolved_kernel always returns a fixed kernel"),
+        // One dispatch event per shard run.
+        let run = match self.config().kernel() {
             KernelKind::Sparse => {
                 obs::count(obs::Counter::DispatchSparse, 1);
                 self.campaign
@@ -573,35 +571,6 @@ mod tests {
                 assert_eq!(sparse, run(kernel), "{image:?}: {kernel}");
             }
         }
-    }
-
-    #[test]
-    fn auto_kernel_resolution_tracks_the_campaign_density() {
-        // 5 expected faults spread over 128 rows is far below the 8-per-row
-        // threshold → sparse; the same kernel over an 8-row memory crosses
-        // it → bitsliced.
-        let sparse_config = CampaignConfig::new(MemoryConfig::new(128, 32).unwrap(), 1e-3)
-            .unwrap()
-            .with_max_failures(5)
-            .with_kernel(KernelKind::Auto);
-        assert_eq!(sparse_config.kernel(), KernelKind::Auto);
-        assert_eq!(sparse_config.resolved_kernel().unwrap(), KernelKind::Sparse);
-        let dense_config = CampaignConfig::new(MemoryConfig::new(8, 32).unwrap(), 1e-3)
-            .unwrap()
-            .with_max_failures(5)
-            .with_kernel(KernelKind::Auto);
-        assert_eq!(
-            dense_config.resolved_kernel().unwrap(),
-            KernelKind::Bitsliced
-        );
-        // Fixed kernels resolve to themselves.
-        assert_eq!(
-            sparse_config
-                .with_kernel(KernelKind::Bitsliced)
-                .resolved_kernel()
-                .unwrap(),
-            KernelKind::Bitsliced
-        );
     }
 
     #[test]

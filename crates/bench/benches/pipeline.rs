@@ -11,10 +11,9 @@
 
 //! Besides the Criterion groups, `bench_throughput_json` measures the
 //! worker-count sweep 1/2/4/8 plus the kernel comparison (`sparse` →
-//! `bitsliced`, plus the density-resolved `auto` row) and writes
-//! `BENCH_pipeline.json` (path overridable via the `BENCH_PIPELINE_JSON`
-//! environment variable) through the in-tree JSON emitter, so throughput can
-//! be re-measured and tracked on any host. Worker counts above the host's
+//! `bitsliced`) and writes `BENCH_pipeline.json` (path overridable via the
+//! `BENCH_PIPELINE_JSON` environment variable) through the in-tree JSON
+//! emitter, so throughput can be re-measured and tracked on any host. Worker counts above the host's
 //! CPU count only measure oversubscription noise, so they are skipped by
 //! default; pass `--force-worker-sweep` (the vendored harness ignores
 //! unknown flags) to measure the full 1/2/4/8 sweep regardless, and read
@@ -26,9 +25,7 @@ use faultmit_bench::json::{JsonValue, ToJson};
 use faultmit_core::Scheme;
 use faultmit_memsim::{DieBlock, FaultKindLaw, FaultMap, ImageSpec, MemoryConfig, SramVddBackend};
 use faultmit_obs as obs;
-use faultmit_sim::{
-    Accumulator, Campaign, CampaignConfig, KernelKind, PairedSample, Parallelism, ShardSpec,
-};
+use faultmit_sim::{Accumulator, Campaign, CampaignConfig, PairedSample, Parallelism, ShardSpec};
 use std::convert::Infallible;
 use std::time::Instant;
 
@@ -213,11 +210,6 @@ fn time_campaign(run: impl Fn() -> SumMetrics, reps: u32) -> (f64, f64, u64) {
 ///
 /// `config` is the point's campaign configuration and `written(row)`
 /// supplies its stored words, so each kernel times the identical campaign.
-/// The `auto` row runs the kernel the density policy of
-/// [`KernelKind::resolve`] picks for this configuration — resolution happens
-/// once per campaign, before any sampling — and its `kernel` stamp records
-/// the resolved choice (`auto:sparse` / `auto:bitsliced`), the same
-/// telemetry the sharded CLI writes into checkpoints.
 fn push_point<W>(
     rows: &mut Vec<KernelRow>,
     label: &'static str,
@@ -284,19 +276,10 @@ fn push_point<W>(
 
     let (sparse, sparse_metrics) = timed(&time_sparse);
     let (bitsliced, bitsliced_metrics) = timed(&time_blocks);
-    let resolved =
-        KernelKind::Auto.resolve(config.expected_faults_per_die().unwrap(), memory.rows());
-    // The auto row re-times the resolved kernel end to end, so any gap
-    // between `auto` and its fixed twin is pure measurement noise.
-    let (auto_name, (auto, auto_metrics)) = match resolved {
-        KernelKind::Bitsliced => ("auto:bitsliced", timed(&time_blocks)),
-        _ => ("auto:sparse", timed(&time_sparse)),
-    };
 
     for (kernel, (seconds, witness, samples), metrics) in [
         ("sparse", sparse, sparse_metrics),
         ("bitsliced", bitsliced, bitsliced_metrics),
-        (auto_name, auto, auto_metrics),
     ] {
         assert_eq!(
             sparse.1.to_bits(),
@@ -323,9 +306,7 @@ fn push_point<W>(
 /// * `bitsliced` — the lane-parallel kernel: 64 dies transposed into
 ///   `u64` lanes per `DieBlock`, `observe_block` scheme transforms and the
 ///   `block_mse_into` reduction, with a scalar (`sparse`) tail for the
-///   final partial block;
-/// * `auto` — the density-adaptive kernel, stamped with what it resolved
-///   to at this operating point.
+///   final partial block.
 ///
 /// Operating points:
 ///

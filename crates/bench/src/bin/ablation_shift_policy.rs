@@ -5,8 +5,9 @@
 //! and the FM-LUT must then pick one shift that cannot protect every fault.
 //! This ablation compares the **naive** policy (align the least significant
 //! segment with the most significant faulty cell) against the **optimal**
-//! exhaustive search, as a paired `sim::Campaign` — both policies score the
-//! *same* Monte-Carlo fault maps.
+//! exhaustive search, as a paired catalogue campaign of the MSE engine
+//! (`analysis::MonteCarloEngine`) — both policies score the *same*
+//! Monte-Carlo fault maps.
 //!
 //! A thin shim over the `faultmit_bench::figures` registry entry
 //! `ablation_shift_policy`; each `(n_FM, faults/map)` sweep point is one

@@ -146,7 +146,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     \n       [--dir <checkpoint-dir>] [--out <figure-json-path>]\
                     \n       [--backend sram|dram|mlc] [--samples N] [--threads N] [--full]\
                     \n       [--image <spec>] [--kind-law flip|stuck-at|stuck-at:P]\
-                    \n       [--kernel sparse|bitsliced|auto]\
+                    \n       [--kernel sparse|bitsliced]\
                     \n       [--metrics <metrics-json-path>]\
                     \nrun 'campaign_run --figure list' for the figure catalogue"
                 .into(),
@@ -165,8 +165,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // A typo in --shards/--jobs/--retries must not silently degrade the
     // campaign split (the same policy an unparseable --shard has), a typo
-    // in --image/--kind-law must not silently select a different campaign
-    // sweep, and a removed flag must not be silently ignored.
+    // in a campaign-identity flag (--backend/--samples/--image/--kind-law/
+    // --kernel) must not silently select a different campaign, and a
+    // removed flag must not be silently ignored.
     if !options.driver_flag_errors.is_empty() {
         return Err(options.driver_flag_errors.join("; ").into());
     }

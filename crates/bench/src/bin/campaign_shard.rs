@@ -53,10 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(error) = &options.shard_error {
         return Err(error.clone().into());
     }
-    // Same policy for the campaign-identity flags: a typo in --image or
-    // --kind-law must not silently evaluate a different campaign and write
-    // its state under this shard file's name, and a removed flag must not
-    // be silently ignored.
+    // Same policy for the campaign-identity flags: a typo in --backend,
+    // --samples, --image, --kind-law or --kernel must not silently evaluate
+    // a different campaign and write its state under this shard file's
+    // name, and a removed flag must not be silently ignored.
     if !options.spec_flag_errors.is_empty() {
         return Err(options.spec_flag_errors.join("; ").into());
     }
@@ -123,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into());
     }
 
-    let kernel = figure.resolved_kernel(&spec);
+    let kernel = spec.kernel.map(|kernel| kernel.as_str().to_owned());
     let state = ShardState {
         spec,
         shard,
@@ -135,11 +135,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Wall-clock telemetry for the campaign driver's timing summary
         // (and for sizing future splits to the slowest host), plus which
         // evaluation kernel produced the state so throughput numbers stay
-        // comparable across checkpoints — `--kernel auto` records the
-        // density-resolved choice (`auto:<kernel>`; the merge validates it
-        // across the set). Figures without a kernel axis (deterministic
-        // tables, app-quality campaigns) record none, and figures that
-        // generate no dies record no generation seconds.
+        // comparable across checkpoints (the spec's kernel; the merge
+        // validates it across the set). Figures without a kernel axis
+        // (deterministic tables, app-quality campaigns, the shift-policy
+        // ablation) record none, and figures that generate no dies record
+        // no generation seconds.
         // The snapshot carries the typed counters/histograms/stage clocks
         // this shard's pipeline recorded.
         metrics: ShardMetrics {

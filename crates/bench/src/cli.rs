@@ -32,20 +32,21 @@
 //!   `stuck-at:P` with `P = Pr(stuck at 0)`, see
 //!   [`faultmit_memsim::FaultKindLaw`]); honoured by
 //!   `fig8_backend_matrix` and `fig9_data_sensitivity`;
-//! * `--kernel <sparse|bitsliced|auto>` — the Monte-Carlo evaluation
-//!   kernel ([`faultmit_sim::KernelKind`]); every kernel produces
-//!   bit-identical campaign state, so this selects throughput only (`auto`
-//!   picks sparse or bitsliced from the campaign's fault density). The
-//!   removed kernels' names (`scalar`, `bitsliced256`) are refused like any
-//!   unknown name. Honoured by the MSE catalogue campaigns
+//! * `--kernel <sparse|bitsliced>` — the Monte-Carlo evaluation kernel
+//!   ([`faultmit_sim::KernelKind`]); both kernels produce bit-identical
+//!   campaign state, so this selects throughput only. The removed names
+//!   (`scalar`, `bitsliced256` and the `auto` density policy) are refused,
+//!   never remapped. Honoured by the MSE catalogue campaigns
 //!   (`fig5_mse_cdf`, `fig8_backend_matrix`, `fig9_data_sensitivity`).
 //!
-//! The removed tuning flags `--wide-generation` and `--auto-threshold` are
-//! refused (with their value, if one follows) through
-//! [`RunOptions::spec_flag_errors`], so a campaign entry point given one
-//! fails before any output instead of silently ignoring it. Anything else
-//! is collected as a positional argument (e.g. the benchmark selector of
-//! `fig7_quality`).
+//! A missing or unparseable value of a campaign-identity flag (`--backend`,
+//! `--samples`, `--image`, `--kind-law`, `--kernel`) and the removed tuning
+//! flags `--wide-generation` and `--auto-threshold` (with their value, if
+//! one follows) are recorded in [`RunOptions::spec_flag_errors`], so a
+//! campaign entry point given one fails before any output instead of
+//! silently running a different campaign. `--threads` stays lenient: it
+//! sets throughput, not identity. Anything else is collected as a
+//! positional argument (e.g. the benchmark selector of `fig7_quality`).
 
 use crate::json::ToJson;
 use faultmit_memsim::{
@@ -122,12 +123,13 @@ pub struct RunOptions {
     /// of the campaign spec so shard checkpoints record which kernel
     /// produced them.
     pub kernel: Option<KernelKind>,
-    /// Unparseable values seen for the campaign-identity flags
-    /// (`--image`/`--kind-law`/`--kernel`), and the removed tuning flags
-    /// (`--wide-generation`/`--auto-threshold`). The campaign entry points
-    /// treat these as fatal: a typo in `--image` must not silently run a
-    /// different (and much larger) sweep than the one the user asked for,
-    /// and a removed flag must not be silently ignored.
+    /// Missing or unparseable values seen for the campaign-identity flags
+    /// (`--backend`/`--samples`/`--image`/`--kind-law`/`--kernel`), and the
+    /// removed tuning flags (`--wide-generation`/`--auto-threshold`). The
+    /// campaign entry points treat these as fatal: a typo in `--image` must
+    /// not silently run a different (and much larger) sweep than the one
+    /// the user asked for, a typo in `--backend` must not run the SRAM
+    /// default, and a removed flag must not be silently ignored.
     pub spec_flag_errors: Vec<String>,
     /// Positional arguments (e.g. the benchmark selector of `fig7_quality`).
     pub positional: Vec<String>,
@@ -176,19 +178,15 @@ impl RunOptions {
                     }
                 }
                 "--samples" => {
-                    if let Some(count) =
-                        next_value(&mut iter, "--samples").and_then(|v| v.parse().ok())
-                    {
-                        options.samples = Some(count);
-                    }
+                    let value = next_value(&mut iter, &arg);
+                    options.samples = options.identity_flag(&arg, value, |v| {
+                        v.parse()
+                            .map_err(|_| format!("invalid --samples value '{v}'"))
+                    });
                 }
                 "--backend" => {
-                    if let Some(value) = next_value(&mut iter, "--backend") {
-                        match value.parse() {
-                            Ok(kind) => options.backend = Some(kind),
-                            Err(e) => eprintln!("{e}; ignoring --backend"),
-                        }
-                    }
+                    let value = next_value(&mut iter, &arg);
+                    options.backend = options.identity_flag(&arg, value, str::parse);
                 }
                 "--shard" => {
                     if let Some(value) = next_value(&mut iter, "--shard") {
@@ -229,44 +227,18 @@ impl RunOptions {
                         options.dir = Some(PathBuf::from(path));
                     }
                 }
-                "--image" => match next_value(&mut iter, "--image") {
-                    Some(value) => match value.parse() {
-                        Ok(spec) => options.image = Some(spec),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            options.spec_flag_errors.push(e.to_string());
-                        }
-                    },
-                    // A dropped value is the same class of error as a typo:
-                    // it must not fall back to a different campaign sweep.
-                    None => options
-                        .spec_flag_errors
-                        .push("--image requires a value".to_owned()),
-                },
-                "--kind-law" => match next_value(&mut iter, "--kind-law") {
-                    Some(value) => match value.parse() {
-                        Ok(law) => options.kind_law = Some(law),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            options.spec_flag_errors.push(e.to_string());
-                        }
-                    },
-                    None => options
-                        .spec_flag_errors
-                        .push("--kind-law requires a value".to_owned()),
-                },
-                "--kernel" => match next_value(&mut iter, "--kernel") {
-                    Some(value) => match value.parse() {
-                        Ok(kernel) => options.kernel = Some(kernel),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            options.spec_flag_errors.push(e.to_string());
-                        }
-                    },
-                    None => options
-                        .spec_flag_errors
-                        .push("--kernel requires a value".to_owned()),
-                },
+                "--image" => {
+                    let value = next_value(&mut iter, &arg);
+                    options.image = options.identity_flag(&arg, value, str::parse);
+                }
+                "--kind-law" => {
+                    let value = next_value(&mut iter, &arg);
+                    options.kind_law = options.identity_flag(&arg, value, str::parse);
+                }
+                "--kernel" => {
+                    let value = next_value(&mut iter, &arg);
+                    options.kernel = options.identity_flag(&arg, value, str::parse);
+                }
                 "--wide-generation" | "--auto-threshold" => {
                     // Consume the flag's old value so it is not mistaken
                     // for a positional argument.
@@ -295,6 +267,28 @@ impl RunOptions {
             }
         }
         options
+    }
+
+    /// Parses the value of a campaign-identity flag. A missing or
+    /// unparseable value yields `None` and is recorded in
+    /// [`RunOptions::spec_flag_errors`].
+    fn identity_flag<T, E: std::fmt::Display>(
+        &mut self,
+        flag: &str,
+        value: Option<String>,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Option<T> {
+        let Some(value) = value else {
+            self.spec_flag_errors
+                .push(format!("{flag} requires a value"));
+            return None;
+        };
+        parse(&value)
+            .map_err(|e| {
+                eprintln!("{e}");
+                self.spec_flag_errors.push(e.to_string());
+            })
+            .ok()
     }
 
     /// The pipeline worker policy implied by `--threads` (defaults to one
@@ -519,6 +513,7 @@ mod tests {
         assert_eq!(opts.backend, Some(BackendKind::Dram));
         assert_eq!(opts.backend_kind(), BackendKind::Dram);
         assert_eq!(opts.parallelism(), Parallelism::threads(4));
+        assert!(opts.spec_flag_errors.is_empty());
     }
 
     #[test]
@@ -718,10 +713,6 @@ mod tests {
         assert_eq!(opts.kernel, Some(KernelKind::Bitsliced));
         assert!(opts.spec_flag_errors.is_empty());
 
-        let opts = RunOptions::parse(["--kernel", "auto"].iter().map(|s| (*s).to_owned()));
-        assert_eq!(opts.kernel, Some(KernelKind::Auto));
-        assert!(opts.spec_flag_errors.is_empty());
-
         let opts = RunOptions::parse(std::iter::empty());
         assert!(opts.kernel.is_none());
 
@@ -733,10 +724,12 @@ mod tests {
         assert!(opts.spec_flag_errors[0].contains("vectorised"));
 
         // So must a removed kernel's name: it is refused, never remapped.
-        let opts = RunOptions::parse(["--kernel", "bitsliced256"].iter().map(|s| (*s).to_owned()));
-        assert!(opts.kernel.is_none());
-        assert_eq!(opts.spec_flag_errors.len(), 1);
-        assert!(opts.spec_flag_errors[0].contains("'bitsliced256' was removed"));
+        for removed in ["bitsliced256", "auto"] {
+            let opts = RunOptions::parse(["--kernel".to_owned(), removed.to_owned()]);
+            assert!(opts.kernel.is_none());
+            assert_eq!(opts.spec_flag_errors.len(), 1);
+            assert!(opts.spec_flag_errors[0].contains(&format!("'{removed}' was removed")));
+        }
 
         // A dropped value is recorded too.
         let opts = RunOptions::parse(["--kernel", "--full"].iter().map(|s| (*s).to_owned()));
@@ -786,14 +779,43 @@ mod tests {
     fn missing_or_invalid_values_are_ignored() {
         let opts = RunOptions::parse(["--json".to_owned()]);
         assert!(opts.json_path.is_none());
-        // A non-numeric --threads value is consumed and ignored.
+        // A non-numeric --threads value is consumed and ignored: it sets
+        // throughput, not campaign identity.
         let opts = RunOptions::parse(["--threads".to_owned(), "abc".to_owned()]);
         assert!(opts.threads.is_none());
         assert!(opts.positional.is_empty());
-        // An unknown backend is consumed, reported and ignored.
-        let opts = RunOptions::parse(["--backend".to_owned(), "flash".to_owned()]);
+        assert!(opts.spec_flag_errors.is_empty());
+    }
+
+    #[test]
+    fn backend_and_samples_typos_are_recorded_as_errors() {
+        // Both are campaign identity: a typo must not silently run the SRAM
+        // default or the figure's default budget.
+        let opts = RunOptions::parse(
+            ["--backend", "drma", "--samples", "2x"]
+                .iter()
+                .map(|s| (*s).to_owned()),
+        );
         assert!(opts.backend.is_none());
+        assert!(opts.samples.is_none());
         assert!(opts.positional.is_empty());
+        assert_eq!(opts.spec_flag_errors.len(), 2);
+        assert!(
+            opts.spec_flag_errors[0].contains("unknown backend 'drma'"),
+            "{:?}",
+            opts.spec_flag_errors
+        );
+        assert_eq!(opts.spec_flag_errors[1], "invalid --samples value '2x'");
+
+        // A dropped value is fatal too.
+        for flag in ["--backend", "--samples"] {
+            let opts = RunOptions::parse([flag, "--full"].iter().map(|s| (*s).to_owned()));
+            assert!(opts.full_scale, "{flag}");
+            assert_eq!(
+                opts.spec_flag_errors,
+                vec![format!("{flag} requires a value")]
+            );
+        }
     }
 
     #[test]

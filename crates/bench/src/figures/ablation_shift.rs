@@ -1,21 +1,18 @@
 //! Ablation — FM-LUT shift-selection policy for rows with multiple faults,
-//! as a paired campaign over raw record streams.
+//! as a paired catalogue campaign: both policies score the same dies.
 
 use super::{
-    take_records, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure, ShardRun,
+    take_catalogue, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure, ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
-use faultmit_analysis::memory_mse;
 use faultmit_analysis::report::{format_sci, Table};
+use faultmit_analysis::MonteCarloEngine;
 use faultmit_core::{
     rotate_left, rotate_right, MitigationScheme, ObservedWord, Scheme, SegmentGeometry,
 };
 use faultmit_memsim::{corrupt_word, Backend, FaultMap, MemoryConfig};
-use faultmit_sim::{
-    Campaign, CampaignConfig, CollectRecords, PairedSample, Parallelism, ShardSpec,
-};
-use std::convert::Infallible;
+use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec};
 use std::fmt::Write as _;
 
 /// The campaign seed baked into the shift-policy ablation.
@@ -43,7 +40,8 @@ impl ToJson for AblationRow {
 }
 
 /// Bit-shuffling with the naive multi-fault policy: align the least
-/// significant segment to the most significant faulty cell.
+/// significant segment to the most significant faulty cell. It has only
+/// the generic `observe`, which the catalogue walk falls back to per row.
 #[derive(Debug, Clone, Copy)]
 struct NaiveShuffle(SegmentGeometry);
 
@@ -114,12 +112,12 @@ fn point_campaign(
     spec: &FigureSpec,
     parallelism: Parallelism,
     faults_per_map: usize,
-) -> Result<Campaign<Backend>, FigureError> {
+) -> Result<MonteCarloEngine<Backend>, FigureError> {
     let config = MemoryConfig::new(memory_rows(spec), 32)?;
     // The `--backend` axis swaps the fault technology: the shift policies
     // face the same clustered / level-biased maps.
     let backend = Backend::at_p_cell(spec.backend_kind(), config, 1e-3)?;
-    Ok(Campaign::new(
+    Ok(MonteCarloEngine::new(
         CampaignConfig::for_backend(backend)?
             .with_samples_per_count(spec.samples_per_count)
             .with_exact_failures(faults_per_map as u64)
@@ -179,27 +177,21 @@ impl FigureDef for AblationShiftDef {
             .into_iter()
             .map(|(n_fm, faults_per_map)| {
                 let geometry = SegmentGeometry::new(32, n_fm)?;
-                // Paired pipeline pass: both policies score identical dies.
+                // Paired catalogue walk: both policies score identical dies.
                 let naive = NaiveShuffle(geometry);
                 let optimal = Scheme::BitShuffle(geometry);
                 let schemes: [&(dyn MitigationScheme + Sync); 2] = [&naive, &optimal];
-                let campaign = point_campaign(spec, parallelism, faults_per_map)?;
-                let (collected, stats) = campaign.run_shard(
-                    &schemes,
-                    ABLATION_SHIFT_SEED,
-                    shard,
-                    |map, metrics| {
-                        for (metric, scheme) in metrics.iter_mut().zip(&schemes) {
-                            *metric = memory_mse(scheme, map);
-                        }
-                        Ok::<(), Infallible>(())
-                    },
-                    CollectRecords::new,
-                )?;
+                let (accumulator, stats) = point_campaign(spec, parallelism, faults_per_map)?
+                    .run_catalogue_shard_on_image_stats(
+                        &schemes,
+                        ABLATION_SHIFT_SEED,
+                        shard,
+                        None,
+                    )?;
                 generation_seconds += stats.generation_seconds;
-                Ok(PanelState::Records {
-                    metric_names: schemes.iter().map(|s| s.name()).collect(),
-                    records: collected.records,
+                Ok(PanelState::Catalogue {
+                    scheme_names: schemes.iter().map(|s| s.name()).collect(),
+                    accumulator,
                 })
             })
             .collect::<Result<_, FigureError>>()?;
@@ -238,23 +230,40 @@ impl FigureDef for AblationShiftDef {
         );
         let mut series = Vec::new();
         for ((n_fm, faults_per_map), panel) in points.into_iter().zip(panels) {
-            let (metric_names, records): (_, Vec<PairedSample>) = take_records(panel, self.name())?;
+            let (scheme_names, accumulator) = take_catalogue(panel, self.name())?;
             // Shard files are untrusted input: the paired reduction below
-            // indexes two metrics per record.
-            if metric_names.len() != 2 || records.iter().any(|r| r.metrics.len() != 2) {
-                return Err(format!(
-                    "{} expects exactly the (naive, optimal) metric pair, found {:?}",
-                    self.name(),
-                    metric_names
-                )
-                .into());
-            }
-            let count = records.len().max(1) as f64;
-            let mse_naive = records.iter().map(|r| r.metrics[0]).sum::<f64>() / count;
-            let mse_optimal = records.iter().map(|r| r.metrics[1]).sum::<f64>() / count;
+            // needs each scheme's only stratum at this point's fault count,
+            // over the same dies.
+            let strata = accumulator
+                .per_scheme_counts()
+                .iter()
+                .map(|per_count| {
+                    let cdf = per_count.get(&(faults_per_map as u64))?;
+                    (per_count.len() == 1).then(|| cdf.sketch().observations())
+                })
+                .collect::<Option<Vec<_>>>();
+            let (naive, optimal) = match strata.as_deref() {
+                Some(&[naive, optimal]) if naive.len() == optimal.len() => (naive, optimal),
+                _ => {
+                    return Err(format!(
+                        "{} expects the (naive, optimal) pair to hold one stratum of \
+                         {faults_per_map} faults over the same dies, found {scheme_names:?}",
+                        self.name()
+                    )
+                    .into())
+                }
+            };
+            let mean = |stratum: &[(f64, f64)]| {
+                stratum.iter().map(|&(mse, _)| mse).sum::<f64>() / stratum.len().max(1) as f64
+            };
+            let mse_naive = mean(naive);
+            let mse_optimal = mean(optimal);
             // Paired invariant: the optimal policy includes the naive shift
             // in its search space, so it can never lose on any single die.
-            debug_assert!(records.iter().all(|r| r.metrics[1] <= r.metrics[0] + 1e-9));
+            debug_assert!(naive
+                .iter()
+                .zip(optimal)
+                .all(|(naive, optimal)| optimal.0 <= naive.0 + 1e-9));
 
             table.add_row(vec![
                 n_fm.to_string(),

@@ -169,11 +169,6 @@ impl FigureDef for Fig5Def {
         Some(MemoryConfig::paper_16kb().rows() as u64)
     }
 
-    fn resolved_kernel(&self, spec: &FigureSpec) -> Option<String> {
-        let campaign = Fig5Campaign::from_spec(spec, Parallelism::Serial).ok()?;
-        super::kernel_telemetry(spec.kernel, campaign.engine.config().resolved_kernel().ok())
-    }
-
     fn run_shard(
         &self,
         spec: &FigureSpec,

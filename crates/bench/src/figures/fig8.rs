@@ -168,18 +168,6 @@ impl FigureDef for Fig8Def {
         Some(MemoryConfig::paper_16kb().rows() as u64)
     }
 
-    fn resolved_kernel(&self, spec: &FigureSpec) -> Option<String> {
-        // Each operating point of the matrix resolves `auto` at its own
-        // density; the telemetry joins the distinct choices.
-        let engines = panel_engines(spec, Parallelism::Serial).ok()?;
-        super::kernel_telemetry(
-            spec.kernel,
-            engines
-                .iter()
-                .filter_map(|(_, engine)| engine.config().resolved_kernel().ok()),
-        )
-    }
-
     fn run_shard(
         &self,
         spec: &FigureSpec,

@@ -294,18 +294,6 @@ impl FigureDef for Fig9Def {
         Some(MemoryConfig::paper_16kb().rows() as u64)
     }
 
-    fn resolved_kernel(&self, spec: &FigureSpec) -> Option<String> {
-        // Every cell of the matrix resolves `auto` at its own density; the
-        // telemetry joins the distinct choices.
-        let cells = Fig9Campaign::matrix(spec, Parallelism::Serial).ok()?;
-        super::kernel_telemetry(
-            spec.kernel,
-            cells
-                .iter()
-                .filter_map(|cell| cell.engine.config().resolved_kernel().ok()),
-        )
-    }
-
     fn run_shard(
         &self,
         spec: &FigureSpec,

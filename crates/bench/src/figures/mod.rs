@@ -55,7 +55,7 @@ use crate::metrics::ShardMetrics;
 use faultmit_analysis::CatalogueAccumulator;
 use faultmit_apps::Benchmark;
 use faultmit_memsim::{BackendKind, FaultKindLaw, ImageSpec};
-use faultmit_sim::{Accumulator, KernelKind, PairedSample, Parallelism, ShardSpec};
+use faultmit_sim::{Accumulator, KernelKind, Parallelism, ShardSpec};
 
 /// Errors from figure materialisation, evaluation or rendering.
 pub type FigureError = Box<dyn std::error::Error>;
@@ -304,25 +304,18 @@ impl ShardRun {
     }
 }
 
-/// The accumulated state of one campaign panel inside a shard — the three
+/// The accumulated state of one campaign panel inside a shard — the two
 /// shapes the registry's figures reduce to.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PanelState {
     /// Monte-Carlo catalogue state: per-scheme, per-failure-count CDF
-    /// sketches (Fig. 5, Fig. 7, Fig. 8).
+    /// sketches (Fig. 5, Fig. 7, Fig. 8, Fig. 9 and the shift-policy
+    /// ablation).
     Catalogue {
         /// Scheme names in catalogue order (validated across shards).
         scheme_names: Vec<String>,
         /// The shard's accumulator for this panel.
         accumulator: CatalogueAccumulator,
-    },
-    /// Ordered paired-sample records (ablation campaigns whose reductions
-    /// are order-sensitive floating-point sums over the raw stream).
-    Records {
-        /// Metric names in scheme order (validated across shards).
-        metric_names: Vec<String>,
-        /// The shard's records, in global sample order.
-        records: Vec<PairedSample>,
     },
     /// A deterministic table with no Monte-Carlo content (Fig. 4, Fig. 6,
     /// overhead ablations, Table 1): every shard computes the same rows and
@@ -339,7 +332,6 @@ impl PanelState {
     pub fn kind_name(&self) -> &'static str {
         match self {
             PanelState::Catalogue { .. } => "catalogue",
-            PanelState::Records { .. } => "records",
             PanelState::Table { .. } => "table",
         }
     }
@@ -351,13 +343,12 @@ impl PanelState {
     pub fn samples_recorded(&self) -> Option<usize> {
         match self {
             PanelState::Catalogue { accumulator, .. } => Some(accumulator.samples_recorded()),
-            PanelState::Records { records, .. } => Some(records.len()),
             PanelState::Table { .. } => None,
         }
     }
 
-    /// `true` when two states can merge: same shape and same catalogue /
-    /// metric identity (deterministic tables must be equal).
+    /// `true` when two states can merge: same shape and same scheme
+    /// catalogue (deterministic tables must be equal).
     #[must_use]
     pub fn compatible_with(&self, other: &PanelState) -> bool {
         match (self, other) {
@@ -368,13 +359,6 @@ impl PanelState {
                     ..
                 },
             ) => scheme_names == other_names,
-            (
-                PanelState::Records { metric_names, .. },
-                PanelState::Records {
-                    metric_names: other_names,
-                    ..
-                },
-            ) => metric_names == other_names,
             (PanelState::Table { rows }, PanelState::Table { rows: other_rows }) => {
                 rows == other_rows
             }
@@ -394,10 +378,9 @@ impl PanelState {
                 (PanelState::Table { .. }, PanelState::Table { .. }) => {
                     "deterministic table panels disagree between shards".to_owned()
                 }
-                (a, b) if a.kind_name() == b.kind_name() => format!(
-                    "{} panels disagree on the scheme/metric catalogue",
-                    a.kind_name()
-                ),
+                (a, b) if a.kind_name() == b.kind_name() => {
+                    format!("{} panels disagree on the scheme catalogue", a.kind_name())
+                }
                 (a, b) => format!(
                     "panel state kinds disagree: '{}' vs '{}'",
                     a.kind_name(),
@@ -413,9 +396,6 @@ impl PanelState {
                 },
             ) => {
                 accumulator.merge(other);
-            }
-            (PanelState::Records { records, .. }, PanelState::Records { records: other, .. }) => {
-                records.extend(other);
             }
             // Equal tables: keep the existing copy.
             (PanelState::Table { .. }, PanelState::Table { .. }) => {}
@@ -437,24 +417,6 @@ pub(crate) fn take_catalogue(
         } => Ok((scheme_names, accumulator)),
         other => Err(format!(
             "{figure} expects catalogue panel state, found '{}'",
-            other.kind_name()
-        )
-        .into()),
-    }
-}
-
-/// Unwraps a records panel (render-side helper).
-pub(crate) fn take_records(
-    panel: PanelState,
-    figure: &str,
-) -> Result<(Vec<String>, Vec<PairedSample>), FigureError> {
-    match panel {
-        PanelState::Records {
-            metric_names,
-            records,
-        } => Ok((metric_names, records)),
-        other => Err(format!(
-            "{figure} expects records panel state, found '{}'",
             other.kind_name()
         )
         .into()),
@@ -529,16 +491,6 @@ pub trait FigureDef: Sync {
         None
     }
 
-    /// The kernel telemetry a shard checkpoint of this figure records
-    /// under `spec` — the kernel that actually executes. The default
-    /// reports the spec's kernel name verbatim; the MSE catalogue figures
-    /// override it so `--kernel auto` records the density-resolved choice
-    /// (`"auto:sparse"` / `"auto:bitsliced"`), letting merges verify
-    /// every shard resolved identically.
-    fn resolved_kernel(&self, spec: &FigureSpec) -> Option<String> {
-        spec.kernel.map(|kernel| kernel.as_str().to_owned())
-    }
-
     /// Evaluates one shard of every panel, in panel order, with the
     /// shard's generation telemetry (every Monte-Carlo figure reports it).
     ///
@@ -606,33 +558,6 @@ pub fn find_figure(name: &str) -> Result<&'static dyn FigureDef, String> {
         })
 }
 
-/// Formats the checkpoint kernel telemetry for a campaign's configured
-/// kernel and the fixed kernels its panels actually execute: fixed kernels
-/// report their own name, `auto` reports `"auto:<resolved>"` (with `+`
-/// joining the distinct choices of a multi-panel figure whose operating
-/// points resolve differently). The resolution is a pure function of the
-/// campaign spec, so every shard of a campaign records the same string —
-/// the invariant [`crate::shard::ShardState::merge`] verifies.
-pub(crate) fn kernel_telemetry<I>(kernel: Option<KernelKind>, resolved: I) -> Option<String>
-where
-    I: IntoIterator<Item = KernelKind>,
-{
-    let kernel = kernel?;
-    if kernel != KernelKind::Auto {
-        return Some(kernel.as_str().to_owned());
-    }
-    let mut names: Vec<&'static str> = Vec::new();
-    for choice in resolved {
-        if !names.contains(&choice.as_str()) {
-            names.push(choice.as_str());
-        }
-    }
-    if names.is_empty() {
-        return Some(kernel.as_str().to_owned());
-    }
-    Some(format!("auto:{}", names.join("+")))
-}
-
 /// Rejects campaign-identity flags (`--image`/`--kind-law`) that the
 /// resolved spec does not carry: a figure that normalises the flag away
 /// would silently run a different campaign than the one the user asked
@@ -685,9 +610,10 @@ pub fn check_identity_flags(spec: &FigureSpec, options: &RunOptions) -> Result<(
 pub fn run_monolithic(name: &str) -> Result<(), FigureError> {
     let options = RunOptions::from_args();
     let figure = find_figure(name)?;
-    // A typo in a campaign-identity flag (--image/--kind-law) must not
-    // silently run a different campaign than the one the user asked for,
-    // and a removed flag must not be silently ignored.
+    // A typo in a campaign-identity flag (--backend/--samples/--image/
+    // --kind-law/--kernel) must not silently run a different campaign than
+    // the one the user asked for, and a removed flag must not be silently
+    // ignored.
     if !options.spec_flag_errors.is_empty() {
         return Err(options.spec_flag_errors.join("; ").into());
     }
@@ -708,7 +634,7 @@ pub fn run_monolithic(name: &str) -> Result<(), FigureError> {
     let mut metrics = recorder.map(|recorder| ShardMetrics {
         elapsed_seconds: Some(elapsed_seconds),
         generation_seconds: run.generation_seconds,
-        kernel: figure.resolved_kernel(&spec),
+        kernel: spec.kernel.map(|kernel| kernel.as_str().to_owned()),
         auto_threshold: None,
         snapshot: Some(recorder.snapshot()),
     });
@@ -902,6 +828,7 @@ mod tests {
 
     #[test]
     fn panel_states_merge_by_kind_and_reject_mismatches() {
+        use faultmit_sim::PairedSample;
         let sample = |index: u64, metrics: &[f64]| PairedSample {
             sample_index: index,
             n_faults: 1,
@@ -937,26 +864,6 @@ mod tests {
             })
             .is_err());
 
-        // Records merging concatenates in shard order.
-        let mut records = PanelState::Records {
-            metric_names: vec!["naive".into(), "optimal".into()],
-            records: vec![sample(0, &[1.0, 0.5])],
-        };
-        records
-            .merge(PanelState::Records {
-                metric_names: vec!["naive".into(), "optimal".into()],
-                records: vec![sample(1, &[2.0, 1.5])],
-            })
-            .unwrap();
-        if let PanelState::Records { records, .. } = &records {
-            assert_eq!(
-                records.iter().map(|r| r.sample_index).collect::<Vec<_>>(),
-                vec![0, 1]
-            );
-        } else {
-            unreachable!()
-        }
-
         // Tables must agree; kinds must match.
         let table = || PanelState::Table {
             rows: JsonValue::Array(vec![JsonValue::Number(1.0)]),
@@ -968,6 +875,6 @@ mod tests {
                 rows: JsonValue::Array(vec![]),
             })
             .is_err());
-        assert!(t.merge(records.clone()).is_err());
+        assert!(t.merge(merged).is_err());
     }
 }

@@ -15,11 +15,10 @@
 //! bit-for-bit. The single exception is `-0.0`, which the emitter has always
 //! normalised to `"0"` (the byte format of every historical figure JSON).
 //! Shard-state catalogue values do not depend on either property: they are
-//! stored as hex strings of their raw bits. The numbers a checkpoint still
-//! writes through this path are the CDF weights, which are strictly
-//! positive, and the record metrics, whose `±0.0` no reduction of a rendered
-//! figure distinguishes, so normalisation cannot change a rendered figure
-//! byte.
+//! stored as hex strings of their raw bits. The only numbers a checkpoint
+//! still writes through this path are the CDF weights, which are strictly
+//! positive, so normalisation cannot change shard state or a rendered
+//! figure byte.
 
 use std::fmt::Write as _;
 
@@ -1017,9 +1016,9 @@ mod tests {
         // Empty f64 iterator sums are -0.0, so figure probabilities hit
         // this path; the byte format of the historical figure JSON ("0")
         // wins over sign preservation. Parsing normalises to +0.0 — safe
-        // for the numbers shard state writes through this path: weights
-        // are strictly positive and no figure distinguishes ±0.0 record
-        // metrics (catalogue values are stored as raw bits instead).
+        // for the only numbers shard state writes through this path, the
+        // strictly positive weights (catalogue values are stored as raw
+        // bits instead).
         let rendered = JsonValue::Number(-0.0).to_pretty_string();
         assert_eq!(rendered, "0");
         let parsed = JsonValue::parse(&rendered).unwrap().as_f64().unwrap();

@@ -159,9 +159,9 @@ pub struct ShardMetrics {
     /// counts and the total can exceed `elapsed_seconds` at worker counts
     /// above one.
     pub generation_seconds: Option<f64>,
-    /// Name of the evaluation kernel that produced the state (`"sparse"`,
-    /// `"auto:bitsliced"`, …). Must agree across a shard set — see
-    /// [`crate::shard::ShardState::merge`].
+    /// Name of the evaluation kernel the spec selected (`"sparse"` or
+    /// `"bitsliced"`; `None` when the spec names none). Must agree across a
+    /// shard set — see [`crate::shard::ShardState::merge`].
     pub kernel: Option<String>,
     /// Vestigial: the `--auto-threshold` override was removed, so nothing
     /// sets this. Writers emit `null` and readers ignore the stored value.
@@ -441,7 +441,7 @@ mod tests {
         let metrics = ShardMetrics {
             elapsed_seconds: Some(2.5),
             generation_seconds: Some(0.75),
-            kernel: Some("auto:sparse".to_owned()),
+            kernel: Some("bitsliced".to_owned()),
             auto_threshold: None,
             snapshot: Some(populated_snapshot()),
         };

@@ -12,18 +12,17 @@
 //!    plan (see [`faultmit_sim::Campaign::run_shard`]),
 //! 2. catalogue state stores each [`CdfSketch`]'s observation values in
 //!    insertion order next to their run-length encoded weights and
-//!    re-accumulates them on read ([`CdfSketch::from_observations`]),
-//!    record state stores the raw [`PairedSample`] stream in global sample
-//!    order, and deterministic table state is validated for equality
-//!    across shards, and
+//!    re-accumulates them on read ([`CdfSketch::from_observations`]), and
+//!    deterministic table state is validated for equality across shards
+//!    (there is no raw record stream: every Monte-Carlo figure, the
+//!    shift-policy ablation included, stores catalogue state), and
 //! 3. catalogue values are stored as their raw bits (`f64::to_bits`, 16
 //!    lowercase hex digits each), so they round-trip exactly by
-//!    construction, `-0.0` included; the remaining numbers — the
-//!    always-positive weights and the record metrics — go through the
-//!    in-tree JSON emitter, which prints every finite `f64` in its shortest
-//!    round-trippable form (sole exception: `-0.0` normalises to `+0.0`,
-//!    which no downstream reduction of a record metric can distinguish —
-//!    see the `json` module docs),
+//!    construction, `-0.0` included; the only other numbers of the
+//!    state, the always-positive weights, go through the in-tree JSON
+//!    emitter, which prints every finite `f64` in its shortest
+//!    round-trippable form (its `-0.0` → `+0.0` normalisation, see the
+//!    `json` module docs, therefore never applies to shard state),
 //!
 //! the merged state — and therefore the rendered figure JSON — is
 //! **byte-identical** to the monolithic single-process run for every
@@ -40,7 +39,7 @@ use crate::figures::{FigureSpec, PanelState};
 use crate::json::{JsonValue, ToJson};
 use crate::metrics::ShardMetrics;
 use faultmit_analysis::{CatalogueAccumulator, CdfSketch, EmpiricalCdf};
-use faultmit_sim::{PairedSample, ShardSpec};
+use faultmit_sim::ShardSpec;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -54,7 +53,10 @@ use std::path::Path;
 /// weights next to a value column — instead of one `[value, weight]` pair
 /// per observation; `v5` writes that value column as one string of
 /// 16-digit lowercase hex words (`f64::to_bits`) instead of an array of
-/// decimal numbers. The loader reads only this version.
+/// decimal numbers. Since the shift-policy ablation stores catalogue
+/// state, a v5 file with a `records` panel is refused as an unknown kind
+/// (catalogue and table layouts are unchanged). The loader reads only this
+/// version.
 pub const SHARD_STATE_FORMAT: &str = "faultmit-shard-state/v5";
 
 /// Error reading or merging shard state.
@@ -279,11 +281,11 @@ impl ShardState {
         // message names exactly which indices are missing or mismatched.
         let mut spec_mismatches: Vec<String> = Vec::new();
         let mut panel_mismatches: Vec<String> = Vec::new();
-        // `--kernel auto` resolves per campaign, so every shard of a set
-        // must record the same kernel; a disagreement means the shards were
-        // produced by runs with different flags (or different auto
-        // resolutions) and their throughput telemetry is not comparable.
-        // Legacy checkpoints without the field merge with anything.
+        // Checkpoints are outside input: every shard of a set must record
+        // the same kernel, since a disagreement means the shards were
+        // produced by runs with different `--kernel` flags and their
+        // throughput telemetry is not comparable. Checkpoints without the
+        // field merge with anything.
         let mut kernels: Vec<String> = shards
             .iter()
             .filter_map(|shard| shard.metrics.kernel.clone())
@@ -676,73 +678,6 @@ pub fn accumulator_from_json(value: &JsonValue) -> Result<CatalogueAccumulator, 
     Ok(CatalogueAccumulator::from_per_scheme_counts(per_scheme))
 }
 
-/// Serialises an ordered [`PairedSample`] record stream: one
-/// `[index, n, weight, [metrics…]]` entry per record.
-#[must_use]
-pub fn records_to_json(records: &[PairedSample]) -> JsonValue {
-    JsonValue::Array(
-        records
-            .iter()
-            .map(|record| {
-                JsonValue::Array(vec![
-                    record.sample_index.to_json(),
-                    record.n_faults.to_json(),
-                    JsonValue::Number(record.weight),
-                    record.metrics.to_json(),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Rebuilds an ordered [`PairedSample`] record stream from its serialised
-/// form.
-///
-/// # Errors
-///
-/// Returns [`ShardStateError`] when the document is not a list of
-/// `[index, n, weight, [metrics…]]` entries.
-pub fn records_from_json(value: &JsonValue) -> Result<Vec<PairedSample>, ShardStateError> {
-    value
-        .as_array()
-        .ok_or_else(|| ShardStateError::new("records state must be an array"))?
-        .iter()
-        .map(|entry| {
-            let entry = entry
-                .as_array()
-                .filter(|items| items.len() == 4)
-                .ok_or_else(|| {
-                    ShardStateError::new("record entries must be [index, n, weight, metrics]")
-                })?;
-            let sample_index = entry[0]
-                .as_u64()
-                .ok_or_else(|| ShardStateError::new("record index must be an integer"))?;
-            let n_faults = entry[1]
-                .as_u64()
-                .ok_or_else(|| ShardStateError::new("record fault count must be an integer"))?;
-            let weight = entry[2]
-                .as_f64()
-                .ok_or_else(|| ShardStateError::new("record weight must be a number"))?;
-            let metrics = entry[3]
-                .as_array()
-                .ok_or_else(|| ShardStateError::new("record metrics must be an array"))?
-                .iter()
-                .map(|metric| {
-                    metric
-                        .as_f64()
-                        .ok_or_else(|| ShardStateError::new("record metrics must be numbers"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(PairedSample {
-                sample_index,
-                n_faults,
-                weight,
-                metrics,
-            })
-        })
-        .collect()
-}
-
 /// Serialises one panel's [`PanelState`] payload (the shape under the
 /// panel's `kind` tag).
 #[must_use]
@@ -754,13 +689,6 @@ pub fn panel_state_to_json(state: &PanelState) -> JsonValue {
         } => JsonValue::object([
             ("schemes", scheme_names.to_json()),
             ("accumulator", accumulator_to_json(accumulator)),
-        ]),
-        PanelState::Records {
-            metric_names,
-            records,
-        } => JsonValue::object([
-            ("metrics", metric_names.to_json()),
-            ("records", records_to_json(records)),
         ]),
         PanelState::Table { rows } => rows.clone(),
     }
@@ -801,38 +729,6 @@ pub fn panel_state_from_json(kind: &str, value: &JsonValue) -> Result<PanelState
                 accumulator,
             })
         }
-        "records" => {
-            let metric_names = value
-                .get("metrics")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| ShardStateError::new("records state is missing 'metrics'"))?
-                .iter()
-                .map(|name| {
-                    name.as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| ShardStateError::new("metric names must be strings"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let records = value
-                .get("records")
-                .ok_or_else(|| ShardStateError::new("records state is missing 'records'"))
-                .and_then(records_from_json)?;
-            if let Some(record) = records
-                .iter()
-                .find(|record| record.metrics.len() != metric_names.len())
-            {
-                return Err(ShardStateError::new(format!(
-                    "record {} carries {} metrics but the panel names {}",
-                    record.sample_index,
-                    record.metrics.len(),
-                    metric_names.len()
-                )));
-            }
-            Ok(PanelState::Records {
-                metric_names,
-                records,
-            })
-        }
         "table" => Ok(PanelState::Table {
             rows: value.clone(),
         }),
@@ -847,7 +743,7 @@ mod tests {
     use super::*;
     use crate::figures::find_figure;
     use crate::RunOptions;
-    use faultmit_sim::Accumulator;
+    use faultmit_sim::{Accumulator, PairedSample};
 
     fn sample(index: u64, n_faults: u64, metrics: &[f64]) -> PairedSample {
         PairedSample {
@@ -1080,27 +976,6 @@ mod tests {
     }
 
     #[test]
-    fn record_streams_round_trip_through_text() {
-        let records = vec![
-            sample(0, 64, &[1.0 / 3.0, 5e-324]),
-            sample(1, 64, &[2.5, 1e300]),
-            sample(7, 256, &[0.0, -0.125]),
-        ];
-        let text = records_to_json(&records).to_pretty_string();
-        let round = records_from_json(&JsonValue::parse(&text).unwrap()).unwrap();
-        assert_eq!(round.len(), records.len());
-        for (a, b) in records.iter().zip(&round) {
-            assert_eq!(a.sample_index, b.sample_index);
-            assert_eq!(a.n_faults, b.n_faults);
-            assert_eq!(a.weight.to_bits(), b.weight.to_bits());
-            assert_eq!(a.metrics.len(), b.metrics.len());
-            for (x, y) in a.metrics.iter().zip(&b.metrics) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn malformed_state_documents_are_rejected() {
         assert!(sketch_from_json(&JsonValue::Null).is_err());
         assert!(accumulator_from_json(&JsonValue::parse("[{}]").unwrap()).is_err());
@@ -1125,20 +1000,21 @@ mod tests {
                 "accepted {legacy}"
             );
         }
-        assert!(records_from_json(&JsonValue::Null).is_err());
-        assert!(records_from_json(&JsonValue::parse("[[1, 2, 3]]").unwrap()).is_err());
-        assert!(records_from_json(&JsonValue::parse("[[1, 2, 3.0, 4]]").unwrap()).is_err());
-        assert!(records_from_json(&JsonValue::parse("[[1, 2, 3.0, [true]]]").unwrap()).is_err());
         assert!(panel_state_from_json("bogus", &JsonValue::Null).is_err());
         assert!(panel_state_from_json("catalogue", &JsonValue::Null).is_err());
-        assert!(panel_state_from_json("records", &JsonValue::Null).is_err());
-        // Mismatched metric arity inside a records panel.
-        assert!(panel_state_from_json(
-            "records",
-            &JsonValue::parse("{\"metrics\": [\"a\", \"b\"], \"records\": [[0, 1, 0.5, [1.0]]]}")
-                .unwrap()
+        // The retired `records` kind is unknown, even in its well-formed
+        // layout of `[index, n, weight, [metrics…]]` entries.
+        let records = JsonValue::parse(
+            "{\"metrics\": [\"naive\", \"optimal\"], \"records\": [[0, 1, 0.5, [2.0, 1.0]]]}",
         )
-        .is_err());
+        .unwrap();
+        for state in [JsonValue::Null, records] {
+            let error = panel_state_from_json("records", &state).unwrap_err();
+            assert!(
+                error.reason.contains("unknown panel state kind 'records'"),
+                "{error}"
+            );
+        }
         assert!(ShardState::parse("not json").is_err());
         assert!(ShardState::parse("{\"format\": \"other/v9\"}").is_err());
         // The v1 tag is a foreign format now.
@@ -1191,10 +1067,6 @@ mod tests {
 
     #[test]
     fn every_panel_kind_round_trips_inside_a_shard_state() {
-        let records = PanelState::Records {
-            metric_names: vec!["naive".to_owned(), "optimal".to_owned()],
-            records: vec![sample(0, 9, &[1.5, 0.5]), sample(1, 9, &[2.5, 1.0 / 7.0])],
-        };
         let table = PanelState::Table {
             rows: JsonValue::parse("[{\"a\": 1.25}, {\"a\": null}]").unwrap(),
         };
@@ -1206,10 +1078,6 @@ mod tests {
                 ShardPanelState {
                     label: "cat".to_owned(),
                     state: one_panel_state(&[1.0, 2.0]),
-                },
-                ShardPanelState {
-                    label: "rec".to_owned(),
-                    state: records,
                 },
                 ShardPanelState {
                     label: "tab".to_owned(),
@@ -1285,7 +1153,7 @@ mod tests {
         assert_eq!(ShardState::parse(&text).unwrap(), state);
         let spec_kernel = "\"kernel\": \"bitsliced\"";
         assert_eq!(text.matches(spec_kernel).count(), 1, "{text}");
-        for removed in ["scalar", "bitsliced256"] {
+        for removed in ["scalar", "bitsliced256", "auto"] {
             let old = text.replace(spec_kernel, &format!("\"kernel\": \"{removed}\""));
             let error = ShardState::parse(&old).unwrap_err();
             assert!(
@@ -1322,7 +1190,7 @@ mod tests {
             metrics: ShardMetrics {
                 elapsed_seconds: Some(0.5),
                 generation_seconds: Some(0.25),
-                kernel: figure.resolved_kernel(&spec),
+                kernel: spec.kernel.map(|kernel| kernel.as_str().to_owned()),
                 auto_threshold: None,
                 snapshot: Some(recorder.snapshot()),
             },
@@ -1389,16 +1257,15 @@ mod tests {
     #[test]
     fn merge_verifies_kernel_consistency_across_the_shard_set() {
         // A disagreeing kernel is a re-sharded campaign with different
-        // flags (or inconsistent auto resolutions) — refuse, naming both.
+        // `--kernel` flags — refuse, naming both.
         let mut block = shard_with(1, 2, &[2.0]);
-        block.metrics.kernel = Some("auto:bitsliced".to_owned());
-        let mut sparse = shard_with(0, 2, &[1.0]);
-        sparse.metrics.kernel = Some("auto:sparse".to_owned());
+        block.metrics.kernel = Some("bitsliced".to_owned());
+        let sparse = shard_with(0, 2, &[1.0]);
         let error = ShardState::merge(vec![sparse, block]).unwrap_err();
         assert!(
             error.reason.contains(
                 "shards disagree on the evaluation kernel \
-                 ('auto:bitsliced' vs 'auto:sparse')"
+                 ('bitsliced' vs 'sparse')"
             ),
             "{error}"
         );
@@ -1410,13 +1277,13 @@ mod tests {
         let merged = ShardState::merge(vec![legacy, shard_with(1, 2, &[2.0])]).unwrap();
         assert_eq!(merged.kernel(), Some("sparse"));
 
-        // …and an agreeing auto resolution merges like any fixed kernel.
+        // …and shards that agree merge under their kernel.
         let mut a = shard_with(0, 2, &[1.0]);
         let mut b = shard_with(1, 2, &[2.0]);
-        a.metrics.kernel = Some("auto:sparse".to_owned());
-        b.metrics.kernel = Some("auto:sparse".to_owned());
+        a.metrics.kernel = Some("bitsliced".to_owned());
+        b.metrics.kernel = Some("bitsliced".to_owned());
         let merged = ShardState::merge(vec![a, b]).unwrap();
-        assert_eq!(merged.kernel(), Some("auto:sparse"));
+        assert_eq!(merged.kernel(), Some("bitsliced"));
     }
 
     #[test]

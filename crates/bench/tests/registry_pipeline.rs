@@ -250,28 +250,30 @@ fn removed_kernel_names_fail_before_any_output() {
     let dir = TempDir::new("removed-kernel");
     let out = dir.join("fig5.json");
     let shards = dir.join("shards");
-    let kernel = ["--kernel", "bitsliced256"];
     let shard_args = ["--figure", "fig5", "--shard", "0/1", "--out", &out];
     let run_args = driver_args("fig5", &["--samples", "1"], "2", &shards, &out);
-    for (binary, args) in [
-        (
-            env!("CARGO_BIN_EXE_fig5_mse_cdf"),
-            vec!["--samples", "1", "--json", &out],
-        ),
-        (SHARD_BIN, shard_args.to_vec()),
-        (RUN_BIN, run_args),
-    ] {
-        let args = [&args[..], &kernel[..]].concat();
-        let output = Command::new(binary).args(&args).output().unwrap();
-        assert!(!output.status.success(), "{binary} {args:?} must fail");
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(
-            stderr.contains("kernel 'bitsliced256' was removed")
-                && stderr.contains("sparse|bitsliced|auto"),
-            "{binary}: {stderr}"
-        );
-        assert!(!Path::new(&out).exists(), "{binary} wrote {out}");
-        assert!(!Path::new(&shards).exists(), "{binary} wrote {shards}");
+    for removed in ["bitsliced256", "auto"] {
+        let kernel = ["--kernel", removed];
+        for (binary, args) in [
+            (
+                env!("CARGO_BIN_EXE_fig5_mse_cdf"),
+                vec!["--samples", "1", "--json", &out],
+            ),
+            (SHARD_BIN, shard_args.to_vec()),
+            (RUN_BIN, run_args.clone()),
+        ] {
+            let args = [&args[..], &kernel[..]].concat();
+            let output = Command::new(binary).args(&args).output().unwrap();
+            assert!(!output.status.success(), "{binary} {args:?} must fail");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(
+                stderr.contains(&format!("kernel '{removed}' was removed"))
+                    && stderr.contains("(expected sparse|bitsliced)"),
+                "{binary}: {stderr}"
+            );
+            assert!(!Path::new(&out).exists(), "{binary} wrote {out}");
+            assert!(!Path::new(&shards).exists(), "{binary} wrote {shards}");
+        }
     }
 }
 
@@ -306,6 +308,43 @@ fn removed_tuning_flags_fail_before_any_output() {
                 stderr.contains(&format!("{} was removed", removed[0])),
                 "{binary}: {stderr}"
             );
+            assert!(!Path::new(&out).exists(), "{binary} wrote {out}");
+            assert!(!Path::new(&shards).exists(), "{binary} wrote {shards}");
+        }
+    }
+}
+
+#[test]
+fn backend_and_samples_typos_fail_before_any_output() {
+    // Both flags are campaign identity: a typo must not silently run the
+    // SRAM default or the figure's default budget and write its output
+    // (or a checkpoint whose spec names a campaign nobody asked for).
+    let dir = TempDir::new("identity-typo");
+    let out = dir.join("fig.json");
+    let shards = dir.join("shards");
+    let shard_args = ["--figure", "fig5", "--shard", "0/2", "--out", &out];
+    let run_args = driver_args("fig5", &[], "2", &shards, &out);
+    for (typo, message) in [
+        (["--backend", "drma"], "unknown backend 'drma'"),
+        (["--samples", "2x"], "invalid --samples value '2x'"),
+    ] {
+        for (binary, args) in [
+            (
+                env!("CARGO_BIN_EXE_fig5_mse_cdf"),
+                vec!["--samples", "2", "--json", &out],
+            ),
+            (
+                env!("CARGO_BIN_EXE_fig7_quality"),
+                vec!["elasticnet", "--samples", "1", "--json", &out],
+            ),
+            (SHARD_BIN, shard_args.to_vec()),
+            (RUN_BIN, run_args.clone()),
+        ] {
+            let args = [&args[..], &typo[..]].concat();
+            let output = Command::new(binary).args(&args).output().unwrap();
+            assert!(!output.status.success(), "{binary} {args:?} must fail");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(stderr.contains(message), "{binary}: {stderr}");
             assert!(!Path::new(&out).exists(), "{binary} wrote {out}");
             assert!(!Path::new(&shards).exists(), "{binary} wrote {shards}");
         }

@@ -233,6 +233,81 @@ fn completed_shard_files_are_checkpoints() {
     assert_eq!(read(&mono), read(&merged));
 }
 
+/// Rewrites every catalogue panel of a shift-policy checkpoint into the
+/// retired `records` layout: one `[index, n, weight, [naive, optimal]]`
+/// entry per die, in die order.
+fn as_records_panels(checkpoint: &str) -> String {
+    use faultmit_bench::figures::PanelState;
+    use faultmit_bench::json::{JsonValue, ToJson};
+    let state = faultmit_bench::shard::ShardState::parse(checkpoint).unwrap();
+    let panels = state.panels.iter().map(|panel| {
+        let PanelState::Catalogue {
+            scheme_names,
+            accumulator,
+        } = &panel.state
+        else {
+            panic!("the shift-policy ablation stores catalogue panels");
+        };
+        let [naive, optimal] = accumulator.per_scheme_counts() else {
+            panic!("the shift-policy ablation pairs two schemes");
+        };
+        let dies = naive
+            .iter()
+            .zip(optimal)
+            .flat_map(|((&n, naive), (_, optimal))| {
+                let pairs = naive.samples().zip(optimal.samples());
+                pairs.map(move |((m0, weight), (m1, _))| (n, weight, [m0, m1]))
+            });
+        let records = dies.enumerate().map(|(index, (n, weight, metrics))| {
+            JsonValue::Array(vec![
+                index.to_json(),
+                n.to_json(),
+                JsonValue::Number(weight),
+                metrics.to_vec().to_json(),
+            ])
+        });
+        let state = JsonValue::object([
+            ("metrics", scheme_names.to_json()),
+            ("records", JsonValue::Array(records.collect())),
+        ]);
+        JsonValue::object([
+            ("label", panel.label.to_json()),
+            ("kind", "records".to_json()),
+            ("state", state),
+        ])
+    });
+    let mut document = JsonValue::parse(checkpoint).unwrap();
+    let JsonValue::Object(fields) = &mut document else {
+        panic!("a checkpoint is a JSON object");
+    };
+    let field = fields.iter_mut().find(|(key, _)| key == "panels").unwrap();
+    field.1 = JsonValue::Array(panels.collect());
+    document.to_pretty_string()
+}
+
+#[test]
+fn checkpoints_with_a_records_panel_are_recomputed() {
+    // The shift-policy ablation used to store its panels as raw record
+    // streams; such a checkpoint names a panel kind this build no longer
+    // has, so it is refused by name and recomputed, not skipped.
+    let dir = TempDir::new("records");
+    let out = dir.join("s0.json");
+    let args = ["--figure", "shift_policy", "--shard", "0/2", "--out", &out];
+    assert!(!stdout_of(&run(SHARD_BIN, &args)).contains("skipping"));
+    let state = state_of(&out);
+    let records = as_records_panels(&read(&out));
+    assert!(records.contains("\"kind\": \"records\""), "{records}");
+    std::fs::write(Path::new(&out), records).unwrap();
+    let recompute = run(SHARD_BIN, &args);
+    assert!(!stdout_of(&recompute).contains("skipping"));
+    let refusal = String::from_utf8_lossy(&recompute.stderr);
+    assert!(
+        refusal.contains("unknown panel state kind 'records'"),
+        "{refusal}"
+    );
+    assert_eq!(state_of(&out), state, "recomputed shard diverged");
+}
+
 #[test]
 fn checkpoints_are_renamed_into_place_and_stale_temp_files_do_not_block_a_resume() {
     let dir = TempDir::new("atomic");

@@ -190,11 +190,9 @@ pub struct ShardStats {
     pub metrics: obs::MetricsSnapshot,
 }
 
-/// Which evaluation kernel a campaign drives. Every fixed kernel produces
+/// Which evaluation kernel a campaign drives. Both kernels produce
 /// **bit-identical** per-panel results (the `kernel_equivalence` suite pins
-/// this); they differ only in throughput. [`KernelKind::Auto`] resolves to
-/// one of the fixed kernels per campaign before any sampling happens, so it
-/// inherits the same bit-identity guarantee.
+/// this); they differ only in throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelKind {
     /// The event-driven kernel walking only fault-bearing rows through
@@ -205,27 +203,11 @@ pub enum KernelKind {
     /// `u64` lanes and evaluated together through `observe_block`, with a
     /// scalar tail for leftover samples.
     Bitsliced,
-    /// Density-adaptive choice: resolves to [`KernelKind::Bitsliced`]
-    /// when the expected fault density meets
-    /// [`AUTO_FAULTS_PER_ROW_THRESHOLD`] faults per row, and to
-    /// [`KernelKind::Sparse`] otherwise. See [`KernelKind::resolve`].
-    Auto,
 }
 
-/// The density threshold of the `auto` kernel policy, in expected faults
-/// per memory row.
-///
-/// At or above this density (one expected fault per sixteen rows), most
-/// sampled dies carry enough fault-bearing rows that the per-row transpose
-/// and lane-wide evaluation of the bit-sliced kernel amortises its fixed
-/// cost; below it, the event-driven sparse kernel's skip-empty-rows
-/// advantage wins. The constant is pinned by a unit test against the benched
-/// operating points in `benches/pipeline.rs`.
-pub const AUTO_FAULTS_PER_ROW_THRESHOLD: f64 = 1.0 / 16.0;
-
 impl KernelKind {
-    /// All kernels, in sparse → bitsliced → auto order.
-    pub const ALL: [KernelKind; 3] = [KernelKind::Sparse, KernelKind::Bitsliced, KernelKind::Auto];
+    /// All kernels, in sparse → bitsliced order.
+    pub const ALL: [KernelKind; 2] = [KernelKind::Sparse, KernelKind::Bitsliced];
 
     /// The CLI / telemetry name of the kernel.
     #[must_use]
@@ -233,31 +215,6 @@ impl KernelKind {
         match self {
             KernelKind::Sparse => "sparse",
             KernelKind::Bitsliced => "bitsliced",
-            KernelKind::Auto => "auto",
-        }
-    }
-
-    /// Resolves the density-adaptive `auto` kernel to a fixed kernel for a
-    /// campaign expecting `expected_faults_per_die` faults spread over
-    /// `rows` memory rows; fixed kernels return themselves unchanged.
-    ///
-    /// `Auto` picks [`KernelKind::Bitsliced`] when the expected density
-    /// reaches [`AUTO_FAULTS_PER_ROW_THRESHOLD`] faults per row and
-    /// [`KernelKind::Sparse`] otherwise (including the degenerate
-    /// `rows == 0` case).
-    #[must_use]
-    pub fn resolve(self, expected_faults_per_die: f64, rows: usize) -> KernelKind {
-        match self {
-            KernelKind::Auto => {
-                #[allow(clippy::cast_precision_loss)]
-                let dense_threshold = rows as f64 * AUTO_FAULTS_PER_ROW_THRESHOLD;
-                if rows > 0 && expected_faults_per_die >= dense_threshold {
-                    KernelKind::Bitsliced
-                } else {
-                    KernelKind::Sparse
-                }
-            }
-            fixed => fixed,
         }
     }
 }
@@ -272,18 +229,17 @@ impl FromStr for KernelKind {
     type Err = SimError;
 
     /// Parses a kernel's CLI name. The names of removed kernels (`scalar`,
-    /// `bitsliced256`) are refused with an error saying so, never remapped
-    /// to a surviving kernel.
+    /// `bitsliced256`, and the `auto` density policy) are refused with an
+    /// error saying so, never remapped to a surviving kernel.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim() {
             "sparse" => Ok(KernelKind::Sparse),
             "bitsliced" => Ok(KernelKind::Bitsliced),
-            "auto" => Ok(KernelKind::Auto),
-            removed @ ("scalar" | "bitsliced256") => Err(SimError::InvalidParameter {
-                reason: format!("kernel '{removed}' was removed (expected sparse|bitsliced|auto)"),
+            removed @ ("scalar" | "bitsliced256" | "auto") => Err(SimError::InvalidParameter {
+                reason: format!("kernel '{removed}' was removed (expected sparse|bitsliced)"),
             }),
             other => Err(SimError::InvalidParameter {
-                reason: format!("unknown kernel '{other}' (expected sparse|bitsliced|auto)"),
+                reason: format!("unknown kernel '{other}' (expected sparse|bitsliced)"),
             }),
         }
     }
@@ -443,27 +399,10 @@ impl<B: FaultBackend> CampaignConfig<B> {
         self
     }
 
-    /// The evaluation kernel as configured (`auto` stays `auto`; see
-    /// [`CampaignConfig::resolved_kernel`] for the kernel that executes).
+    /// The configured evaluation kernel.
     #[must_use]
     pub fn kernel(&self) -> KernelKind {
         self.kernel
-    }
-
-    /// The fixed kernel the configured [`KernelKind`] resolves to: fixed
-    /// kernels return themselves, while [`KernelKind::Auto`] applies the
-    /// density policy of [`KernelKind::resolve`] to
-    /// [`CampaignConfig::expected_faults_per_die`]. The resolution depends
-    /// only on the configuration, so every shard of a campaign resolves
-    /// identically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from building the failure distribution.
-    pub fn resolved_kernel(&self) -> Result<KernelKind, SimError> {
-        Ok(self
-            .kernel
-            .resolve(self.expected_faults_per_die()?, self.memory().rows()))
     }
 
     /// The data image the campaign's metric is declared against.
@@ -535,25 +474,6 @@ impl<B: FaultBackend> CampaignConfig<B> {
         match self.max_failures {
             Some(n) => Ok(n),
             None => Ok(self.failure_distribution()?.n_max(self.coverage)),
-        }
-    }
-
-    /// The expected number of faults injected per sampled die, used by the
-    /// [`KernelKind::Auto`] density policy.
-    ///
-    /// An exact-failure campaign injects exactly that count into every die;
-    /// a swept campaign runs `samples_per_count` dies at every count in
-    /// `1..=effective_max_failures`, so the mean over the whole campaign is
-    /// the midpoint `(1 + n_max) / 2`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from building the failure distribution.
-    pub fn expected_faults_per_die(&self) -> Result<f64, SimError> {
-        #[allow(clippy::cast_precision_loss)]
-        match self.exact_failures {
-            Some(n) => Ok(n as f64),
-            None => Ok((1.0 + self.effective_max_failures()? as f64) / 2.0),
         }
     }
 }
@@ -1283,7 +1203,7 @@ mod tests {
 
     #[test]
     fn kernel_kind_parses_and_displays() {
-        assert_eq!(KernelKind::ALL.len(), 3);
+        assert_eq!(KernelKind::ALL.len(), 2);
         for kernel in KernelKind::ALL {
             assert_eq!(kernel.as_str().parse::<KernelKind>().unwrap(), kernel);
             assert_eq!(kernel.to_string(), kernel.as_str());
@@ -1292,49 +1212,18 @@ mod tests {
         // Unknown names and the names of removed kernels all fail, naming
         // the input and listing the valid set; a removed kernel is never
         // remapped to a surviving one.
-        for name in ["simd", "scalar", "bitsliced256"] {
+        for name in ["simd", "scalar", "bitsliced256", "auto"] {
             let error = name.parse::<KernelKind>().unwrap_err().to_string();
             assert!(
-                error.contains(&format!("'{name}'")) && error.contains("sparse|bitsliced|auto"),
+                error.contains(&format!("'{name}'"))
+                    && error.contains("(expected sparse|bitsliced)"),
                 "the kernel error must name the input and list the valid set: {error}"
             );
         }
-        for removed in ["scalar", "bitsliced256"] {
+        for removed in ["scalar", "bitsliced256", "auto"] {
             let error = removed.parse::<KernelKind>().unwrap_err().to_string();
             assert!(error.contains("removed"), "{error}");
         }
-    }
-
-    #[test]
-    fn auto_kernel_resolves_by_fault_density() {
-        // Fixed kernels resolve to themselves regardless of density.
-        for kernel in [KernelKind::Sparse, KernelKind::Bitsliced] {
-            assert_eq!(kernel.resolve(1e9, 128), kernel);
-            assert_eq!(kernel.resolve(0.0, 128), kernel);
-        }
-        // Auto flips exactly at rows / 16 expected faults per die.
-        let rows = 4096usize;
-        let threshold = rows as f64 * AUTO_FAULTS_PER_ROW_THRESHOLD;
-        assert_eq!(
-            KernelKind::Auto.resolve(threshold, rows),
-            KernelKind::Bitsliced
-        );
-        assert_eq!(
-            KernelKind::Auto.resolve(threshold - 1.0, rows),
-            KernelKind::Sparse
-        );
-        // Degenerate geometry falls back to sparse.
-        assert_eq!(KernelKind::Auto.resolve(10.0, 0), KernelKind::Sparse);
-    }
-
-    #[test]
-    fn expected_faults_per_die_follows_the_campaign_plan() {
-        // An exact-failure campaign injects that count into every die.
-        let exact = config().with_exact_failures(8192);
-        assert_eq!(exact.expected_faults_per_die().unwrap(), 8192.0);
-        // A swept campaign averages the uniform 1..=n_max plan.
-        let swept = config().with_max_failures(13);
-        assert_eq!(swept.expected_faults_per_die().unwrap(), 7.0);
     }
 
     #[test]

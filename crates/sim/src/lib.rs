@@ -124,9 +124,6 @@ pub mod error;
 pub mod executor;
 
 pub use accumulate::{Accumulator, CollectRecords, PairedSample};
-pub use campaign::{
-    Campaign, CampaignConfig, KernelKind, MapPolicy, ShardSpec, ShardStats,
-    AUTO_FAULTS_PER_ROW_THRESHOLD,
-};
+pub use campaign::{Campaign, CampaignConfig, KernelKind, MapPolicy, ShardSpec, ShardStats};
 pub use error::{RunError, SimError};
 pub use executor::{run_chunked, run_chunked_with, Parallelism};

@@ -8,8 +8,7 @@
 //! `memory_mse_for_data`) on every backend, image, and fault-kind law,
 //! including dies with multi-fault rows; the campaign's reusable arenas —
 //! per-die and transposed alike — must reach zero steady-state heap
-//! traffic; and `--kernel auto` must resolve to the documented kernel at
-//! every benched operating point.
+//! traffic.
 
 mod common;
 
@@ -21,12 +20,9 @@ use faultmit::analysis::{
 use faultmit::core::Scheme;
 use faultmit::memsim::{
     Backend, BackendKind, BlockScratch, DieBlock, DieScratch, FaultKindLaw, FaultMap, ImageSpec,
-    MemoryConfig, PlannedSample, SramVddBackend, StreamSeeder, BLOCK_DIES,
+    MemoryConfig, PlannedSample, StreamSeeder, BLOCK_DIES,
 };
-use faultmit::sim::{
-    Campaign, CampaignConfig, CollectRecords, KernelKind, MapPolicy, Parallelism, ShardSpec,
-    AUTO_FAULTS_PER_ROW_THRESHOLD,
-};
+use faultmit::sim::{Campaign, CampaignConfig, CollectRecords, MapPolicy, Parallelism, ShardSpec};
 
 use std::convert::Infallible;
 
@@ -487,56 +483,4 @@ fn zero_allocation_steady_state_holds_with_metrics_recording_on() {
             .sum::<u64>()
             > 0
     );
-}
-
-/// `--kernel auto` resolves to the documented kernel at each benched
-/// operating point of `BENCH_pipeline.json`: the Fig. 5 / Fig. 9 densities
-/// (a 16 KB array simulated up to 24 faults per die) sit far below the
-/// block kernel's break-even and stay on the sparse kernel, while the
-/// dense-ECC point (8192 faults per die, `P_cell ≈ 6.3e-2`) crosses it and
-/// picks the bit-sliced kernel. Fixed kernels resolve to themselves.
-#[test]
-fn auto_kernel_resolves_to_the_documented_kernel_at_each_benched_point() {
-    let memory = MemoryConfig::paper_16kb();
-    let threshold = memory.rows() as f64 * AUTO_FAULTS_PER_ROW_THRESHOLD;
-
-    // `fig5_p1e-4` and `fig9_random_stuck` share the campaign shape: only
-    // the kind law and stored image differ, neither of which feeds the
-    // density policy.
-    let sparse_point = {
-        let backend = SramVddBackend::with_p_cell(memory, 1e-4).unwrap();
-        CampaignConfig::for_backend(backend)
-            .unwrap()
-            .with_samples_per_count(10)
-            .with_max_failures(24)
-    };
-    let expected = sparse_point.expected_faults_per_die().unwrap();
-    assert_eq!(expected, 12.5, "mean of the 1..=24 failure-count sweep");
-    assert!(expected < threshold);
-    assert_eq!(
-        KernelKind::Auto.resolve(expected, memory.rows()),
-        KernelKind::Sparse
-    );
-
-    // `dense_ecc_p6.3e-2` plans every die at exactly 8192 faults.
-    let cells = (memory.rows() * 32) as f64;
-    let dense_point = {
-        let backend = SramVddBackend::with_p_cell(memory, 8192.0 / cells).unwrap();
-        CampaignConfig::for_backend(backend)
-            .unwrap()
-            .with_samples_per_count(256)
-            .with_exact_failures(8192)
-    };
-    let expected = dense_point.expected_faults_per_die().unwrap();
-    assert_eq!(expected, 8192.0, "exact-failure plans pin the density");
-    assert!(expected >= threshold);
-    assert_eq!(
-        KernelKind::Auto.resolve(expected, memory.rows()),
-        KernelKind::Bitsliced
-    );
-
-    // Fixed kernels ignore the density entirely.
-    for kernel in [KernelKind::Sparse, KernelKind::Bitsliced] {
-        assert_eq!(kernel.resolve(expected, memory.rows()), kernel);
-    }
 }

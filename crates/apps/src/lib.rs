@@ -24,6 +24,9 @@
 //! use faultmit_apps::datasets::WineQualityDataset;
 //! use faultmit_apps::{Benchmark, QualityEvaluator};
 //! use faultmit_core::Scheme;
+//! use faultmit_memsim::{FaultBackend, SramVddBackend};
+//! use rand::rngs::StdRng;
+//! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let evaluator = QualityEvaluator::builder(Benchmark::Elasticnet)
@@ -34,7 +37,9 @@
 //! let baseline = evaluator.baseline_quality()?;
 //! assert!(baseline > 0.0);
 //! // Quality with 20 faults under bit-shuffling stays close to the baseline.
-//! let q = evaluator.quality_with_faults(&Scheme::shuffle32(5)?, 20, 7)?;
+//! let backend = SramVddBackend::with_p_cell(evaluator.memory_config(), 1e-3)?;
+//! let faults = backend.sample_with_count(&mut StdRng::seed_from_u64(7), 20)?;
+//! let q = evaluator.quality_with_fault_map(&Scheme::shuffle32(5)?, &faults)?;
 //! assert!(q >= 0.0);
 //! # let _ = WineQualityDataset::default();
 //! # Ok(())

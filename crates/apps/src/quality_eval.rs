@@ -32,10 +32,14 @@ use crate::pca::Pca;
 use crate::preprocessing::{train_test_split, Standardizer};
 use faultmit_analysis::{CatalogueAccumulator, EmpiricalCdf, YieldModel};
 use faultmit_core::MitigationScheme;
-use faultmit_memsim::{FaultBackend, FaultMap, FaultMapSampler, MemoryConfig, SramVddBackend};
+use faultmit_memsim::{FaultBackend, FaultMap, MemoryConfig, SramVddBackend};
 use faultmit_sim::{Campaign, CampaignConfig, MapPolicy, Parallelism, ShardSpec, ShardStats};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+
+/// Seed of the synthetic dataset generators.
+const DATASET_SEED: u64 = 0xF167;
+
+/// Principal components the PCA benchmark retains.
+const PCA_COMPONENTS: usize = 5;
 
 /// The three application benchmarks of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,9 +122,6 @@ pub struct QualityEvaluatorBuilder {
     benchmark: Benchmark,
     samples: usize,
     memory_rows: usize,
-    dataset_seed: u64,
-    format: FixedPointFormat,
-    pca_components: usize,
     parallelism: Parallelism,
 }
 
@@ -139,27 +140,6 @@ impl QualityEvaluatorBuilder {
         self
     }
 
-    /// Sets the dataset generator seed.
-    #[must_use]
-    pub fn dataset_seed(mut self, seed: u64) -> Self {
-        self.dataset_seed = seed;
-        self
-    }
-
-    /// Sets the fixed-point storage format.
-    #[must_use]
-    pub fn format(mut self, format: FixedPointFormat) -> Self {
-        self.format = format;
-        self
-    }
-
-    /// Sets the number of principal components retained by the PCA benchmark.
-    #[must_use]
-    pub fn pca_components(mut self, components: usize) -> Self {
-        self.pca_components = components.max(1);
-        self
-    }
-
     /// Sets the pipeline worker policy used by the Monte-Carlo campaigns
     /// (results are identical for every setting).
     #[must_use]
@@ -174,20 +154,12 @@ impl QualityEvaluatorBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`AppError::InvalidParameter`] for inconsistent configuration.
+    /// Returns [`AppError::Memory`] when the memory geometry is invalid.
     pub fn build(self) -> Result<QualityEvaluator, AppError> {
-        if self.format.word_bits() != 32 {
-            return Err(AppError::InvalidParameter {
-                reason: "the Fig. 7 evaluation uses 32-bit memory words".to_owned(),
-            });
-        }
         Ok(QualityEvaluator {
             benchmark: self.benchmark,
             samples: self.samples,
             memory_config: MemoryConfig::new(self.memory_rows, 32)?,
-            dataset_seed: self.dataset_seed,
-            format: self.format,
-            pca_components: self.pca_components,
             parallelism: self.parallelism,
         })
     }
@@ -199,9 +171,6 @@ pub struct QualityEvaluator {
     benchmark: Benchmark,
     samples: usize,
     memory_config: MemoryConfig,
-    dataset_seed: u64,
-    format: FixedPointFormat,
-    pca_components: usize,
     parallelism: Parallelism,
 }
 
@@ -214,9 +183,6 @@ impl QualityEvaluator {
             benchmark,
             samples: 400,
             memory_rows: MemoryConfig::paper_16kb().rows(),
-            dataset_seed: 0xF167,
-            format: FixedPointFormat::q15_16(),
-            pca_components: 5,
             parallelism: Parallelism::default(),
         }
     }
@@ -255,70 +221,6 @@ impl QualityEvaluator {
         faults: &FaultMap,
     ) -> Result<f64, AppError> {
         self.prepare()?.quality(scheme, faults)
-    }
-
-    /// Raw quality with `n_faults` random bit-flips injected (one sampled
-    /// fault map).
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling and evaluation errors.
-    pub fn quality_with_faults<S: MitigationScheme>(
-        &self,
-        scheme: &S,
-        n_faults: usize,
-        seed: u64,
-    ) -> Result<f64, AppError> {
-        let sampler = FaultMapSampler::new(self.memory_config);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let faults = sampler.sample_with_count(&mut rng, n_faults)?;
-        self.quality_with_fault_map(scheme, &faults)
-    }
-
-    /// Runs the full Fig. 7 Monte-Carlo campaign for one scheme: failure
-    /// counts `1..=max_failures`, `samples_per_count` fault maps each,
-    /// weighted by the binomial `Pr(N = n)` at the given `p_cell`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling and evaluation errors.
-    pub fn quality_cdf<S: MitigationScheme + Sync>(
-        &self,
-        scheme: &S,
-        p_cell: f64,
-        max_failures: u64,
-        samples_per_count: usize,
-        seed: u64,
-    ) -> Result<QualityCdfResult, AppError> {
-        self.quality_cdf_with_policy(scheme, p_cell, max_failures, samples_per_count, seed, false)
-    }
-
-    /// Like [`QualityEvaluator::quality_cdf`], but optionally discarding fault
-    /// maps that place more than one fault in a single memory word — a thin
-    /// shim over [`QualityEvaluator::quality_cdfs_paired`] with a one-element
-    /// catalogue.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling and evaluation errors.
-    pub fn quality_cdf_with_policy<S: MitigationScheme + Sync>(
-        &self,
-        scheme: &S,
-        p_cell: f64,
-        max_failures: u64,
-        samples_per_count: usize,
-        seed: u64,
-        discard_multi_fault_words: bool,
-    ) -> Result<QualityCdfResult, AppError> {
-        let mut results = self.quality_cdfs_paired(
-            &[scheme],
-            p_cell,
-            max_failures,
-            samples_per_count,
-            seed,
-            discard_multi_fault_words,
-        )?;
-        Ok(results.remove(0))
     }
 
     /// Runs one paired Fig. 7 campaign over a whole scheme catalogue through
@@ -541,7 +443,7 @@ impl QualityEvaluator {
     fn prepare(&self) -> Result<PreparedBenchmark, AppError> {
         let (features, targets) = match self.benchmark {
             Benchmark::Elasticnet => {
-                let dataset = WineQualityDataset::new(self.samples, self.dataset_seed).generate();
+                let dataset = WineQualityDataset::new(self.samples, DATASET_SEED).generate();
                 (dataset.features, dataset.targets)
             }
             Benchmark::Pca => {
@@ -549,13 +451,12 @@ impl QualityEvaluator {
                 // 20 probes) keeps the informative/redundant/probe structure
                 // while the retained components still explain a meaningful
                 // variance share.
-                let dataset =
-                    MadelonDataset::new(self.samples, 5, 15, 20, self.dataset_seed).generate();
+                let dataset = MadelonDataset::new(self.samples, 5, 15, 20, DATASET_SEED).generate();
                 let labels = dataset.labels.iter().map(|&l| l as f64).collect();
                 (dataset.features, labels)
             }
             Benchmark::Knn => {
-                let dataset = HarDataset::new(self.samples, self.dataset_seed).generate();
+                let dataset = HarDataset::new(self.samples, DATASET_SEED).generate();
                 let labels = dataset.labels.iter().map(|&l| l as f64).collect();
                 (dataset.features, labels)
             }
@@ -566,9 +467,10 @@ impl QualityEvaluator {
         let scaler = Standardizer::fit(&split.train_x);
         Ok(PreparedBenchmark {
             benchmark: self.benchmark,
-            pca_components: self.pca_components,
-            format: self.format,
-            train: StoredMatrix::new(&scaler.transform(&split.train_x)?, self.format),
+            train: StoredMatrix::new(
+                &scaler.transform(&split.train_x)?,
+                FixedPointFormat::q15_16(),
+            ),
             train_y: split.train_y,
             test_x: scaler.transform(&split.test_x)?,
             test_y: split.test_y,
@@ -581,8 +483,6 @@ impl QualityEvaluator {
 /// fault map an evaluation call visits.
 struct PreparedBenchmark {
     benchmark: Benchmark,
-    pca_components: usize,
-    format: FixedPointFormat,
     /// The standardised training matrix as stored in memory.
     train: StoredMatrix,
     train_y: Vec<f64>,
@@ -613,7 +513,7 @@ impl PreparedBenchmark {
     /// `scheme`. A read-back that changes no word is the baseline's input
     /// bit for bit, so it scores the baseline without a refit.
     fn quality<S: MitigationScheme>(&self, scheme: &S, faults: &FaultMap) -> Result<f64, AppError> {
-        match FaultyStore::new(scheme, faults, self.format)?.read_back(&self.train) {
+        match FaultyStore::new(scheme, faults, FixedPointFormat::q15_16())?.read_back(&self.train) {
             Some(train) => self.fit_and_score(&train),
             None => self.baseline(),
         }
@@ -629,7 +529,7 @@ impl PreparedBenchmark {
                 model.score(&self.test_x, &self.test_y)
             }
             Benchmark::Pca => {
-                let mut pca = Pca::new(self.pca_components.min(train.cols()))?;
+                let mut pca = Pca::new(PCA_COMPONENTS.min(train.cols()))?;
                 pca.fit(train)?;
                 // Explained variance of the clean test data reconstructed
                 // through the (possibly corrupted) principal axes.
@@ -671,14 +571,6 @@ mod tests {
         assert!(Benchmark::Elasticnet.dataset_name().contains("Wine"));
         assert!(Benchmark::Pca.dataset_name().contains("Madelon"));
         assert!(Benchmark::Knn.dataset_name().contains("Activity"));
-    }
-
-    #[test]
-    fn builder_validates_format() {
-        let result = QualityEvaluator::builder(Benchmark::Elasticnet)
-            .format(FixedPointFormat::new(16, 8).unwrap())
-            .build();
-        assert!(result.is_err());
     }
 
     #[test]
@@ -747,8 +639,9 @@ mod tests {
             .build()
             .unwrap();
         let result = eval
-            .quality_cdf_with_policy(&Scheme::secded32(), 1e-3, 6, 3, 23, true)
-            .unwrap();
+            .quality_cdfs_paired(&[Scheme::secded32()], 1e-3, 6, 3, 23, true)
+            .unwrap()
+            .remove(0);
         // With at most one fault per word, SECDED is error-free: every
         // normalised quality sample is 1.0.
         assert!((result.cdf.min().unwrap() - 1.0).abs() < 1e-9);
@@ -830,14 +723,5 @@ mod tests {
                 assert_eq!(a.baseline_quality.to_bits(), b.baseline_quality.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn quality_with_faults_samples_reproducibly() {
-        let eval = evaluator(Benchmark::Knn);
-        let scheme = Scheme::pecc32();
-        let a = eval.quality_with_faults(&scheme, 10, 3).unwrap();
-        let b = eval.quality_with_faults(&scheme, 10, 3).unwrap();
-        assert_eq!(a, b);
     }
 }

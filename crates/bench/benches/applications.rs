@@ -7,6 +7,9 @@ use faultmit_apps::datasets::{HarDataset, MadelonDataset, WineQualityDataset};
 use faultmit_apps::preprocessing::{train_test_split, Standardizer};
 use faultmit_apps::{Benchmark, ElasticNet, KnnClassifier, Pca, QualityEvaluator};
 use faultmit_core::Scheme;
+use faultmit_memsim::{FaultBackend, SramVddBackend};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn bench_model_training(c: &mut Criterion) {
     let mut group = c.benchmark_group("model_training");
@@ -63,10 +66,13 @@ fn bench_quality_evaluation(c: &mut Criterion) {
             .build()
             .unwrap();
         let scheme = Scheme::shuffle32(2).unwrap();
+        let sram = SramVddBackend::with_p_cell(evaluator.memory_config(), 1e-3).unwrap();
         group.bench_function(format!("fig7_single_run_{}", benchmark.name()), |b| {
             b.iter(|| {
+                let mut rng = StdRng::seed_from_u64(5);
+                let faults = sram.sample_with_count(&mut rng, black_box(32)).unwrap();
                 evaluator
-                    .quality_with_faults(black_box(&scheme), black_box(32), 5)
+                    .quality_with_fault_map(black_box(&scheme), &faults)
                     .unwrap()
             })
         });

@@ -5,14 +5,14 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use faultmit_analysis::{memory_mse, MonteCarloEngine};
 use faultmit_core::Scheme;
-use faultmit_memsim::{FaultMapSampler, MemoryConfig};
+use faultmit_memsim::{FaultBackend, MemoryConfig, SramVddBackend};
 use faultmit_sim::CampaignConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn bench_fault_map_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("fault_map_sampling");
-    let sampler = FaultMapSampler::new(MemoryConfig::paper_16kb());
+    let sampler = SramVddBackend::with_p_cell(MemoryConfig::paper_16kb(), 1e-3).unwrap();
     for n_faults in [1usize, 16, 150] {
         group.bench_with_input(
             BenchmarkId::new("sample_with_count", n_faults),
@@ -28,7 +28,7 @@ fn bench_fault_map_sampling(c: &mut Criterion) {
 
 fn bench_mse_per_scheme(c: &mut Criterion) {
     let mut group = c.benchmark_group("memory_mse");
-    let sampler = FaultMapSampler::new(MemoryConfig::paper_16kb());
+    let sampler = SramVddBackend::with_p_cell(MemoryConfig::paper_16kb(), 1e-3).unwrap();
     let mut rng = StdRng::seed_from_u64(2);
     let faults = sampler.sample_with_count(&mut rng, 150).unwrap();
 

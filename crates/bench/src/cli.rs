@@ -40,7 +40,8 @@
 //!   (`fig5_mse_cdf`, `fig8_backend_matrix`, `fig9_data_sensitivity`).
 //!
 //! A missing or unparseable value of a campaign-identity flag (`--backend`,
-//! `--samples`, `--image`, `--kind-law`, `--kernel`) and the removed tuning
+//! `--samples`, `--image`, `--kind-law`, `--kernel`) or of an
+//! operating-point flag (`--t-ref-ns`, `--temp-c`), and the removed tuning
 //! flags `--wide-generation` and `--auto-threshold` (with their value, if
 //! one follows) are recorded in [`RunOptions::spec_flag_errors`], so a
 //! campaign entry point given one fails before any output instead of
@@ -124,8 +125,9 @@ pub struct RunOptions {
     /// produced them.
     pub kernel: Option<KernelKind>,
     /// Missing or unparseable values seen for the campaign-identity flags
-    /// (`--backend`/`--samples`/`--image`/`--kind-law`/`--kernel`), and the
-    /// removed tuning flags (`--wide-generation`/`--auto-threshold`). The
+    /// (`--backend`/`--samples`/`--image`/`--kind-law`/`--kernel`) and the
+    /// operating-point flags (`--t-ref-ns`/`--temp-c`), and the removed
+    /// tuning flags (`--wide-generation`/`--auto-threshold`). The
     /// campaign entry points treat these as fatal: a typo in `--image` must
     /// not silently run a different (and much larger) sweep than the one
     /// the user asked for, a typo in `--backend` must not run the SRAM
@@ -179,10 +181,7 @@ impl RunOptions {
                 }
                 "--samples" => {
                     let value = next_value(&mut iter, &arg);
-                    options.samples = options.identity_flag(&arg, value, |v| {
-                        v.parse()
-                            .map_err(|_| format!("invalid --samples value '{v}'"))
-                    });
+                    options.samples = options.identity_flag(&arg, value, |v| number(&arg, v));
                 }
                 "--backend" => {
                     let value = next_value(&mut iter, &arg);
@@ -250,18 +249,12 @@ impl RunOptions {
                     ));
                 }
                 "--t-ref-ns" => {
-                    if let Some(value) =
-                        next_value(&mut iter, "--t-ref-ns").and_then(|v| v.parse().ok())
-                    {
-                        options.t_ref_ns = Some(value);
-                    }
+                    let value = next_value(&mut iter, &arg);
+                    options.t_ref_ns = options.identity_flag(&arg, value, |v| number(&arg, v));
                 }
                 "--temp-c" => {
-                    if let Some(value) =
-                        next_value(&mut iter, "--temp-c").and_then(|v| v.parse().ok())
-                    {
-                        options.temp_c = Some(value);
-                    }
+                    let value = next_value(&mut iter, &arg);
+                    options.temp_c = options.identity_flag(&arg, value, |v| number(&arg, v));
                 }
                 _ => options.positional.push(arg),
             }
@@ -365,6 +358,13 @@ impl RunOptions {
         }
         Ok(())
     }
+}
+
+/// Parses a numeric flag value, naming the flag and the value on failure.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("invalid {flag} value '{value}'"))
 }
 
 /// The operating-point axis a non-SRAM `fig2`-style law sweep walks,
@@ -790,25 +790,40 @@ mod tests {
     #[test]
     fn backend_and_samples_typos_are_recorded_as_errors() {
         // Both are campaign identity: a typo must not silently run the SRAM
-        // default or the figure's default budget.
+        // default or the figure's default budget. Nor may a typo in an
+        // operating-point flag silently sweep the default refresh interval
+        // or temperature.
         let opts = RunOptions::parse(
-            ["--backend", "drma", "--samples", "2x"]
-                .iter()
-                .map(|s| (*s).to_owned()),
+            [
+                "--backend",
+                "drma",
+                "--samples",
+                "2x",
+                "--t-ref-ns",
+                "64ms",
+                "--temp-c",
+                "85C",
+            ]
+            .iter()
+            .map(|s| (*s).to_owned()),
         );
         assert!(opts.backend.is_none());
         assert!(opts.samples.is_none());
+        assert!(opts.t_ref_ns.is_none());
+        assert!(opts.temp_c.is_none());
         assert!(opts.positional.is_empty());
-        assert_eq!(opts.spec_flag_errors.len(), 2);
+        assert_eq!(opts.spec_flag_errors.len(), 4);
         assert!(
             opts.spec_flag_errors[0].contains("unknown backend 'drma'"),
             "{:?}",
             opts.spec_flag_errors
         );
         assert_eq!(opts.spec_flag_errors[1], "invalid --samples value '2x'");
+        assert_eq!(opts.spec_flag_errors[2], "invalid --t-ref-ns value '64ms'");
+        assert_eq!(opts.spec_flag_errors[3], "invalid --temp-c value '85C'");
 
         // A dropped value is fatal too.
-        for flag in ["--backend", "--samples"] {
+        for flag in ["--backend", "--samples", "--t-ref-ns", "--temp-c"] {
             let opts = RunOptions::parse([flag, "--full"].iter().map(|s| (*s).to_owned()));
             assert!(opts.full_scale, "{flag}");
             assert_eq!(

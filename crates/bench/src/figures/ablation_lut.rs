@@ -10,7 +10,7 @@ use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::Table;
 use faultmit_hwmodel::{LutImplementation, OverheadModel, ProtectionBlock};
-use faultmit_memsim::{repair_yield, DieSampler, MemoryConfig, StreamSeeder};
+use faultmit_memsim::{repair_yield, FaultBackend, MemoryConfig, SramVddBackend, StreamSeeder};
 use faultmit_sim::{Parallelism, ShardSpec};
 use std::fmt::Write as _;
 
@@ -164,12 +164,18 @@ impl FigureDef for AblationLutDef {
         );
         let config = MemoryConfig::new(1024, 32)?;
         for &p_cell in &[1e-5, 1e-4, 1e-3, 5e-3] {
-            let sampler = DieSampler::new(config, p_cell)?;
+            let backend = SramVddBackend::with_p_cell(config, p_cell)?;
+            let counts = backend.failure_distribution()?;
             // Pipeline-style sampling: each die owns an index-derived RNG
             // stream, so the population is independent of iteration order.
+            // A die draws its binomial failure count, then that many faults.
             let seeder = StreamSeeder::new(0x5BA9);
             let dies = (0..200)
-                .map(|i| sampler.sample_die(&mut seeder.rng_for_sample(i)))
+                .map(|i| {
+                    let mut rng = seeder.rng_for_sample(i);
+                    let n_faults = counts.sample(&mut rng) as usize;
+                    backend.sample_with_count(&mut rng, n_faults)
+                })
                 .collect::<Result<Vec<_>, _>>()?;
             let spares = (0..=1024)
                 .find(|&s| repair_yield(&dies, s) >= 0.95)
@@ -187,5 +193,47 @@ bit-shuffling keeps a constant nFM-column overhead regardless of the fault count
             document: rows,
             report,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn redundancy_context_table_keeps_its_spare_row_counts() {
+        // The printed table is not part of the JSON document, so its die
+        // population is pinned here: the spare rows for 95 % repair yield
+        // at each P_cell.
+        let spec = AblationLutDef.spec(&RunOptions::default());
+        let panels = AblationLutDef
+            .run_shard(&spec, Parallelism::Serial, ShardSpec::solo())
+            .unwrap()
+            .panels;
+        let rendered = AblationLutDef
+            .render(&spec, Parallelism::Serial, panels)
+            .unwrap();
+        let table = rendered
+            .report
+            .split_once("Context — spare rows")
+            .unwrap()
+            .1;
+        let spares: Vec<(&str, &str)> = table
+            .lines()
+            .filter_map(|line| {
+                let mut cells = line.split_whitespace();
+                Some((cells.next()?, cells.next()?))
+            })
+            .filter(|(p_cell, _)| p_cell.contains("e-"))
+            .collect();
+        assert_eq!(
+            spares,
+            [
+                ("1e-5", "1"),
+                ("1e-4", "6"),
+                ("1e-3", "42"),
+                ("5e-3", "173")
+            ]
+        );
     }
 }

@@ -318,7 +318,8 @@ fn removed_tuning_flags_fail_before_any_output() {
 fn backend_and_samples_typos_fail_before_any_output() {
     // Both flags are campaign identity: a typo must not silently run the
     // SRAM default or the figure's default budget and write its output
-    // (or a checkpoint whose spec names a campaign nobody asked for).
+    // (or a checkpoint whose spec names a campaign nobody asked for). A
+    // typo in an operating-point flag must not run the default sweep.
     let dir = TempDir::new("identity-typo");
     let out = dir.join("fig.json");
     let shards = dir.join("shards");
@@ -327,11 +328,17 @@ fn backend_and_samples_typos_fail_before_any_output() {
     for (typo, message) in [
         (["--backend", "drma"], "unknown backend 'drma'"),
         (["--samples", "2x"], "invalid --samples value '2x'"),
+        (["--t-ref-ns", "64ms"], "invalid --t-ref-ns value '64ms'"),
+        (["--temp-c", "85C"], "invalid --temp-c value '85C'"),
     ] {
         for (binary, args) in [
             (
                 env!("CARGO_BIN_EXE_fig5_mse_cdf"),
                 vec!["--samples", "2", "--json", &out],
+            ),
+            (
+                env!("CARGO_BIN_EXE_fig2_pcell_vs_vdd"),
+                vec!["--backend", "dram", "--json", &out],
             ),
             (
                 env!("CARGO_BIN_EXE_fig7_quality"),

@@ -16,19 +16,36 @@ pub const DRAM_REFERENCE_TEMP_C: f64 = 45.0;
 /// classic "retention halves every ~10 °C" DRAM rule of thumb.
 pub const DRAM_RETENTION_HALVING_C: f64 = 10.0;
 
+/// Mean weak-cell retention time (s) at [`DRAM_REFERENCE_TEMP_C`].
+const MEAN_RETENTION_S: f64 = 2.0;
+
+/// Weak-cell population fraction at the explicit operating points of
+/// [`DramRetentionBackend::new`].
+const WEAK_CELL_FRACTION: f64 = 1e-3;
+
+/// Mean faults per retention cluster.
+const CLUSTER_SIZE: usize = 4;
+
+/// Half-window in rows a cluster's faults spread over around its centre.
+const CLUSTER_ROWS: i64 = 2;
+
+/// Half-window in columns a cluster's faults spread over around its centre.
+const CLUSTER_COLS: i64 = 4;
+
 /// DRAM/eDRAM retention failures behind the [`FaultBackend`] interface.
 ///
 /// # Failure law
 ///
 /// A small *weak-cell* population (fraction `weak_cell_fraction` of all
-/// cells, leaky due to junction defects) has exponentially distributed
-/// retention times with mean `τ(T)`; a weak cell fails when its retention
-/// time is shorter than the refresh interval `t_ref`. The marginal per-cell
-/// fault probability is therefore the closed form
+/// cells, leaky due to junction defects: `10⁻³`, enlarged only by
+/// [`DramRetentionBackend::with_p_cell`]) has exponentially
+/// distributed retention times with mean `τ(T)`; a weak cell fails when its
+/// retention time is shorter than the refresh interval `t_ref`. The marginal
+/// per-cell fault probability is therefore the closed form
 ///
 /// ```text
 ///   P_cell(t_ref, T) = weak_cell_fraction · (1 − exp(−t_ref / τ(T)))
-///   τ(T) = mean_retention_s · 2^(−(T − 45 °C) / 10 °C)
+///   τ(T) = 2 s · 2^(−(T − 45 °C) / 10 °C)
 /// ```
 ///
 /// — longer refresh intervals and hotter dies both expose more failures,
@@ -39,8 +56,8 @@ pub const DRAM_RETENTION_HALVING_C: f64 = 10.0;
 ///
 /// Retention failures are not iid: leaky cells share local substrate
 /// defects, so they arrive in clusters. `sample_with_count` draws cluster
-/// centres uniformly and places a burst of faults (mean `cluster_size`)
-/// within a `±cluster_rows × ±cluster_cols` window around each centre
+/// centres uniformly and places a burst of 1–7 faults (mean 4) within a
+/// `±2 rows × ±4 columns` window around each centre
 /// (toroidal wrap keeps the window inside the array), falling back to
 /// uniform placement when a window fills up — the requested count is always
 /// exact, so the campaign's failure-count sweep protocol is preserved.
@@ -54,19 +71,14 @@ pub struct DramRetentionBackend {
     refresh_interval_ms: f64,
     temperature_c: f64,
     weak_cell_fraction: f64,
-    mean_retention_s: f64,
-    cluster_size: usize,
-    cluster_rows: usize,
-    cluster_cols: usize,
     kind_law: FaultKindLaw,
     p_cell: f64,
 }
 
 impl DramRetentionBackend {
     /// Creates the backend at the given refresh interval (ms) and die
-    /// temperature (°C) with default weak-cell statistics (fraction `10⁻³`,
-    /// mean retention 2 s at 45 °C) and clustering (mean burst 4, ±2 rows ×
-    /// ±4 columns).
+    /// temperature (°C), with the weak-cell statistics and clustering
+    /// stated on the type.
     ///
     /// # Errors
     ///
@@ -91,11 +103,7 @@ impl DramRetentionBackend {
             config,
             refresh_interval_ms,
             temperature_c,
-            weak_cell_fraction: 1e-3,
-            mean_retention_s: 2.0,
-            cluster_size: 4,
-            cluster_rows: 2,
-            cluster_cols: 4,
+            weak_cell_fraction: WEAK_CELL_FRACTION,
             kind_law: FaultKindLaw::AlwaysFlip,
             p_cell: 0.0,
         };
@@ -135,49 +143,6 @@ impl DramRetentionBackend {
         Ok(backend)
     }
 
-    /// Sets the weak-cell fraction and mean retention time (s, at 45 °C).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::InvalidProbability`] for a fraction outside
-    /// `[0, 1]` or [`MemError::InvalidParameter`] for a non-positive mean
-    /// retention.
-    pub fn with_weak_cells(
-        mut self,
-        weak_cell_fraction: f64,
-        mean_retention_s: f64,
-    ) -> Result<Self, MemError> {
-        if !(0.0..=1.0).contains(&weak_cell_fraction) || weak_cell_fraction.is_nan() {
-            return Err(MemError::InvalidProbability {
-                value: weak_cell_fraction,
-            });
-        }
-        if mean_retention_s <= 0.0 || !mean_retention_s.is_finite() {
-            return Err(MemError::InvalidParameter {
-                reason: format!("mean retention {mean_retention_s} s must be positive"),
-            });
-        }
-        self.weak_cell_fraction = weak_cell_fraction;
-        self.mean_retention_s = mean_retention_s;
-        self.p_cell = self.compute_p_cell();
-        Ok(self)
-    }
-
-    /// Sets the clustering parameters: mean faults per cluster and the
-    /// half-window (rows, columns) faults spread over around each centre.
-    #[must_use]
-    pub fn with_clustering(
-        mut self,
-        cluster_size: usize,
-        cluster_rows: usize,
-        cluster_cols: usize,
-    ) -> Self {
-        self.cluster_size = cluster_size.max(1);
-        self.cluster_rows = cluster_rows;
-        self.cluster_cols = cluster_cols;
-        self
-    }
-
     /// Sets the fault-kind law (default: always-observable bit-flips).
     ///
     /// # Errors
@@ -208,10 +173,10 @@ impl DramRetentionBackend {
     }
 
     /// Mean weak-cell retention time (s) at the current temperature:
-    /// `τ(T) = mean_retention_s · 2^(−(T − 45)/10)`.
+    /// `τ(T) = 2 s · 2^(−(T − 45)/10)`.
     #[must_use]
     pub fn tau_s(&self) -> f64 {
-        self.mean_retention_s
+        MEAN_RETENTION_S
             * (-(self.temperature_c - DRAM_REFERENCE_TEMP_C) / DRAM_RETENTION_HALVING_C).exp2()
     }
 
@@ -226,9 +191,7 @@ impl DramRetentionBackend {
     fn proposer(&self) -> impl FnMut(&mut StdRng) -> (usize, usize) {
         let rows = self.config.rows();
         let cols = self.config.word_bits();
-        let burst_max = (2 * self.cluster_size).saturating_sub(1).max(1);
-        let cluster_rows = self.cluster_rows as i64;
-        let cluster_cols = self.cluster_cols as i64;
+        let burst_max = 2 * CLUSTER_SIZE - 1;
         let mut remaining_in_cluster = 0usize;
         let mut centre = (0usize, 0usize);
         move |rng: &mut StdRng| {
@@ -237,8 +200,8 @@ impl DramRetentionBackend {
                 remaining_in_cluster = rng.gen_range(1..=burst_max);
             }
             remaining_in_cluster -= 1;
-            let dr = rng.gen_range(-cluster_rows..=cluster_rows);
-            let dc = rng.gen_range(-cluster_cols..=cluster_cols);
+            let dr = rng.gen_range(-CLUSTER_ROWS..=CLUSTER_ROWS);
+            let dc = rng.gen_range(-CLUSTER_COLS..=CLUSTER_COLS);
             let row = (centre.0 as i64 + dr).rem_euclid(rows as i64) as usize;
             let col = (centre.1 as i64 + dc).rem_euclid(cols as i64) as usize;
             (row, col)
@@ -290,8 +253,8 @@ impl FaultBackend for DramRetentionBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SramVddBackend;
     use crate::fault::FaultKind;
-    use crate::montecarlo::FaultMapSampler;
     use rand::SeedableRng;
 
     fn config() -> MemoryConfig {
@@ -360,8 +323,6 @@ mod tests {
         assert!(DramRetentionBackend::new(config(), -1.0, 45.0).is_err());
         assert!(DramRetentionBackend::new(config(), 64.0, f64::NAN).is_err());
         let backend = DramRetentionBackend::new(config(), 64.0, 45.0).unwrap();
-        assert!(backend.with_weak_cells(2.0, 1.0).is_err());
-        assert!(backend.with_weak_cells(0.5, 0.0).is_err());
         assert!(backend
             .with_kind_law(FaultKindLaw::AsymmetricStuckAt {
                 p_stuck_at_zero: -1.0
@@ -372,7 +333,7 @@ mod tests {
     #[test]
     fn faults_are_spatially_clustered_relative_to_iid_sampling() {
         let backend = DramRetentionBackend::new(config(), 64.0, 45.0).unwrap();
-        let iid = FaultMapSampler::new(config());
+        let iid = SramVddBackend::with_p_cell(config(), 1e-3).unwrap();
         let mut clustered_rows = 0usize;
         let mut iid_rows = 0usize;
         for seed in 0..20u64 {

@@ -21,9 +21,9 @@
 //!   [`OperatingPoint`] for tables and JSON series.
 //!
 //! The three in-tree implementations are [`SramVddBackend`] (the paper's
-//! model — campaigns through it are bit-identical to the pre-backend
-//! pipeline), [`DramRetentionBackend`] and [`MlcNvmBackend`]. The
-//! [`Backend`] enum packages them behind one `Copy` type for CLI selection.
+//! model: iid Floyd placement), [`DramRetentionBackend`] and
+//! [`MlcNvmBackend`]. The [`Backend`] enum packages them behind one `Copy`
+//! type for CLI selection.
 //!
 //! # Adding your own backend
 //!
@@ -31,9 +31,9 @@
 //! accepts it. A minimal backend with an iid law and a custom knob:
 //!
 //! ```
-//! use faultmit_memsim::backend::{FaultBackend, OperatingPoint};
+//! use faultmit_memsim::backend::{FaultBackend, OperatingPoint, SramVddBackend};
 //! use faultmit_memsim::{
-//!     DieBatch, FaultMap, FaultMapSampler, MemError, MemoryConfig, PlannedSample, StreamSeeder,
+//!     DieBatch, FaultMap, MemError, MemoryConfig, PlannedSample, StreamSeeder,
 //! };
 //! use rand::rngs::StdRng;
 //!
@@ -70,8 +70,9 @@
 //!         rng: &mut StdRng,
 //!         n_faults: usize,
 //!     ) -> Result<FaultMap, MemError> {
-//!         // Strikes land uniformly; reuse the iid sampler.
-//!         FaultMapSampler::new(self.config).sample_with_count(rng, n_faults)
+//!         // Strikes land uniformly; reuse the SRAM backend's iid placement.
+//!         SramVddBackend::with_p_cell(self.config, self.p_cell())?
+//!             .sample_with_count(rng, n_faults)
 //!     }
 //! }
 //!

@@ -4,20 +4,22 @@ use super::{FaultBackend, FaultKindLaw, OperatingPoint};
 use crate::config::MemoryConfig;
 use crate::error::MemError;
 use crate::failure_model::{CellFailureModel, NOMINAL_VDD};
-use crate::fault::{Fault, FaultMap};
-use crate::montecarlo::FaultMapSampler;
-use crate::scratch::DieScratch;
+use crate::fault::{Fault, FaultKind, FaultMap};
+use crate::floyd::floyd_step;
+use crate::scratch::{fault_key, DieScratch};
 use rand::rngs::StdRng;
+use rand::seq::index::sample as sample_indices;
+use rand::Rng;
 
 /// SRAM bit-cell failures exposed by supply-voltage scaling — the paper's
 /// fault model behind the [`FaultBackend`] interface.
 ///
 /// The per-cell law is the analytical Gaussian noise-margin model
 /// ([`CellFailureModel`]): `P_cell(V_DD) = Φ(−z(V_DD))`. Faults are placed
-/// iid-uniformly over the array as always-observable bit-flips, exactly like
-/// the pre-backend pipeline ([`FaultMapSampler`] with the `AlwaysFlip`
-/// policy), so campaigns through this backend are **bit-identical** to the
-/// historical SRAM-only results at the same seed.
+/// iid-uniformly over the array by Floyd's algorithm (distinct cells, one
+/// uniform draw per fault) as always-observable bit-flips, so campaigns
+/// through this backend are **bit-identical** to the historical SRAM-only
+/// results at the same seed.
 ///
 /// # Example
 ///
@@ -118,11 +120,10 @@ impl SramVddBackend {
     }
 
     /// Sets how faulty cells behave. The default is
-    /// [`FaultKindLaw::AlwaysFlip`], the paper's injection protocol — and
-    /// the backend's bit-identical legacy sampling path. Any other law
-    /// draws each cell's stuck-at polarity *after* placing the fault at the
-    /// legacy sampler's position, so fault locations are unchanged and only
-    /// the data-dependent behaviour differs.
+    /// [`FaultKindLaw::AlwaysFlip`], the paper's injection protocol. Any
+    /// other law draws each cell's stuck-at polarity *after* the Floyd
+    /// placement, so fault locations are unchanged and only the
+    /// data-dependent behaviour differs.
     ///
     /// # Errors
     ///
@@ -138,6 +139,17 @@ impl SramVddBackend {
     #[must_use]
     pub fn kind_law(&self) -> FaultKindLaw {
         self.kind_law
+    }
+
+    /// The array's cell count, or an error when `n_faults` exceeds it.
+    fn checked_total(&self, n_faults: usize) -> Result<usize, MemError> {
+        let total = self.config.total_cells();
+        if n_faults > total {
+            return Err(MemError::InvalidParameter {
+                reason: format!("cannot place {n_faults} faults in {total} cells"),
+            });
+        }
+        Ok(total)
     }
 }
 
@@ -159,13 +171,21 @@ impl FaultBackend for SramVddBackend {
     }
 
     fn sample_with_count(&self, rng: &mut StdRng, n_faults: usize) -> Result<FaultMap, MemError> {
-        // Exactly the pre-backend sampling path (iid uniform bit-flips): the
-        // bit-identity of historical SRAM campaigns rests on this delegation.
-        let map = FaultMapSampler::new(self.config).sample_with_count(rng, n_faults)?;
+        // The allocating reference: the hash-set Floyd sampler of `rand`.
+        let total = self.checked_total(n_faults)?;
+        let mut map = FaultMap::new(self.config);
+        // Floyd's algorithm yields distinct indices, so the map can be
+        // bulk-loaded and sorted once (a per-fault sorted insert is
+        // quadratic at dense fault counts).
+        for index in sample_indices(rng, total, n_faults).into_iter() {
+            let (row, col) = self.config.cell_position(index);
+            map.push_unsorted(Fault::new(row, col, FaultKind::BitFlip))?;
+        }
+        map.restore_sorted_order();
         if matches!(self.kind_law, FaultKindLaw::AlwaysFlip) {
             return Ok(map);
         }
-        // Non-default law: keep the legacy positions, re-draw each cell's
+        // Non-default law: keep the Floyd positions, draw each cell's
         // behaviour in the map's deterministic (row, column) order.
         let faults: Vec<Fault> = map
             .iter()
@@ -180,10 +200,17 @@ impl FaultBackend for SramVddBackend {
         n_faults: usize,
         scratch: &mut DieScratch,
     ) -> Result<(), MemError> {
-        // Same RNG schedule as `sample_with_count`: Floyd placement first
-        // (into the arena's index buffers), then — for non-default laws —
-        // one kind draw per fault in (row, column) order.
-        FaultMapSampler::new(self.config).sample_with_count_into(rng, n_faults, scratch)?;
+        // Same RNG schedule as `sample_with_count`: the same Floyd draws,
+        // answered from the arena's cell bitmap instead of a hash set,
+        // then — for non-default laws — one kind draw per fault in
+        // (row, column) order.
+        let total = self.checked_total(n_faults)?;
+        scratch.start_die(self.config);
+        for j in total - n_faults..total {
+            let cell = floyd_step(&mut scratch.cells, rng.gen_range(0..=j), j);
+            scratch.keys.push(fault_key(cell, FaultKind::BitFlip));
+        }
+        scratch.finish_die();
         if !matches!(self.kind_law, FaultKindLaw::AlwaysFlip) {
             scratch.map.rekind_in_order(|| self.kind_law.sample(rng));
         }
@@ -194,7 +221,6 @@ impl FaultBackend for SramVddBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultKind;
     use rand::SeedableRng;
 
     fn config() -> MemoryConfig {
@@ -242,20 +268,41 @@ mod tests {
     }
 
     #[test]
-    fn sampling_is_bit_identical_to_the_legacy_fault_map_sampler() {
+    fn sampling_reproduces_the_pinned_floyd_placement() {
+        // Cell indices (row · 32 + col) the historical iid sampler drew; the
+        // published SRAM figures rest on this exact RNG schedule.
+        let cells = |map: &FaultMap| map.iter().map(|f| f.row * 32 + f.col).collect::<Vec<_>>();
         let backend = SramVddBackend::with_p_cell(config(), 1e-3).unwrap();
-        let sampler = FaultMapSampler::new(config());
-        for seed in 0..8u64 {
-            let mut rng_backend = StdRng::seed_from_u64(seed);
-            let mut rng_legacy = StdRng::seed_from_u64(seed);
-            let a = backend.sample_with_count(&mut rng_backend, 12).unwrap();
-            let b = sampler.sample_with_count(&mut rng_legacy, 12).unwrap();
-            assert_eq!(
-                a.iter().collect::<Vec<_>>(),
-                b.iter().collect::<Vec<_>>(),
-                "seed {seed}"
-            );
+        let pinned: [[usize; 12]; 2] = [
+            [
+                213, 689, 787, 880, 1205, 1208, 1226, 1450, 1452, 1532, 1996, 2021,
+            ],
+            [
+                10, 14, 630, 637, 750, 775, 935, 1187, 1339, 1448, 1814, 1971,
+            ],
+        ];
+        for (seed, expected) in pinned.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            let map = backend.sample_with_count(&mut rng, 12).unwrap();
+            assert_eq!(cells(&map), expected, "seed {seed}");
         }
+        // Kinds under a stuck-at law are drawn after placement, in map order.
+        let stuck = backend.with_kind_law(FaultKindLaw::RandomStuckAt).unwrap();
+        let map = stuck
+            .sample_with_count(&mut StdRng::seed_from_u64(2), 12)
+            .unwrap();
+        let ones: Vec<bool> = map
+            .iter()
+            .map(|f| f.kind == FaultKind::StuckAtOne)
+            .collect();
+        assert_eq!(
+            cells(&map),
+            [239, 376, 701, 728, 876, 1076, 1271, 1598, 1645, 1682, 1758, 2002]
+        );
+        assert_eq!(
+            ones,
+            [true, true, true, false, false, true, false, true, true, false, false, false]
+        );
     }
 
     #[test]
@@ -264,6 +311,35 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let map = backend.sample_with_count(&mut rng, 100).unwrap();
         assert!(map.iter().all(|f| f.kind == FaultKind::BitFlip));
+    }
+
+    #[test]
+    fn fault_locations_are_spread_over_rows() {
+        let backend = SramVddBackend::with_p_cell(config(), 1e-3).unwrap();
+        let mut rng = StdRng::seed_from_u64(6);
+        let map = backend.sample_with_count(&mut rng, 256).unwrap();
+        // With 2048 cells and 256 faults, faults should span many rows.
+        assert!(map.faulty_row_count() > 40);
+    }
+
+    #[test]
+    fn random_stuck_at_law_produces_both_polarities() {
+        let backend = SramVddBackend::with_p_cell(config(), 1e-3)
+            .unwrap()
+            .with_kind_law(FaultKindLaw::RandomStuckAt)
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(4);
+        let map = backend.sample_with_count(&mut rng, 200).unwrap();
+        let zeros = map
+            .iter()
+            .filter(|f| f.kind == FaultKind::StuckAtZero)
+            .count();
+        let ones = map
+            .iter()
+            .filter(|f| f.kind == FaultKind::StuckAtOne)
+            .count();
+        assert_eq!(zeros + ones, 200);
+        assert!(zeros > 50 && ones > 50, "zeros={zeros}, ones={ones}");
     }
 
     #[test]

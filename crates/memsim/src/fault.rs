@@ -349,7 +349,7 @@ impl FaultMap {
     }
 
     /// Re-draws the kind of every stored fault in `(row, col)` order while
-    /// keeping positions — the in-place twin of the SRAM backend's legacy
+    /// keeping positions — the in-place twin of the SRAM backend's
     /// "place with the default law, then re-kind in map order" protocol.
     pub(crate) fn rekind_in_order(&mut self, mut kind: impl FnMut() -> FaultKind) {
         for fault in &mut self.faults {

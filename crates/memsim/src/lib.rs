@@ -11,8 +11,8 @@
 //!   bit-cell failure probability `P_cell(V_DD)` replacing the paper's
 //!   SPICE/importance-sampling flow (Fig. 2).
 //! * [`backend`] — the [`FaultBackend`] abstraction over memory
-//!   technologies: [`SramVddBackend`] (the paper's model, bit-identical to
-//!   the historical pipeline), [`DramRetentionBackend`] (exponential
+//!   technologies: [`SramVddBackend`] (the paper's model: iid Floyd
+//!   placement of bit-flips), [`DramRetentionBackend`] (exponential
 //!   weak-cell retention times, spatially clustered faults) and
 //!   [`MlcNvmBackend`] (drift-broadened level margins, level-dependent
 //!   asymmetric bit errors). See the module docs for a worked
@@ -21,8 +21,6 @@
 //!   [`ImageSpec`] catalogue (zeros, ones, uniform-random, sparse,
 //!   application matrices) against which data-aware campaigns evaluate
 //!   stuck-at faults relative to the stored word.
-//! * [`DieSampler`] and [`montecarlo`] — Monte-Carlo generation of dies and
-//!   fault maps following the binomial failure-count distribution of Eq. (4).
 //! * [`StreamSeeder`] / [`DieBatch`] — deterministic stream-splitting of a
 //!   campaign seed into per-sample RNGs and batched die generation, the
 //!   sampling substrate of the parallel fault-injection pipeline
@@ -86,7 +84,7 @@ pub use error::MemError;
 pub use failure_model::{CellFailureModel, FailureModelBuilder};
 pub use fault::{Fault, FaultKind, FaultMap};
 pub use image::{AppImage, DataImage, ImageSpec, WordImage};
-pub use montecarlo::{DieSampler, FailureCountDistribution, FaultMapSampler};
+pub use montecarlo::FailureCountDistribution;
 pub use redundancy::{repair_yield, spares_for_full_repair, RowRepair};
 pub use scratch::{BlockScratch, DieScratch};
 pub use seeder::{DieBatch, PlannedSample, StreamSeeder};

@@ -123,7 +123,7 @@ pub fn repair_yield(dies: &[FaultMap], spare_rows: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::montecarlo::DieSampler;
+    use crate::backend::{FaultBackend, SramVddBackend};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -190,10 +190,19 @@ mod tests {
     #[test]
     fn repair_yield_grows_with_spare_budget_and_spare_demand_with_p_cell() {
         let mut rng = StdRng::seed_from_u64(3);
-        let low = DieSampler::new(config(), 1e-3).unwrap();
-        let high = DieSampler::new(config(), 2e-2).unwrap();
-        let low_dies = low.sample_dies(&mut rng, 200).unwrap();
-        let high_dies = high.sample_dies(&mut rng, 200).unwrap();
+        // Whole dies: a binomial failure count, then that many iid faults.
+        let mut dies = |p_cell: f64| -> Vec<FaultMap> {
+            let backend = SramVddBackend::with_p_cell(config(), p_cell).unwrap();
+            let counts = backend.failure_distribution().unwrap();
+            (0..200)
+                .map(|_| {
+                    let n_faults = counts.sample(&mut rng) as usize;
+                    backend.sample_with_count(&mut rng, n_faults).unwrap()
+                })
+                .collect()
+        };
+        let low_dies = dies(1e-3);
+        let high_dies = dies(2e-2);
 
         // Yield is monotone in the spare budget.
         let mut previous = 0.0;

@@ -444,7 +444,6 @@ mod tests {
         // amounts from empty through dense to the full array: the bitmap
         // must come back empty after every die, or a later die would see
         // phantom occupied cells and diverge from the allocating reference.
-        use crate::montecarlo::{FaultKindPolicy, FaultMapSampler};
         use rand::Rng;
         let laws = [
             FaultKindLaw::AlwaysFlip,
@@ -476,30 +475,6 @@ mod tests {
                         assert_eq!(reused, &fresh, "{kind} {law} {amount} of {cells} cells");
                         assert_eq!(rng_scratch.gen::<u64>(), rng_fresh.gen::<u64>(), "{kind}");
                     }
-                }
-                // Kinds drawn in Floyd order ride in the sort keys.
-                for policy in [
-                    FaultKindPolicy::AlwaysFlip,
-                    FaultKindPolicy::RandomStuckAt,
-                    FaultKindPolicy::Mixed,
-                ] {
-                    let sampler = FaultMapSampler::with_policy(geometry, policy);
-                    let seed = amount as u64 ^ 0x5EED;
-                    let fresh = sampler
-                        .sample_with_count(&mut StdRng::seed_from_u64(seed), amount)
-                        .unwrap();
-                    sampler
-                        .sample_with_count_into(
-                            &mut StdRng::seed_from_u64(seed),
-                            amount,
-                            &mut scratch,
-                        )
-                        .unwrap();
-                    assert_eq!(
-                        scratch.map(),
-                        &fresh,
-                        "{policy:?} {amount} of {cells} cells"
-                    );
                 }
             }
         }

@@ -24,7 +24,6 @@ use crate::backend::FaultBackend;
 use crate::config::MemoryConfig;
 use crate::error::MemError;
 use crate::fault::FaultMap;
-use crate::montecarlo::FaultMapSampler;
 use rand::rngs::StdRng;
 use rand::{splitmix64, SeedableRng};
 
@@ -114,29 +113,9 @@ pub struct DieBatch {
 }
 
 impl DieBatch {
-    /// Generates the batch for `plan` using per-sample RNG streams from
+    /// Generates the batch for `plan` by drawing every fault map from a
+    /// [`FaultBackend`]'s spatial law, using per-sample RNG streams from
     /// `seeder`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling errors (e.g. a failure count exceeding the cell
-    /// count).
-    pub fn generate(
-        sampler: &FaultMapSampler,
-        seeder: &StreamSeeder,
-        plan: &[PlannedSample],
-    ) -> Result<Self, MemError> {
-        Self::generate_with(
-            |rng, n_faults| sampler.sample_with_count(rng, n_faults),
-            seeder,
-            plan,
-        )
-    }
-
-    /// Generates the batch by drawing every fault map from a
-    /// [`FaultBackend`]'s spatial law — the backend-generic pipeline entry
-    /// point. With [`crate::backend::SramVddBackend`] this is bit-identical
-    /// to [`DieBatch::generate`].
     ///
     /// # Errors
     ///
@@ -153,13 +132,10 @@ impl DieBatch {
         )
     }
 
-    /// Generates the batch from an arbitrary sampling function of the
-    /// per-sample RNG and the planned fault count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling errors.
-    pub fn generate_with<F>(
+    /// Generates the batch from a sampling function of the per-sample RNG
+    /// and the planned fault count — the body both backend constructors
+    /// share.
+    fn generate_with<F>(
         mut sample: F,
         seeder: &StreamSeeder,
         plan: &[PlannedSample],
@@ -178,33 +154,7 @@ impl DieBatch {
 
     /// Generates the batch while rejecting (and redrawing, bounded) fault
     /// maps that place more than one fault in a single row — the Fig. 7
-    /// protocol under which SECDED is error-free.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling errors.
-    pub fn generate_single_fault_per_row(
-        sampler: &FaultMapSampler,
-        seeder: &StreamSeeder,
-        plan: &[PlannedSample],
-        max_redraws: usize,
-    ) -> Result<Self, MemError> {
-        Self::generate_with(
-            |rng, n_faults| {
-                redraw_until_single_fault_rows(
-                    |rng| sampler.sample_with_count(rng, n_faults),
-                    rng,
-                    max_redraws,
-                )
-            },
-            seeder,
-            plan,
-        )
-    }
-
-    /// Backend-generic variant of
-    /// [`DieBatch::generate_single_fault_per_row`]: redraws (bounded) maps
-    /// that place more than one fault in a single row, using the backend's
+    /// protocol under which SECDED is error-free — using the backend's
     /// spatial law for every draw.
     ///
     /// # Errors
@@ -282,10 +232,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SramVddBackend;
     use rand::Rng;
 
-    fn sampler() -> FaultMapSampler {
-        FaultMapSampler::new(MemoryConfig::new(64, 32).unwrap())
+    fn backend() -> SramVddBackend {
+        SramVddBackend::with_p_cell(MemoryConfig::new(64, 32).unwrap(), 1e-3).unwrap()
     }
 
     #[test]
@@ -320,9 +271,9 @@ mod tests {
             })
             .collect();
         // One big batch vs. two half batches: identical maps per index.
-        let whole = DieBatch::generate(&sampler(), &seeder, &plan).unwrap();
-        let front = DieBatch::generate(&sampler(), &seeder, &plan[..5]).unwrap();
-        let back = DieBatch::generate(&sampler(), &seeder, &plan[5..]).unwrap();
+        let whole = DieBatch::generate_with_backend(&backend(), &seeder, &plan).unwrap();
+        let front = DieBatch::generate_with_backend(&backend(), &seeder, &plan[..5]).unwrap();
+        let back = DieBatch::generate_with_backend(&backend(), &seeder, &plan[5..]).unwrap();
         let split: Vec<_> = front.iter().chain(back.iter()).collect();
         for ((pw, mw), (ps, ms)) in whole.iter().zip(split) {
             assert_eq!(pw.index, ps.index);
@@ -341,7 +292,7 @@ mod tests {
                 n_faults: i,
             })
             .collect();
-        let batch = DieBatch::generate(&sampler(), &seeder, &plan).unwrap();
+        let batch = DieBatch::generate_with_backend(&backend(), &seeder, &plan).unwrap();
         assert_eq!(batch.len(), 8);
         for (planned, map) in batch.iter() {
             assert_eq!(map.fault_count() as u64, planned.n_faults);
@@ -354,7 +305,8 @@ mod tests {
         // A tiny 4-row array with many faults collides constantly; the
         // bounded redraw must still terminate and, when possible, produce
         // collision-free maps.
-        let sampler = FaultMapSampler::new(MemoryConfig::new(32, 32).unwrap());
+        let backend =
+            SramVddBackend::with_p_cell(MemoryConfig::new(32, 32).unwrap(), 1e-3).unwrap();
         let seeder = StreamSeeder::new(17);
         let plan: Vec<PlannedSample> = (0..20)
             .map(|i| PlannedSample {
@@ -363,7 +315,8 @@ mod tests {
             })
             .collect();
         let batch =
-            DieBatch::generate_single_fault_per_row(&sampler, &seeder, &plan, 1000).unwrap();
+            DieBatch::generate_single_fault_per_row_with_backend(&backend, &seeder, &plan, 1000)
+                .unwrap();
         for (planned, map) in batch.iter() {
             assert_eq!(map.fault_count(), 4);
             assert!(
@@ -377,7 +330,7 @@ mod tests {
     #[test]
     fn empty_batch_is_well_behaved() {
         let seeder = StreamSeeder::new(0);
-        let batch = DieBatch::generate(&sampler(), &seeder, &[]).unwrap();
+        let batch = DieBatch::generate_with_backend(&backend(), &seeder, &[]).unwrap();
         assert!(batch.is_empty());
         assert_eq!(batch.config(), None);
     }

@@ -356,12 +356,6 @@ pub fn current() -> Option<Arc<Recorder>> {
     CURRENT.with(|cell| cell.borrow().clone())
 }
 
-/// Whether a recorder is installed on the calling thread.
-#[must_use]
-pub fn is_active() -> bool {
-    CURRENT.with(|cell| cell.borrow().is_some())
-}
-
 /// Adds `n` to `counter` on the current recorder (no-op when none is
 /// installed).
 #[inline]
@@ -615,7 +609,7 @@ mod tests {
 
     #[test]
     fn counting_without_a_recorder_is_a_no_op() {
-        assert!(!is_active());
+        assert!(current().is_none());
         count(Counter::DiesGenerated, 5);
         record(Histogram::FaultsPerDie, 3);
         add_stage(Stage::Generate, 10, 1);
@@ -632,12 +626,12 @@ mod tests {
             count(Counter::DiesGenerated, 1);
             {
                 let _b = install(&inner);
-                assert!(is_active());
+                assert!(current().is_some());
                 count(Counter::DiesGenerated, 10);
             }
             count(Counter::DiesGenerated, 1);
         }
-        assert!(!is_active());
+        assert!(current().is_none());
         assert_eq!(outer.snapshot().counter(Counter::DiesGenerated), 2);
         assert_eq!(inner.snapshot().counter(Counter::DiesGenerated), 10);
     }

@@ -61,19 +61,6 @@ impl Accumulator for CollectRecords {
     }
 }
 
-/// Pairs two accumulators so one campaign pass can feed both.
-impl<A: Accumulator, B: Accumulator> Accumulator for (A, B) {
-    fn record(&mut self, sample: &PairedSample) {
-        self.0.record(sample);
-        self.1.record(sample);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.0.merge(other.0);
-        self.1.merge(other.1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,16 +84,5 @@ mod tests {
         left.merge(right);
         let indices: Vec<u64> = left.records.iter().map(|r| r.sample_index).collect();
         assert_eq!(indices, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn tuple_accumulator_feeds_both_sides() {
-        let mut pair = (CollectRecords::new(), CollectRecords::new());
-        pair.record(&sample(7));
-        let mut other = (CollectRecords::new(), CollectRecords::new());
-        other.record(&sample(8));
-        pair.merge(other);
-        assert_eq!(pair.0.records.len(), 2);
-        assert_eq!(pair.1.records.len(), 2);
     }
 }

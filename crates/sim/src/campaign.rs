@@ -35,6 +35,10 @@ use std::ops::Range;
 use std::str::FromStr;
 use std::time::Instant;
 
+/// Probability mass the automatically derived `N_max` covers: the paper
+/// sizes its sweep so 99 % of dies have no more than `N_max` failures.
+const N_MAX_COVERAGE: f64 = 0.99;
+
 /// One shard of a campaign split across `shard_count` independent runs.
 ///
 /// A campaign's work list is deterministic (it depends only on the
@@ -254,7 +258,6 @@ pub struct CampaignConfig<B: FaultBackend = SramVddBackend> {
     samples_per_count: usize,
     max_failures: Option<u64>,
     exact_failures: Option<u64>,
-    coverage: f64,
     chunk_size: usize,
     parallelism: Parallelism,
     map_policy: MapPolicy,
@@ -310,7 +313,6 @@ impl<B: FaultBackend> CampaignConfig<B> {
             samples_per_count: 100,
             max_failures: None,
             exact_failures: None,
-            coverage: 0.99,
             chunk_size: 32,
             parallelism: Parallelism::default(),
             map_policy: MapPolicy::default(),
@@ -339,14 +341,6 @@ impl<B: FaultBackend> CampaignConfig<B> {
     #[must_use]
     pub fn with_exact_failures(mut self, failures: u64) -> Self {
         self.exact_failures = Some(failures);
-        self
-    }
-
-    /// Sets the probability mass the automatically derived `N_max` covers
-    /// (default 0.99, the paper's choice).
-    #[must_use]
-    pub fn with_coverage(mut self, coverage: f64) -> Self {
-        self.coverage = coverage.clamp(0.0, 1.0);
         self
     }
 
@@ -465,7 +459,9 @@ impl<B: FaultBackend> CampaignConfig<B> {
         Ok(self.backend.failure_distribution()?)
     }
 
-    /// The largest failure count that will be simulated.
+    /// The largest failure count that will be simulated: the override of
+    /// [`CampaignConfig::with_max_failures`], or else the paper's `N_max`
+    /// covering 99 % of the failure-count distribution.
     ///
     /// # Errors
     ///
@@ -473,7 +469,7 @@ impl<B: FaultBackend> CampaignConfig<B> {
     pub fn effective_max_failures(&self) -> Result<u64, SimError> {
         match self.max_failures {
             Some(n) => Ok(n),
-            None => Ok(self.failure_distribution()?.n_max(self.coverage)),
+            None => Ok(self.failure_distribution()?.n_max(N_MAX_COVERAGE)),
         }
     }
 }

@@ -13,6 +13,9 @@
 use faultmit::analysis::report::Table;
 use faultmit::apps::{Benchmark, QualityEvaluator};
 use faultmit::core::{MitigationScheme, Scheme};
+use faultmit::memsim::{FaultBackend, SramVddBackend};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schemes = [
@@ -29,6 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .memory_rows(1024)
             .build()?;
         let baseline = evaluator.baseline_quality()?;
+        // The paper's iid fault placement; P_cell only labels the backend.
+        let sram = SramVddBackend::with_p_cell(evaluator.memory_config(), 1e-3)?;
 
         let mut headers = vec!["scheme".to_owned()];
         headers.extend(fault_counts.iter().map(|n| format!("{n} faults")));
@@ -46,7 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for scheme in &schemes {
             let mut row = vec![scheme.name()];
             for (i, &n_faults) in fault_counts.iter().enumerate() {
-                let quality = evaluator.quality_with_faults(scheme, n_faults, 40 + i as u64)?;
+                let mut rng = StdRng::seed_from_u64(40 + i as u64);
+                let faults = sram.sample_with_count(&mut rng, n_faults)?;
+                let quality = evaluator.quality_with_fault_map(scheme, &faults)?;
                 row.push(format!("{:.3}", (quality / baseline).clamp(0.0, 1.0)));
             }
             table.add_row(row);

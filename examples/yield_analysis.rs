@@ -30,9 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     for &p_cell in &[1e-5, 1e-4, 1e-3] {
-        let config = CampaignConfig::new(memory, p_cell)?
-            .with_samples_per_count(40)
-            .with_coverage(0.99);
+        let config = CampaignConfig::new(memory, p_cell)?.with_samples_per_count(40);
         let engine = MonteCarloEngine::new(config);
 
         let mut table = Table::new(

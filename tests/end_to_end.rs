@@ -5,16 +5,20 @@
 use faultmit::analysis::{memory_mse, MonteCarloEngine};
 use faultmit::core::{MitigationScheme, Scheme, SegmentGeometry, ShuffledMemory};
 use faultmit::ecc::{DecodeOutcome, EccMemory, PeccMemory};
-use faultmit::memsim::{DieSampler, Fault, FaultMap, MarchBist, MemoryConfig, SramArray};
+use faultmit::memsim::{
+    Fault, FaultBackend, FaultMap, MarchBist, MemoryConfig, SramArray, SramVddBackend,
+};
 use faultmit::sim::CampaignConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// One die: a binomial failure count, then that many iid faults.
 fn sample_die(rows: usize, p_cell: f64, seed: u64) -> FaultMap {
     let config = MemoryConfig::new(rows, 32).unwrap();
-    let sampler = DieSampler::new(config, p_cell).unwrap();
+    let backend = SramVddBackend::with_p_cell(config, p_cell).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
-    sampler.sample_die(&mut rng).unwrap()
+    let n_faults = backend.failure_distribution().unwrap().sample(&mut rng) as usize;
+    backend.sample_with_count(&mut rng, n_faults).unwrap()
 }
 
 #[test]

@@ -5,21 +5,24 @@
 
 use faultmit::analysis::memory_mse;
 use faultmit::core::{MitigationScheme, Scheme, SegmentGeometry, ShuffledMemory};
-use faultmit::memsim::montecarlo::FaultKindPolicy;
-use faultmit::memsim::{FaultMapSampler, MemoryConfig, VddSweep};
+use faultmit::memsim::{FaultBackend, FaultKindLaw, MemoryConfig, SramVddBackend, VddSweep};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const ROWS: usize = 256;
 
-fn sampler(policy: FaultKindPolicy) -> FaultMapSampler {
-    FaultMapSampler::with_policy(MemoryConfig::new(ROWS, 32).unwrap(), policy)
+/// The paper's iid placement with the given cell behaviour.
+fn sampler(law: FaultKindLaw) -> SramVddBackend {
+    SramVddBackend::with_p_cell(MemoryConfig::new(ROWS, 32).unwrap(), 1e-3)
+        .unwrap()
+        .with_kind_law(law)
+        .unwrap()
 }
 
 #[test]
 fn mse_ordering_holds_across_fault_densities() {
     let mut rng = StdRng::seed_from_u64(101);
-    let sampler = sampler(FaultKindPolicy::AlwaysFlip);
+    let sampler = sampler(FaultKindLaw::AlwaysFlip);
     for &n_faults in &[1usize, 4, 16, 64, 256, 1024] {
         let mut unprotected_sum = 0.0;
         let mut shuffle1_sum = 0.0;
@@ -62,8 +65,13 @@ fn stuck_at_fault_populations_are_also_mitigated() {
     // still holds because a silent stuck-at fault causes no error at all and
     // an active one behaves like a flip.
     let mut rng = StdRng::seed_from_u64(202);
-    for policy in [FaultKindPolicy::RandomStuckAt, FaultKindPolicy::Mixed] {
-        let sampler = sampler(policy);
+    for law in [
+        FaultKindLaw::RandomStuckAt,
+        FaultKindLaw::AsymmetricStuckAt {
+            p_stuck_at_zero: 0.9,
+        },
+    ] {
+        let sampler = sampler(law);
         let faults = sampler.sample_with_count(&mut rng, 128).unwrap();
         for n_fm in [1usize, 3, 5] {
             let geometry = SegmentGeometry::new(32, n_fm).unwrap();
@@ -76,7 +84,7 @@ fn stuck_at_fault_populations_are_also_mitigated() {
                 if memory.array().faults().faulty_columns(row).len() <= 1 {
                     assert!(
                         read.abs_diff(value) <= bound,
-                        "policy {policy:?}, nFM={n_fm}, row {row}"
+                        "law {law}, nFM={n_fm}, row {row}"
                     );
                 }
             }

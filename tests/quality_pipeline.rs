@@ -4,7 +4,7 @@
 
 use faultmit::apps::{Benchmark, QualityEvaluator};
 use faultmit::core::Scheme;
-use faultmit::memsim::{Fault, FaultMap, FaultMapSampler};
+use faultmit::memsim::{Fault, FaultBackend, FaultMap, SramVddBackend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -95,13 +95,13 @@ fn fig7_ordering_no_correction_vs_shuffle_on_random_fault_maps() {
     // paper's observation that nFM=2 already beats P-ECC).
     let eval = evaluator(Benchmark::Elasticnet);
     let baseline = eval.baseline_quality().unwrap();
-    let sampler = FaultMapSampler::new(eval.memory_config());
+    let sram = SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap();
     let mut rng = StdRng::seed_from_u64(31);
 
     let mut sums = [0.0f64; 3]; // unprotected, pecc, shuffle2
     let runs = 6;
     for _ in 0..runs {
-        let faults = sampler.sample_with_count(&mut rng, 96).unwrap();
+        let faults = sram.sample_with_count(&mut rng, 96).unwrap();
         sums[0] += eval
             .quality_with_fault_map(&Scheme::unprotected32(), &faults)
             .unwrap();
@@ -138,8 +138,9 @@ fn quality_cdf_campaign_produces_weighted_distributions() {
         .build()
         .unwrap();
     let result = eval
-        .quality_cdf(&Scheme::shuffle32(1).unwrap(), 1e-3, 4, 3, 17)
-        .unwrap();
+        .quality_cdfs_paired(&[Scheme::shuffle32(1).unwrap()], 1e-3, 4, 3, 17, false)
+        .unwrap()
+        .remove(0);
     assert!(result.baseline_quality > 0.5);
     assert!(!result.cdf.is_empty());
     // Normalised quality lives in [0, 1].

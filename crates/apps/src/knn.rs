@@ -9,6 +9,8 @@
 use crate::error::AppError;
 use crate::linalg::Matrix;
 use crate::metrics::accuracy_score;
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
 /// Brute-force KNN classifier with Euclidean distance and majority voting.
 ///
@@ -103,22 +105,16 @@ impl KnnClassifier {
     /// Returns [`AppError::NotFitted`] before [`KnnClassifier::fit`], or a
     /// dimension error when the feature count differs from the training data.
     pub fn predict(&self, x: &Matrix) -> Result<Vec<usize>, AppError> {
-        let (train_x, train_y) = self.fitted()?;
-        if x.cols() != train_x.cols() {
-            return Err(AppError::DimensionMismatch {
-                reason: format!(
-                    "model was trained on {} features but got {}",
-                    train_x.cols(),
-                    x.cols()
-                ),
-            });
-        }
-        let mut predictions = Vec::with_capacity(x.rows());
-        for r in 0..x.rows() {
-            let query = x.row(r);
-            predictions.push(self.vote(&query, train_x, train_y));
-        }
-        Ok(predictions)
+        let (train_x, train_y) = self.fitted_for(x)?;
+        Ok((0..x.rows())
+            .map(|r| {
+                let query = sample(x, r);
+                let mut neighbours: Vec<(f64, usize)> = (0..train_x.rows())
+                    .map(|i| (squared_distance(sample(train_x, i), query), i))
+                    .collect();
+                vote(&mut neighbours, self.k, train_y)
+            })
+            .collect())
     }
 
     /// Classification accuracy on a labelled test set — the paper's "score"
@@ -140,42 +136,194 @@ impl KnnClassifier {
         }
     }
 
-    fn vote(&self, query: &[f64], train_x: &Matrix, train_y: &[usize]) -> usize {
-        // Squared distance to every training sample, tagged with its index.
-        let cols = train_x.cols();
-        let data = train_x.as_slice();
-        let mut distances: Vec<(f64, usize)> = (0..train_x.rows())
-            .map(|i| {
-                let mut d = 0.0;
-                for (&x, &q) in data[i * cols..(i + 1) * cols].iter().zip(query) {
-                    let diff = x - q;
-                    d += diff * diff;
-                }
-                (d, i)
+    /// The fitted training set, checked against the feature count of the
+    /// queries `x`.
+    fn fitted_for(&self, x: &Matrix) -> Result<(&Matrix, &Vec<usize>), AppError> {
+        let (train_x, train_y) = self.fitted()?;
+        if x.cols() != train_x.cols() {
+            return Err(AppError::DimensionMismatch {
+                reason: format!(
+                    "model was trained on {} features but got {}",
+                    train_x.cols(),
+                    x.cols()
+                ),
+            });
+        }
+        Ok((train_x, train_y))
+    }
+}
+
+/// KNN predictions for one fixed query set under training sets that differ
+/// from a clean one in a few samples: the Fig. 7 refit, where a faulty
+/// read-back changes only the samples stored in fault-bearing rows.
+///
+/// Built once from a classifier fitted on the clean training set, the cache
+/// ranks every training sample by (clean distance, index) for each query.
+/// [`KnnNeighbourCache::predict`] recomputes the distances of only those
+/// samples that differ from the clean ones, with the same loop, merges them
+/// with the first `k` entries of each ranking whose sample is unchanged,
+/// and votes as [`KnnClassifier`] does. No other sample can be among the
+/// `k` nearest, so the `k`-set, the vote and the score are exactly those of
+/// a classifier fitted on the given training set.
+///
+/// # Example
+///
+/// ```
+/// use faultmit_apps::knn::KnnNeighbourCache;
+/// use faultmit_apps::{KnnClassifier, Matrix};
+///
+/// # fn main() -> Result<(), faultmit_apps::AppError> {
+/// let clean = Matrix::from_rows(&[
+///     vec![0.0, 0.0], vec![0.1, 0.1], vec![5.0, 5.0], vec![5.1, 4.9],
+/// ])?;
+/// let mut knn = KnnClassifier::new(1)?;
+/// knn.fit(&clean, &[0, 0, 1, 1])?;
+/// let queries = Matrix::from_rows(&[vec![0.05, 0.0], vec![4.9, 5.2]])?;
+/// let cache = KnnNeighbourCache::new(&knn, &queries)?;
+/// assert_eq!(cache.predict(&clean)?, vec![0, 1]);
+///
+/// // Sample 3 (label 1) read back as a point next to the first query.
+/// let mut faulty = clean.clone();
+/// faulty.set(3, 0, 0.05);
+/// faulty.set(3, 1, 0.0);
+/// knn.fit(&faulty, &[0, 0, 1, 1])?;
+/// assert_eq!(cache.predict(&faulty)?, knn.predict(&queries)?);
+/// assert_eq!(cache.predict(&faulty)?, vec![1, 1]);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct KnnNeighbourCache {
+    /// The classifier fitted on the clean training set.
+    clean: KnnClassifier,
+    queries: Matrix,
+    /// For each query in turn, every training sample as (clean distance,
+    /// index), in (distance, index) order.
+    ranked: Vec<(f64, usize)>,
+}
+
+impl KnnNeighbourCache {
+    /// Ranks the training samples of a fitted classifier for every row of
+    /// `queries`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AppError::NotFitted`] before [`KnnClassifier::fit`], or a
+    /// dimension error when the feature count differs from the training data.
+    pub fn new(clean: &KnnClassifier, queries: &Matrix) -> Result<Self, AppError> {
+        let (train_x, _) = clean.fitted_for(queries)?;
+        let mut ranked = Vec::with_capacity(queries.rows() * train_x.rows());
+        for r in 0..queries.rows() {
+            let query = sample(queries, r);
+            let start = ranked.len();
+            ranked.extend(
+                (0..train_x.rows()).map(|i| (squared_distance(sample(train_x, i), query), i)),
+            );
+            ranked[start..].sort_unstable_by(nearer);
+        }
+        Ok(Self {
+            clean: clean.clone(),
+            queries: queries.clone(),
+            ranked,
+        })
+    }
+
+    /// Predicts a label for each cached query with the classifier refitted
+    /// on `train` (same labels): the result of [`KnnClassifier::fit`] on
+    /// `train` followed by [`KnnClassifier::predict`] on the queries.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AppError::DimensionMismatch`] when `train` differs in shape
+    /// from the clean training set.
+    pub fn predict(&self, train: &Matrix) -> Result<Vec<usize>, AppError> {
+        let (clean, labels) = self.clean.fitted()?;
+        if (train.rows(), train.cols()) != (clean.rows(), clean.cols()) {
+            return Err(AppError::DimensionMismatch {
+                reason: format!(
+                    "cache was built on a {}x{} training set but got {}x{}",
+                    clean.rows(),
+                    clean.cols(),
+                    train.rows(),
+                    train.cols()
+                ),
+            });
+        }
+        // The samples that differ from the clean ones in any bit.
+        let changed: Vec<usize> = (0..clean.rows())
+            .filter(|&i| {
+                sample(train, i)
+                    .iter()
+                    .zip(sample(clean, i))
+                    .any(|(a, b)| a.to_bits() != b.to_bits())
             })
             .collect();
-        // The k nearest by (distance, index): an equal distance goes to the
-        // earlier training sample. `fit` guarantees k ≤ the sample count.
-        let k = self.k;
-        distances.select_nth_unstable_by(k - 1, |a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("distances are finite")
-                .then(a.1.cmp(&b.1))
-        });
-
-        // Majority vote over the k nearest; ties break towards the smaller
-        // label for determinism.
-        let mut counts: std::collections::BTreeMap<usize, usize> =
-            std::collections::BTreeMap::new();
-        for &(_, index) in &distances[..k] {
-            *counts.entry(train_y[index]).or_insert(0) += 1;
+        let mut is_changed = vec![false; clean.rows()];
+        for &i in &changed {
+            is_changed[i] = true;
         }
-        counts
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|(label, _)| label)
-            .unwrap_or(0)
+        let k = self.clean.k;
+        let mut candidates = Vec::with_capacity(changed.len() + k);
+        // `fit` guarantees at least k ≥ 1 training samples, so the rankings
+        // are non-empty chunks and each query has at least k candidates.
+        Ok(self
+            .ranked
+            .chunks_exact(clean.rows())
+            .enumerate()
+            .map(|(r, ranked)| {
+                let query = sample(&self.queries, r);
+                candidates.clear();
+                candidates.extend(
+                    changed
+                        .iter()
+                        .map(|&i| (squared_distance(sample(train, i), query), i)),
+                );
+                candidates.extend(ranked.iter().filter(|&&(_, i)| !is_changed[i]).take(k));
+                vote(&mut candidates, k, labels)
+            })
+            .collect())
     }
+}
+
+/// Sample (row) `i` of a row-major matrix.
+fn sample(x: &Matrix, i: usize) -> &[f64] {
+    let cols = x.cols();
+    &x.as_slice()[i * cols..(i + 1) * cols]
+}
+
+/// Squared Euclidean distance, summed feature by feature from 0.0: the one
+/// distance loop behind every prediction of this module.
+fn squared_distance(sample: &[f64], query: &[f64]) -> f64 {
+    let mut d = 0.0;
+    for (&x, &q) in sample.iter().zip(query) {
+        let diff = x - q;
+        d += diff * diff;
+    }
+    d
+}
+
+/// The total order neighbours are ranked by: distance, then training index,
+/// so an equal distance goes to the earlier training sample.
+fn nearer(a: &(f64, usize), b: &(f64, usize)) -> Ordering {
+    a.0.partial_cmp(&b.0)
+        .expect("distances are finite")
+        .then(a.1.cmp(&b.1))
+}
+
+/// Majority vote over the `k` nearest of `candidates` (at least `k`
+/// (distance, index) pairs); ties break towards the smaller label for
+/// determinism.
+fn vote(candidates: &mut [(f64, usize)], k: usize, labels: &[usize]) -> usize {
+    candidates.select_nth_unstable_by(k - 1, nearer);
+    let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
+    for &(_, index) in &candidates[..k] {
+        *counts.entry(labels[index]).or_insert(0) += 1;
+    }
+    counts
+        .into_iter()
+        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+        .map(|(label, _)| label)
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -64,12 +64,14 @@ pub fn jacobi_eigen(matrix: &Matrix, max_sweeps: usize) -> Result<EigenDecomposi
     }
 
     let mut a = matrix.clone();
-    let mut v = Matrix::identity(n);
+    // Vᵀ, the eigenvector columns stored as rows: V·J rotates columns p and
+    // q of V, which are the contiguous rows p and q of Vᵀ.
+    let mut vt = Matrix::identity(n);
     let tolerance = 1e-12 * scale;
 
     for _sweep in 0..max_sweeps {
         if off_diagonal_norm(&a) < tolerance {
-            return Ok(sort_descending(a, v, n));
+            return Ok(sort_descending(a, vt, n));
         }
         for p in 0..n {
             for q in (p + 1)..n {
@@ -85,17 +87,18 @@ pub fn jacobi_eigen(matrix: &Matrix, max_sweeps: usize) -> Result<EigenDecomposi
                 let s = t * c;
 
                 // A = Jᵀ·A·J: columns p and q first, then rows p and q of
-                // the updated matrix; V accumulates the column rotations.
+                // the updated matrix; V accumulates the column rotations,
+                // element for element as rows of Vᵀ.
                 rotate_columns(a.as_mut_slice(), n, p, q, c, s);
                 rotate_rows(a.as_mut_slice(), n, p, q, c, s);
-                rotate_columns(v.as_mut_slice(), n, p, q, c, s);
+                rotate_rows(vt.as_mut_slice(), n, p, q, c, s);
             }
         }
     }
 
     // Final convergence check after the sweep budget.
     if off_diagonal_norm(&a) < tolerance.max(1e-9 * scale) {
-        Ok(sort_descending(a, v, n))
+        Ok(sort_descending(a, vt, n))
     } else {
         Err(AppError::DidNotConverge {
             routine: "jacobi eigen-decomposition".to_owned(),
@@ -139,7 +142,9 @@ fn rotate_rows(data: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
     }
 }
 
-fn sort_descending(a: Matrix, v: Matrix, n: usize) -> EigenDecomposition {
+/// Orders the eigenpairs by descending eigenvalue; `vt` holds the
+/// eigenvectors as rows.
+fn sort_descending(a: Matrix, vt: Matrix, n: usize) -> EigenDecomposition {
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| {
         a.get(j, j)
@@ -150,7 +155,7 @@ fn sort_descending(a: Matrix, v: Matrix, n: usize) -> EigenDecomposition {
     let mut vectors = Matrix::zeros(n, n);
     for (new_col, &old_col) in order.iter().enumerate() {
         for row in 0..n {
-            vectors.set(row, new_col, v.get(row, old_col));
+            vectors.set(row, new_col, vt.get(old_col, row));
         }
     }
     EigenDecomposition { values, vectors }

@@ -254,31 +254,31 @@ impl Matrix {
                 reason: "covariance of an empty matrix".to_owned(),
             });
         }
-        // Centre each column into a contiguous slice, so every pairwise sum
-        // below runs over unit-stride memory.
-        let centred: Vec<f64> = self
-            .column_means()
-            .into_iter()
-            .enumerate()
-            .flat_map(|(c, mean)| {
-                self.data
-                    .iter()
-                    .skip(c)
-                    .step_by(self.cols)
-                    .map(move |v| v - mean)
-            })
-            .collect();
-        let columns: Vec<&[f64]> = centred.chunks_exact(self.rows).collect();
-        let mut cov = Matrix::zeros(self.cols, self.cols);
-        for i in 0..self.cols {
-            for j in i..self.cols {
-                let mut acc = 0.0;
-                for (x, y) in columns[i].iter().zip(columns[j]) {
-                    acc += x * y;
+        // Accumulate the upper triangle one centred row at a time (a rank-1
+        // update per row): entry (i, j) still sums its products in row order
+        // from 0.0, and the inner loop runs over contiguous `j`.
+        let n = self.cols;
+        let means = self.column_means();
+        let mut centred = vec![0.0; n];
+        let mut cov = Matrix::zeros(n, n);
+        for r in 0..self.rows {
+            let row = &self.data[r * n..(r + 1) * n];
+            for ((c, x), mean) in centred.iter_mut().zip(row).zip(&means) {
+                *c = x - mean;
+            }
+            for (i, &xi) in centred.iter().enumerate() {
+                let acc = &mut cov.data[i * n + i..(i + 1) * n];
+                for (acc, &xj) in acc.iter_mut().zip(&centred[i..]) {
+                    *acc += xi * xj;
                 }
-                let value = acc / self.rows as f64;
-                cov.data[i * self.cols + j] = value;
-                cov.data[j * self.cols + i] = value;
+            }
+        }
+        let rows = self.rows as f64;
+        for i in 0..n {
+            for j in i..n {
+                let value = cov.data[i * n + j] / rows;
+                cov.data[i * n + j] = value;
+                cov.data[j * n + i] = value;
             }
         }
         Ok(cov)

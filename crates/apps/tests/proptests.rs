@@ -5,6 +5,7 @@
 //! The offline build has no `proptest`, so each property is exercised over a
 //! seeded random sweep.
 
+use faultmit_apps::knn::KnnNeighbourCache;
 use faultmit_apps::linalg::{jacobi_eigen, Matrix};
 use faultmit_apps::metrics::{accuracy_score, explained_variance_score, r2_score};
 use faultmit_apps::preprocessing::Standardizer;
@@ -378,20 +379,26 @@ fn knn_reference(train: &Matrix, labels: &[usize], k: usize, query: &[f64]) -> u
 
 const KERNEL_SIZES: [usize; 3] = [2, 5, 40];
 
-/// `Matrix::covariance` is bit-identical to the element-by-element loop.
+/// `Matrix::covariance` is bit-identical to the element-by-element loop,
+/// also on a matrix without columns, whose covariance is 0 × 0.
 #[test]
 fn covariance_matches_the_elementwise_reference_bit_for_bit() {
     let mut rng = rng(409);
-    for n in KERNEL_SIZES {
-        for _ in 0..6 {
-            let x = corrupted_data(&mut rng, 3 * n + 7, n);
-            let cov = x.covariance().unwrap();
-            assert_eq!(
-                bits(cov.as_slice()),
-                bits(covariance_reference(&x).as_slice()),
-                "n = {n}"
-            );
-        }
+    let no_columns = Matrix::zeros(7, 0);
+    let inputs = KERNEL_SIZES
+        .into_iter()
+        .flat_map(|n| vec![n; 6])
+        .map(|n| corrupted_data(&mut rng, 3 * n + 7, n))
+        .chain([no_columns]);
+    for x in inputs {
+        let n = x.cols();
+        let cov = x.covariance().unwrap();
+        assert_eq!((cov.rows(), cov.cols()), (n, n));
+        assert_eq!(
+            bits(cov.as_slice()),
+            bits(covariance_reference(&x).as_slice()),
+            "n = {n}"
+        );
     }
 }
 
@@ -452,7 +459,11 @@ fn elastic_net_fit_matches_the_elementwise_reference_bit_for_bit() {
 }
 
 /// KNN predictions equal a majority vote over a full stable sort, on
-/// integer-valued data where equal distances straddle the k boundary.
+/// integer-valued data where equal distances straddle the k boundary. So do
+/// the predictions of a `KnnNeighbourCache` built on that training set, for
+/// copies with a subset of rows re-drawn on the same grid: patched and
+/// unchanged samples then tie at the k-th distance. The subsets are the
+/// empty one, every row, more than k rows and a random one.
 #[test]
 fn knn_predictions_match_the_stable_sort_reference() {
     let mut rng = rng(412);
@@ -471,5 +482,30 @@ fn knn_predictions_match_the_stable_sort_reference() {
             .map(|r| knn_reference(&train, &labels, k, &test.row(r)))
             .collect();
         assert_eq!(knn.predict(&test).unwrap(), expected, "k = {k}");
+
+        let cache = KnnNeighbourCache::new(&knn, &test).unwrap();
+        let more_than_k = rng.gen_range((k + 1).min(rows)..=rows);
+        let subsets = [
+            Vec::new(),
+            (0..rows).collect(),
+            rand::seq::index::sample(&mut rng, rows, more_than_k).into_vec(),
+            (0..rows).filter(|_| rng.gen::<bool>()).collect::<Vec<_>>(),
+        ];
+        for subset in subsets {
+            let mut patched = train.clone();
+            for &row in &subset {
+                for col in 0..cols {
+                    patched.set(row, col, grid(&mut rng));
+                }
+            }
+            let expected: Vec<usize> = (0..test.rows())
+                .map(|r| knn_reference(&patched, &labels, k, &test.row(r)))
+                .collect();
+            assert_eq!(
+                cache.predict(&patched).unwrap(),
+                expected,
+                "k = {k}, patched rows {subset:?}"
+            );
+        }
     }
 }

@@ -1,13 +1,17 @@
 //! The fault-sparse quality path against a dense reference.
 //!
 //! `QualityEvaluator::quality_with_fault_map` prepares each benchmark once,
-//! reads back only the words that live in fault-bearing rows, and returns
-//! the baseline without a refit when no word changes. This suite recomputes
-//! every quality the dense way — regenerate the dataset, round-trip every
-//! stored word through the scheme with `FaultyStore::round_trip_matrix`,
-//! fit afresh — and requires both to agree bit for bit, for the three
-//! benchmarks, the Fig. 7 scheme catalogue, and fault maps that reach each
-//! branch of the sparse path.
+//! through the same prepared state a campaign uses, reads back only the
+//! words that live in fault-bearing rows, and returns the baseline without
+//! a refit when no word changes. KNN scores both the baseline and every
+//! refit from its cached clean neighbour rankings, re-ranking only the
+//! training samples a read-back changed. This suite recomputes every
+//! quality the dense way — regenerate the dataset, round-trip every stored
+//! word through the scheme with `FaultyStore::round_trip_matrix`, fit
+//! afresh with `KnnClassifier`, `Pca` and `ElasticNet` — and requires both
+//! to agree bit for bit, for the three benchmarks, the Fig. 7 scheme
+//! catalogue, and fault maps that reach each branch of the sparse path:
+//! no changed sample, every sample changed, and a few.
 
 use faultmit_apps::datasets::{HarDataset, MadelonDataset, WineQualityDataset};
 use faultmit_apps::metrics::explained_variance_score;
@@ -158,6 +162,21 @@ fn agreeing_stuck_at(scheme: &Scheme, config: MemoryConfig, words: &[u64]) -> Fa
     FaultMap::from_faults(config, faults).unwrap()
 }
 
+/// Training samples (rows) that `scheme` reads back changed on `faults`.
+fn changed_samples(scheme: &Scheme, faults: &FaultMap, stored: &StoredMatrix) -> usize {
+    let store = FaultyStore::new(scheme, faults, FixedPointFormat::q15_16()).unwrap();
+    let Some(patched) = store.read_back(stored) else {
+        return 0;
+    };
+    let cols = patched.cols();
+    patched
+        .as_slice()
+        .chunks_exact(cols)
+        .zip(stored.clean().as_slice().chunks_exact(cols))
+        .filter(|(patched, clean)| patched != clean)
+        .count()
+}
+
 #[test]
 fn sparse_quality_is_bit_identical_to_the_dense_reference() {
     let mut rng = StdRng::seed_from_u64(0x5EED);
@@ -179,6 +198,22 @@ fn sparse_quality_is_bit_identical_to_the_dense_reference() {
 
         let stored = StoredMatrix::new(&dense_split(benchmark).train, format);
         let maps = fault_maps(config, &mut rng);
+        if benchmark == Benchmark::Knn {
+            // Without protection the maps reach every case of the neighbour
+            // cache's merge: no changed sample, all of them, and a few.
+            let samples = stored.clean().rows();
+            for (label, faults) in &maps {
+                let changed = changed_samples(&Scheme::unprotected32(), faults, &stored);
+                match label.as_str() {
+                    "empty" => assert_eq!(changed, 0, "{label}"),
+                    "one fault per row" => assert_eq!(changed, samples, "{label}"),
+                    _ => assert!(
+                        changed > 0 && changed < samples,
+                        "{label}: {changed} of {samples} samples changed"
+                    ),
+                }
+            }
+        }
         for scheme in Scheme::fig7_catalogue() {
             let agreeing = agreeing_stuck_at(&scheme, config, stored.words());
             assert!(

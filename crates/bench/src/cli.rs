@@ -45,9 +45,16 @@
 //! flags `--wide-generation` and `--auto-threshold` (with their value, if
 //! one follows) are recorded in [`RunOptions::spec_flag_errors`], so a
 //! campaign entry point given one fails before any output instead of
-//! silently running a different campaign. `--threads` stays lenient: it
-//! sets throughput, not identity. Anything else is collected as a
-//! positional argument (e.g. the benchmark selector of `fig7_quality`).
+//! silently running a different campaign. A missing or unparseable value of
+//! `--shard` or of the driver flags (`--shards`, `--jobs`, `--retries`) is
+//! recorded as well, for the drivers to refuse. Each such error is reported
+//! once, by the binary that refuses it; parsing prints nothing for it.
+//!
+//! Only the lenient flags drop a bad value and run on: `--threads` (it sets
+//! throughput, not identity), `--json`, `--metrics`, `--figure` and
+//! `--dir`. They warn "…; ignoring" on stderr. Anything else is collected
+//! as a positional argument (e.g. the benchmark selector of
+//! `fig7_quality`).
 
 use crate::json::ToJson;
 use faultmit_memsim::{
@@ -80,7 +87,7 @@ pub struct RunOptions {
     /// Campaign shard selected with `--shard I/K`
     /// (`None` = run the whole campaign, i.e. the `0/1` shard).
     pub shard: Option<ShardSpec>,
-    /// Set when a `--shard` value was present but unparseable. Binaries for
+    /// Set when a `--shard` value was missing or unparseable. Binaries for
     /// which the shard slice is load-bearing (`campaign_shard`) must treat
     /// this as fatal rather than fall back to the monolithic shard and
     /// silently recompute the whole campaign.
@@ -98,7 +105,7 @@ pub struct RunOptions {
     pub retries: Option<usize>,
     /// Shard-checkpoint directory, `--dir <path>` (`campaign_run`).
     pub dir: Option<PathBuf>,
-    /// Unparseable values seen for the driver flags
+    /// Missing or unparseable values seen for the driver flags
     /// (`--shards`/`--jobs`/`--retries`). `campaign_run` treats these as
     /// fatal: a typo in `--shards` must not silently degrade a K-way
     /// campaign to a monolithic run (the same policy `--shard` has via
@@ -151,91 +158,92 @@ impl RunOptions {
         // A flag's value is only consumed when the next token is not itself
         // a flag, so `--threads --full` complains instead of silently eating
         // `--full`.
-        let next_value = |iter: &mut std::iter::Peekable<I::IntoIter>, flag: &str| match iter.peek()
-        {
+        let next_value = |iter: &mut std::iter::Peekable<I::IntoIter>| match iter.peek() {
             Some(value) if !value.starts_with("--") => iter.next(),
-            _ => {
+            _ => None,
+        };
+        // The lenient flags drop a missing value with a warning; every other
+        // flag's missing value is recorded and reported once, as the
+        // binary's error.
+        let lenient_value = |iter: &mut std::iter::Peekable<I::IntoIter>, flag: &str| {
+            let value = next_value(iter);
+            if value.is_none() {
                 eprintln!("{flag} requires a value; ignoring");
-                None
             }
+            value
         };
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--full" | "--full-scale" => options.full_scale = true,
                 "--json" | "--out" => {
-                    if let Some(path) = next_value(&mut iter, arg.as_str()) {
+                    if let Some(path) = lenient_value(&mut iter, &arg) {
                         options.json_path = Some(PathBuf::from(path));
                     }
                 }
                 "--metrics" => {
-                    if let Some(path) = next_value(&mut iter, "--metrics") {
+                    if let Some(path) = lenient_value(&mut iter, &arg) {
                         options.metrics_path = Some(PathBuf::from(path));
                     }
                 }
                 "--threads" => {
-                    if let Some(count) =
-                        next_value(&mut iter, "--threads").and_then(|v| v.parse().ok())
-                    {
-                        options.threads = Some(count);
-                    }
-                }
-                "--samples" => {
-                    let value = next_value(&mut iter, &arg);
-                    options.samples = options.identity_flag(&arg, value, |v| number(&arg, v));
-                }
-                "--backend" => {
-                    let value = next_value(&mut iter, &arg);
-                    options.backend = options.identity_flag(&arg, value, str::parse);
-                }
-                "--shard" => {
-                    if let Some(value) = next_value(&mut iter, "--shard") {
+                    if let Some(value) = lenient_value(&mut iter, &arg) {
                         match value.parse() {
-                            Ok(spec) => options.shard = Some(spec),
-                            Err(e) => {
-                                eprintln!("{e}; ignoring --shard");
-                                options.shard_error = Some(e.to_string());
-                            }
+                            Ok(count) => options.threads = Some(count),
+                            Err(_) => eprintln!("invalid {arg} value '{value}'; ignoring"),
                         }
                     }
                 }
+                "--samples" => {
+                    let value = next_value(&mut iter);
+                    options.samples = options.identity_flag(&arg, value, |v| number(&arg, v));
+                }
+                "--backend" => {
+                    let value = next_value(&mut iter);
+                    options.backend = options.identity_flag(&arg, value, str::parse);
+                }
+                "--shard" => match next_value(&mut iter).map(|value| value.parse()) {
+                    Some(Ok(spec)) => options.shard = Some(spec),
+                    Some(Err(e)) => options.shard_error = Some(e.to_string()),
+                    None => options.shard_error = Some(format!("{arg} requires a value")),
+                },
                 "--figure" => {
-                    if let Some(name) = next_value(&mut iter, "--figure") {
+                    if let Some(name) = lenient_value(&mut iter, &arg) {
                         options.figure = Some(name);
                     }
                 }
                 "--shards" | "--jobs" | "--retries" => {
-                    if let Some(value) = next_value(&mut iter, arg.as_str()) {
-                        match value.parse() {
-                            Ok(count) => {
-                                *(match arg.as_str() {
-                                    "--shards" => &mut options.shards,
-                                    "--jobs" => &mut options.jobs,
-                                    _ => &mut options.retries,
-                                }) = Some(count);
-                            }
-                            Err(_) => {
-                                let message = format!("invalid {arg} value '{value}'");
-                                eprintln!("{message}; ignoring");
-                                options.driver_flag_errors.push(message);
-                            }
+                    let parsed = match next_value(&mut iter) {
+                        Some(value) => value
+                            .parse()
+                            .map_err(|_| format!("invalid {arg} value '{value}'")),
+                        None => Err(format!("{arg} requires a value")),
+                    };
+                    match parsed {
+                        Ok(count) => {
+                            *(match arg.as_str() {
+                                "--shards" => &mut options.shards,
+                                "--jobs" => &mut options.jobs,
+                                _ => &mut options.retries,
+                            }) = Some(count);
                         }
+                        Err(message) => options.driver_flag_errors.push(message),
                     }
                 }
                 "--dir" => {
-                    if let Some(path) = next_value(&mut iter, "--dir") {
+                    if let Some(path) = lenient_value(&mut iter, &arg) {
                         options.dir = Some(PathBuf::from(path));
                     }
                 }
                 "--image" => {
-                    let value = next_value(&mut iter, &arg);
+                    let value = next_value(&mut iter);
                     options.image = options.identity_flag(&arg, value, str::parse);
                 }
                 "--kind-law" => {
-                    let value = next_value(&mut iter, &arg);
+                    let value = next_value(&mut iter);
                     options.kind_law = options.identity_flag(&arg, value, str::parse);
                 }
                 "--kernel" => {
-                    let value = next_value(&mut iter, &arg);
+                    let value = next_value(&mut iter);
                     options.kernel = options.identity_flag(&arg, value, str::parse);
                 }
                 "--wide-generation" | "--auto-threshold" => {
@@ -249,11 +257,11 @@ impl RunOptions {
                     ));
                 }
                 "--t-ref-ns" => {
-                    let value = next_value(&mut iter, &arg);
+                    let value = next_value(&mut iter);
                     options.t_ref_ns = options.identity_flag(&arg, value, |v| number(&arg, v));
                 }
                 "--temp-c" => {
-                    let value = next_value(&mut iter, &arg);
+                    let value = next_value(&mut iter);
                     options.temp_c = options.identity_flag(&arg, value, |v| number(&arg, v));
                 }
                 _ => options.positional.push(arg),
@@ -264,7 +272,8 @@ impl RunOptions {
 
     /// Parses the value of a campaign-identity flag. A missing or
     /// unparseable value yields `None` and is recorded in
-    /// [`RunOptions::spec_flag_errors`].
+    /// [`RunOptions::spec_flag_errors`], which the binary reports as its
+    /// error; nothing is printed here.
     fn identity_flag<T, E: std::fmt::Display>(
         &mut self,
         flag: &str,
@@ -277,10 +286,7 @@ impl RunOptions {
             return None;
         };
         parse(&value)
-            .map_err(|e| {
-                eprintln!("{e}");
-                self.spec_flag_errors.push(e.to_string());
-            })
+            .map_err(|e| self.spec_flag_errors.push(e.to_string()))
             .ok()
     }
 
@@ -549,12 +555,18 @@ mod tests {
         assert!(opts.t_ref_ns.is_none());
         assert!(opts.temp_c.is_none());
 
-        // An invalid shard spec is consumed and ignored, but recorded so
+        // An invalid or missing shard spec is consumed and recorded, so
         // shard-critical binaries can refuse to run.
         let opts = RunOptions::parse(["--shard".to_owned(), "5/2".to_owned()]);
         assert!(opts.shard.is_none());
         assert!(opts.shard_error.is_some());
         assert!(opts.positional.is_empty());
+        let opts = RunOptions::parse(["--shard".to_owned(), "--full".to_owned()]);
+        assert!(opts.shard.is_none());
+        assert_eq!(
+            opts.shard_error.as_deref(),
+            Some("--shard requires a value")
+        );
         let opts = RunOptions::parse(["--shard".to_owned(), "1/4".to_owned()]);
         assert!(opts.shard_error.is_none());
     }
@@ -851,6 +863,11 @@ mod tests {
         assert!(opts.jobs.is_none());
         assert!(opts.retries.is_none());
         assert_eq!(opts.driver_flag_errors.len(), 2);
+
+        // A missing value is recorded too.
+        let opts = RunOptions::parse(["--jobs".to_owned(), "--full".to_owned()]);
+        assert!(opts.full_scale);
+        assert_eq!(opts.driver_flag_errors, vec!["--jobs requires a value"]);
 
         let opts = RunOptions::parse(
             ["--shards", "4", "--jobs", "2", "--retries", "0"]

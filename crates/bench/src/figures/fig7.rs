@@ -12,7 +12,7 @@ use faultmit_analysis::CatalogueAccumulator;
 use faultmit_apps::{Benchmark, QualityCdfResult, QualityEvaluator};
 use faultmit_core::{MitigationScheme, Scheme};
 use faultmit_memsim::{Backend, BackendKind, FaultBackend, MemoryConfig};
-use faultmit_sim::{Parallelism, ShardSpec};
+use faultmit_sim::{Parallelism, ShardSpec, N_MAX_COVERAGE};
 use std::fmt::Write as _;
 
 /// The campaign seed baked into the Fig. 7 protocol.
@@ -57,7 +57,7 @@ impl Fig7Campaign {
             MemoryConfig::new(memory_rows, 32)?,
             1e-3,
         )?;
-        let max_failures = backend.failure_distribution()?.n_max(0.99);
+        let max_failures = backend.failure_distribution()?.n_max(N_MAX_COVERAGE);
         let evaluators = spec
             .benchmarks
             .iter()

@@ -13,7 +13,7 @@ use faultmit_memsim::{
     Backend, BackendKind, CellFailureModel, DramRetentionBackend, FaultBackend, MemoryConfig,
     MlcNvmBackend, SramVddBackend,
 };
-use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec};
+use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec, N_MAX_COVERAGE};
 use std::fmt::Write as _;
 
 /// The campaign seed baked into the Fig. 8 protocol.
@@ -110,7 +110,10 @@ fn panel_engines(
             };
             // Simulate up to the 99th-percentile failure count of this
             // operating point, bounded so aggressive corners stay cheap.
-            let max_failures = backend.failure_distribution()?.n_max(0.99).clamp(1, cap);
+            let max_failures = backend
+                .failure_distribution()?
+                .n_max(N_MAX_COVERAGE)
+                .clamp(1, cap);
             let engine = MonteCarloEngine::new(
                 CampaignConfig::for_backend(backend)?
                     .with_samples_per_count(spec.samples_per_count)

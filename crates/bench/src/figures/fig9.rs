@@ -22,7 +22,7 @@ use faultmit_analysis::{CatalogueAccumulator, MonteCarloEngine, SchemeMseResult}
 use faultmit_core::{MitigationScheme, Scheme};
 use faultmit_memsim::image::{AppImage, ImageSpec};
 use faultmit_memsim::{Backend, BackendKind, FaultBackend, FaultKindLaw, MemoryConfig};
-use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec, ShardStats};
+use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec, ShardStats, N_MAX_COVERAGE};
 use std::fmt::Write as _;
 
 /// The campaign seed baked into the Fig. 9 protocol.
@@ -153,7 +153,10 @@ impl Fig9Campaign {
                 for law in spec_laws(spec) {
                     let backend =
                         Backend::at_p_cell(kind, memory, FIG9_P_CELL)?.with_kind_law(law)?;
-                    let max_failures = backend.failure_distribution()?.n_max(0.99).clamp(1, cap);
+                    let max_failures = backend
+                        .failure_distribution()?
+                        .n_max(N_MAX_COVERAGE)
+                        .clamp(1, cap);
                     let engine = MonteCarloEngine::new(
                         CampaignConfig::for_backend(backend)?
                             .with_samples_per_count(spec.samples_per_count)

@@ -319,18 +319,22 @@ fn backend_and_samples_typos_fail_before_any_output() {
     // Both flags are campaign identity: a typo must not silently run the
     // SRAM default or the figure's default budget and write its output
     // (or a checkpoint whose spec names a campaign nobody asked for). A
-    // typo in an operating-point flag must not run the default sweep.
+    // typo in an operating-point flag must not run the default sweep. The
+    // refused value is reported once, as the binary's error, and never
+    // announced as ignored.
     let dir = TempDir::new("identity-typo");
     let out = dir.join("fig.json");
     let shards = dir.join("shards");
     let shard_args = ["--figure", "fig5", "--shard", "0/2", "--out", &out];
     let run_args = driver_args("fig5", &[], "2", &shards, &out);
-    for (typo, message) in [
-        (["--backend", "drma"], "unknown backend 'drma'"),
-        (["--samples", "2x"], "invalid --samples value '2x'"),
-        (["--t-ref-ns", "64ms"], "invalid --t-ref-ns value '64ms'"),
-        (["--temp-c", "85C"], "invalid --temp-c value '85C'"),
-    ] {
+    let typos: [(&[&str], &str); 5] = [
+        (&["--backend", "drma"], "unknown backend 'drma'"),
+        (&["--samples", "2x"], "invalid --samples value '2x'"),
+        (&["--t-ref-ns", "64ms"], "invalid --t-ref-ns value '64ms'"),
+        (&["--temp-c", "85C"], "invalid --temp-c value '85C'"),
+        (&["--temp-c"], "--temp-c requires a value"),
+    ];
+    for (typo, message) in typos {
         for (binary, args) in [
             (
                 env!("CARGO_BIN_EXE_fig5_mse_cdf"),
@@ -347,15 +351,33 @@ fn backend_and_samples_typos_fail_before_any_output() {
             (SHARD_BIN, shard_args.to_vec()),
             (RUN_BIN, run_args.clone()),
         ] {
-            let args = [&args[..], &typo[..]].concat();
+            let args = [&args[..], typo].concat();
             let output = Command::new(binary).args(&args).output().unwrap();
             assert!(!output.status.success(), "{binary} {args:?} must fail");
             let stderr = String::from_utf8_lossy(&output.stderr);
-            assert!(stderr.contains(message), "{binary}: {stderr}");
+            assert_eq!(stderr.matches(message).count(), 1, "{binary}: {stderr}");
+            assert!(!stderr.contains("ignoring"), "{binary}: {stderr}");
             assert!(!Path::new(&out).exists(), "{binary} wrote {out}");
             assert!(!Path::new(&shards).exists(), "{binary} wrote {shards}");
         }
     }
+
+    // `--threads` sets throughput, not identity: a bad value is dropped
+    // with one warning, and the run goes on to write its figure.
+    let output = Command::new(env!("CARGO_BIN_EXE_fig5_mse_cdf"))
+        .args(["--samples", "2", "--threads", "two", "--json", &out])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "{stderr}");
+    assert_eq!(
+        stderr
+            .matches("invalid --threads value 'two'; ignoring")
+            .count(),
+        1,
+        "{stderr}"
+    );
+    assert!(Path::new(&out).exists(), "no figure written to {out}");
 }
 
 #[test]

@@ -37,7 +37,8 @@ use std::time::Instant;
 
 /// Probability mass the automatically derived `N_max` covers: the paper
 /// sizes its sweep so 99 % of dies have no more than `N_max` failures.
-const N_MAX_COVERAGE: f64 = 0.99;
+/// Figures that size a sweep outside [`CampaignConfig`] use it too.
+pub const N_MAX_COVERAGE: f64 = 0.99;
 
 /// One shard of a campaign split across `shard_count` independent runs.
 ///

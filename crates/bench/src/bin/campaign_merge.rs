@@ -23,6 +23,7 @@ use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let options = RunOptions::from_args();
+    options.refuse_flag_errors(&[])?;
     if options.positional.is_empty() {
         return Err(
             "usage: campaign_merge <shard-file>... --out <figure-json-path> [--threads N]\

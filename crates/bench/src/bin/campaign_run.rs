@@ -140,6 +140,7 @@ fn shard_path(dir: &Path, figure: &'static dyn FigureDef, shard: ShardSpec) -> P
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let options = RunOptions::from_args();
+    options.refuse_flag_errors(&["--shards", "--jobs", "--retries"])?;
     let Some(name) = options.figure.clone() else {
         return Err(
             "usage: campaign_run --figure <name> --shards K [--jobs J] [--retries R]\
@@ -160,22 +161,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
     let figure = find_figure(&name)?;
-    if let Some(error) = &options.shard_error {
-        return Err(error.clone().into());
-    }
-    // A typo in --shards/--jobs/--retries must not silently degrade the
-    // campaign split (the same policy an unparseable --shard has), a typo
-    // in a campaign-identity flag (--backend/--samples/--image/--kind-law/
-    // --kernel) must not silently select a different campaign, and a
-    // removed flag must not be silently ignored.
-    if !options.driver_flag_errors.is_empty() {
-        return Err(options.driver_flag_errors.join("; ").into());
-    }
-    if !options.spec_flag_errors.is_empty() {
-        return Err(options.spec_flag_errors.join("; ").into());
-    }
 
-    let shard_count = options.shards.unwrap_or(1).max(1);
+    let shard_count = options.shards.unwrap_or(1);
     let jobs = options
         .jobs
         .unwrap_or_else(|| {
@@ -183,7 +170,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         })
-        .clamp(1, shard_count);
+        .min(shard_count);
     let max_retries = options.retries.unwrap_or(2);
     let dir = options
         .dir

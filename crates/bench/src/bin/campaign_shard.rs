@@ -35,6 +35,10 @@ use std::path::Path;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut options = RunOptions::from_args();
+    // A refused --shard must not fall back to the monolithic 0/1 shard and
+    // write solo-coverage state under a shard file's name, and a refused
+    // identity flag must not evaluate a different campaign.
+    options.refuse_flag_errors(&["--shard"])?;
     let name =
         match options.figure.clone() {
             Some(name) => name,
@@ -47,19 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ),
         };
     let figure = find_figure(&name)?;
-    // An unparseable --shard must not silently fall back to the monolithic
-    // 0/1 shard: that would recompute the whole campaign and write
-    // solo-coverage state under a shard file's name.
-    if let Some(error) = &options.shard_error {
-        return Err(error.clone().into());
-    }
-    // Same policy for the campaign-identity flags: a typo in --backend,
-    // --samples, --image, --kind-law or --kernel must not silently evaluate
-    // a different campaign and write its state under this shard file's
-    // name, and a removed flag must not be silently ignored.
-    if !options.spec_flag_errors.is_empty() {
-        return Err(options.spec_flag_errors.join("; ").into());
-    }
     let shard = options.shard_or_solo();
     let out_path = options
         .json_path

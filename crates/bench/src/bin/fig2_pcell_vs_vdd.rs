@@ -119,10 +119,7 @@ fn backend_law_sweep(
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let options = RunOptions::from_args();
-    // A typo in --backend must not silently run the SRAM sweep.
-    if !options.spec_flag_errors.is_empty() {
-        return Err(options.spec_flag_errors.join("; ").into());
-    }
+    options.refuse_flag_errors(&[])?;
     if let Some(sweep) = LawSweep::for_backend(options.backend_kind(), &options) {
         return backend_law_sweep(&options, &sweep);
     }

@@ -39,16 +39,18 @@
 //!   never remapped. Honoured by the MSE catalogue campaigns
 //!   (`fig5_mse_cdf`, `fig8_backend_matrix`, `fig9_data_sensitivity`).
 //!
-//! A missing or unparseable value of a campaign-identity flag (`--backend`,
-//! `--samples`, `--image`, `--kind-law`, `--kernel`) or of an
-//! operating-point flag (`--t-ref-ns`, `--temp-c`), and the removed tuning
-//! flags `--wide-generation` and `--auto-threshold` (with their value, if
-//! one follows) are recorded in [`RunOptions::spec_flag_errors`], so a
-//! campaign entry point given one fails before any output instead of
-//! silently running a different campaign. A missing or unparseable value of
-//! `--shard` or of the driver flags (`--shards`, `--jobs`, `--retries`) is
-//! recorded as well, for the drivers to refuse. Each such error is reported
-//! once, by the binary that refuses it; parsing prints nothing for it.
+//! Every refused value goes into one list, [`RunOptions::flag_errors`], in
+//! command-line order: a missing or unparseable value of a
+//! campaign-identity flag (`--backend`, `--samples`, `--image`,
+//! `--kind-law`, `--kernel`), of an operating-point flag (`--t-ref-ns`,
+//! `--temp-c`), of `--shard` or of a driver flag (`--shards`, `--jobs`,
+//! `--retries`); a zero `--samples`, `--shards` or `--jobs`; and the
+//! removed tuning flags `--wide-generation` and `--auto-threshold` (with
+//! their value, if one follows). Every entry point refuses the whole list
+//! through [`RunOptions::refuse_flag_errors`] before any output, which also
+//! refuses a shard or driver flag the binary would drop and names the
+//! binary that reads it. Each error is reported once, as the binary's
+//! `Error:` line; parsing prints nothing for it.
 //!
 //! Only the lenient flags drop a bad value and run on: `--threads` (it sets
 //! throughput, not identity), `--json`, `--metrics`, `--figure` and
@@ -87,11 +89,6 @@ pub struct RunOptions {
     /// Campaign shard selected with `--shard I/K`
     /// (`None` = run the whole campaign, i.e. the `0/1` shard).
     pub shard: Option<ShardSpec>,
-    /// Set when a `--shard` value was missing or unparseable. Binaries for
-    /// which the shard slice is load-bearing (`campaign_shard`) must treat
-    /// this as fatal rather than fall back to the monolithic shard and
-    /// silently recompute the whole campaign.
-    pub shard_error: Option<String>,
     /// Figure selected with `--figure <name>` (a [`crate::figures`]
     /// registry name; `None` = take the figure from the first positional
     /// argument, the historical `campaign_shard` convention).
@@ -105,12 +102,6 @@ pub struct RunOptions {
     pub retries: Option<usize>,
     /// Shard-checkpoint directory, `--dir <path>` (`campaign_run`).
     pub dir: Option<PathBuf>,
-    /// Missing or unparseable values seen for the driver flags
-    /// (`--shards`/`--jobs`/`--retries`). `campaign_run` treats these as
-    /// fatal: a typo in `--shards` must not silently degrade a K-way
-    /// campaign to a monolithic run (the same policy `--shard` has via
-    /// [`RunOptions::shard_error`]).
-    pub driver_flag_errors: Vec<String>,
     /// Fixed DRAM refresh interval in nanoseconds (`--t-ref-ns`); when set,
     /// the `fig2` DRAM analogue sweeps the temperature axis at this refresh
     /// interval instead of sweeping the refresh interval itself.
@@ -131,15 +122,9 @@ pub struct RunOptions {
     /// of the campaign spec so shard checkpoints record which kernel
     /// produced them.
     pub kernel: Option<KernelKind>,
-    /// Missing or unparseable values seen for the campaign-identity flags
-    /// (`--backend`/`--samples`/`--image`/`--kind-law`/`--kernel`) and the
-    /// operating-point flags (`--t-ref-ns`/`--temp-c`), and the removed
-    /// tuning flags (`--wide-generation`/`--auto-threshold`). The
-    /// campaign entry points treat these as fatal: a typo in `--image` must
-    /// not silently run a different (and much larger) sweep than the one
-    /// the user asked for, a typo in `--backend` must not run the SRAM
-    /// default, and a removed flag must not be silently ignored.
-    pub spec_flag_errors: Vec<String>,
+    /// Every refused flag value, in command-line order (see the module
+    /// docs); [`RunOptions::refuse_flag_errors`] refuses the run on any.
+    pub flag_errors: Vec<String>,
     /// Positional arguments (e.g. the benchmark selector of `fig7_quality`).
     pub positional: Vec<String>,
 }
@@ -195,39 +180,36 @@ impl RunOptions {
                 }
                 "--samples" => {
                     let value = next_value(&mut iter);
-                    options.samples = options.identity_flag(&arg, value, |v| number(&arg, v));
+                    options.samples = options.strict_value(&arg, value, |v| count(&arg, v));
                 }
                 "--backend" => {
                     let value = next_value(&mut iter);
-                    options.backend = options.identity_flag(&arg, value, str::parse);
+                    options.backend = options.strict_value(&arg, value, str::parse);
                 }
-                "--shard" => match next_value(&mut iter).map(|value| value.parse()) {
-                    Some(Ok(spec)) => options.shard = Some(spec),
-                    Some(Err(e)) => options.shard_error = Some(e.to_string()),
-                    None => options.shard_error = Some(format!("{arg} requires a value")),
-                },
+                "--shard" => {
+                    let value = next_value(&mut iter);
+                    options.shard = options.strict_value(&arg, value, |v| {
+                        v.parse().map_err(|_| {
+                            format!("invalid {arg} value '{v}' (must be I/K with 0 <= I < K)")
+                        })
+                    });
+                }
                 "--figure" => {
                     if let Some(name) = lenient_value(&mut iter, &arg) {
                         options.figure = Some(name);
                     }
                 }
-                "--shards" | "--jobs" | "--retries" => {
-                    let parsed = match next_value(&mut iter) {
-                        Some(value) => value
-                            .parse()
-                            .map_err(|_| format!("invalid {arg} value '{value}'")),
-                        None => Err(format!("{arg} requires a value")),
-                    };
-                    match parsed {
-                        Ok(count) => {
-                            *(match arg.as_str() {
-                                "--shards" => &mut options.shards,
-                                "--jobs" => &mut options.jobs,
-                                _ => &mut options.retries,
-                            }) = Some(count);
-                        }
-                        Err(message) => options.driver_flag_errors.push(message),
-                    }
+                "--shards" => {
+                    let value = next_value(&mut iter);
+                    options.shards = options.strict_value(&arg, value, |v| count(&arg, v));
+                }
+                "--jobs" => {
+                    let value = next_value(&mut iter);
+                    options.jobs = options.strict_value(&arg, value, |v| count(&arg, v));
+                }
+                "--retries" => {
+                    let value = next_value(&mut iter);
+                    options.retries = options.strict_value(&arg, value, |v| number(&arg, v));
                 }
                 "--dir" => {
                     if let Some(path) = lenient_value(&mut iter, &arg) {
@@ -236,15 +218,15 @@ impl RunOptions {
                 }
                 "--image" => {
                     let value = next_value(&mut iter);
-                    options.image = options.identity_flag(&arg, value, str::parse);
+                    options.image = options.strict_value(&arg, value, str::parse);
                 }
                 "--kind-law" => {
                     let value = next_value(&mut iter);
-                    options.kind_law = options.identity_flag(&arg, value, str::parse);
+                    options.kind_law = options.strict_value(&arg, value, str::parse);
                 }
                 "--kernel" => {
                     let value = next_value(&mut iter);
-                    options.kernel = options.identity_flag(&arg, value, str::parse);
+                    options.kernel = options.strict_value(&arg, value, str::parse);
                 }
                 "--wide-generation" | "--auto-threshold" => {
                     // Consume the flag's old value so it is not mistaken
@@ -252,17 +234,17 @@ impl RunOptions {
                     if iter.peek().is_some_and(|value| !value.starts_with("--")) {
                         iter.next();
                     }
-                    options.spec_flag_errors.push(format!(
+                    options.flag_errors.push(format!(
                         "{arg} was removed; drop the flag (it tuned throughput, never results)"
                     ));
                 }
                 "--t-ref-ns" => {
                     let value = next_value(&mut iter);
-                    options.t_ref_ns = options.identity_flag(&arg, value, |v| number(&arg, v));
+                    options.t_ref_ns = options.strict_value(&arg, value, |v| number(&arg, v));
                 }
                 "--temp-c" => {
                     let value = next_value(&mut iter);
-                    options.temp_c = options.identity_flag(&arg, value, |v| number(&arg, v));
+                    options.temp_c = options.strict_value(&arg, value, |v| number(&arg, v));
                 }
                 _ => options.positional.push(arg),
             }
@@ -270,24 +252,70 @@ impl RunOptions {
         options
     }
 
-    /// Parses the value of a campaign-identity flag. A missing or
+    /// Parses the value of a flag whose bad value is refused. A missing or
     /// unparseable value yields `None` and is recorded in
-    /// [`RunOptions::spec_flag_errors`], which the binary reports as its
-    /// error; nothing is printed here.
-    fn identity_flag<T, E: std::fmt::Display>(
+    /// [`RunOptions::flag_errors`]; nothing is printed here.
+    fn strict_value<T, E: std::fmt::Display>(
         &mut self,
         flag: &str,
         value: Option<String>,
         parse: impl FnOnce(&str) -> Result<T, E>,
     ) -> Option<T> {
         let Some(value) = value else {
-            self.spec_flag_errors
-                .push(format!("{flag} requires a value"));
+            self.flag_errors.push(format!("{flag} requires a value"));
             return None;
         };
         parse(&value)
-            .map_err(|e| self.spec_flag_errors.push(e.to_string()))
+            .map_err(|e| self.flag_errors.push(e.to_string()))
             .ok()
+    }
+
+    /// Refuses the run when any flag value was refused, or when a shard or
+    /// driver flag is given to a binary that would drop it. `reads` lists
+    /// the shard and driver flags the calling binary reads. Every entry
+    /// point calls this before any output.
+    ///
+    /// # Errors
+    ///
+    /// Returns every refused value in one message, the binary's `Error:`
+    /// line; a dropped flag's message names the binary that reads it.
+    pub fn refuse_flag_errors(&self, reads: &[&str]) -> Result<(), String> {
+        // The shard and driver flags, each with the one binary that reads it.
+        let single_binary_flags = [
+            (
+                "--shard",
+                "campaign_shard",
+                self.shard.map(|shard| shard.to_string()),
+            ),
+            (
+                "--shards",
+                "campaign_run",
+                self.shards.map(|count| count.to_string()),
+            ),
+            (
+                "--jobs",
+                "campaign_run",
+                self.jobs.map(|count| count.to_string()),
+            ),
+            (
+                "--retries",
+                "campaign_run",
+                self.retries.map(|count| count.to_string()),
+            ),
+        ];
+        let mut errors = self.flag_errors.clone();
+        for (flag, reader, value) in single_binary_flags {
+            if let Some(value) = value.filter(|_| !reads.contains(&flag)) {
+                errors.push(format!(
+                    "{flag} {value} is read only by {reader}; this binary would drop it"
+                ));
+            }
+        }
+        if errors.is_empty() {
+            Ok(())
+        } else {
+            Err(errors.join("; "))
+        }
     }
 
     /// The pipeline worker policy implied by `--threads` (defaults to one
@@ -318,7 +346,7 @@ impl RunOptions {
     /// when given, otherwise `default`.
     #[must_use]
     pub fn samples_or(&self, default: usize) -> usize {
-        self.samples.unwrap_or(default).max(1)
+        self.samples.unwrap_or(default)
     }
 
     /// Writes `value` as pretty JSON to the configured path, if any.
@@ -371,6 +399,16 @@ fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
     value
         .parse()
         .map_err(|_| format!("invalid {flag} value '{value}'"))
+}
+
+/// Parses a count flag value, which must be at least 1.
+fn count(flag: &str, value: &str) -> Result<usize, String> {
+    match number(flag, value)? {
+        0 => Err(format!(
+            "invalid {flag} value '{value}' (must be at least 1)"
+        )),
+        count => Ok(count),
+    }
 }
 
 /// The operating-point axis a non-SRAM `fig2`-style law sweep walks,
@@ -519,7 +557,7 @@ mod tests {
         assert_eq!(opts.backend, Some(BackendKind::Dram));
         assert_eq!(opts.backend_kind(), BackendKind::Dram);
         assert_eq!(opts.parallelism(), Parallelism::threads(4));
-        assert!(opts.spec_flag_errors.is_empty());
+        assert!(opts.flag_errors.is_empty());
     }
 
     #[test]
@@ -556,19 +594,19 @@ mod tests {
         assert!(opts.temp_c.is_none());
 
         // An invalid or missing shard spec is consumed and recorded, so
-        // shard-critical binaries can refuse to run.
+        // every entry point refuses to run.
         let opts = RunOptions::parse(["--shard".to_owned(), "5/2".to_owned()]);
         assert!(opts.shard.is_none());
-        assert!(opts.shard_error.is_some());
+        assert_eq!(
+            opts.flag_errors,
+            vec!["invalid --shard value '5/2' (must be I/K with 0 <= I < K)"]
+        );
         assert!(opts.positional.is_empty());
         let opts = RunOptions::parse(["--shard".to_owned(), "--full".to_owned()]);
         assert!(opts.shard.is_none());
-        assert_eq!(
-            opts.shard_error.as_deref(),
-            Some("--shard requires a value")
-        );
+        assert_eq!(opts.flag_errors, vec!["--shard requires a value"]);
         let opts = RunOptions::parse(["--shard".to_owned(), "1/4".to_owned()]);
-        assert!(opts.shard_error.is_none());
+        assert!(opts.flag_errors.is_empty());
     }
 
     #[test]
@@ -686,7 +724,7 @@ mod tests {
         let opts = RunOptions::parse(std::iter::empty());
         assert!(opts.image.is_none());
         assert!(opts.kind_law.is_none());
-        assert!(opts.spec_flag_errors.is_empty());
+        assert!(opts.flag_errors.is_empty());
 
         // Unparseable values are consumed and recorded as fatal errors: a
         // typo must not silently select a different campaign.
@@ -698,9 +736,9 @@ mod tests {
         assert!(opts.image.is_none());
         assert!(opts.kind_law.is_none());
         assert!(opts.positional.is_empty());
-        assert_eq!(opts.spec_flag_errors.len(), 2);
-        assert!(opts.spec_flag_errors[0].contains("noise"));
-        assert!(opts.spec_flag_errors[1].contains("decay"));
+        assert_eq!(opts.flag_errors.len(), 2);
+        assert!(opts.flag_errors[0].contains("noise"));
+        assert!(opts.flag_errors[1].contains("decay"));
 
         // A dropped value (next token is a flag) is fatal too, not a
         // silent fall-back to the default sweep.
@@ -716,14 +754,14 @@ mod tests {
                 p_stuck_at_zero: 0.9
             })
         );
-        assert_eq!(opts.spec_flag_errors, vec!["--image requires a value"]);
+        assert_eq!(opts.flag_errors, vec!["--image requires a value"]);
     }
 
     #[test]
     fn parse_recognises_the_kernel_flag() {
         let opts = RunOptions::parse(["--kernel", "bitsliced"].iter().map(|s| (*s).to_owned()));
         assert_eq!(opts.kernel, Some(KernelKind::Bitsliced));
-        assert!(opts.spec_flag_errors.is_empty());
+        assert!(opts.flag_errors.is_empty());
 
         let opts = RunOptions::parse(std::iter::empty());
         assert!(opts.kernel.is_none());
@@ -732,21 +770,21 @@ mod tests {
         // fall-back to the default kernel's telemetry label.
         let opts = RunOptions::parse(["--kernel", "vectorised"].iter().map(|s| (*s).to_owned()));
         assert!(opts.kernel.is_none());
-        assert_eq!(opts.spec_flag_errors.len(), 1);
-        assert!(opts.spec_flag_errors[0].contains("vectorised"));
+        assert_eq!(opts.flag_errors.len(), 1);
+        assert!(opts.flag_errors[0].contains("vectorised"));
 
         // So must a removed kernel's name: it is refused, never remapped.
         for removed in ["bitsliced256", "auto"] {
             let opts = RunOptions::parse(["--kernel".to_owned(), removed.to_owned()]);
             assert!(opts.kernel.is_none());
-            assert_eq!(opts.spec_flag_errors.len(), 1);
-            assert!(opts.spec_flag_errors[0].contains(&format!("'{removed}' was removed")));
+            assert_eq!(opts.flag_errors.len(), 1);
+            assert!(opts.flag_errors[0].contains(&format!("'{removed}' was removed")));
         }
 
         // A dropped value is recorded too.
         let opts = RunOptions::parse(["--kernel", "--full"].iter().map(|s| (*s).to_owned()));
         assert!(opts.kernel.is_none());
-        assert_eq!(opts.spec_flag_errors, vec!["--kernel requires a value"]);
+        assert_eq!(opts.flag_errors, vec!["--kernel requires a value"]);
     }
 
     #[test]
@@ -757,15 +795,15 @@ mod tests {
             let opts = RunOptions::parse([flag, "off", "--full"].iter().map(|s| (*s).to_owned()));
             assert!(opts.positional.is_empty(), "{flag}");
             assert!(opts.full_scale, "{flag}");
-            assert_eq!(opts.spec_flag_errors.len(), 1, "{flag}");
+            assert_eq!(opts.flag_errors.len(), 1, "{flag}");
             assert!(
-                opts.spec_flag_errors[0].contains(&format!("{flag} was removed")),
+                opts.flag_errors[0].contains(&format!("{flag} was removed")),
                 "{:?}",
-                opts.spec_flag_errors
+                opts.flag_errors
             );
             // Without a value: still refused.
             let opts = RunOptions::parse([flag.to_owned()]);
-            assert_eq!(opts.spec_flag_errors.len(), 1, "{flag}");
+            assert_eq!(opts.flag_errors.len(), 1, "{flag}");
         }
     }
 
@@ -796,7 +834,7 @@ mod tests {
         let opts = RunOptions::parse(["--threads".to_owned(), "abc".to_owned()]);
         assert!(opts.threads.is_none());
         assert!(opts.positional.is_empty());
-        assert!(opts.spec_flag_errors.is_empty());
+        assert!(opts.flag_errors.is_empty());
     }
 
     #[test]
@@ -824,24 +862,21 @@ mod tests {
         assert!(opts.t_ref_ns.is_none());
         assert!(opts.temp_c.is_none());
         assert!(opts.positional.is_empty());
-        assert_eq!(opts.spec_flag_errors.len(), 4);
+        assert_eq!(opts.flag_errors.len(), 4);
         assert!(
-            opts.spec_flag_errors[0].contains("unknown backend 'drma'"),
+            opts.flag_errors[0].contains("unknown backend 'drma'"),
             "{:?}",
-            opts.spec_flag_errors
+            opts.flag_errors
         );
-        assert_eq!(opts.spec_flag_errors[1], "invalid --samples value '2x'");
-        assert_eq!(opts.spec_flag_errors[2], "invalid --t-ref-ns value '64ms'");
-        assert_eq!(opts.spec_flag_errors[3], "invalid --temp-c value '85C'");
+        assert_eq!(opts.flag_errors[1], "invalid --samples value '2x'");
+        assert_eq!(opts.flag_errors[2], "invalid --t-ref-ns value '64ms'");
+        assert_eq!(opts.flag_errors[3], "invalid --temp-c value '85C'");
 
         // A dropped value is fatal too.
         for flag in ["--backend", "--samples", "--t-ref-ns", "--temp-c"] {
             let opts = RunOptions::parse([flag, "--full"].iter().map(|s| (*s).to_owned()));
             assert!(opts.full_scale, "{flag}");
-            assert_eq!(
-                opts.spec_flag_errors,
-                vec![format!("{flag} requires a value")]
-            );
+            assert_eq!(opts.flag_errors, vec![format!("{flag} requires a value")]);
         }
     }
 
@@ -851,9 +886,7 @@ mod tests {
         // a monolithic run: the driver treats these as fatal.
         let opts = RunOptions::parse(["--shards".to_owned(), "1O".to_owned()]);
         assert!(opts.shards.is_none());
-        assert_eq!(opts.driver_flag_errors.len(), 1);
-        assert!(opts.driver_flag_errors[0].contains("--shards"));
-        assert!(opts.driver_flag_errors[0].contains("1O"));
+        assert_eq!(opts.flag_errors, vec!["invalid --shards value '1O'"]);
 
         let opts = RunOptions::parse(
             ["--jobs", "x", "--retries", "-1"]
@@ -862,19 +895,35 @@ mod tests {
         );
         assert!(opts.jobs.is_none());
         assert!(opts.retries.is_none());
-        assert_eq!(opts.driver_flag_errors.len(), 2);
+        assert_eq!(opts.flag_errors.len(), 2);
 
         // A missing value is recorded too.
         let opts = RunOptions::parse(["--jobs".to_owned(), "--full".to_owned()]);
         assert!(opts.full_scale);
-        assert_eq!(opts.driver_flag_errors, vec!["--jobs requires a value"]);
+        assert_eq!(opts.flag_errors, vec!["--jobs requires a value"]);
 
         let opts = RunOptions::parse(
             ["--shards", "4", "--jobs", "2", "--retries", "0"]
                 .iter()
                 .map(|s| (*s).to_owned()),
         );
-        assert!(opts.driver_flag_errors.is_empty());
+        assert!(opts.flag_errors.is_empty());
+        assert_eq!(
+            opts.refuse_flag_errors(&["--shards", "--jobs", "--retries"]),
+            Ok(())
+        );
+
+        // A zero budget is refused, never rewritten to 1.
+        let opts = RunOptions::parse(
+            ["--samples", "0", "--shards", "0", "--jobs", "0"]
+                .iter()
+                .map(|s| (*s).to_owned()),
+        );
+        assert_eq!(
+            opts.flag_errors,
+            ["--samples", "--shards", "--jobs"]
+                .map(|flag| format!("invalid {flag} value '0' (must be at least 1)"))
+        );
     }
 
     #[test]

@@ -609,14 +609,8 @@ pub fn check_identity_flags(spec: &FigureSpec, options: &RunOptions) -> Result<(
 /// Propagates figure evaluation and I/O errors.
 pub fn run_monolithic(name: &str) -> Result<(), FigureError> {
     let options = RunOptions::from_args();
+    options.refuse_flag_errors(&[])?;
     let figure = find_figure(name)?;
-    // A typo in a campaign-identity flag (--backend/--samples/--image/
-    // --kind-law/--kernel) must not silently run a different campaign than
-    // the one the user asked for, and a removed flag must not be silently
-    // ignored.
-    if !options.spec_flag_errors.is_empty() {
-        return Err(options.spec_flag_errors.join("; ").into());
-    }
     let spec = figure.spec(&options);
     check_identity_flags(&spec, &options)?;
     // The metrics recorder is installed only when --metrics asks for a

@@ -1,4 +1,4 @@
-//! Shared helpers for the figure-regeneration binaries and Criterion benches.
+//! Shared helpers for the figure-regeneration binaries and campaign drivers.
 //!
 //! Every campaign binary in `src/bin/` is a thin shim over the [`figures`]
 //! registry: one [`figures::FigureDef`] per figure describes the campaign

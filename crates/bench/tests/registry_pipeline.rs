@@ -12,6 +12,7 @@ use std::process::{Command, Output};
 const RUN_BIN: &str = env!("CARGO_BIN_EXE_campaign_run");
 const SHARD_BIN: &str = env!("CARGO_BIN_EXE_campaign_shard");
 const MERGE_BIN: &str = env!("CARGO_BIN_EXE_campaign_merge");
+const FIG5_BIN: &str = env!("CARGO_BIN_EXE_fig5_mse_cdf");
 
 /// Every registered figure with the smallest budget that still exercises
 /// its campaign, and the shard/job split the gate runs it at.
@@ -319,27 +320,34 @@ fn backend_and_samples_typos_fail_before_any_output() {
     // Both flags are campaign identity: a typo must not silently run the
     // SRAM default or the figure's default budget and write its output
     // (or a checkpoint whose spec names a campaign nobody asked for). A
-    // typo in an operating-point flag must not run the default sweep. The
-    // refused value is reported once, as the binary's error, and never
-    // announced as ignored.
+    // typo in an operating-point flag must not run the default sweep, a
+    // typo in a driver flag must not change the split, and a zero budget
+    // must not run as 1. The refused value is reported once, as the
+    // binary's error, and never announced as ignored; no entry point,
+    // `campaign_merge` included, drops one.
     let dir = TempDir::new("identity-typo");
     let out = dir.join("fig.json");
     let shards = dir.join("shards");
     let shard_args = ["--figure", "fig5", "--shard", "0/2", "--out", &out];
     let run_args = driver_args("fig5", &[], "2", &shards, &out);
-    let typos: [(&[&str], &str); 5] = [
+    let shard_file = dir.join("fig5-0of2.json");
+    let fig5_args = ["--samples", "2", "--json", &out];
+    let typos: [(&[&str], &str); 8] = [
         (&["--backend", "drma"], "unknown backend 'drma'"),
         (&["--samples", "2x"], "invalid --samples value '2x'"),
         (&["--t-ref-ns", "64ms"], "invalid --t-ref-ns value '64ms'"),
         (&["--temp-c", "85C"], "invalid --temp-c value '85C'"),
         (&["--temp-c"], "--temp-c requires a value"),
+        (&["--shards", "1O"], "invalid --shards value '1O'"),
+        (&["--jobs"], "--jobs requires a value"),
+        (
+            &["--samples", "0"],
+            "invalid --samples value '0' (must be at least 1)",
+        ),
     ];
     for (typo, message) in typos {
         for (binary, args) in [
-            (
-                env!("CARGO_BIN_EXE_fig5_mse_cdf"),
-                vec!["--samples", "2", "--json", &out],
-            ),
+            (FIG5_BIN, fig5_args.to_vec()),
             (
                 env!("CARGO_BIN_EXE_fig2_pcell_vs_vdd"),
                 vec!["--backend", "dram", "--json", &out],
@@ -350,6 +358,7 @@ fn backend_and_samples_typos_fail_before_any_output() {
             ),
             (SHARD_BIN, shard_args.to_vec()),
             (RUN_BIN, run_args.clone()),
+            (MERGE_BIN, vec![&shard_file, "--out", &out]),
         ] {
             let args = [&args[..], typo].concat();
             let output = Command::new(binary).args(&args).output().unwrap();
@@ -362,9 +371,35 @@ fn backend_and_samples_typos_fail_before_any_output() {
         }
     }
 
+    // A shard or driver flag given to a binary that would drop it is
+    // refused, naming the binary that reads it.
+    for (binary, args, flag, reader) in [
+        (
+            FIG5_BIN,
+            &fig5_args[..],
+            ["--shard", "1/2"],
+            "campaign_shard",
+        ),
+        (
+            SHARD_BIN,
+            &shard_args[..],
+            ["--shards", "4"],
+            "campaign_run",
+        ),
+        (RUN_BIN, &run_args[..], ["--shard", "1/2"], "campaign_shard"),
+    ] {
+        let output = Command::new(binary).args(args).args(flag).output().unwrap();
+        assert!(!output.status.success(), "{binary} {flag:?} must fail");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let message = format!("{} {} is read only by {reader}", flag[0], flag[1]);
+        assert_eq!(stderr.matches(&message).count(), 1, "{binary}: {stderr}");
+        assert!(!Path::new(&out).exists(), "{binary} wrote {out}");
+        assert!(!Path::new(&shards).exists(), "{binary} wrote {shards}");
+    }
+
     // `--threads` sets throughput, not identity: a bad value is dropped
     // with one warning, and the run goes on to write its figure.
-    let output = Command::new(env!("CARGO_BIN_EXE_fig5_mse_cdf"))
+    let output = Command::new(FIG5_BIN)
         .args(["--samples", "2", "--threads", "two", "--json", &out])
         .output()
         .unwrap();

@@ -976,6 +976,11 @@ mod tests {
         };
         let mut schemes = Scheme::fig5_catalogue();
         schemes.push(Scheme::secded32());
+        // The P-ECC protected-width sweep, up to the whole word.
+        schemes.extend((1..=8).map(|i| Scheme::PriorityEcc {
+            word_bits: 32,
+            protected_bits: 4 * i,
+        }));
         for round in 0..8u64 {
             // Die j gets j % 5 faults (die 0 stays fault-free on purpose).
             let mut dies: Vec<Vec<Fault>> = Vec::new();

@@ -291,12 +291,66 @@ impl SweepRng {
     }
 }
 
+/// Runs `campaign` on `spec`'s image through the dense evaluator, the
+/// sparse catalogue walk and the bit-sliced block kernel, and requires the
+/// three record streams to agree bit for bit, sample for sample.
+fn assert_kernels_agree(
+    campaign: &Campaign<Backend>,
+    schemes: &[Scheme],
+    memory: MemoryConfig,
+    spec: ImageSpec,
+    context: &str,
+) {
+    let image = spec.try_materialise(memory).unwrap();
+    let words = image.materialise(memory.rows());
+    let scalar = campaign.records(
+        schemes,
+        SEED,
+        ShardSpec::solo(),
+        per_scheme(schemes, |scheme, map| {
+            memory_mse_for_data(scheme, map, &words)
+        }),
+    );
+    let walk = CatalogueMse::new(schemes, memory.word_bits());
+    let walk_die = |map: &FaultMap, metrics: &mut [f64]| {
+        walk.mse_into(map, |row| image.word(row), metrics);
+        Ok::<(), Infallible>(())
+    };
+    let sparse = campaign
+        .run_shard(
+            schemes,
+            SEED,
+            ShardSpec::solo(),
+            walk_die,
+            CollectRecords::new,
+        )
+        .unwrap()
+        .0;
+    let bitsliced = campaign
+        .run_shard_blocks(
+            schemes,
+            SEED,
+            ShardSpec::solo(),
+            walk_die,
+            |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
+                block_mse_into(scheme, block, |row| image.word(row), out);
+            },
+            CollectRecords::new,
+        )
+        .unwrap()
+        .0;
+
+    assert_records_bit_identical(&scalar, &sparse, context);
+    assert_records_bit_identical(&scalar, &bitsliced, context);
+}
+
 /// The bit-sliced block kernel joins the equivalence family: across a
 /// randomized sweep of backend × image × kind-law × campaign shape —
 /// including budgets that are **not** multiples of the 64-die block width,
 /// so the scalar tail and partial trailing blocks are exercised — the
 /// `sparse` and `bitsliced` kernels agree bit for bit, sample for sample,
-/// with the dense `memory_mse_for_data` evaluator.
+/// with the dense `memory_mse_for_data` evaluator. So they do at a dense
+/// ECC point, where every die holds one fault per four cells.
 #[test]
 fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
     let schemes = Scheme::fig5_catalogue();
@@ -320,8 +374,6 @@ fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
                      max={max_failures} chunk={chunk_size}",
                     memory.rows()
                 );
-                let image = spec.try_materialise(memory).unwrap();
-                let words = image.materialise(memory.rows());
                 let campaign = Campaign::new(
                     CampaignConfig::for_backend(backend)
                         .unwrap()
@@ -330,49 +382,36 @@ fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
                         .with_parallelism(Parallelism::Serial)
                         .with_chunk_size(chunk_size),
                 );
-
-                let scalar = campaign.records(
-                    &schemes,
-                    SEED,
-                    ShardSpec::solo(),
-                    per_scheme(&schemes, |scheme, map| {
-                        memory_mse_for_data(scheme, map, &words)
-                    }),
-                );
-                let walk = CatalogueMse::new(&schemes, memory.word_bits());
-                let walk_die = |map: &FaultMap, metrics: &mut [f64]| {
-                    walk.mse_into(map, |row| image.word(row), metrics);
-                    Ok::<(), Infallible>(())
-                };
-                let sparse = campaign
-                    .run_shard(
-                        &schemes,
-                        SEED,
-                        ShardSpec::solo(),
-                        walk_die,
-                        CollectRecords::new,
-                    )
-                    .unwrap()
-                    .0;
-                let bitsliced = campaign
-                    .run_shard_blocks(
-                        &schemes,
-                        SEED,
-                        ShardSpec::solo(),
-                        walk_die,
-                        |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
-                            block_mse_into(scheme, block, |row| image.word(row), out);
-                        },
-                        CollectRecords::new,
-                    )
-                    .unwrap()
-                    .0;
-
-                assert_records_bit_identical(&scalar, &sparse, &context);
-                assert_records_bit_identical(&scalar, &bitsliced, &context);
+                assert_kernels_agree(&campaign, &schemes, memory, spec, &context);
             }
         }
     }
+
+    // The dense ECC point: 512 faults in every die of a 64 × 32 array, two
+    // full blocks and a lone tail in one chunk, over unprotected, SECDED
+    // and the P-ECC protected widths.
+    let memory = MemoryConfig::new(64, 32).unwrap();
+    let mut ecc_schemes = vec![Scheme::unprotected32(), Scheme::secded32()];
+    ecc_schemes.extend((1..=8).map(|i| Scheme::PriorityEcc {
+        word_bits: 32,
+        protected_bits: 4 * i,
+    }));
+    let samples = 2 * BLOCK_DIES + 1;
+    let campaign = Campaign::new(
+        CampaignConfig::for_backend(Backend::at_p_cell(BackendKind::Sram, memory, 0.25).unwrap())
+            .unwrap()
+            .with_samples_per_count(samples)
+            .with_exact_failures(512)
+            .with_parallelism(Parallelism::Serial)
+            .with_chunk_size(samples),
+    );
+    assert_kernels_agree(
+        &campaign,
+        &ecc_schemes,
+        memory,
+        ImageSpec::Zeros,
+        "dense ECC, 512 faults per die",
+    );
 }
 
 /// Steady-state die generation through the arena performs **zero** heap

@@ -4,100 +4,13 @@
 //! Monte-Carlo memory samples, where each sample's weight is the probability
 //! of its failure count (`Pr(N = n)`, Eq. (4)).
 //!
-//! The storage layer is [`CdfSketch`] — a mergeable accumulator of
-//! `(value, weight)` observations designed for the parallel pipeline's
-//! chunk-order reduction: worker threads build chunk-local sketches and
-//! [`CdfSketch::absorb`] concatenates them without re-ordering, so the merged
-//! sketch is bit-identical to a serial accumulation. [`EmpiricalCdf`] wraps a
-//! sketch with the query API (`P(X ≤ x)`, quantiles, support, grids).
+//! An [`EmpiricalCdf`] stores its `(value, weight)` observations in
+//! insertion order. The parallel pipeline builds one per chunk and
+//! [`EmpiricalCdf::absorb`]s them in chunk order, so the observation
+//! sequence and the order-sensitive floating-point total weight are
+//! bit-identical to a serial accumulation at any worker count.
 
 use crate::error::AnalysisError;
-
-/// A mergeable sketch of weighted observations — the accumulator under
-/// [`EmpiricalCdf`].
-///
-/// Observations are stored in insertion order; [`CdfSketch::absorb`] appends
-/// another sketch's observations wholesale. Since the parallel pipeline
-/// merges chunk sketches in chunk order, the observation sequence (and the
-/// floating-point total weight, which is order-sensitive) never depends on
-/// the worker count.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CdfSketch {
-    samples: Vec<(f64, f64)>,
-    total_weight: f64,
-}
-
-impl CdfSketch {
-    /// Creates an empty sketch.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rebuilds a sketch from `(value, weight)` observations in order — the
-    /// deserialisation path of the shard-state files.
-    ///
-    /// Each observation is re-[`push`](CdfSketch::push)ed, so the running
-    /// (order-sensitive) total weight is re-accumulated exactly as a serial
-    /// accumulation would: a sketch serialised as its observation list and
-    /// rebuilt through this constructor is bit-identical to the original.
-    #[must_use]
-    pub fn from_observations<I>(observations: I) -> Self
-    where
-        I: IntoIterator<Item = (f64, f64)>,
-    {
-        let mut sketch = Self::new();
-        for (value, weight) in observations {
-            sketch.push(value, weight);
-        }
-        sketch
-    }
-
-    /// Adds one observation with the given non-negative weight.
-    ///
-    /// Observations with zero weight or non-finite values are ignored.
-    pub fn push(&mut self, value: f64, weight: f64) {
-        if !value.is_finite() || !weight.is_finite() || weight <= 0.0 {
-            return;
-        }
-        self.samples.push((value, weight));
-        self.total_weight += weight;
-    }
-
-    /// Appends every observation of `other`, preserving both orders.
-    pub fn absorb(&mut self, other: Self) {
-        for (value, weight) in other.samples {
-            // Re-accumulate the weight so the running sum matches a serial
-            // accumulation exactly.
-            self.total_weight += weight;
-            self.samples.push((value, weight));
-        }
-    }
-
-    /// Number of stored observations.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` when no observation has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Total accumulated weight.
-    #[must_use]
-    pub fn total_weight(&self) -> f64 {
-        self.total_weight
-    }
-
-    /// The stored `(value, weight)` observations in insertion order.
-    #[must_use]
-    pub fn observations(&self) -> &[(f64, f64)] {
-        &self.samples
-    }
-}
 
 /// A weighted empirical CDF.
 ///
@@ -118,7 +31,8 @@ impl CdfSketch {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EmpiricalCdf {
-    sketch: CdfSketch,
+    samples: Vec<(f64, f64)>,
+    total_weight: f64,
 }
 
 impl EmpiricalCdf {
@@ -141,63 +55,77 @@ impl EmpiricalCdf {
         cdf
     }
 
-    /// Wraps an accumulated sketch.
+    /// Rebuilds a CDF from `(value, weight)` observations in order — the
+    /// deserialisation path of the shard-state files.
+    ///
+    /// Each observation is re-[`add`](EmpiricalCdf::add)ed, so the running
+    /// (order-sensitive) total weight is re-accumulated exactly as a serial
+    /// accumulation would: a CDF serialised as its observation list and
+    /// rebuilt through this constructor is bit-identical to the original.
     #[must_use]
-    pub fn from_sketch(sketch: CdfSketch) -> Self {
-        Self { sketch }
-    }
-
-    /// The underlying mergeable sketch.
-    #[must_use]
-    pub fn sketch(&self) -> &CdfSketch {
-        &self.sketch
+    pub fn from_observations<I>(observations: I) -> Self
+    where
+        I: IntoIterator<Item = (f64, f64)>,
+    {
+        let mut cdf = Self::new();
+        cdf.extend(observations);
+        cdf
     }
 
     /// Adds one observation with the given non-negative weight.
     ///
     /// Observations with zero weight or non-finite values are ignored.
     pub fn add(&mut self, value: f64, weight: f64) {
-        self.sketch.push(value, weight);
-    }
-
-    /// Merges all samples of `other` into `self` (borrowing shim over
-    /// [`EmpiricalCdf::absorb`]).
-    pub fn merge(&mut self, other: &EmpiricalCdf) {
-        self.absorb(other.clone());
+        if !value.is_finite() || !weight.is_finite() || weight <= 0.0 {
+            return;
+        }
+        self.samples.push((value, weight));
+        self.total_weight += weight;
     }
 
     /// Consumes `other`, appending its observations in order — the cheap
     /// parallel-reduction path.
     pub fn absorb(&mut self, other: EmpiricalCdf) {
-        self.sketch.absorb(other.sketch);
+        for (value, weight) in other.samples {
+            // Re-accumulate the weight so the running sum matches a serial
+            // accumulation exactly.
+            self.total_weight += weight;
+            self.samples.push((value, weight));
+        }
     }
 
     /// Number of stored observations.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sketch.len()
+        self.samples.len()
     }
 
     /// `true` when no observation has been added.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.sketch.is_empty()
+        self.samples.is_empty()
     }
 
     /// Total accumulated weight.
     #[must_use]
     pub fn total_weight(&self) -> f64 {
-        self.sketch.total_weight()
+        self.total_weight
+    }
+
+    /// The stored `(value, weight)` observations in insertion order.
+    #[must_use]
+    pub fn observations(&self) -> &[(f64, f64)] {
+        &self.samples
     }
 
     /// Iterates over the stored `(value, weight)` observations in insertion
     /// order.
     pub fn samples(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.sketch.observations().iter().copied()
+        self.samples.iter().copied()
     }
 
     fn sorted_observations(&self) -> Vec<(f64, f64)> {
-        let mut sorted = self.sketch.observations().to_vec();
+        let mut sorted = self.samples.clone();
         sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("values are finite"));
         sorted
     }
@@ -207,17 +135,16 @@ impl EmpiricalCdf {
     /// Returns 0 for an empty CDF.
     #[must_use]
     pub fn probability_at_or_below(&self, x: f64) -> f64 {
-        if self.sketch.is_empty() || self.sketch.total_weight() <= 0.0 {
+        if self.is_empty() || self.total_weight <= 0.0 {
             return 0.0;
         }
         let mass: f64 = self
-            .sketch
-            .observations()
+            .samples
             .iter()
             .filter(|(value, _)| *value <= x)
             .map(|(_, weight)| weight)
             .sum();
-        mass / self.sketch.total_weight()
+        mass / self.total_weight
     }
 
     /// The smallest observed value `x` such that `P(X ≤ x) ≥ p`.
@@ -240,11 +167,11 @@ impl EmpiricalCdf {
     ///
     /// Returns [`AnalysisError::EmptyDistribution`] when no sample was added.
     pub fn try_quantile(&self, p: f64) -> Result<f64, AnalysisError> {
-        if self.sketch.is_empty() {
+        if self.is_empty() {
             return Err(AnalysisError::EmptyDistribution);
         }
         let sorted = self.sorted_observations();
-        let target = p.clamp(0.0, 1.0) * self.sketch.total_weight();
+        let target = p.clamp(0.0, 1.0) * self.total_weight;
         let mut cumulative = 0.0;
         for &(value, weight) in &sorted {
             cumulative += weight;
@@ -261,8 +188,7 @@ impl EmpiricalCdf {
     ///
     /// Returns [`AnalysisError::EmptyDistribution`] when no sample was added.
     pub fn min(&self) -> Result<f64, AnalysisError> {
-        self.sketch
-            .observations()
+        self.samples
             .iter()
             .map(|&(v, _)| v)
             .min_by(|a, b| a.partial_cmp(b).expect("finite"))
@@ -275,8 +201,7 @@ impl EmpiricalCdf {
     ///
     /// Returns [`AnalysisError::EmptyDistribution`] when no sample was added.
     pub fn max(&self) -> Result<f64, AnalysisError> {
-        self.sketch
-            .observations()
+        self.samples
             .iter()
             .map(|&(v, _)| v)
             .max_by(|a, b| a.partial_cmp(b).expect("finite"))
@@ -289,16 +214,10 @@ impl EmpiricalCdf {
     ///
     /// Returns [`AnalysisError::EmptyDistribution`] when no sample was added.
     pub fn mean(&self) -> Result<f64, AnalysisError> {
-        if self.sketch.is_empty() || self.sketch.total_weight() <= 0.0 {
+        if self.is_empty() || self.total_weight <= 0.0 {
             return Err(AnalysisError::EmptyDistribution);
         }
-        Ok(self
-            .sketch
-            .observations()
-            .iter()
-            .map(|&(v, w)| v * w)
-            .sum::<f64>()
-            / self.sketch.total_weight())
+        Ok(self.samples.iter().map(|&(v, w)| v * w).sum::<f64>() / self.total_weight)
     }
 
     /// Evaluates the CDF at a grid of points, returning `(x, P(X ≤ x))`
@@ -403,10 +322,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_extend_accumulate() {
+    fn absorb_and_extend_accumulate() {
         let mut a = EmpiricalCdf::from_samples([1.0, 2.0]);
         let b = EmpiricalCdf::from_samples([3.0, 4.0]);
-        a.merge(&b);
+        a.absorb(b);
         assert_eq!(a.len(), 4);
         a.extend([(5.0, 2.0)]);
         assert_eq!(a.len(), 5);
@@ -416,22 +335,22 @@ mod tests {
     }
 
     #[test]
-    fn sketch_absorb_matches_serial_accumulation() {
+    fn absorb_matches_serial_accumulation() {
         // Weights whose sum is order-sensitive in floating point.
         let weights = [1e-3, 1e16, 1.0, 1e-7, 3.5, 1e12];
-        let mut serial = CdfSketch::new();
+        let mut serial = EmpiricalCdf::new();
         for (i, &w) in weights.iter().enumerate() {
-            serial.push(i as f64, w);
+            serial.add(i as f64, w);
         }
-        let mut left = CdfSketch::new();
-        left.push(0.0, weights[0]);
-        left.push(1.0, weights[1]);
-        let mut mid = CdfSketch::new();
-        mid.push(2.0, weights[2]);
-        mid.push(3.0, weights[3]);
-        let mut right = CdfSketch::new();
-        right.push(4.0, weights[4]);
-        right.push(5.0, weights[5]);
+        let mut left = EmpiricalCdf::new();
+        left.add(0.0, weights[0]);
+        left.add(1.0, weights[1]);
+        let mut mid = EmpiricalCdf::new();
+        mid.add(2.0, weights[2]);
+        mid.add(3.0, weights[3]);
+        let mut right = EmpiricalCdf::new();
+        right.add(4.0, weights[4]);
+        right.add(5.0, weights[5]);
         left.absorb(mid);
         left.absorb(right);
         assert_eq!(left, serial);
@@ -452,13 +371,17 @@ mod tests {
     }
 
     #[test]
-    fn from_sketch_round_trips() {
-        let mut sketch = CdfSketch::new();
-        sketch.push(2.0, 1.0);
-        sketch.push(4.0, 3.0);
-        let cdf = EmpiricalCdf::from_sketch(sketch.clone());
-        assert_eq!(cdf.sketch(), &sketch);
-        assert_eq!(cdf.quantile(1.0), 4.0);
+    fn from_observations_round_trips() {
+        let mut cdf = EmpiricalCdf::new();
+        for (value, weight) in [(2.0, 0.1), (4.0, 3.0), (1.0, 1e16), (8.0, 0.2)] {
+            cdf.add(value, weight);
+        }
+        let rebuilt = EmpiricalCdf::from_observations(cdf.observations().to_vec());
+        assert_eq!(rebuilt, cdf);
+        assert_eq!(
+            rebuilt.total_weight().to_bits(),
+            cdf.total_weight().to_bits()
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod report;
 pub mod yield_model;
 
 pub use accumulate::CatalogueAccumulator;
-pub use cdf::{CdfSketch, EmpiricalCdf};
+pub use cdf::EmpiricalCdf;
 pub use error::AnalysisError;
 pub use mc_engine::{MonteCarloEngine, SchemeMseResult};
 pub use mse::{

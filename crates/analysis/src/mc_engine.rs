@@ -110,11 +110,9 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
     ///
     /// `data` is the stored word of every memory row. `None` evaluates the
     /// configured [`CampaignConfig::image`]: the all-zeros fast path for
-    /// [`ImageSpec::Zeros`], self-contained images queried row by row at
-    /// fault-bearing rows only, and an error for [`ImageSpec::App`], which
-    /// the apps layer materialises and passes as `Some`. Evaluating an
-    /// image and evaluating `Some` of its words accumulate the same bits,
-    /// since a fault's observed word depends only on the stored word.
+    /// [`ImageSpec::Zeros`], the [`ImageSpec::words`] of the other
+    /// self-contained images, and an error for [`ImageSpec::App`], which
+    /// the apps layer materialises and passes as `Some`.
     ///
     /// Shard states merged in shard order (via
     /// [`faultmit_sim::Accumulator::merge`]) are bit-identical to the
@@ -134,7 +132,8 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
         shard: ShardSpec,
         data: Option<&[u64]>,
     ) -> Result<(CatalogueAccumulator, ShardStats), AnalysisError> {
-        match (data, self.config().image()) {
+        let configured;
+        let data = match (data, self.config().image()) {
             (Some(data), _) => {
                 let rows = self.config().memory().rows();
                 if data.len() < rows {
@@ -145,17 +144,18 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
                         ),
                     });
                 }
-                self.run_kernel(schemes, seed, shard, |row| data[row])
+                data
             }
             // `memory_mse_sparse` is `memory_mse_sparse_with` against the
             // `|_| 0` word source, so the zeros fast path and an explicit
             // zeros vector share one dispatcher without a bit of drift.
-            (None, ImageSpec::Zeros) => self.run_kernel(schemes, seed, shard, |_| 0),
+            (None, ImageSpec::Zeros) => return self.run_kernel(schemes, seed, shard, |_| 0),
             (None, spec) => {
-                let image = spec.try_materialise(self.config().memory())?;
-                self.run_kernel(schemes, seed, shard, |row| image.word(row))
+                configured = spec.words(self.config().memory())?;
+                &configured
             }
-        }
+        };
+        self.run_kernel(schemes, seed, shard, |row| data[row])
     }
 
     /// Dispatches one shard of the paired campaign to the configured
@@ -240,7 +240,7 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
             .zip(schemes)
             .map(|(yield_model, scheme)| SchemeMseResult {
                 scheme_name: scheme.name(),
-                cdf: yield_model.combined_cdf(),
+                cdf: yield_model.combined_cdf(0.0),
                 yield_model,
                 max_failures,
             })
@@ -524,10 +524,7 @@ mod tests {
         let ones = MonteCarloEngine::new(config.with_image(ImageSpec::Ones));
         let schemes = [Scheme::unprotected32(), Scheme::secded32()];
         let configured = solo_state(&ones, &schemes, 3, None);
-        let words = ImageSpec::Ones
-            .try_materialise(memory)
-            .unwrap()
-            .materialise(memory.rows());
+        let words = ImageSpec::Ones.words(memory).unwrap();
         assert_eq!(configured, solo_state(&ones, &schemes, 3, Some(&words)));
         let zeros = MonteCarloEngine::new(config);
         assert_ne!(configured, solo_state(&zeros, &schemes, 3, None));

@@ -148,11 +148,10 @@ pub fn memory_mse_sparse<S: MitigationScheme + ?Sized>(scheme: &S, faults: &Faul
 }
 
 /// [`memory_mse_sparse`] against an arbitrary written-word source (a
-/// [`faultmit_memsim::DataImage`] row lookup, a dense slice, ...).
+/// constant, a lookup into [`faultmit_memsim::ImageSpec::words`], ...).
 ///
-/// Only fault-bearing rows query `written`, so data images need never be
-/// materialised memory-wide: at sparse fault densities almost every row is
-/// clean and contributes exactly zero. Bit-identical to
+/// Only fault-bearing rows query `written`: at sparse fault densities
+/// almost every row is clean and contributes exactly zero. Bit-identical to
 /// [`memory_mse_for_data`] when `written` agrees with the dense image.
 #[must_use]
 pub fn memory_mse_sparse_with<S, W>(scheme: &S, faults: &FaultMap, written: W) -> f64

@@ -16,7 +16,6 @@
 //! must be tolerated to reach a given yield target.
 
 use crate::cdf::EmpiricalCdf;
-use crate::error::AnalysisError;
 use faultmit_memsim::FailureCountDistribution;
 use std::collections::BTreeMap;
 
@@ -81,12 +80,6 @@ impl YieldModel {
             distribution,
             per_count,
         }
-    }
-
-    /// Failure counts for which quality samples have been recorded.
-    #[must_use]
-    pub fn sampled_counts(&self) -> Vec<u64> {
-        self.per_count.keys().copied().collect()
     }
 
     /// The per-failure-count quality CDFs (pipeline accumulation output).
@@ -166,42 +159,20 @@ impl YieldModel {
         })
     }
 
-    /// The combined, weighted quality CDF over all dies (the Fig. 5 series):
-    /// each sample of failure count `n` enters with weight
-    /// `Pr(N = n) / (#samples at n)`, and the zero-failure mass enters as a
-    /// perfect-quality sample.
+    /// The combined, weighted quality CDF over all dies (the Fig. 5 and
+    /// Fig. 7 series): each sample of failure count `n` enters with weight
+    /// `Pr(N = n) / (#samples at n)`, and the zero-failure mass enters as
+    /// one sample of perfect quality `zero_failure_quality` — 0 in the MSE
+    /// convention, the normalised optimum 1 for application quality.
     #[must_use]
-    pub fn combined_cdf(&self) -> EmpiricalCdf {
+    pub fn combined_cdf(&self, zero_failure_quality: f64) -> EmpiricalCdf {
         let mut combined = EmpiricalCdf::new();
-        combined.add(0.0, self.zero_pmf);
+        combined.add(zero_failure_quality, self.zero_pmf);
         for (pmf, cdf) in self.strata() {
             let scale = pmf / cdf.total_weight();
             combined.extend(cdf.samples().map(|(value, weight)| (value, weight * scale)));
         }
         combined
-    }
-
-    /// Convenience: quality bands at the yield targets highlighted in the
-    /// paper (90 %, 99 %, 99.99 %, 99.9999 %).
-    #[must_use]
-    pub fn paper_quality_bands(&self) -> Vec<QualityBand> {
-        [0.9, 0.99, 0.9999, 0.999_999]
-            .iter()
-            .filter_map(|&target| self.quality_for_yield(target))
-            .collect()
-    }
-
-    /// Checks that at least one quality sample has been recorded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::EmptyDistribution`] when no samples exist.
-    pub fn ensure_populated(&self) -> Result<(), AnalysisError> {
-        if self.per_count.values().all(EmpiricalCdf::is_empty) {
-            Err(AnalysisError::EmptyDistribution)
-        } else {
-            Ok(())
-        }
     }
 }
 
@@ -229,7 +200,6 @@ mod tests {
     fn zero_failure_yield_matches_distribution() {
         let model = model(distribution(), vec![]);
         assert!((model.zero_failure_yield() - distribution().pmf(0)).abs() < 1e-15);
-        assert!(model.ensure_populated().is_err());
     }
 
     #[test]
@@ -252,7 +222,6 @@ mod tests {
                 (2, vec![1e6, 1e6]),
             ],
         );
-        assert!(model.ensure_populated().is_ok());
 
         let p0 = distribution().pmf(0);
         let p1 = distribution().pmf(1);
@@ -305,26 +274,16 @@ mod tests {
             distribution(),
             vec![(1, vec![5.0; 10]), (2, vec![50.0; 10])],
         );
-        let combined = model.combined_cdf();
+        let combined = model.combined_cdf(0.0);
         let expected_weight = distribution().pmf(0) + distribution().pmf(1) + distribution().pmf(2);
         assert!((combined.total_weight() - expected_weight).abs() < 1e-9);
         // Quality 5 or better: zero-failure dies plus all one-failure dies.
         let p = combined.probability_at_or_below(5.0) * combined.total_weight();
         assert!((p - (distribution().pmf(0) + distribution().pmf(1))).abs() < 1e-9);
-    }
-
-    #[test]
-    fn paper_quality_bands_are_sorted_by_difficulty() {
-        let model = model(
-            FailureCountDistribution::new(1000, 1e-4).unwrap(),
-            vec![(1, (1..=100).map(f64::from).collect())],
-        );
-        let bands = model.paper_quality_bands();
-        assert!(!bands.is_empty());
-        for window in bands.windows(2) {
-            assert!(window[1].target_yield >= window[0].target_yield);
-            assert!(window[1].max_quality >= window[0].max_quality);
-        }
+        // The zero-failure mass sits at the quality it is given.
+        let quality = model.combined_cdf(1.0);
+        assert_eq!(quality.observations()[0], (1.0, distribution().pmf(0)));
+        assert_eq!(quality.observations()[1..], combined.observations()[1..]);
     }
 
     /// A tiny deterministic xorshift for the sweep below.

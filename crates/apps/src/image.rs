@@ -2,8 +2,8 @@
 //! matrices.
 //!
 //! `faultmit-memsim`'s [`ImageSpec`] names every image a data-aware
-//! campaign can evaluate, but only the self-contained sources (zeros, ones,
-//! uniform-random, sparse) materialise there. The application images —
+//! campaign can evaluate, but only the self-contained images (zeros, ones,
+//! uniform-random, sparse) render their words there. The application images —
 //! benchmark feature matrices stored the way the paper stores them, as
 //! 2's-complement fixed-point words ([`FixedPointFormat`]) — need the
 //! synthetic dataset generators of [`crate::datasets`], so this module is
@@ -13,7 +13,7 @@
 use crate::datasets::{HarDataset, MadelonDataset, WineQualityDataset};
 use crate::error::AppError;
 use crate::fixedpoint::FixedPointFormat;
-use faultmit_memsim::image::{AppImage, DataImage, ImageSpec, WordImage};
+use faultmit_memsim::image::{AppImage, ImageSpec};
 use faultmit_memsim::MemoryConfig;
 
 /// The fixed-point storage format for a memory of the given word width: the
@@ -68,24 +68,26 @@ pub fn app_matrix_words(app: AppImage, word_bits: usize) -> Result<Vec<u64>, App
 /// Materialises any [`ImageSpec`] — including the application matrices —
 /// into one stored word per memory row.
 ///
-/// Self-contained images delegate to
-/// [`ImageSpec::try_materialise`]; application images quantise their
-/// dataset through [`app_matrix_words`] and cycle it over the rows (the
-/// matrices hold more values than the paper's 16 KB memory has rows, so in
-/// the common case no cycling occurs).
+/// Self-contained images delegate to [`ImageSpec::words`]; application
+/// images quantise their dataset through [`app_matrix_words`] and cycle it
+/// over the rows (the matrices hold more values than the paper's 16 KB
+/// memory has rows, so in the common case no cycling occurs).
 ///
 /// # Errors
 ///
-/// Propagates quantisation-format and materialisation errors.
+/// Propagates quantisation-format and materialisation errors, and refuses
+/// an application matrix without words.
 pub fn image_words(spec: ImageSpec, config: MemoryConfig) -> Result<Vec<u64>, AppError> {
-    match spec {
-        ImageSpec::App(app) => {
-            let words = app_matrix_words(app, config.word_bits())?;
-            let image = WordImage::new(app.name(), words)?;
-            Ok(image.materialise(config.rows()))
-        }
-        other => Ok(other.try_materialise(config)?.materialise(config.rows())),
+    let ImageSpec::App(app) = spec else {
+        return Ok(spec.words(config)?);
+    };
+    let words = app_matrix_words(app, config.word_bits())?;
+    if words.is_empty() {
+        return Err(AppError::InvalidParameter {
+            reason: format!("the '{}' image has no words", app.name()),
+        });
     }
+    Ok(words.iter().copied().cycle().take(config.rows()).collect())
 }
 
 #[cfg(test)]

@@ -220,9 +220,16 @@ impl Matrix {
     /// Per-column means.
     #[must_use]
     pub fn column_means(&self) -> Vec<f64> {
-        (0..self.cols)
-            .map(|c| self.column(c).iter().sum::<f64>() / self.rows as f64)
-            .collect()
+        // Row-major, each column summed in row order from the value an
+        // empty `Iterator::sum` returns: the bits of a per-column `sum()`.
+        let mut sums = vec![std::iter::empty::<f64>().sum(); self.cols];
+        for row in self.data.chunks_exact(self.cols.max(1)) {
+            for (sum, x) in sums.iter_mut().zip(row) {
+                *sum += x;
+            }
+        }
+        let rows = self.rows as f64;
+        sums.iter().map(|sum| sum / rows).collect()
     }
 
     /// Per-column population standard deviations.
@@ -249,6 +256,12 @@ impl Matrix {
     ///
     /// Returns [`AppError::DimensionMismatch`] for an empty matrix.
     pub fn covariance(&self) -> Result<Matrix, AppError> {
+        self.covariance_about(&self.column_means())
+    }
+
+    /// [`Matrix::covariance`] about the already computed
+    /// [`Matrix::column_means`].
+    pub(crate) fn covariance_about(&self, means: &[f64]) -> Result<Matrix, AppError> {
         if self.rows == 0 {
             return Err(AppError::DimensionMismatch {
                 reason: "covariance of an empty matrix".to_owned(),
@@ -258,12 +271,11 @@ impl Matrix {
         // update per row): entry (i, j) still sums its products in row order
         // from 0.0, and the inner loop runs over contiguous `j`.
         let n = self.cols;
-        let means = self.column_means();
         let mut centred = vec![0.0; n];
         let mut cov = Matrix::zeros(n, n);
         for r in 0..self.rows {
             let row = &self.data[r * n..(r + 1) * n];
-            for ((c, x), mean) in centred.iter_mut().zip(row).zip(&means) {
+            for ((c, x), mean) in centred.iter_mut().zip(row).zip(means) {
                 *c = x - mean;
             }
             for (i, &xi) in centred.iter().enumerate() {

@@ -83,7 +83,8 @@ impl Pca {
                 ),
             });
         }
-        let covariance = x.covariance()?;
+        let means = x.column_means();
+        let covariance = x.covariance_about(&means)?;
         let eigen = jacobi_eigen(&covariance, self.max_sweeps)?;
         let total_variance: f64 = eigen.values.iter().map(|v| v.max(0.0)).sum();
 
@@ -96,7 +97,7 @@ impl Pca {
             }
         }
 
-        self.means = Some(x.column_means());
+        self.means = Some(means);
         self.axes = Some(axes);
         self.component_variances = Some(variances);
         self.total_variance = total_variance;

@@ -411,30 +411,14 @@ impl QualityEvaluator {
             .into_yield_models(distribution)
             .into_iter()
             .zip(schemes)
-            .map(|(yield_model, scheme)| {
-                // The combined CDF interprets the zero-failure mass as
-                // quality 0 in the MSE convention; for Fig. 7 ("higher is
-                // better") we add it at the normalised optimum of 1.0
-                // instead and weight every sampled quality value by
-                // Pr(N = n) / samples at n.
-                let mut cdf = EmpiricalCdf::new();
-                cdf.add(1.0, distribution.pmf(0));
-                for (&n, count_cdf) in yield_model.per_count_cdfs() {
-                    if count_cdf.is_empty() {
-                        continue;
-                    }
-                    let weight = distribution.pmf(n) / count_cdf.total_weight();
-                    for (value, sample_weight) in count_cdf.samples() {
-                        cdf.add(value, sample_weight * weight);
-                    }
-                }
-                QualityCdfResult {
-                    benchmark: self.benchmark,
-                    scheme_name: scheme.name(),
-                    baseline_quality: baseline,
-                    cdf,
-                    yield_model,
-                }
+            .map(|(yield_model, scheme)| QualityCdfResult {
+                benchmark: self.benchmark,
+                scheme_name: scheme.name(),
+                baseline_quality: baseline,
+                // Fig. 7 quality is "higher is better": zero-failure dies
+                // sit at the normalised optimum of 1.0.
+                cdf: yield_model.combined_cdf(1.0),
+                yield_model,
             })
             .collect())
     }

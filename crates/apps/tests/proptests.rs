@@ -402,6 +402,27 @@ fn covariance_matches_the_elementwise_reference_bit_for_bit() {
     }
 }
 
+/// `Matrix::column_means` is bit-identical to summing each gathered column
+/// with `Iterator::sum`, also on a column of negative zeros.
+#[test]
+fn column_means_match_the_per_column_sum_bit_for_bit() {
+    let mut rng = rng(413);
+    let mut signed_zeros = Matrix::zeros(5, 2);
+    for r in 0..5 {
+        signed_zeros.set(r, 0, -0.0);
+    }
+    let inputs = KERNEL_SIZES
+        .into_iter()
+        .map(|n| corrupted_data(&mut rng, 3 * n + 7, n))
+        .chain([signed_zeros]);
+    for x in inputs {
+        let expected: Vec<f64> = (0..x.cols())
+            .map(|c| x.column(c).iter().sum::<f64>() / x.rows() as f64)
+            .collect();
+        assert_eq!(bits(&x.column_means()), bits(&expected), "{x:?}");
+    }
+}
+
 /// `jacobi_eigen` is bit-identical to the element-by-element rotations, on
 /// covariances of corrupted data and on plain symmetric matrices.
 #[test]

@@ -24,6 +24,7 @@
 //! campaign_run --figure list        # print the figure catalogue
 //! ```
 
+use faultmit_bench::cli::IDENTITY_FLAGS;
 use faultmit_bench::figures::{
     check_identity_flags, find_figure, registry, render_recorded, FigureDef,
 };
@@ -140,7 +141,9 @@ fn shard_path(dir: &Path, figure: &'static dyn FigureDef, shard: ShardSpec) -> P
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let options = RunOptions::from_args();
-    options.refuse_flag_errors(&["--shards", "--jobs", "--retries"])?;
+    options.refuse_flag_errors(
+        &[&IDENTITY_FLAGS[..], &["--shards", "--jobs", "--retries"]].concat(),
+    )?;
     let Some(name) = options.figure.clone() else {
         return Err(
             "usage: campaign_run --figure <name> --shards K [--jobs J] [--retries R]\

@@ -24,6 +24,7 @@
 //! campaign_shard fig7 elasticnet --shard 1/3 --samples 4 --out shards/fig7-el-1of3.json
 //! ```
 
+use faultmit_bench::cli::IDENTITY_FLAGS;
 use faultmit_bench::figures::{check_identity_flags, find_figure};
 use faultmit_bench::metrics::ShardMetrics;
 use faultmit_bench::shard::{ShardPanelState, ShardState};
@@ -38,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A refused --shard must not fall back to the monolithic 0/1 shard and
     // write solo-coverage state under a shard file's name, and a refused
     // identity flag must not evaluate a different campaign.
-    options.refuse_flag_errors(&["--shard"])?;
+    options.refuse_flag_errors(&[&IDENTITY_FLAGS[..], &["--shard"]].concat())?;
     let name =
         match options.figure.clone() {
             Some(name) => name,

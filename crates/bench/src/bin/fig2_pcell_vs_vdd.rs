@@ -17,7 +17,7 @@ use faultmit_analysis::report::{format_percent, format_sci, Table};
 use faultmit_bench::cli::LawSweep;
 use faultmit_bench::json::{JsonValue, ToJson};
 use faultmit_bench::RunOptions;
-use faultmit_memsim::{CellFailureModel, MemoryConfig, VddSweep};
+use faultmit_memsim::{BackendKind, CellFailureModel, MemoryConfig, VddSweep};
 
 #[derive(Debug)]
 struct Fig2Point {
@@ -119,7 +119,16 @@ fn backend_law_sweep(
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let options = RunOptions::from_args();
-    options.refuse_flag_errors(&[])?;
+    // Only the DRAM sweep reads the operating-point flags, and a pinned
+    // refresh interval sweeps the temperature `--temp-c` would set.
+    let mut reads = vec!["--full", "--backend"];
+    if options.backend_kind() == BackendKind::Dram {
+        reads.push("--t-ref-ns");
+        if options.t_ref_ns.is_none() {
+            reads.push("--temp-c");
+        }
+    }
+    options.refuse_flag_errors(&reads)?;
     if let Some(sweep) = LawSweep::for_backend(options.backend_kind(), &options) {
         return backend_law_sweep(&options, &sweep);
     }

@@ -48,9 +48,11 @@
 //! removed tuning flags `--wide-generation` and `--auto-threshold` (with
 //! their value, if one follows). Every entry point refuses the whole list
 //! through [`RunOptions::refuse_flag_errors`] before any output, which also
-//! refuses a shard or driver flag the binary would drop and names the
-//! binary that reads it. Each error is reported once, as the binary's
-//! `Error:` line; parsing prints nothing for it.
+//! refuses any valid non-lenient flag the run would drop and names the runs
+//! that read it: `campaign_merge` reads none (its shard files carry the
+//! campaign), `fig2_pcell_vs_vdd` reads `--full`, `--backend` and, on
+//! DRAM, the operating-point flags. Each error is reported once, as the
+//! binary's `Error:` line; parsing prints nothing for it.
 //!
 //! Only the lenient flags drop a bad value and run on: `--threads` (it sets
 //! throughput, not identity), `--json`, `--metrics`, `--figure` and
@@ -270,44 +272,44 @@ impl RunOptions {
             .ok()
     }
 
-    /// Refuses the run when any flag value was refused, or when a shard or
-    /// driver flag is given to a binary that would drop it. `reads` lists
-    /// the shard and driver flags the calling binary reads. Every entry
-    /// point calls this before any output.
+    /// Refuses the run when any flag value was refused, or when a valid
+    /// non-lenient flag is given to a run that would drop it. `reads` lists
+    /// the non-lenient flags the calling entry point reads (the registry
+    /// binaries read [`IDENTITY_FLAGS`]). Every entry point calls this
+    /// before any output.
     ///
     /// # Errors
     ///
     /// Returns every refused value in one message, the binary's `Error:`
-    /// line; a dropped flag's message names the binary that reads it.
+    /// line; a dropped flag's message names the runs that read it.
     pub fn refuse_flag_errors(&self, reads: &[&str]) -> Result<(), String> {
-        // The shard and driver flags, each with the one binary that reads it.
-        let single_binary_flags = [
-            (
-                "--shard",
-                "campaign_shard",
-                self.shard.map(|shard| shard.to_string()),
-            ),
-            (
-                "--shards",
-                "campaign_run",
-                self.shards.map(|count| count.to_string()),
-            ),
-            (
-                "--jobs",
-                "campaign_run",
-                self.jobs.map(|count| count.to_string()),
-            ),
-            (
-                "--retries",
-                "campaign_run",
-                self.retries.map(|count| count.to_string()),
-            ),
+        let campaigns = "the figure binaries, campaign_shard and campaign_run";
+        let sweeps = "the figure binaries, fig2_pcell_vs_vdd, campaign_shard and campaign_run";
+        let dram = "fig2_pcell_vs_vdd --backend dram";
+        let dram_sweep = "fig2_pcell_vs_vdd --backend dram without --t-ref-ns";
+        // Every non-lenient flag with its value, if given, and the runs that
+        // read it.
+        let flags = [
+            ("--full", sweeps, self.full_scale.then(String::new)),
+            ("--samples", campaigns, shown(self.samples)),
+            ("--backend", sweeps, shown(self.backend)),
+            ("--image", campaigns, shown(self.image)),
+            ("--kind-law", campaigns, shown(self.kind_law)),
+            ("--kernel", campaigns, shown(self.kernel)),
+            ("--t-ref-ns", dram, shown(self.t_ref_ns)),
+            ("--temp-c", dram_sweep, shown(self.temp_c)),
+            ("--shard", "campaign_shard", shown(self.shard)),
+            ("--shards", "campaign_run", shown(self.shards)),
+            ("--jobs", "campaign_run", shown(self.jobs)),
+            ("--retries", "campaign_run", shown(self.retries)),
         ];
         let mut errors = self.flag_errors.clone();
-        for (flag, reader, value) in single_binary_flags {
+        for (flag, readers, value) in flags {
             if let Some(value) = value.filter(|_| !reads.contains(&flag)) {
+                let given = format!("{flag} {value}");
                 errors.push(format!(
-                    "{flag} {value} is read only by {reader}; this binary would drop it"
+                    "{} is read only by {readers}; this run would drop it",
+                    given.trim_end()
                 ));
             }
         }
@@ -392,6 +394,23 @@ impl RunOptions {
         }
         Ok(())
     }
+}
+
+/// The campaign-identity flags the registry figure binaries,
+/// `campaign_shard` and `campaign_run` read. A figure whose spec drops one
+/// refuses it in [`crate::figures::check_identity_flags`].
+pub const IDENTITY_FLAGS: [&str; 6] = [
+    "--full",
+    "--samples",
+    "--backend",
+    "--image",
+    "--kind-law",
+    "--kernel",
+];
+
+/// A given flag value, spelt as its flag parses it back.
+fn shown(value: Option<impl std::fmt::Display>) -> Option<String> {
+    value.map(|value| value.to_string())
 }
 
 /// Parses a numeric flag value, naming the flag and the value on failure.

@@ -239,7 +239,7 @@ impl FigureDef for AblationShiftDef {
                 .iter()
                 .map(|per_count| {
                     let cdf = per_count.get(&(faults_per_map as u64))?;
-                    (per_count.len() == 1).then(|| cdf.sketch().observations())
+                    (per_count.len() == 1).then(|| cdf.observations())
                 })
                 .collect::<Option<Vec<_>>>();
             let (naive, optimal) = match strata.as_deref() {

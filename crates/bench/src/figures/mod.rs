@@ -49,7 +49,7 @@ pub use fig5::{fig5_series, Fig5Campaign, Fig5Series};
 pub use fig7::{fig7_series, Fig7Campaign, Fig7Series};
 pub use fig9::{fig9_image_words, Fig9Campaign};
 
-use crate::cli::RunOptions;
+use crate::cli::{RunOptions, IDENTITY_FLAGS};
 use crate::json::{JsonValue, ToJson};
 use crate::metrics::ShardMetrics;
 use faultmit_analysis::CatalogueAccumulator;
@@ -609,7 +609,7 @@ pub fn check_identity_flags(spec: &FigureSpec, options: &RunOptions) -> Result<(
 /// Propagates figure evaluation and I/O errors.
 pub fn run_monolithic(name: &str) -> Result<(), FigureError> {
     let options = RunOptions::from_args();
-    options.refuse_flag_errors(&[])?;
+    options.refuse_flag_errors(&IDENTITY_FLAGS)?;
     let figure = find_figure(name)?;
     let spec = figure.spec(&options);
     check_identity_flags(&spec, &options)?;

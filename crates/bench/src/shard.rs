@@ -10,9 +10,10 @@
 //!
 //! 1. chunk boundaries and per-sample RNG streams derive from the global
 //!    plan (see [`faultmit_sim::Campaign::run_shard`]),
-//! 2. catalogue state stores each [`CdfSketch`]'s observation values in
-//!    insertion order next to their run-length encoded weights and
-//!    re-accumulates them on read ([`CdfSketch::from_observations`]), and
+//! 2. catalogue state stores each stratum's [`EmpiricalCdf`] observation
+//!    values in insertion order next to their run-length encoded weights
+//!    and re-accumulates them on read
+//!    ([`EmpiricalCdf::from_observations`]), and
 //!    deterministic table state is validated for equality across shards
 //!    (there is no raw record stream: every Monte-Carlo figure, the
 //!    shift-policy ablation included, stores catalogue state), and
@@ -38,7 +39,7 @@
 use crate::figures::{FigureSpec, PanelState};
 use crate::json::{JsonValue, ToJson};
 use crate::metrics::ShardMetrics;
-use faultmit_analysis::{CatalogueAccumulator, CdfSketch, EmpiricalCdf};
+use faultmit_analysis::{CatalogueAccumulator, EmpiricalCdf};
 use faultmit_sim::ShardSpec;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -477,16 +478,16 @@ pub fn load_shard_files<P: AsRef<Path>>(paths: &[P]) -> Result<Vec<ShardState>, 
     Ok(states)
 }
 
-/// Serialises a [`CdfSketch`] as `{"weights": [[w, count], …], "values":
+/// Serialises an [`EmpiricalCdf`] as `{"weights": [[w, count], …], "values":
 /// "<hex>"}`: the observation values in insertion order, each as the 16
 /// lowercase hex digits of its bits (`f64::to_bits`, most significant
 /// first), and their weights run-length encoded, one `[weight, count]` run
 /// per maximal stretch of bit-equal weights. Every die of a catalogue
 /// stratum carries the same weight `pmf(n)/m`, so a registry campaign's
-/// stratum is one run, but the encoding is exact for any sketch.
+/// stratum is one run, but the encoding is exact for any CDF.
 #[must_use]
-pub fn sketch_to_json(sketch: &CdfSketch) -> JsonValue {
-    JsonValue::object(sketch_fields(sketch))
+pub fn sketch_to_json(cdf: &EmpiricalCdf) -> JsonValue {
+    JsonValue::object(sketch_fields(cdf))
 }
 
 /// Hex digits of one value word.
@@ -511,8 +512,8 @@ const NIBBLES: [u8; 256] = {
     table
 };
 
-fn sketch_fields(sketch: &CdfSketch) -> [(&'static str, JsonValue); 2] {
-    let observations = sketch.observations();
+fn sketch_fields(cdf: &EmpiricalCdf) -> [(&'static str, JsonValue); 2] {
+    let observations = cdf.observations();
     let runs = observations
         .chunk_by(|a, b| a.1.to_bits() == b.1.to_bits())
         .map(|run| JsonValue::Array(vec![JsonValue::Number(run[0].1), run.len().to_json()]))
@@ -555,7 +556,7 @@ fn value_from_word(word: &[u8]) -> Result<f64, ShardStateError> {
     Ok(value)
 }
 
-/// Rebuilds a [`CdfSketch`] from the `weights`/`values` fields
+/// Rebuilds an [`EmpiricalCdf`] from the `weights`/`values` fields
 /// [`sketch_to_json`] writes, re-accumulating the order-sensitive total
 /// weight exactly.
 ///
@@ -565,7 +566,7 @@ fn value_from_word(word: &[u8]) -> Result<f64, ShardStateError> {
 /// lowercase hex words, each the bits of a finite value, and `weights` an
 /// array of `[weight, count]` runs — a positive weight, a positive integer
 /// count — whose counts sum to the number of words.
-pub fn sketch_from_json(value: &JsonValue) -> Result<CdfSketch, ShardStateError> {
+pub fn sketch_from_json(value: &JsonValue) -> Result<EmpiricalCdf, ShardStateError> {
     let hex = value
         .get("values")
         .and_then(JsonValue::as_str)
@@ -590,7 +591,7 @@ pub fn sketch_from_json(value: &JsonValue) -> Result<CdfSketch, ShardStateError>
                 "sketch weight runs must be [weight, count] pairs",
             ));
         };
-        // `CdfSketch::push` would silently drop a non-positive weight, so
+        // `EmpiricalCdf::add` would silently drop a non-positive weight, so
         // refuse it here instead.
         let weight = weight
             .as_f64()
@@ -608,7 +609,7 @@ pub fn sketch_from_json(value: &JsonValue) -> Result<CdfSketch, ShardStateError>
     if words.next().is_some() {
         return Err(run_mismatch(len));
     }
-    Ok(CdfSketch::from_observations(observations))
+    Ok(EmpiricalCdf::from_observations(observations))
 }
 
 fn run_mismatch(values: usize) -> ShardStateError {
@@ -631,7 +632,7 @@ pub fn accumulator_to_json(accumulator: &CatalogueAccumulator) -> JsonValue {
                     per_count
                         .iter()
                         .map(|(&n_faults, cdf)| {
-                            let [weights, values] = sketch_fields(cdf.sketch());
+                            let [weights, values] = sketch_fields(cdf);
                             JsonValue::object([("n", n_faults.to_json()), weights, values])
                         })
                         .collect(),
@@ -662,9 +663,8 @@ pub fn accumulator_from_json(value: &JsonValue) -> Result<CatalogueAccumulator, 
                     .get("n")
                     .and_then(JsonValue::as_u64)
                     .ok_or_else(|| ShardStateError::new("count entry is missing 'n'"))?;
-                let sketch = sketch_from_json(entry)?;
                 if per_count
-                    .insert(n_faults, EmpiricalCdf::from_sketch(sketch))
+                    .insert(n_faults, sketch_from_json(entry)?)
                     .is_some()
                 {
                     return Err(ShardStateError::new(format!(
@@ -804,7 +804,7 @@ mod tests {
             };
             let pair = [weight_of(&mut sweep), weight_of(&mut sweep)];
             let mut run_weight = pair[0];
-            let mut sketch = CdfSketch::new();
+            let mut sketch = EmpiricalCdf::new();
             for i in 0..len {
                 let weight = match case % 4 {
                     0 => pair[0],
@@ -822,7 +822,7 @@ mod tests {
                 } else {
                     sweep.unit() * 10f64.powi(sweep.pick(0, 20) as i32 - 10)
                 };
-                sketch.push(value, weight);
+                sketch.add(value, weight);
             }
             assert_eq!(sketch.observations().len(), len);
 
@@ -873,9 +873,9 @@ mod tests {
             (5e-324, "0000000000000001"),
             (f64::MAX, "7fefffffffffffff"),
         ];
-        let mut sketch = CdfSketch::new();
+        let mut sketch = EmpiricalCdf::new();
         for &(value, _) in &known {
-            sketch.push(value, 0.25);
+            sketch.add(value, 0.25);
         }
         let document = sketch_to_json(&sketch);
         let words: String = known.iter().map(|&(_, word)| word).collect();
@@ -913,7 +913,7 @@ mod tests {
             ("[[0.5, 1.5]]", two.clone(), "counts"),
             ("[[0.5, -2]]", two.clone(), "counts"),
             ("[[0.5, \"2\"]]", two.clone(), "counts"),
-            // Weights must be positive numbers: `CdfSketch::push` would
+            // Weights must be positive numbers: `EmpiricalCdf::add` would
             // silently drop the observation otherwise.
             ("[[0, 2]]", two.clone(), "weights"),
             ("[[-0.5, 2]]", two.clone(), "weights"),

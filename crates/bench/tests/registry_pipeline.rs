@@ -13,6 +13,7 @@ const RUN_BIN: &str = env!("CARGO_BIN_EXE_campaign_run");
 const SHARD_BIN: &str = env!("CARGO_BIN_EXE_campaign_shard");
 const MERGE_BIN: &str = env!("CARGO_BIN_EXE_campaign_merge");
 const FIG5_BIN: &str = env!("CARGO_BIN_EXE_fig5_mse_cdf");
+const FIG2_BIN: &str = env!("CARGO_BIN_EXE_fig2_pcell_vs_vdd");
 
 /// Every registered figure with the smallest budget that still exercises
 /// its campaign, and the shard/job split the gate runs it at.
@@ -348,10 +349,7 @@ fn backend_and_samples_typos_fail_before_any_output() {
     for (typo, message) in typos {
         for (binary, args) in [
             (FIG5_BIN, fig5_args.to_vec()),
-            (
-                env!("CARGO_BIN_EXE_fig2_pcell_vs_vdd"),
-                vec!["--backend", "dram", "--json", &out],
-            ),
+            (FIG2_BIN, vec!["--backend", "dram", "--json", &out]),
             (
                 env!("CARGO_BIN_EXE_fig7_quality"),
                 vec!["elasticnet", "--samples", "1", "--json", &out],
@@ -371,28 +369,61 @@ fn backend_and_samples_typos_fail_before_any_output() {
         }
     }
 
-    // A shard or driver flag given to a binary that would drop it is
-    // refused, naming the binary that reads it.
-    for (binary, args, flag, reader) in [
+    // A valid flag given to a run that would drop it is refused, naming the
+    // flag once and the runs that read it.
+    let fig2_args = ["--json", &out];
+    let merge_args = [&shard_file, "--out", &out];
+    let identity = "the figure binaries, campaign_shard and campaign_run";
+    let sweeps = "the figure binaries, fig2_pcell_vs_vdd, campaign_shard and campaign_run";
+    let dram = "fig2_pcell_vs_vdd --backend dram";
+    // The last flag of each case's extra arguments is the one dropped.
+    let dropped: [(&str, &[&str], &[&str], &str); 18] = [
+        (FIG5_BIN, &fig5_args, &["--shard", "1/2"], "campaign_shard"),
+        (SHARD_BIN, &shard_args, &["--shards", "4"], "campaign_run"),
+        (RUN_BIN, &run_args, &["--shard", "1/2"], "campaign_shard"),
+        (FIG5_BIN, &fig5_args, &["--temp-c", "85"], dram),
+        (SHARD_BIN, &shard_args, &["--t-ref-ns", "6.4e7"], dram),
+        (RUN_BIN, &run_args, &["--temp-c", "85"], dram),
+        (FIG2_BIN, &fig2_args, &["--samples", "5"], identity),
+        (FIG2_BIN, &fig2_args, &["--image", "random"], identity),
+        (FIG2_BIN, &fig2_args, &["--kind-law", "stuck-at"], identity),
+        (FIG2_BIN, &fig2_args, &["--kernel", "bitsliced"], identity),
         (
-            FIG5_BIN,
-            &fig5_args[..],
-            ["--shard", "1/2"],
-            "campaign_shard",
+            FIG2_BIN,
+            &fig2_args,
+            &["--backend", "mlc", "--temp-c", "85"],
+            dram,
         ),
         (
-            SHARD_BIN,
-            &shard_args[..],
-            ["--shards", "4"],
-            "campaign_run",
+            FIG2_BIN,
+            &fig2_args,
+            &["--backend", "sram", "--t-ref-ns", "6.4e7"],
+            dram,
         ),
-        (RUN_BIN, &run_args[..], ["--shard", "1/2"], "campaign_shard"),
-    ] {
-        let output = Command::new(binary).args(args).args(flag).output().unwrap();
-        assert!(!output.status.success(), "{binary} {flag:?} must fail");
+        (
+            FIG2_BIN,
+            &fig2_args,
+            &["--backend", "dram", "--t-ref-ns", "6.4e7", "--temp-c", "85"],
+            dram,
+        ),
+        (MERGE_BIN, &merge_args, &["--samples", "7"], identity),
+        (MERGE_BIN, &merge_args, &["--backend", "dram"], sweeps),
+        (MERGE_BIN, &merge_args, &["--full"], sweeps),
+        (MERGE_BIN, &merge_args, &["--kernel", "bitsliced"], identity),
+        (MERGE_BIN, &merge_args, &["--temp-c", "85"], dram),
+    ];
+    for (binary, args, extra, reader) in dropped {
+        let flag = extra.iter().rfind(|arg| arg.starts_with("--")).unwrap();
+        let output = Command::new(binary)
+            .args(args)
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(!output.status.success(), "{binary} {extra:?} must fail");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        let message = format!("{} {} is read only by {reader}", flag[0], flag[1]);
-        assert_eq!(stderr.matches(&message).count(), 1, "{binary}: {stderr}");
+        assert_eq!(stderr.matches(flag).count(), 1, "{binary}: {stderr}");
+        let readers = format!("is read only by {reader}");
+        assert!(stderr.contains(&readers), "{binary}: {stderr}");
         assert!(!Path::new(&out).exists(), "{binary} wrote {out}");
         assert!(!Path::new(&shards).exists(), "{binary} wrote {shards}");
     }

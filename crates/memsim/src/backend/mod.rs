@@ -32,9 +32,7 @@
 //!
 //! ```
 //! use faultmit_memsim::backend::{FaultBackend, OperatingPoint, SramVddBackend};
-//! use faultmit_memsim::{
-//!     DieBatch, FaultMap, MemError, MemoryConfig, PlannedSample, StreamSeeder,
-//! };
+//! use faultmit_memsim::{DieScratch, FaultMap, MemError, MemoryConfig, StreamSeeder};
 //! use rand::rngs::StdRng;
 //!
 //! /// Faults from radiation strikes: iid placement, rate set by altitude.
@@ -81,11 +79,10 @@
 //!     config: MemoryConfig::new(64, 32)?,
 //!     altitude_km: 10.0,
 //! };
-//! // The pipeline substrate accepts the custom backend directly.
-//! let seeder = StreamSeeder::new(42);
-//! let plan = [PlannedSample { index: 0, n_faults: 3 }];
-//! let batch = DieBatch::generate_with_backend(&backend, &seeder, &plan)?;
-//! assert_eq!(batch.iter().next().unwrap().1.fault_count(), 3);
+//! // The campaign's per-worker arena draws dies from the custom backend.
+//! let mut scratch = DieScratch::new(backend.config());
+//! let mut rng = StreamSeeder::new(42).rng_for_sample(0);
+//! assert_eq!(scratch.generate(&backend, &mut rng, 3)?.fault_count(), 3);
 //! # Ok(())
 //! # }
 //! ```
@@ -96,13 +93,12 @@
 //! ([`FaultKindLaw::AlwaysFlip`], the paper's protocol). Real decay
 //! mechanisms are *stuck-at* and therefore data-dependent: whether a fault
 //! corrupts a read depends on the stored word. Choose a law with the
-//! backend's `with_kind_law` and evaluate against a
-//! [`DataImage`](crate::image::DataImage) from the
-//! [`ImageSpec`](crate::image::ImageSpec) catalogue:
+//! backend's `with_kind_law` and evaluate against the words of an
+//! [`ImageSpec`](crate::image::ImageSpec):
 //!
 //! ```
 //! use faultmit_memsim::backend::{FaultBackend, FaultKindLaw, MlcNvmBackend};
-//! use faultmit_memsim::image::{DataImage, ImageSpec};
+//! use faultmit_memsim::image::ImageSpec;
 //! use faultmit_memsim::MemoryConfig;
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
@@ -117,16 +113,16 @@
 //! )?;
 //! let map = backend.sample_with_count(&mut StdRng::seed_from_u64(1), 32)?;
 //!
-//! let zeros = ImageSpec::Zeros.try_materialise(config)?;
-//! let ones = ImageSpec::Ones.try_materialise(config)?;
-//! let observable = |image: &dyn DataImage| {
+//! let zeros = ImageSpec::Zeros.words(config)?;
+//! let ones = ImageSpec::Ones.words(config)?;
+//! let observable = |words: &[u64]| {
 //!     map.iter()
-//!         .filter(|f| f.kind.corrupts((image.word(f.row) >> f.col) & 1 == 1))
+//!         .filter(|f| f.kind.corrupts((words[f.row] >> f.col) & 1 == 1))
 //!         .count()
 //! };
 //! // Stuck-at-0 faults are silent over a zeros image but corrupt an
 //! // all-ones image — the data dependence the fig9 campaign quantifies.
-//! assert!(observable(zeros.as_ref()) < observable(ones.as_ref()));
+//! assert!(observable(&zeros) < observable(&ones));
 //! # Ok(())
 //! # }
 //! ```

@@ -10,19 +10,17 @@
 //! laws ([`crate::backend::FaultKindLaw`]) into "stuck-at-1 hurts,
 //! stuck-at-0 never does".
 //!
-//! A [`DataImage`] is a deterministic source of stored words, one per
-//! memory row, that data-aware evaluators read the faulty memory against.
 //! [`ImageSpec`] is the campaign-level identity of an image — `Copy`,
 //! order-insensitive and CLI-parseable (`--image zeros|ones|random[:seed]|`
 //! `sparse[:seed]|wine|madelon|har`) — so campaigns over images shard and
 //! merge with the same bit-identity guarantees as every other campaign
-//! axis.
+//! axis. [`ImageSpec::words`] renders an image as the one stored word per
+//! memory row that data-aware evaluators read the faulty memory against.
 //!
 //! The application-matrix images ([`AppImage`]) name fixed-point quantised
 //! benchmark datasets; their *data generation* lives above this crate (the
-//! `faultmit-apps` image module materialises them through
-//! [`WordImage`]), which is why [`ImageSpec::try_materialise`] resolves
-//! only the self-contained sources.
+//! `faultmit-apps` image module renders them), which is why
+//! [`ImageSpec::words`] resolves only the self-contained images.
 
 use crate::config::MemoryConfig;
 use crate::error::MemError;
@@ -40,185 +38,8 @@ const IMAGE_STREAM: u64 = 0xDA7A;
 /// `--image sparse` is given without an explicit seed.
 pub const DEFAULT_IMAGE_SEED: u64 = 0xDA7A_5EED;
 
-/// A deterministic source of stored memory words, one per row.
-///
-/// Implementations must be pure functions of `(self, row)`: the parallel
-/// pipeline evaluates rows from many worker threads and campaigns must stay
-/// bit-identical at any worker count, so an image may not carry mutable
-/// state or draw randomness outside a per-row derivation.
-pub trait DataImage: fmt::Debug + Send + Sync {
-    /// Human-readable image name for reports and JSON series.
-    fn label(&self) -> String;
-
-    /// The word stored in `row`.
-    fn word(&self, row: usize) -> u64;
-
-    /// Renders the image into a dense per-row word vector — the shape the
-    /// data-aware evaluators consume.
-    fn materialise(&self, rows: usize) -> Vec<u64> {
-        (0..rows).map(|row| self.word(row)).collect()
-    }
-}
-
-/// The all-zeros image: the historical MSE background, under which every
-/// stuck-at-1 and bit-flip fault is observable and stuck-at-0 is silent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ZerosImage;
-
-impl DataImage for ZerosImage {
-    fn label(&self) -> String {
-        "zeros".to_owned()
-    }
-
-    fn word(&self, _row: usize) -> u64 {
-        0
-    }
-}
-
-/// The all-ones image (every data bit set): the adversarial complement of
-/// [`ZerosImage`] — stuck-at-0 faults all observable, stuck-at-1 silent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OnesImage {
-    mask: u64,
-}
-
-impl OnesImage {
-    /// Creates the image for the given memory geometry (every word stores
-    /// [`MemoryConfig::word_mask`]).
-    #[must_use]
-    pub fn new(config: MemoryConfig) -> Self {
-        Self {
-            mask: config.word_mask(),
-        }
-    }
-}
-
-impl DataImage for OnesImage {
-    fn label(&self) -> String {
-        "ones".to_owned()
-    }
-
-    fn word(&self, _row: usize) -> u64 {
-        self.mask
-    }
-}
-
-/// Uniform-random words, derived per row from `(seed, row)` via the same
-/// SplitMix64 stream-splitting the fault pipeline uses — every bit is 0 or
-/// 1 with probability ½ independently, so half of all stuck-at faults are
-/// silent in expectation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UniformRandomImage {
-    seed: u64,
-    mask: u64,
-}
-
-impl UniformRandomImage {
-    /// Creates the image for the given memory geometry from `seed`.
-    #[must_use]
-    pub fn new(seed: u64, config: MemoryConfig) -> Self {
-        Self {
-            seed,
-            mask: config.word_mask(),
-        }
-    }
-}
-
-impl DataImage for UniformRandomImage {
-    fn label(&self) -> String {
-        format!("random:{}", self.seed)
-    }
-
-    fn word(&self, row: usize) -> u64 {
-        let mut rng = StreamSeeder::new(self.seed).rng_for(IMAGE_STREAM, row as u64);
-        rng.gen::<u64>() & self.mask
-    }
-}
-
-/// A sparse, low-entropy image: most rows store zero, and roughly one row
-/// in [`SparseImage::DENSITY`] stores a single set bit at a random
-/// position — the profile of zero-initialised buffers, one-hot encodings
-/// and sparse matrices, under which stuck-at-0 faults are almost always
-/// silent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SparseImage {
-    seed: u64,
-    word_bits: usize,
-}
-
-impl SparseImage {
-    /// One row in `DENSITY` is non-zero.
-    pub const DENSITY: u32 = 8;
-
-    /// Creates the image for the given memory geometry from `seed`.
-    #[must_use]
-    pub fn new(seed: u64, config: MemoryConfig) -> Self {
-        Self {
-            seed,
-            word_bits: config.word_bits(),
-        }
-    }
-}
-
-impl DataImage for SparseImage {
-    fn label(&self) -> String {
-        format!("sparse:{}", self.seed)
-    }
-
-    fn word(&self, row: usize) -> u64 {
-        let mut rng = StreamSeeder::new(self.seed).rng_for(IMAGE_STREAM, row as u64);
-        if rng.gen_range(0..Self::DENSITY as usize) == 0 {
-            1u64 << rng.gen_range(0..self.word_bits)
-        } else {
-            0
-        }
-    }
-}
-
-/// A concrete word image backed by an explicit word list, cycled over the
-/// rows — the carrier for externally materialised images (fixed-point
-/// application matrices quantised by the apps layer, golden images from
-/// disk, …).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WordImage {
-    label: String,
-    words: Vec<u64>,
-}
-
-impl WordImage {
-    /// Wraps a non-empty word list under the given label.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::InvalidParameter`] when `words` is empty.
-    pub fn new(label: impl Into<String>, words: Vec<u64>) -> Result<Self, MemError> {
-        if words.is_empty() {
-            return Err(MemError::InvalidParameter {
-                reason: "a word image needs at least one word".to_owned(),
-            });
-        }
-        Ok(Self {
-            label: label.into(),
-            words,
-        })
-    }
-
-    /// The backing word list.
-    #[must_use]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-}
-
-impl DataImage for WordImage {
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
-    fn word(&self, row: usize) -> u64 {
-        self.words[row % self.words.len()]
-    }
-}
+/// One row in `SPARSE_DENSITY` of a sparse image is non-zero.
+const SPARSE_DENSITY: usize = 8;
 
 /// A fixed-point application matrix image: one of the benchmark datasets,
 /// quantised to the memory's word format. Named here so [`ImageSpec`] can
@@ -270,14 +91,15 @@ pub enum ImageSpec {
     /// All-zeros background — the historical MSE protocol and the pipeline's
     /// bit-identical fast path.
     Zeros,
-    /// All data bits set.
+    /// All data bits set: every stuck-at-0 fault observable, stuck-at-1 silent.
     Ones,
     /// Uniform-random words derived from the seed.
     UniformRandom {
         /// Seed of the per-row word derivation.
         seed: u64,
     },
-    /// Sparse/low-entropy pattern derived from the seed.
+    /// Sparse/low-entropy pattern derived from the seed, the profile of
+    /// zero-initialised buffers and one-hot encodings.
     Sparse {
         /// Seed of the per-row word derivation.
         seed: u64,
@@ -288,34 +110,39 @@ pub enum ImageSpec {
 }
 
 impl ImageSpec {
-    /// `true` for the all-zeros image — the campaigns' bit-identical legacy
-    /// fast path.
-    #[must_use]
-    pub fn is_zeros(&self) -> bool {
-        matches!(self, ImageSpec::Zeros)
-    }
-
-    /// `true` when materialisation needs the application layer (benchmark
-    /// data generation and fixed-point quantisation).
-    #[must_use]
-    pub fn requires_app_data(&self) -> bool {
-        matches!(self, ImageSpec::App(_))
-    }
-
-    /// Materialises the self-contained image sources for the given memory
-    /// geometry.
+    /// The word stored in every row of a memory of geometry `config`, in
+    /// row order.
+    ///
+    /// Zeros and ones are constant. `random` and `sparse` draw each row's
+    /// word from that row's own stream of the seed, so a word depends only
+    /// on `(seed, row)`: every bit of a `random` word is set with
+    /// probability ½, and a `sparse` row holds, with probability 1/8, a
+    /// single set bit at a random position, and zero otherwise.
     ///
     /// # Errors
     ///
     /// Returns [`MemError::InvalidParameter`] for [`ImageSpec::App`] images,
     /// whose dataset generation lives above this crate — resolve those
     /// through the apps layer's image module instead.
-    pub fn try_materialise(&self, config: MemoryConfig) -> Result<Box<dyn DataImage>, MemError> {
-        Ok(match self {
-            ImageSpec::Zeros => Box::new(ZerosImage),
-            ImageSpec::Ones => Box::new(OnesImage::new(config)),
-            ImageSpec::UniformRandom { seed } => Box::new(UniformRandomImage::new(*seed, config)),
-            ImageSpec::Sparse { seed } => Box::new(SparseImage::new(*seed, config)),
+    pub fn words(&self, config: MemoryConfig) -> Result<Vec<u64>, MemError> {
+        let rows = 0..config.rows();
+        let row_rng = |seed, row: usize| StreamSeeder::new(seed).rng_for(IMAGE_STREAM, row as u64);
+        Ok(match *self {
+            ImageSpec::Zeros => vec![0; rows.len()],
+            ImageSpec::Ones => vec![config.word_mask(); rows.len()],
+            ImageSpec::UniformRandom { seed } => rows
+                .map(|row| row_rng(seed, row).gen::<u64>() & config.word_mask())
+                .collect(),
+            ImageSpec::Sparse { seed } => rows
+                .map(|row| {
+                    let mut rng = row_rng(seed, row);
+                    if rng.gen_range(0..SPARSE_DENSITY) == 0 {
+                        1u64 << rng.gen_range(0..config.word_bits())
+                    } else {
+                        0
+                    }
+                })
+                .collect(),
             ImageSpec::App(app) => {
                 return Err(MemError::InvalidParameter {
                     reason: format!(
@@ -416,65 +243,66 @@ mod tests {
         MemoryConfig::new(64, 32).unwrap()
     }
 
+    fn words(spec: ImageSpec, rows: usize, word_bits: usize) -> Vec<u64> {
+        spec.words(MemoryConfig::new(rows, word_bits).unwrap())
+            .unwrap()
+    }
+
     #[test]
-    fn zeros_and_ones_images_are_constant() {
-        let zeros = ZerosImage;
-        let ones = OnesImage::new(config());
-        for row in [0usize, 1, 63] {
-            assert_eq!(zeros.word(row), 0);
-            assert_eq!(ones.word(row), 0xFFFF_FFFF);
+    fn image_words_match_known_answers() {
+        // Known answers on a 64 × 32 memory: fig9 evaluates these words, so
+        // they must not move with any rewrite of the derivation.
+        let random = words(ImageSpec::UniformRandom { seed: 7 }, 64, 32);
+        assert_eq!(
+            random[..4],
+            [0x8886_7f2c, 0x5229_85fc, 0x39e2_68c0, 0x8f31_297d]
+        );
+        let sparse = words(ImageSpec::Sparse { seed: 7 }, 64, 32);
+        let first_set: Vec<(usize, u64)> = sparse
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, word)| word != 0)
+            .take(3)
+            .collect();
+        assert_eq!(first_set, [(2, 0x4_0000), (5, 0x2), (15, 0x4_0000)]);
+        for (word_bits, mask) in [(1, 1), (32, 0xFFFF_FFFF), (64, u64::MAX)] {
+            assert_eq!(words(ImageSpec::Ones, 64, word_bits), vec![mask; 64]);
         }
-        let wide = MemoryConfig::new(4, 64).unwrap();
-        assert_eq!(OnesImage::new(wide).word(0), u64::MAX);
-        let narrow = MemoryConfig::new(4, 1).unwrap();
-        assert_eq!(OnesImage::new(narrow).word(0), 1);
-        assert_eq!(zeros.materialise(4), vec![0; 4]);
+        assert_eq!(words(ImageSpec::Zeros, 4, 32), vec![0; 4]);
     }
 
     #[test]
     fn random_image_is_deterministic_per_row_and_masked() {
-        let image = UniformRandomImage::new(42, config());
-        for row in 0..256 {
-            let word = image.word(row);
-            assert_eq!(word, image.word(row), "row {row} is not deterministic");
-            assert_eq!(word >> 32, 0, "row {row} exceeds the word width");
-        }
+        let random = |seed, rows| words(ImageSpec::UniformRandom { seed }, rows, 32);
+        let image = random(42, 512);
+        assert_eq!(image, random(42, 512));
+        assert!(image.iter().all(|word| word >> 32 == 0));
+        // A row's word depends only on (seed, row), not on the geometry.
+        assert_eq!(image[..64], random(42, 64));
         // Different seeds and different rows diverge.
-        assert_ne!(image.word(0), UniformRandomImage::new(43, config()).word(0));
-        assert_ne!(image.word(0), image.word(1));
+        assert_ne!(image[0], random(43, 1)[0]);
+        assert_ne!(image[0], image[1]);
         // Roughly half of the bits are set across many rows.
-        let set_bits: u32 = (0..512).map(|row| image.word(row).count_ones()).sum();
+        let set_bits: u32 = image.iter().map(|word| word.count_ones()).sum();
         let fraction = f64::from(set_bits) / (512.0 * 32.0);
         assert!((fraction - 0.5).abs() < 0.05, "set-bit fraction {fraction}");
     }
 
     #[test]
     fn sparse_image_is_mostly_zero_with_single_bit_rows() {
-        let image = SparseImage::new(7, config());
-        let words = image.materialise(4096);
-        let non_zero = words.iter().filter(|&&w| w != 0).count();
-        for &word in &words {
+        let image = words(ImageSpec::Sparse { seed: 7 }, 4096, 32);
+        let non_zero = image.iter().filter(|&&w| w != 0).count();
+        for &word in &image {
             assert!(word.count_ones() <= 1, "word {word:#x} is not one-hot");
             assert_eq!(word >> 32, 0);
         }
         let density = non_zero as f64 / 4096.0;
-        let expected = 1.0 / f64::from(SparseImage::DENSITY);
+        let expected = 1.0 / SPARSE_DENSITY as f64;
         assert!(
             (density - expected).abs() < 0.03,
             "non-zero density {density}, expected ~{expected}"
         );
-        assert_eq!(words, image.materialise(4096), "not deterministic");
-    }
-
-    #[test]
-    fn word_image_cycles_and_rejects_empty_lists() {
-        let image = WordImage::new("demo", vec![1, 2, 3]).unwrap();
-        assert_eq!(image.label(), "demo");
-        assert_eq!(image.word(0), 1);
-        assert_eq!(image.word(4), 2);
-        assert_eq!(image.materialise(5), vec![1, 2, 3, 1, 2]);
-        assert_eq!(image.words(), &[1, 2, 3]);
-        assert!(WordImage::new("empty", vec![]).is_err());
+        assert_eq!(image, words(ImageSpec::Sparse { seed: 7 }, 4096, 32));
     }
 
     #[test]
@@ -540,23 +368,17 @@ mod tests {
     }
 
     #[test]
-    fn try_materialise_covers_self_contained_sources_only() {
+    fn words_cover_self_contained_images_only() {
         for spec in [
             ImageSpec::Zeros,
             ImageSpec::Ones,
             ImageSpec::UniformRandom { seed: 1 },
             ImageSpec::Sparse { seed: 1 },
         ] {
-            let image = spec.try_materialise(config()).unwrap();
-            assert_eq!(image.materialise(64).len(), 64);
-            assert!(!spec.requires_app_data());
+            assert_eq!(spec.words(config()).unwrap().len(), 64);
         }
-        let spec = ImageSpec::App(AppImage::Wine);
-        assert!(spec.requires_app_data());
-        let error = spec.try_materialise(config()).unwrap_err();
+        let error = ImageSpec::App(AppImage::Wine).words(config()).unwrap_err();
         assert!(error.to_string().contains("apps layer"), "{error}");
-        assert!(ImageSpec::Zeros.is_zeros());
-        assert!(!ImageSpec::Ones.is_zeros());
     }
 
     #[test]

@@ -17,15 +17,15 @@
 //!   [`MlcNvmBackend`] (drift-broadened level margins, level-dependent
 //!   asymmetric bit errors). See the module docs for a worked
 //!   "add your own backend" example.
-//! * [`image`] — data images: [`DataImage`] word sources and the
-//!   [`ImageSpec`] catalogue (zeros, ones, uniform-random, sparse,
-//!   application matrices) against which data-aware campaigns evaluate
+//! * [`image`] — data images: the [`ImageSpec`] catalogue (zeros, ones,
+//!   uniform-random, sparse, application matrices) and its stored words
+//!   ([`ImageSpec::words`]), against which data-aware campaigns evaluate
 //!   stuck-at faults relative to the stored word.
-//! * [`StreamSeeder`] / [`DieBatch`] — deterministic stream-splitting of a
-//!   campaign seed into per-sample RNGs and batched die generation, the
-//!   sampling substrate of the parallel fault-injection pipeline
-//!   (`faultmit-sim`): fault maps depend only on `(campaign seed, sample
-//!   index)`, never on which worker thread draws them.
+//! * [`StreamSeeder`] — deterministic stream-splitting of a campaign seed
+//!   into per-sample RNGs, the sampling substrate of the parallel
+//!   fault-injection pipeline (`faultmit-sim`): fault maps depend only on
+//!   `(campaign seed, sample index)`, never on which worker thread draws
+//!   them. Each worker draws its dies into a reused [`DieScratch`].
 //! * [`MarchBist`] — a March C- built-in self test that locates faulty cells,
 //!   producing the per-row report that seeds the bit-shuffling FM-LUT.
 //! * [`dieblock`] — transposed (bit-sliced) die blocks: up to
@@ -83,9 +83,9 @@ pub use dieblock::{for_each_die, BlockRow, DieBlock, LaneCell, ResidualLanes, BL
 pub use error::MemError;
 pub use failure_model::{CellFailureModel, FailureModelBuilder};
 pub use fault::{Fault, FaultKind, FaultMap};
-pub use image::{AppImage, DataImage, ImageSpec, WordImage};
+pub use image::{AppImage, ImageSpec};
 pub use montecarlo::FailureCountDistribution;
-pub use redundancy::{repair_yield, spares_for_full_repair, RowRepair};
+pub use redundancy::repair_yield;
 pub use scratch::{BlockScratch, DieScratch};
-pub use seeder::{DieBatch, PlannedSample, StreamSeeder};
+pub use seeder::{PlannedSample, StreamSeeder};
 pub use voltage::{VddSweep, VoltageScaledDie};

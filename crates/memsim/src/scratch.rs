@@ -76,12 +76,6 @@ impl DieScratch {
         &self.map
     }
 
-    /// Consumes the arena, returning the generated map.
-    #[must_use]
-    pub fn into_map(self) -> FaultMap {
-        self.map
-    }
-
     /// Replaces the arena's fault map wholesale. This is the fallback entry
     /// point for custom [`FaultBackend`]s that do not override
     /// [`FaultBackend::sample_into`] — it hands ownership of a freshly
@@ -161,9 +155,13 @@ impl DieScratch {
         Ok(&self.map)
     }
 
-    /// Generates one die, redrawing it (up to `max_redraws` times) while any
-    /// row holds more than one fault — the arena twin of the seeder's
-    /// single-fault-per-row protocol, with identical RNG consumption.
+    /// Generates one die, redrawing it on the same RNG (up to `max_redraws`
+    /// times) while any row holds more than one fault — the Fig. 7 protocol
+    /// under which SECDED is error-free.
+    ///
+    /// Best-effort: when the budget runs out the last draw is kept,
+    /// multi-fault rows and all. Spatial laws that cluster faults (DRAM
+    /// retention) exhaust it routinely at higher fault counts.
     ///
     /// # Errors
     ///
@@ -564,25 +562,25 @@ mod tests {
 
     #[test]
     fn single_fault_per_row_redraw_matches_the_seeder_protocol() {
-        use crate::seeder::{DieBatch, PlannedSample, StreamSeeder};
+        // The reference: draw through the allocating path and redraw, on
+        // the same RNG, while a row holds two faults, at most 8 times.
         let backend = Backend::at_p_cell(BackendKind::Sram, config(), 1e-3).unwrap();
         let seeder = StreamSeeder::new(99);
-        let plan: Vec<PlannedSample> = (0..24u64)
-            .map(|index| PlannedSample {
-                index,
-                n_faults: 20,
-            })
-            .collect();
-        let batch =
-            DieBatch::generate_single_fault_per_row_with_backend(&backend, &seeder, &plan, 8)
-                .unwrap();
         let mut scratch = DieScratch::new(config());
-        for (planned, expected) in batch.iter() {
-            let mut rng = seeder.rng_for_sample(planned.index);
+        for index in 0..24u64 {
+            let mut rng = seeder.rng_for_sample(index);
+            let mut expected = backend.sample_with_count(&mut rng, 20).unwrap();
+            for _ in 0..8 {
+                if expected.max_faults_per_row() <= 1 {
+                    break;
+                }
+                expected = backend.sample_with_count(&mut rng, 20).unwrap();
+            }
+            let mut rng = seeder.rng_for_sample(index);
             let map = scratch
-                .generate_single_fault_per_row(&backend, &mut rng, planned.n_faults as usize, 8)
+                .generate_single_fault_per_row(&backend, &mut rng, 20, 8)
                 .unwrap();
-            assert_eq!(map, expected, "sample {}", planned.index);
+            assert_eq!(map, &expected, "sample {index}");
         }
     }
 }

@@ -20,10 +20,6 @@
 //! xoshiro256++ engine behind [`StdRng`]) invalidates every published
 //! figure byte, so both are frozen.
 
-use crate::backend::FaultBackend;
-use crate::config::MemoryConfig;
-use crate::error::MemError;
-use crate::fault::FaultMap;
 use rand::rngs::StdRng;
 use rand::{splitmix64, SeedableRng};
 
@@ -101,143 +97,10 @@ pub struct PlannedSample {
     pub n_faults: u64,
 }
 
-/// A batch of sampled dies, generated independently of any other batch.
-///
-/// Batches are the unit of work of the parallel pipeline: each worker thread
-/// generates whole batches from a [`StreamSeeder`] and a slice of
-/// [`PlannedSample`]s, so fault maps never depend on which thread produced
-/// them.
-#[derive(Debug, Clone)]
-pub struct DieBatch {
-    samples: Vec<(PlannedSample, FaultMap)>,
-}
-
-impl DieBatch {
-    /// Generates the batch for `plan` by drawing every fault map from a
-    /// [`FaultBackend`]'s spatial law, using per-sample RNG streams from
-    /// `seeder`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling errors.
-    pub fn generate_with_backend<B: FaultBackend + ?Sized>(
-        backend: &B,
-        seeder: &StreamSeeder,
-        plan: &[PlannedSample],
-    ) -> Result<Self, MemError> {
-        Self::generate_with(
-            |rng, n_faults| backend.sample_with_count(rng, n_faults),
-            seeder,
-            plan,
-        )
-    }
-
-    /// Generates the batch from a sampling function of the per-sample RNG
-    /// and the planned fault count — the body both backend constructors
-    /// share.
-    fn generate_with<F>(
-        mut sample: F,
-        seeder: &StreamSeeder,
-        plan: &[PlannedSample],
-    ) -> Result<Self, MemError>
-    where
-        F: FnMut(&mut StdRng, usize) -> Result<FaultMap, MemError>,
-    {
-        let mut samples = Vec::with_capacity(plan.len());
-        for &planned in plan {
-            let mut rng = seeder.rng_for_sample(planned.index);
-            let map = sample(&mut rng, planned.n_faults as usize)?;
-            samples.push((planned, map));
-        }
-        Ok(Self { samples })
-    }
-
-    /// Generates the batch while rejecting (and redrawing, bounded) fault
-    /// maps that place more than one fault in a single row — the Fig. 7
-    /// protocol under which SECDED is error-free — using the backend's
-    /// spatial law for every draw.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling errors.
-    pub fn generate_single_fault_per_row_with_backend<B: FaultBackend + ?Sized>(
-        backend: &B,
-        seeder: &StreamSeeder,
-        plan: &[PlannedSample],
-        max_redraws: usize,
-    ) -> Result<Self, MemError> {
-        Self::generate_with(
-            |rng, n_faults| {
-                redraw_until_single_fault_rows(
-                    |rng| backend.sample_with_count(rng, n_faults),
-                    rng,
-                    max_redraws,
-                )
-            },
-            seeder,
-            plan,
-        )
-    }
-
-    /// Number of dies in the batch.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` when the batch holds no dies.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Iterates over `(planned sample, fault map)` pairs in plan order.
-    pub fn iter(&self) -> impl Iterator<Item = (&PlannedSample, &FaultMap)> {
-        self.samples.iter().map(|(p, m)| (p, m))
-    }
-
-    /// Geometry shared by all dies in a non-empty batch.
-    #[must_use]
-    pub fn config(&self) -> Option<MemoryConfig> {
-        self.samples.first().map(|(_, m)| m.config())
-    }
-}
-
-/// Draws a map and redraws it (up to `max_redraws` times) while any row
-/// holds more than one fault — the Fig. 7 filtering protocol, identical in
-/// RNG consumption to the historical inline loop.
-///
-/// Best-effort: when the budget runs out the last draw is kept, multi-fault
-/// rows and all. Spatial laws that cluster faults (DRAM retention) exhaust
-/// the budget routinely at higher fault counts; callers comparing against
-/// an "ECC is error-free" reference must not rely on the filter there.
-fn redraw_until_single_fault_rows<F>(
-    mut draw: F,
-    rng: &mut StdRng,
-    max_redraws: usize,
-) -> Result<FaultMap, MemError>
-where
-    F: FnMut(&mut StdRng) -> Result<FaultMap, MemError>,
-{
-    let mut map = draw(rng)?;
-    for _ in 0..max_redraws {
-        if map.max_faults_per_row() <= 1 {
-            break;
-        }
-        map = draw(rng)?;
-    }
-    Ok(map)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::SramVddBackend;
     use rand::Rng;
-
-    fn backend() -> SramVddBackend {
-        SramVddBackend::with_p_cell(MemoryConfig::new(64, 32).unwrap(), 1e-3).unwrap()
-    }
 
     #[test]
     fn derived_seeds_are_stable_and_distinct() {
@@ -259,79 +122,5 @@ mod tests {
         let a = StreamSeeder::new(1).rng_for_sample(0).gen::<u64>();
         let b = StreamSeeder::new(2).rng_for_sample(0).gen::<u64>();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn batch_generation_is_order_independent() {
-        let seeder = StreamSeeder::new(99);
-        let plan: Vec<PlannedSample> = (0..10)
-            .map(|i| PlannedSample {
-                index: i,
-                n_faults: 3,
-            })
-            .collect();
-        // One big batch vs. two half batches: identical maps per index.
-        let whole = DieBatch::generate_with_backend(&backend(), &seeder, &plan).unwrap();
-        let front = DieBatch::generate_with_backend(&backend(), &seeder, &plan[..5]).unwrap();
-        let back = DieBatch::generate_with_backend(&backend(), &seeder, &plan[5..]).unwrap();
-        let split: Vec<_> = front.iter().chain(back.iter()).collect();
-        for ((pw, mw), (ps, ms)) in whole.iter().zip(split) {
-            assert_eq!(pw.index, ps.index);
-            let a: Vec<_> = mw.iter().collect();
-            let b: Vec<_> = ms.iter().collect();
-            assert_eq!(a, b, "sample {} differs", pw.index);
-        }
-    }
-
-    #[test]
-    fn batch_respects_fault_counts() {
-        let seeder = StreamSeeder::new(5);
-        let plan: Vec<PlannedSample> = (0..8)
-            .map(|i| PlannedSample {
-                index: i,
-                n_faults: i,
-            })
-            .collect();
-        let batch = DieBatch::generate_with_backend(&backend(), &seeder, &plan).unwrap();
-        assert_eq!(batch.len(), 8);
-        for (planned, map) in batch.iter() {
-            assert_eq!(map.fault_count() as u64, planned.n_faults);
-        }
-        assert_eq!(batch.config(), Some(MemoryConfig::new(64, 32).unwrap()));
-    }
-
-    #[test]
-    fn single_fault_per_row_policy_filters_collisions() {
-        // A tiny 4-row array with many faults collides constantly; the
-        // bounded redraw must still terminate and, when possible, produce
-        // collision-free maps.
-        let backend =
-            SramVddBackend::with_p_cell(MemoryConfig::new(32, 32).unwrap(), 1e-3).unwrap();
-        let seeder = StreamSeeder::new(17);
-        let plan: Vec<PlannedSample> = (0..20)
-            .map(|i| PlannedSample {
-                index: i,
-                n_faults: 4,
-            })
-            .collect();
-        let batch =
-            DieBatch::generate_single_fault_per_row_with_backend(&backend, &seeder, &plan, 1000)
-                .unwrap();
-        for (planned, map) in batch.iter() {
-            assert_eq!(map.fault_count(), 4);
-            assert!(
-                map.max_faults_per_row() <= 1,
-                "sample {} kept a multi-fault row",
-                planned.index
-            );
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_well_behaved() {
-        let seeder = StreamSeeder::new(0);
-        let batch = DieBatch::generate_with_backend(&backend(), &seeder, &[]).unwrap();
-        assert!(batch.is_empty());
-        assert_eq!(batch.config(), None);
     }
 }

@@ -909,7 +909,7 @@ mod tests {
     fn image_spec_rides_in_the_config_identity() {
         use faultmit_memsim::ImageSpec;
         let base = config();
-        assert!(base.image().is_zeros());
+        assert_eq!(base.image(), ImageSpec::Zeros);
         let imaged = base.with_image(ImageSpec::UniformRandom { seed: 5 });
         assert_eq!(imaged.image(), ImageSpec::UniformRandom { seed: 5 });
         assert_ne!(base, imaged, "the image is part of the campaign identity");
@@ -1370,27 +1370,34 @@ mod tests {
 
     #[test]
     fn single_fault_per_row_policy_works_for_structured_backends() {
-        use faultmit_memsim::DramRetentionBackend;
-        let memory = MemoryConfig::new(64, 32).unwrap();
-        let backend = DramRetentionBackend::new(memory, 64.0, 45.0).unwrap();
-        let campaign = Campaign::new(
-            CampaignConfig::for_backend(backend)
-                .unwrap()
-                .with_samples_per_count(6)
-                .with_max_failures(4)
-                .with_map_policy(MapPolicy::SingleFaultPerRow { max_redraws: 2000 }),
-        );
-        let result = campaign.solo(&[Scheme::unprotected32()], 3, |map, metrics| {
-            metrics.fill(map.max_faults_per_row() as f64)
-        });
-        // Clustered placement collides often; the redraw budget must still
-        // deliver single-fault rows for these low counts.
-        for record in &result.records {
-            assert!(
-                record.metrics[0] <= 1.0,
-                "sample {} kept a multi-fault row",
-                record.sample_index
+        use faultmit_memsim::{Backend, DramRetentionBackend, SramVddBackend};
+        // Clustered placement collides often, and so do 4 iid faults in a
+        // 32-row array; the redraw budget must still deliver single-fault
+        // rows for these low counts.
+        let dram = DramRetentionBackend::new(MemoryConfig::new(64, 32).unwrap(), 64.0, 45.0);
+        let sram = SramVddBackend::with_p_cell(MemoryConfig::new(32, 32).unwrap(), 1e-3);
+        for (backend, samples) in [
+            (Backend::Dram(dram.unwrap()), 6),
+            (Backend::Sram(sram.unwrap()), 20),
+        ] {
+            let campaign = Campaign::new(
+                CampaignConfig::for_backend(backend)
+                    .unwrap()
+                    .with_samples_per_count(samples)
+                    .with_max_failures(4)
+                    .with_map_policy(MapPolicy::SingleFaultPerRow { max_redraws: 2000 }),
             );
+            let result = campaign.solo(&[Scheme::unprotected32()], 3, |map, metrics| {
+                metrics.fill(map.max_faults_per_row() as f64)
+            });
+            for record in &result.records {
+                assert!(
+                    record.metrics[0] <= 1.0,
+                    "{}: sample {} kept a multi-fault row",
+                    backend.name(),
+                    record.sample_index
+                );
+            }
         }
     }
 }

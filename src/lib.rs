@@ -19,7 +19,7 @@
 //! | [`ecc`] | Hamming SECDED (H(39,32), H(22,16)) and priority-ECC baselines |
 //! | [`core`] | segment geometry, FM-LUT, barrel shifter, [`ShuffledMemory`], the [`Scheme`] catalogue |
 //! | [`sim`] | the parallel fault-injection pipeline: deterministic per-sample RNG streams, paired scheme evaluation, mergeable accumulators, backend-generic campaigns |
-//! | [`analysis`] | MSE quality model (Eq. 6), yield criterion (Eq. 3–5), pipeline-backed Monte-Carlo engine, CDF sketches |
+//! | [`analysis`] | MSE quality model (Eq. 6), yield criterion (Eq. 3–5), pipeline-backed Monte-Carlo engine, weighted CDFs |
 //! | [`hwmodel`] | analytical 28 nm read-power / delay / area overhead model (Fig. 6) |
 //! | [`apps`] | Elasticnet, PCA, KNN benchmarks with synthetic datasets and the pipeline-backed Fig. 7 harness (per-technology via the backend axis) |
 //!

@@ -7,8 +7,7 @@
 use faultmit::analysis::{memory_mse, memory_mse_for_data, MonteCarloEngine};
 use faultmit::core::{MitigationScheme, Scheme};
 use faultmit::memsim::{
-    Backend, BackendKind, DieBatch, FaultKindLaw, ImageSpec, MemoryConfig, PlannedSample,
-    StreamSeeder,
+    Backend, BackendKind, FaultBackend, FaultKindLaw, ImageSpec, MemoryConfig, StreamSeeder,
 };
 use faultmit::sim::CampaignConfig;
 
@@ -33,35 +32,27 @@ fn stuck_at_zero_faults_are_invisible_on_a_zeros_image_for_every_scheme() {
     // and check the per-map property directly: a zeros image observes no
     // error under any scheme, while a ones image observes errors on the
     // unprotected memory for every non-empty map.
-    let plan: Vec<PlannedSample> = (0..20)
-        .map(|index| PlannedSample {
-            index,
-            n_faults: 1 + index % 5,
-        })
-        .collect();
+    let seeder = StreamSeeder::new(SEED);
     let zeros = vec![0u64; memory().rows()];
-    let ones = ImageSpec::Ones
-        .try_materialise(memory())
-        .unwrap()
-        .materialise(memory().rows());
+    let ones = ImageSpec::Ones.words(memory()).unwrap();
     for kind in BackendKind::ALL {
         let backend = stuck_at_zero_backend(kind);
-        let batch =
-            DieBatch::generate_with_backend(&backend, &StreamSeeder::new(SEED), &plan).unwrap();
-        for (planned, map) in batch.iter() {
+        for index in 0..20 {
+            let n_faults = 1 + index as usize % 5;
+            let map = backend
+                .sample_with_count(&mut seeder.rng_for_sample(index), n_faults)
+                .unwrap();
             for scheme in Scheme::fig5_catalogue() {
                 assert_eq!(
-                    memory_mse_for_data(&scheme, map, &zeros),
+                    memory_mse_for_data(&scheme, &map, &zeros),
                     0.0,
-                    "{kind}, sample {}, {}: stuck-at-0 corrupted a zeros image",
-                    planned.index,
+                    "{kind}, sample {index}, {}: stuck-at-0 corrupted a zeros image",
                     scheme.name()
                 );
             }
             assert!(
-                memory_mse_for_data(&Scheme::unprotected32(), map, &ones) > 0.0,
-                "{kind}, sample {}: stuck-at-0 must corrupt a ones image",
-                planned.index
+                memory_mse_for_data(&Scheme::unprotected32(), &map, &ones) > 0.0,
+                "{kind}, sample {index}: stuck-at-0 must corrupt a ones image"
             );
         }
     }
@@ -96,22 +87,17 @@ fn zeros_image_campaigns_are_bit_identical_to_the_legacy_all_zeros_path() {
         );
     }
     // Per-map: memory_mse and memory_mse_for_data on zeros agree exactly.
-    let plan = [PlannedSample {
-        index: 0,
-        n_faults: 7,
-    }];
-    let backend = stuck_at_zero_backend(BackendKind::Mlc);
-    let batch = DieBatch::generate_with_backend(&backend, &StreamSeeder::new(SEED), &plan).unwrap();
+    let map = stuck_at_zero_backend(BackendKind::Mlc)
+        .sample_with_count(&mut StreamSeeder::new(SEED).rng_for_sample(0), 7)
+        .unwrap();
     let zeros = vec![0u64; memory().rows()];
-    for (_, map) in batch.iter() {
-        for scheme in Scheme::fig5_catalogue() {
-            assert_eq!(
-                memory_mse(&scheme, map).to_bits(),
-                memory_mse_for_data(&scheme, map, &zeros).to_bits(),
-                "{}",
-                scheme.name()
-            );
-        }
+    for scheme in Scheme::fig5_catalogue() {
+        assert_eq!(
+            memory_mse(&scheme, &map).to_bits(),
+            memory_mse_for_data(&scheme, &map, &zeros).to_bits(),
+            "{}",
+            scheme.name()
+        );
     }
 }
 

@@ -101,8 +101,7 @@ fn sparse_mse_kernel_is_bit_identical_to_the_scalar_kernel() {
                         .with_kind_law(law)
                         .unwrap();
                     let context = format!("{kind} {law:?} {spec:?} rows={}", memory.rows());
-                    let image = spec.try_materialise(memory).unwrap();
-                    let words = image.materialise(memory.rows());
+                    let words = spec.words(memory).unwrap();
 
                     // Dense baseline: the generic observe path over a dense
                     // image vector.
@@ -122,7 +121,7 @@ fn sparse_mse_kernel_is_bit_identical_to_the_scalar_kernel() {
                         SEED,
                         ShardSpec::solo(),
                         per_scheme(&schemes, |scheme, map| {
-                            memory_mse_sparse_with(scheme, map, |row| image.word(row))
+                            memory_mse_sparse_with(scheme, map, |row| words[row])
                         }),
                     );
 
@@ -132,7 +131,7 @@ fn sparse_mse_kernel_is_bit_identical_to_the_scalar_kernel() {
                         &schemes,
                         SEED,
                         ShardSpec::solo(),
-                        |map, metrics| walk.mse_into(map, |row| image.word(row), metrics),
+                        |map, metrics| walk.mse_into(map, |row| words[row], metrics),
                     );
 
                     assert_records_bit_identical(&scalar, &sparse, &context);
@@ -202,8 +201,7 @@ fn catalogue_walk_is_bit_identical_on_multi_fault_dies() {
                     .with_kind_law(law)
                     .unwrap();
                 let context = format!("{kind} {law:?} {spec:?}");
-                let image = spec.try_materialise(memory).unwrap();
-                let words = image.materialise(memory.rows());
+                let words = spec.words(memory).unwrap();
                 let config = CampaignConfig::for_backend(backend)
                     .unwrap()
                     .with_samples_per_count(3)
@@ -231,7 +229,7 @@ fn catalogue_walk_is_bit_identical_on_multi_fault_dies() {
                             };
                             counter.fetch_add(1, Ordering::Relaxed);
                         }
-                        walk.mse_into(map, |row| image.word(row), metrics);
+                        walk.mse_into(map, |row| words[row], metrics);
                     },
                 );
                 assert_records_bit_identical(&dense, &fused, &context);
@@ -301,8 +299,7 @@ fn assert_kernels_agree(
     spec: ImageSpec,
     context: &str,
 ) {
-    let image = spec.try_materialise(memory).unwrap();
-    let words = image.materialise(memory.rows());
+    let words = spec.words(memory).unwrap();
     let scalar = campaign.records(
         schemes,
         SEED,
@@ -313,7 +310,7 @@ fn assert_kernels_agree(
     );
     let walk = CatalogueMse::new(schemes, memory.word_bits());
     let walk_die = |map: &FaultMap, metrics: &mut [f64]| {
-        walk.mse_into(map, |row| image.word(row), metrics);
+        walk.mse_into(map, |row| words[row], metrics);
         Ok::<(), Infallible>(())
     };
     let sparse = campaign
@@ -333,7 +330,7 @@ fn assert_kernels_agree(
             ShardSpec::solo(),
             walk_die,
             |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
-                block_mse_into(scheme, block, |row| image.word(row), out);
+                block_mse_into(scheme, block, |row| words[row], out);
             },
             CollectRecords::new,
         )

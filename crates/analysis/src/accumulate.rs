@@ -8,7 +8,7 @@
 //! the [`YieldModel`]s behind Fig. 5.
 
 use crate::cdf::EmpiricalCdf;
-use crate::yield_model::YieldModel;
+use crate::yield_model::{SharedStrata, YieldModel};
 use faultmit_memsim::FailureCountDistribution;
 use faultmit_sim::{Accumulator, PairedSample};
 use std::collections::BTreeMap;
@@ -65,12 +65,14 @@ impl CatalogueAccumulator {
     }
 
     /// Converts the accumulated statistics into one [`YieldModel`] per
-    /// scheme, in catalogue order.
+    /// scheme, in catalogue order. Every scheme saw the same dies, so the
+    /// models share their strata's `Pr(N = n)` and prefix tables.
     #[must_use]
     pub fn into_yield_models(self, distribution: FailureCountDistribution) -> Vec<YieldModel> {
+        let mut shared = SharedStrata::default();
         self.per_scheme
             .into_iter()
-            .map(|per_count| YieldModel::from_per_count(distribution, per_count))
+            .map(|per_count| YieldModel::sharing(distribution, per_count, &mut shared))
             .collect()
     }
 }
@@ -144,6 +146,48 @@ mod tests {
         // Scheme 0 saw MSE 10/20 at one failure; scheme 1 saw 1/2.
         assert!(models[0].conditional_pass_probability(1, 15.0) > 0.49);
         assert!(models[1].conditional_pass_probability(1, 15.0) > 0.99);
+    }
+
+    #[test]
+    fn models_sharing_strata_answer_as_standalone_models() {
+        // Scheme 1 drops a NaN metric at n = 2, so its stratum there is
+        // one sample short of scheme 0's and must not take its table.
+        let mut acc = CatalogueAccumulator::new(2);
+        for (index, (n, metrics)) in [
+            (1, [10.0, 1.0]),
+            (1, [20.0, 2.0]),
+            (2, [30.0, f64::NAN]),
+            (2, [40.0, 4.0]),
+            (3, [50.0, 5.0]),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            acc.record(&sample(index as u64, n, &metrics));
+        }
+        let standalone: Vec<YieldModel> = acc
+            .per_scheme_counts()
+            .iter()
+            .map(|per_count| YieldModel::from_per_count(distribution(), per_count.clone()))
+            .collect();
+        for (shared, alone) in acc
+            .into_yield_models(distribution())
+            .iter()
+            .zip(&standalone)
+        {
+            for q in [0.5, 1.0, 2.0, 4.0, 10.0, 25.0, 40.0, 50.0, f64::INFINITY] {
+                assert_eq!(
+                    shared.yield_at_quality(q).to_bits(),
+                    alone.yield_at_quality(q).to_bits(),
+                    "q = {q}"
+                );
+            }
+            let grid = [0.0, 3.0, 30.0, 60.0];
+            assert_eq!(
+                shared.combined_cdf_at(0.0, &grid),
+                alone.combined_cdf_at(0.0, &grid)
+            );
+        }
     }
 
     #[test]

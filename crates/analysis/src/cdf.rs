@@ -76,7 +76,7 @@ impl EmpiricalCdf {
     ///
     /// Observations with zero weight or non-finite values are ignored.
     pub fn add(&mut self, value: f64, weight: f64) {
-        if !value.is_finite() || !weight.is_finite() || weight <= 0.0 {
+        if !admits(value, weight) {
             return;
         }
         self.samples.push((value, weight));
@@ -252,6 +252,12 @@ impl EmpiricalCdf {
             .map(|i| 10f64.powf(lo + (hi - lo) * i as f64 / (points - 1) as f64))
             .collect())
     }
+}
+
+/// Whether [`EmpiricalCdf::add`] keeps an observation: a finite value with
+/// a finite, positive weight.
+pub(crate) fn admits(value: f64, weight: f64) -> bool {
+    value.is_finite() && weight.is_finite() && weight > 0.0
 }
 
 impl FromIterator<f64> for EmpiricalCdf {

@@ -15,9 +15,10 @@
 //! the yield at a given quality constraint, and the quality constraint that
 //! must be tolerated to reach a given yield target.
 
-use crate::cdf::EmpiricalCdf;
+use crate::cdf::{admits, EmpiricalCdf};
 use faultmit_memsim::FailureCountDistribution;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A `(target yield, tolerated quality)` pair, e.g. "99.9999 % of dies have
 /// MSE below 10⁶".
@@ -36,18 +37,143 @@ pub struct QualityBand {
 /// failures are assumed to have perfect quality (value 0).
 ///
 /// The model is immutable: its constructor evaluates `Pr(N = n)` once for
-/// `n = 0` and every sampled failure count, and sorts the candidate
-/// thresholds of [`YieldModel::quality_for_yield`] once.
+/// `n = 0` and every sampled failure count, sorts each stratum's values,
+/// and sorts all of them into the candidate thresholds of
+/// [`YieldModel::quality_for_yield`].
+///
+/// Every campaign stratum weighs its samples equally (`Pr(N = n)` over the
+/// samples per count), and a stratum's mass at or below `q` is then a
+/// function of how many of its values lie there: the insertion-order sum
+/// of `c` equal weights is the same `c`-fold sum whichever `c` values pass.
+/// Such a stratum answers from a prefix table of those sums, found by
+/// bisecting its sorted values, in O(log m) instead of a scan of its `m`
+/// observations, with the scan's bits. A stratum whose weights are not
+/// all bit-equal keeps the scan. The table depends only on the weight and
+/// `m`, so the models of one campaign's schemes share theirs, and their
+/// `Pr(N = n)` ([`crate::CatalogueAccumulator::into_yield_models`]).
 #[derive(Debug, Clone)]
 pub struct YieldModel {
     distribution: FailureCountDistribution,
     per_count: BTreeMap<u64, EmpiricalCdf>,
     /// `Pr(N = 0)`.
     zero_pmf: f64,
-    /// `Pr(N = n)` for every key of `per_count`, in key order.
-    pmfs: Vec<f64>,
+    /// The non-empty strata, in `n` order.
+    strata: Vec<Stratum>,
+    /// Each stratum's values sorted ascending, stratum after stratum.
+    sorted: Vec<f64>,
     /// Every recorded sample value, sorted ascending and deduplicated.
     thresholds: Vec<f64>,
+}
+
+/// One non-empty stratum of a [`YieldModel`].
+#[derive(Debug, Clone)]
+struct Stratum {
+    /// The failure count `n`.
+    failures: u64,
+    /// `Pr(N = n)`.
+    pmf: f64,
+    /// The stratum's total weight, as its CDF accumulated it (positive:
+    /// every stored weight is).
+    total_weight: f64,
+    /// `Some` when every observation carries the same weight, `None` when
+    /// the stratum is scanned.
+    count_path: Option<CountPath>,
+    /// The stratum's values are `sorted[start..end]`.
+    start: usize,
+    end: usize,
+}
+
+/// What a stratum of bit-equal weights answers from.
+#[derive(Debug, Clone)]
+struct CountPath {
+    /// The weight of every observation.
+    weight: f64,
+    /// `prefix[c]` is the stratum's mass over any `c` of its values: `c`
+    /// copies of the weight folded from the empty sum, as the scan folds
+    /// them.
+    prefix: Arc<[f64]>,
+}
+
+/// What the models of one campaign's schemes share, stratum by stratum
+/// position: every scheme saw the same dies, so its `k`-th stratum has the
+/// same `n`, hence `Pr(N = n)`, and the same weight and size, hence the
+/// same prefix table. Models that share one must share their
+/// distribution.
+#[derive(Debug, Default)]
+pub(crate) struct SharedStrata(Vec<SharedStratum>);
+
+#[derive(Debug)]
+struct SharedStratum {
+    failures: u64,
+    pmf: f64,
+    /// The prefix table, with the weight bits and size it was folded for.
+    table: Option<(u64, usize, Arc<[f64]>)>,
+}
+
+impl SharedStrata {
+    /// The shared values of the `position`-th stratum, which counts
+    /// `failures` failures; positions are asked for in order.
+    fn at(
+        &mut self,
+        position: usize,
+        failures: u64,
+        distribution: &FailureCountDistribution,
+    ) -> &mut SharedStratum {
+        if self
+            .0
+            .get(position)
+            .is_none_or(|shared| shared.failures != failures)
+        {
+            let fresh = SharedStratum {
+                failures,
+                pmf: distribution.pmf(failures),
+                table: None,
+            };
+            if position == self.0.len() {
+                self.0.push(fresh);
+            } else {
+                self.0[position] = fresh;
+            }
+        }
+        &mut self.0[position]
+    }
+}
+
+impl SharedStratum {
+    /// `c` copies of `weight` folded from the empty sum, for `c` in
+    /// `0..=len`.
+    fn prefix(&mut self, weight: f64, len: usize) -> Arc<[f64]> {
+        match &self.table {
+            Some((bits, size, table)) if *bits == weight.to_bits() && *size == len => {
+                Arc::clone(table)
+            }
+            _ => {
+                let mut mass = empty_sum();
+                let mut table = Vec::with_capacity(len + 1);
+                table.push(mass);
+                for _ in 0..len {
+                    mass += weight;
+                    table.push(mass);
+                }
+                let table: Arc<[f64]> = table.into();
+                self.table = Some((weight.to_bits(), len, Arc::clone(&table)));
+                table
+            }
+        }
+    }
+}
+
+impl Stratum {
+    /// How many of the stratum's values lie at or below `q`.
+    fn count_at_or_below(&self, sorted: &[f64], q: f64) -> usize {
+        sorted[self.start..self.end].partition_point(|&value| value <= q)
+    }
+}
+
+/// The value an empty `sum()` of weights returns, where every filtered sum
+/// of [`EmpiricalCdf::probability_at_or_below`] starts.
+fn empty_sum() -> f64 {
+    std::iter::empty::<&f64>().sum()
 }
 
 impl YieldModel {
@@ -64,19 +190,51 @@ impl YieldModel {
         distribution: FailureCountDistribution,
         per_count: BTreeMap<u64, EmpiricalCdf>,
     ) -> Self {
-        let pmfs = per_count.keys().map(|&n| distribution.pmf(n)).collect();
-        // Candidate thresholds are the observed sample values themselves.
-        let mut thresholds: Vec<f64> = per_count
-            .values()
-            .flat_map(|cdf| cdf.samples().map(|(value, _)| value))
-            .filter(|v| v.is_finite())
-            .collect();
-        thresholds.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        thresholds.dedup();
+        Self::sharing(distribution, per_count, &mut SharedStrata::default())
+    }
+
+    /// [`YieldModel::from_per_count`], taking each stratum's `Pr(N = n)`
+    /// and prefix table from `shared` where they match, and leaving its own
+    /// there.
+    pub(crate) fn sharing(
+        distribution: FailureCountDistribution,
+        per_count: BTreeMap<u64, EmpiricalCdf>,
+        shared: &mut SharedStrata,
+    ) -> Self {
+        let observations: usize = per_count.values().map(EmpiricalCdf::len).sum();
+        let mut strata = Vec::with_capacity(per_count.len());
+        // Each stratum's values as order keys, one sorted run per stratum.
+        let mut keys = Vec::with_capacity(observations);
+        for (&failures, cdf) in &per_count {
+            let Some(&(_, first)) = cdf.observations().first() else {
+                continue;
+            };
+            let start = keys.len();
+            keys.extend(cdf.samples().map(|(value, _)| order_key(value)));
+            keys[start..].sort_unstable();
+            let stratum = shared.at(strata.len(), failures, &distribution);
+            let count_path = cdf
+                .samples()
+                .all(|(_, weight)| weight.to_bits() == first.to_bits())
+                .then(|| CountPath {
+                    weight: first,
+                    prefix: stratum.prefix(first, cdf.len()),
+                });
+            strata.push(Stratum {
+                failures,
+                pmf: stratum.pmf,
+                total_weight: cdf.total_weight(),
+                count_path,
+                start,
+                end: keys.len(),
+            });
+        }
+        let sorted = keys.iter().map(|&key| from_order_key(key)).collect();
         Self {
             zero_pmf: distribution.pmf(0),
-            pmfs,
-            thresholds,
+            thresholds: distinct_values(keys),
+            strata,
+            sorted,
             distribution,
             per_count,
         }
@@ -86,15 +244,6 @@ impl YieldModel {
     #[must_use]
     pub fn per_count_cdfs(&self) -> &BTreeMap<u64, EmpiricalCdf> {
         &self.per_count
-    }
-
-    /// The non-empty strata as `(Pr(N = n), quality CDF)`, in `n` order.
-    fn strata(&self) -> impl Iterator<Item = (f64, &EmpiricalCdf)> {
-        self.pmfs
-            .iter()
-            .copied()
-            .zip(self.per_count.values())
-            .filter(|(_, cdf)| !cdf.is_empty())
     }
 
     /// `Pr(Q ≤ q_max | N = n)` from the recorded samples (1 for `n = 0`,
@@ -110,13 +259,25 @@ impl YieldModel {
         }
     }
 
+    /// `stratum`'s `Pr(Q ≤ q_max | N = n)`, bit for bit
+    /// [`EmpiricalCdf::probability_at_or_below`] of its CDF.
+    fn stratum_pass_probability(&self, stratum: &Stratum, q_max: f64) -> f64 {
+        match &stratum.count_path {
+            Some(count_path) => {
+                let count = stratum.count_at_or_below(&self.sorted, q_max);
+                count_path.prefix[count] / stratum.total_weight
+            }
+            None => self.per_count[&stratum.failures].probability_at_or_below(q_max),
+        }
+    }
+
     /// The yield at quality constraint `q_max`: `Σ_n Pr(N = n) · Pr(Q ≤ q_max | N = n)`
     /// over `n = 0` and every sampled failure count (Eq. (5)).
     #[must_use]
     pub fn yield_at_quality(&self, q_max: f64) -> f64 {
         let mut total = self.zero_pmf * self.conditional_pass_probability(0, q_max);
-        for (pmf, cdf) in self.strata() {
-            total += pmf * cdf.probability_at_or_below(q_max);
+        for stratum in &self.strata {
+            total += stratum.pmf * self.stratum_pass_probability(stratum, q_max);
         }
         total.min(1.0)
     }
@@ -133,11 +294,15 @@ impl YieldModel {
     /// The search bisects the sorted thresholds, so it evaluates
     /// [`YieldModel::yield_at_quality`] O(log N) times instead of once per
     /// threshold. It returns the threshold a linear scan would because the
-    /// yield is monotone non-decreasing in `q_max`, in floating point too:
-    /// each stratum's mass is an insertion-order sum of non-negative weights
-    /// over a set that only grows with `q_max`, rounding is monotone, and so
-    /// are the scaling by `Pr(N = n)`, the sum over strata and `.min(1.0)`.
-    /// Any change to `yield_at_quality` must keep that property.
+    /// yield is monotone non-decreasing in `q_max`, in floating point too.
+    /// Each stratum's mass only grows with `q_max`: on the count path it is
+    /// the prefix table entry at the number of values at or below `q_max`,
+    /// a count that never falls, in a table of running sums of a positive
+    /// weight, which never fall either; on the scan it is an insertion-order
+    /// sum of non-negative weights over a set that only grows. Dividing by
+    /// the stratum's fixed total, scaling by `Pr(N = n)`, the sum over
+    /// strata and `.min(1.0)` all round monotonically. Any change to
+    /// `yield_at_quality` must keep that property.
     ///
     /// Returns `None` when the target cannot be reached even when tolerating
     /// the worst observed quality (e.g. because unsampled failure counts
@@ -168,12 +333,123 @@ impl YieldModel {
     pub fn combined_cdf(&self, zero_failure_quality: f64) -> EmpiricalCdf {
         let mut combined = EmpiricalCdf::new();
         combined.add(zero_failure_quality, self.zero_pmf);
-        for (pmf, cdf) in self.strata() {
-            let scale = pmf / cdf.total_weight();
+        for stratum in &self.strata {
+            let cdf = &self.per_count[&stratum.failures];
+            let scale = stratum.pmf / stratum.total_weight;
             combined.extend(cdf.samples().map(|(value, weight)| (value, weight * scale)));
         }
         combined
     }
+
+    /// `self.combined_cdf(zero_failure_quality).evaluate_at(grid)`, bit for
+    /// bit, from the per-stratum counts instead of a scan of every
+    /// observation per grid point.
+    ///
+    /// The combined CDF's mass at or below `x` is one insertion-order sum:
+    /// the zero-failure sample, then each stratum's scaled weights. On the
+    /// count path a stratum adds its one scaled weight once per value at or
+    /// below `x`, in sequence, and stops early once an add leaves the sum
+    /// unchanged, since every further add of that weight would too.
+    #[must_use]
+    pub fn combined_cdf_at(&self, zero_failure_quality: f64, grid: &[f64]) -> Vec<(f64, f64)> {
+        // Each stratum's factor from stored to combined weights, and on the
+        // count path its one combined weight: one weight and finite values,
+        // so the combined CDF admitted all of its samples or none.
+        let scaled: Vec<(f64, Option<f64>)> = self
+            .strata
+            .iter()
+            .map(|stratum| {
+                let scale = stratum.pmf / stratum.total_weight;
+                let weight = stratum.count_path.as_ref().map(|path| path.weight * scale);
+                (
+                    scale,
+                    weight.filter(|&w| admits(self.sorted[stratum.start], w)),
+                )
+            })
+            .collect();
+        // Every stored value is finite, so at +∞ the mass is the combined
+        // CDF's total weight; it is positive unless nothing was admitted.
+        let total = self.combined_mass(zero_failure_quality, &scaled, f64::INFINITY);
+        grid.iter()
+            .map(|&x| {
+                let p = if total > 0.0 {
+                    self.combined_mass(zero_failure_quality, &scaled, x) / total
+                } else {
+                    0.0
+                };
+                (x, p)
+            })
+            .collect()
+    }
+
+    /// The combined CDF's (unnormalised) mass at or below `x`, given each
+    /// stratum's scale and admitted count-path weight.
+    fn combined_mass(
+        &self,
+        zero_failure_quality: f64,
+        scaled: &[(f64, Option<f64>)],
+        x: f64,
+    ) -> f64 {
+        let mut mass = empty_sum();
+        if admits(zero_failure_quality, self.zero_pmf) && zero_failure_quality <= x {
+            mass += self.zero_pmf;
+        }
+        for (stratum, &(scale, weight)) in self.strata.iter().zip(scaled) {
+            match (&stratum.count_path, weight) {
+                (Some(_), Some(weight)) => {
+                    for _ in 0..stratum.count_at_or_below(&self.sorted, x) {
+                        let next = mass + weight;
+                        if next == mass {
+                            break;
+                        }
+                        mass = next;
+                    }
+                }
+                (Some(_), None) => {}
+                (None, _) => {
+                    for (value, weight) in self.per_count[&stratum.failures].samples() {
+                        let weight = weight * scale;
+                        if admits(value, weight) && value <= x {
+                            mass += weight;
+                        }
+                    }
+                }
+            }
+        }
+        mass
+    }
+}
+
+/// `value`'s bits as an unsigned integer that orders like
+/// [`f64::total_cmp`]: finite values ascending, −0 just below +0. Sorting
+/// these is cheaper than sorting the `f64`s through a comparator.
+fn order_key(value: f64) -> u64 {
+    let bits = value.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The value whose [`order_key`] is `key`.
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// The distinct values of `keys`, ascending. `keys` arrive as the strata's
+/// sorted runs, but these runs are short (tens of values) and interleave,
+/// and one integer sort of all of them is faster than merging them
+/// pairwise: each merge step waits on the comparison before it.
+fn distinct_values(mut keys: Vec<u64>) -> Vec<f64> {
+    keys.sort_unstable();
+    let mut values: Vec<f64> = keys.into_iter().map(from_order_key).collect();
+    values.dedup();
+    values
 }
 
 #[cfg(test)]
@@ -343,46 +619,91 @@ mod tests {
             .find(|&q| uncached_yield(model, q) >= target_yield)
     }
 
+    /// A weight spread over twelve decades, so the order of a summation
+    /// shows in the low bits.
+    fn spread_weight(sweep: &mut SweepRng) -> f64 {
+        (0.5 + sweep.unit()) * 10f64.powi(sweep.pick(0, 12) as i32 - 6)
+    }
+
+    /// A seeded model mixing strata of one bit-equal weight (the count
+    /// path) with strata of spread weights (the scan), values shared
+    /// across strata, zero-MSE dies and empty strata.
+    fn sweep_model(sweep: &mut SweepRng) -> YieldModel {
+        let distribution = FailureCountDistribution::new(
+            sweep.pick(50, 4000),
+            [1e-4, 1e-3, 5e-3][sweep.pick(0, 2)],
+        )
+        .unwrap();
+        // A small pool makes values recur within and across strata.
+        let pool: Vec<f64> = (0..sweep.pick(1, 12))
+            .map(|i| if i == 0 { 0.0 } else { sweep.unit() * 1e4 })
+            .collect();
+        let mut per_count = BTreeMap::new();
+        for n in 1..=sweep.pick(2, 12) as u64 {
+            // The first two strata are one of each kind, later ones either.
+            let equal = match n {
+                1 => true,
+                2 => false,
+                _ if sweep.pick(0, 4) == 0 => continue,
+                _ => sweep.pick(0, 1) == 0,
+            };
+            let samples = if n <= 2 {
+                sweep.pick(2, 20)
+            } else {
+                sweep.pick(0, 20)
+            };
+            let weight = spread_weight(sweep);
+            let mut cdf = EmpiricalCdf::new();
+            for _ in 0..samples {
+                let value = if sweep.pick(0, 1) == 0 {
+                    pool[sweep.pick(0, pool.len() - 1)]
+                } else {
+                    sweep.unit() * 1e4
+                };
+                let weight = if equal { weight } else { spread_weight(sweep) };
+                cdf.add(value, weight);
+            }
+            per_count.insert(n, cdf);
+        }
+        YieldModel::from_per_count(distribution, per_count)
+    }
+
     /// Bisection against the linear scan, bit for bit, across a seeded sweep
-    /// of stratum counts and sizes, non-uniform weights, values shared
-    /// across strata and zero-MSE dies. Targets are 0, every yield the model
-    /// attains exactly at a sampled threshold, points between those, values
-    /// above 1 (unreachable) and NaN.
+    /// of stratum counts and sizes in which every case mixes count-path and
+    /// scanned strata ([`sweep_model`]). The yield must match the scan's
+    /// bits at every threshold and between them, and targets are 0, every
+    /// yield the model attains exactly at a sampled threshold, points
+    /// between those, values above 1 (unreachable) and NaN.
     #[test]
     fn bisection_matches_the_linear_scan_across_a_randomized_sweep() {
         let mut sweep = SweepRng(0x5EED_F165 | 1);
         let mut reachable = 0;
         for case in 0..48 {
-            let distribution = FailureCountDistribution::new(
-                sweep.pick(50, 4000),
-                [1e-4, 1e-3, 5e-3][sweep.pick(0, 2)],
-            )
-            .unwrap();
-            // A small pool makes values recur within and across strata.
-            let pool: Vec<f64> = (0..sweep.pick(1, 12))
-                .map(|i| if i == 0 { 0.0 } else { sweep.unit() * 1e4 })
+            let model = sweep_model(&mut sweep);
+            let kinds: Vec<bool> = model
+                .strata
+                .iter()
+                .map(|s| s.count_path.is_some())
                 .collect();
-            let mut per_count = BTreeMap::new();
-            for n in 1..=sweep.pick(1, 12) as u64 {
-                if sweep.pick(0, 4) == 0 {
-                    continue;
-                }
-                let mut cdf = EmpiricalCdf::new();
-                for _ in 0..sweep.pick(0, 20) {
-                    let value = if sweep.pick(0, 1) == 0 {
-                        pool[sweep.pick(0, pool.len() - 1)]
-                    } else {
-                        sweep.unit() * 1e4
-                    };
-                    // Weights spread over twelve decades, so the order of
-                    // the summation shows in the low bits.
-                    let weight = (0.5 + sweep.unit()) * 10f64.powi(sweep.pick(0, 12) as i32 - 6);
-                    cdf.add(value, weight);
-                }
-                per_count.insert(n, cdf);
-            }
-            let model = YieldModel::from_per_count(distribution, per_count);
+            assert!(
+                kinds.contains(&true) && kinds.contains(&false),
+                "case {case}: {kinds:?}"
+            );
 
+            let between = model
+                .thresholds
+                .windows(2)
+                .map(|pair| 0.5 * (pair[0] + pair[1]));
+            for q in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -0.0, 1e9]
+                .into_iter()
+                .chain(between)
+            {
+                assert_eq!(
+                    model.yield_at_quality(q).to_bits(),
+                    uncached_yield(&model, q).to_bits(),
+                    "case {case}: q = {q}"
+                );
+            }
             let attained: Vec<f64> = std::iter::once(0.0)
                 .chain(model.thresholds.iter().copied())
                 .map(|q| {
@@ -423,5 +744,147 @@ mod tests {
             reachable > 1000,
             "the sweep reached only {reachable} targets"
         );
+    }
+
+    #[test]
+    fn a_stratum_with_unequal_weights_falls_back_to_the_scan() {
+        let mut equal = EmpiricalCdf::new();
+        let mut unequal = EmpiricalCdf::new();
+        for (i, value) in [30.0, 10.0, 20.0, 10.0, 40.0].into_iter().enumerate() {
+            equal.add(value, 0.1);
+            // Weights over sixteen decades: the sum depends on its order.
+            unequal.add(value, 10f64.powi(4 * i as i32 - 8));
+        }
+        let model =
+            YieldModel::from_per_count(distribution(), BTreeMap::from([(1, equal), (2, unequal)]));
+        assert_eq!(
+            model.strata[0]
+                .count_path
+                .as_ref()
+                .map(|p| p.weight.to_bits()),
+            Some(0.1f64.to_bits())
+        );
+        assert!(model.strata[1].count_path.is_none());
+        // Both strata hold the same values, so every threshold and every
+        // point between two of them decides both.
+        for q in [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0] {
+            for (n, stratum) in [(1, &model.strata[0]), (2, &model.strata[1])] {
+                assert_eq!(
+                    model.stratum_pass_probability(stratum, q).to_bits(),
+                    model.per_count[&n].probability_at_or_below(q).to_bits(),
+                    "n = {n}, q = {q}"
+                );
+            }
+            assert_eq!(
+                model.yield_at_quality(q).to_bits(),
+                uncached_yield(&model, q).to_bits(),
+                "q = {q}"
+            );
+        }
+        for target in [0.4, 0.5, 0.6, 0.7, 0.73] {
+            assert_eq!(
+                model
+                    .quality_for_yield(target)
+                    .map(|b| b.max_quality.to_bits()),
+                linear_scan(&model, target).map(f64::to_bits),
+                "target {target}"
+            );
+        }
+    }
+
+    /// The grid points every combined-CDF check evaluates: the model's
+    /// thresholds, points between them, zero of both signs, negative
+    /// points, ±∞ and NaN.
+    fn combined_grid(model: &YieldModel) -> Vec<f64> {
+        let mut grid = vec![
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -1e3,
+            -0.0,
+            0.0,
+            1.0,
+            f64::INFINITY,
+        ];
+        grid.extend(&model.thresholds);
+        grid.extend(
+            model
+                .thresholds
+                .windows(2)
+                .map(|pair| 0.5 * (pair[0] + pair[1])),
+        );
+        grid
+    }
+
+    /// `combined_cdf_at` against the materialised combined CDF, bit for
+    /// bit, at both zero-failure qualities the figures use.
+    fn assert_combined_cdf_matches(model: &YieldModel, what: &str) {
+        let grid = combined_grid(model);
+        for zero_failure_quality in [0.0, 1.0] {
+            let expected = model.combined_cdf(zero_failure_quality).evaluate_at(&grid);
+            let counted = model.combined_cdf_at(zero_failure_quality, &grid);
+            assert_eq!(counted.len(), expected.len(), "{what}");
+            for (&(x, p), &(ex, ep)) in counted.iter().zip(&expected) {
+                assert_eq!(
+                    (x.to_bits(), p.to_bits()),
+                    (ex.to_bits(), ep.to_bits()),
+                    "{what}, zero quality {zero_failure_quality}: at {x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn combined_cdf_at_matches_the_materialised_series_bit_for_bit() {
+        let mut sweep = SweepRng(0xC0_FFEE);
+        for case in 0..48 {
+            assert_combined_cdf_matches(&sweep_model(&mut sweep), &format!("case {case}"));
+        }
+        // Weights of campaign strata: `Pr(N = n)` over the samples per
+        // count, at a point where the heavy strata carry most of the mass
+        // and the tail strata's scaled weights are too small to move it.
+        let campaign = FailureCountDistribution::new(131_072, 5e-6).unwrap();
+        let strata = (1..=40u64)
+            .map(|n| {
+                let mut cdf = EmpiricalCdf::new();
+                for i in 0..25u32 {
+                    cdf.add(
+                        f64::from((i * 7 + n as u32) % 13) * n as f64,
+                        campaign.pmf(n) / 25.0,
+                    );
+                }
+                (n, cdf)
+            })
+            .collect();
+        assert_combined_cdf_matches(&YieldModel::from_per_count(campaign, strata), "campaign");
+        // `Pr(N = 0) = 0`: the zero-failure sample is never admitted.
+        let certain = FailureCountDistribution::new(100, 1.0).unwrap();
+        assert_eq!(certain.pmf(0), 0.0);
+        let strata = BTreeMap::from([
+            (99, EmpiricalCdf::from_samples([1.0, 2.0])),
+            (100, EmpiricalCdf::from_samples([3.0, 0.5, 3.0])),
+        ]);
+        assert_combined_cdf_matches(
+            &YieldModel::from_per_count(certain, strata),
+            "Pr(N = 0) = 0",
+        );
+        // A stratum whose scaled weight underflows to 0, which the combined
+        // CDF skips, next to an empty stratum and a live one.
+        let tail = distribution();
+        assert_eq!(tail.pmf(400) * 0.5, 0.0);
+        let strata = BTreeMap::from([
+            (1, EmpiricalCdf::from_samples([5.0, 1.0])),
+            (2, EmpiricalCdf::new()),
+            (400, EmpiricalCdf::from_samples([0.5, 7.0])),
+        ]);
+        let model = YieldModel::from_per_count(tail, strata);
+        assert_eq!(model.strata.len(), 2, "the empty stratum is dropped");
+        assert_combined_cdf_matches(&model, "underflow");
+        // Nothing admitted at all: every point reads 0.
+        let nothing = YieldModel::from_per_count(certain, BTreeMap::new());
+        assert_combined_cdf_matches(&nothing, "empty");
+        assert!(nothing
+            .combined_cdf_at(0.0, &[0.0, 1.0])
+            .iter()
+            .all(|&(_, p)| p == 0.0));
     }
 }

@@ -190,7 +190,8 @@ pub fn fig7_series(benchmark: Benchmark, results: &[QualityCdfResult]) -> Vec<Fi
                 benchmark: benchmark.name().to_owned(),
                 scheme: result.scheme_name.clone(),
                 baseline_quality: result.baseline_quality,
-                cdf: result.cdf.evaluate_at(&grid),
+                // `result.cdf` is the model's combined CDF at quality 1.
+                cdf: result.yield_model.combined_cdf_at(1.0, &grid),
                 yield_at_95pct: result.yield_at_min_quality(0.95),
                 yield_at_99pct: result.yield_at_min_quality(0.99),
             }

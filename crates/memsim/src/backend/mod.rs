@@ -137,9 +137,10 @@ pub use sram::SramVddBackend;
 
 use crate::config::MemoryConfig;
 use crate::error::MemError;
-use crate::fault::{FaultKind, FaultMap};
+use crate::fault::{Fault, FaultKind, FaultMap};
+use crate::floyd::CellBitmap;
 use crate::montecarlo::FailureCountDistribution;
-use crate::scratch::{fault_key, DieScratch};
+use crate::scratch::DieScratch;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::fmt;
@@ -684,28 +685,19 @@ where
     R: Rng + ?Sized,
     P: FnMut(&mut R) -> (usize, usize),
 {
-    let mut taken = std::collections::HashSet::with_capacity(n_faults);
-    let mut map = FaultMap::new(config);
-    place_distinct_core(
-        config,
-        rng,
-        n_faults,
-        kind_law,
-        propose,
-        |cell| taken.insert(cell),
-        |cell, kind| {
-            let (row, col) = config.cell_position(cell);
-            map.push_unsorted(crate::fault::Fault::new(row, col, kind))
-        },
-    )?;
+    let mut placed = (
+        std::collections::HashSet::with_capacity(n_faults),
+        FaultMap::new(config),
+    );
+    place_distinct_core(config, rng, n_faults, kind_law, propose, &mut placed)?;
+    let (_, mut map) = placed;
     map.restore_sorted_order();
     Ok(map)
 }
 
 /// [`place_distinct`] into a scratch arena: identical placement algorithm
-/// and RNG consumption, but occupancy is the arena's cell bitmap and the
-/// faults are collected as packed sort keys, then loaded into the arena's
-/// map in one pass.
+/// and RNG consumption, but occupancy and each fault's kind live in the
+/// arena's cell bitmap, which loads the arena's map in one ordered pass.
 pub(crate) fn place_distinct_into<R, P>(
     config: MemoryConfig,
     rng: &mut R,
@@ -719,33 +711,52 @@ where
     P: FnMut(&mut R) -> (usize, usize),
 {
     scratch.start_die(config);
-    place_distinct_core(
-        config,
-        rng,
-        n_faults,
-        kind_law,
-        propose,
-        |cell| scratch.cells.insert(cell),
-        |cell, kind| {
-            scratch.keys.push(fault_key(cell, kind));
-            Ok(())
-        },
-    )?;
+    place_distinct_core(config, rng, n_faults, kind_law, propose, &mut scratch.cells)?;
     scratch.finish_die();
     Ok(())
 }
 
-/// The placement schedule both paths share: `take(cell)` marks a cell,
-/// reporting whether it was free, and `place(cell, kind)` records a fault
-/// right after its kind draw.
+/// Where [`place_distinct_core`] records a die.
+trait Placement {
+    /// Marks `cell`, reporting whether it was free.
+    fn take(&mut self, cell: usize) -> bool;
+    /// Records the fault at `cell`, which `take` just marked, right after
+    /// its kind draw.
+    fn place(&mut self, cell: usize, kind: FaultKind) -> Result<(), MemError>;
+}
+
+/// The allocating reference: a hash set of taken cells and an unsorted map.
+impl Placement for (std::collections::HashSet<usize>, FaultMap) {
+    fn take(&mut self, cell: usize) -> bool {
+        self.0.insert(cell)
+    }
+
+    fn place(&mut self, cell: usize, kind: FaultKind) -> Result<(), MemError> {
+        let (row, col) = self.1.config().cell_position(cell);
+        self.1.push_unsorted(Fault::new(row, col, kind))
+    }
+}
+
+/// The arena: the cell bitmap keeps each taken cell's fault kind.
+impl Placement for CellBitmap {
+    fn take(&mut self, cell: usize) -> bool {
+        self.insert(cell)
+    }
+
+    fn place(&mut self, cell: usize, kind: FaultKind) -> Result<(), MemError> {
+        self.set_kind(cell, kind);
+        Ok(())
+    }
+}
+
+/// The placement schedule both paths share, recording into `record`.
 fn place_distinct_core<R, P>(
     config: MemoryConfig,
     rng: &mut R,
     n_faults: usize,
     kind_law: FaultKindLaw,
     mut propose: P,
-    mut take: impl FnMut(usize) -> bool,
-    mut place: impl FnMut(usize, FaultKind) -> Result<(), MemError>,
+    record: &mut impl Placement,
 ) -> Result<(), MemError>
 where
     R: Rng + ?Sized,
@@ -758,16 +769,17 @@ where
             reason: format!("cannot place {n_faults} faults in {total} cells"),
         });
     }
-    // `take` guarantees distinct cells, so the faults are bulk-loaded and
-    // sorted once at the end (a per-fault sorted insert is quadratic at
-    // dense fault counts). The RNG schedule is untouched.
+    // `take` guarantees distinct cells, so the faults are collected
+    // unordered and put in order once at the end: the reference sorts its
+    // map, the arena drains its cell bitmap (a per-fault sorted insert is
+    // quadratic at dense fault counts). The RNG schedule is untouched.
     for _ in 0..n_faults {
         let mut placed = false;
         for _ in 0..MAX_PROPOSALS_PER_FAULT {
             let (row, col) = propose(rng);
             let cell = config.cell_index(row, col);
-            if take(cell) {
-                place(cell, kind_law.sample(rng))?;
+            if record.take(cell) {
+                record.place(cell, kind_law.sample(rng))?;
                 placed = true;
                 break;
             }
@@ -776,8 +788,8 @@ where
             // Uniform fallback over the remaining free cells.
             loop {
                 let cell = rng.gen_range(0..total);
-                if take(cell) {
-                    place(cell, kind_law.sample(rng))?;
+                if record.take(cell) {
+                    record.place(cell, kind_law.sample(rng))?;
                     break;
                 }
             }

@@ -6,7 +6,7 @@ use crate::error::MemError;
 use crate::failure_model::{CellFailureModel, NOMINAL_VDD};
 use crate::fault::{Fault, FaultKind, FaultMap};
 use crate::floyd::floyd_step;
-use crate::scratch::{fault_key, DieScratch};
+use crate::scratch::DieScratch;
 use rand::rngs::StdRng;
 use rand::seq::index::sample as sample_indices;
 use rand::Rng;
@@ -207,8 +207,7 @@ impl FaultBackend for SramVddBackend {
         let total = self.checked_total(n_faults)?;
         scratch.start_die(self.config);
         for j in total - n_faults..total {
-            let cell = floyd_step(&mut scratch.cells, rng.gen_range(0..=j), j);
-            scratch.keys.push(fault_key(cell, FaultKind::BitFlip));
+            floyd_step(&mut scratch.cells, rng.gen_range(0..=j), j);
         }
         scratch.finish_die();
         if !matches!(self.kind_law, FaultKindLaw::AlwaysFlip) {

@@ -1,50 +1,119 @@
-//! Distinct-cell bookkeeping of the per-die generator: a one-bit-per-cell
-//! set and the Floyd-sampling step built on it.
+//! Distinct-cell bookkeeping of the per-die generator: a two-bit-per-cell
+//! map of the die's faults and the Floyd-sampling step built on it.
 //!
 //! The per-die arena ([`DieScratch`](crate::scratch::DieScratch)) draws
 //! distinct cell indices with Floyd's algorithm, and rejection placement
 //! tracks occupied cells; both answer "is this cell taken?" from a
 //! [`CellBitmap`]. Membership answers are the same as a hash set's, so the
 //! substitution pattern — and with it every sampled map — is unchanged.
+//! The map also keeps each fault's kind, and [`CellBitmap::drain`] hands
+//! the die back in ascending cell order, which is `(row, col)` order, so no
+//! die's faults are ever sorted.
 
-/// A set of memory cells, one bit per cell.
+use crate::fault::FaultKind;
+
+/// The faulty cells of one die, two bits per cell: 0 for a healthy cell,
+/// otherwise one more than the [`FaultKind::code`] of its fault.
 ///
-/// The bitmap is sized once per geometry and reused die after die. A die
-/// marks only its own cells, so it is emptied in time proportional to its
-/// fault count ([`CellBitmap::clear_word_of`] on every marked cell) instead
-/// of the array size.
+/// A summary with one bit per word marks the words that hold a fault, and
+/// a top level with one bit per summary word marks the summary words that
+/// do, so [`CellBitmap::drain`] finds a die's cells in time proportional
+/// to its fault count instead of the array size (the top level is one word
+/// per 131 072 cells, so even a die without faults costs almost nothing to
+/// drain). The map is sized once per geometry and reused die after die;
+/// draining leaves it empty.
 #[derive(Debug, Default)]
 pub(crate) struct CellBitmap {
     words: Vec<u64>,
+    summary: Vec<u64>,
+    top: Vec<u64>,
 }
 
+/// The field [`CellBitmap::insert`] marks a cell with: a bit flip's code
+/// plus one.
+const FLIP_FIELD: u64 = 3;
+
 impl CellBitmap {
-    /// Readies the (empty) set for a memory of `cells` cells; grows only.
+    /// Readies the (empty) map for a memory of `cells` cells; grows only.
     pub(crate) fn reserve(&mut self, cells: usize) {
-        let words = cells.div_ceil(64);
+        let words = cells.div_ceil(32);
         if self.words.len() < words {
             self.words.resize(words, 0);
+            self.summary.resize(words.div_ceil(64), 0);
+            self.top.resize(words.div_ceil(64 * 64), 0);
         }
     }
 
-    /// Marks `cell`, reporting whether it was unmarked.
+    /// Marks `cell` as holding a bit flip if it was unmarked, reporting
+    /// whether it was.
     #[inline]
     pub(crate) fn insert(&mut self, cell: usize) -> bool {
-        let word = &mut self.words[cell >> 6];
-        let bit = 1u64 << (cell & 63);
-        let fresh = *word & bit == 0;
-        *word |= bit;
+        let word = cell >> 5;
+        let shift = (cell & 31) << 1;
+        let fresh = (self.words[word] >> shift) & 0b11 == 0;
+        if fresh {
+            self.words[word] |= FLIP_FIELD << shift;
+            self.summary[word >> 6] |= 1 << (word & 63);
+            self.top[word >> 12] |= 1 << ((word >> 6) & 63);
+        }
         fresh
     }
 
-    /// Clears the whole word holding `cell`. Calling it for every marked
-    /// cell empties the set: each set bit belongs to one of those cells.
+    /// Records the kind of the fault at `cell`, which must be marked.
     #[inline]
-    pub(crate) fn clear_word_of(&mut self, cell: usize) {
-        self.words[cell >> 6] = 0;
+    pub(crate) fn set_kind(&mut self, cell: usize, kind: FaultKind) {
+        let shift = (cell & 31) << 1;
+        let word = &mut self.words[cell >> 5];
+        *word = (*word & !(0b11 << shift)) | ((kind.code() + 1) << shift);
     }
 
-    /// Heap capacity in words — what the arenas' realloc counters watch.
+    /// Empties the map, calling `visit(cell, kind)` for every marked cell
+    /// in ascending cell order.
+    pub(crate) fn drain(&mut self, mut visit: impl FnMut(usize, FaultKind)) {
+        for (block, top) in self.top.iter_mut().enumerate() {
+            let mut groups = std::mem::take(top);
+            while groups != 0 {
+                let group = (block << 6) | groups.trailing_zeros() as usize;
+                groups &= groups - 1;
+                let mut pending = std::mem::take(&mut self.summary[group]);
+                while pending != 0 {
+                    let word = (group << 6) | pending.trailing_zeros() as usize;
+                    pending &= pending - 1;
+                    let mut fields = std::mem::take(&mut self.words[word]);
+                    while fields != 0 {
+                        let shift = fields.trailing_zeros() & !1;
+                        let field = (fields >> shift) & 0b11;
+                        fields &= !(0b11 << shift);
+                        visit(
+                            (word << 5) | (shift >> 1) as usize,
+                            FaultKind::from_code(field - 1),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Clears the whole word holding `cell`. Calling it for every marked
+    /// cell empties the cells (the summaries may keep stale bits, which a
+    /// drain skips over): each marked field belongs to one of those cells.
+    #[cfg(test)]
+    pub(crate) fn clear_word_of(&mut self, cell: usize) {
+        self.words[cell >> 5] = 0;
+    }
+
+    /// `true` when no cell is marked and no summary bit is set.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.words
+            .iter()
+            .chain(&self.summary)
+            .chain(&self.top)
+            .all(|&word| word == 0)
+    }
+
+    /// Heap capacity in words — what the arenas' realloc counters watch
+    /// (the summary grows with it).
     pub(crate) fn capacity(&self) -> usize {
         self.words.capacity()
     }
@@ -99,6 +168,46 @@ mod tests {
                     chosen.words.iter().all(|&word| word == 0),
                     "sparse clearing left cells marked"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn drain_returns_the_sorted_keys_and_leaves_the_map_empty() {
+        // The reference is the die's `cell << 2 | kind code` keys in
+        // placement order, sorted. One warm map serves every die, from the
+        // empty die through sparse ones to a sixteenth, half and all of
+        // the array, with kinds that differ from cell to cell.
+        let kinds = [
+            FaultKind::StuckAtZero,
+            FaultKind::StuckAtOne,
+            FaultKind::BitFlip,
+        ];
+        let mut map = CellBitmap::default();
+        for cells in [1usize, 31, 4096, 131_072] {
+            map.reserve(cells);
+            for (seed, amount) in [0, 1, 75, cells / 16, cells / 2, cells]
+                .into_iter()
+                .filter(|&amount| amount <= cells)
+                .enumerate()
+            {
+                let mut rng = StdRng::seed_from_u64(seed as u64 ^ cells as u64);
+                let mut keys = Vec::new();
+                while keys.len() < amount {
+                    let cell = rng.gen_range(0..cells);
+                    if map.insert(cell) {
+                        let kind = kinds[rng.gen_range(0..3usize)];
+                        if kind != FaultKind::BitFlip {
+                            map.set_kind(cell, kind);
+                        }
+                        keys.push(((cell as u64) << 2) | kind.code());
+                    }
+                }
+                keys.sort_unstable();
+                let mut drained = Vec::new();
+                map.drain(|cell, kind| drained.push(((cell as u64) << 2) | kind.code()));
+                assert_eq!(drained, keys, "{amount} of {cells} cells");
+                assert!(map.is_empty(), "{amount} of {cells} cells left marks");
             }
         }
     }

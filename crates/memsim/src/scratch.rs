@@ -1,10 +1,10 @@
 //! Reusable per-worker scratch storage for allocation-free die generation.
 //!
 //! Each Monte-Carlo worker owns one arena: a [`DieScratch`] for per-sample
-//! generation (the warm [`FaultMap`] plus every auxiliary container the
-//! backends' samplers need — one cell bitmap serving as Floyd's chosen set
-//! for iid placement and as the occupancy set for rejection placement, and
-//! the die's packed sort keys), or a
+//! generation (the warm [`FaultMap`] plus the one auxiliary container the
+//! backends' samplers need — a cell bitmap serving as Floyd's chosen set
+//! for iid placement and as the occupancy set for rejection placement,
+//! which also keeps each fault's kind), or a
 //! [`BlockScratch`] when the bit-sliced kernel runs, which wraps a
 //! `DieScratch` and adds the transposition buffers for one [`DieBlock`] of
 //! up to [`BLOCK_DIES`] dies. After a short warm-up the
@@ -21,7 +21,7 @@ use crate::dieblock::{
     event_sort_key, pack_event, transpose_events, BlockRowEntry, DieBlock, LaneCell, BLOCK_DIES,
 };
 use crate::error::MemError;
-use crate::fault::{Fault, FaultKind, FaultMap};
+use crate::fault::{Fault, FaultMap};
 use crate::floyd::CellBitmap;
 use crate::seeder::{PlannedSample, StreamSeeder};
 use faultmit_obs as obs;
@@ -41,21 +41,11 @@ use rand::rngs::StdRng;
 pub struct DieScratch {
     /// The die's fault map, cleared (capacity kept) between generations.
     pub(crate) map: FaultMap,
-    /// The cells of the die being placed — Floyd's chosen set for iid
-    /// placement, the occupancy set for rejection placement. Empty between
-    /// dies: [`DieScratch::finish_die`] clears exactly the die's cells.
+    /// The faults of the die being placed, with their kinds — Floyd's
+    /// chosen set for iid placement, the occupancy set for rejection
+    /// placement. Empty between dies: [`DieScratch::finish_die`] drains it.
     pub(crate) cells: CellBitmap,
-    /// The die's faults as sort keys, `cell index << 2 | kind code`: cell
-    /// indices order like `(row, col)`, so sorting the keys orders the
-    /// faults without moving `Fault` structs.
-    pub(crate) keys: Vec<u64>,
     realloc_events: u64,
-}
-
-/// The sort key of a fault at cell `cell` (see [`DieScratch::keys`]).
-#[inline]
-pub(crate) fn fault_key(cell: usize, kind: FaultKind) -> u64 {
-    ((cell as u64) << 2) | kind.code()
 }
 
 impl DieScratch {
@@ -65,7 +55,6 @@ impl DieScratch {
         Self {
             map: FaultMap::new(config),
             cells: CellBitmap::default(),
-            keys: Vec::new(),
             realloc_events: 0,
         }
     }
@@ -94,8 +83,8 @@ impl DieScratch {
     }
 
     /// Starts placing a die of geometry `config`: an empty map (capacity
-    /// kept when the geometry is unchanged), no keys, and a cell set sized
-    /// for the array.
+    /// kept when the geometry is unchanged) and a cell set sized for the
+    /// array.
     pub(crate) fn start_die(&mut self, config: MemoryConfig) {
         if self.map.config() == config {
             self.map.clear();
@@ -103,30 +92,22 @@ impl DieScratch {
             self.map = FaultMap::new(config);
         }
         self.cells.reserve(config.total_cells());
-        self.keys.clear();
     }
 
-    /// Finishes the die [`DieScratch::start_die`] began: sorts its keys,
-    /// loads the faults into the map in `(row, col)` order and clears their
-    /// cells from the cell set, leaving it empty for the next die.
+    /// Finishes the die [`DieScratch::start_die`] began: drains its faults
+    /// from the cell set in ascending cell order, which is `(row, col)`
+    /// order, into the map, leaving the set empty for the next die.
     pub(crate) fn finish_die(&mut self) {
-        self.keys.sort_unstable();
         let config = self.map.config();
-        for &key in &self.keys {
-            let cell = (key >> 2) as usize;
-            self.cells.clear_word_of(cell);
+        let map = &mut self.map;
+        self.cells.drain(|cell, kind| {
             let (row, col) = config.cell_position(cell);
-            self.map
-                .push_in_order(Fault::new(row, col, FaultKind::from_code(key)));
-        }
+            map.push_in_order(Fault::new(row, col, kind));
+        });
     }
 
-    pub(crate) fn capacity_signature(&self) -> [usize; 3] {
-        [
-            self.map.capacity(),
-            self.cells.capacity(),
-            self.keys.capacity(),
-        ]
+    pub(crate) fn capacity_signature(&self) -> [usize; 2] {
+        [self.map.capacity(), self.cells.capacity()]
     }
 
     /// Generates one die with exactly `n_faults` faults into the arena —
@@ -253,7 +234,7 @@ impl BlockScratch {
         self.realloc_events + self.scalar.realloc_events()
     }
 
-    fn capacity_signature(&self) -> [usize; 8] {
+    fn capacity_signature(&self) -> [usize; 7] {
         let scalar = self.scalar.capacity_signature();
         // The counting sort swaps the `events` and `sorted` buffers, so
         // record that pair order-independently: a swap of warm buffers is
@@ -263,7 +244,6 @@ impl BlockScratch {
         [
             scalar[0],
             scalar[1],
-            scalar[2],
             events.min(sorted),
             events.max(sorted),
             self.counts.capacity(),
@@ -439,9 +419,13 @@ mod tests {
     #[test]
     fn scratch_generation_matches_the_hash_set_references_at_every_density() {
         // One warm arena, reused across backends, kind laws, geometries and
-        // amounts from empty through dense to the full array: the bitmap
-        // must come back empty after every die, or a later die would see
-        // phantom occupied cells and diverge from the allocating reference.
+        // amounts from empty through dense to the full array. The
+        // references sort their faults; the arena drains its cell bitmap,
+        // so equal maps mean the drained order is the sorted order, kinds
+        // included (SRAM re-kinds after placement, DRAM and MLC draw a kind
+        // per placed cell). The bitmap and its summary must come back empty
+        // after every die, or a later die would see phantom occupied cells
+        // and diverge from the allocating reference.
         use rand::Rng;
         let laws = [
             FaultKindLaw::AlwaysFlip,
@@ -456,7 +440,7 @@ mod tests {
             MemoryConfig::new(8, 24).unwrap(),
         ] {
             let cells = geometry.total_cells();
-            for amount in [0, 1, cells / 2, cells, 3] {
+            for amount in [0, 1, cells / 16, cells / 2, cells, 3] {
                 for kind in BackendKind::ALL {
                     for law in laws {
                         let backend = Backend::at_p_cell(kind, geometry, 1e-2)
@@ -472,6 +456,10 @@ mod tests {
                             .unwrap();
                         assert_eq!(reused, &fresh, "{kind} {law} {amount} of {cells} cells");
                         assert_eq!(rng_scratch.gen::<u64>(), rng_fresh.gen::<u64>(), "{kind}");
+                        assert!(
+                            scratch.cells.is_empty(),
+                            "{kind} {law} {amount}: marks left"
+                        );
                     }
                 }
             }
@@ -481,23 +469,30 @@ mod tests {
     #[test]
     fn steady_state_generation_performs_no_reallocation() {
         for kind in BackendKind::ALL {
-            let backend = Backend::at_p_cell(kind, config(), 1e-3).unwrap();
-            let mut scratch = DieScratch::new(config());
-            let mut rng = StdRng::seed_from_u64(7);
-            // Warm-up: containers grow to their high-water capacities.
-            for n in [40usize, 40, 40, 40] {
-                scratch.generate(&backend, &mut rng, n).unwrap();
+            for law in [FaultKindLaw::AlwaysFlip, FaultKindLaw::RandomStuckAt] {
+                let backend = Backend::at_p_cell(kind, config(), 1e-3)
+                    .unwrap()
+                    .with_kind_law(law)
+                    .unwrap();
+                let mut scratch = DieScratch::new(config());
+                let mut rng = StdRng::seed_from_u64(7);
+                // Warm-up: containers grow to their high-water capacities.
+                for n in [40usize, 40, 40, 40] {
+                    scratch.generate(&backend, &mut rng, n).unwrap();
+                }
+                let warm = scratch.realloc_events();
+                // Steady state at or below the high-water fault count: no
+                // growth over a long campaign tail.
+                for i in 0..2000usize {
+                    scratch.generate(&backend, &mut rng, i % 41).unwrap();
+                }
+                assert_eq!(
+                    scratch.realloc_events(),
+                    warm,
+                    "{kind} {law}: steady-state die generation reallocated"
+                );
+                assert!(scratch.cells.is_empty(), "{kind} {law}: marks left");
             }
-            let warm = scratch.realloc_events();
-            // Steady state at or below the high-water fault count: no growth.
-            for i in 0..200usize {
-                scratch.generate(&backend, &mut rng, i % 41).unwrap();
-            }
-            assert_eq!(
-                scratch.realloc_events(),
-                warm,
-                "{kind}: steady-state die generation reallocated"
-            );
         }
     }
 

@@ -1,9 +1,11 @@
 //! Pipeline accumulators turning paired samples into per-scheme yield models.
 //!
 //! These types are the analysis-side half of the parallel fault-injection
-//! pipeline: [`faultmit_sim::Campaign`] streams [`PairedSample`] records
-//! (one metric per scheme, same die) into a chunk-local
-//! [`CatalogueAccumulator`]; chunk accumulators merge in chunk order, and
+//! pipeline: [`faultmit_sim::Campaign`] records every die's
+//! [`PairedSample`] (one metric per scheme, same die) into one
+//! [`CatalogueAccumulator`] in plan order, which appends each metric to its
+//! scheme's current stratum; shard accumulators merge in shard order
+//! ([`Accumulator::merge`]), and
 //! [`CatalogueAccumulator::into_yield_models`] converts the reduction into
 //! the [`YieldModel`]s behind Fig. 5.
 
@@ -89,10 +91,21 @@ impl Accumulator for CatalogueAccumulator {
             // is exactly one weighting formula in the system. Downstream
             // consumers (combined_cdf, the Fig. 7 CDF assembly) renormalise
             // per failure count, so conditional probabilities are unchanged.
-            scheme
-                .entry(sample.n_faults)
-                .or_default()
-                .add(metric, sample.weight);
+            // The plan visits failure counts in ascending order, so a die
+            // almost always lands in the last stratum, and a new stratum
+            // takes as many dies as the one before it.
+            match scheme.last_entry() {
+                Some(mut last) if *last.key() == sample.n_faults => {
+                    last.get_mut().add(metric, sample.weight);
+                }
+                last => {
+                    let capacity = last.map_or(0, |last| last.get().len());
+                    scheme
+                        .entry(sample.n_faults)
+                        .or_insert_with(|| EmpiricalCdf::with_capacity(capacity))
+                        .add(metric, sample.weight)
+                }
+            }
         }
     }
 

@@ -4,11 +4,15 @@
 //! Monte-Carlo memory samples, where each sample's weight is the probability
 //! of its failure count (`Pr(N = n)`, Eq. (4)).
 //!
-//! An [`EmpiricalCdf`] stores its `(value, weight)` observations in
-//! insertion order. The parallel pipeline builds one per chunk and
-//! [`EmpiricalCdf::absorb`]s them in chunk order, so the observation
-//! sequence and the order-sensitive floating-point total weight are
-//! bit-identical to a serial accumulation at any worker count.
+//! An [`EmpiricalCdf`] stores its observations as two columns: the values
+//! in insertion order, and their weights as maximal runs of bit-equal
+//! weights. Every die of a campaign stratum carries the same weight, so a
+//! stratum is one run next to its value column, the shape the shard files
+//! write. The order-sensitive floating-point total weight is folded one
+//! observation at a time in insertion order, whichever way the CDF is
+//! built ([`EmpiricalCdf::add`], [`EmpiricalCdf::absorb`] of a later part,
+//! [`EmpiricalCdf::from_columns`]), so a CDF assembled from shards in
+//! shard order is bit-identical to a serial accumulation.
 
 use crate::error::AnalysisError;
 
@@ -26,12 +30,18 @@ use crate::error::AnalysisError;
 /// cdf.add(100.0, 0.25);
 /// assert!((cdf.probability_at_or_below(10.0) - 0.75).abs() < 1e-12);
 /// assert_eq!(cdf.quantile(0.5), 10.0);
+/// assert_eq!(cdf.values(), [1.0, 10.0, 100.0]);
+/// assert_eq!(cdf.weight_runs(), [(0.25, 1), (0.5, 1), (0.25, 1)]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EmpiricalCdf {
-    samples: Vec<(f64, f64)>,
+    /// The observation values, in insertion order.
+    values: Vec<f64>,
+    /// The observations' weights as `(weight, count)` runs covering
+    /// `values` in order; adjacent runs never hold bit-equal weights.
+    runs: Vec<(f64, usize)>,
     total_weight: f64,
 }
 
@@ -40,6 +50,14 @@ impl EmpiricalCdf {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty CDF with room for `observations` values.
+    pub(crate) fn with_capacity(observations: usize) -> Self {
+        Self {
+            values: Vec::with_capacity(observations),
+            ..Self::default()
+        }
     }
 
     /// Builds a CDF from equally weighted samples.
@@ -55,21 +73,55 @@ impl EmpiricalCdf {
         cdf
     }
 
-    /// Rebuilds a CDF from `(value, weight)` observations in order — the
+    /// Rebuilds a CDF from its two columns — the values in insertion order
+    /// and `(weight, count)` runs covering them in order — the
     /// deserialisation path of the shard-state files.
     ///
-    /// Each observation is re-[`add`](EmpiricalCdf::add)ed, so the running
-    /// (order-sensitive) total weight is re-accumulated exactly as a serial
-    /// accumulation would: a CDF serialised as its observation list and
-    /// rebuilt through this constructor is bit-identical to the original.
-    #[must_use]
-    pub fn from_observations<I>(observations: I) -> Self
+    /// The runs need not be maximal: adjacent runs of bit-equal weights are
+    /// joined, and empty runs dropped. The total weight is folded one
+    /// observation at a time, so the result is bit-identical to
+    /// [`add`](EmpiricalCdf::add)ing the observations in order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::InvalidParameter`] when the run counts do
+    /// not sum to the number of values, or when `add` would not keep an
+    /// observation: a non-finite value, or a weight of a non-empty run that
+    /// is not finite and positive.
+    pub fn from_columns<I>(values: Vec<f64>, weight_runs: I) -> Result<Self, AnalysisError>
     where
-        I: IntoIterator<Item = (f64, f64)>,
+        I: IntoIterator<Item = (f64, usize)>,
     {
-        let mut cdf = Self::new();
-        cdf.extend(observations);
-        cdf
+        let invalid = |reason: String| Err(AnalysisError::InvalidParameter { reason });
+        if let Some(value) = values.iter().find(|value| !value.is_finite()) {
+            return invalid(format!("CDF values must be finite, found {value}"));
+        }
+        let mut cdf = Self {
+            values,
+            ..Self::default()
+        };
+        let mut covered = 0usize;
+        for (weight, count) in weight_runs {
+            if count == 0 {
+                continue;
+            }
+            if !admits_weight(weight) {
+                return invalid(format!(
+                    "CDF weights must be finite and positive, found {weight}"
+                ));
+            }
+            covered = covered.saturating_add(count);
+            if covered <= cdf.values.len() {
+                cdf.push_run(weight, count);
+            }
+        }
+        if covered != cdf.values.len() {
+            return invalid(format!(
+                "weight runs cover {covered} observations, not the {} values",
+                cdf.values.len()
+            ));
+        }
+        Ok(cdf)
     }
 
     /// Adds one observation with the given non-negative weight.
@@ -79,31 +131,47 @@ impl EmpiricalCdf {
         if !admits(value, weight) {
             return;
         }
-        self.samples.push((value, weight));
-        self.total_weight += weight;
+        self.values.push(value);
+        self.push_run(weight, 1);
     }
 
     /// Consumes `other`, appending its observations in order — the cheap
-    /// parallel-reduction path.
+    /// shard-merge path.
     pub fn absorb(&mut self, other: EmpiricalCdf) {
-        for (value, weight) in other.samples {
-            // Re-accumulate the weight so the running sum matches a serial
-            // accumulation exactly.
+        if self.is_empty() {
+            // `other` folded its total from the same empty sum.
+            *self = other;
+            return;
+        }
+        self.values.extend_from_slice(&other.values);
+        for (weight, count) in other.runs {
+            self.push_run(weight, count);
+        }
+    }
+
+    /// Appends `count` weights of `weight` behind the stored ones, folding
+    /// each into the total weight in turn, so the running sum matches a
+    /// serial accumulation exactly.
+    fn push_run(&mut self, weight: f64, count: usize) {
+        for _ in 0..count {
             self.total_weight += weight;
-            self.samples.push((value, weight));
+        }
+        match self.runs.last_mut() {
+            Some((last, stored)) if last.to_bits() == weight.to_bits() => *stored += count,
+            _ => self.runs.push((weight, count)),
         }
     }
 
     /// Number of stored observations.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.values.len()
     }
 
     /// `true` when no observation has been added.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.values.is_empty()
     }
 
     /// Total accumulated weight.
@@ -112,20 +180,38 @@ impl EmpiricalCdf {
         self.total_weight
     }
 
-    /// The stored `(value, weight)` observations in insertion order.
+    /// The stored observation values, in insertion order.
     #[must_use]
-    pub fn observations(&self) -> &[(f64, f64)] {
-        &self.samples
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// The stored weights as maximal `(weight, count)` runs of bit-equal
+    /// weights, covering [`EmpiricalCdf::values`] in order.
+    #[must_use]
+    pub fn weight_runs(&self) -> &[(f64, usize)] {
+        &self.runs
+    }
+
+    /// Each weight run with the values it weighs, in insertion order.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (f64, &[f64])> + '_ {
+        let mut rest = self.values.as_slice();
+        self.runs.iter().map(move |&(weight, count)| {
+            let (run, tail) = rest.split_at(count);
+            rest = tail;
+            (weight, run)
+        })
     }
 
     /// Iterates over the stored `(value, weight)` observations in insertion
     /// order.
     pub fn samples(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.samples.iter().copied()
+        self.runs()
+            .flat_map(|(weight, run)| run.iter().map(move |&value| (value, weight)))
     }
 
     fn sorted_observations(&self) -> Vec<(f64, f64)> {
-        let mut sorted = self.samples.clone();
+        let mut sorted: Vec<(f64, f64)> = self.samples().collect();
         sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("values are finite"));
         sorted
     }
@@ -139,14 +225,12 @@ impl EmpiricalCdf {
             return 0.0;
         }
         let mass: f64 = self
-            .samples
-            .iter()
-            .filter(|(value, _)| *value <= x)
+            .samples()
+            .filter(|&(value, _)| value <= x)
             .map(|(_, weight)| weight)
             .sum();
         mass / self.total_weight
     }
-
     /// The smallest observed value `x` such that `P(X ≤ x) ≥ p`.
     ///
     /// For `p ≤ 0` this is the minimum observation and for `p ≥ 1` the
@@ -188,9 +272,9 @@ impl EmpiricalCdf {
     ///
     /// Returns [`AnalysisError::EmptyDistribution`] when no sample was added.
     pub fn min(&self) -> Result<f64, AnalysisError> {
-        self.samples
+        self.values
             .iter()
-            .map(|&(v, _)| v)
+            .copied()
             .min_by(|a, b| a.partial_cmp(b).expect("finite"))
             .ok_or(AnalysisError::EmptyDistribution)
     }
@@ -201,9 +285,9 @@ impl EmpiricalCdf {
     ///
     /// Returns [`AnalysisError::EmptyDistribution`] when no sample was added.
     pub fn max(&self) -> Result<f64, AnalysisError> {
-        self.samples
+        self.values
             .iter()
-            .map(|&(v, _)| v)
+            .copied()
             .max_by(|a, b| a.partial_cmp(b).expect("finite"))
             .ok_or(AnalysisError::EmptyDistribution)
     }
@@ -217,7 +301,7 @@ impl EmpiricalCdf {
         if self.is_empty() || self.total_weight <= 0.0 {
             return Err(AnalysisError::EmptyDistribution);
         }
-        Ok(self.samples.iter().map(|&(v, w)| v * w).sum::<f64>() / self.total_weight)
+        Ok(self.samples().map(|(v, w)| v * w).sum::<f64>() / self.total_weight)
     }
 
     /// Evaluates the CDF at a grid of points, returning `(x, P(X ≤ x))`
@@ -239,25 +323,43 @@ impl EmpiricalCdf {
     /// or [`AnalysisError::InvalidParameter`] when fewer than two points are
     /// requested.
     pub fn log_grid(&self, points: usize) -> Result<Vec<f64>, AnalysisError> {
-        if points < 2 {
-            return Err(AnalysisError::InvalidParameter {
-                reason: format!("a grid needs at least 2 points, got {points}"),
-            });
-        }
-        let min = self.min()?.max(1e-12);
-        let max = self.max()?.max(min * 10.0);
-        let lo = min.log10() - 1.0;
-        let hi = max.log10() + 1.0;
-        Ok((0..points)
-            .map(|i| 10f64.powf(lo + (hi - lo) * i as f64 / (points - 1) as f64))
-            .collect())
+        log_grid_over(self.min().ok().zip(self.max().ok()), points)
     }
+}
+
+/// [`EmpiricalCdf::log_grid`] over the `(min, max)` of a distribution's
+/// values, `None` when it has none.
+///
+/// Only the clamped bounds shape the grid: `min.max(1e-12)` and
+/// `max.max(min * 10)` are the same whichever sign a zero bound carries.
+pub(crate) fn log_grid_over(
+    support: Option<(f64, f64)>,
+    points: usize,
+) -> Result<Vec<f64>, AnalysisError> {
+    if points < 2 {
+        return Err(AnalysisError::InvalidParameter {
+            reason: format!("a grid needs at least 2 points, got {points}"),
+        });
+    }
+    let (min, max) = support.ok_or(AnalysisError::EmptyDistribution)?;
+    let min = min.max(1e-12);
+    let max = max.max(min * 10.0);
+    let lo = min.log10() - 1.0;
+    let hi = max.log10() + 1.0;
+    Ok((0..points)
+        .map(|i| 10f64.powf(lo + (hi - lo) * i as f64 / (points - 1) as f64))
+        .collect())
 }
 
 /// Whether [`EmpiricalCdf::add`] keeps an observation: a finite value with
 /// a finite, positive weight.
 pub(crate) fn admits(value: f64, weight: f64) -> bool {
-    value.is_finite() && weight.is_finite() && weight > 0.0
+    value.is_finite() && admits_weight(weight)
+}
+
+/// Whether a weight is finite and positive.
+pub(crate) fn admits_weight(weight: f64) -> bool {
+    weight.is_finite() && weight > 0.0
 }
 
 impl FromIterator<f64> for EmpiricalCdf {
@@ -327,43 +429,119 @@ mod tests {
         assert_eq!(cdf.len(), 1);
     }
 
+    /// Asserts that `built` holds exactly `serial`'s observations: the same
+    /// value bits, the same maximal weight runs (no two adjacent runs of
+    /// bit-equal weights) and the same total-weight bits.
+    fn assert_same_columns(built: &EmpiricalCdf, serial: &EmpiricalCdf, what: &str) {
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let runs = |cdf: &EmpiricalCdf| {
+            cdf.weight_runs()
+                .iter()
+                .map(|&(weight, count)| (weight.to_bits(), count))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            bits(built.values()),
+            bits(serial.values()),
+            "{what}: values"
+        );
+        assert_eq!(runs(built), runs(serial), "{what}: weight runs");
+        assert!(
+            built
+                .weight_runs()
+                .windows(2)
+                .all(|pair| pair[0].0.to_bits() != pair[1].0.to_bits() && pair[1].1 > 0),
+            "{what}: runs are not maximal: {:?}",
+            built.weight_runs()
+        );
+        assert_eq!(
+            built.total_weight().to_bits(),
+            serial.total_weight().to_bits(),
+            "{what}: total weight"
+        );
+        assert_eq!(built, serial, "{what}");
+    }
+
+    /// Observations whose weights repeat in runs of one to three, chosen
+    /// so the total weight's bits show how it was folded: adding a run as
+    /// `count × weight`, or summing two parts apart and then adding the
+    /// sums, gives other bits than adding one weight at a time. Values
+    /// include zeros of both signs.
+    fn run_observations() -> Vec<(f64, f64)> {
+        let weights = [
+            1.0, 0.1, 0.1, 0.1, 3.5, 3.5, 1e-3, 1e-3, 1e-3, 0.7, 1e-7, 1e-7, 0.3,
+        ];
+        weights
+            .iter()
+            .enumerate()
+            .map(|(i, &weight)| {
+                let value = match i % 4 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => i as f64 * 1.5,
+                };
+                (value, weight)
+            })
+            .collect()
+    }
+
+    fn serial(observations: &[(f64, f64)]) -> EmpiricalCdf {
+        let mut cdf = EmpiricalCdf::new();
+        for &(value, weight) in observations {
+            cdf.add(value, weight);
+        }
+        cdf
+    }
+
     #[test]
     fn absorb_and_extend_accumulate() {
         let mut a = EmpiricalCdf::from_samples([1.0, 2.0]);
         let b = EmpiricalCdf::from_samples([3.0, 4.0]);
         a.absorb(b);
         assert_eq!(a.len(), 4);
+        assert_eq!(a.weight_runs(), [(1.0, 4)]);
         a.extend([(5.0, 2.0)]);
         assert_eq!(a.len(), 5);
+        assert_eq!(a.weight_runs(), [(1.0, 4), (2.0, 1)]);
         assert!((a.total_weight() - 6.0).abs() < 1e-12);
         let collected: EmpiricalCdf = [1.0, 2.0, 3.0].into_iter().collect();
         assert_eq!(collected.len(), 3);
+
+        // `extend` is the serial `add` sequence, skipped observations
+        // included.
+        let observations = run_observations();
+        let reference = serial(&observations);
+        let mut extended = EmpiricalCdf::new();
+        extended.extend(
+            observations
+                .iter()
+                .copied()
+                .chain([(f64::NAN, 1.0), (1.0, 0.0)]),
+        );
+        assert_same_columns(&extended, &reference, "extend");
     }
 
     #[test]
     fn absorb_matches_serial_accumulation() {
-        // Weights whose sum is order-sensitive in floating point.
-        let weights = [1e-3, 1e16, 1.0, 1e-7, 3.5, 1e12];
-        let mut serial = EmpiricalCdf::new();
-        for (i, &w) in weights.iter().enumerate() {
-            serial.add(i as f64, w);
+        // Every split into two and into three parts: the boundaries fall
+        // inside runs (the parts' boundary weights are bit-equal and their
+        // runs must join) and between them.
+        let observations = run_observations();
+        let reference = serial(&observations);
+        assert!(reference.weight_runs().len() < observations.len());
+        let len = observations.len();
+        for first in 0..=len {
+            for second in first..=len {
+                let mut left = serial(&observations[..first]);
+                left.absorb(serial(&observations[first..second]));
+                left.absorb(serial(&observations[second..]));
+                assert_same_columns(&left, &reference, &format!("split {first}/{second}"));
+            }
         }
-        let mut left = EmpiricalCdf::new();
-        left.add(0.0, weights[0]);
-        left.add(1.0, weights[1]);
-        let mut mid = EmpiricalCdf::new();
-        mid.add(2.0, weights[2]);
-        mid.add(3.0, weights[3]);
-        let mut right = EmpiricalCdf::new();
-        right.add(4.0, weights[4]);
-        right.add(5.0, weights[5]);
-        left.absorb(mid);
-        left.absorb(right);
-        assert_eq!(left, serial);
-        assert_eq!(
-            left.total_weight().to_bits(),
-            serial.total_weight().to_bits()
-        );
+        // Absorbing into an empty CDF adopts the other side.
+        let mut empty = EmpiricalCdf::new();
+        empty.absorb(reference.clone());
+        assert_same_columns(&empty, &reference, "into empty");
     }
 
     #[test]
@@ -377,17 +555,50 @@ mod tests {
     }
 
     #[test]
-    fn from_observations_round_trips() {
-        let mut cdf = EmpiricalCdf::new();
-        for (value, weight) in [(2.0, 0.1), (4.0, 3.0), (1.0, 1e16), (8.0, 0.2)] {
-            cdf.add(value, weight);
+    fn from_columns_round_trips() {
+        let observations = run_observations();
+        let reference = serial(&observations);
+        let values: Vec<f64> = reference.values().to_vec();
+        // The maximal runs themselves…
+        let rebuilt = EmpiricalCdf::from_columns(values.clone(), reference.weight_runs().to_vec());
+        assert_same_columns(&rebuilt.unwrap(), &reference, "maximal runs");
+        // …one run per observation…
+        let singles = observations.iter().map(|&(_, weight)| (weight, 1));
+        let rebuilt = EmpiricalCdf::from_columns(values.clone(), singles);
+        assert_same_columns(&rebuilt.unwrap(), &reference, "one run each");
+        // …and every run split in two, with empty runs in between.
+        let split = reference.weight_runs().iter().flat_map(|&(weight, count)| {
+            [
+                (weight, count / 2),
+                (weight, 0),
+                (weight, count - count / 2),
+            ]
+        });
+        let rebuilt = EmpiricalCdf::from_columns(values, split);
+        assert_same_columns(&rebuilt.unwrap(), &reference, "split runs");
+        let empty = EmpiricalCdf::from_columns(Vec::new(), []).unwrap();
+        assert_same_columns(&empty, &EmpiricalCdf::new(), "empty");
+    }
+
+    #[test]
+    fn from_columns_refuses_what_add_would_not_keep() {
+        for (values, runs, reason) in [
+            (vec![1.0, 2.0], vec![(0.5, 1)], "cover 1 observations"),
+            (vec![1.0, 2.0], vec![(0.5, 3)], "cover 3 observations"),
+            (vec![1.0], vec![(0.5, 1), (0.5, usize::MAX)], "cover"),
+            (vec![1.0], vec![(0.0, 1)], "finite and positive"),
+            (vec![1.0], vec![(-0.5, 1)], "finite and positive"),
+            (vec![1.0], vec![(f64::INFINITY, 1)], "finite and positive"),
+            (vec![f64::NAN], vec![(0.5, 1)], "finite"),
+            (vec![1.0, f64::NEG_INFINITY], vec![(0.5, 2)], "finite"),
+        ] {
+            let error = EmpiricalCdf::from_columns(values.clone(), runs.clone())
+                .expect_err(&format!("accepted {values:?} {runs:?}"));
+            assert!(error.to_string().contains(reason), "{error}");
         }
-        let rebuilt = EmpiricalCdf::from_observations(cdf.observations().to_vec());
-        assert_eq!(rebuilt, cdf);
-        assert_eq!(
-            rebuilt.total_weight().to_bits(),
-            cdf.total_weight().to_bits()
-        );
+        // An empty run's weight is never read.
+        let cdf = EmpiricalCdf::from_columns(vec![1.0], [(f64::NAN, 0), (0.5, 1)]).unwrap();
+        assert_eq!(cdf.weight_runs(), [(0.5, 1)]);
     }
 
     #[test]

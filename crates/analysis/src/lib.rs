@@ -31,7 +31,8 @@
 //! let engine = MonteCarloEngine::new(config);
 //! let results = engine.run_catalogue(&[Scheme::shuffle32(5)?], 42)?;
 //! // With single-bit segments every fault costs at most 1², so the MSE stays tiny.
-//! assert!(results[0].cdf.quantile(0.999) <= 1.0);
+//! let mse_cdf = results[0].yield_model.combined_cdf(0.0);
+//! assert!(mse_cdf.quantile(0.999) <= 1.0);
 //! # Ok(())
 //! # }
 //! ```

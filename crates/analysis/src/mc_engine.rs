@@ -13,7 +13,6 @@
 //! worker count — see the `determinism` integration test.
 
 use crate::accumulate::CatalogueAccumulator;
-use crate::cdf::EmpiricalCdf;
 use crate::error::AnalysisError;
 use crate::mse::{block_mse_into, CatalogueMse};
 use crate::yield_model::YieldModel;
@@ -29,10 +28,12 @@ pub struct SchemeMseResult {
     /// Human-readable scheme name (as reported by
     /// [`MitigationScheme::name`]).
     pub scheme_name: String,
-    /// The weighted MSE CDF over the simulated die population (the Fig. 5
-    /// series for this scheme).
-    pub cdf: EmpiricalCdf,
-    /// The full yield model, for quality-vs-yield queries.
+    /// The full yield model, for quality-vs-yield queries. Its combined
+    /// CDF at MSE 0 ([`YieldModel::combined_cdf`]) is the weighted MSE CDF
+    /// over the simulated die population, the Fig. 5 series for this
+    /// scheme; [`YieldModel::combined_cdf_at`],
+    /// [`YieldModel::combined_mean`] and [`YieldModel::combined_log_grid`]
+    /// read it without materialising it.
     pub yield_model: YieldModel,
     /// Largest simulated failure count.
     pub max_failures: u64,
@@ -176,7 +177,7 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
         S: MitigationScheme + Sync,
         W: Fn(usize) -> u64 + Sync,
     {
-        let new_state = || CatalogueAccumulator::new(schemes.len());
+        let state = CatalogueAccumulator::new(schemes.len());
         let walk = CatalogueMse::new(schemes, self.config().memory().word_bits());
         let evaluate = |map: &_, metrics: &mut [f64]| {
             walk.mse_into(map, &written, metrics);
@@ -187,7 +188,7 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
             KernelKind::Sparse => {
                 obs::count(obs::Counter::DispatchSparse, 1);
                 self.campaign
-                    .run_shard(schemes, seed, shard, evaluate, new_state)
+                    .run_shard(schemes, seed, shard, evaluate, state)
             }
             KernelKind::Bitsliced => {
                 obs::count(obs::Counter::DispatchBitsliced, 1);
@@ -199,7 +200,7 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
                     |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
                         block_mse_into(scheme, block, &written, out);
                     },
-                    new_state,
+                    state,
                 )
             }
         };
@@ -240,7 +241,6 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
             .zip(schemes)
             .map(|(yield_model, scheme)| SchemeMseResult {
                 scheme_name: scheme.name(),
-                cdf: yield_model.combined_cdf(0.0),
                 yield_model,
                 max_failures,
             })
@@ -251,9 +251,38 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cdf::EmpiricalCdf;
     use faultmit_core::Scheme;
     use faultmit_memsim::MemoryConfig;
     use faultmit_sim::Parallelism;
+
+    /// The result's combined MSE CDF, the scheme's Fig. 5 series.
+    fn cdf(result: &SchemeMseResult) -> EmpiricalCdf {
+        result.yield_model.combined_cdf(0.0)
+    }
+
+    /// Asserts that two results hold the same strata bit for bit: failure
+    /// counts, values, weight runs and total weights.
+    fn assert_same_strata(a: &SchemeMseResult, b: &SchemeMseResult, what: &str) {
+        let bits = |result: &SchemeMseResult| -> Vec<_> {
+            result
+                .yield_model
+                .per_count_cdfs()
+                .iter()
+                .map(|(&n, cdf)| {
+                    let values: Vec<u64> = cdf.values().iter().map(|v| v.to_bits()).collect();
+                    let runs: Vec<(u64, usize)> = cdf
+                        .weight_runs()
+                        .iter()
+                        .map(|&(weight, count)| (weight.to_bits(), count))
+                        .collect();
+                    (n, values, runs, cdf.total_weight().to_bits())
+                })
+                .collect()
+        };
+        assert_eq!(a.scheme_name, b.scheme_name, "{what}");
+        assert_eq!(bits(a), bits(b), "{what}: {}", a.scheme_name);
+    }
 
     fn small_config() -> CampaignConfig {
         CampaignConfig::new(MemoryConfig::new(128, 32).unwrap(), 1e-3)
@@ -290,8 +319,9 @@ mod tests {
         let scheme = Scheme::unprotected32();
         let a = run_one(&engine, scheme, 7);
         let b = run_one(&engine, scheme, 7);
-        assert_eq!(a.cdf.len(), b.cdf.len());
-        assert!((a.cdf.mean().unwrap() - b.cdf.mean().unwrap()).abs() < 1e-12);
+        assert_same_strata(&a, &b, "same seed");
+        assert_eq!(cdf(&a).len(), cdf(&b).len());
+        assert!((cdf(&a).mean().unwrap() - cdf(&b).mean().unwrap()).abs() < 1e-12);
     }
 
     #[test]
@@ -303,7 +333,7 @@ mod tests {
         let catalogue = engine
             .run_catalogue(&[Scheme::unprotected32(), Scheme::pecc32()], 21)
             .unwrap();
-        assert_eq!(alone.cdf, catalogue[1].cdf);
+        assert_same_strata(&alone, &catalogue[1], "alone vs catalogue");
     }
 
     #[test]
@@ -322,8 +352,8 @@ mod tests {
         let (unprotected, shuffled, secded) = (&results[0], &results[1], &results[2]);
 
         let q = 0.99;
-        let mse_unprotected = unprotected.cdf.quantile(q);
-        let mse_shuffled = shuffled.cdf.quantile(q);
+        let mse_unprotected = cdf(unprotected).quantile(q);
+        let mse_shuffled = cdf(shuffled).quantile(q);
         assert!(
             mse_shuffled < mse_unprotected / 1e3,
             "shuffling must cut the MSE by orders of magnitude"
@@ -332,9 +362,9 @@ mod tests {
         // words with two or more faults, so on average it is far better than
         // the unprotected memory even though its tail is not necessarily
         // better than fine-grained shuffling.
-        assert!(secded.cdf.mean().unwrap() < unprotected.cdf.mean().unwrap() / 5.0);
+        assert!(cdf(secded).mean().unwrap() < cdf(unprotected).mean().unwrap() / 5.0);
         // At the median, SECDED memories are error-free.
-        assert_eq!(secded.cdf.quantile(0.5), 0.0);
+        assert_eq!(cdf(secded).quantile(0.5), 0.0);
     }
 
     #[test]
@@ -346,7 +376,7 @@ mod tests {
                 11,
             )
             .unwrap();
-        assert!(results[1].cdf.quantile(0.99) <= results[0].cdf.quantile(0.99));
+        assert!(cdf(&results[1]).quantile(0.99) <= cdf(&results[0]).quantile(0.99));
     }
 
     #[test]
@@ -365,7 +395,7 @@ mod tests {
         // line up one-to-one.
         for (n, unprotected_cdf) in results[0].yield_model.per_count_cdfs() {
             let shuffle_cdf = &results[1].yield_model.per_count_cdfs()[n];
-            for ((mse_u, _), (mse_s, _)) in unprotected_cdf.samples().zip(shuffle_cdf.samples()) {
+            for (&mse_u, &mse_s) in unprotected_cdf.values().iter().zip(shuffle_cdf.values()) {
                 assert!(
                     mse_s <= mse_u + 1e-12,
                     "n = {n}: shuffle {mse_s} > unprotected {mse_u}"
@@ -383,7 +413,7 @@ mod tests {
         let a = serial.run_catalogue(&schemes, 5).unwrap();
         let b = parallel.run_catalogue(&schemes, 5).unwrap();
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.cdf, y.cdf);
+            assert_same_strata(x, y, "serial vs 4 workers");
         }
     }
 
@@ -428,7 +458,7 @@ mod tests {
             // Shuffling never loses to no protection, whatever the backend's
             // spatial law.
             assert!(
-                results[1].cdf.quantile(0.99) <= results[0].cdf.quantile(0.99),
+                cdf(&results[1]).quantile(0.99) <= cdf(&results[0]).quantile(0.99),
                 "{kind}: shuffle q99 exceeds unprotected q99"
             );
         }
@@ -454,7 +484,7 @@ mod tests {
         let a = legacy.run_catalogue(&schemes, 41).unwrap();
         let b = explicit.run_catalogue(&schemes, 41).unwrap();
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.cdf, y.cdf);
+            assert_same_strata(x, y, "legacy vs explicit");
         }
     }
 
@@ -477,13 +507,7 @@ mod tests {
             }
             let results = engine.results_from_state(&schemes, merged).unwrap();
             for (a, b) in monolithic.iter().zip(&results) {
-                assert_eq!(a.scheme_name, b.scheme_name, "{shard_count} shards");
-                assert_eq!(a.cdf, b.cdf, "{shard_count} shards: {}", a.scheme_name);
-                assert_eq!(
-                    a.cdf.total_weight().to_bits(),
-                    b.cdf.total_weight().to_bits(),
-                    "{shard_count} shards"
-                );
+                assert_same_strata(a, b, &format!("{shard_count} shards"));
             }
         }
     }
@@ -531,7 +555,7 @@ mod tests {
         let results = ones.run_catalogue(&schemes, 3).unwrap();
         let reduced = ones.results_from_state(&schemes, configured).unwrap();
         for (a, b) in results.iter().zip(&reduced) {
-            assert_eq!(a.cdf, b.cdf);
+            assert_same_strata(a, b, "run vs reduced state");
         }
     }
 
@@ -593,7 +617,7 @@ mod tests {
         let silent = build(ImageSpec::Zeros).run_catalogue(&schemes, 3).unwrap();
         for result in &silent {
             assert_eq!(
-                result.cdf.mean().unwrap_or(0.0),
+                result.yield_model.combined_mean(0.0).unwrap_or(0.0),
                 0.0,
                 "{}: stuck-at-0 over zeros must be invisible",
                 result.scheme_name
@@ -601,7 +625,7 @@ mod tests {
         }
         let loud = build(ImageSpec::Ones).run_catalogue(&schemes, 3).unwrap();
         assert!(
-            loud[0].cdf.mean().unwrap() > 0.0,
+            loud[0].yield_model.combined_mean(0.0).unwrap() > 0.0,
             "stuck-at-0 over ones must corrupt the unprotected memory"
         );
     }

@@ -15,7 +15,8 @@
 //! the yield at a given quality constraint, and the quality constraint that
 //! must be tolerated to reach a given yield target.
 
-use crate::cdf::{admits, EmpiricalCdf};
+use crate::cdf::{admits, admits_weight, log_grid_over, EmpiricalCdf};
+use crate::error::AnalysisError;
 use faultmit_memsim::FailureCountDistribution;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -206,20 +207,20 @@ impl YieldModel {
         // Each stratum's values as order keys, one sorted run per stratum.
         let mut keys = Vec::with_capacity(observations);
         for (&failures, cdf) in &per_count {
-            let Some(&(_, first)) = cdf.observations().first() else {
+            if cdf.is_empty() {
                 continue;
-            };
+            }
             let start = keys.len();
-            keys.extend(cdf.samples().map(|(value, _)| order_key(value)));
+            keys.extend(cdf.values().iter().map(|&value| order_key(value)));
             keys[start..].sort_unstable();
             let stratum = shared.at(strata.len(), failures, &distribution);
-            let count_path = cdf
-                .samples()
-                .all(|(_, weight)| weight.to_bits() == first.to_bits())
-                .then(|| CountPath {
-                    weight: first,
-                    prefix: stratum.prefix(first, cdf.len()),
-                });
+            let count_path = match *cdf.weight_runs() {
+                [(weight, _)] => Some(CountPath {
+                    weight,
+                    prefix: stratum.prefix(weight, cdf.len()),
+                }),
+                _ => None,
+            };
             strata.push(Stratum {
                 failures,
                 pmf: stratum.pmf,
@@ -380,6 +381,81 @@ impl YieldModel {
                 (x, p)
             })
             .collect()
+    }
+
+    /// `self.combined_cdf(zero_failure_quality).mean()`, bit for bit,
+    /// without materialising the combined CDF: the weighted sum and the
+    /// total weight fold each admitted run's values with its one scaled
+    /// weight, in the combined CDF's insertion order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::EmptyDistribution`] when the combined CDF
+    /// would admit no observation.
+    pub fn combined_mean(&self, zero_failure_quality: f64) -> Result<f64, AnalysisError> {
+        // `EmpiricalCdf` folds its total from `0.0` and its weighted sum
+        // from the empty sum.
+        let mut total = 0.0;
+        let mut moment = empty_sum();
+        for (weight, values) in self.combined_runs(&zero_failure_quality) {
+            for &value in values {
+                moment += value * weight;
+                total += weight;
+            }
+        }
+        if total <= 0.0 {
+            return Err(AnalysisError::EmptyDistribution);
+        }
+        Ok(moment / total)
+    }
+
+    /// `self.combined_cdf(zero_failure_quality).log_grid(points)`, bit for
+    /// bit, from the bounds of the admitted runs' values.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::InvalidParameter`] when fewer than two
+    /// points are requested, and [`AnalysisError::EmptyDistribution`] when
+    /// the combined CDF would admit no observation.
+    pub fn combined_log_grid(
+        &self,
+        zero_failure_quality: f64,
+        points: usize,
+    ) -> Result<Vec<f64>, AnalysisError> {
+        // `f64::min`/`max` may pick either zero of a tie where the CDF's
+        // `min`/`max` pick the first or last, a sign the grid never reads
+        // (`log_grid_over`).
+        let support = self
+            .combined_runs(&zero_failure_quality)
+            .flat_map(|(_, values)| values)
+            .fold(None, |support, &value| match support {
+                None => Some((value, value)),
+                Some((lo, hi)) => Some((f64::min(lo, value), f64::max(hi, value))),
+            });
+        log_grid_over(support, points)
+    }
+
+    /// The combined CDF's admitted observations as `(weight, values)` runs
+    /// in its insertion order: the zero-failure sample at
+    /// `zero_failure_quality`, then each stratum's weight runs, every
+    /// weight scaled by the stratum's `Pr(N = n) / total weight`. A run the
+    /// combined CDF would skip (a scaled weight that is not finite and
+    /// positive, or a zero-failure quality that is not finite) is left
+    /// out; stored values are always finite.
+    fn combined_runs<'a>(
+        &'a self,
+        zero_failure_quality: &'a f64,
+    ) -> impl Iterator<Item = (f64, &'a [f64])> + 'a {
+        let zero = admits(*zero_failure_quality, self.zero_pmf)
+            .then(|| (self.zero_pmf, std::slice::from_ref(zero_failure_quality)));
+        let strata = self.strata.iter().flat_map(move |stratum| {
+            let scale = stratum.pmf / stratum.total_weight;
+            self.per_count[&stratum.failures]
+                .runs()
+                .map(move |(weight, values)| (weight * scale, values))
+                .filter(|&(weight, _)| admits_weight(weight))
+        });
+        zero.into_iter().chain(strata)
     }
 
     /// The combined CDF's (unnormalised) mass at or below `x`, given each
@@ -558,8 +634,10 @@ mod tests {
         assert!((p - (distribution().pmf(0) + distribution().pmf(1))).abs() < 1e-9);
         // The zero-failure mass sits at the quality it is given.
         let quality = model.combined_cdf(1.0);
-        assert_eq!(quality.observations()[0], (1.0, distribution().pmf(0)));
-        assert_eq!(quality.observations()[1..], combined.observations()[1..]);
+        assert_eq!(quality.values()[0], 1.0);
+        assert_eq!(quality.weight_runs()[0], (distribution().pmf(0), 1));
+        assert_eq!(quality.values()[1..], combined.values()[1..]);
+        assert_eq!(quality.weight_runs()[1..], combined.weight_runs()[1..]);
     }
 
     /// A tiny deterministic xorshift for the sweep below.
@@ -609,7 +687,7 @@ mod tests {
         let mut thresholds: Vec<f64> = model
             .per_count_cdfs()
             .values()
-            .flat_map(|cdf| cdf.samples().map(|(value, _)| value))
+            .flat_map(|cdf| cdf.values().iter().copied())
             .filter(|v| v.is_finite())
             .collect();
         thresholds.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -815,12 +893,17 @@ mod tests {
         grid
     }
 
-    /// `combined_cdf_at` against the materialised combined CDF, bit for
-    /// bit, at both zero-failure qualities the figures use.
+    /// `combined_cdf_at`, `combined_mean` and `combined_log_grid` against
+    /// the materialised combined CDF, bit for bit (or the same error), at
+    /// both zero-failure qualities the figures use.
     fn assert_combined_cdf_matches(model: &YieldModel, what: &str) {
         let grid = combined_grid(model);
+        let grid_bits = |grid: Result<Vec<f64>, AnalysisError>| {
+            grid.map(|grid| grid.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
         for zero_failure_quality in [0.0, 1.0] {
-            let expected = model.combined_cdf(zero_failure_quality).evaluate_at(&grid);
+            let materialised = model.combined_cdf(zero_failure_quality);
+            let expected = materialised.evaluate_at(&grid);
             let counted = model.combined_cdf_at(zero_failure_quality, &grid);
             assert_eq!(counted.len(), expected.len(), "{what}");
             for (&(x, p), &(ex, ep)) in counted.iter().zip(&expected) {
@@ -828,6 +911,18 @@ mod tests {
                     (x.to_bits(), p.to_bits()),
                     (ex.to_bits(), ep.to_bits()),
                     "{what}, zero quality {zero_failure_quality}: at {x}"
+                );
+            }
+            assert_eq!(
+                model.combined_mean(zero_failure_quality).map(f64::to_bits),
+                materialised.mean().map(f64::to_bits),
+                "{what}, zero quality {zero_failure_quality}: mean"
+            );
+            for points in [0, 1, 2, 40] {
+                assert_eq!(
+                    grid_bits(model.combined_log_grid(zero_failure_quality, points)),
+                    grid_bits(materialised.log_grid(points)),
+                    "{what}, zero quality {zero_failure_quality}: {points}-point log grid"
                 );
             }
         }
@@ -874,17 +969,53 @@ mod tests {
         let strata = BTreeMap::from([
             (1, EmpiricalCdf::from_samples([5.0, 1.0])),
             (2, EmpiricalCdf::new()),
-            (400, EmpiricalCdf::from_samples([0.5, 7.0])),
+            (400, EmpiricalCdf::from_samples([0.5, 700.0])),
         ]);
         let model = YieldModel::from_per_count(tail, strata);
         assert_eq!(model.strata.len(), 2, "the empty stratum is dropped");
         assert_combined_cdf_matches(&model, "underflow");
-        // Nothing admitted at all: every point reads 0.
+        // The skipped stratum's 700 does not widen the grid past the live
+        // support [1, 5] (padded to a decade, [1, 10], then a decade out),
+        // nor its 0.5 below the zero-failure quality 1.
+        let grid = model.combined_log_grid(1.0, 40).unwrap();
+        assert_eq!((grid[0], grid[39]), (0.1, 100.0), "{grid:?}");
+        // Zeros of both signs, in equal- and unequal-weight strata and as
+        // the only values (the grid then spans the clamp alone).
+        let mut unequal = EmpiricalCdf::new();
+        for (value, weight) in [(0.0, 0.25), (-0.0, 0.5), (4.0, 0.125), (-0.0, 0.125)] {
+            unequal.add(value, weight);
+        }
+        let strata = BTreeMap::from([
+            (1, EmpiricalCdf::from_samples([-0.0, 0.0, 3.0])),
+            (2, unequal),
+        ]);
+        assert_combined_cdf_matches(&YieldModel::from_per_count(tail, strata), "signed zeros");
+        let strata = BTreeMap::from([(1, EmpiricalCdf::from_samples([-0.0, 0.0, -0.0]))]);
+        assert_combined_cdf_matches(&YieldModel::from_per_count(tail, strata), "only zeros");
+        // Nothing admitted at all: every point reads 0, and the mean and
+        // the grid report an empty distribution.
         let nothing = YieldModel::from_per_count(certain, BTreeMap::new());
         assert_combined_cdf_matches(&nothing, "empty");
         assert!(nothing
             .combined_cdf_at(0.0, &[0.0, 1.0])
             .iter()
             .all(|&(_, p)| p == 0.0));
+        assert_eq!(
+            nothing.combined_mean(0.0),
+            Err(AnalysisError::EmptyDistribution)
+        );
+        assert_eq!(
+            nothing.combined_log_grid(0.0, 40),
+            Err(AnalysisError::EmptyDistribution)
+        );
+        // Strata whose every scaled weight is 0 admit nothing either.
+        assert_eq!(certain.pmf(99), 0.0);
+        let strata = BTreeMap::from([(99, EmpiricalCdf::from_samples([1.0, 2.0]))]);
+        let skipped = YieldModel::from_per_count(certain, strata);
+        assert_combined_cdf_matches(&skipped, "nothing admitted");
+        assert_eq!(
+            skipped.combined_mean(1.0),
+            Err(AnalysisError::EmptyDistribution)
+        );
     }
 }

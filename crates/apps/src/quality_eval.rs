@@ -375,7 +375,7 @@ impl QualityEvaluator {
                     }
                     Ok::<(), AppError>(())
                 },
-                || CatalogueAccumulator::new(schemes.len()),
+                CatalogueAccumulator::new(schemes.len()),
             )
             .map_err(AppError::from)
     }

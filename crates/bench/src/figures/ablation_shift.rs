@@ -239,7 +239,7 @@ impl FigureDef for AblationShiftDef {
                 .iter()
                 .map(|per_count| {
                     let cdf = per_count.get(&(faults_per_map as u64))?;
-                    (per_count.len() == 1).then(|| cdf.observations())
+                    (per_count.len() == 1).then(|| cdf.values())
                 })
                 .collect::<Option<Vec<_>>>();
             let (naive, optimal) = match strata.as_deref() {
@@ -253,9 +253,7 @@ impl FigureDef for AblationShiftDef {
                     .into())
                 }
             };
-            let mean = |stratum: &[(f64, f64)]| {
-                stratum.iter().map(|&(mse, _)| mse).sum::<f64>() / stratum.len().max(1) as f64
-            };
+            let mean = |stratum: &[f64]| stratum.iter().sum::<f64>() / stratum.len().max(1) as f64;
             let mse_naive = mean(naive);
             let mse_optimal = mean(optimal);
             // Paired invariant: the optimal policy includes the naive shift
@@ -263,7 +261,7 @@ impl FigureDef for AblationShiftDef {
             debug_assert!(naive
                 .iter()
                 .zip(optimal)
-                .all(|(naive, optimal)| optimal.0 <= naive.0 + 1e-9));
+                .all(|(naive, optimal)| *optimal <= naive + 1e-9));
 
             table.add_row(vec![
                 n_fm.to_string(),

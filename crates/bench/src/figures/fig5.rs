@@ -120,10 +120,14 @@ pub fn fig5_series(results: &[SchemeMseResult]) -> Vec<Fig5Series> {
     results
         .iter()
         .map(|result| {
-            let grid = result.cdf.log_grid(40).unwrap_or_default();
+            // The series is the model's combined CDF at MSE 0, on a log
+            // grid over its support.
+            let grid = result
+                .yield_model
+                .combined_log_grid(0.0, 40)
+                .unwrap_or_default();
             Fig5Series {
                 scheme: result.scheme_name.clone(),
-                // `result.cdf` is the model's combined CDF at MSE 0.
                 cdf: result.yield_model.combined_cdf_at(0.0, &grid),
                 mse_at_six_nines_yield: result.mse_for_yield(0.999_999),
                 yield_at_mse_1e6: result.yield_at_mse(1e6),

@@ -249,7 +249,7 @@ impl FigureDef for Fig8Def {
             let p_cell = engine.config().p_cell();
             let results = engine.results_from_state(&schemes, accumulator)?;
             for result in &results {
-                let mean = result.cdf.mean().unwrap_or(0.0);
+                let mean = result.yield_model.combined_mean(0.0).unwrap_or(0.0);
                 let at_yield = result.mse_for_yield(0.99);
                 let yield_1e6 = result.yield_at_mse(1e6);
                 table.add_row(vec![

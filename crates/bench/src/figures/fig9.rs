@@ -378,7 +378,7 @@ impl FigureDef for Fig9Def {
             let (_, accumulator) = take_catalogue(panel, "fig9")?;
             let results = cell.results(accumulator)?;
             for result in &results {
-                let mean = result.cdf.mean().unwrap_or(0.0);
+                let mean = result.yield_model.combined_mean(0.0).unwrap_or(0.0);
                 let at_yield = result.mse_for_yield(0.99);
                 let yield_1e6 = result.yield_at_mse(1e6);
                 table.add_row(vec![

@@ -10,10 +10,11 @@
 //!
 //! 1. chunk boundaries and per-sample RNG streams derive from the global
 //!    plan (see [`faultmit_sim::Campaign::run_shard`]),
-//! 2. catalogue state stores each stratum's [`EmpiricalCdf`] observation
-//!    values in insertion order next to their run-length encoded weights
-//!    and re-accumulates them on read
-//!    ([`EmpiricalCdf::from_observations`]), and
+//! 2. catalogue state stores each stratum's [`EmpiricalCdf`] as its two
+//!    columns, the observation values in insertion order next to their
+//!    maximal weight runs, and rebuilds them on read with the total
+//!    weight re-folded in insertion order
+//!    ([`EmpiricalCdf::from_columns`]), and
 //!    deterministic table state is validated for equality across shards
 //!    (there is no raw record stream: every Monte-Carlo figure, the
 //!    shift-policy ablation included, stores catalogue state), and
@@ -479,12 +480,13 @@ pub fn load_shard_files<P: AsRef<Path>>(paths: &[P]) -> Result<Vec<ShardState>, 
 }
 
 /// Serialises an [`EmpiricalCdf`] as `{"weights": [[w, count], …], "values":
-/// "<hex>"}`: the observation values in insertion order, each as the 16
-/// lowercase hex digits of its bits (`f64::to_bits`, most significant
-/// first), and their weights run-length encoded, one `[weight, count]` run
-/// per maximal stretch of bit-equal weights. Every die of a catalogue
-/// stratum carries the same weight `pmf(n)/m`, so a registry campaign's
-/// stratum is one run, but the encoding is exact for any CDF.
+/// "<hex>"}`: its two columns, the observation values in insertion order,
+/// each as the 16 lowercase hex digits of its bits (`f64::to_bits`, most
+/// significant first), and its weights, one `[weight, count]` run per
+/// maximal stretch of bit-equal weights ([`EmpiricalCdf::weight_runs`]).
+/// Every die of a catalogue stratum carries the same weight `pmf(n)/m`, so
+/// a registry campaign's stratum is one run, but the encoding is exact for
+/// any CDF.
 #[must_use]
 pub fn sketch_to_json(cdf: &EmpiricalCdf) -> JsonValue {
     JsonValue::object(sketch_fields(cdf))
@@ -513,13 +515,14 @@ const NIBBLES: [u8; 256] = {
 };
 
 fn sketch_fields(cdf: &EmpiricalCdf) -> [(&'static str, JsonValue); 2] {
-    let observations = cdf.observations();
-    let runs = observations
-        .chunk_by(|a, b| a.1.to_bits() == b.1.to_bits())
-        .map(|run| JsonValue::Array(vec![JsonValue::Number(run[0].1), run.len().to_json()]))
+    let runs = cdf
+        .weight_runs()
+        .iter()
+        .map(|&(weight, count)| JsonValue::Array(vec![JsonValue::Number(weight), count.to_json()]))
         .collect();
-    let mut hex = vec![0u8; WORD_DIGITS * observations.len()];
-    for (word, &(value, _)) in hex.chunks_exact_mut(WORD_DIGITS).zip(observations) {
+    let values = cdf.values();
+    let mut hex = vec![0u8; WORD_DIGITS * values.len()];
+    for (word, &value) in hex.chunks_exact_mut(WORD_DIGITS).zip(values) {
         for (digits, byte) in word.chunks_exact_mut(2).zip(value.to_bits().to_be_bytes()) {
             digits[0] = HEX_DIGITS[usize::from(byte >> 4)];
             digits[1] = HEX_DIGITS[usize::from(byte & 0xf)];
@@ -557,8 +560,8 @@ fn value_from_word(word: &[u8]) -> Result<f64, ShardStateError> {
 }
 
 /// Rebuilds an [`EmpiricalCdf`] from the `weights`/`values` fields
-/// [`sketch_to_json`] writes, re-accumulating the order-sensitive total
-/// weight exactly.
+/// [`sketch_to_json`] writes, decoding them straight into its two columns
+/// and re-folding the order-sensitive total weight exactly.
 ///
 /// # Errors
 ///
@@ -584,7 +587,8 @@ pub fn sketch_from_json(value: &JsonValue) -> Result<EmpiricalCdf, ShardStateErr
     }
     let len = hex.len() / WORD_DIGITS;
     let mut words = hex.chunks_exact(WORD_DIGITS);
-    let mut observations = Vec::with_capacity(len);
+    let mut values = Vec::with_capacity(len);
+    let mut weight_runs = Vec::with_capacity(runs.len());
     for run in runs {
         let Some([weight, count]) = run.as_array() else {
             return Err(ShardStateError::new(
@@ -603,13 +607,15 @@ pub fn sketch_from_json(value: &JsonValue) -> Result<EmpiricalCdf, ShardStateErr
             .ok_or_else(|| ShardStateError::new("sketch run counts must be positive integers"))?;
         for _ in 0..count {
             let word = words.next().ok_or_else(|| run_mismatch(len))?;
-            observations.push((value_from_word(word)?, weight));
+            values.push(value_from_word(word)?);
         }
+        // All `count` words decoded, so the count fits the value column.
+        weight_runs.push((weight, count as usize));
     }
     if words.next().is_some() {
         return Err(run_mismatch(len));
     }
-    Ok(EmpiricalCdf::from_observations(observations))
+    EmpiricalCdf::from_columns(values, weight_runs).map_err(|e| ShardStateError::new(e.to_string()))
 }
 
 fn run_mismatch(values: usize) -> ShardStateError {
@@ -782,12 +788,48 @@ mod tests {
         }
     }
 
+    /// A CDF's `(value, weight)` observations, in insertion order.
+    trait Observations {
+        fn observations(&self) -> Vec<(f64, f64)>;
+    }
+
+    impl Observations for EmpiricalCdf {
+        fn observations(&self) -> Vec<(f64, f64)> {
+            self.samples().collect()
+        }
+    }
+
+    /// The bits of a CDF's columns: its values, its `(weight, count)` runs
+    /// and its total weight.
+    fn column_bits(cdf: &EmpiricalCdf) -> (Vec<u64>, Vec<(u64, usize)>, u64) {
+        (
+            cdf.values().iter().map(|value| value.to_bits()).collect(),
+            cdf.weight_runs()
+                .iter()
+                .map(|&(weight, count)| (weight.to_bits(), count))
+                .collect(),
+            cdf.total_weight().to_bits(),
+        )
+    }
+
+    fn serial(observations: &[(f64, f64)]) -> EmpiricalCdf {
+        let mut cdf = EmpiricalCdf::new();
+        for &(value, weight) in observations {
+            cdf.add(value, weight);
+        }
+        cdf
+    }
+
     /// Sketches in every weight layout — one constant run, two alternating
     /// weights, all-distinct weights, random runs — plus the empty and the
-    /// single-observation sketch, round-tripped through text. Values include
-    /// zeros of both signs, subnormals and 1e300; weights span twelve
-    /// decades, so the order of the total-weight summation shows in its low
-    /// bits. Observations and the total must come back bit for bit, -0.0
+    /// single-observation sketch. Values include zeros of both signs,
+    /// subnormals and 1e300; weights span twelve decades, so the order of
+    /// the total-weight summation shows in its low bits. Every way of
+    /// building the CDF — `add` (the serial reference), `extend`, `absorb`
+    /// of three parts cut at random points (inside runs, where the parts'
+    /// boundary weights are equal, and between runs), `from_columns` given
+    /// randomly split runs — and the text round trip of each must hold the
+    /// serial values, maximal runs and total weight bit for bit, -0.0
     /// included.
     #[test]
     fn sketch_round_trip_is_bit_exact_across_a_randomized_sweep() {
@@ -804,7 +846,7 @@ mod tests {
             };
             let pair = [weight_of(&mut sweep), weight_of(&mut sweep)];
             let mut run_weight = pair[0];
-            let mut sketch = EmpiricalCdf::new();
+            let mut observations = Vec::with_capacity(len);
             for i in 0..len {
                 let weight = match case % 4 {
                     0 => pair[0],
@@ -822,37 +864,59 @@ mod tests {
                 } else {
                     sweep.unit() * 10f64.powi(sweep.pick(0, 20) as i32 - 10)
                 };
-                sketch.add(value, weight);
+                observations.push((value, weight));
             }
-            assert_eq!(sketch.observations().len(), len);
+            let sketch = serial(&observations);
+            assert_eq!(sketch.len(), len);
+            let expected = column_bits(&sketch);
 
-            let document = sketch_to_json(&sketch);
-            let distinct_runs = sketch
-                .observations()
+            let distinct_runs = observations
                 .windows(2)
                 .filter(|pair| pair[0].1.to_bits() != pair[1].1.to_bits())
                 .count()
                 + usize::from(len > 0);
-            let runs = document.get("weights").and_then(JsonValue::as_array);
-            assert_eq!(runs.map(<[_]>::len), Some(distinct_runs), "case {case}");
+            assert_eq!(sketch.weight_runs().len(), distinct_runs, "case {case}");
+            let runs = sketch_to_json(&sketch)
+                .get("weights")
+                .and_then(JsonValue::as_array)
+                .map(<[_]>::len);
+            assert_eq!(runs, Some(distinct_runs), "case {case}");
 
-            let round = sketch_from_json(&JsonValue::parse(&document.to_pretty_string()).unwrap())
-                .unwrap_or_else(|e| panic!("case {case}: {e}"));
-            assert_eq!(round.observations().len(), len, "case {case}");
-            for (i, (a, b)) in sketch
-                .observations()
-                .iter()
-                .zip(round.observations())
-                .enumerate()
-            {
-                assert_eq!(a.0.to_bits(), b.0.to_bits(), "case {case}, value {i}");
-                assert_eq!(a.1.to_bits(), b.1.to_bits(), "case {case}, weight {i}");
+            let mut extended = EmpiricalCdf::new();
+            extended.extend(observations.iter().copied());
+            let mut cuts = [sweep.pick(0, len), sweep.pick(0, len)];
+            cuts.sort_unstable();
+            let mut absorbed = serial(&observations[..cuts[0]]);
+            absorbed.absorb(serial(&observations[cuts[0]..cuts[1]]));
+            absorbed.absorb(serial(&observations[cuts[1]..]));
+            // One run per observation, each joined to the one before it
+            // at random.
+            let mut split_runs: Vec<(f64, usize)> = Vec::new();
+            for &(_, weight) in &observations {
+                match split_runs.last_mut() {
+                    Some((last, count)) if *last == weight && sweep.pick(0, 1) == 0 => *count += 1,
+                    _ => split_runs.push((weight, 1)),
+                }
             }
-            assert_eq!(
-                round.total_weight().to_bits(),
-                sketch.total_weight().to_bits(),
-                "case {case}"
-            );
+            let values = observations.iter().map(|&(value, _)| value).collect();
+            let columns = EmpiricalCdf::from_columns(values, split_runs).unwrap();
+
+            for (how, built) in [
+                ("add", &sketch),
+                ("extend", &extended),
+                ("absorb", &absorbed),
+                ("from_columns", &columns),
+            ] {
+                assert_eq!(column_bits(built), expected, "case {case}: {how}");
+                let text = sketch_to_json(built).to_pretty_string();
+                let round = sketch_from_json(&JsonValue::parse(&text).unwrap())
+                    .unwrap_or_else(|e| panic!("case {case}: {how}: {e}"));
+                assert_eq!(
+                    column_bits(&round),
+                    expected,
+                    "case {case}: {how} round trip"
+                );
+            }
         }
     }
 
@@ -885,7 +949,7 @@ mod tests {
         );
         assert_eq!(words, hex_words(&known.map(|(value, _)| value)));
         let round = sketch_from_json(&document).unwrap();
-        for (&(value, word), (read, _)) in known.iter().zip(round.observations()) {
+        for (&(value, word), read) in known.iter().zip(round.values()) {
             assert_eq!(read.to_bits(), value.to_bits(), "{word}");
         }
     }

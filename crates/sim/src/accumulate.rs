@@ -1,10 +1,12 @@
-//! Mergeable accumulators — the reduction side of the pipeline.
+//! Accumulators — the reduction side of the pipeline.
 //!
-//! Worker threads fold the samples of each chunk into a chunk-local
-//! accumulator; the campaign then merges chunk accumulators **in chunk
-//! order**. Any statistic whose accumulation is order-preserving under this
-//! scheme (counts, weighted sample lists, per-failure-count CDFs, …)
-//! therefore comes out bit-identical regardless of the worker count.
+//! Worker threads only evaluate: each chunk hands back its dies' metrics,
+//! and the campaign records every die of its shard into one accumulator
+//! **in plan order**, whatever the worker count. Shards of a campaign
+//! evaluated apart (other processes or hosts) fold together with
+//! [`Accumulator::merge`] **in shard order**; any statistic whose
+//! accumulation appends (counts, weighted sample lists, per-failure-count
+//! CDFs, …) therefore comes out bit-identical to the monolithic run.
 
 /// One evaluated Monte-Carlo sample: a die shared by every scheme of the
 /// catalogue, with one metric value per scheme (paired comparison).
@@ -20,16 +22,16 @@ pub struct PairedSample {
     pub metrics: Vec<f64>,
 }
 
-/// A statistic that can absorb per-sample records and merge with the
-/// accumulator of another (earlier-finishing or later) chunk.
+/// A statistic that absorbs per-sample records in plan order and merges
+/// with the accumulator of the next shard.
 ///
-/// `merge` receives chunks in **ascending chunk order**, so implementations
+/// `merge` receives shards in **ascending shard order**, so implementations
 /// that append preserve the global sample order.
 pub trait Accumulator: Send {
     /// Folds one evaluated sample into the statistic.
     fn record(&mut self, sample: &PairedSample);
 
-    /// Absorbs the accumulator of the next chunk (in chunk order).
+    /// Absorbs the accumulator of the next shard (in shard order).
     fn merge(&mut self, other: Self);
 }
 

@@ -9,8 +9,9 @@
 //!
 //! The work is split into fixed-size chunks that worker threads claim
 //! dynamically. Each sample derives its RNG from the campaign seed and its
-//! global index ([`StreamSeeder`]), and chunk results merge in chunk order,
-//! so a campaign is **bit-identical at any worker count** — the property the
+//! global index ([`StreamSeeder`]), and every die is recorded into the
+//! shard's accumulator in plan order once the chunks are done, so a
+//! campaign is **bit-identical at any worker count** — the property the
 //! serial-vs-parallel regression tests pin down.
 //!
 //! Campaigns are generic over the fault-generating [`FaultBackend`]: the
@@ -574,9 +575,14 @@ impl<B: FaultBackend> Campaign<B> {
     /// scheme — every scheme sees the identical die, and an evaluator may
     /// score the whole catalogue in one pass over the map. A per-scheme
     /// metric loops over `schemes` inside the closure; an infallible one
-    /// returns `Ok::<(), Infallible>(())`. `make_accumulator` creates one
-    /// chunk-local accumulator per work chunk; chunk results merge in chunk
-    /// order into the returned accumulator.
+    /// returns `Ok::<(), Infallible>(())`.
+    ///
+    /// Chunks do not accumulate: each returns its dies' metrics as one flat
+    /// buffer in plan order, and once every chunk is done the shard records
+    /// each die of each chunk, in plan order, into `accumulator` (the
+    /// [`faultmit_obs::Stage::Reduce`] stage), which it returns. A fresh
+    /// accumulator therefore ends up holding exactly the shard's dies, in
+    /// the order a serial run records them.
     ///
     /// # Errors
     ///
@@ -589,7 +595,7 @@ impl<B: FaultBackend> Campaign<B> {
         seed: u64,
         shard: ShardSpec,
         evaluate: F,
-        make_accumulator: impl Fn() -> A + Sync,
+        accumulator: A,
     ) -> Result<(A, ShardStats), RunError<E>>
     where
         S: MitigationScheme + Sync,
@@ -603,7 +609,7 @@ impl<B: FaultBackend> Campaign<B> {
             shard,
             evaluate,
             None::<fn(&S, &DieBlock<'_>, &mut [f64])>,
-            make_accumulator,
+            accumulator,
         )
     }
 
@@ -630,7 +636,7 @@ impl<B: FaultBackend> Campaign<B> {
         shard: ShardSpec,
         evaluate: F,
         evaluate_block: G,
-        make_accumulator: impl Fn() -> A + Sync,
+        accumulator: A,
     ) -> Result<(A, ShardStats), RunError<E>>
     where
         S: MitigationScheme + Sync,
@@ -645,13 +651,13 @@ impl<B: FaultBackend> Campaign<B> {
             shard,
             evaluate,
             Some(evaluate_block),
-            make_accumulator,
+            accumulator,
         )
     }
 
     /// The one body behind both runners: plan, seeding, chunk ownership,
-    /// recorder propagation, per-stage timing and the chunk-order merge.
-    /// Without a block evaluator every die takes the per-die path.
+    /// recorder propagation, per-stage timing and the plan-order record
+    /// pass. Without a block evaluator every die takes the per-die path.
     fn run_chunks<S, F, G, A, E>(
         &self,
         schemes: &[S],
@@ -659,7 +665,7 @@ impl<B: FaultBackend> Campaign<B> {
         shard: ShardSpec,
         evaluate: F,
         evaluate_block: Option<G>,
-        make_accumulator: impl Fn() -> A + Sync,
+        mut accumulator: A,
     ) -> Result<(A, ShardStats), RunError<E>>
     where
         S: MitigationScheme + Sync,
@@ -684,45 +690,50 @@ impl<B: FaultBackend> Campaign<B> {
         // contents (and its samples' RNG streams) are identical whether the
         // campaign runs monolithically or split across processes.
         let owned_chunks = shard.chunk_range(chunk_count);
+        let chunk_dies = |chunk_index: usize| {
+            let start = chunk_index * chunk_size;
+            &plan[start..(start + chunk_size).min(plan.len())]
+        };
         let workers = self.config.parallelism.worker_count();
         let max_redraws = match self.config.map_policy {
             MapPolicy::Unrestricted => None,
             MapPolicy::SingleFaultPerRow { max_redraws } => Some(max_redraws),
         };
+        let scheme_count = schemes.len();
         let (group_width, block_len) = match evaluate_block {
-            Some(_) => (BLOCK_DIES, schemes.len() * BLOCK_DIES),
+            Some(_) => (BLOCK_DIES, scheme_count * BLOCK_DIES),
             None => (1, 0),
         };
 
         // Per-worker scratch: one warm arena (the per-die `DieScratch` plus
-        // the block transposition buffers), a recycled per-die metrics
-        // buffer and the per-scheme block output matrix, all reused across
-        // every chunk the worker claims. Scratch holds storage only — each
-        // chunk's result stays a pure function of its index (evaluators
-        // overwrite every metric of every die), so bit-identity at any
-        // worker count is unaffected.
-        let chunk_results: Vec<Result<(A, u64), RunError<E>>> = run_chunked_with(
+        // the block transposition buffers) and the per-scheme block output
+        // matrix, both reused across every chunk the worker claims. Scratch
+        // holds storage only — each chunk's result stays a pure function of
+        // its index (evaluators overwrite every metric of every die), so
+        // bit-identity at any worker count is unaffected.
+        let chunk_results: Vec<Result<ChunkOutput, RunError<E>>> = run_chunked_with(
             owned_chunks.len(),
             workers,
             || {
                 (
                     recorder.as_ref().map(obs::install),
                     BlockScratch::new(backend.config()),
-                    vec![0.0f64; schemes.len()],
                     vec![0.0f64; block_len],
                 )
             },
-            |(_recorder_guard, scratch, metrics, block_out), local_index| {
-                let chunk_index = owned_chunks.start + local_index;
-                let start = chunk_index * chunk_size;
-                let end = (start + chunk_size).min(plan.len());
-                let mut accumulator = make_accumulator();
+            |(_recorder_guard, scratch, block_out), local_index| {
+                let dies = chunk_dies(owned_chunks.start + local_index);
+                // The chunk's metrics, die after die in plan order.
+                let mut chunk_metrics = vec![0.0f64; dies.len() * scheme_count];
                 // Stage time is accumulated locally and flushed once per
-                // chunk: three clock reads per die, nothing cross-thread.
-                let (mut generate, mut observe, mut reduce) = (0u64, 0u64, 0u64);
+                // chunk: two clock reads per die, nothing cross-thread.
+                let (mut generate, mut observe) = (0u64, 0u64);
                 let mut mark = Instant::now();
 
-                for group in plan[start..end].chunks(group_width) {
+                // The metrics of the chunk's `die`-th die.
+                let slot = |die: usize| die * scheme_count..(die + 1) * scheme_count;
+                let mut next_die = 0;
+                for group in dies.chunks(group_width) {
                     match &evaluate_block {
                         Some(evaluate_block) if group.len() > 1 => {
                             let block = scratch
@@ -736,14 +747,14 @@ impl<B: FaultBackend> Campaign<B> {
                                     &mut block_out[s * BLOCK_DIES..(s + 1) * BLOCK_DIES],
                                 );
                             }
-                            observe += lap(&mut mark);
-                            for (j, planned) in group.iter().enumerate() {
+                            for j in 0..group.len() {
+                                let metrics = &mut chunk_metrics[slot(next_die + j)];
                                 for (s, metric) in metrics.iter_mut().enumerate() {
                                     *metric = block_out[s * BLOCK_DIES + j];
                                 }
-                                record(&mut accumulator, planned, &weights, metrics);
                             }
-                            reduce += lap(&mut mark);
+                            next_die += group.len();
+                            observe += lap(&mut mark);
                         }
                         // The per-die path; on the block pipeline, the tail
                         // for a lone sample, cheaper than a transposition.
@@ -760,36 +771,57 @@ impl<B: FaultBackend> Campaign<B> {
                                 }
                                 .map_err(SimError::from)?;
                                 generate += lap(&mut mark);
-                                evaluate(map, metrics).map_err(RunError::Eval)?;
+                                evaluate(map, &mut chunk_metrics[slot(next_die)])
+                                    .map_err(RunError::Eval)?;
+                                next_die += 1;
                                 observe += lap(&mut mark);
-                                record(&mut accumulator, planned, &weights, metrics);
-                                reduce += lap(&mut mark);
                             }
                         }
                     }
                 }
 
-                let evaluated = (end - start) as u64;
+                let evaluated = dies.len() as u64;
                 let mut arena = obs::MetricsArena::new();
                 arena.count(obs::Counter::ChunksExecuted, 1);
                 arena.count(obs::Counter::SamplesEvaluated, evaluated);
                 arena.add_stage(obs::Stage::Generate, generate, evaluated);
                 arena.add_stage(obs::Stage::Observe, observe, evaluated);
-                arena.add_stage(obs::Stage::Reduce, reduce, evaluated);
                 arena.flush();
-                Ok((accumulator, generate))
+                Ok(ChunkOutput {
+                    metrics: chunk_metrics,
+                    generate_nanos: generate,
+                })
             },
         );
 
-        let merge_span = obs::span(obs::Stage::Merge);
-        let mut merged = make_accumulator();
+        // The record pass: every die of every chunk, in plan order, into the
+        // one accumulator. A zero-scheme campaign still records each die.
+        let mut mark = Instant::now();
         let mut generate_nanos = 0u64;
-        for result in chunk_results {
-            let (accumulator, nanos) = result?;
-            merged.merge(accumulator);
-            generate_nanos += nanos;
+        let mut recorded = 0u64;
+        let mut sample = PairedSample {
+            sample_index: 0,
+            n_faults: 0,
+            weight: 0.0,
+            metrics: Vec::with_capacity(scheme_count),
+        };
+        for (chunk_index, result) in owned_chunks.zip(chunk_results) {
+            let chunk = result?;
+            generate_nanos += chunk.generate_nanos;
+            let dies = chunk_dies(chunk_index);
+            for (die, planned) in dies.iter().enumerate() {
+                sample.sample_index = planned.index;
+                sample.n_faults = planned.n_faults;
+                sample.weight = weights[planned.n_faults as usize];
+                sample.metrics.clear();
+                sample.metrics.extend_from_slice(
+                    &chunk.metrics[die * scheme_count..(die + 1) * scheme_count],
+                );
+                accumulator.record(&sample);
+            }
+            recorded += dies.len() as u64;
         }
-        drop(merge_span);
+        obs::add_stage(obs::Stage::Reduce, lap(&mut mark), recorded);
         let stats = ShardStats {
             // The same integer nanoseconds and the same conversion as
             // `MetricsSnapshot::stage_seconds`.
@@ -799,8 +831,17 @@ impl<B: FaultBackend> Campaign<B> {
                 _ => obs::MetricsSnapshot::default(),
             },
         };
-        Ok((merged, stats))
+        Ok((accumulator, stats))
     }
+}
+
+/// What one chunk hands back to the record pass.
+struct ChunkOutput {
+    /// The chunk's dies' metrics, die after die in plan order, one per
+    /// scheme.
+    metrics: Vec<f64>,
+    /// Nanoseconds the chunk spent generating its dies.
+    generate_nanos: u64,
 }
 
 /// Nanoseconds since `mark`, moving the mark to now: one clock read per
@@ -810,24 +851,6 @@ fn lap(mark: &mut Instant) -> u64 {
     let nanos = u64::try_from(now.duration_since(*mark).as_nanos()).unwrap_or(u64::MAX);
     *mark = now;
     nanos
-}
-
-/// Records one die's metrics with its plan weight, then reclaims the
-/// metrics buffer for the next die.
-fn record<A: Accumulator>(
-    accumulator: &mut A,
-    planned: &PlannedSample,
-    weights: &[f64],
-    metrics: &mut Vec<f64>,
-) {
-    let sample = PairedSample {
-        sample_index: planned.index,
-        n_faults: planned.n_faults,
-        weight: weights[planned.n_faults as usize],
-        metrics: std::mem::take(metrics),
-    };
-    accumulator.record(&sample);
-    *metrics = sample.metrics;
 }
 
 /// The campaign's work list: `samples_per_count` samples for every failure
@@ -884,7 +907,7 @@ mod tests {
                 evaluate(map, metrics);
                 Ok::<(), std::convert::Infallible>(())
             };
-            self.run_shard(schemes, seed, shard, evaluate, CollectRecords::new)
+            self.run_shard(schemes, seed, shard, evaluate, CollectRecords::new())
                 .unwrap()
                 .0
         }
@@ -971,11 +994,63 @@ mod tests {
 
     #[test]
     fn chunk_size_does_not_change_results() {
-        let schemes = [Scheme::unprotected32()];
-        let evaluate = |map: &FaultMap, metrics: &mut [f64]| metrics.fill(map.fault_count() as f64);
-        let small = Campaign::new(config().with_chunk_size(1)).solo(&schemes, 3, evaluate);
-        let large = Campaign::new(config().with_chunk_size(1000)).solo(&schemes, 3, evaluate);
-        assert_eq!(small, large);
+        // 10 samples per count: chunks of 3 and 7 straddle every stratum
+        // boundary, and with 3 shards the shard boundaries fall inside
+        // strata too.
+        let schemes = [Scheme::unprotected32(), Scheme::shuffle32(3).unwrap()];
+        let evaluate = |map: &FaultMap, metrics: &mut [f64]| {
+            for (metric, scheme) in metrics.iter_mut().zip(&schemes) {
+                *metric = map.fault_count() as f64 * scheme.word_bits() as f64;
+            }
+        };
+        let reference = Campaign::new(config().with_chunk_size(1000)).solo(&schemes, 3, evaluate);
+        for chunk_size in [1, 3, 7] {
+            let campaign = Campaign::new(
+                config()
+                    .with_chunk_size(chunk_size)
+                    .with_parallelism(Parallelism::threads(3)),
+            );
+            assert_eq!(
+                campaign.solo(&schemes, 3, evaluate),
+                reference,
+                "chunks of {chunk_size}"
+            );
+            let mut merged = CollectRecords::new();
+            for shard in ShardSpec::all(3) {
+                let range = campaign.shard_sample_range(shard).unwrap();
+                if chunk_size == 7 && shard.shard_index() > 0 {
+                    assert_ne!(range.start % 10, 0, "shard {shard} starts a stratum");
+                }
+                merged.merge(campaign.records(&schemes, 3, shard, evaluate));
+            }
+            assert_eq!(merged, reference, "chunks of {chunk_size}, 3 shards");
+        }
+    }
+
+    #[test]
+    fn zero_scheme_campaigns_record_every_planned_die() {
+        for (chunk_size, workers) in [(4, 1), (7, 3)] {
+            let campaign = Campaign::new(
+                config()
+                    .with_chunk_size(chunk_size)
+                    .with_parallelism(Parallelism::threads(workers)),
+            );
+            let no_schemes: [Scheme; 0] = [];
+            let result = campaign.solo(&no_schemes, 5, |_, metrics| {
+                assert!(metrics.is_empty());
+            });
+            let indices: Vec<u64> = result.records.iter().map(|r| r.sample_index).collect();
+            assert_eq!(indices, (0..60).collect::<Vec<u64>>());
+            assert!(result.records.iter().all(|r| r.metrics.is_empty()));
+            let counts: Vec<u64> = result.records.iter().map(|r| r.n_faults).collect();
+            assert_eq!(
+                counts,
+                build_plan(6, 10)
+                    .iter()
+                    .map(|p| p.n_faults)
+                    .collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
@@ -1032,7 +1107,7 @@ mod tests {
                     Ok(())
                 }
             },
-            CollectRecords::new,
+            CollectRecords::new(),
         );
         assert_eq!(result.unwrap_err(), RunError::Eval("too many faults"));
     }
@@ -1276,7 +1351,7 @@ mod tests {
                                     shard,
                                     count_sample,
                                     count_block,
-                                    CollectRecords::new,
+                                    CollectRecords::new(),
                                 )
                                 .unwrap()
                                 .0,
@@ -1307,7 +1382,7 @@ mod tests {
                     Ok::<(), std::convert::Infallible>(())
                 },
                 |_, _, _| panic!("single-sample groups must use the scalar tail"),
-                CollectRecords::new,
+                CollectRecords::new(),
             )
             .unwrap()
             .0;
@@ -1318,7 +1393,7 @@ mod tests {
     fn generation_seconds_are_the_recorded_generate_stage() {
         // One clock: the stats report exactly the nanoseconds the chunks
         // flush to the Generate stage, for both runners at any worker
-        // count.
+        // count; the record pass is timed as the Reduce stage.
         use std::sync::Arc;
         let schemes = [Scheme::unprotected32()];
         let count = |map: &FaultMap, metrics: &mut [f64]| {
@@ -1346,13 +1421,13 @@ mod tests {
                                 ShardSpec::solo(),
                                 count,
                                 count_block,
-                                CollectRecords::new,
+                                CollectRecords::new(),
                             )
                             .unwrap()
                             .1
                     } else {
                         campaign
-                            .run_shard(&schemes, 4, ShardSpec::solo(), count, CollectRecords::new)
+                            .run_shard(&schemes, 4, ShardSpec::solo(), count, CollectRecords::new())
                             .unwrap()
                             .1
                     }
@@ -1363,6 +1438,10 @@ mod tests {
                     stats.metrics.stage_seconds(obs::Stage::Generate).to_bits(),
                     "{workers} workers, blocks {blocks}"
                 );
+                // The record pass after the chunks is the Reduce stage, one
+                // call per recorded die.
+                assert_eq!(stats.metrics.stage_calls(obs::Stage::Reduce), 60);
+                assert!(stats.metrics.stage_seconds(obs::Stage::Reduce) > 0.0);
                 assert_eq!(stats.metrics, recorder.snapshot());
             }
         }

@@ -11,9 +11,11 @@
 //!   *every* scheme of the catalogue in one pass, so schemes are compared on
 //!   identical fault populations (the protocol stressed by
 //!   heterogeneous-reliability-memory studies).
-//! * **Mergeable accumulators** — chunk-local statistics implementing
-//!   [`Accumulator`] merge in chunk order, making the reduction
-//!   order-preserving and therefore bit-identical at any worker count.
+//! * **Plan-order reduction** — worker threads return each chunk's metrics
+//!   as a flat buffer, and the shard records every die into one
+//!   [`Accumulator`] in plan order, so the reduction is the serial one at
+//!   any worker count; accumulators of shards merge in shard order
+//!   ([`Accumulator::merge`]).
 //!
 //! Campaigns are generic over the fault-generating
 //! [`faultmit_memsim::FaultBackend`]: [`CampaignConfig::new`] keeps the
@@ -46,7 +48,7 @@
 //!         }
 //!         Ok::<(), Infallible>(())
 //!     },
-//!     CollectRecords::new,
+//!     CollectRecords::new(),
 //! )?;
 //! // 4 failure counts × 5 samples, each evaluated under both schemes.
 //! assert_eq!(records.records.len(), 20);
@@ -82,7 +84,7 @@
 //!     metrics.fill(map.fault_count() as f64);
 //!     Ok::<(), std::convert::Infallible>(())
 //! };
-//! let run = |shard| campaign.run_shard(&schemes, 7, shard, metric, CollectRecords::new);
+//! let run = |shard| campaign.run_shard(&schemes, 7, shard, metric, CollectRecords::new());
 //!
 //! let (monolithic, _) = run(ShardSpec::solo())?;
 //! let mut merged = CollectRecords::new();

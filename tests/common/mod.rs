@@ -43,7 +43,7 @@ impl<B: FaultBackend> Records for Campaign<B> {
             evaluate(map, metrics);
             Ok::<(), Infallible>(())
         };
-        self.run_shard(schemes, seed, shard, evaluate, CollectRecords::new)
+        self.run_shard(schemes, seed, shard, evaluate, CollectRecords::new())
             .unwrap()
             .0
     }

@@ -4,12 +4,16 @@
 //! legacy evaluation path, and asymmetric stuck-at campaigns must show a
 //! measurable quality gap between data images.
 
+#[path = "common/strata.rs"]
+mod strata;
+
 use faultmit::analysis::{memory_mse, memory_mse_for_data, MonteCarloEngine};
 use faultmit::core::{MitigationScheme, Scheme};
 use faultmit::memsim::{
     Backend, BackendKind, FaultBackend, FaultKindLaw, ImageSpec, MemoryConfig, StreamSeeder,
 };
 use faultmit::sim::CampaignConfig;
+use strata::assert_same_strata;
 
 const SEED: u64 = 0x1_DA7A;
 
@@ -79,12 +83,7 @@ fn zeros_image_campaigns_are_bit_identical_to_the_legacy_all_zeros_path() {
         .run_catalogue(&schemes, SEED)
         .unwrap();
     for (a, b) in legacy.iter().zip(&imaged) {
-        assert_eq!(a.scheme_name, b.scheme_name);
-        assert_eq!(a.cdf, b.cdf, "{}", a.scheme_name);
-        assert_eq!(
-            a.cdf.total_weight().to_bits(),
-            b.cdf.total_weight().to_bits()
-        );
+        assert_same_strata(a, b, "legacy vs explicit zeros");
     }
     // Per-map: memory_mse and memory_mse_for_data on zeros agree exactly.
     let map = stuck_at_zero_backend(BackendKind::Mlc)
@@ -123,8 +122,8 @@ fn asymmetric_campaigns_show_a_measurable_gap_between_images() {
         engine
             .run_catalogue(&[Scheme::unprotected32()], SEED)
             .unwrap()[0]
-            .cdf
-            .mean()
+            .yield_model
+            .combined_mean(0.0)
             .unwrap()
     };
     let zeros = mean_for(ImageSpec::Zeros);
@@ -161,8 +160,8 @@ fn sparse_images_behave_like_near_zero_backgrounds() {
         )
         .run_catalogue(&[Scheme::unprotected32()], SEED)
         .unwrap()[0]
-            .cdf
-            .mean()
+            .yield_model
+            .combined_mean(0.0)
             .unwrap()
     };
     let sparse = mean_for(ImageSpec::Sparse { seed: 5 });

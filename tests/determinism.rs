@@ -5,6 +5,8 @@
 //! `EmpiricalCdf`s, application quality).
 
 mod common;
+#[path = "common/strata.rs"]
+mod strata;
 
 use common::{per_scheme, Records};
 use faultmit::analysis::{memory_mse, MonteCarloEngine};
@@ -12,6 +14,7 @@ use faultmit::apps::{Benchmark, QualityEvaluator};
 use faultmit::core::Scheme;
 use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
 use faultmit::sim::{Campaign, CampaignConfig, Parallelism, ShardSpec};
+use strata::assert_same_strata;
 
 const SEED: u64 = 0xD373_1213;
 
@@ -36,17 +39,9 @@ fn mse_campaign_is_bit_identical_serial_vs_threaded() {
             .run_catalogue(&schemes, SEED)
             .unwrap();
         for (a, b) in baseline.iter().zip(&threaded) {
-            assert_eq!(a.scheme_name, b.scheme_name);
             // Bit-identical: every observation and every (order-sensitive)
             // floating-point weight sum matches exactly.
-            assert_eq!(a.cdf, b.cdf, "{workers} workers: {}", a.scheme_name);
-            assert_eq!(
-                a.cdf.total_weight().to_bits(),
-                b.cdf.total_weight().to_bits()
-            );
-            for (n, cdf_a) in a.yield_model.per_count_cdfs() {
-                assert_eq!(cdf_a, &b.yield_model.per_count_cdfs()[n]);
-            }
+            assert_same_strata(a, b, &format!("{workers} workers"));
         }
     }
 }
@@ -172,15 +167,7 @@ fn backend_engine_cdfs_are_bit_identical_serial_vs_threaded() {
             .run_catalogue(&schemes, SEED)
             .unwrap();
         for (a, b) in serial.iter().zip(&threaded) {
-            assert_eq!(a.cdf, b.cdf, "{kind}: {}", a.scheme_name);
-            assert_eq!(
-                a.cdf.total_weight().to_bits(),
-                b.cdf.total_weight().to_bits(),
-                "{kind}"
-            );
-            for (n, cdf_a) in a.yield_model.per_count_cdfs() {
-                assert_eq!(cdf_a, &b.yield_model.per_count_cdfs()[n], "{kind}: n={n}");
-            }
+            assert_same_strata(a, b, &format!("{kind}"));
         }
     }
 }
@@ -222,12 +209,7 @@ fn data_image_campaigns_are_bit_identical_serial_vs_threaded() {
             .run_catalogue(&schemes, SEED)
             .unwrap();
         for (a, b) in serial.iter().zip(&threaded) {
-            assert_eq!(a.cdf, b.cdf, "{image}: {}", a.scheme_name);
-            assert_eq!(
-                a.cdf.total_weight().to_bits(),
-                b.cdf.total_weight().to_bits(),
-                "{image}"
-            );
+            assert_same_strata(a, b, &format!("{image}"));
         }
     }
 }

@@ -319,7 +319,7 @@ fn assert_kernels_agree(
             SEED,
             ShardSpec::solo(),
             walk_die,
-            CollectRecords::new,
+            CollectRecords::new(),
         )
         .unwrap()
         .0;
@@ -332,7 +332,7 @@ fn assert_kernels_agree(
             |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
                 block_mse_into(scheme, block, |row| words[row], out);
             },
-            CollectRecords::new,
+            CollectRecords::new(),
         )
         .unwrap()
         .0;

@@ -6,6 +6,8 @@
 //! itself be the 0/1 shard, not a separate code path.
 
 mod common;
+#[path = "common/strata.rs"]
+mod strata;
 
 use common::{per_scheme, Records};
 use faultmit::analysis::{memory_mse, CatalogueAccumulator, MonteCarloEngine};
@@ -14,6 +16,7 @@ use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
 use faultmit::sim::{
     Accumulator, Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec,
 };
+use strata::assert_same_strata;
 
 const SEED: u64 = 0x5AAD_0003;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
@@ -87,24 +90,7 @@ fn engine_shard_states_merge_bit_identically_for_every_backend() {
             }
             let results = engine.results_from_state(&schemes, merged).unwrap();
             for (a, b) in monolithic.iter().zip(&results) {
-                assert_eq!(a.scheme_name, b.scheme_name);
-                assert_eq!(
-                    a.cdf, b.cdf,
-                    "{kind}: {shard_count} shards: {}",
-                    a.scheme_name
-                );
-                assert_eq!(
-                    a.cdf.total_weight().to_bits(),
-                    b.cdf.total_weight().to_bits(),
-                    "{kind}: {shard_count} shards"
-                );
-                for (n, cdf_a) in a.yield_model.per_count_cdfs() {
-                    assert_eq!(
-                        cdf_a,
-                        &b.yield_model.per_count_cdfs()[n],
-                        "{kind}: {shard_count} shards, n = {n}"
-                    );
-                }
+                assert_same_strata(a, b, &format!("{kind}: {shard_count} shards"));
             }
         }
     }
@@ -151,16 +137,7 @@ fn data_image_campaigns_shard_bit_identically() {
             }
             let results = engine.results_from_state(&schemes, merged).unwrap();
             for (a, b) in monolithic.iter().zip(&results) {
-                assert_eq!(
-                    a.cdf, b.cdf,
-                    "{image}: {shard_count} shards: {}",
-                    a.scheme_name
-                );
-                assert_eq!(
-                    a.cdf.total_weight().to_bits(),
-                    b.cdf.total_weight().to_bits(),
-                    "{image}: {shard_count} shards"
-                );
+                assert_same_strata(a, b, &format!("{image}: {shard_count} shards"));
             }
         }
     }

@@ -8,13 +8,16 @@
 //!
 //! For rows with a single faulty cell the shift index is simply the segment
 //! index of that cell. For rows with multiple faults (which become common at
-//! low supply voltages), [`FmLut::choose_shift`] searches all `2^{n_FM}`
-//! candidate shifts and picks the one minimising the sum of squared error
+//! low supply voltages), [`FmLut::choose_shift`] picks, of all `2^{n_FM}`
+//! candidate shifts, the one minimising the sum of squared error
 //! magnitudes — the same quantity the paper's MSE yield criterion (Eq. (6))
-//! integrates.
+//! integrates. It compares the rotated fault masks themselves: a candidate's
+//! cost is a sum of distinct powers of four, one per rotated fault bit, so
+//! the costs order exactly as the rotated masks do.
 
 use crate::error::CoreError;
 use crate::segment::SegmentGeometry;
+use crate::shifter::rotate_right;
 use faultmit_memsim::{BistReport, FaultMap};
 
 /// Per-row shift indices of the bit-shuffling scheme.
@@ -72,9 +75,11 @@ impl FmLut {
             });
         }
         let mut lut = Self::new(geometry, faults.config().rows());
-        for row in faults.faulty_rows() {
-            let columns = faults.faulty_columns(row);
-            lut.entries[row] = Self::choose_shift(geometry, &columns);
+        for (row, row_faults) in faults.rows_with_faults() {
+            let faulty = row_faults
+                .iter()
+                .fold(0, |mask, fault| mask | 1 << fault.col);
+            lut.entries[row] = Self::choose_shift(geometry, faulty);
         }
         Ok(lut)
     }
@@ -101,48 +106,53 @@ impl FmLut {
         }
         let mut lut = Self::new(geometry, report.config().rows());
         for row_report in report.faulty_rows() {
-            lut.entries[row_report.row] = Self::choose_shift(geometry, &row_report.faulty_columns);
+            let faulty = row_report
+                .faulty_columns
+                .iter()
+                .fold(0, |mask, &col| mask | 1 << col);
+            lut.entries[row_report.row] = Self::choose_shift(geometry, faulty);
         }
         Ok(lut)
     }
 
-    /// Chooses the shift index for a row with the given faulty columns.
+    /// Chooses the shift index for a row whose faulty columns are the set
+    /// bits of `faulty` (all below the word width).
     ///
     /// With zero faults the index is 0 (no rotation). With one fault it is the
-    /// fault's segment index, exactly as in the paper. With several faults all
-    /// `2^{n_FM}` candidates are evaluated and the one with the smallest sum of
-    /// squared error magnitudes is returned (ties break towards the smaller
-    /// index, keeping the choice deterministic).
+    /// fault's segment index, exactly as in the paper. With several faults it
+    /// is the one of all `2^{n_FM}` candidates with the smallest sum of
+    /// squared error magnitudes (ties break towards the smaller index,
+    /// keeping the choice deterministic).
+    ///
+    /// Candidate `x` stores data bit `(c − x·S) mod W` in faulty column `c`,
+    /// so its cost is `Σ 4^b` over the set bits `b` of `faulty` rotated right
+    /// by `x·S`. Those bits are distinct, and `4^b` exceeds the sum of every
+    /// lower power of four, so two candidates' costs compare exactly as
+    /// their rotated masks do: the vote is the smallest rotated mask.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use faultmit_core::{FmLut, SegmentGeometry};
+    ///
+    /// # fn main() -> Result<(), faultmit_core::CoreError> {
+    /// let geometry = SegmentGeometry::new(32, 5)?;
+    /// assert_eq!(FmLut::choose_shift(geometry, 1 << 3), 3);
+    /// // Faults at bits 31 and 0: rotating bit 31 down to data bit 0 leaves
+    /// // the other fault at data bit 1.
+    /// assert_eq!(FmLut::choose_shift(geometry, 1 << 31 | 1), 31);
+    /// # Ok(())
+    /// # }
+    /// ```
     #[must_use]
-    pub fn choose_shift(geometry: SegmentGeometry, faulty_columns: &[usize]) -> usize {
-        match faulty_columns {
-            [] => 0,
-            [single] => geometry.segment_of_bit(*single),
-            _ => {
-                let word_bits = geometry.word_bits();
-                let segment_bits = geometry.segment_bits();
-                let mut best_index = 0usize;
-                let mut best_cost = u128::MAX;
-                for candidate in 0..geometry.segment_count() {
-                    let shift = candidate * segment_bits;
-                    let cost: u128 = faulty_columns
-                        .iter()
-                        .map(|&col| {
-                            // Data bit stored in physical column `col` after a
-                            // right rotation by T = W − shift (`word_bits` is
-                            // a power of two, so the modulo is a mask).
-                            let data_bit = (col + word_bits - shift) & (word_bits - 1);
-                            1u128 << (2 * data_bit)
-                        })
-                        .sum();
-                    if cost < best_cost {
-                        best_cost = cost;
-                        best_index = candidate;
-                    }
-                }
-                best_index
-            }
-        }
+    pub fn choose_shift(geometry: SegmentGeometry, faulty: u64) -> usize {
+        let word_bits = geometry.word_bits();
+        let segment_bits = geometry.segment_bits();
+        // `min_by_key` keeps the first of equal keys: ties go to the smaller
+        // index.
+        (0..geometry.segment_count())
+            .min_by_key(|&candidate| rotate_right(faulty, candidate * segment_bits, word_bits))
+            .unwrap_or(0)
     }
 
     /// Segment geometry this LUT was built for.
@@ -317,8 +327,8 @@ mod tests {
         // shift yields a cost no greater than naively aligning to the highest
         // fault.
         let g = geometry(3);
-        let columns = vec![9, 30];
-        let chosen = FmLut::choose_shift(g, &columns);
+        let columns = [9, 30];
+        let chosen = FmLut::choose_shift(g, 1 << 9 | 1 << 30);
         let cost = |x: usize| -> u128 {
             columns
                 .iter()

@@ -300,16 +300,6 @@ impl Scheme {
         observed
     }
 
-    /// [`Scheme::corrupt`] over a sorted row slice: same fault order (the
-    /// slice is sorted by column, like `faulty_columns`), no map lookups.
-    fn corrupt_slice(row_faults: &[Fault], stored: u64) -> u64 {
-        let mut observed = stored;
-        for fault in row_faults {
-            observed = corrupt_word(observed, fault.col, fault.kind);
-        }
-        observed
-    }
-
     /// The P-ECC protected-MSB mask for the given partition: the top
     /// `protected_bits` bits of a `word_bits`-bit word. Every shift stays
     /// below 64, so 64-bit words are exact.
@@ -318,6 +308,114 @@ impl Scheme {
             return 0;
         }
         (u64::MAX >> (64 - protected_bits)) << (word_bits - protected_bits)
+    }
+
+    /// The one evaluator of a fault-bearing row, from its column masks. The
+    /// sparse path folds a row slice into them and the block kernel gathers
+    /// them per die from the lane cells; either way the result equals
+    /// [`MitigationScheme::observe`] on the map the masks describe.
+    fn observe_masks(&self, masks: RowMasks, written: u64) -> ObservedWord {
+        match self {
+            Scheme::Unprotected { .. } => ObservedWord {
+                value: written ^ masks.observable_error(written),
+                reliable: true,
+            },
+            Scheme::Secded { .. } => {
+                let error = masks.observable_error(written);
+                if error.count_ones() <= 1 {
+                    // A single observable error is corrected by SECDED.
+                    ObservedWord::intact(written)
+                } else {
+                    // Double (or worse) error: detected but not corrected.
+                    ObservedWord {
+                        value: written ^ error,
+                        reliable: false,
+                    }
+                }
+            }
+            Scheme::PriorityEcc {
+                word_bits,
+                protected_bits,
+            } => {
+                let error = masks.observable_error(written);
+                let msb_mask = Self::pecc_msb_mask(*word_bits, *protected_bits);
+                if (error & msb_mask).count_ones() <= 1 {
+                    // The protected slice is repaired; LSB errors pass through.
+                    ObservedWord {
+                        value: written ^ (error & !msb_mask),
+                        reliable: true,
+                    }
+                } else {
+                    ObservedWord {
+                        value: written ^ error,
+                        reliable: false,
+                    }
+                }
+            }
+            Scheme::BitShuffle(geometry) => {
+                let word_bits = geometry.word_bits();
+                let shift = geometry
+                    .shift_amount(FmLut::choose_shift(*geometry, masks.faulty))
+                    .expect("choose_shift returns a valid segment index");
+                // The error at physical column c surfaces at data bit
+                // (c + shift) mod W after the un-rotate.
+                let error = masks.observable_error(rotate_right(written, shift, word_bits));
+                ObservedWord {
+                    value: written ^ rotate_left(error, shift, word_bits),
+                    reliable: true,
+                }
+            }
+        }
+    }
+}
+
+/// One row's faults as column masks: bit `c` of `faulty` is set when column
+/// `c` holds a fault, of `flips` when that fault flips the stored bit, and
+/// of `stuck_one` when it is stuck at one (a faulty column in neither is
+/// stuck at zero).
+#[derive(Debug, Clone, Copy, Default)]
+struct RowMasks {
+    faulty: u64,
+    flips: u64,
+    stuck_one: u64,
+}
+
+impl RowMasks {
+    /// Folds a row slice with distinct columns into masks; `None` when a
+    /// column lies outside the `word_bits`-bit word.
+    fn from_faults(row_faults: &[Fault], word_bits: usize) -> Option<Self> {
+        let mut masks = Self::default();
+        for fault in row_faults {
+            if fault.col >= word_bits {
+                return None;
+            }
+            let bit = 1u64 << fault.col;
+            masks.faulty |= bit;
+            match fault.kind {
+                FaultKind::BitFlip => masks.flips |= bit,
+                FaultKind::StuckAtOne => masks.stuck_one |= bit,
+                FaultKind::StuckAtZero => {}
+            }
+        }
+        Some(masks)
+    }
+
+    /// Die `die`'s masks, gathered from one row's lane cells in one pass.
+    fn from_lanes(cells: &[LaneCell], die: usize) -> Self {
+        let mut masks = Self::default();
+        for cell in cells {
+            masks.faulty |= ((cell.presence() >> die) & 1) << cell.col;
+            masks.flips |= ((cell.flips >> die) & 1) << cell.col;
+            masks.stuck_one |= (((cell.stuck & cell.stuck_value) >> die) & 1) << cell.col;
+        }
+        masks
+    }
+
+    /// The columns whose read of `stored` differs from it: every flip, and
+    /// each stuck cell whose value differs from the stored bit.
+    #[inline]
+    fn observable_error(&self, stored: u64) -> u64 {
+        self.flips | (self.faulty & !self.flips & (stored ^ self.stuck_one))
     }
 }
 
@@ -410,7 +508,8 @@ impl MitigationScheme for Scheme {
                 }
             }
             Scheme::BitShuffle(geometry) => {
-                let x_fm = FmLut::choose_shift(*geometry, &columns);
+                let faulty = columns.iter().fold(0, |mask, &col| mask | 1 << col);
+                let x_fm = FmLut::choose_shift(*geometry, faulty);
                 let shift = geometry
                     .shift_amount(x_fm)
                     .expect("choose_shift returns a valid segment index");
@@ -425,75 +524,8 @@ impl MitigationScheme for Scheme {
     }
 
     fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> Option<ObservedWord> {
-        if row_faults.is_empty() {
-            return Some(ObservedWord::intact(written));
-        }
-        Some(match self {
-            Scheme::Unprotected { .. } => ObservedWord {
-                value: Self::corrupt_slice(row_faults, written),
-                reliable: true,
-            },
-            Scheme::Secded { .. } => {
-                let corrupted = Self::corrupt_slice(row_faults, written);
-                let error_bits = (corrupted ^ written).count_ones();
-                if error_bits <= 1 {
-                    ObservedWord::intact(written)
-                } else {
-                    ObservedWord {
-                        value: corrupted,
-                        reliable: false,
-                    }
-                }
-            }
-            Scheme::PriorityEcc {
-                word_bits,
-                protected_bits,
-            } => {
-                let corrupted = Self::corrupt_slice(row_faults, written);
-                let msb_mask = Self::pecc_msb_mask(*word_bits, *protected_bits);
-                let msb_errors = ((corrupted ^ written) & msb_mask).count_ones();
-                if msb_errors <= 1 {
-                    ObservedWord {
-                        value: (written & msb_mask) | (corrupted & !msb_mask),
-                        reliable: true,
-                    }
-                } else {
-                    ObservedWord {
-                        value: corrupted,
-                        reliable: false,
-                    }
-                }
-            }
-            Scheme::BitShuffle(geometry) => {
-                let x_fm = if let [single] = row_faults {
-                    // Single-fault rows (the common case at realistic fault
-                    // densities) skip the column gather entirely.
-                    geometry.segment_of_bit(single.col)
-                } else {
-                    // Gather the (already sorted) columns into a stack buffer
-                    // for the FM-LUT vote; a word has at most 64 columns, so a
-                    // longer slice is malformed input — fall back to the
-                    // generic path.
-                    let mut columns = [0usize; 64];
-                    if row_faults.len() > columns.len() {
-                        return None;
-                    }
-                    for (slot, fault) in columns.iter_mut().zip(row_faults) {
-                        *slot = fault.col;
-                    }
-                    FmLut::choose_shift(*geometry, &columns[..row_faults.len()])
-                };
-                let shift = geometry
-                    .shift_amount(x_fm)
-                    .expect("choose_shift returns a valid segment index");
-                let stored = rotate_right(written, shift, geometry.word_bits());
-                let corrupted = Self::corrupt_slice(row_faults, stored);
-                ObservedWord {
-                    value: rotate_left(corrupted, shift, geometry.word_bits()),
-                    reliable: true,
-                }
-            }
-        })
+        RowMasks::from_faults(row_faults, self.word_bits())
+            .map(|masks| self.observe_masks(masks, written))
     }
 
     fn observe_block(
@@ -588,30 +620,14 @@ impl MitigationScheme for Scheme {
                     }
                 }
                 if multi != 0 {
-                    // Dies with several faulty cells in the row are rare at
-                    // campaign densities; rebuild their sorted fault slice
-                    // on the stack and reuse the scalar sparse path.
-                    let mut scratch = [Fault::bit_flip(0, 0); 64];
+                    // A die with several faulty cells in the row is
+                    // evaluated on its own, from the column masks gathered
+                    // out of the lane cells, like a sparse row.
                     let mut fallback_dies = 0u64;
                     for_each_die(multi, |die| {
                         fallback_dies += 1;
-                        let mut len = 0;
-                        for cell in cells {
-                            if (cell.presence() >> die) & 1 != 0 {
-                                let kind = if (cell.flips >> die) & 1 != 0 {
-                                    FaultKind::BitFlip
-                                } else if (cell.stuck_value >> die) & 1 != 0 {
-                                    FaultKind::StuckAtOne
-                                } else {
-                                    FaultKind::StuckAtZero
-                                };
-                                scratch[len] = Fault::new(0, cell.col as usize, kind);
-                                len += 1;
-                            }
-                        }
-                        let observed = self
-                            .observe_sparse(&scratch[..len], written)
-                            .expect("a word has at most 64 columns");
+                        let observed =
+                            self.observe_masks(RowMasks::from_lanes(cells, die), written);
                         let mut diff = written ^ observed.value;
                         while diff != 0 {
                             let col = diff.trailing_zeros() as usize;
@@ -704,6 +720,69 @@ mod tests {
     fn map(faults: &[Fault]) -> FaultMap {
         let config = MemoryConfig::new(16, 32).unwrap();
         FaultMap::from_faults(config, faults.iter().copied()).unwrap()
+    }
+
+    /// A deterministic LCG stream for the hand-built fault populations.
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        }
+    }
+
+    fn random_kind(next: &mut impl FnMut() -> u64) -> FaultKind {
+        match next() % 3 {
+            0 => FaultKind::StuckAtZero,
+            1 => FaultKind::StuckAtOne,
+            _ => FaultKind::BitFlip,
+        }
+    }
+
+    /// `count` faults of mixed kinds in distinct columns of row 0 of a
+    /// `word_bits`-bit word, sorted by column: up to a full row.
+    fn dense_row(next: &mut impl FnMut() -> u64, word_bits: usize, count: usize) -> Vec<Fault> {
+        let mut cols: Vec<usize> = (0..word_bits).collect();
+        for i in 0..count {
+            let j = i + (next() as usize) % (word_bits - i);
+            cols.swap(i, j);
+        }
+        let mut faults: Vec<Fault> = cols[..count]
+            .iter()
+            .map(|&col| Fault::new(0, col, random_kind(next)))
+            .collect();
+        faults.sort_by_key(|f| f.col);
+        faults
+    }
+
+    /// Every scheme shape at one word width: no protection, SECDED, P-ECC
+    /// on the top half and bit-shuffling at every `n_FM`.
+    fn schemes_for_width(word_bits: usize) -> Vec<Scheme> {
+        let mut schemes = vec![
+            Scheme::Unprotected { word_bits },
+            Scheme::Secded { word_bits },
+            Scheme::PriorityEcc {
+                word_bits,
+                protected_bits: word_bits / 2,
+            },
+        ];
+        let geometries = SegmentGeometry::all_for_word(word_bits).unwrap();
+        schemes.extend(geometries.into_iter().map(Scheme::BitShuffle));
+        schemes
+    }
+
+    /// Written words for a width: the extremes, a mixed word and the two
+    /// end bits.
+    fn written_words(word_bits: usize) -> [u64; 4] {
+        let mask = u64::MAX >> (64 - word_bits);
+        [
+            0,
+            mask,
+            0xDEAD_BEEF_DEAD_BEEF & mask,
+            1 << (word_bits - 1) | 1,
+        ]
     }
 
     #[test]
@@ -910,11 +989,37 @@ mod tests {
         ];
         let mut schemes = Scheme::fig5_catalogue();
         schemes.push(Scheme::secded32());
+        // Dense multi-fault rows of mixed kinds, two faults up to a full
+        // row, on 32- and 64-bit words, against every scheme shape.
+        let mut next = lcg(0x5EA5_E0B5);
+        let mut wide_cases: Vec<(usize, Vec<Fault>)> = Vec::new();
+        for word_bits in [32usize, 64] {
+            for count in 2..=word_bits {
+                for _ in 0..4 {
+                    wide_cases.push((word_bits, dense_row(&mut next, word_bits, count)));
+                }
+            }
+        }
         for faults in &cases {
             let map = map(faults);
             let slice = map.row_faults(0);
             for scheme in &schemes {
                 for &written in &[0u64, 0xFFFF_FFFF, 0xDEAD_BEEF, 0x8000_0001] {
+                    assert_eq!(
+                        scheme.observe_sparse(slice, written),
+                        Some(scheme.observe(&map, 0, written)),
+                        "{} written={written:#x} faults={faults:?}",
+                        scheme.name()
+                    );
+                }
+            }
+        }
+        for (word_bits, faults) in &wide_cases {
+            let config = MemoryConfig::new(16, *word_bits).unwrap();
+            let map = FaultMap::from_faults(config, faults.iter().copied()).unwrap();
+            let slice = map.row_faults(0);
+            for scheme in &schemes_for_width(*word_bits) {
+                for written in written_words(*word_bits) {
                     assert_eq!(
                         scheme.observe_sparse(slice, written),
                         Some(scheme.observe(&map, 0, written)),
@@ -966,81 +1071,87 @@ mod tests {
         // it into lane cells by hand, and require the residual of every die
         // to equal `written ^ observe_sparse(...).value` bit for bit —
         // covering single-fault dies, fault-heavy dies, silent stuck cells
-        // and fault-free dies in the same block.
-        let mut state = 0xB10C_5EEDu64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let mut schemes = Scheme::fig5_catalogue();
-        schemes.push(Scheme::secded32());
+        // and fault-free dies in the same block. The dense rounds give die
+        // `j` `13·j mod (W + 1)` faults of mixed kinds, up to a full row,
+        // on 32- and 64-bit words.
+        let mut next = lcg(0xB10C_5EED);
+        let mut catalogue = Scheme::fig5_catalogue();
+        catalogue.push(Scheme::secded32());
         // The P-ECC protected-width sweep, up to the whole word.
-        schemes.extend((1..=8).map(|i| Scheme::PriorityEcc {
+        catalogue.extend((1..=8).map(|i| Scheme::PriorityEcc {
             word_bits: 32,
             protected_bits: 4 * i,
         }));
-        for round in 0..8u64 {
-            // Die j gets j % 5 faults (die 0 stays fault-free on purpose).
-            let mut dies: Vec<Vec<Fault>> = Vec::new();
-            for die in 0..64usize {
-                let mut faults: Vec<Fault> = Vec::new();
-                for _ in 0..die % 5 {
-                    let col = (next() as usize) % 32;
-                    if faults.iter().any(|f| f.col == col) {
+        for (word_bits, dense) in [(32usize, false), (32, true), (64, true)] {
+            let mut schemes = schemes_for_width(word_bits);
+            if word_bits == 32 {
+                schemes.extend(&catalogue);
+            }
+            for round in 0..8u64 {
+                let mut dies: Vec<Vec<Fault>> = Vec::new();
+                for die in 0..64usize {
+                    if dense {
+                        dies.push(dense_row(
+                            &mut next,
+                            word_bits,
+                            (13 * die) % (word_bits + 1),
+                        ));
                         continue;
                     }
-                    let kind = match next() % 3 {
-                        0 => FaultKind::StuckAtZero,
-                        1 => FaultKind::StuckAtOne,
-                        _ => FaultKind::BitFlip,
-                    };
-                    faults.push(Fault::new(0, col, kind));
+                    // Die j gets j % 5 faults (die 0 stays fault-free on
+                    // purpose).
+                    let mut faults: Vec<Fault> = Vec::new();
+                    for _ in 0..die % 5 {
+                        let col = (next() as usize) % word_bits;
+                        if faults.iter().any(|f| f.col == col) {
+                            continue;
+                        }
+                        faults.push(Fault::new(0, col, random_kind(&mut next)));
+                    }
+                    faults.sort_by_key(|f| f.col);
+                    dies.push(faults);
                 }
-                faults.sort_by_key(|f| f.col);
-                dies.push(faults);
-            }
-            // Hand-rolled transposition into sorted lane cells.
-            let mut cells: Vec<LaneCell> = Vec::new();
-            for col in 0..32u32 {
-                let mut cell = LaneCell {
-                    col,
-                    flips: 0,
-                    stuck: 0,
-                    stuck_value: 0,
-                };
-                for (die, faults) in dies.iter().enumerate() {
-                    for fault in faults.iter().filter(|f| f.col == col as usize) {
-                        let bit = 1u64 << die;
-                        match fault.kind {
-                            FaultKind::BitFlip => cell.flips |= bit,
-                            FaultKind::StuckAtOne => {
-                                cell.stuck |= bit;
-                                cell.stuck_value |= bit;
+                // Hand-rolled transposition into sorted lane cells.
+                let mut cells: Vec<LaneCell> = Vec::new();
+                for col in 0..word_bits as u32 {
+                    let mut cell = LaneCell {
+                        col,
+                        flips: 0,
+                        stuck: 0,
+                        stuck_value: 0,
+                    };
+                    for (die, faults) in dies.iter().enumerate() {
+                        for fault in faults.iter().filter(|f| f.col == col as usize) {
+                            let bit = 1u64 << die;
+                            match fault.kind {
+                                FaultKind::BitFlip => cell.flips |= bit,
+                                FaultKind::StuckAtOne => {
+                                    cell.stuck |= bit;
+                                    cell.stuck_value |= bit;
+                                }
+                                FaultKind::StuckAtZero => cell.stuck |= bit,
                             }
-                            FaultKind::StuckAtZero => cell.stuck |= bit,
                         }
                     }
+                    if cell.flips | cell.stuck != 0 {
+                        cells.push(cell);
+                    }
                 }
-                if cell.flips | cell.stuck != 0 {
-                    cells.push(cell);
-                }
-            }
-            for scheme in &schemes {
-                for &written in &[0u64, 0xFFFF_FFFF, 0xDEAD_BEEF, 0x8000_0001] {
-                    let mut residual = ResidualLanes::new();
-                    assert!(scheme.observe_block(&cells, written, &mut residual));
-                    for (die, faults) in dies.iter().enumerate() {
-                        let observed = scheme
-                            .observe_sparse(faults, written)
-                            .expect("catalogue schemes have a sparse path");
-                        assert_eq!(
-                            residual.gather_die(die),
-                            written ^ observed.value,
-                            "round {round}, {}, die {die}, written {written:#x}, faults {faults:?}",
-                            scheme.name()
-                        );
+                for scheme in &schemes {
+                    for written in written_words(word_bits) {
+                        let mut residual = ResidualLanes::new();
+                        assert!(scheme.observe_block(&cells, written, &mut residual));
+                        for (die, faults) in dies.iter().enumerate() {
+                            let observed = scheme
+                                .observe_sparse(faults, written)
+                                .expect("catalogue schemes have a sparse path");
+                            assert_eq!(
+                                residual.gather_die(die),
+                                written ^ observed.value,
+                                "W {word_bits}, round {round}, {}, die {die}, written {written:#x}, faults {faults:?}",
+                                scheme.name()
+                            );
+                        }
                     }
                 }
             }

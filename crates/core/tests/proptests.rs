@@ -122,7 +122,7 @@ fn chosen_shift_maps_fault_to_lsb_segment() {
     for col in 0usize..32 {
         for n_fm in 1usize..=5 {
             let geometry = SegmentGeometry::new(32, n_fm).unwrap();
-            let x = FmLut::choose_shift(geometry, &[col]);
+            let x = FmLut::choose_shift(geometry, 1 << col);
             let shift = geometry.shift_amount(x).unwrap();
             // Data bit stored in the faulty physical column after the write
             // rotation: (col + shift) mod W must be a low-significance bit.
@@ -132,9 +132,31 @@ fn chosen_shift_maps_fault_to_lsb_segment() {
     }
 }
 
+/// The u128 reference of the FM-LUT vote: candidate `x`'s summed squared
+/// error magnitude, `Σ 4^b` over the data bits `b` the faulty columns store
+/// after a right rotation by `x·S` (every term fits: `4^63 < 2^127`).
+fn shift_cost(geometry: SegmentGeometry, faulty: u64, x: usize) -> u128 {
+    let width = geometry.word_bits();
+    let shift = x * geometry.segment_bits();
+    (0..width)
+        .filter(|&col| (faulty >> col) & 1 == 1)
+        .map(|col| 1u128 << (2 * ((col + width - shift) % width)))
+        .sum()
+}
+
+/// The cheapest candidate by [`shift_cost`], ties to the smaller index.
+fn reference_shift(geometry: SegmentGeometry, faulty: u64) -> usize {
+    (0..geometry.segment_count())
+        .min_by_key(|&x| (shift_cost(geometry, faulty, x), x))
+        .expect("a geometry has at least two segments")
+}
+
 /// Multi-fault rows: the optimised shift choice is never worse (in summed
 /// squared error magnitude) than naively aligning to the most significant
-/// faulty bit.
+/// faulty bit, and it is exactly the u128 cost argmin with ties going to the
+/// smaller index — at every power-of-two width up to 64 and every `n_FM`,
+/// over every mask at `W ≤ 8`, and over random, clustered and periodic
+/// masks (whose rotations tie) above.
 #[test]
 fn multi_fault_shift_choice_is_optimal_enough() {
     let mut rng = rng(204);
@@ -144,19 +166,52 @@ fn multi_fault_shift_choice_is_optimal_enough() {
         let cols: BTreeSet<usize> = (0..n_cols).map(|_| rng.gen_range(0usize..32)).collect();
 
         let geometry = SegmentGeometry::new(32, n_fm).unwrap();
-        let columns: Vec<usize> = cols.into_iter().collect();
-        let cost = |x: usize| -> u128 {
-            let shift = x * geometry.segment_bits();
-            columns
-                .iter()
-                .map(|&col| {
-                    let bit = (col + 32 - shift) % 32;
-                    (1u128 << bit).pow(2)
-                })
-                .sum()
-        };
-        let chosen = FmLut::choose_shift(geometry, &columns);
-        let naive = geometry.segment_of_bit(*columns.iter().max().unwrap());
-        assert!(cost(chosen) <= cost(naive));
+        let faulty = cols.iter().fold(0u64, |mask, &col| mask | 1 << col);
+        let chosen = FmLut::choose_shift(geometry, faulty);
+        let naive = geometry.segment_of_bit(*cols.iter().max().unwrap());
+        assert!(shift_cost(geometry, faulty, chosen) <= shift_cost(geometry, faulty, naive));
+    }
+
+    for log2_width in 1..=6u32 {
+        let width = 1usize << log2_width;
+        let word_mask = u64::MAX >> (64 - width);
+        let mut masks: Vec<u64> = Vec::new();
+        if width <= 8 {
+            masks.extend(0..=word_mask);
+        } else {
+            masks.extend([0, word_mask, 1, 1 << (width - 1), word_mask - 1]);
+            for _ in 0..CASES {
+                // Any density, from two faults to a full row.
+                let n_faults = rng.gen_range(2..=width);
+                let cols: BTreeSet<usize> =
+                    (0..n_faults).map(|_| rng.gen_range(0..width)).collect();
+                masks.push(cols.iter().fold(0, |mask, &col| mask | 1 << col));
+                // A cluster: a run of neighbouring columns, wrapping round.
+                let start = rng.gen_range(0..width);
+                let run = rng.gen_range(2usize..=8);
+                masks.push((0..run).fold(0, |mask, i| mask | 1 << ((start + i) % width)));
+            }
+            // Periodic masks: rotating by a multiple of the period gives
+            // the same mask, so several candidates tie exactly.
+            for log2_period in 0..log2_width {
+                let period = 1usize << log2_period;
+                for _ in 0..8 {
+                    let pattern = rng.gen_range(1u64..=u64::MAX >> (64 - period));
+                    masks.push(
+                        (0..width / period).fold(0, |mask, i| mask | pattern << (i * period)),
+                    );
+                }
+            }
+        }
+        for n_fm in 1..=log2_width as usize {
+            let geometry = SegmentGeometry::new(width, n_fm).unwrap();
+            for &faulty in &masks {
+                assert_eq!(
+                    FmLut::choose_shift(geometry, faulty),
+                    reference_shift(geometry, faulty),
+                    "W = {width}, nFM = {n_fm}, faulty = {faulty:#x}"
+                );
+            }
+        }
     }
 }

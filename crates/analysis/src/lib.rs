@@ -52,8 +52,5 @@ pub use accumulate::CatalogueAccumulator;
 pub use cdf::EmpiricalCdf;
 pub use error::AnalysisError;
 pub use mc_engine::{MonteCarloEngine, SchemeMseResult};
-pub use mse::{
-    block_mse_into, memory_mse, memory_mse_for_data, memory_mse_sparse, memory_mse_sparse_with,
-    row_squared_error, word_squared_error, CatalogueMse,
-};
+pub use mse::{block_mse_into, memory_mse, memory_mse_for_data, word_squared_error, CatalogueMse};
 pub use yield_model::{QualityBand, YieldModel};

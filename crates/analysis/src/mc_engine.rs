@@ -147,9 +147,8 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
                 }
                 data
             }
-            // `memory_mse_sparse` is `memory_mse_sparse_with` against the
-            // `|_| 0` word source, so the zeros fast path and an explicit
-            // zeros vector share one dispatcher without a bit of drift.
+            // The zeros image needs no word vector: the `|_| 0` source reads
+            // what an explicit zeros vector would, through one dispatcher.
             (None, ImageSpec::Zeros) => return self.run_kernel(schemes, seed, shard, |_| 0),
             (None, spec) => {
                 configured = spec.words(self.config().memory())?;

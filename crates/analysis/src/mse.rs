@@ -17,19 +17,17 @@
 //! `4^b` over the bit positions that differ — identical to Eq. (6) for the
 //! paper's bit-flip injection model.
 //!
-//! Three evaluators compute the same sum. The dense scalar evaluators
-//! ([`memory_mse`], [`memory_mse_for_data`]) drive the generic `observe`
-//! path row by row and are the reference the campaign kernels are gated
-//! against; the event-driven kernels ([`memory_mse_sparse`],
-//! [`memory_mse_sparse_with`]) walk the fault map's sorted row groups once,
-//! hand each scheme its row slice through
-//! [`observe_sparse`](faultmit_core::MitigationScheme::observe_sparse), and
-//! gather written words only for fault-bearing rows; [`CatalogueMse`]
-//! scores a whole scheme catalogue in one such walk per die;
-//! [`block_mse_into`] evaluates a whole transposed die block at once. All
-//! accumulate per-row contributions in ascending row order, so their results
-//! are **bit-identical** (the `kernel_equivalence` integration suite pins
-//! this).
+//! The dense evaluators ([`memory_mse`], [`memory_mse_for_data`]) drive
+//! the generic `observe` path row by row and are the reference the two
+//! campaign kernels are gated against. The sparse kernel, [`CatalogueMse`],
+//! scores a whole scheme catalogue in one walk over a die's sorted row
+//! groups: it hands each scheme its row slice through
+//! [`observe_sparse`](faultmit_core::MitigationScheme::observe_sparse) (or
+//! a single-fault table) and gathers written words only for fault-bearing
+//! rows. The bit-sliced kernel, [`block_mse_into`], evaluates a whole
+//! transposed die block at once. All accumulate per-row contributions in
+//! ascending row order, so their results are **bit-identical** (the
+//! `kernel_equivalence` integration suite pins this).
 
 use faultmit_core::{MitigationScheme, SingleFault};
 use faultmit_memsim::{
@@ -78,21 +76,10 @@ pub fn word_squared_error(written: u64, observed: u64) -> f64 {
     total
 }
 
-/// Squared error contributed by one row of a faulty memory under a protection
-/// scheme, assuming an all-zeros data background (every bit-flip fault is
-/// observable, matching the paper's injection model).
-#[must_use]
-pub fn row_squared_error<S: MitigationScheme + ?Sized>(
-    scheme: &S,
-    faults: &FaultMap,
-    row: usize,
-) -> f64 {
-    let observed = scheme.observe(faults, row, 0);
-    word_squared_error(0, observed.value)
-}
-
 /// The memory-wide MSE of Eq. (6): the mean over all `R` rows of the squared
-/// error magnitude each row exhibits under the given protection scheme.
+/// error magnitude each row exhibits under the given protection scheme,
+/// assuming an all-zeros data background (every bit-flip fault is
+/// observable, matching the paper's injection model).
 ///
 /// Rows without faults contribute zero, so only faulty rows are visited.
 #[must_use]
@@ -100,7 +87,7 @@ pub fn memory_mse<S: MitigationScheme + ?Sized>(scheme: &S, faults: &FaultMap) -
     let rows = faults.config().rows() as f64;
     let total: f64 = faults
         .faulty_rows()
-        .map(|row| row_squared_error(scheme, faults, row))
+        .map(|row| word_squared_error(0, scheme.observe(faults, row, 0).value))
         .sum();
     total / rows
 }
@@ -132,42 +119,6 @@ pub fn memory_mse_for_data<S: MitigationScheme + ?Sized>(
         })
         .sum();
     total / rows as f64
-}
-
-/// Event-driven twin of [`memory_mse`]: one pass over the fault map's sorted
-/// row groups, evaluating each fault-bearing row through the scheme's
-/// allocation-free
-/// [`observe_sparse`](MitigationScheme::observe_sparse) path (falling back
-/// per row to the generic `observe` when a scheme has no sparse path).
-///
-/// Per-row contributions accumulate in ascending row order, exactly like the
-/// scalar kernel, so the result is bit-identical to [`memory_mse`].
-#[must_use]
-pub fn memory_mse_sparse<S: MitigationScheme + ?Sized>(scheme: &S, faults: &FaultMap) -> f64 {
-    memory_mse_sparse_with(scheme, faults, |_| 0)
-}
-
-/// [`memory_mse_sparse`] against an arbitrary written-word source (a
-/// constant, a lookup into [`faultmit_memsim::ImageSpec::words`], ...).
-///
-/// Only fault-bearing rows query `written`: at sparse fault densities
-/// almost every row is clean and contributes exactly zero. Bit-identical to
-/// [`memory_mse_for_data`] when `written` agrees with the dense image.
-#[must_use]
-pub fn memory_mse_sparse_with<S, W>(scheme: &S, faults: &FaultMap, written: W) -> f64
-where
-    S: MitigationScheme + ?Sized,
-    W: Fn(usize) -> u64,
-{
-    let rows = faults.config().rows() as f64;
-    // -0.0 is the IEEE additive identity and what `Iterator::sum::<f64>`
-    // folds from: a fault-free die must yield the same bits (-0.0, not
-    // +0.0) as the scalar kernel's empty sum.
-    let mut total = -0.0;
-    for (row, row_faults) in faults.rows_with_faults() {
-        total += sparse_row_error(scheme, faults, row, row_faults, written(row));
-    }
-    total / rows
 }
 
 /// Squared error of one fault-bearing row through the scheme's sparse path,
@@ -210,13 +161,15 @@ const NO_ENTRY: u8 = u8::MAX;
 /// surfaces at data bit `b` (a stuck-at cell only when the written bit
 /// differs from its stuck value) and `+0.0` otherwise. Rows with several
 /// faults, and columns a scheme has no entry for, go through
-/// [`observe_sparse`](MitigationScheme::observe_sparse) as in
-/// [`memory_mse_sparse_with`].
+/// [`observe_sparse`](MitigationScheme::observe_sparse), falling back per
+/// row to the generic `observe` when a scheme has no sparse path.
 ///
-/// Each scheme's total starts at `-0.0` and folds its rows in ascending row
-/// order, and every table entry adds the exact term `word_squared_error`
-/// would, so `out[s]` is bit-identical to
-/// `memory_mse_sparse_with(&schemes[s], ..)`.
+/// Each scheme's total starts at `-0.0` (the IEEE additive identity, which
+/// `Iterator::sum::<f64>` folds from, so a fault-free die yields the dense
+/// evaluators' bits) and folds its rows in ascending row order, and every
+/// table entry adds the exact term `word_squared_error` would, so `out[s]`
+/// is bit-identical to [`memory_mse_for_data`] of `schemes[s]` on the same
+/// words.
 #[derive(Debug)]
 pub struct CatalogueMse<'a, S> {
     schemes: &'a [S],
@@ -318,9 +271,9 @@ impl<'a, S: MitigationScheme> CatalogueMse<'a, S> {
     }
 }
 
-/// Bit-sliced twin of [`memory_mse_sparse_with`]: evaluates all dies of a
-/// transposed [`DieBlock`] in one walk over its faulty rows, writing die
-/// `j`'s MSE to `out[j]`.
+/// Bit-sliced twin of [`CatalogueMse`] for one scheme: evaluates all dies
+/// of a transposed [`DieBlock`] in one walk over its faulty rows, writing
+/// die `j`'s MSE to `out[j]`.
 ///
 /// Per row the scheme's lane-parallel
 /// [`observe_block`](MitigationScheme::observe_block) produces per-data-bit
@@ -566,44 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_kernel_is_bit_identical_to_the_scalar_kernel() {
-        // Dense, sparse, multi-fault-per-row and stuck-at maps, every
-        // catalogue scheme (plus SECDED), zeros and non-trivial images.
-        let cases: Vec<Vec<Fault>> = vec![
-            vec![],
-            vec![Fault::bit_flip(5, 31)],
-            vec![Fault::bit_flip(0, 0), Fault::bit_flip(63, 31)],
-            vec![
-                Fault::bit_flip(7, 3),
-                Fault::bit_flip(7, 29),
-                Fault::stuck_at_one(7, 30),
-                Fault::stuck_at_zero(12, 15),
-            ],
-            (0..64).map(|r| Fault::bit_flip(r, (r * 7) % 32)).collect(),
-        ];
-        let mut schemes = Scheme::fig5_catalogue();
-        schemes.push(Scheme::secded32());
-        for faults in &cases {
-            let faults = map(faults);
-            let image: Vec<u64> = (0..64).map(|r| (r as u64).wrapping_mul(0x9E37)).collect();
-            for scheme in &schemes {
-                assert_eq!(
-                    memory_mse_sparse(scheme, &faults).to_bits(),
-                    memory_mse(scheme, &faults).to_bits(),
-                    "{} (zeros)",
-                    scheme.name()
-                );
-                assert_eq!(
-                    memory_mse_sparse_with(scheme, &faults, |row| image[row]).to_bits(),
-                    memory_mse_for_data(scheme, &faults, &image).to_bits(),
-                    "{} (data)",
-                    scheme.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn single_fault_table_entries_score_exactly_what_observe_sparse_reads() {
         // Every table entry of every in-tree scheme, for every column, kind
         // and written word (zeros, ones and random words), adds the exact
@@ -658,8 +573,8 @@ mod tests {
     }
 
     #[test]
-    fn catalogue_walk_is_bit_identical_to_the_per_scheme_kernels() {
-        // Empty, single-fault, multi-fault and stuck-at rows, zeros and
+    fn catalogue_walk_is_bit_identical_to_the_dense_evaluators() {
+        // Empty, single-fault, multi-fault and stuck-at rows, zeros and two
         // data images; a custom scheme without table entries (or a sparse
         // path) rides along and must still agree through the fallback.
         struct Invert;
@@ -714,9 +629,12 @@ mod tests {
             owned.iter().map(|s| s as &dyn MitigationScheme).collect();
         schemes.push(&Invert);
         let walk = CatalogueMse::new(&schemes, 32);
-        let image: Vec<u64> = (0..64u64)
-            .map(|r| r.wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF)
-            .collect();
+        let images: [Vec<u64>; 2] = [
+            (0..64u64)
+                .map(|r| r.wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF)
+                .collect(),
+            (0..64u64).map(|r| r.wrapping_mul(0x9E37)).collect(),
+        ];
         let mut out = vec![f64::NAN; schemes.len()];
         for faults in &cases {
             let faults = map(faults);
@@ -729,27 +647,23 @@ mod tests {
                     scheme.name()
                 );
             }
-            walk.mse_into(&faults, |row| image[row], &mut out);
-            for (scheme, got) in schemes.iter().zip(&out) {
-                assert_eq!(
-                    got.to_bits(),
-                    memory_mse_sparse_with(scheme, &faults, |row| image[row]).to_bits(),
-                    "{} (data, sparse)",
-                    scheme.name()
-                );
-                assert_eq!(
-                    got.to_bits(),
-                    memory_mse_for_data(scheme, &faults, &image).to_bits(),
-                    "{} (data, dense)",
-                    scheme.name()
-                );
+            for image in &images {
+                walk.mse_into(&faults, |row| image[row], &mut out);
+                for (scheme, got) in schemes.iter().zip(&out) {
+                    assert_eq!(
+                        got.to_bits(),
+                        memory_mse_for_data(scheme, &faults, image).to_bits(),
+                        "{} (data)",
+                        scheme.name()
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn block_kernel_is_bit_identical_to_the_sparse_kernel() {
-        // Every die of a block must reproduce the sparse kernel's MSE bit
+    fn block_kernel_is_bit_identical_to_the_dense_evaluator() {
+        // Every die of a block must reproduce the dense evaluator's MSE bit
         // for bit, across backends, kind laws and catalogue schemes. A
         // deliberately non-multiple-of-64 block size.
         let dies = 37u64;
@@ -796,7 +710,7 @@ mod tests {
                             .unwrap();
                         assert_eq!(
                             out[j].to_bits(),
-                            memory_mse_sparse_with(scheme, map, |row| image[row]).to_bits(),
+                            memory_mse_for_data(scheme, map, &image).to_bits(),
                             "{kind} {law:?} {} die {j}",
                             scheme.name()
                         );
@@ -900,11 +814,10 @@ mod tests {
                 0
             }
         }
-        let scheme = Invert { bits: 32 };
+        let scheme = [Invert { bits: 32 }];
         let faults = map(&[Fault::bit_flip(2, 9), Fault::bit_flip(40, 1)]);
-        assert_eq!(
-            memory_mse_sparse(&scheme, &faults).to_bits(),
-            memory_mse(&scheme, &faults).to_bits()
-        );
+        let mut out = [f64::NAN];
+        CatalogueMse::new(&scheme, 32).mse_into(&faults, |_| 0, &mut out);
+        assert_eq!(out[0].to_bits(), memory_mse(&scheme[0], &faults).to_bits());
     }
 }

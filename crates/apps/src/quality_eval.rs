@@ -48,7 +48,7 @@ use crate::pca::Pca;
 use crate::preprocessing::{train_test_split, Standardizer};
 use faultmit_analysis::{CatalogueAccumulator, EmpiricalCdf, YieldModel};
 use faultmit_core::MitigationScheme;
-use faultmit_memsim::{FaultBackend, FaultMap, MemoryConfig, SramVddBackend};
+use faultmit_memsim::{FaultBackend, FaultMap, MemoryConfig};
 use faultmit_sim::{Campaign, CampaignConfig, MapPolicy, Parallelism, ShardSpec, ShardStats};
 
 /// Seed of the synthetic dataset generators.
@@ -239,98 +239,35 @@ impl QualityEvaluator {
         self.prepare()?.quality(scheme, faults)
     }
 
-    /// Runs one paired Fig. 7 campaign over a whole scheme catalogue through
-    /// the parallel fault-injection pipeline: every scheme trains on data
-    /// corrupted by the **same** fault map of every sampled die, so scheme
-    /// comparisons are exact per die, and dies are evaluated concurrently on
-    /// worker threads (bit-identical at any worker count).
+    /// Runs one shard of the paired Fig. 7 campaign over a whole scheme
+    /// catalogue through the parallel fault-injection pipeline, returning
+    /// the raw accumulator state (and the shard's [`ShardStats`]): every
+    /// scheme trains on data corrupted by the **same** fault map of every
+    /// sampled die, so scheme comparisons are exact per die, and dies are
+    /// evaluated concurrently on worker threads (bit-identical at any worker
+    /// count). The backend must be built for this evaluator's memory
+    /// geometry.
     ///
-    /// The paper's Fig. 7 protocol assumes "the small number of samples with
-    /// more than one error per word are discarded, such that H(39,32) ECC
-    /// provides error-free operation"; pass `discard_multi_fault_words =
-    /// true` to reproduce that protocol.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling and evaluation errors.
-    pub fn quality_cdfs_paired<S: MitigationScheme + Sync>(
-        &self,
-        schemes: &[S],
-        p_cell: f64,
-        max_failures: u64,
-        samples_per_count: usize,
-        seed: u64,
-        discard_multi_fault_words: bool,
-    ) -> Result<Vec<QualityCdfResult>, AppError> {
-        let backend = SramVddBackend::with_p_cell(self.memory_config, p_cell)?;
-        self.quality_cdfs_paired_on(
-            schemes,
-            &backend,
-            max_failures,
-            samples_per_count,
-            seed,
-            discard_multi_fault_words,
-        )
-    }
-
-    /// The backend axis of the Fig. 7 harness: runs the paired campaign
-    /// against an arbitrary [`FaultBackend`], so per-technology quality
-    /// CDFs (SRAM voltage scaling, DRAM retention, MLC NVM, or custom
-    /// models) come out of the identical protocol. The backend must be
-    /// built for this evaluator's memory geometry.
-    ///
-    /// Note that `discard_multi_fault_words` is a best-effort bounded
-    /// redraw: backends whose spatial law clusters faults (DRAM retention)
-    /// exhaust the budget at higher fault counts, so multi-fault words
-    /// survive and the SECDED reference is **not** error-free there — that
-    /// degradation is precisely the technology effect the backend axis
+    /// Dies follow the paper's Fig. 7 protocol, under which "the small
+    /// number of samples with more than one error per word are discarded,
+    /// such that H(39,32) ECC provides error-free operation": a die is
+    /// redrawn while a word holds two faults ([`MapPolicy::SingleFaultPerRow`]).
+    /// The redraw is bounded, so backends whose spatial law clusters faults
+    /// (DRAM retention) exhaust it at higher fault counts; multi-fault words
+    /// then survive and the SECDED reference is **not** error-free there —
+    /// that degradation is precisely the technology effect the backend axis
     /// exists to expose.
-    ///
-    /// [`QualityEvaluator::quality_cdfs_paired`] is the SRAM shim over this
-    /// method and remains bit-identical to the historical results.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AppError::InvalidParameter`] on a geometry mismatch, and
-    /// propagates sampling and evaluation errors.
-    pub fn quality_cdfs_paired_on<S: MitigationScheme + Sync, B: FaultBackend + Clone>(
-        &self,
-        schemes: &[S],
-        backend: &B,
-        max_failures: u64,
-        samples_per_count: usize,
-        seed: u64,
-        discard_multi_fault_words: bool,
-    ) -> Result<Vec<QualityCdfResult>, AppError> {
-        let (state, _) = self.quality_shard_on(
-            schemes,
-            backend,
-            max_failures,
-            samples_per_count,
-            seed,
-            discard_multi_fault_words,
-            ShardSpec::solo(),
-        )?;
-        self.quality_results_from_state(schemes, backend, state)
-    }
-
-    /// Runs one shard of the paired Fig. 7 campaign, returning the raw
-    /// accumulator state (and the shard's [`ShardStats`]) instead of
-    /// finished results.
     ///
     /// Shard states merged in shard order (via
     /// [`faultmit_sim::Accumulator::merge`]) are bit-identical to the
-    /// monolithic accumulation of
-    /// [`QualityEvaluator::quality_cdfs_paired_on`] — which is the
-    /// [`ShardSpec::solo`] special case of this method. Feed the merged
-    /// state to [`QualityEvaluator::quality_results_from_state`] to obtain
-    /// the exact monolithic results.
+    /// [`ShardSpec::solo`] run. Feed the state to
+    /// [`QualityEvaluator::quality_results_from_state`] to obtain the
+    /// per-scheme results.
     ///
     /// # Errors
     ///
     /// Returns [`AppError::InvalidParameter`] on a geometry mismatch, and
     /// propagates sampling and evaluation errors.
-    #[allow(clippy::too_many_arguments)]
     pub fn quality_shard_on<S: MitigationScheme + Sync, B: FaultBackend + Clone>(
         &self,
         schemes: &[S],
@@ -338,7 +275,6 @@ impl QualityEvaluator {
         max_failures: u64,
         samples_per_count: usize,
         seed: u64,
-        discard_multi_fault_words: bool,
         shard: ShardSpec,
     ) -> Result<(CatalogueAccumulator, ShardStats), AppError> {
         self.check_backend_geometry(backend)?;
@@ -348,16 +284,10 @@ impl QualityEvaluator {
         let prepared = self.prepare()?;
         let baseline = prepared.baseline;
 
-        let map_policy = if discard_multi_fault_words {
-            // Bounded redraws so extreme fault densities cannot loop forever.
-            MapPolicy::SingleFaultPerRow { max_redraws: 1000 }
-        } else {
-            MapPolicy::Unrestricted
-        };
         let config = CampaignConfig::for_backend(backend.clone())?
             .with_samples_per_count(samples_per_count)
             .with_max_failures(max_failures)
-            .with_map_policy(map_policy)
+            .with_map_policy(MapPolicy::SingleFaultPerRow)
             .with_parallelism(self.parallelism)
             // Application training runs are expensive; keep chunks small so
             // worker threads stay balanced.
@@ -380,9 +310,9 @@ impl QualityEvaluator {
             .map_err(AppError::from)
     }
 
-    /// Converts accumulated (possibly shard-merged) campaign state into the
-    /// per-scheme quality results — the reduction half of
-    /// [`QualityEvaluator::quality_cdfs_paired_on`].
+    /// Converts accumulated (possibly shard-merged) campaign state of
+    /// [`QualityEvaluator::quality_shard_on`] into the per-scheme quality
+    /// results.
     ///
     /// # Errors
     ///
@@ -573,7 +503,7 @@ impl Model {
 mod tests {
     use super::*;
     use faultmit_core::Scheme;
-    use faultmit_memsim::Fault;
+    use faultmit_memsim::{Fault, SramVddBackend};
 
     fn evaluator(benchmark: Benchmark) -> QualityEvaluator {
         QualityEvaluator::builder(benchmark)
@@ -581,6 +511,26 @@ mod tests {
             .memory_rows(256)
             .build()
             .unwrap()
+    }
+
+    /// A whole campaign: the solo shard, reduced to per-scheme results.
+    fn quality_cdfs<B: FaultBackend + Clone>(
+        eval: &QualityEvaluator,
+        schemes: &[Scheme],
+        backend: &B,
+        max_failures: u64,
+        samples_per_count: usize,
+        seed: u64,
+    ) -> Result<Vec<QualityCdfResult>, AppError> {
+        let (state, _) = eval.quality_shard_on(
+            schemes,
+            backend,
+            max_failures,
+            samples_per_count,
+            seed,
+            ShardSpec::solo(),
+        )?;
+        eval.quality_results_from_state(schemes, backend, state)
     }
 
     #[test]
@@ -659,8 +609,8 @@ mod tests {
             .memory_rows(128)
             .build()
             .unwrap();
-        let result = eval
-            .quality_cdfs_paired(&[Scheme::secded32()], 1e-3, 6, 3, 23, true)
+        let sram = SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap();
+        let result = quality_cdfs(&eval, &[Scheme::secded32()], &sram, 6, 3, 23)
             .unwrap()
             .remove(0);
         // With at most one fault per word, SECDED is error-free: every
@@ -670,8 +620,8 @@ mod tests {
     }
 
     #[test]
-    fn backend_axis_matches_the_sram_shim_and_covers_all_technologies() {
-        use faultmit_memsim::{Backend, BackendKind, SramVddBackend};
+    fn backend_axis_covers_all_technologies() {
+        use faultmit_memsim::{Backend, BackendKind};
         let eval = QualityEvaluator::builder(Benchmark::Elasticnet)
             .samples(96)
             .memory_rows(128)
@@ -679,25 +629,10 @@ mod tests {
             .unwrap();
         let schemes = [Scheme::unprotected32(), Scheme::secded32()];
 
-        // The SRAM backend reproduces the p_cell-based shim bit-for-bit.
-        let shim = eval
-            .quality_cdfs_paired(&schemes, 1e-3, 4, 2, 19, false)
-            .unwrap();
-        let sram = SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap();
-        let explicit = eval
-            .quality_cdfs_paired_on(&schemes, &sram, 4, 2, 19, false)
-            .unwrap();
-        for (a, b) in shim.iter().zip(&explicit) {
-            assert_eq!(a.cdf, b.cdf);
-            assert_eq!(a.baseline_quality.to_bits(), b.baseline_quality.to_bits());
-        }
-
         // Every technology runs through the identical protocol.
-        for kind in [BackendKind::Dram, BackendKind::Mlc] {
+        for kind in BackendKind::ALL {
             let backend = Backend::at_p_cell(kind, eval.memory_config(), 1e-3).unwrap();
-            let results = eval
-                .quality_cdfs_paired_on(&schemes, &backend, 3, 2, 19, false)
-                .unwrap();
+            let results = quality_cdfs(&eval, &schemes, &backend, 3, 2, 19).unwrap();
             assert_eq!(results.len(), 2, "{kind}");
             for result in &results {
                 assert!(result.cdf.total_weight() > 0.0, "{kind}");
@@ -706,14 +641,11 @@ mod tests {
 
         // Geometry mismatches are rejected.
         let wrong = SramVddBackend::with_p_cell(MemoryConfig::new(64, 32).unwrap(), 1e-3).unwrap();
-        assert!(eval
-            .quality_cdfs_paired_on(&schemes, &wrong, 3, 2, 19, false)
-            .is_err());
+        assert!(quality_cdfs(&eval, &schemes, &wrong, 3, 2, 19).is_err());
     }
 
     #[test]
     fn quality_shard_states_merged_in_order_match_the_monolithic_campaign() {
-        use faultmit_memsim::SramVddBackend;
         use faultmit_sim::Accumulator;
         let eval = QualityEvaluator::builder(Benchmark::Elasticnet)
             .samples(96)
@@ -722,15 +654,13 @@ mod tests {
             .unwrap();
         let schemes = [Scheme::unprotected32(), Scheme::secded32()];
         let backend = SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap();
-        let monolithic = eval
-            .quality_cdfs_paired_on(&schemes, &backend, 4, 2, 19, true)
-            .unwrap();
+        let monolithic = quality_cdfs(&eval, &schemes, &backend, 4, 2, 19).unwrap();
         for shard_count in [2usize, 3] {
             let mut merged = CatalogueAccumulator::new(schemes.len());
             for index in 0..shard_count {
                 let shard = faultmit_sim::ShardSpec::new(index, shard_count).unwrap();
                 merged.merge(
-                    eval.quality_shard_on(&schemes, &backend, 4, 2, 19, true, shard)
+                    eval.quality_shard_on(&schemes, &backend, 4, 2, 19, shard)
                         .unwrap()
                         .0,
                 );

@@ -101,15 +101,12 @@ impl Fig7Campaign {
             .evaluators
             .iter()
             .map(|evaluator| {
-                // The paper's protocol discards fault maps with more than
-                // one fault per word (bounded redraw).
                 let (state, stats) = evaluator.quality_shard_on(
                     &self.schemes,
                     &self.backend,
                     self.max_failures,
                     self.samples_per_count,
                     self.seed,
-                    true,
                     shard,
                 )?;
                 generation_seconds += stats.generation_seconds;

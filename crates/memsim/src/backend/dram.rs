@@ -1,10 +1,9 @@
 //! DRAM/eDRAM retention-failure backend: exponential weak-cell retention
 //! times and spatially clustered fault placement.
 
-use super::{place_distinct, place_distinct_into, FaultBackend, FaultKindLaw, OperatingPoint};
+use super::{place_distinct, FaultBackend, FaultKindLaw, OperatingPoint};
 use crate::config::MemoryConfig;
 use crate::error::MemError;
-use crate::fault::FaultMap;
 use crate::scratch::DieScratch;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -55,7 +54,7 @@ const CLUSTER_COLS: i64 = 4;
 /// # Spatial law
 ///
 /// Retention failures are not iid: leaky cells share local substrate
-/// defects, so they arrive in clusters. `sample_with_count` draws cluster
+/// defects, so they arrive in clusters. `sample_into` draws cluster
 /// centres uniformly and places a burst of 1–7 faults (mean 4) within a
 /// `±2 rows × ±4 columns` window around each centre
 /// (toroidal wrap keeps the window inside the array), falling back to
@@ -71,7 +70,7 @@ pub struct DramRetentionBackend {
     refresh_interval_ms: f64,
     temperature_c: f64,
     weak_cell_fraction: f64,
-    kind_law: FaultKindLaw,
+    pub(super) kind_law: FaultKindLaw,
     p_cell: f64,
 }
 
@@ -185,10 +184,10 @@ impl DramRetentionBackend {
         self.weak_cell_fraction * (1.0 - (-t_ref_s / self.tau_s()).exp())
     }
 
-    /// The backend's spatial proposal law, shared verbatim by the allocating
-    /// and scratch sampling paths: cluster state persists across proposals —
-    /// a centre serves a burst of faults before the next centre is drawn.
-    fn proposer(&self) -> impl FnMut(&mut StdRng) -> (usize, usize) {
+    /// The backend's spatial proposal law: cluster state persists across
+    /// proposals — a centre serves a burst of faults before the next centre
+    /// is drawn.
+    pub(super) fn proposer(&self) -> impl FnMut(&mut StdRng) -> (usize, usize) {
         let rows = self.config.rows();
         let cols = self.config.word_bits();
         let burst_max = 2 * CLUSTER_SIZE - 1;
@@ -229,17 +228,13 @@ impl FaultBackend for DramRetentionBackend {
         }
     }
 
-    fn sample_with_count(&self, rng: &mut StdRng, n_faults: usize) -> Result<FaultMap, MemError> {
-        place_distinct(self.config, rng, n_faults, self.kind_law, self.proposer())
-    }
-
     fn sample_into(
         &self,
         rng: &mut StdRng,
         n_faults: usize,
         scratch: &mut DieScratch,
     ) -> Result<(), MemError> {
-        place_distinct_into(
+        place_distinct(
             self.config,
             rng,
             n_faults,

@@ -1,10 +1,9 @@
 //! Multi-level-cell (MLC) NVM backend: drift-broadened level margins and
 //! level-dependent, asymmetric bit-error placement.
 
-use super::{place_distinct, place_distinct_into, FaultBackend, FaultKindLaw, OperatingPoint};
+use super::{place_distinct, FaultBackend, FaultKindLaw, OperatingPoint};
 use crate::config::MemoryConfig;
 use crate::error::MemError;
-use crate::fault::FaultMap;
 use crate::scratch::DieScratch;
 use crate::stats::{normal_cdf, normal_quantile};
 use rand::rngs::StdRng;
@@ -42,7 +41,7 @@ const LSB_WEIGHT: f64 = 2.0;
 /// which flip the cell's *LSB page* bit and one its *MSB page* bit — so LSB
 /// bits misread about twice as often. Data bits map to cells alternately
 /// (even word columns = LSB page, odd = MSB page), and
-/// [`MlcNvmBackend::sample_with_count`] places faults with even columns
+/// [`MlcNvmBackend::sample_into`] places faults with even columns
 /// weighted 2 : 1 over odd columns, rows uniform. The requested fault count
 /// is always exact.
 ///
@@ -54,7 +53,7 @@ pub struct MlcNvmBackend {
     config: MemoryConfig,
     level_spacing_sigma: f64,
     drift_time_s: f64,
-    kind_law: FaultKindLaw,
+    pub(super) kind_law: FaultKindLaw,
     p_cell: f64,
 }
 
@@ -147,11 +146,10 @@ impl MlcNvmBackend {
         normal_cdf(-(self.level_spacing_sigma / 2.0) / self.drift_factor())
     }
 
-    /// The backend's spatial proposal law, shared verbatim by the
-    /// allocating and scratch sampling paths: a uniform row, then a column
+    /// The backend's spatial proposal law: a uniform row, then a column
     /// drawn by page fault mass — the LSB page (even columns, weight
     /// [`LSB_WEIGHT`]) or the MSB page (odd columns, weight 1).
-    fn proposer(&self) -> impl FnMut(&mut StdRng) -> (usize, usize) {
+    pub(super) fn proposer(&self) -> impl FnMut(&mut StdRng) -> (usize, usize) {
         let rows = self.config.rows();
         let cols = self.config.word_bits();
         let even_cols = cols.div_ceil(2);
@@ -193,17 +191,13 @@ impl FaultBackend for MlcNvmBackend {
         }
     }
 
-    fn sample_with_count(&self, rng: &mut StdRng, n_faults: usize) -> Result<FaultMap, MemError> {
-        place_distinct(self.config, rng, n_faults, self.kind_law, self.proposer())
-    }
-
     fn sample_into(
         &self,
         rng: &mut StdRng,
         n_faults: usize,
         scratch: &mut DieScratch,
     ) -> Result<(), MemError> {
-        place_distinct_into(
+        place_distinct(
             self.config,
             rng,
             n_faults,

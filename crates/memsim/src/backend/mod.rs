@@ -12,7 +12,7 @@
 //! * a **per-cell failure law** — the marginal probability that a bit-cell
 //!   is faulty at the backend's operating point ([`FaultBackend::p_cell`]);
 //! * a **fault-map distribution** — how a given number of faults is placed
-//!   over the array ([`FaultBackend::sample_with_count`]): iid uniform for
+//!   over the array ([`FaultBackend::sample_into`]): iid uniform for
 //!   SRAM, spatially clustered for DRAM retention, level-weighted columns
 //!   for MLC NVM;
 //! * an **operating point** — the technology-specific knob that moves the
@@ -32,7 +32,7 @@
 //!
 //! ```
 //! use faultmit_memsim::backend::{FaultBackend, OperatingPoint, SramVddBackend};
-//! use faultmit_memsim::{DieScratch, FaultMap, MemError, MemoryConfig, StreamSeeder};
+//! use faultmit_memsim::{DieScratch, MemError, MemoryConfig, StreamSeeder};
 //! use rand::rngs::StdRng;
 //!
 //! /// Faults from radiation strikes: iid placement, rate set by altitude.
@@ -63,14 +63,15 @@
 //!         }
 //!     }
 //!
-//!     fn sample_with_count(
+//!     fn sample_into(
 //!         &self,
 //!         rng: &mut StdRng,
 //!         n_faults: usize,
-//!     ) -> Result<FaultMap, MemError> {
+//!         scratch: &mut DieScratch,
+//!     ) -> Result<(), MemError> {
 //!         // Strikes land uniformly; reuse the SRAM backend's iid placement.
 //!         SramVddBackend::with_p_cell(self.config, self.p_cell())?
-//!             .sample_with_count(rng, n_faults)
+//!             .sample_into(rng, n_faults, scratch)
 //!     }
 //! }
 //!
@@ -137,8 +138,7 @@ pub use sram::SramVddBackend;
 
 use crate::config::MemoryConfig;
 use crate::error::MemError;
-use crate::fault::{Fault, FaultKind, FaultMap};
-use crate::floyd::CellBitmap;
+use crate::fault::{FaultKind, FaultMap};
 use crate::montecarlo::FailureCountDistribution;
 use crate::scratch::DieScratch;
 use rand::rngs::StdRng;
@@ -354,7 +354,7 @@ impl FromStr for FaultKindLaw {
 /// distribution, and operating-point parameterisation.
 ///
 /// Implementations must be deterministic functions of the RNG passed to
-/// [`FaultBackend::sample_with_count`]: the parallel pipeline hands every
+/// [`FaultBackend::sample_into`]: the parallel pipeline hands every
 /// Monte-Carlo sample an RNG derived from `(campaign seed, sample index)`,
 /// and bit-identical campaigns at any worker count follow only if backends
 /// never draw randomness from anywhere else.
@@ -374,39 +374,34 @@ pub trait FaultBackend: fmt::Debug + Send + Sync {
     fn operating_point(&self) -> OperatingPoint;
 
     /// Draws a fault map with exactly `n_faults` faulty cells, placed
-    /// according to the backend's spatial law.
+    /// according to the backend's spatial law, into a reusable
+    /// [`DieScratch`] arena — the one way a die is drawn. The in-tree
+    /// backends place faults in the arena's own buffers, so steady-state
+    /// generation never allocates; a custom backend may instead build a map
+    /// and install it with [`DieScratch::replace_map`].
     ///
     /// # Errors
     ///
     /// Returns [`MemError::InvalidParameter`] when `n_faults` exceeds the
     /// cell count, or propagates map-construction errors.
-    fn sample_with_count(&self, rng: &mut StdRng, n_faults: usize) -> Result<FaultMap, MemError>;
-
-    /// Draws a fault map with exactly `n_faults` faults into a reusable
-    /// [`DieScratch`] arena instead of allocating a fresh map.
-    ///
-    /// Implementations must consume the RNG **identically** to
-    /// [`FaultBackend::sample_with_count`] and leave the arena's map equal
-    /// to what that method would have returned — the sparse evaluation
-    /// pipeline treats the two paths as interchangeable and the
-    /// kernel-equivalence suite asserts it. The default implementation
-    /// simply delegates to the allocating path and moves the result into
-    /// the arena, so custom backends stay correct (but not allocation-free)
-    /// without overriding this; the in-tree backends override it to reuse
-    /// the arena's buffers end to end.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`FaultBackend::sample_with_count`].
     fn sample_into(
         &self,
         rng: &mut StdRng,
         n_faults: usize,
         scratch: &mut DieScratch,
-    ) -> Result<(), MemError> {
-        let map = self.sample_with_count(rng, n_faults)?;
-        scratch.replace_map(map);
-        Ok(())
+    ) -> Result<(), MemError>;
+
+    /// Draws a fault map with exactly `n_faults` faults into a fresh arena
+    /// and returns it: [`FaultBackend::sample_into`] for one-off draws,
+    /// consuming the RNG identically. Records no metrics.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`FaultBackend::sample_into`].
+    fn sample_with_count(&self, rng: &mut StdRng, n_faults: usize) -> Result<FaultMap, MemError> {
+        let mut scratch = DieScratch::new(self.config());
+        self.sample_into(rng, n_faults, &mut scratch)?;
+        Ok(scratch.into_map())
     }
 
     /// Distribution of the die failure count `N` implied by the per-cell
@@ -438,10 +433,6 @@ impl<B: FaultBackend + ?Sized> FaultBackend for &B {
 
     fn operating_point(&self) -> OperatingPoint {
         (**self).operating_point()
-    }
-
-    fn sample_with_count(&self, rng: &mut StdRng, n_faults: usize) -> Result<FaultMap, MemError> {
-        (**self).sample_with_count(rng, n_faults)
     }
 
     fn sample_into(
@@ -626,14 +617,6 @@ impl FaultBackend for Backend {
         }
     }
 
-    fn sample_with_count(&self, rng: &mut StdRng, n_faults: usize) -> Result<FaultMap, MemError> {
-        match self {
-            Backend::Sram(b) => b.sample_with_count(rng, n_faults),
-            Backend::Dram(b) => b.sample_with_count(rng, n_faults),
-            Backend::Mlc(b) => b.sample_with_count(rng, n_faults),
-        }
-    }
-
     fn sample_into(
         &self,
         rng: &mut StdRng,
@@ -666,97 +649,20 @@ impl From<MlcNvmBackend> for Backend {
     }
 }
 
-/// Places `n_faults` distinct faults by repeatedly proposing cells from
-/// `propose` (the backend's spatial law), falling back to uniform rejection
-/// sampling when a proposal streak keeps hitting occupied cells — this
-/// guarantees the exact count and termination for every density up to a full
-/// array.
-///
-/// The allocating reference of [`place_distinct_into`]: occupancy lives in a
-/// hash set and the map is sorted once at the end.
+/// Places `n_faults` distinct faults into `scratch` by repeatedly proposing
+/// cells from `propose` (the backend's spatial law), falling back to
+/// uniform rejection sampling when a proposal streak keeps hitting occupied
+/// cells — this guarantees the exact count and termination for every
+/// density up to a full array. Each placed cell draws its kind right away;
+/// occupancy and kinds live in the arena's cell bitmap, which loads the
+/// arena's map in one ordered pass.
 pub(crate) fn place_distinct<R, P>(
     config: MemoryConfig,
     rng: &mut R,
     n_faults: usize,
     kind_law: FaultKindLaw,
-    propose: P,
-) -> Result<FaultMap, MemError>
-where
-    R: Rng + ?Sized,
-    P: FnMut(&mut R) -> (usize, usize),
-{
-    let mut placed = (
-        std::collections::HashSet::with_capacity(n_faults),
-        FaultMap::new(config),
-    );
-    place_distinct_core(config, rng, n_faults, kind_law, propose, &mut placed)?;
-    let (_, mut map) = placed;
-    map.restore_sorted_order();
-    Ok(map)
-}
-
-/// [`place_distinct`] into a scratch arena: identical placement algorithm
-/// and RNG consumption, but occupancy and each fault's kind live in the
-/// arena's cell bitmap, which loads the arena's map in one ordered pass.
-pub(crate) fn place_distinct_into<R, P>(
-    config: MemoryConfig,
-    rng: &mut R,
-    n_faults: usize,
-    kind_law: FaultKindLaw,
-    propose: P,
-    scratch: &mut DieScratch,
-) -> Result<(), MemError>
-where
-    R: Rng + ?Sized,
-    P: FnMut(&mut R) -> (usize, usize),
-{
-    scratch.start_die(config);
-    place_distinct_core(config, rng, n_faults, kind_law, propose, &mut scratch.cells)?;
-    scratch.finish_die();
-    Ok(())
-}
-
-/// Where [`place_distinct_core`] records a die.
-trait Placement {
-    /// Marks `cell`, reporting whether it was free.
-    fn take(&mut self, cell: usize) -> bool;
-    /// Records the fault at `cell`, which `take` just marked, right after
-    /// its kind draw.
-    fn place(&mut self, cell: usize, kind: FaultKind) -> Result<(), MemError>;
-}
-
-/// The allocating reference: a hash set of taken cells and an unsorted map.
-impl Placement for (std::collections::HashSet<usize>, FaultMap) {
-    fn take(&mut self, cell: usize) -> bool {
-        self.0.insert(cell)
-    }
-
-    fn place(&mut self, cell: usize, kind: FaultKind) -> Result<(), MemError> {
-        let (row, col) = self.1.config().cell_position(cell);
-        self.1.push_unsorted(Fault::new(row, col, kind))
-    }
-}
-
-/// The arena: the cell bitmap keeps each taken cell's fault kind.
-impl Placement for CellBitmap {
-    fn take(&mut self, cell: usize) -> bool {
-        self.insert(cell)
-    }
-
-    fn place(&mut self, cell: usize, kind: FaultKind) -> Result<(), MemError> {
-        self.set_kind(cell, kind);
-        Ok(())
-    }
-}
-
-/// The placement schedule both paths share, recording into `record`.
-fn place_distinct_core<R, P>(
-    config: MemoryConfig,
-    rng: &mut R,
-    n_faults: usize,
-    kind_law: FaultKindLaw,
     mut propose: P,
-    record: &mut impl Placement,
+    scratch: &mut DieScratch,
 ) -> Result<(), MemError>
 where
     R: Rng + ?Sized,
@@ -769,17 +675,15 @@ where
             reason: format!("cannot place {n_faults} faults in {total} cells"),
         });
     }
-    // `take` guarantees distinct cells, so the faults are collected
-    // unordered and put in order once at the end: the reference sorts its
-    // map, the arena drains its cell bitmap (a per-fault sorted insert is
-    // quadratic at dense fault counts). The RNG schedule is untouched.
+    scratch.start_die(config);
+    let cells = &mut scratch.cells;
     for _ in 0..n_faults {
         let mut placed = false;
         for _ in 0..MAX_PROPOSALS_PER_FAULT {
             let (row, col) = propose(rng);
             let cell = config.cell_index(row, col);
-            if record.take(cell) {
-                record.place(cell, kind_law.sample(rng))?;
+            if cells.insert(cell) {
+                cells.set_kind(cell, kind_law.sample(rng));
                 placed = true;
                 break;
             }
@@ -788,14 +692,95 @@ where
             // Uniform fallback over the remaining free cells.
             loop {
                 let cell = rng.gen_range(0..total);
-                if record.take(cell) {
-                    record.place(cell, kind_law.sample(rng))?;
+                if cells.insert(cell) {
+                    cells.set_kind(cell, kind_law.sample(rng));
                     break;
                 }
             }
         }
     }
+    scratch.finish_die();
     Ok(())
+}
+
+/// Allocating hash-set placements: test oracles for the arena's bitmap
+/// placement that share none of its bookkeeping. Each consumes the RNG as
+/// the backend's [`FaultBackend::sample_into`] does, tracks taken cells in a
+/// `HashSet` and sorts its faults.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{Backend, FaultBackend, FaultKindLaw};
+    use crate::config::MemoryConfig;
+    use crate::fault::{Fault, FaultMap};
+    use rand::rngs::StdRng;
+    use rand::Rng;
+    use std::collections::HashSet;
+
+    /// The reference draw of `backend`'s placement.
+    pub(crate) fn sample(backend: &Backend, rng: &mut StdRng, n_faults: usize) -> FaultMap {
+        match backend {
+            Backend::Sram(b) => floyd(b.config(), b.kind_law(), rng, n_faults),
+            Backend::Dram(b) => rejection(b.config(), b.kind_law, rng, n_faults, b.proposer()),
+            Backend::Mlc(b) => rejection(b.config(), b.kind_law, rng, n_faults, b.proposer()),
+        }
+    }
+
+    /// SRAM: `rand`'s hash-set Floyd sampler, sorted, then — under a
+    /// stuck-at law — one kind draw per fault in map order.
+    fn floyd(
+        config: MemoryConfig,
+        kind_law: FaultKindLaw,
+        rng: &mut StdRng,
+        n_faults: usize,
+    ) -> FaultMap {
+        let mut cells = rand::seq::index::sample(rng, config.total_cells(), n_faults).into_vec();
+        cells.sort_unstable();
+        let mut faults: Vec<Fault> = cells
+            .into_iter()
+            .map(|cell| {
+                let (row, col) = config.cell_position(cell);
+                Fault::bit_flip(row, col)
+            })
+            .collect();
+        if !matches!(kind_law, FaultKindLaw::AlwaysFlip) {
+            for fault in &mut faults {
+                fault.kind = kind_law.sample(rng);
+            }
+        }
+        FaultMap::from_faults(config, faults).expect("cells lie inside the array")
+    }
+
+    /// DRAM and MLC: up to 16 proposals of the backend's spatial law per
+    /// fault, then uniform draws, until a cell not yet in the set turns up;
+    /// each placed cell draws its kind right away.
+    fn rejection(
+        config: MemoryConfig,
+        kind_law: FaultKindLaw,
+        rng: &mut StdRng,
+        n_faults: usize,
+        mut propose: impl FnMut(&mut StdRng) -> (usize, usize),
+    ) -> FaultMap {
+        let total = config.total_cells();
+        let mut taken = HashSet::new();
+        let mut faults = Vec::new();
+        for _ in 0..n_faults {
+            let proposed = (0..16)
+                .map(|_| {
+                    let (row, col) = propose(rng);
+                    config.cell_index(row, col)
+                })
+                .find(|&cell| taken.insert(cell));
+            let cell = proposed.unwrap_or_else(|| loop {
+                let cell = rng.gen_range(0..total);
+                if taken.insert(cell) {
+                    break cell;
+                }
+            });
+            let (row, col) = config.cell_position(cell);
+            faults.push(Fault::new(row, col, kind_law.sample(rng)));
+        }
+        FaultMap::from_faults(config, faults).expect("cells lie inside the array")
+    }
 }
 
 #[cfg(test)]

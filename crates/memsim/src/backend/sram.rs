@@ -4,11 +4,9 @@ use super::{FaultBackend, FaultKindLaw, OperatingPoint};
 use crate::config::MemoryConfig;
 use crate::error::MemError;
 use crate::failure_model::{CellFailureModel, NOMINAL_VDD};
-use crate::fault::{Fault, FaultKind, FaultMap};
 use crate::floyd::floyd_step;
 use crate::scratch::DieScratch;
 use rand::rngs::StdRng;
-use rand::seq::index::sample as sample_indices;
 use rand::Rng;
 
 /// SRAM bit-cell failures exposed by supply-voltage scaling — the paper's
@@ -170,40 +168,14 @@ impl FaultBackend for SramVddBackend {
         OperatingPoint::SramVdd { vdd: self.vdd }
     }
 
-    fn sample_with_count(&self, rng: &mut StdRng, n_faults: usize) -> Result<FaultMap, MemError> {
-        // The allocating reference: the hash-set Floyd sampler of `rand`.
-        let total = self.checked_total(n_faults)?;
-        let mut map = FaultMap::new(self.config);
-        // Floyd's algorithm yields distinct indices, so the map can be
-        // bulk-loaded and sorted once (a per-fault sorted insert is
-        // quadratic at dense fault counts).
-        for index in sample_indices(rng, total, n_faults).into_iter() {
-            let (row, col) = self.config.cell_position(index);
-            map.push_unsorted(Fault::new(row, col, FaultKind::BitFlip))?;
-        }
-        map.restore_sorted_order();
-        if matches!(self.kind_law, FaultKindLaw::AlwaysFlip) {
-            return Ok(map);
-        }
-        // Non-default law: keep the Floyd positions, draw each cell's
-        // behaviour in the map's deterministic (row, column) order.
-        let faults: Vec<Fault> = map
-            .iter()
-            .map(|fault| Fault::new(fault.row, fault.col, self.kind_law.sample(rng)))
-            .collect();
-        FaultMap::from_faults(self.config, faults)
-    }
-
     fn sample_into(
         &self,
         rng: &mut StdRng,
         n_faults: usize,
         scratch: &mut DieScratch,
     ) -> Result<(), MemError> {
-        // Same RNG schedule as `sample_with_count`: the same Floyd draws,
-        // answered from the arena's cell bitmap instead of a hash set,
-        // then — for non-default laws — one kind draw per fault in
-        // (row, column) order.
+        // Floyd's draws, answered from the arena's cell bitmap, then — for
+        // non-default laws — one kind draw per fault in (row, column) order.
         let total = self.checked_total(n_faults)?;
         scratch.start_die(self.config);
         for j in total - n_faults..total {
@@ -220,6 +192,7 @@ impl FaultBackend for SramVddBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultKind, FaultMap};
     use rand::SeedableRng;
 
     fn config() -> MemoryConfig {

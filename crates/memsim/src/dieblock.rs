@@ -37,9 +37,8 @@
 //! Block *generation* is the scalar per-sample generation, transposed.
 //! Every planned sample owns the stream
 //! [`StreamSeeder::rng_for_sample`](crate::StreamSeeder::rng_for_sample)
-//! derives for it; the per-sample path
-//! ([`DieScratch::generate`](crate::DieScratch::generate) /
-//! [`generate_single_fault_per_row`](crate::DieScratch::generate_single_fault_per_row))
+//! derives for it; the per-sample draw
+//! ([`DieScratch::generate_with_policy`](crate::DieScratch::generate_with_policy))
 //! runs once per sample and the resulting faults are transposed afterwards.
 //! Every sample therefore consumes exactly the RNG stream it consumes on
 //! the sparse kernel — determinism, sharding and paired scheme comparison
@@ -188,15 +187,6 @@ pub(crate) fn pack_event(row: usize, col: usize, die: usize, kind: FaultKind) ->
     ((row as u64) << 16) | ((col as u64) << 10) | ((die as u64) << 2) | kind.code()
 }
 
-/// The `(row, col)` bucket key of a packed event — what the counting sort
-/// in [`BlockScratch::generate_block`](crate::BlockScratch::generate_block)
-/// buckets on (die order inside a bucket is the arrival order, which is
-/// already ascending).
-#[inline]
-pub(crate) fn event_sort_key(event: u64) -> usize {
-    (event >> 10) as usize
-}
-
 /// Rebuilds the row directory and lane cells from sorted packed events.
 /// Clears (but never shrinks) the output buffers.
 pub(crate) fn transpose_events(
@@ -334,7 +324,7 @@ impl ResidualLanes {
 mod tests {
     use super::*;
     use crate::backend::{Backend, BackendKind, FaultKindLaw};
-    use crate::scratch::{BlockScratch, DieScratch};
+    use crate::scratch::{BlockScratch, DieScratch, MapPolicy};
     use crate::seeder::{PlannedSample, StreamSeeder};
 
     fn config() -> MemoryConfig {
@@ -467,13 +457,18 @@ mod tests {
         for planned in &plan {
             let mut rng = seeder.rng_for_sample(planned.index);
             let map = reference
-                .generate_single_fault_per_row(&backend, &mut rng, planned.n_faults as usize, 8)
+                .generate_with_policy(
+                    &backend,
+                    &mut rng,
+                    planned.n_faults as usize,
+                    MapPolicy::SingleFaultPerRow,
+                )
                 .unwrap();
             expected.push(map.iter().collect());
         }
         let mut scratch = BlockScratch::new(config());
         let block = scratch
-            .generate_block(&backend, &seeder, &plan, Some(8))
+            .generate_block(&backend, &seeder, &plan, Some(MapPolicy::SingleFaultPerRow))
             .unwrap();
         let mut total = 0usize;
         for row in block.rows() {

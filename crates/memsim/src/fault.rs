@@ -198,23 +198,9 @@ impl FaultMap {
         Ok(())
     }
 
-    /// Appends a fault without restoring the sort invariant — the bulk-load
-    /// fast path for samplers that already guarantee distinct cells. Every
-    /// batch of `push_unsorted` calls must be followed by
-    /// [`restore_sorted_order`](Self::restore_sorted_order) before the map
-    /// is queried (a per-fault sorted insert would make bulk generation
-    /// quadratic in the fault count).
-    pub(crate) fn push_unsorted(&mut self, fault: Fault) -> Result<(), MemError> {
-        self.config.check_row(fault.row)?;
-        self.config.check_col(fault.col)?;
-        self.faults.push(fault);
-        Ok(())
-    }
-
     /// Appends a fault that sorts after every stored one — the bulk load of
-    /// generators that emit faults already in `(row, col)` order, which need
-    /// no [`restore_sorted_order`](Self::restore_sorted_order) pass. The
-    /// caller guarantees the location is inside the array.
+    /// generators that emit faults already in `(row, col)` order, so no die
+    /// is sorted. The caller guarantees the location is inside the array.
     pub(crate) fn push_in_order(&mut self, fault: Fault) {
         debug_assert!(fault.row < self.config.rows() && fault.col < self.config.word_bits());
         debug_assert!(self
@@ -222,13 +208,6 @@ impl FaultMap {
             .last()
             .is_none_or(|last| (last.row, last.col) < (fault.row, fault.col)));
         self.faults.push(fault);
-    }
-
-    /// Restores the `(row, col)` sort invariant after a `push_unsorted`
-    /// batch. Cells are distinct by the caller's contract, so an unstable
-    /// sort is exact.
-    pub(crate) fn restore_sorted_order(&mut self) {
-        self.faults.sort_unstable_by_key(|f| (f.row, f.col));
     }
 
     /// Removes the fault at `(row, col)`, returning its kind if present.
@@ -349,8 +328,8 @@ impl FaultMap {
     }
 
     /// Re-draws the kind of every stored fault in `(row, col)` order while
-    /// keeping positions — the in-place twin of the SRAM backend's
-    /// "place with the default law, then re-kind in map order" protocol.
+    /// keeping positions — the SRAM backend's "place with the default law,
+    /// then re-kind in map order" protocol.
     pub(crate) fn rekind_in_order(&mut self, mut kind: impl FnMut() -> FaultKind) {
         for fault in &mut self.faults {
             fault.kind = kind();

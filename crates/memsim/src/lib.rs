@@ -86,6 +86,6 @@ pub use fault::{Fault, FaultKind, FaultMap};
 pub use image::{AppImage, ImageSpec};
 pub use montecarlo::FailureCountDistribution;
 pub use redundancy::repair_yield;
-pub use scratch::{BlockScratch, DieScratch};
+pub use scratch::{BlockScratch, DieScratch, MapPolicy};
 pub use seeder::{PlannedSample, StreamSeeder};
 pub use voltage::{VddSweep, VoltageScaledDie};

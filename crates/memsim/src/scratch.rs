@@ -18,7 +18,7 @@
 use crate::backend::FaultBackend;
 use crate::config::MemoryConfig;
 use crate::dieblock::{
-    event_sort_key, pack_event, transpose_events, BlockRowEntry, DieBlock, LaneCell, BLOCK_DIES,
+    pack_event, transpose_events, BlockRowEntry, DieBlock, LaneCell, BLOCK_DIES,
 };
 use crate::error::MemError;
 use crate::fault::{Fault, FaultMap};
@@ -27,16 +27,39 @@ use crate::seeder::{PlannedSample, StreamSeeder};
 use faultmit_obs as obs;
 use rand::rngs::StdRng;
 
+/// How many times [`MapPolicy::SingleFaultPerRow`] redraws a die that still
+/// places two faults in one row before it keeps the last draw. The bound
+/// keeps extreme fault densities from looping forever; under the iid SRAM
+/// backend at Fig. 7 densities a redraw virtually always succeeds long
+/// before it.
+pub const MAX_REDRAWS: usize = 1_000;
+
+/// Which drawn dies a campaign keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum MapPolicy {
+    /// Keep every drawn die (the Fig. 5 protocol).
+    #[default]
+    Unrestricted,
+    /// Redraw, on the same RNG and up to [`MAX_REDRAWS`] times, a die that
+    /// places more than one fault in a single row — the Fig. 7 protocol,
+    /// under which SECDED is error-free.
+    ///
+    /// The filter is **best-effort**: when the budget is exhausted the last
+    /// die is kept even if it still has multi-fault rows. Spatially
+    /// structured backends (clustered DRAM retention) collide by
+    /// construction, so at higher fault counts most kept dies retain
+    /// multi-fault rows and word-level ECC is *not* error-free — an expected
+    /// property of those technologies, not a sampling artefact.
+    SingleFaultPerRow,
+}
+
 /// A reusable arena for sampling one die at a time without steady-state
 /// heap allocation.
 ///
 /// Create one per worker thread ([`DieScratch::new`]), then call
-/// [`DieScratch::generate`] (or
-/// [`DieScratch::generate_single_fault_per_row`]) once per die. The
-/// resulting [`FaultMap`] view is borrowed from the arena and valid until
-/// the next generation call. RNG consumption is bit-identical to the
-/// allocating [`FaultBackend::sample_with_count`] path, so campaigns built
-/// on scratch reuse reproduce the legacy results exactly.
+/// [`DieScratch::generate_with_policy`] (or [`DieScratch::generate`] for an
+/// unrestricted die) once per die. The resulting [`FaultMap`] view is
+/// borrowed from the arena and valid until the next generation call.
 #[derive(Debug)]
 pub struct DieScratch {
     /// The die's fault map, cleared (capacity kept) between generations.
@@ -65,11 +88,15 @@ impl DieScratch {
         &self.map
     }
 
-    /// Replaces the arena's fault map wholesale. This is the fallback entry
-    /// point for custom [`FaultBackend`]s that do not override
-    /// [`FaultBackend::sample_into`] — it hands ownership of a freshly
-    /// allocated map to the arena (and therefore counts as a realloc event
-    /// on every call).
+    /// The arena's map, by value.
+    pub(crate) fn into_map(self) -> FaultMap {
+        self.map
+    }
+
+    /// Replaces the arena's fault map wholesale: the way a custom
+    /// [`FaultBackend::sample_into`] installs a map it built itself. The
+    /// arena then holds a freshly allocated map, so a generation call that
+    /// replaces it counts as a realloc event whenever the capacity changes.
     pub fn replace_map(&mut self, map: FaultMap) {
         self.map = map;
     }
@@ -106,13 +133,12 @@ impl DieScratch {
         });
     }
 
-    pub(crate) fn capacity_signature(&self) -> [usize; 2] {
+    fn capacity_signature(&self) -> [usize; 2] {
         [self.map.capacity(), self.cells.capacity()]
     }
 
-    /// Generates one die with exactly `n_faults` faults into the arena —
-    /// the allocation-free twin of [`FaultBackend::sample_with_count`],
-    /// bit-identical at the same RNG state.
+    /// Generates one die with exactly `n_faults` faults into the arena
+    /// under [`MapPolicy::Unrestricted`].
     ///
     /// # Errors
     ///
@@ -124,43 +150,34 @@ impl DieScratch {
         rng: &mut StdRng,
         n_faults: usize,
     ) -> Result<&FaultMap, MemError> {
-        let before = self.capacity_signature();
-        backend.sample_into(rng, n_faults, self)?;
-        if self.capacity_signature() != before {
-            self.realloc_events += 1;
-            obs::count(obs::Counter::ReallocEvents, 1);
-        }
-        obs::count(obs::Counter::DiesGenerated, 1);
-        obs::count(obs::Counter::FaultsGenerated, n_faults as u64);
-        obs::record(obs::Histogram::FaultsPerDie, n_faults as u64);
-        Ok(&self.map)
+        self.generate_with_policy(backend, rng, n_faults, MapPolicy::Unrestricted)
     }
 
-    /// Generates one die, redrawing it on the same RNG (up to `max_redraws`
-    /// times) while any row holds more than one fault — the Fig. 7 protocol
-    /// under which SECDED is error-free.
-    ///
-    /// Best-effort: when the budget runs out the last draw is kept,
-    /// multi-fault rows and all. Spatial laws that cluster faults (DRAM
-    /// retention) exhaust it routinely at higher fault counts.
+    /// Generates one die with exactly `n_faults` faults into the arena under
+    /// `policy`, redrawing it on the same RNG while the policy rejects it,
+    /// and records the die in the observability counters — the one die
+    /// draw of every campaign kernel.
     ///
     /// # Errors
     ///
-    /// Propagates the backend's sampling errors.
-    pub fn generate_single_fault_per_row<B: FaultBackend + ?Sized>(
+    /// Propagates the backend's sampling errors (e.g. `n_faults` exceeding
+    /// the cell count).
+    pub fn generate_with_policy<B: FaultBackend + ?Sized>(
         &mut self,
         backend: &B,
         rng: &mut StdRng,
         n_faults: usize,
-        max_redraws: usize,
+        policy: MapPolicy,
     ) -> Result<&FaultMap, MemError> {
         let before = self.capacity_signature();
         backend.sample_into(rng, n_faults, self)?;
-        for _ in 0..max_redraws {
-            if self.map.max_faults_per_row() <= 1 {
-                break;
+        if policy == MapPolicy::SingleFaultPerRow {
+            for _ in 0..MAX_REDRAWS {
+                if self.map.max_faults_per_row() <= 1 {
+                    break;
+                }
+                backend.sample_into(rng, n_faults, self)?;
             }
-            backend.sample_into(rng, n_faults, self)?;
         }
         if self.capacity_signature() != before {
             self.realloc_events += 1;
@@ -188,10 +205,6 @@ pub struct BlockScratch {
     scalar: DieScratch,
     /// Packed `(row, col, die, kind)` events for block transposition.
     events: Vec<u64>,
-    /// Bucket directory for the counting sort of dense event batches.
-    counts: Vec<u32>,
-    /// Scatter target for the counting sort of dense event batches.
-    sorted: Vec<u64>,
     /// Transposed lane cells backing the current [`DieBlock`] view.
     cells: Vec<LaneCell>,
     /// Row directory backing the current [`DieBlock`] view.
@@ -206,8 +219,6 @@ impl BlockScratch {
         Self {
             scalar: DieScratch::new(config),
             events: Vec::new(),
-            counts: Vec::new(),
-            sorted: Vec::new(),
             cells: Vec::new(),
             rows: Vec::new(),
             realloc_events: 0,
@@ -234,29 +245,21 @@ impl BlockScratch {
         self.realloc_events + self.scalar.realloc_events()
     }
 
-    fn capacity_signature(&self) -> [usize; 7] {
-        let scalar = self.scalar.capacity_signature();
-        // The counting sort swaps the `events` and `sorted` buffers, so
-        // record that pair order-independently: a swap of warm buffers is
-        // not a reallocation.
-        let events = self.events.capacity();
-        let sorted = self.sorted.capacity();
+    /// The transposition buffers' capacities; the wrapped arena counts its
+    /// own growth.
+    fn capacity_signature(&self) -> [usize; 3] {
         [
-            scalar[0],
-            scalar[1],
-            events.min(sorted),
-            events.max(sorted),
-            self.counts.capacity(),
+            self.events.capacity(),
             self.cells.capacity(),
             self.rows.capacity(),
         ]
     }
 
     /// Generates up to [`BLOCK_DIES`] planned samples into one transposed
-    /// [`DieBlock`]: die `j` of the block is `plan[j]`, generated with the
-    /// *same* RNG stream ([`StreamSeeder::rng_for_sample`]) and the same
-    /// per-sample protocol (plain, or single-fault-per-row when
-    /// `max_redraws` is `Some`) as the scalar and sparse kernels, then
+    /// [`DieBlock`]: die `j` of the block is `plan[j]`, drawn by
+    /// [`DieScratch::generate_with_policy`] under `policy` (`None` is
+    /// [`MapPolicy::Unrestricted`]) with the *same* RNG stream
+    /// ([`StreamSeeder::rng_for_sample`]) as the sparse kernel, then
     /// transposed into per-cell lanes. The view borrows the arena and is
     /// valid until the next generation call.
     ///
@@ -269,7 +272,7 @@ impl BlockScratch {
         backend: &B,
         seeder: &StreamSeeder,
         plan: &[PlannedSample],
-        max_redraws: Option<usize>,
+        policy: Option<MapPolicy>,
     ) -> Result<DieBlock<'_>, MemError> {
         if plan.len() > BLOCK_DIES {
             return Err(MemError::InvalidParameter {
@@ -279,43 +282,26 @@ impl BlockScratch {
                 ),
             });
         }
+        let policy = policy.unwrap_or_default();
         let before = self.capacity_signature();
-        let mut events = std::mem::take(&mut self.events);
-        events.clear();
-        let result = self.fill_events(backend, seeder, plan, max_redraws, &mut events);
-        self.events = events;
-        result?;
-        let transpose_span = obs::span(obs::Stage::Transpose);
-        // Restore `(row, col, die)` order for transposition. Events arrive
-        // die-major with each die already `(row, col)`-sorted, so a stable
-        // two-pass counting sort on the `(row, col)` key reproduces the
-        // exact `sort_unstable` order in linear time — the win that makes
-        // dense blocks affordable. Sparse batches keep the comparison sort,
-        // where zeroing the bucket directory would dominate.
-        let buckets = self.scalar.map.config().rows() << 6;
-        if self.events.len() >= buckets >> 3 {
-            self.counts.clear();
-            self.counts.resize(buckets, 0);
-            for &event in &self.events {
-                self.counts[event_sort_key(event)] += 1;
-            }
-            let mut offset = 0u32;
-            for slot in &mut self.counts {
-                let count = *slot;
-                *slot = offset;
-                offset += count;
-            }
-            self.sorted.clear();
-            self.sorted.resize(self.events.len(), 0);
-            for &event in &self.events {
-                let key = event_sort_key(event);
-                self.sorted[self.counts[key] as usize] = event;
-                self.counts[key] += 1;
-            }
-            std::mem::swap(&mut self.events, &mut self.sorted);
-        } else {
-            self.events.sort_unstable();
+        self.events.clear();
+        for (die, planned) in plan.iter().enumerate() {
+            let mut rng = seeder.rng_for_sample(planned.index);
+            let map = self.scalar.generate_with_policy(
+                backend,
+                &mut rng,
+                planned.n_faults as usize,
+                policy,
+            )?;
+            self.events.extend(
+                map.iter()
+                    .map(|fault| pack_event(fault.row, fault.col, die, fault.kind)),
+            );
         }
+        let transpose_span = obs::span(obs::Stage::Transpose);
+        // Events arrive die-major; the packed layout sorts to the
+        // `(row, col, die)` order the transposition reads.
+        self.events.sort_unstable();
         transpose_events(&self.events, &mut self.cells, &mut self.rows);
         drop(transpose_span);
         obs::count(obs::Counter::BlocksTransposed, 1);
@@ -330,70 +316,16 @@ impl BlockScratch {
             self.scalar.map.config(),
         ))
     }
-
-    /// The generation half of [`BlockScratch::generate_block`]: one die at
-    /// a time through the wrapped [`DieScratch`], repacked into events.
-    fn fill_events<B: FaultBackend + ?Sized>(
-        &mut self,
-        backend: &B,
-        seeder: &StreamSeeder,
-        plan: &[PlannedSample],
-        max_redraws: Option<usize>,
-        events: &mut Vec<u64>,
-    ) -> Result<(), MemError> {
-        for (die, planned) in plan.iter().enumerate() {
-            let mut rng = seeder.rng_for_sample(planned.index);
-            let n_faults = planned.n_faults as usize;
-            // Replicate the per-sample RNG consumption exactly: plain draw,
-            // or the single-fault-per-row redraw loop.
-            backend.sample_into(&mut rng, n_faults, &mut self.scalar)?;
-            if let Some(max_redraws) = max_redraws {
-                for _ in 0..max_redraws {
-                    if self.scalar.map.max_faults_per_row() <= 1 {
-                        break;
-                    }
-                    backend.sample_into(&mut rng, n_faults, &mut self.scalar)?;
-                }
-            }
-            for fault in self.scalar.map.iter() {
-                events.push(pack_event(fault.row, fault.col, die, fault.kind));
-            }
-            let n_faults = planned.n_faults;
-            obs::count(obs::Counter::DiesGenerated, 1);
-            obs::count(obs::Counter::FaultsGenerated, n_faults);
-            obs::record(obs::Histogram::FaultsPerDie, n_faults);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Backend, BackendKind, FaultKindLaw};
+    use crate::backend::{reference, Backend, BackendKind, FaultKindLaw};
     use rand::SeedableRng;
 
     fn config() -> MemoryConfig {
         MemoryConfig::new(128, 32).unwrap()
-    }
-
-    #[test]
-    fn scratch_generation_is_bit_identical_to_the_allocating_path_per_backend() {
-        for kind in BackendKind::ALL {
-            let backend = Backend::at_p_cell(kind, config(), 1e-3).unwrap();
-            let mut scratch = DieScratch::new(config());
-            for seed in 0..12u64 {
-                let mut rng_scratch = StdRng::seed_from_u64(seed);
-                let mut rng_fresh = StdRng::seed_from_u64(seed);
-                let n = (seed as usize * 3) % 40;
-                let fresh = backend.sample_with_count(&mut rng_fresh, n).unwrap();
-                let reused = scratch.generate(&backend, &mut rng_scratch, n).unwrap();
-                assert_eq!(reused, &fresh, "{kind}, seed {seed}");
-                // The RNGs must land in the same state (same consumption).
-                use rand::Rng;
-                assert_eq!(rng_scratch.gen::<u64>(), rng_fresh.gen::<u64>(), "{kind}");
-            }
-        }
     }
 
     #[test]
@@ -409,7 +341,7 @@ mod tests {
             for seed in 0..8u64 {
                 let mut rng_scratch = StdRng::seed_from_u64(seed);
                 let mut rng_fresh = StdRng::seed_from_u64(seed);
-                let fresh = backend.sample_with_count(&mut rng_fresh, 25).unwrap();
+                let fresh = reference::sample(&backend, &mut rng_fresh, 25);
                 let reused = scratch.generate(&backend, &mut rng_scratch, 25).unwrap();
                 assert_eq!(reused, &fresh, "{kind}, seed {seed}");
             }
@@ -425,7 +357,8 @@ mod tests {
         // included (SRAM re-kinds after placement, DRAM and MLC draw a kind
         // per placed cell). The bitmap and its summary must come back empty
         // after every die, or a later die would see phantom occupied cells
-        // and diverge from the allocating reference.
+        // and diverge from the reference. Equal RNG states afterwards mean
+        // equal consumption.
         use rand::Rng;
         let laws = [
             FaultKindLaw::AlwaysFlip,
@@ -435,6 +368,19 @@ mod tests {
             },
         ];
         let mut scratch = DieScratch::new(config());
+        let mut check = |backend: &Backend, seed: u64, amount: usize, context: &str| {
+            let mut rng_fresh = StdRng::seed_from_u64(seed);
+            let mut rng_scratch = StdRng::seed_from_u64(seed);
+            let fresh = reference::sample(backend, &mut rng_fresh, amount);
+            let reused = scratch.generate(backend, &mut rng_scratch, amount).unwrap();
+            assert_eq!(reused, &fresh, "{context}");
+            assert_eq!(
+                rng_scratch.gen::<u64>(),
+                rng_fresh.gen::<u64>(),
+                "{context}"
+            );
+            assert!(scratch.cells.is_empty(), "{context}: marks left");
+        };
         for geometry in [
             MemoryConfig::new(16, 32).unwrap(),
             MemoryConfig::new(8, 24).unwrap(),
@@ -448,22 +394,72 @@ mod tests {
                             .with_kind_law(law)
                             .unwrap();
                         let seed = amount as u64 * 31 + kind as u64;
-                        let mut rng_fresh = StdRng::seed_from_u64(seed);
-                        let mut rng_scratch = StdRng::seed_from_u64(seed);
-                        let fresh = backend.sample_with_count(&mut rng_fresh, amount).unwrap();
-                        let reused = scratch
-                            .generate(&backend, &mut rng_scratch, amount)
-                            .unwrap();
-                        assert_eq!(reused, &fresh, "{kind} {law} {amount} of {cells} cells");
-                        assert_eq!(rng_scratch.gen::<u64>(), rng_fresh.gen::<u64>(), "{kind}");
-                        assert!(
-                            scratch.cells.is_empty(),
-                            "{kind} {law} {amount}: marks left"
+                        check(
+                            &backend,
+                            seed,
+                            amount,
+                            &format!("{kind} {law} {amount} of {cells} cells"),
                         );
                     }
                 }
             }
         }
+        // Sparse dies at campaign density on a larger array.
+        for kind in BackendKind::ALL {
+            let backend = Backend::at_p_cell(kind, config(), 1e-3).unwrap();
+            for seed in 0..12u64 {
+                let amount = (seed as usize * 3) % 40;
+                check(&backend, seed, amount, &format!("{kind}, seed {seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn custom_backends_install_their_own_maps() {
+        // A backend that builds its map itself hands it to the arena with
+        // `replace_map`; every draw then returns exactly that map.
+        #[derive(Debug)]
+        struct Diagonal(MemoryConfig);
+        impl FaultBackend for Diagonal {
+            fn name(&self) -> &'static str {
+                "diagonal"
+            }
+            fn config(&self) -> MemoryConfig {
+                self.0
+            }
+            fn p_cell(&self) -> f64 {
+                1e-3
+            }
+            fn operating_point(&self) -> crate::backend::OperatingPoint {
+                crate::backend::OperatingPoint::Custom {
+                    parameter: 0.0,
+                    unit: "",
+                }
+            }
+            fn sample_into(
+                &self,
+                _rng: &mut StdRng,
+                n_faults: usize,
+                scratch: &mut DieScratch,
+            ) -> Result<(), MemError> {
+                let faults = (0..n_faults).map(|i| Fault::bit_flip(i, i % 32));
+                scratch.replace_map(FaultMap::from_faults(self.0, faults)?);
+                Ok(())
+            }
+        }
+        let backend = Diagonal(config());
+        let expected =
+            FaultMap::from_faults(config(), (0..5).map(|i| Fault::bit_flip(i, i))).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        assert_eq!(backend.sample_with_count(&mut rng, 5).unwrap(), expected);
+        let mut scratch = DieScratch::new(config());
+        for policy in [MapPolicy::Unrestricted, MapPolicy::SingleFaultPerRow] {
+            let map = scratch
+                .generate_with_policy(&backend, &mut rng, 5, policy)
+                .unwrap();
+            assert_eq!(map, &expected, "{policy:?}");
+        }
+        assert!(backend.sample_with_count(&mut rng, 200).is_err());
     }
 
     #[test]
@@ -557,25 +553,29 @@ mod tests {
 
     #[test]
     fn single_fault_per_row_redraw_matches_the_seeder_protocol() {
-        // The reference: draw through the allocating path and redraw, on
-        // the same RNG, while a row holds two faults, at most 8 times.
-        let backend = Backend::at_p_cell(BackendKind::Sram, config(), 1e-3).unwrap();
+        // The reference: draw through the hash-set placement and redraw, on
+        // the same RNG, while a row holds two faults, at most MAX_REDRAWS
+        // times. Clustered DRAM dies exhaust the budget and keep their last
+        // draw.
         let seeder = StreamSeeder::new(99);
         let mut scratch = DieScratch::new(config());
-        for index in 0..24u64 {
-            let mut rng = seeder.rng_for_sample(index);
-            let mut expected = backend.sample_with_count(&mut rng, 20).unwrap();
-            for _ in 0..8 {
-                if expected.max_faults_per_row() <= 1 {
-                    break;
+        for kind in BackendKind::ALL {
+            let backend = Backend::at_p_cell(kind, config(), 1e-3).unwrap();
+            for index in 0..24u64 {
+                let mut rng = seeder.rng_for_sample(index);
+                let mut expected = reference::sample(&backend, &mut rng, 20);
+                for _ in 0..MAX_REDRAWS {
+                    if expected.max_faults_per_row() <= 1 {
+                        break;
+                    }
+                    expected = reference::sample(&backend, &mut rng, 20);
                 }
-                expected = backend.sample_with_count(&mut rng, 20).unwrap();
+                let mut rng = seeder.rng_for_sample(index);
+                let map = scratch
+                    .generate_with_policy(&backend, &mut rng, 20, MapPolicy::SingleFaultPerRow)
+                    .unwrap();
+                assert_eq!(map, &expected, "{kind}, sample {index}");
             }
-            let mut rng = seeder.rng_for_sample(index);
-            let map = scratch
-                .generate_single_fault_per_row(&backend, &mut rng, 20, 8)
-                .unwrap();
-            assert_eq!(map, &expected, "sample {index}");
         }
     }
 }

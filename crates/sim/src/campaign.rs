@@ -27,7 +27,7 @@ use crate::error::{RunError, SimError};
 use crate::executor::{run_chunked_with, Parallelism};
 use faultmit_core::MitigationScheme;
 use faultmit_memsim::{
-    BlockScratch, DieBlock, FailureCountDistribution, FaultBackend, FaultMap, ImageSpec,
+    BlockScratch, DieBlock, FailureCountDistribution, FaultBackend, FaultMap, ImageSpec, MapPolicy,
     MemoryConfig, OperatingPoint, PlannedSample, SramVddBackend, StreamSeeder, BLOCK_DIES,
 };
 use faultmit_obs as obs;
@@ -150,28 +150,6 @@ impl FromStr for ShardSpec {
         let count: usize = count.trim().parse().map_err(|_| invalid())?;
         Self::new(index, count)
     }
-}
-
-/// How sampled fault maps are filtered before evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MapPolicy {
-    /// Keep every sampled map (the Fig. 5 protocol).
-    #[default]
-    Unrestricted,
-    /// Redraw (up to the given bound) maps that place more than one fault in
-    /// a single row — the Fig. 7 protocol under which SECDED is error-free.
-    ///
-    /// The filter is **best-effort**: when the budget is exhausted the last
-    /// map is kept even if it still has multi-fault rows. Under the iid SRAM
-    /// backend at Fig. 7 densities redraws virtually always succeed, but
-    /// spatially structured backends (clustered DRAM retention) collide by
-    /// construction, so at higher fault counts most kept maps retain
-    /// multi-fault rows and word-level ECC is *not* error-free — an expected
-    /// property of those technologies, not a sampling artefact.
-    SingleFaultPerRow {
-        /// Maximum redraws per sample before giving up and keeping the map.
-        max_redraws: usize,
-    },
 }
 
 /// Telemetry of one shard run, returned by both runners
@@ -695,10 +673,7 @@ impl<B: FaultBackend> Campaign<B> {
             &plan[start..(start + chunk_size).min(plan.len())]
         };
         let workers = self.config.parallelism.worker_count();
-        let max_redraws = match self.config.map_policy {
-            MapPolicy::Unrestricted => None,
-            MapPolicy::SingleFaultPerRow { max_redraws } => Some(max_redraws),
-        };
+        let policy = self.config.map_policy;
         let scheme_count = schemes.len();
         let (group_width, block_len) = match evaluate_block {
             Some(_) => (BLOCK_DIES, scheme_count * BLOCK_DIES),
@@ -737,7 +712,7 @@ impl<B: FaultBackend> Campaign<B> {
                     match &evaluate_block {
                         Some(evaluate_block) if group.len() > 1 => {
                             let block = scratch
-                                .generate_block(backend, &seeder, group, max_redraws)
+                                .generate_block(backend, &seeder, group, Some(policy))
                                 .map_err(SimError::from)?;
                             generate += lap(&mut mark);
                             for (s, scheme) in schemes.iter().enumerate() {
@@ -761,15 +736,15 @@ impl<B: FaultBackend> Campaign<B> {
                         _ => {
                             for planned in group {
                                 let mut rng = seeder.rng_for_sample(planned.index);
-                                let n = planned.n_faults as usize;
-                                let die = scratch.scalar_mut();
-                                let map = match max_redraws {
-                                    None => die.generate(backend, &mut rng, n),
-                                    Some(budget) => die.generate_single_fault_per_row(
-                                        backend, &mut rng, n, budget,
-                                    ),
-                                }
-                                .map_err(SimError::from)?;
+                                let map = scratch
+                                    .scalar_mut()
+                                    .generate_with_policy(
+                                        backend,
+                                        &mut rng,
+                                        planned.n_faults as usize,
+                                        policy,
+                                    )
+                                    .map_err(SimError::from)?;
                                 generate += lap(&mut mark);
                                 evaluate(map, &mut chunk_metrics[slot(next_die)])
                                     .map_err(RunError::Eval)?;
@@ -1068,9 +1043,7 @@ mod tests {
 
     #[test]
     fn single_fault_per_row_policy_is_applied() {
-        let campaign = Campaign::new(
-            config().with_map_policy(MapPolicy::SingleFaultPerRow { max_redraws: 1000 }),
-        );
+        let campaign = Campaign::new(config().with_map_policy(MapPolicy::SingleFaultPerRow));
         let result = campaign.solo(&[Scheme::secded32()], 11, |map, metrics| {
             // Under the policy SECDED corrects every die.
             metrics[0] = Scheme::secded32().observe(map, 0, 0).value as f64;
@@ -1320,10 +1293,7 @@ mod tests {
         };
         let schemes = [Scheme::unprotected32(), Scheme::shuffle32(3).unwrap()];
         for kind in [BackendKind::Sram, BackendKind::Dram] {
-            for policy in [
-                MapPolicy::Unrestricted,
-                MapPolicy::SingleFaultPerRow { max_redraws: 50 },
-            ] {
+            for policy in [MapPolicy::Unrestricted, MapPolicy::SingleFaultPerRow] {
                 let backend =
                     Backend::at_p_cell(kind, MemoryConfig::new(128, 32).unwrap(), 1e-3).unwrap();
                 // 7 samples per count × 13 counts = 91 samples: chunks of
@@ -1464,7 +1434,7 @@ mod tests {
                     .unwrap()
                     .with_samples_per_count(samples)
                     .with_max_failures(4)
-                    .with_map_policy(MapPolicy::SingleFaultPerRow { max_redraws: 2000 }),
+                    .with_map_policy(MapPolicy::SingleFaultPerRow),
             );
             let result = campaign.solo(&[Scheme::unprotected32()], 3, |map, metrics| {
                 metrics.fill(map.max_faults_per_row() as f64)

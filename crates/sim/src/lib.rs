@@ -126,8 +126,7 @@ pub mod error;
 pub mod executor;
 
 pub use accumulate::{Accumulator, CollectRecords, PairedSample};
-pub use campaign::{
-    Campaign, CampaignConfig, KernelKind, MapPolicy, ShardSpec, ShardStats, N_MAX_COVERAGE,
-};
+pub use campaign::{Campaign, CampaignConfig, KernelKind, ShardSpec, ShardStats, N_MAX_COVERAGE};
 pub use error::{RunError, SimError};
 pub use executor::{run_chunked, run_chunked_with, Parallelism};
+pub use faultmit_memsim::MapPolicy;

@@ -12,7 +12,7 @@ use common::{per_scheme, Records};
 use faultmit::analysis::{memory_mse, MonteCarloEngine};
 use faultmit::apps::{Benchmark, QualityEvaluator};
 use faultmit::core::Scheme;
-use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
+use faultmit::memsim::{Backend, BackendKind, MemoryConfig, SramVddBackend};
 use faultmit::sim::{Campaign, CampaignConfig, Parallelism, ShardSpec};
 use strata::assert_same_strata;
 
@@ -227,12 +227,16 @@ fn application_quality_campaign_is_bit_identical_serial_vs_threaded() {
             .unwrap()
     };
     let schemes = [Scheme::unprotected32(), Scheme::secded32()];
-    let serial = build(Parallelism::Serial)
-        .quality_cdfs_paired(&schemes, 1e-3, 5, 3, SEED, true)
-        .unwrap();
-    let threaded = build(Parallelism::threads(4))
-        .quality_cdfs_paired(&schemes, 1e-3, 5, 3, SEED, true)
-        .unwrap();
+    let run = |eval: QualityEvaluator| {
+        let sram = SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap();
+        let (state, _) = eval
+            .quality_shard_on(&schemes, &sram, 5, 3, SEED, ShardSpec::solo())
+            .unwrap();
+        eval.quality_results_from_state(&schemes, &sram, state)
+            .unwrap()
+    };
+    let serial = run(build(Parallelism::Serial));
+    let threaded = run(build(Parallelism::threads(4)));
     for (a, b) in serial.iter().zip(&threaded) {
         assert_eq!(a.scheme_name, b.scheme_name);
         assert_eq!(a.baseline_quality.to_bits(), b.baseline_quality.to_bits());

@@ -123,7 +123,7 @@ fn finer_segments_never_lose_on_shared_single_fault_dies() {
         .unwrap()
         .with_samples_per_count(10)
         .with_max_failures(6)
-        .with_map_policy(faultmit::sim::MapPolicy::SingleFaultPerRow { max_redraws: 1000 });
+        .with_map_policy(faultmit::sim::MapPolicy::SingleFaultPerRow);
     let records = Campaign::new(config).records(
         &schemes,
         0x51CE,

@@ -5,6 +5,7 @@
 use faultmit::apps::{Benchmark, QualityEvaluator};
 use faultmit::core::Scheme;
 use faultmit::memsim::{Fault, FaultBackend, FaultMap, SramVddBackend};
+use faultmit::sim::ShardSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -137,8 +138,13 @@ fn quality_cdf_campaign_produces_weighted_distributions() {
         .memory_rows(256)
         .build()
         .unwrap();
+    let schemes = [Scheme::shuffle32(1).unwrap()];
+    let sram = SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap();
+    let (state, _) = eval
+        .quality_shard_on(&schemes, &sram, 4, 3, 17, ShardSpec::solo())
+        .unwrap();
     let result = eval
-        .quality_cdfs_paired(&[Scheme::shuffle32(1).unwrap()], 1e-3, 4, 3, 17, false)
+        .quality_results_from_state(&schemes, &sram, state)
         .unwrap()
         .remove(0);
     assert!(result.baseline_quality > 0.5);

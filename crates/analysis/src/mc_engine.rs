@@ -35,8 +35,6 @@ pub struct SchemeMseResult {
     /// [`YieldModel::combined_mean`] and [`YieldModel::combined_log_grid`]
     /// read it without materialising it.
     pub yield_model: YieldModel,
-    /// Largest simulated failure count.
-    pub max_failures: u64,
 }
 
 impl SchemeMseResult {
@@ -123,9 +121,10 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
     ///
     /// # Errors
     ///
-    /// Returns [`AnalysisError::InvalidParameter`] when `data` has fewer
-    /// entries than the memory has rows, propagates the configured image's
-    /// materialisation error, and propagates campaign errors.
+    /// Returns [`AnalysisError::InvalidParameter`] when a scheme's word
+    /// width differs from the memory's or `data` has fewer entries than the
+    /// memory has rows, propagates the configured image's materialisation
+    /// error, and propagates campaign errors.
     pub fn run_catalogue_shard_on_image_stats<S: MitigationScheme + Sync>(
         &self,
         schemes: &[S],
@@ -133,6 +132,16 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
         shard: ShardSpec,
         data: Option<&[u64]>,
     ) -> Result<(CatalogueAccumulator, ShardStats), AnalysisError> {
+        let word_bits = self.config().memory().word_bits();
+        if let Some(scheme) = schemes.iter().find(|s| s.word_bits() != word_bits) {
+            return Err(AnalysisError::InvalidParameter {
+                reason: format!(
+                    "scheme '{}' protects {}-bit words but the memory has {word_bits}-bit words",
+                    scheme.name(),
+                    scheme.word_bits()
+                ),
+            });
+        }
         let configured;
         let data = match (data, self.config().image()) {
             (Some(data), _) => {
@@ -233,7 +242,6 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
             });
         }
         let distribution = self.config().failure_distribution()?;
-        let max_failures = self.config().effective_max_failures()?;
         Ok(state
             .into_yield_models(distribution)
             .into_iter()
@@ -241,7 +249,6 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
             .map(|(yield_model, scheme)| SchemeMseResult {
                 scheme_name: scheme.name(),
                 yield_model,
-                max_failures,
             })
             .collect())
     }
@@ -653,6 +660,22 @@ mod tests {
             )
             .unwrap_err();
         assert!(error.to_string().contains("3 words"), "{error}");
+    }
+
+    #[test]
+    fn schemes_of_another_word_width_are_rejected() {
+        // A 16-bit scheme over 32-bit words: faults in the upper half of a
+        // row lie outside the scheme's word.
+        let engine = MonteCarloEngine::new(small_config());
+        let narrow = Scheme::Unprotected { word_bits: 16 };
+        let error = engine
+            .run_catalogue(&[Scheme::unprotected32(), narrow], 1)
+            .unwrap_err();
+        assert!(
+            matches!(error, AnalysisError::InvalidParameter { .. }),
+            "{error}"
+        );
+        assert!(error.to_string().contains("16-bit words"), "{error}");
     }
 
     #[test]

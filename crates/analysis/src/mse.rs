@@ -11,17 +11,18 @@
 //! the protection scheme has done its work (a corrected failure contributes
 //! nothing; an unprotected failure at the MSB contributes `4^{W-1}`).
 //!
-//! The implementation evaluates each faulty row through the scheme's
-//! [`observe`](faultmit_core::MitigationScheme::observe) path with an
+//! The implementation evaluates each faulty row through the scheme with an
 //! all-zeros background so that every bit-flip fault is observable, and sums
 //! `4^b` over the bit positions that differ — identical to Eq. (6) for the
 //! paper's bit-flip injection model.
 //!
-//! The dense evaluators ([`memory_mse`], [`memory_mse_for_data`]) drive
-//! the generic `observe` path row by row and are the reference the two
-//! campaign kernels are gated against. The sparse kernel, [`CatalogueMse`],
-//! scores a whole scheme catalogue in one walk over a die's sorted row
-//! groups: it hands each scheme its row slice through
+//! The dense evaluators ([`memory_mse`], [`memory_mse_for_data`]) read
+//! each row through [`observe`](faultmit_core::MitigationScheme::observe),
+//! which for the paper's [`Scheme`](faultmit_core::Scheme)s is the dense
+//! reference the two campaign kernels are gated against. The sparse
+//! kernel, [`CatalogueMse`], scores a whole scheme catalogue in one walk
+//! over a die's sorted row groups: it hands each scheme its row slice
+//! through the row evaluator
 //! [`observe_sparse`](faultmit_core::MitigationScheme::observe_sparse) (or
 //! a single-fault table) and gathers written words only for fault-bearing
 //! rows. The bit-sliced kernel, [`block_mse_into`], evaluates a whole
@@ -121,19 +122,14 @@ pub fn memory_mse_for_data<S: MitigationScheme + ?Sized>(
     total / rows as f64
 }
 
-/// Squared error of one fault-bearing row through the scheme's sparse path,
-/// falling back to the generic `observe` when the scheme has none.
+/// Squared error of one fault-bearing row through the scheme's row
+/// evaluator.
 fn sparse_row_error<S: MitigationScheme + ?Sized>(
     scheme: &S,
-    faults: &FaultMap,
-    row: usize,
     row_faults: &[Fault],
     stored: u64,
 ) -> f64 {
-    let observed = scheme
-        .observe_sparse(row_faults, stored)
-        .unwrap_or_else(|| scheme.observe(faults, row, stored));
-    word_squared_error(stored, observed.value)
+    word_squared_error(stored, scheme.observe_sparse(row_faults, stored).value)
 }
 
 /// The data bits a fault of `kind` corrupts when `stored` is written,
@@ -160,9 +156,8 @@ const NO_ENTRY: u8 = u8::MAX;
 /// [`MitigationScheme::single_fault`]: the row adds `4^b` when the fault
 /// surfaces at data bit `b` (a stuck-at cell only when the written bit
 /// differs from its stuck value) and `+0.0` otherwise. Rows with several
-/// faults, and columns a scheme has no entry for, go through
-/// [`observe_sparse`](MitigationScheme::observe_sparse), falling back per
-/// row to the generic `observe` when a scheme has no sparse path.
+/// faults, and columns a scheme has no entry for, go through the scheme's
+/// row evaluator, [`observe_sparse`](MitigationScheme::observe_sparse).
 ///
 /// Each scheme's total starts at `-0.0` (the IEEE additive identity, which
 /// `Iterator::sum::<f64>` folds from, so a fault-free die yields the dense
@@ -248,7 +243,7 @@ impl<'a, S: MitigationScheme> CatalogueMse<'a, S> {
                     let slots = terms.iter().zip(&self.bits[slots]).zip(self.schemes);
                     for (total, ((term, &bit), scheme)) in out.iter_mut().zip(slots) {
                         *total += if bit == NO_ENTRY {
-                            sparse_row_error(scheme, faults, row, row_faults, stored)
+                            sparse_row_error(scheme, row_faults, stored)
                         } else if (exposed >> bit) & 1 == 1 {
                             *term
                         } else {
@@ -259,7 +254,7 @@ impl<'a, S: MitigationScheme> CatalogueMse<'a, S> {
                 _ => {
                     let stored = written(row);
                     for (total, scheme) in out.iter_mut().zip(self.schemes) {
-                        *total += sparse_row_error(scheme, faults, row, row_faults, stored);
+                        *total += sparse_row_error(scheme, row_faults, stored);
                     }
                 }
             }
@@ -285,14 +280,12 @@ impl<'a, S: MitigationScheme> CatalogueMse<'a, S> {
 /// are walked in the same ascending order, each die's sum starts from the
 /// same `-0.0` IEEE additive identity, and the column-order scatter folds
 /// the identical diff bits in the identical LSB-first order
-/// `word_squared_error(0, diff)` would. Schemes without a block path fall
-/// back to their sparse path per die.
+/// `word_squared_error(0, diff)` would. Schemes without a block path are
+/// evaluated per die through their row evaluator.
 ///
 /// # Panics
 ///
-/// Panics if `out` is shorter than the block's die count, or if the scheme
-/// provides neither a block nor a sparse path (block evaluation requires a
-/// sparse-capable scheme).
+/// Panics if `out` is shorter than the block's die count.
 pub fn block_mse_into<S, W>(scheme: &S, block: &DieBlock<'_>, written: W, out: &mut [f64])
 where
     S: MitigationScheme + ?Sized,
@@ -325,7 +318,7 @@ where
         if scheme.observe_block(row.cells, stored, &mut residual) {
             block_rows += 1;
         } else {
-            // Per-die fallback through the sparse path: rebuild each dirty
+            // Per-die fallback through the row evaluator: rebuild each dirty
             // die's sorted fault slice on the stack.
             fallback_rows += 1;
             let mut scratch = [Fault::bit_flip(0, 0); 64];
@@ -345,10 +338,7 @@ where
                         len += 1;
                     }
                 }
-                let observed = scheme
-                    .observe_sparse(&scratch[..len], stored)
-                    .expect("block evaluation requires a sparse-capable scheme");
-                let mut diff = stored ^ observed.value;
+                let mut diff = stored ^ scheme.observe_sparse(&scratch[..len], stored).value;
                 while diff != 0 {
                     let col = diff.trailing_zeros() as usize;
                     diff &= diff - 1;
@@ -558,7 +548,7 @@ mod tests {
                         let die = FaultMap::from_faults(config, [fault]).unwrap();
                         walk.mse_into(&die, |_| written, &mut out);
                         for (scheme, got) in schemes.iter().zip(&out) {
-                            let observed = scheme.observe_sparse(&[fault], written).unwrap();
+                            let observed = scheme.observe_sparse(&[fault], written);
                             assert_eq!(
                                 got.to_bits(),
                                 word_squared_error(written, observed.value).to_bits(),
@@ -575,8 +565,8 @@ mod tests {
     #[test]
     fn catalogue_walk_is_bit_identical_to_the_dense_evaluators() {
         // Empty, single-fault, multi-fault and stuck-at rows, zeros and two
-        // data images; a custom scheme without table entries (or a sparse
-        // path) rides along and must still agree through the fallback.
+        // data images; a custom scheme without table entries rides along
+        // and must agree through its row evaluator.
         struct Invert;
         impl MitigationScheme for Invert {
             fn name(&self) -> String {
@@ -585,26 +575,18 @@ mod tests {
             fn word_bits(&self) -> usize {
                 32
             }
-            fn observe(
+            fn observe_sparse(
                 &self,
-                faults: &FaultMap,
-                row: usize,
+                row_faults: &[Fault],
                 written: u64,
             ) -> faultmit_core::ObservedWord {
-                let value = faults
-                    .faulty_columns(row)
+                let value = row_faults
                     .iter()
-                    .fold(written, |w, &col| w ^ (1u64 << col));
+                    .fold(written, |w, fault| w ^ (1u64 << fault.col));
                 faultmit_core::ObservedWord {
                     value,
                     reliable: true,
                 }
-            }
-            fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
-                1u64 << bit
-            }
-            fn extra_bits_per_row(&self) -> usize {
-                0
             }
         }
         let cases: Vec<Vec<Fault>> = vec![
@@ -723,8 +705,8 @@ mod tests {
     #[test]
     fn block_kernel_falls_back_for_schemes_without_a_block_path() {
         use faultmit_memsim::{Backend, BackendKind, BlockScratch, PlannedSample, StreamSeeder};
-        // A sparse-capable scheme with no block path goes through the
-        // per-die fallback inside the block reduction and still agrees.
+        // A scheme with no block path goes through the per-die fallback
+        // inside the block reduction and still agrees.
         struct SparseOnly;
         impl MitigationScheme for SparseOnly {
             fn name(&self) -> String {
@@ -733,30 +715,12 @@ mod tests {
             fn word_bits(&self) -> usize {
                 32
             }
-            fn observe(
-                &self,
-                faults: &FaultMap,
-                row: usize,
-                written: u64,
-            ) -> faultmit_core::ObservedWord {
-                let value = Scheme::unprotected32().observe(faults, row, written).value;
-                faultmit_core::ObservedWord {
-                    value,
-                    reliable: true,
-                }
-            }
             fn observe_sparse(
                 &self,
                 row_faults: &[Fault],
                 written: u64,
-            ) -> Option<faultmit_core::ObservedWord> {
+            ) -> faultmit_core::ObservedWord {
                 Scheme::unprotected32().observe_sparse(row_faults, written)
-            }
-            fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
-                1u64 << bit
-            }
-            fn extra_bits_per_row(&self) -> usize {
-                0
             }
         }
         let config = MemoryConfig::new(64, 32).unwrap();
@@ -776,48 +740,5 @@ mod tests {
         for (a, b) in out.iter().zip(&expected) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn sparse_kernel_falls_back_for_schemes_without_a_sparse_path() {
-        // A custom scheme with no `observe_sparse` override goes through the
-        // generic path inside the sparse kernel and still agrees.
-        struct Invert {
-            bits: usize,
-        }
-        impl MitigationScheme for Invert {
-            fn name(&self) -> String {
-                "invert".to_owned()
-            }
-            fn word_bits(&self) -> usize {
-                self.bits
-            }
-            fn observe(
-                &self,
-                faults: &FaultMap,
-                row: usize,
-                written: u64,
-            ) -> faultmit_core::ObservedWord {
-                let corrupted = faults
-                    .faulty_columns(row)
-                    .iter()
-                    .fold(written, |w, &col| w ^ (1u64 << col));
-                faultmit_core::ObservedWord {
-                    value: corrupted,
-                    reliable: true,
-                }
-            }
-            fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
-                1u64 << bit
-            }
-            fn extra_bits_per_row(&self) -> usize {
-                0
-            }
-        }
-        let scheme = [Invert { bits: 32 }];
-        let faults = map(&[Fault::bit_flip(2, 9), Fault::bit_flip(40, 1)]);
-        let mut out = [f64::NAN];
-        CatalogueMse::new(&scheme, 32).mse_into(&faults, |_| 0, &mut out);
-        assert_eq!(out[0].to_bits(), memory_mse(&scheme[0], &faults).to_bits());
     }
 }

@@ -151,8 +151,8 @@ impl<'a, S: MitigationScheme> FaultyStore<'a, S> {
     /// Otherwise returns the clean read-back with the changed words patched
     /// in, bit-identical to [`FaultyStore::round_trip_matrix`] on the
     /// original matrix. Words in fault-free rows are never read, which is
-    /// sound because [`MitigationScheme::observe`] delivers such a word
-    /// intact.
+    /// sound because a scheme delivers such a word intact (the empty-slice
+    /// contract of [`MitigationScheme::observe_sparse`]).
     ///
     /// # Panics
     ///
@@ -165,10 +165,7 @@ impl<'a, S: MitigationScheme> FaultyStore<'a, S> {
         for (row, row_faults) in self.faults.rows_with_faults() {
             for index in (row..stored.words.len()).step_by(rows) {
                 let written = stored.words[index];
-                let observed = self
-                    .scheme
-                    .observe_sparse(row_faults, written)
-                    .unwrap_or_else(|| self.scheme.observe(self.faults, row, written));
+                let observed = self.scheme.observe_sparse(row_faults, written);
                 if observed.value != written {
                     patched
                         .get_or_insert_with(|| stored.clean.clone())
@@ -177,12 +174,6 @@ impl<'a, S: MitigationScheme> FaultyStore<'a, S> {
             }
         }
         patched
-    }
-
-    /// Number of memory words the given matrix occupies (before wrapping).
-    #[must_use]
-    pub fn words_required(&self, matrix: &Matrix) -> usize {
-        matrix.rows() * matrix.cols()
     }
 }
 
@@ -260,7 +251,6 @@ mod tests {
             .filter(|&&v| (v - 1.0).abs() > 1.0)
             .count();
         assert_eq!(damaged, 3, "indices 0, 64 and 128 must be corrupted");
-        assert_eq!(store.words_required(&matrix), 130);
     }
 
     #[test]

@@ -106,8 +106,6 @@ impl Benchmark {
 /// Result of a Fig. 7 Monte-Carlo campaign for one benchmark and scheme.
 #[derive(Debug, Clone)]
 pub struct QualityCdfResult {
-    /// Benchmark evaluated.
-    pub benchmark: Benchmark,
     /// Protection scheme name.
     pub scheme_name: String,
     /// Fault-free quality (denominator of the normalisation).
@@ -342,7 +340,6 @@ impl QualityEvaluator {
             .into_iter()
             .zip(schemes)
             .map(|(yield_model, scheme)| QualityCdfResult {
-                benchmark: self.benchmark,
                 scheme_name: scheme.name(),
                 baseline_quality: baseline,
                 // Fig. 7 quality is "higher is better": zero-failure dies

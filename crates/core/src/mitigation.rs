@@ -44,26 +44,6 @@ impl ObservedWord {
             reliable: true,
         }
     }
-
-    /// Signed error relative to the originally written value, interpreting
-    /// both as 2's-complement integers of `word_bits` bits.
-    #[must_use]
-    pub fn signed_error(&self, written: u64, word_bits: usize) -> i64 {
-        to_signed(self.value, word_bits) - to_signed(written, word_bits)
-    }
-}
-
-fn to_signed(value: u64, word_bits: usize) -> i64 {
-    if word_bits == 64 {
-        value as i64
-    } else {
-        let sign_bit = 1u64 << (word_bits - 1);
-        if value & sign_bit != 0 {
-            (value as i64) - (1i64 << word_bits)
-        } else {
-            value as i64
-        }
-    }
 }
 
 /// Where a fault that sits alone in its row ends up after a scheme's read
@@ -83,6 +63,17 @@ pub enum SingleFault {
 }
 
 /// Behaviour of a fault-mitigation scheme on a single memory word.
+///
+/// A scheme answers one question per faulty row: what the stored word reads
+/// back as once the scheme has corrected or shifted it. That answer is
+/// [`observe_sparse`](MitigationScheme::observe_sparse), the one evaluator an
+/// implementor writes besides [`name`](MitigationScheme::name) and
+/// [`word_bits`](MitigationScheme::word_bits). The provided methods derive
+/// from it: [`observe`](MitigationScheme::observe) reads a row of a whole
+/// fault map through it, and [`single_fault`](MitigationScheme::single_fault)
+/// and [`observe_block`](MitigationScheme::observe_block) are optional
+/// accelerations of the MSE kernels, whose defaults send every row back to
+/// it.
 pub trait MitigationScheme {
     /// Human-readable name used in reports ("no-correction", "H(22,16) P-ECC",
     /// "bit-shuffle nFM=2", ...).
@@ -91,27 +82,24 @@ pub trait MitigationScheme {
     /// Width of the data word the scheme protects.
     fn word_bits(&self) -> usize;
 
-    /// The value the application observes when `written` was stored at `row`
-    /// of a memory with the given fault map.
+    /// The value the application observes when `written` is stored in a row
+    /// whose faults are `row_faults`.
     ///
-    /// A row with no faults must read back [`ObservedWord::intact`]`(written)`,
-    /// whatever the map holds elsewhere. Readers that visit only
-    /// fault-bearing rows rely on it: the sparse MSE kernels and the sparse
-    /// `FaultyStore::read_back` of the application crate.
-    fn observe(&self, faults: &FaultMap, row: usize, written: u64) -> ObservedWord;
+    /// `row_faults` is a single row's faults sorted by ascending column —
+    /// exactly what [`FaultMap::row_faults`] returns — in a memory whose
+    /// words are [`word_bits`](MitigationScheme::word_bits) wide; a scheme
+    /// may panic on a column outside its word. The empty slice must read
+    /// back [`ObservedWord::intact`]`(written)`: readers that visit only
+    /// fault-bearing rows rely on it (the MSE kernels and the sparse
+    /// `FaultyStore::read_back` of the application crate).
+    fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> ObservedWord;
 
-    /// Allocation-free fast path over one row's fault slice.
-    ///
-    /// `row_faults` must be a single row's faults sorted by ascending column
-    /// — exactly what [`FaultMap::row_faults`] returns. When a scheme
-    /// answers `Some(observed)`, the result must be **identical** to
-    /// [`MitigationScheme::observe`] on the map that produced the slice;
-    /// `None` means the scheme has no sparse path (or the slice falls
-    /// outside it) and the caller must fall back to `observe`. The default
-    /// always falls back, so custom schemes stay correct without opting in.
-    fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> Option<ObservedWord> {
-        let _ = (row_faults, written);
-        None
+    /// The value the application observes when `written` was stored at `row`
+    /// of a memory with the given fault map: by default,
+    /// [`observe_sparse`](MitigationScheme::observe_sparse) on the row's
+    /// faults. [`Scheme`] overrides it with its dense reference evaluator.
+    fn observe(&self, faults: &FaultMap, row: usize, written: u64) -> ObservedWord {
+        self.observe_sparse(faults.row_faults(row), written)
     }
 
     /// Lane-parallel (bit-sliced) evaluation of one faulty row across up to
@@ -121,12 +109,12 @@ pub trait MitigationScheme {
     /// column — what a [`DieBlock`](faultmit_memsim::DieBlock) row carries.
     /// When a scheme answers `true` it has OR-ed, for every die `j` of the
     /// block and every data bit `c`, bit `j` into lane `c` of `residual`
-    /// exactly when `observe` on die `j`'s map would deliver a value whose
-    /// bit `c` differs from `written` — i.e.
+    /// exactly when `observe_sparse` on die `j`'s row would deliver a value
+    /// whose bit `c` differs from `written` — i.e.
     /// [`ResidualLanes::gather_die`]`(j)` equals `written ^ observed.value`.
-    /// `false` means the scheme has no block path and the caller must fall
-    /// back to per-die evaluation; the default always falls back, so custom
-    /// schemes stay correct without opting in.
+    /// `false` means the scheme has no block path and the caller evaluates
+    /// each die through `observe_sparse`; the default always answers
+    /// `false`, so custom schemes stay correct without opting in.
     fn observe_block(
         &self,
         cells: &[LaneCell],
@@ -154,14 +142,6 @@ pub trait MitigationScheme {
         let _ = col;
         None
     }
-
-    /// Worst-case error magnitude caused by a single fault at data bit
-    /// position `bit` (0 when the scheme corrects such a fault).
-    fn worst_case_error_magnitude(&self, bit: usize) -> u64;
-
-    /// Extra storage bits the scheme adds to every row (parity bits for ECC,
-    /// LUT bits for bit-shuffling).
-    fn extra_bits_per_row(&self) -> usize;
 }
 
 impl<T: MitigationScheme + ?Sized> MitigationScheme for &T {
@@ -173,12 +153,12 @@ impl<T: MitigationScheme + ?Sized> MitigationScheme for &T {
         (**self).word_bits()
     }
 
-    fn observe(&self, faults: &FaultMap, row: usize, written: u64) -> ObservedWord {
-        (**self).observe(faults, row, written)
+    fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> ObservedWord {
+        (**self).observe_sparse(row_faults, written)
     }
 
-    fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> Option<ObservedWord> {
-        (**self).observe_sparse(row_faults, written)
+    fn observe(&self, faults: &FaultMap, row: usize, written: u64) -> ObservedWord {
+        (**self).observe(faults, row, written)
     }
 
     fn observe_block(
@@ -192,14 +172,6 @@ impl<T: MitigationScheme + ?Sized> MitigationScheme for &T {
 
     fn single_fault(&self, col: usize) -> Option<SingleFault> {
         (**self).single_fault(col)
-    }
-
-    fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
-        (**self).worst_case_error_magnitude(bit)
-    }
-
-    fn extra_bits_per_row(&self) -> usize {
-        (**self).extra_bits_per_row()
     }
 }
 
@@ -283,6 +255,54 @@ impl Scheme {
             Self::shuffle32(2).expect("n_FM = 2 is valid"),
             Self::secded32(),
         ]
+    }
+
+    /// Worst-case error magnitude caused by a single fault at data bit
+    /// position `bit` (0 when the scheme corrects such a fault).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit` lies outside the scheme's word.
+    #[must_use]
+    pub fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
+        match self {
+            Scheme::Unprotected { word_bits } => {
+                assert!(bit < *word_bits);
+                1u64 << bit
+            }
+            Scheme::Secded { word_bits } => {
+                assert!(bit < *word_bits);
+                0
+            }
+            Scheme::PriorityEcc {
+                word_bits,
+                protected_bits,
+            } => {
+                assert!(bit < *word_bits);
+                if bit >= word_bits - protected_bits {
+                    0
+                } else {
+                    1u64 << bit
+                }
+            }
+            Scheme::BitShuffle(geometry) => {
+                crate::error_magnitude::worst_case_error_magnitude(*geometry, bit)
+            }
+        }
+    }
+
+    /// Extra storage bits the scheme adds to every row (parity bits for ECC,
+    /// LUT bits for bit-shuffling).
+    #[must_use]
+    pub fn extra_bits_per_row(&self) -> usize {
+        match self {
+            Scheme::Unprotected { .. } => 0,
+            Scheme::Secded { word_bits } => Self::secded_code(*word_bits).parity_bits(),
+            Scheme::PriorityEcc { protected_bits, .. } => {
+                Self::secded_code(*protected_bits).parity_bits()
+            }
+            Scheme::BitShuffle(geometry) => geometry.n_fm(),
+        }
     }
 
     fn secded_code(word_bits: usize) -> HammingSecded {
@@ -381,14 +401,19 @@ struct RowMasks {
 }
 
 impl RowMasks {
-    /// Folds a row slice with distinct columns into masks; `None` when a
-    /// column lies outside the `word_bits`-bit word.
-    fn from_faults(row_faults: &[Fault], word_bits: usize) -> Option<Self> {
+    /// Folds a row slice with distinct columns into masks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column lies outside the `word_bits`-bit word.
+    fn from_faults(row_faults: &[Fault], word_bits: usize) -> Self {
         let mut masks = Self::default();
         for fault in row_faults {
-            if fault.col >= word_bits {
-                return None;
-            }
+            assert!(
+                fault.col < word_bits,
+                "fault column {} outside a {word_bits}-bit word",
+                fault.col
+            );
             let bit = 1u64 << fault.col;
             masks.faulty |= bit;
             match fault.kind {
@@ -397,7 +422,7 @@ impl RowMasks {
                 FaultKind::StuckAtZero => {}
             }
         }
-        Some(masks)
+        masks
     }
 
     /// Die `die`'s masks, gathered from one row's lane cells in one pass.
@@ -463,6 +488,9 @@ impl MitigationScheme for Scheme {
         }
     }
 
+    /// The dense reference evaluator: it lists the row's columns and looks
+    /// each fault up in the map, independently of the column masks
+    /// `observe_sparse` folds, and the tests hold the row evaluator to it.
     fn observe(&self, faults: &FaultMap, row: usize, written: u64) -> ObservedWord {
         let columns = faults.faulty_columns(row);
         if columns.is_empty() {
@@ -523,9 +551,8 @@ impl MitigationScheme for Scheme {
         }
     }
 
-    fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> Option<ObservedWord> {
-        RowMasks::from_faults(row_faults, self.word_bits())
-            .map(|masks| self.observe_masks(masks, written))
+    fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> ObservedWord {
+        self.observe_masks(RowMasks::from_faults(row_faults, self.word_bits()), written)
     }
 
     fn observe_block(
@@ -671,44 +698,6 @@ impl MitigationScheme for Scheme {
                 SingleFault::SurfacesAt((col + shift) & (geometry.word_bits() - 1))
             }
         })
-    }
-
-    fn worst_case_error_magnitude(&self, bit: usize) -> u64 {
-        match self {
-            Scheme::Unprotected { word_bits } => {
-                assert!(bit < *word_bits);
-                1u64 << bit
-            }
-            Scheme::Secded { word_bits } => {
-                assert!(bit < *word_bits);
-                0
-            }
-            Scheme::PriorityEcc {
-                word_bits,
-                protected_bits,
-            } => {
-                assert!(bit < *word_bits);
-                if bit >= word_bits - protected_bits {
-                    0
-                } else {
-                    1u64 << bit
-                }
-            }
-            Scheme::BitShuffle(geometry) => {
-                crate::error_magnitude::worst_case_error_magnitude(*geometry, bit)
-            }
-        }
-    }
-
-    fn extra_bits_per_row(&self) -> usize {
-        match self {
-            Scheme::Unprotected { .. } => 0,
-            Scheme::Secded { word_bits } => Self::secded_code(*word_bits).parity_bits(),
-            Scheme::PriorityEcc { protected_bits, .. } => {
-                Self::secded_code(*protected_bits).parity_bits()
-            }
-            Scheme::BitShuffle(geometry) => geometry.n_fm(),
-        }
     }
 }
 
@@ -952,29 +941,10 @@ mod tests {
     }
 
     #[test]
-    fn observed_word_signed_error_handles_twos_complement() {
-        let observed = ObservedWord {
-            value: 0xFFFF_FFFF, // -1 as a 32-bit integer
-            reliable: true,
-        };
-        assert_eq!(observed.signed_error(0, 32), -1);
-        let observed = ObservedWord {
-            value: 0x8000_0000, // most negative 32-bit integer
-            reliable: true,
-        };
-        assert_eq!(observed.signed_error(0, 32), -(1i64 << 31));
-        let observed = ObservedWord {
-            value: 5,
-            reliable: true,
-        };
-        assert_eq!(observed.signed_error(3, 32), 2);
-    }
-
-    #[test]
     fn observe_sparse_matches_observe_for_every_scheme() {
-        // The sparse contract: Some(answer) must equal the generic path on
-        // the map whose row slice was passed in — for every catalogue
-        // scheme, every kind mix, and both sparse and dense rows.
+        // The row evaluator must equal the dense reference on the map whose
+        // row slice was passed in — for every catalogue scheme, every kind
+        // mix, and both sparse and dense rows.
         let cases: Vec<Vec<Fault>> = vec![
             vec![],
             vec![Fault::bit_flip(0, 31)],
@@ -1007,7 +977,7 @@ mod tests {
                 for &written in &[0u64, 0xFFFF_FFFF, 0xDEAD_BEEF, 0x8000_0001] {
                     assert_eq!(
                         scheme.observe_sparse(slice, written),
-                        Some(scheme.observe(&map, 0, written)),
+                        scheme.observe(&map, 0, written),
                         "{} written={written:#x} faults={faults:?}",
                         scheme.name()
                     );
@@ -1022,7 +992,7 @@ mod tests {
                 for written in written_words(*word_bits) {
                     assert_eq!(
                         scheme.observe_sparse(slice, written),
-                        Some(scheme.observe(&map, 0, written)),
+                        scheme.observe(&map, 0, written),
                         "{} written={written:#x} faults={faults:?}",
                         scheme.name()
                     );
@@ -1032,37 +1002,58 @@ mod tests {
     }
 
     #[test]
-    fn observe_sparse_default_falls_back() {
-        // A custom scheme that does not opt in keeps the default `None`.
-        struct Passthrough;
-        impl MitigationScheme for Passthrough {
+    fn provided_observe_reads_the_row_through_observe_sparse() {
+        // A custom scheme writes only the row evaluator; `observe` reads a
+        // map's row through it.
+        struct Invert;
+        impl MitigationScheme for Invert {
             fn name(&self) -> String {
-                "passthrough".to_owned()
+                "invert".to_owned()
             }
             fn word_bits(&self) -> usize {
                 32
             }
-            fn observe(&self, _: &FaultMap, _: usize, written: u64) -> ObservedWord {
-                ObservedWord::intact(written)
-            }
-            fn worst_case_error_magnitude(&self, _: usize) -> u64 {
-                0
-            }
-            fn extra_bits_per_row(&self) -> usize {
-                0
+            fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> ObservedWord {
+                ObservedWord {
+                    value: row_faults.iter().fold(written, |w, f| w ^ (1 << f.col)),
+                    reliable: true,
+                }
             }
         }
-        assert_eq!(Passthrough.observe_sparse(&[], 7), None);
-        // The blanket `&T` impl forwards the concrete scheme's fast path.
+        let faults = map(&[
+            Fault::bit_flip(2, 0),
+            Fault::stuck_at_one(2, 7),
+            Fault::bit_flip(5, 31),
+        ]);
+        for row in 0..16 {
+            for written in written_words(32) {
+                assert_eq!(
+                    Invert.observe(&faults, row, written),
+                    Invert.observe_sparse(faults.row_faults(row), written),
+                    "row {row} written {written:#x}"
+                );
+            }
+        }
+        assert_eq!(Invert.observe(&faults, 2, 0).value, 0b1000_0001);
+        assert_eq!(Invert.observe(&faults, 3, 9), ObservedWord::intact(9));
+        // The blanket `&T` impl forwards the concrete scheme's row
+        // evaluator and its dense `observe`.
         let scheme = Scheme::unprotected32();
         let by_ref: &dyn MitigationScheme = &scheme;
         assert_eq!(
             (&by_ref).observe_sparse(&[Fault::bit_flip(0, 3)], 0),
-            Some(ObservedWord {
+            ObservedWord {
                 value: 1 << 3,
                 reliable: true
-            })
+            }
         );
+        assert_eq!((&by_ref).observe(&faults, 5, 0).value, 1 << 31);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 16-bit word")]
+    fn observe_sparse_panics_on_a_column_outside_the_word() {
+        let _ = Scheme::Unprotected { word_bits: 16 }.observe_sparse(&[Fault::bit_flip(0, 20)], 0);
     }
 
     #[test]
@@ -1142,9 +1133,7 @@ mod tests {
                         let mut residual = ResidualLanes::new();
                         assert!(scheme.observe_block(&cells, written, &mut residual));
                         for (die, faults) in dies.iter().enumerate() {
-                            let observed = scheme
-                                .observe_sparse(faults, written)
-                                .expect("catalogue schemes have a sparse path");
+                            let observed = scheme.observe_sparse(faults, written);
                             assert_eq!(
                                 residual.gather_die(die),
                                 written ^ observed.value,
@@ -1168,14 +1157,8 @@ mod tests {
             fn word_bits(&self) -> usize {
                 32
             }
-            fn observe(&self, _: &FaultMap, _: usize, written: u64) -> ObservedWord {
+            fn observe_sparse(&self, _: &[Fault], written: u64) -> ObservedWord {
                 ObservedWord::intact(written)
-            }
-            fn worst_case_error_magnitude(&self, _: usize) -> u64 {
-                0
-            }
-            fn extra_bits_per_row(&self) -> usize {
-                0
             }
         }
         let mut residual = ResidualLanes::new();
@@ -1203,14 +1186,8 @@ mod tests {
             fn word_bits(&self) -> usize {
                 32
             }
-            fn observe(&self, _: &FaultMap, _: usize, written: u64) -> ObservedWord {
+            fn observe_sparse(&self, _: &[Fault], written: u64) -> ObservedWord {
                 ObservedWord::intact(written)
-            }
-            fn worst_case_error_magnitude(&self, _: usize) -> u64 {
-                0
-            }
-            fn extra_bits_per_row(&self) -> usize {
-                0
             }
         }
         assert_eq!(Passthrough.single_fault(0), None);
@@ -1247,7 +1224,7 @@ mod tests {
         assert_eq!(scheme.observe(&msb, 3, 0), ObservedWord::intact(0));
         assert_eq!(
             scheme.observe_sparse(msb.row_faults(3), 0),
-            Some(ObservedWord::intact(0))
+            ObservedWord::intact(0)
         );
         let lsb = FaultMap::from_faults(config, [Fault::bit_flip(3, 31)]).unwrap();
         assert_eq!(scheme.observe(&lsb, 3, 0).value, 1 << 31);

@@ -578,28 +578,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// The difference `self - earlier` (both snapshots of the same
-    /// monotonic recorder): what was recorded between the two.
-    #[must_use]
-    pub fn since(&self, earlier: &Self) -> Self {
-        let mut delta = *self;
-        for (a, b) in delta.counters.iter_mut().zip(&earlier.counters) {
-            *a = a.wrapping_sub(*b);
-        }
-        for (a, b) in delta.histograms.iter_mut().zip(&earlier.histograms) {
-            for (a, b) in a.iter_mut().zip(b) {
-                *a = a.wrapping_sub(*b);
-            }
-        }
-        for (a, b) in delta.stage_nanos.iter_mut().zip(&earlier.stage_nanos) {
-            *a = a.wrapping_sub(*b);
-        }
-        for (a, b) in delta.stage_calls.iter_mut().zip(&earlier.stage_calls) {
-            *a = a.wrapping_sub(*b);
-        }
-        delta
-    }
-
     /// Whether nothing at all was recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -671,22 +649,24 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_merge_and_subtract() {
-        let recorder = Recorder::new();
-        recorder.add(Counter::DiesGenerated, 3);
-        let early = recorder.snapshot();
-        recorder.add(Counter::DiesGenerated, 4);
-        recorder.observe(Histogram::FaultsPerDie, 0);
-        recorder.add_stage(Stage::Merge, 500, 1);
-        let late = recorder.snapshot();
-        let delta = late.since(&early);
-        assert_eq!(delta.counter(Counter::DiesGenerated), 4);
-        assert_eq!(delta.histogram(Histogram::FaultsPerDie)[0], 1);
-        assert_eq!(delta.stage_calls(Stage::Merge), 1);
-
-        let mut merged = early;
-        merged.merge(&delta);
-        assert_eq!(merged, late);
+    fn snapshots_merge() {
+        // Two recorders' snapshots merge into what one recorder that saw
+        // both runs holds.
+        let (early, late, both) = (Recorder::new(), Recorder::new(), Recorder::new());
+        for recorder in [&early, &both] {
+            recorder.add(Counter::DiesGenerated, 3);
+        }
+        for recorder in [&late, &both] {
+            recorder.add(Counter::DiesGenerated, 4);
+            recorder.observe(Histogram::FaultsPerDie, 0);
+            recorder.add_stage(Stage::Merge, 500, 1);
+        }
+        let mut merged = early.snapshot();
+        merged.merge(&late.snapshot());
+        assert_eq!(merged.counter(Counter::DiesGenerated), 7);
+        assert_eq!(merged.histogram(Histogram::FaultsPerDie)[0], 1);
+        assert_eq!(merged.stage_calls(Stage::Merge), 1);
+        assert_eq!(merged, both.snapshot());
     }
 
     #[test]

@@ -164,14 +164,8 @@ pub struct ShardStats {
     /// span still counts — and with more than one worker the sum can
     /// exceed the shard's elapsed time. They are the nanoseconds the run
     /// flushes to [`faultmit_obs::Stage::Generate`], so with a recorder
-    /// installed this equals `metrics.stage_seconds(Stage::Generate)`.
+    /// installed this equals the Generate seconds it records for the run.
     pub generation_seconds: f64,
-    /// Everything the observability layer recorded during the run: the
-    /// delta of the calling thread's current [`faultmit_obs::Recorder`]
-    /// across the shard (zero when no recorder is installed). Counter
-    /// totals obey the same worker-count bit-identity contract as the
-    /// results; stage times and realloc events are host-dependent.
-    pub metrics: obs::MetricsSnapshot,
 }
 
 /// Which evaluation kernel a campaign drives. Both kernels produce
@@ -656,7 +650,6 @@ impl<B: FaultBackend> Campaign<B> {
         // worker so hot-path counters land in one place regardless of the
         // thread the chunk happens to run on.
         let recorder = obs::current();
-        let before = recorder.as_ref().map(|r| r.snapshot());
         let (plan, weights) = self.plan_and_weights()?;
 
         let backend = &self.config.backend;
@@ -801,10 +794,6 @@ impl<B: FaultBackend> Campaign<B> {
             // The same integer nanoseconds and the same conversion as
             // `MetricsSnapshot::stage_seconds`.
             generation_seconds: generate_nanos as f64 / 1e9,
-            metrics: match (&recorder, &before) {
-                (Some(recorder), Some(before)) => recorder.snapshot().since(before),
-                _ => obs::MetricsSnapshot::default(),
-            },
         };
         Ok((accumulator, stats))
     }
@@ -1402,17 +1391,17 @@ mod tests {
                             .1
                     }
                 };
+                let recorded = recorder.snapshot();
                 assert!(stats.generation_seconds > 0.0, "{workers} workers");
                 assert_eq!(
                     stats.generation_seconds.to_bits(),
-                    stats.metrics.stage_seconds(obs::Stage::Generate).to_bits(),
+                    recorded.stage_seconds(obs::Stage::Generate).to_bits(),
                     "{workers} workers, blocks {blocks}"
                 );
                 // The record pass after the chunks is the Reduce stage, one
                 // call per recorded die.
-                assert_eq!(stats.metrics.stage_calls(obs::Stage::Reduce), 60);
-                assert!(stats.metrics.stage_seconds(obs::Stage::Reduce) > 0.0);
-                assert_eq!(stats.metrics, recorder.snapshot());
+                assert_eq!(recorded.stage_calls(obs::Stage::Reduce), 60);
+                assert!(recorded.stage_seconds(obs::Stage::Reduce) > 0.0);
             }
         }
     }

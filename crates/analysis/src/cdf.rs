@@ -135,6 +135,21 @@ impl EmpiricalCdf {
         self.push_run(weight, 1);
     }
 
+    /// Appends the values [`add`](EmpiricalCdf::add) would keep, in order,
+    /// all of weight `weight`, as one run — the campaign fold's path, with
+    /// the bits of `add`ing them one at a time.
+    pub(crate) fn extend_run(&mut self, values: impl Iterator<Item = f64>, weight: f64) {
+        if !admits_weight(weight) {
+            return;
+        }
+        let before = self.values.len();
+        self.values.extend(values.filter(|value| value.is_finite()));
+        let count = self.values.len() - before;
+        if count > 0 {
+            self.push_run(weight, count);
+        }
+    }
+
     /// Consumes `other`, appending its observations in order — the cheap
     /// shard-merge path.
     pub fn absorb(&mut self, other: EmpiricalCdf) {

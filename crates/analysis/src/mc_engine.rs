@@ -17,7 +17,7 @@ use crate::error::AnalysisError;
 use crate::mse::{block_mse_into, CatalogueMse};
 use crate::yield_model::YieldModel;
 use faultmit_core::MitigationScheme;
-use faultmit_memsim::{DieBlock, FaultBackend, ImageSpec, SramVddBackend};
+use faultmit_memsim::{DieBlock, ImageSpec};
 use faultmit_obs as obs;
 use faultmit_sim::{Campaign, CampaignConfig, KernelKind, RunError, ShardSpec, ShardStats};
 use std::convert::Infallible;
@@ -54,7 +54,7 @@ impl SchemeMseResult {
 }
 
 /// The Monte-Carlo fault-injection engine — an MSE-specialised facade over
-/// the parallel pipeline, generic over the fault-generating backend.
+/// the parallel pipeline.
 ///
 /// The configured [`CampaignConfig::image`] is the data the MSE is
 /// evaluated against: with any image other than [`ImageSpec::Zeros`] the
@@ -63,14 +63,14 @@ impl SchemeMseResult {
 /// [`CampaignConfig::kernel`] selects the evaluation kernel; every kernel
 /// accumulates bit-identical results.
 #[derive(Debug, Clone)]
-pub struct MonteCarloEngine<B: FaultBackend = SramVddBackend> {
-    campaign: Campaign<B>,
+pub struct MonteCarloEngine {
+    campaign: Campaign,
 }
 
-impl<B: FaultBackend> MonteCarloEngine<B> {
+impl MonteCarloEngine {
     /// Creates an engine for the given campaign configuration.
     #[must_use]
-    pub fn new(config: CampaignConfig<B>) -> Self {
+    pub fn new(config: CampaignConfig) -> Self {
         Self {
             campaign: Campaign::new(config),
         }
@@ -78,7 +78,7 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
 
     /// The campaign configuration.
     #[must_use]
-    pub fn config(&self) -> &CampaignConfig<B> {
+    pub fn config(&self) -> &CampaignConfig {
         self.campaign.config()
     }
 
@@ -114,7 +114,7 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
     /// the apps layer materialises and passes as `Some`.
     ///
     /// Shard states merged in shard order (via
-    /// [`faultmit_sim::Accumulator::merge`]) are bit-identical to the
+    /// [`CatalogueAccumulator::merge`]) are bit-identical to the
     /// monolithic [`MonteCarloEngine::run_catalogue`] accumulation; feed
     /// the merged state to [`MonteCarloEngine::results_from_state`] to
     /// obtain the exact monolithic results.
@@ -171,9 +171,9 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
     /// evaluation kernel ([`CampaignConfig::kernel`]), with `written`
     /// supplying the stored word of every row. The sparse kernel scores
     /// each die's whole catalogue in one [`CatalogueMse`] walk. Every
-    /// kernel folds the identical per-die squared-error sums in the
-    /// identical order, so the returned accumulator is bit-identical
-    /// across [`KernelKind`] choices.
+    /// kernel returns the identical per-die squared-error sums in the
+    /// identical order, so the folded accumulator is bit-identical across
+    /// [`KernelKind`] choices.
     fn run_kernel<S, W>(
         &self,
         schemes: &[S],
@@ -185,7 +185,6 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
         S: MitigationScheme + Sync,
         W: Fn(usize) -> u64 + Sync,
     {
-        let state = CatalogueAccumulator::new(schemes.len());
         let walk = CatalogueMse::new(schemes, self.config().memory().word_bits());
         let evaluate = |map: &_, metrics: &mut [f64]| {
             walk.mse_into(map, &written, metrics);
@@ -195,8 +194,7 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
         let run = match self.config().kernel() {
             KernelKind::Sparse => {
                 obs::count(obs::Counter::DispatchSparse, 1);
-                self.campaign
-                    .run_shard(schemes, seed, shard, evaluate, state)
+                self.campaign.run_shard(schemes, seed, shard, evaluate)
             }
             KernelKind::Bitsliced => {
                 obs::count(obs::Counter::DispatchBitsliced, 1);
@@ -208,14 +206,14 @@ impl<B: FaultBackend> MonteCarloEngine<B> {
                     |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
                         block_mse_into(scheme, block, &written, out);
                     },
-                    state,
                 )
             }
         };
-        run.map_err(|error| match error {
-            RunError::Sim(e) => e.into(),
+        let (samples, stats) = run.map_err(|error| match error {
+            RunError::Sim(e) => AnalysisError::from(e),
             RunError::Eval(infallible) => match infallible {},
-        })
+        })?;
+        Ok((CatalogueAccumulator::from_shard(samples), stats))
     }
 
     /// Converts accumulated (possibly shard-merged) campaign state into the
@@ -298,8 +296,8 @@ mod tests {
     }
 
     /// The whole-campaign state against the configured image.
-    fn solo_state<B: FaultBackend>(
-        engine: &MonteCarloEngine<B>,
+    fn solo_state(
+        engine: &MonteCarloEngine,
         schemes: &[Scheme],
         seed: u64,
         data: Option<&[u64]>,
@@ -311,11 +309,7 @@ mod tests {
     }
 
     /// One scheme's results, as a one-element catalogue.
-    fn run_one<B: FaultBackend>(
-        engine: &MonteCarloEngine<B>,
-        scheme: Scheme,
-        seed: u64,
-    ) -> SchemeMseResult {
+    fn run_one(engine: &MonteCarloEngine, scheme: Scheme, seed: u64) -> SchemeMseResult {
         engine.run_catalogue(&[scheme], seed).unwrap().remove(0)
     }
 
@@ -471,8 +465,8 @@ mod tests {
     }
 
     #[test]
-    fn sram_backend_engine_matches_the_legacy_constructor_bit_for_bit() {
-        use faultmit_memsim::SramVddBackend;
+    fn sram_backend_engine_matches_the_sram_shorthand_bit_for_bit() {
+        use faultmit_memsim::{Backend, SramVddBackend};
         let memory = MemoryConfig::new(128, 32).unwrap();
         let legacy = MonteCarloEngine::new(
             CampaignConfig::new(memory, 1e-3)
@@ -481,10 +475,12 @@ mod tests {
                 .with_max_failures(8),
         );
         let explicit = MonteCarloEngine::new(
-            CampaignConfig::for_backend(SramVddBackend::with_p_cell(memory, 1e-3).unwrap())
-                .unwrap()
-                .with_samples_per_count(15)
-                .with_max_failures(8),
+            CampaignConfig::for_backend(Backend::Sram(
+                SramVddBackend::with_p_cell(memory, 1e-3).unwrap(),
+            ))
+            .unwrap()
+            .with_samples_per_count(15)
+            .with_max_failures(8),
         );
         let schemes = [Scheme::unprotected32(), Scheme::secded32()];
         let a = legacy.run_catalogue(&schemes, 41).unwrap();
@@ -496,7 +492,6 @@ mod tests {
 
     #[test]
     fn shard_states_merged_in_order_reproduce_the_monolithic_results() {
-        use faultmit_sim::Accumulator;
         let engine = MonteCarloEngine::new(small_config());
         let schemes = [Scheme::unprotected32(), Scheme::shuffle32(2).unwrap()];
         let monolithic = engine.run_catalogue(&schemes, 37).unwrap();
@@ -514,6 +509,37 @@ mod tests {
             let results = engine.results_from_state(&schemes, merged).unwrap();
             for (a, b) in monolithic.iter().zip(&results) {
                 assert_same_strata(a, b, &format!("{shard_count} shards"));
+            }
+        }
+    }
+
+    #[test]
+    fn the_fold_is_timed_once_per_die() {
+        // Every kernel's shard fold is the Reduce stage, one call per
+        // evaluated die, at any worker count.
+        use std::sync::Arc;
+        let schemes = [Scheme::unprotected32(), Scheme::secded32()];
+        for kernel in KernelKind::ALL {
+            for workers in [1usize, 3] {
+                let engine = MonteCarloEngine::new(
+                    small_config()
+                        .with_kernel(kernel)
+                        .with_parallelism(Parallelism::threads(workers)),
+                );
+                let recorder = Arc::new(obs::Recorder::new());
+                let state = {
+                    let _guard = obs::install(&recorder);
+                    solo_state(&engine, &schemes, 5, None)
+                };
+                let recorded = recorder.snapshot();
+                assert_eq!(state.samples_recorded(), 300);
+                assert_eq!(
+                    recorded.stage_calls(obs::Stage::Reduce),
+                    recorded.counter(obs::Counter::SamplesEvaluated),
+                    "{kernel}, {workers} workers"
+                );
+                assert_eq!(recorded.stage_calls(obs::Stage::Reduce), 300);
+                assert!(recorded.stage_seconds(obs::Stage::Reduce) > 0.0);
             }
         }
     }
@@ -539,10 +565,9 @@ mod tests {
         // so evaluating against zeros instead would read all-silent dies.
         // `None` must evaluate the configured image, bit for bit as the
         // explicit word vector does.
-        use faultmit_memsim::{FaultKindLaw, SramVddBackend};
+        use faultmit_memsim::{Backend, FaultKindLaw, SramVddBackend};
         let memory = MemoryConfig::new(128, 32).unwrap();
-        let backend = SramVddBackend::with_p_cell(memory, 1e-3)
-            .unwrap()
+        let backend = Backend::Sram(SramVddBackend::with_p_cell(memory, 1e-3).unwrap())
             .with_kind_law(FaultKindLaw::AsymmetricStuckAt {
                 p_stuck_at_zero: 1.0,
             })
@@ -567,10 +592,9 @@ mod tests {
 
     #[test]
     fn every_kernel_accumulates_identical_bits_on_zeros_and_data_images() {
-        use faultmit_memsim::{FaultKindLaw, SramVddBackend};
+        use faultmit_memsim::{Backend, FaultKindLaw, SramVddBackend};
         let memory = MemoryConfig::new(128, 32).unwrap();
-        let backend = SramVddBackend::with_p_cell(memory, 1e-3)
-            .unwrap()
+        let backend = Backend::Sram(SramVddBackend::with_p_cell(memory, 1e-3).unwrap())
             .with_kind_law(FaultKindLaw::AsymmetricStuckAt {
                 p_stuck_at_zero: 0.6,
             })
@@ -602,10 +626,9 @@ mod tests {
 
     #[test]
     fn stuck_at_zero_faults_are_silent_on_zeros_and_observable_on_ones() {
-        use faultmit_memsim::{FaultKindLaw, SramVddBackend};
+        use faultmit_memsim::{Backend, FaultKindLaw, SramVddBackend};
         let memory = MemoryConfig::new(128, 32).unwrap();
-        let backend = SramVddBackend::with_p_cell(memory, 1e-3)
-            .unwrap()
+        let backend = Backend::Sram(SramVddBackend::with_p_cell(memory, 1e-3).unwrap())
             .with_kind_law(FaultKindLaw::AsymmetricStuckAt {
                 p_stuck_at_zero: 1.0,
             })

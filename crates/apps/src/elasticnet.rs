@@ -14,6 +14,12 @@ use crate::error::AppError;
 use crate::linalg::Matrix;
 use crate::metrics::r2_score;
 
+/// The coordinate-descent iteration budget.
+const MAX_ITERATIONS: usize = 1000;
+
+/// Convergence tolerance on the maximum coefficient change of a sweep.
+const TOLERANCE: f64 = 1e-6;
+
 /// Elastic-net linear regression trained by coordinate descent.
 ///
 /// # Example
@@ -36,8 +42,6 @@ use crate::metrics::r2_score;
 pub struct ElasticNet {
     alpha: f64,
     l1_ratio: f64,
-    max_iterations: usize,
-    tolerance: f64,
     weights: Option<Vec<f64>>,
     intercept: f64,
 }
@@ -64,8 +68,6 @@ impl ElasticNet {
         Ok(Self {
             alpha,
             l1_ratio,
-            max_iterations: 1000,
-            tolerance: 1e-6,
             weights: None,
             intercept: 0.0,
         })
@@ -79,20 +81,6 @@ impl ElasticNet {
     /// Never fails; kept fallible for signature uniformity.
     pub fn paper_default() -> Result<Self, AppError> {
         Self::new(0.01, 0.5)
-    }
-
-    /// Overrides the iteration budget.
-    #[must_use]
-    pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations = max_iterations.max(1);
-        self
-    }
-
-    /// Overrides the convergence tolerance on the maximum coefficient change.
-    #[must_use]
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance.abs();
-        self
     }
 
     /// Fitted coefficients (one per feature).
@@ -154,7 +142,7 @@ impl ElasticNet {
         let mut weights = vec![0.0; p];
         let mut residual = yc.clone(); // residual = yc − Xc·w (starts at yc)
 
-        for _ in 0..self.max_iterations {
+        for _ in 0..MAX_ITERATIONS {
             let mut max_change = 0.0_f64;
             for j in 0..p {
                 if col_sq[j] <= 1e-18 {
@@ -177,7 +165,7 @@ impl ElasticNet {
                 weights[j] = new;
                 max_change = max_change.max((new - old).abs());
             }
-            if max_change < self.tolerance {
+            if max_change < TOLERANCE {
                 break;
             }
         }
@@ -339,19 +327,5 @@ mod tests {
         let w = model.weights().unwrap();
         assert!((w[0] - 2.0).abs() < 1e-6);
         assert_eq!(w[1], 0.0);
-    }
-
-    #[test]
-    fn builder_style_configuration() {
-        let model = ElasticNet::new(0.1, 0.5)
-            .unwrap()
-            .with_max_iterations(5)
-            .with_tolerance(1e-3);
-        // Configuration is reflected in behaviour: few iterations still fit
-        // approximately.
-        let (x, y) = linear_data();
-        let mut model = model;
-        model.fit(&x, &y).unwrap();
-        assert!(model.score(&x, &y).unwrap() > 0.5);
     }
 }

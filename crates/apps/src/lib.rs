@@ -24,7 +24,7 @@
 //! use faultmit_apps::datasets::WineQualityDataset;
 //! use faultmit_apps::{Benchmark, QualityEvaluator};
 //! use faultmit_core::Scheme;
-//! use faultmit_memsim::{FaultBackend, SramVddBackend};
+//! use faultmit_memsim::{Backend, SramVddBackend};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
@@ -37,7 +37,7 @@
 //! let baseline = evaluator.baseline_quality()?;
 //! assert!(baseline > 0.0);
 //! // Quality with 20 faults under bit-shuffling stays close to the baseline.
-//! let backend = SramVddBackend::with_p_cell(evaluator.memory_config(), 1e-3)?;
+//! let backend = Backend::Sram(SramVddBackend::with_p_cell(evaluator.memory_config(), 1e-3)?);
 //! let faults = backend.sample_with_count(&mut StdRng::seed_from_u64(7), 20)?;
 //! let q = evaluator.quality_with_fault_map(&Scheme::shuffle32(5)?, &faults)?;
 //! assert!(q >= 0.0);

@@ -48,7 +48,7 @@ use crate::pca::Pca;
 use crate::preprocessing::{train_test_split, Standardizer};
 use faultmit_analysis::{CatalogueAccumulator, EmpiricalCdf, YieldModel};
 use faultmit_core::MitigationScheme;
-use faultmit_memsim::{FaultBackend, FaultMap, MemoryConfig};
+use faultmit_memsim::{Backend, FaultMap, MemoryConfig};
 use faultmit_sim::{Campaign, CampaignConfig, MapPolicy, Parallelism, ShardSpec, ShardStats};
 
 /// Seed of the synthetic dataset generators.
@@ -257,7 +257,7 @@ impl QualityEvaluator {
     /// exists to expose.
     ///
     /// Shard states merged in shard order (via
-    /// [`faultmit_sim::Accumulator::merge`]) are bit-identical to the
+    /// [`CatalogueAccumulator::merge`]) are bit-identical to the
     /// [`ShardSpec::solo`] run. Feed the state to
     /// [`QualityEvaluator::quality_results_from_state`] to obtain the
     /// per-scheme results.
@@ -266,10 +266,10 @@ impl QualityEvaluator {
     ///
     /// Returns [`AppError::InvalidParameter`] on a geometry mismatch, and
     /// propagates sampling and evaluation errors.
-    pub fn quality_shard_on<S: MitigationScheme + Sync, B: FaultBackend + Clone>(
+    pub fn quality_shard_on<S: MitigationScheme + Sync>(
         &self,
         schemes: &[S],
-        backend: &B,
+        backend: &Backend,
         max_failures: u64,
         samples_per_count: usize,
         seed: u64,
@@ -282,7 +282,7 @@ impl QualityEvaluator {
         let prepared = self.prepare()?;
         let baseline = prepared.baseline;
 
-        let config = CampaignConfig::for_backend(backend.clone())?
+        let config = CampaignConfig::for_backend(*backend)?
             .with_samples_per_count(samples_per_count)
             .with_max_failures(max_failures)
             .with_map_policy(MapPolicy::SingleFaultPerRow)
@@ -291,21 +291,15 @@ impl QualityEvaluator {
             // worker threads stay balanced.
             .with_chunk_size(4);
 
-        Campaign::new(config)
-            .run_shard(
-                schemes,
-                seed,
-                shard,
-                |faults, metrics| {
-                    for (metric, scheme) in metrics.iter_mut().zip(schemes) {
-                        let quality = prepared.quality(scheme, faults)?;
-                        *metric = normalized_quality(quality, baseline);
-                    }
-                    Ok::<(), AppError>(())
-                },
-                CatalogueAccumulator::new(schemes.len()),
-            )
-            .map_err(AppError::from)
+        let (samples, stats) =
+            Campaign::new(config).run_shard(schemes, seed, shard, |faults, metrics| {
+                for (metric, scheme) in metrics.iter_mut().zip(schemes) {
+                    let quality = prepared.quality(scheme, faults)?;
+                    *metric = normalized_quality(quality, baseline);
+                }
+                Ok::<(), AppError>(())
+            })?;
+        Ok((CatalogueAccumulator::from_shard(samples), stats))
     }
 
     /// Converts accumulated (possibly shard-merged) campaign state of
@@ -316,10 +310,10 @@ impl QualityEvaluator {
     ///
     /// Returns [`AppError::InvalidParameter`] on geometry or catalogue-size
     /// mismatches, and propagates baseline evaluation errors.
-    pub fn quality_results_from_state<S: MitigationScheme + Sync, B: FaultBackend>(
+    pub fn quality_results_from_state<S: MitigationScheme + Sync>(
         &self,
         schemes: &[S],
-        backend: &B,
+        backend: &Backend,
         state: CatalogueAccumulator,
     ) -> Result<Vec<QualityCdfResult>, AppError> {
         self.check_backend_geometry(backend)?;
@@ -350,7 +344,7 @@ impl QualityEvaluator {
             .collect())
     }
 
-    fn check_backend_geometry<B: FaultBackend>(&self, backend: &B) -> Result<(), AppError> {
+    fn check_backend_geometry(&self, backend: &Backend) -> Result<(), AppError> {
         if backend.config() != self.memory_config {
             return Err(AppError::InvalidParameter {
                 reason: format!(
@@ -500,7 +494,7 @@ impl Model {
 mod tests {
     use super::*;
     use faultmit_core::Scheme;
-    use faultmit_memsim::{Fault, SramVddBackend};
+    use faultmit_memsim::{BackendKind, Fault};
 
     fn evaluator(benchmark: Benchmark) -> QualityEvaluator {
         QualityEvaluator::builder(benchmark)
@@ -511,10 +505,10 @@ mod tests {
     }
 
     /// A whole campaign: the solo shard, reduced to per-scheme results.
-    fn quality_cdfs<B: FaultBackend + Clone>(
+    fn quality_cdfs(
         eval: &QualityEvaluator,
         schemes: &[Scheme],
-        backend: &B,
+        backend: &Backend,
         max_failures: u64,
         samples_per_count: usize,
         seed: u64,
@@ -606,7 +600,7 @@ mod tests {
             .memory_rows(128)
             .build()
             .unwrap();
-        let sram = SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap();
+        let sram = Backend::at_p_cell(BackendKind::Sram, eval.memory_config(), 1e-3).unwrap();
         let result = quality_cdfs(&eval, &[Scheme::secded32()], &sram, 6, 3, 23)
             .unwrap()
             .remove(0);
@@ -618,7 +612,6 @@ mod tests {
 
     #[test]
     fn backend_axis_covers_all_technologies() {
-        use faultmit_memsim::{Backend, BackendKind};
         let eval = QualityEvaluator::builder(Benchmark::Elasticnet)
             .samples(96)
             .memory_rows(128)
@@ -637,20 +630,20 @@ mod tests {
         }
 
         // Geometry mismatches are rejected.
-        let wrong = SramVddBackend::with_p_cell(MemoryConfig::new(64, 32).unwrap(), 1e-3).unwrap();
+        let wrong = Backend::at_p_cell(BackendKind::Sram, MemoryConfig::new(64, 32).unwrap(), 1e-3)
+            .unwrap();
         assert!(quality_cdfs(&eval, &schemes, &wrong, 3, 2, 19).is_err());
     }
 
     #[test]
     fn quality_shard_states_merged_in_order_match_the_monolithic_campaign() {
-        use faultmit_sim::Accumulator;
         let eval = QualityEvaluator::builder(Benchmark::Elasticnet)
             .samples(96)
             .memory_rows(128)
             .build()
             .unwrap();
         let schemes = [Scheme::unprotected32(), Scheme::secded32()];
-        let backend = SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap();
+        let backend = Backend::at_p_cell(BackendKind::Sram, eval.memory_config(), 1e-3).unwrap();
         let monolithic = quality_cdfs(&eval, &schemes, &backend, 4, 2, 19).unwrap();
         for shard_count in [2usize, 3] {
             let mut merged = CatalogueAccumulator::new(schemes.len());

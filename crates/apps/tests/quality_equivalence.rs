@@ -21,7 +21,7 @@ use faultmit_apps::{
     QualityEvaluator, StoredMatrix,
 };
 use faultmit_core::{MitigationScheme, Scheme};
-use faultmit_memsim::{Backend, BackendKind, Fault, FaultBackend, FaultMap, MemoryConfig};
+use faultmit_memsim::{Backend, BackendKind, Fault, FaultMap, MemoryConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -62,8 +62,8 @@
 
 use crate::json::ToJson;
 use faultmit_memsim::{
-    BackendKind, DramRetentionBackend, FaultBackend, FaultKindLaw, ImageSpec, MemError,
-    MemoryConfig, MlcNvmBackend,
+    BackendKind, DramRetentionBackend, FaultKindLaw, ImageSpec, MemError, MemoryConfig,
+    MlcNvmBackend,
 };
 use faultmit_sim::{KernelKind, Parallelism, ShardSpec};
 use std::path::PathBuf;

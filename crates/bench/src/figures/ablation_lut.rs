@@ -10,7 +10,7 @@ use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::Table;
 use faultmit_hwmodel::{LutImplementation, OverheadModel, ProtectionBlock};
-use faultmit_memsim::{repair_yield, FaultBackend, MemoryConfig, SramVddBackend, StreamSeeder};
+use faultmit_memsim::{repair_yield, Backend, MemoryConfig, SramVddBackend, StreamSeeder};
 use faultmit_sim::{Parallelism, ShardSpec};
 use std::fmt::Write as _;
 
@@ -164,7 +164,7 @@ impl FigureDef for AblationLutDef {
         );
         let config = MemoryConfig::new(1024, 32)?;
         for &p_cell in &[1e-5, 1e-4, 1e-3, 5e-3] {
-            let backend = SramVddBackend::with_p_cell(config, p_cell)?;
+            let backend = Backend::Sram(SramVddBackend::with_p_cell(config, p_cell)?);
             let counts = backend.failure_distribution()?;
             // Pipeline-style sampling: each die owns an index-derived RNG
             // stream, so the population is independent of iteration order.

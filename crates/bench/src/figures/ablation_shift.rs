@@ -103,7 +103,7 @@ fn point_campaign(
     spec: &FigureSpec,
     parallelism: Parallelism,
     faults_per_map: usize,
-) -> Result<MonteCarloEngine<Backend>, FigureError> {
+) -> Result<MonteCarloEngine, FigureError> {
     let config = MemoryConfig::new(memory_rows(spec), 32)?;
     // The `--backend` axis swaps the fault technology: the shift policies
     // face the same clustered / level-biased maps.

@@ -10,7 +10,7 @@ use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::{format_percent, format_sci, Table};
 use faultmit_analysis::{CatalogueAccumulator, MonteCarloEngine, SchemeMseResult};
 use faultmit_core::{MitigationScheme, Scheme};
-use faultmit_memsim::{Backend, FaultBackend, MemoryConfig};
+use faultmit_memsim::{Backend, MemoryConfig};
 use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec, ShardStats};
 use std::fmt::Write as _;
 
@@ -22,7 +22,7 @@ pub const FIG5_SEED: u64 = 0xF165;
 #[derive(Debug, Clone)]
 pub struct Fig5Campaign {
     /// The MSE engine at the figure's memory/backend/budget.
-    pub engine: MonteCarloEngine<Backend>,
+    pub engine: MonteCarloEngine,
     /// The Fig. 5 scheme catalogue.
     pub schemes: Vec<Scheme>,
     /// The campaign seed.

@@ -11,7 +11,7 @@ use faultmit_analysis::report::{format_percent, Table};
 use faultmit_analysis::CatalogueAccumulator;
 use faultmit_apps::{Benchmark, QualityCdfResult, QualityEvaluator};
 use faultmit_core::{MitigationScheme, Scheme};
-use faultmit_memsim::{Backend, BackendKind, FaultBackend, MemoryConfig};
+use faultmit_memsim::{Backend, BackendKind, MemoryConfig};
 use faultmit_sim::{Parallelism, ShardSpec, N_MAX_COVERAGE};
 use std::fmt::Write as _;
 
@@ -72,13 +72,7 @@ impl Fig7Campaign {
         Ok(Self {
             evaluators,
             backend,
-            schemes: vec![
-                Scheme::unprotected32(),
-                Scheme::pecc32(),
-                Scheme::shuffle32(1)?,
-                Scheme::shuffle32(2)?,
-                Scheme::secded32(),
-            ],
+            schemes: Scheme::fig7_catalogue(),
             seed: FIG7_SEED,
             max_failures,
             samples_per_count: spec.samples_per_count,

@@ -2,16 +2,17 @@
 //! across memory technologies and operating points.
 
 use super::{
-    take_catalogue, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure, ShardRun,
+    spec_kinds, spec_schemes, take_catalogue, FigureDef, FigureError, FigureSpec, PanelState,
+    RenderedFigure, ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::{format_percent, format_sci, Table};
 use faultmit_analysis::MonteCarloEngine;
-use faultmit_core::{MitigationScheme, Scheme};
+use faultmit_core::MitigationScheme;
 use faultmit_memsim::{
-    Backend, BackendKind, CellFailureModel, DramRetentionBackend, FaultBackend, MemoryConfig,
-    MlcNvmBackend, SramVddBackend,
+    Backend, BackendKind, CellFailureModel, DramRetentionBackend, MemoryConfig, MlcNvmBackend,
+    SramVddBackend,
 };
 use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec, N_MAX_COVERAGE};
 use std::fmt::Write as _;
@@ -72,19 +73,6 @@ fn operating_points(kind: BackendKind, memory: MemoryConfig) -> Result<Vec<Backe
     })
 }
 
-fn spec_kinds(spec: &FigureSpec) -> Vec<BackendKind> {
-    match spec.backend {
-        Some(kind) => vec![kind],
-        None => BackendKind::ALL.to_vec(),
-    }
-}
-
-fn spec_schemes() -> Vec<Scheme> {
-    let mut schemes = Scheme::fig5_catalogue();
-    schemes.push(Scheme::secded32());
-    schemes
-}
-
 fn failure_cap(spec: &FigureSpec) -> u64 {
     if spec.full_scale {
         150
@@ -98,7 +86,7 @@ fn failure_cap(spec: &FigureSpec) -> u64 {
 fn panel_engines(
     spec: &FigureSpec,
     parallelism: Parallelism,
-) -> Result<Vec<(BackendKind, MonteCarloEngine<Backend>)>, FigureError> {
+) -> Result<Vec<(BackendKind, MonteCarloEngine)>, FigureError> {
     let memory = MemoryConfig::paper_16kb();
     let cap = failure_cap(spec);
     let mut engines = Vec::new();

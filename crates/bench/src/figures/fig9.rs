@@ -13,15 +13,16 @@
 //! rows measures the data dependence directly.
 
 use super::{
-    take_catalogue, FigureDef, FigureError, FigureSpec, PanelState, RenderedFigure, ShardRun,
+    spec_kinds, spec_schemes, take_catalogue, FigureDef, FigureError, FigureSpec, PanelState,
+    RenderedFigure, ShardRun,
 };
 use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::{format_percent, format_sci, Table};
 use faultmit_analysis::{CatalogueAccumulator, MonteCarloEngine, SchemeMseResult};
-use faultmit_core::{MitigationScheme, Scheme};
+use faultmit_core::MitigationScheme;
 use faultmit_memsim::image::{AppImage, ImageSpec};
-use faultmit_memsim::{Backend, BackendKind, FaultBackend, FaultKindLaw, MemoryConfig};
+use faultmit_memsim::{Backend, BackendKind, FaultKindLaw, MemoryConfig};
 use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec, ShardStats, N_MAX_COVERAGE};
 use std::fmt::Write as _;
 
@@ -81,19 +82,6 @@ fn spec_laws(spec: &FigureSpec) -> Vec<FaultKindLaw> {
     }
 }
 
-fn spec_kinds(spec: &FigureSpec) -> Vec<BackendKind> {
-    match spec.backend {
-        Some(kind) => vec![kind],
-        None => BackendKind::ALL.to_vec(),
-    }
-}
-
-fn spec_schemes() -> Vec<Scheme> {
-    let mut schemes = Scheme::fig5_catalogue();
-    schemes.push(Scheme::secded32());
-    schemes
-}
-
 /// The one panel-label template of the matrix — shard checkpoints store
 /// these strings and the merge validates them, so
 /// [`Fig9Campaign::label`] and [`Fig9Def::panel_labels`] must never
@@ -115,7 +103,7 @@ pub struct Fig9Campaign {
     /// The fault-kind law of this cell.
     pub law: FaultKindLaw,
     /// The density-matched MSE engine.
-    pub engine: MonteCarloEngine<Backend>,
+    pub engine: MonteCarloEngine,
 }
 
 /// Materialises one image of the Fig. 9 sweep (`None` for the all-zeros

@@ -54,8 +54,9 @@ use crate::json::{JsonValue, ToJson};
 use crate::metrics::ShardMetrics;
 use faultmit_analysis::CatalogueAccumulator;
 use faultmit_apps::Benchmark;
+use faultmit_core::Scheme;
 use faultmit_memsim::{BackendKind, FaultKindLaw, ImageSpec};
-use faultmit_sim::{Accumulator, KernelKind, Parallelism, ShardSpec};
+use faultmit_sim::{KernelKind, Parallelism, ShardSpec};
 
 /// Errors from figure materialisation, evaluation or rendering.
 pub type FigureError = Box<dyn std::error::Error>;
@@ -403,6 +404,23 @@ impl PanelState {
         }
         Ok(())
     }
+}
+
+/// The backend axis of the Fig. 8 and Fig. 9 matrices: the `--backend`
+/// selection, or every technology.
+pub(crate) fn spec_kinds(spec: &FigureSpec) -> Vec<BackendKind> {
+    match spec.backend {
+        Some(kind) => vec![kind],
+        None => BackendKind::ALL.to_vec(),
+    }
+}
+
+/// The scheme catalogue of the Fig. 8 and Fig. 9 matrices: the Fig. 5
+/// catalogue plus H(39,32).
+pub(crate) fn spec_schemes() -> Vec<Scheme> {
+    let mut schemes = Scheme::fig5_catalogue();
+    schemes.push(Scheme::secded32());
+    schemes
 }
 
 /// Unwraps a catalogue panel (render-side helper).
@@ -822,19 +840,19 @@ mod tests {
 
     #[test]
     fn panel_states_merge_by_kind_and_reject_mismatches() {
-        use faultmit_sim::PairedSample;
-        let sample = |index: u64, metrics: &[f64]| PairedSample {
-            sample_index: index,
-            n_faults: 1,
-            weight: 0.5,
-            metrics: metrics.to_vec(),
+        use faultmit_analysis::EmpiricalCdf;
+        use std::collections::BTreeMap;
+        // One scheme, one die at one fault.
+        let one_die = |metric: f64| {
+            CatalogueAccumulator::from_per_scheme_counts(vec![BTreeMap::from([(
+                1,
+                EmpiricalCdf::from_samples([metric]),
+            )])])
         };
 
         // Catalogue merging folds accumulators.
-        let mut a0 = CatalogueAccumulator::new(1);
-        a0.record(&sample(0, &[1.0]));
-        let mut a1 = CatalogueAccumulator::new(1);
-        a1.record(&sample(1, &[2.0]));
+        let a0 = one_die(1.0);
+        let a1 = one_die(2.0);
         let mut merged = PanelState::Catalogue {
             scheme_names: vec!["s".into()],
             accumulator: a0,

@@ -749,15 +749,20 @@ mod tests {
     use super::*;
     use crate::figures::find_figure;
     use crate::RunOptions;
-    use faultmit_sim::{Accumulator, PairedSample};
 
-    fn sample(index: u64, n_faults: u64, metrics: &[f64]) -> PairedSample {
-        PairedSample {
-            sample_index: index,
-            n_faults,
-            weight: 0.125 + index as f64 * 1e-3,
-            metrics: metrics.to_vec(),
+    /// An accumulator of dies given by fault count and metrics, in order,
+    /// die `i` weighing `0.125 + i/1000` so that every stratum holds
+    /// several weight runs.
+    fn accumulator(dies: &[(u64, Vec<f64>)]) -> CatalogueAccumulator {
+        let scheme_count = dies.first().map_or(0, |(_, metrics)| metrics.len());
+        let mut per_scheme = vec![BTreeMap::<u64, EmpiricalCdf>::new(); scheme_count];
+        for (index, (n_faults, metrics)) in dies.iter().enumerate() {
+            let weight = 0.125 + index as f64 * 1e-3;
+            for (per_count, &metric) in per_scheme.iter_mut().zip(metrics) {
+                per_count.entry(*n_faults).or_default().add(metric, weight);
+            }
         }
+        CatalogueAccumulator::from_per_scheme_counts(per_scheme)
     }
 
     fn spec() -> FigureSpec {
@@ -1030,10 +1035,11 @@ mod tests {
 
     #[test]
     fn populated_accumulator_round_trips_through_text() {
-        let mut accumulator = CatalogueAccumulator::new(2);
-        accumulator.record(&sample(0, 1, &[10.0, 0.5]));
-        accumulator.record(&sample(1, 1, &[20.0, 1.0 / 3.0]));
-        accumulator.record(&sample(2, 4, &[30.0, 0.125]));
+        let accumulator = accumulator(&[
+            (1, vec![10.0, 0.5]),
+            (1, vec![20.0, 1.0 / 3.0]),
+            (4, vec![30.0, 0.125]),
+        ]);
         let text = accumulator_to_json(&accumulator).to_pretty_string();
         let round = accumulator_from_json(&JsonValue::parse(&text).unwrap()).unwrap();
         assert_eq!(round, accumulator);
@@ -1086,13 +1092,10 @@ mod tests {
     }
 
     fn one_panel_state(values: &[f64]) -> PanelState {
-        let mut accumulator = CatalogueAccumulator::new(1);
-        for (i, &value) in values.iter().enumerate() {
-            accumulator.record(&sample(i as u64, 1, &[value]));
-        }
+        let dies: Vec<(u64, Vec<f64>)> = values.iter().map(|&value| (1, vec![value])).collect();
         PanelState::Catalogue {
             scheme_names: vec!["no-correction".to_owned()],
-            accumulator,
+            accumulator: accumulator(&dies),
         }
     }
 

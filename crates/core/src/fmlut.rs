@@ -182,29 +182,6 @@ impl FmLut {
             })
     }
 
-    /// Sets the shift index of `row` explicitly (e.g. from an external test
-    /// flow).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::RowOutOfRange`] or
-    /// [`CoreError::ShiftIndexOutOfRange`].
-    pub fn set_x_fm(&mut self, row: usize, x_fm: usize) -> Result<(), CoreError> {
-        if x_fm >= self.geometry.segment_count() {
-            return Err(CoreError::ShiftIndexOutOfRange {
-                index: x_fm,
-                segments: self.geometry.segment_count(),
-            });
-        }
-        let rows = self.entries.len();
-        let entry = self
-            .entries
-            .get_mut(row)
-            .ok_or(CoreError::RowOutOfRange { row, rows })?;
-        *entry = x_fm;
-        Ok(())
-    }
-
     /// The rotation amount `T(r)` (Eq. (2)) of `row`.
     ///
     /// # Errors
@@ -226,13 +203,6 @@ impl FmLut {
     #[must_use]
     pub fn total_bits(&self) -> usize {
         self.rows() * self.bits_per_row()
-    }
-
-    /// Number of rows with a non-zero shift (i.e. rows the BIST found to need
-    /// remapping).
-    #[must_use]
-    pub fn shifted_row_count(&self) -> usize {
-        self.entries.iter().filter(|&&x| x != 0).count()
     }
 
     /// Iterates over `(row, x_FM)` pairs.
@@ -263,7 +233,8 @@ mod tests {
             assert_eq!(lut.x_fm(row).unwrap(), 0);
             assert_eq!(lut.shift_for_row(row).unwrap(), 0);
         }
-        assert_eq!(lut.shifted_row_count(), 0);
+        assert!(lut.x_fm(8).is_err());
+        assert!(lut.shift_for_row(8).is_err());
     }
 
     #[test]
@@ -364,17 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn set_x_fm_validates_inputs() {
-        let mut lut = FmLut::new(geometry(2), 4);
-        assert!(lut.set_x_fm(0, 3).is_ok());
-        assert_eq!(lut.x_fm(0).unwrap(), 3);
-        assert!(lut.set_x_fm(0, 4).is_err());
-        assert!(lut.set_x_fm(9, 0).is_err());
-        assert!(lut.x_fm(9).is_err());
-        assert!(lut.shift_for_row(9).is_err());
-    }
-
-    #[test]
     fn storage_accounting() {
         let lut = FmLut::new(geometry(3), 4096);
         assert_eq!(lut.bits_per_row(), 3);
@@ -382,12 +342,11 @@ mod tests {
     }
 
     #[test]
-    fn iter_and_shifted_row_count() {
+    fn iter_lists_each_rows_shift_index() {
         let faults = fault_map(&[Fault::bit_flip(2, 20), Fault::bit_flip(7, 0)]);
         let lut = FmLut::from_fault_map(geometry(5), &faults).unwrap();
         // Row 7's fault is already in the LSB segment → shift 0, so only one
-        // row counts as shifted.
-        assert_eq!(lut.shifted_row_count(), 1);
+        // row is shifted.
         let pairs: Vec<(usize, usize)> = lut.iter().filter(|&(_, x)| x != 0).collect();
         assert_eq!(pairs, vec![(2, 20)]);
     }

@@ -74,16 +74,6 @@ impl SegmentGeometry {
         Ok(all)
     }
 
-    /// The paper's finest-granularity configuration for 32-bit words
-    /// (`n_FM = 5`, single-bit segments).
-    #[must_use]
-    pub fn paper_32bit_finest() -> Self {
-        Self {
-            word_bits: 32,
-            n_fm: 5,
-        }
-    }
-
     /// Word width `W` in bits.
     #[must_use]
     pub fn word_bits(&self) -> usize {
@@ -240,7 +230,7 @@ mod tests {
     fn shift_amount_matches_equation_2() {
         // Paper example (§3): W = 32, n_FM = 5, fault in bit 3 of the bottom
         // word → x_FM = 3 and T = 1 · (32 − 3) = 29.
-        let g = SegmentGeometry::paper_32bit_finest();
+        let g = SegmentGeometry::new(32, 5).unwrap();
         assert_eq!(g.shift_amount(3).unwrap(), 29);
         // Fig. 3 top word: fault in bit 31 → shift right by 1... i.e.
         // T = 32 − 31 = 1; the paper describes it as "shifted-right by 31
@@ -264,13 +254,5 @@ mod tests {
             0xFFFF_FFFF
         );
         assert_eq!(SegmentGeometry::new(64, 1).unwrap().word_mask(), u64::MAX);
-    }
-
-    #[test]
-    fn paper_default_is_finest_granularity() {
-        let g = SegmentGeometry::paper_32bit_finest();
-        assert_eq!(g.word_bits(), 32);
-        assert_eq!(g.n_fm(), 5);
-        assert_eq!(g.segment_bits(), 1);
     }
 }

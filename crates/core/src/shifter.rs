@@ -67,20 +67,6 @@ pub fn rotate_left(value: u64, shift: usize, width: usize) -> u64 {
     rotate_right(value, width - shift, width)
 }
 
-/// Number of 2-to-1 multiplexer stages a hardware barrel shifter needs for a
-/// `width`-bit word: `⌈log2(width)⌉`.
-///
-/// Used by the hardware-overhead model; exposed here so the cost model and
-/// the functional model agree on the shifter structure.
-#[must_use]
-pub fn barrel_shifter_stages(width: usize) -> usize {
-    if width <= 1 {
-        0
-    } else {
-        (usize::BITS - (width - 1).leading_zeros()) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,16 +137,6 @@ mod tests {
     #[should_panic(expected = "width must be in 1..=64")]
     fn zero_width_panics() {
         let _ = rotate_right(0, 0, 0);
-    }
-
-    #[test]
-    fn shifter_stage_count() {
-        assert_eq!(barrel_shifter_stages(1), 0);
-        assert_eq!(barrel_shifter_stages(2), 1);
-        assert_eq!(barrel_shifter_stages(16), 4);
-        assert_eq!(barrel_shifter_stages(32), 5);
-        assert_eq!(barrel_shifter_stages(39), 6);
-        assert_eq!(barrel_shifter_stages(64), 6);
     }
 
     #[test]

@@ -13,14 +13,6 @@ pub enum DecodeOutcome {
     DetectedDouble,
 }
 
-impl DecodeOutcome {
-    /// `true` when the returned data can be trusted (no error, or corrected).
-    #[must_use]
-    pub fn is_reliable(self) -> bool {
-        !matches!(self, DecodeOutcome::DetectedDouble)
-    }
-}
-
 /// A decoded word together with the decoder's verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Decoded {
@@ -91,13 +83,6 @@ pub trait SecdedCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn outcome_reliability() {
-        assert!(DecodeOutcome::Clean.is_reliable());
-        assert!(DecodeOutcome::CorrectedSingle.is_reliable());
-        assert!(!DecodeOutcome::DetectedDouble.is_reliable());
-    }
 
     struct Dummy;
     impl SecdedCode for Dummy {

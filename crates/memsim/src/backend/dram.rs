@@ -1,7 +1,7 @@
 //! DRAM/eDRAM retention-failure backend: exponential weak-cell retention
 //! times and spatially clustered fault placement.
 
-use super::{place_distinct, FaultBackend, FaultKindLaw, OperatingPoint};
+use super::{place_distinct, FaultKindLaw, OperatingPoint};
 use crate::config::MemoryConfig;
 use crate::error::MemError;
 use crate::scratch::DieScratch;
@@ -31,7 +31,8 @@ const CLUSTER_ROWS: i64 = 2;
 /// Half-window in columns a cluster's faults spread over around its centre.
 const CLUSTER_COLS: i64 = 4;
 
-/// DRAM/eDRAM retention failures behind the [`FaultBackend`] interface.
+/// DRAM/eDRAM retention failures, the [`Backend::Dram`](super::Backend::Dram)
+/// technology.
 ///
 /// # Failure law
 ///
@@ -206,29 +207,31 @@ impl DramRetentionBackend {
             (row, col)
         }
     }
-}
 
-impl FaultBackend for DramRetentionBackend {
-    fn name(&self) -> &'static str {
-        "dram-retention"
-    }
-
-    fn config(&self) -> MemoryConfig {
+    /// Memory geometry the backend generates fault maps for.
+    #[must_use]
+    pub(super) fn config(&self) -> MemoryConfig {
         self.config
     }
 
-    fn p_cell(&self) -> f64 {
+    /// Marginal per-cell fault probability at the current operating point.
+    #[must_use]
+    pub fn p_cell(&self) -> f64 {
         self.p_cell
     }
 
-    fn operating_point(&self) -> OperatingPoint {
+    /// The operating point the failure law was evaluated at.
+    #[must_use]
+    pub(super) fn operating_point(&self) -> OperatingPoint {
         OperatingPoint::DramRetention {
             refresh_interval_ms: self.refresh_interval_ms,
             temperature_c: self.temperature_c,
         }
     }
 
-    fn sample_into(
+    /// This technology's placement, the draw of
+    /// [`Backend::sample_into`](super::Backend::sample_into).
+    pub(super) fn sample_into(
         &self,
         rng: &mut StdRng,
         n_faults: usize,
@@ -248,7 +251,7 @@ impl FaultBackend for DramRetentionBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::SramVddBackend;
+    use crate::backend::{Backend, SramVddBackend};
     use crate::fault::FaultKind;
     use rand::SeedableRng;
 
@@ -327,8 +330,8 @@ mod tests {
 
     #[test]
     fn faults_are_spatially_clustered_relative_to_iid_sampling() {
-        let backend = DramRetentionBackend::new(config(), 64.0, 45.0).unwrap();
-        let iid = SramVddBackend::with_p_cell(config(), 1e-3).unwrap();
+        let backend = Backend::Dram(DramRetentionBackend::new(config(), 64.0, 45.0).unwrap());
+        let iid = Backend::Sram(SramVddBackend::with_p_cell(config(), 1e-3).unwrap());
         let mut clustered_rows = 0usize;
         let mut iid_rows = 0usize;
         for seed in 0..20u64 {
@@ -352,7 +355,7 @@ mod tests {
 
     #[test]
     fn default_kind_law_is_observable_flips_and_decay_law_is_asymmetric() {
-        let backend = DramRetentionBackend::new(config(), 64.0, 45.0).unwrap();
+        let backend = Backend::Dram(DramRetentionBackend::new(config(), 64.0, 45.0).unwrap());
         let mut rng = StdRng::seed_from_u64(7);
         let map = backend.sample_with_count(&mut rng, 200).unwrap();
         assert!(map.iter().all(|f| f.kind == FaultKind::BitFlip));
@@ -377,7 +380,7 @@ mod tests {
     #[test]
     fn exact_count_holds_even_at_full_array_density() {
         let tiny = MemoryConfig::new(4, 8).unwrap();
-        let backend = DramRetentionBackend::new(tiny, 64.0, 45.0).unwrap();
+        let backend = Backend::Dram(DramRetentionBackend::new(tiny, 64.0, 45.0).unwrap());
         let mut rng = StdRng::seed_from_u64(2);
         let map = backend.sample_with_count(&mut rng, 32).unwrap();
         assert_eq!(map.fault_count(), 32);

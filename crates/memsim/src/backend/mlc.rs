@@ -1,7 +1,7 @@
 //! Multi-level-cell (MLC) NVM backend: drift-broadened level margins and
 //! level-dependent, asymmetric bit-error placement.
 
-use super::{place_distinct, FaultBackend, FaultKindLaw, OperatingPoint};
+use super::{place_distinct, FaultKindLaw, OperatingPoint};
 use crate::config::MemoryConfig;
 use crate::error::MemError;
 use crate::scratch::DieScratch;
@@ -16,7 +16,7 @@ const DRIFT_NU: f64 = 0.05;
 /// column: two of the three Gray-coded level boundaries flip the LSB.
 const LSB_WEIGHT: f64 = 2.0;
 
-/// MLC NVM read errors behind the [`FaultBackend`] interface.
+/// MLC NVM read errors, the [`Backend::Mlc`](super::Backend::Mlc) technology.
 ///
 /// # Failure law
 ///
@@ -40,9 +40,9 @@ const LSB_WEIGHT: f64 = 2.0;
 /// With the standard Gray mapping, three level boundaries exist, two of
 /// which flip the cell's *LSB page* bit and one its *MSB page* bit — so LSB
 /// bits misread about twice as often. Data bits map to cells alternately
-/// (even word columns = LSB page, odd = MSB page), and
-/// [`MlcNvmBackend::sample_into`] places faults with even columns
-/// weighted 2 : 1 over odd columns, rows uniform. The requested fault count
+/// (even word columns = LSB page, odd = MSB page), and the placement
+/// puts faults on even columns with weight 2 : 1 over odd columns, rows
+/// uniform. The requested fault count
 /// is always exact.
 ///
 /// Fault kinds default to always-observable bit-flips (the paper's
@@ -169,29 +169,31 @@ impl MlcNvmBackend {
             (row, col)
         }
     }
-}
 
-impl FaultBackend for MlcNvmBackend {
-    fn name(&self) -> &'static str {
-        "mlc-nvm"
-    }
-
-    fn config(&self) -> MemoryConfig {
+    /// Memory geometry the backend generates fault maps for.
+    #[must_use]
+    pub(super) fn config(&self) -> MemoryConfig {
         self.config
     }
 
-    fn p_cell(&self) -> f64 {
+    /// Marginal per-cell fault probability at the current operating point.
+    #[must_use]
+    pub fn p_cell(&self) -> f64 {
         self.p_cell
     }
 
-    fn operating_point(&self) -> OperatingPoint {
+    /// The operating point the failure law was evaluated at.
+    #[must_use]
+    pub(super) fn operating_point(&self) -> OperatingPoint {
         OperatingPoint::MlcNvm {
             level_spacing_sigma: self.level_spacing_sigma,
             drift_time_s: self.drift_time_s,
         }
     }
 
-    fn sample_into(
+    /// This technology's placement, the draw of
+    /// [`Backend::sample_into`](super::Backend::sample_into).
+    pub(super) fn sample_into(
         &self,
         rng: &mut StdRng,
         n_faults: usize,
@@ -211,6 +213,7 @@ impl FaultBackend for MlcNvmBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Backend;
     use crate::fault::FaultKind;
     use rand::SeedableRng;
 
@@ -275,7 +278,7 @@ mod tests {
 
     #[test]
     fn lsb_page_columns_carry_twice_the_fault_mass() {
-        let backend = MlcNvmBackend::new(config(), 12.0, 86_400.0).unwrap();
+        let backend = Backend::Mlc(MlcNvmBackend::new(config(), 12.0, 86_400.0).unwrap());
         let mut even = 0usize;
         let mut odd = 0usize;
         for seed in 0..30u64 {
@@ -293,8 +296,7 @@ mod tests {
 
     #[test]
     fn drift_kind_law_is_asymmetric_when_enabled() {
-        let backend = MlcNvmBackend::new(config(), 12.0, 86_400.0)
-            .unwrap()
+        let backend = Backend::Mlc(MlcNvmBackend::new(config(), 12.0, 86_400.0).unwrap())
             .with_kind_law(FaultKindLaw::AsymmetricStuckAt {
                 p_stuck_at_zero: 0.75,
             })
@@ -314,7 +316,7 @@ mod tests {
 
     #[test]
     fn default_faults_are_observable_flips_and_counts_are_exact() {
-        let backend = MlcNvmBackend::new(config(), 12.0, 86_400.0).unwrap();
+        let backend = Backend::Mlc(MlcNvmBackend::new(config(), 12.0, 86_400.0).unwrap());
         let mut rng = StdRng::seed_from_u64(11);
         for &n in &[0usize, 1, 33, 512] {
             let map = backend.sample_with_count(&mut rng, n).unwrap();
@@ -326,7 +328,7 @@ mod tests {
     #[test]
     fn odd_word_widths_are_handled() {
         let narrow = MemoryConfig::new(16, 1).unwrap();
-        let backend = MlcNvmBackend::new(narrow, 12.0, 0.0).unwrap();
+        let backend = Backend::Mlc(MlcNvmBackend::new(narrow, 12.0, 0.0).unwrap());
         let mut rng = StdRng::seed_from_u64(1);
         let map = backend.sample_with_count(&mut rng, 10).unwrap();
         assert_eq!(map.fault_count(), 10);

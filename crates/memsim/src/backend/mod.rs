@@ -1,18 +1,18 @@
-//! Pluggable fault-generation backends for different memory technologies.
+//! Fault-generation backends for different memory technologies.
 //!
 //! The paper evaluates its mitigation schemes against iid SRAM
 //! voltage-scaling failures only. Real systems face other fault processes:
 //! DRAM/eDRAM retention failures cluster spatially and depend on the refresh
 //! interval and temperature; multi-level-cell (MLC) NVM errors depend on the
 //! level spacing, drift time, and which bit of the cell a data bit maps to.
-//! The [`FaultBackend`] trait abstracts *where faults come from* so every
-//! layer above (`faultmit-sim` campaigns, `faultmit-analysis` engines, the
-//! figure binaries) can run against any technology:
+//! A [`Backend`] says *where faults come from*, and every layer above
+//! (`faultmit-sim` campaigns, `faultmit-analysis` engines, the figure
+//! binaries) runs against whichever technology it holds:
 //!
 //! * a **per-cell failure law** — the marginal probability that a bit-cell
-//!   is faulty at the backend's operating point ([`FaultBackend::p_cell`]);
+//!   is faulty at the backend's operating point ([`Backend::p_cell`]);
 //! * a **fault-map distribution** — how a given number of faults is placed
-//!   over the array ([`FaultBackend::sample_into`]): iid uniform for
+//!   over the array ([`Backend::sample_into`]): iid uniform for
 //!   SRAM, spatially clustered for DRAM retention, level-weighted columns
 //!   for MLC NVM;
 //! * an **operating point** — the technology-specific knob that moves the
@@ -20,73 +20,10 @@
 //!   level spacing + drift time for MLC NVM), reported as an
 //!   [`OperatingPoint`] for tables and JSON series.
 //!
-//! The three in-tree implementations are [`SramVddBackend`] (the paper's
-//! model: iid Floyd placement), [`DramRetentionBackend`] and
-//! [`MlcNvmBackend`]. The [`Backend`] enum packages them behind one `Copy`
-//! type for CLI selection.
-//!
-//! # Adding your own backend
-//!
-//! Implement [`FaultBackend`] for your own type and every campaign layer
-//! accepts it. A minimal backend with an iid law and a custom knob:
-//!
-//! ```
-//! use faultmit_memsim::backend::{FaultBackend, OperatingPoint, SramVddBackend};
-//! use faultmit_memsim::{DieScratch, MemError, MemoryConfig, StreamSeeder};
-//! use rand::rngs::StdRng;
-//!
-//! /// Faults from radiation strikes: iid placement, rate set by altitude.
-//! #[derive(Debug, Clone, Copy, PartialEq)]
-//! struct RadiationBackend {
-//!     config: MemoryConfig,
-//!     altitude_km: f64,
-//! }
-//!
-//! impl FaultBackend for RadiationBackend {
-//!     fn name(&self) -> &'static str {
-//!         "radiation"
-//!     }
-//!
-//!     fn config(&self) -> MemoryConfig {
-//!         self.config
-//!     }
-//!
-//!     fn p_cell(&self) -> f64 {
-//!         // Strike rate doubles every 2 km of altitude.
-//!         1e-6 * (self.altitude_km / 2.0).exp2()
-//!     }
-//!
-//!     fn operating_point(&self) -> OperatingPoint {
-//!         OperatingPoint::Custom {
-//!             parameter: self.altitude_km,
-//!             unit: "km",
-//!         }
-//!     }
-//!
-//!     fn sample_into(
-//!         &self,
-//!         rng: &mut StdRng,
-//!         n_faults: usize,
-//!         scratch: &mut DieScratch,
-//!     ) -> Result<(), MemError> {
-//!         // Strikes land uniformly; reuse the SRAM backend's iid placement.
-//!         SramVddBackend::with_p_cell(self.config, self.p_cell())?
-//!             .sample_into(rng, n_faults, scratch)
-//!     }
-//! }
-//!
-//! # fn main() -> Result<(), MemError> {
-//! let backend = RadiationBackend {
-//!     config: MemoryConfig::new(64, 32)?,
-//!     altitude_km: 10.0,
-//! };
-//! // The campaign's per-worker arena draws dies from the custom backend.
-//! let mut scratch = DieScratch::new(backend.config());
-//! let mut rng = StreamSeeder::new(42).rng_for_sample(0);
-//! assert_eq!(scratch.generate(&backend, &mut rng, 3)?.fault_count(), 3);
-//! # Ok(())
-//! # }
-//! ```
+//! The set of technologies is closed: [`Backend`] has one variant per
+//! technology, [`SramVddBackend`] (the paper's model: iid Floyd
+//! placement), [`DramRetentionBackend`] and [`MlcNvmBackend`], and a fourth
+//! technology is a fourth variant.
 //!
 //! # Data-dependent faults: kind laws and data images
 //!
@@ -98,7 +35,7 @@
 //! [`ImageSpec`](crate::image::ImageSpec):
 //!
 //! ```
-//! use faultmit_memsim::backend::{FaultBackend, FaultKindLaw, MlcNvmBackend};
+//! use faultmit_memsim::backend::{Backend, FaultKindLaw, MlcNvmBackend};
 //! use faultmit_memsim::image::ImageSpec;
 //! use faultmit_memsim::MemoryConfig;
 //! use rand::rngs::StdRng;
@@ -107,11 +44,11 @@
 //! # fn main() -> Result<(), faultmit_memsim::MemError> {
 //! let config = MemoryConfig::new(64, 32)?;
 //! // Resistance drift mostly discharges cells: 90% of faults read 0.
-//! let backend = MlcNvmBackend::new(config, 12.0, 86_400.0)?.with_kind_law(
+//! let backend = Backend::Mlc(MlcNvmBackend::new(config, 12.0, 86_400.0)?.with_kind_law(
 //!     FaultKindLaw::AsymmetricStuckAt {
 //!         p_stuck_at_zero: 0.9,
 //!     },
-//! )?;
+//! )?);
 //! let map = backend.sample_with_count(&mut StdRng::seed_from_u64(1), 32)?;
 //!
 //! let zeros = ImageSpec::Zeros.words(config)?;
@@ -149,8 +86,8 @@ use std::str::FromStr;
 /// The technology-specific knob settings a backend's failure law is
 /// evaluated at.
 ///
-/// Reported by [`FaultBackend::operating_point`] so tables and JSON series
-/// can label campaign results without knowing the backend type.
+/// Reported by [`Backend::operating_point`] so tables and JSON series
+/// can label campaign results without knowing the technology.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OperatingPoint {
     /// SRAM under voltage scaling: the supply voltage in volts.
@@ -173,13 +110,6 @@ pub enum OperatingPoint {
         /// Time since programming (s); resistance drift widens the levels.
         drift_time_s: f64,
     },
-    /// A single free-form knob, for user-defined backends.
-    Custom {
-        /// Knob value.
-        parameter: f64,
-        /// Unit label for reports.
-        unit: &'static str,
-    },
 }
 
 impl OperatingPoint {
@@ -196,7 +126,6 @@ impl OperatingPoint {
                 level_spacing_sigma,
                 ..
             } => *level_spacing_sigma,
-            OperatingPoint::Custom { parameter, .. } => *parameter,
         }
     }
 
@@ -213,7 +142,6 @@ impl OperatingPoint {
                 level_spacing_sigma,
                 drift_time_s,
             } => format!("spacing={level_spacing_sigma:.1}sigma @ t={drift_time_s:.0}s"),
-            OperatingPoint::Custom { parameter, unit } => format!("knob={parameter}{unit}"),
         }
     }
 }
@@ -350,106 +278,7 @@ impl FromStr for FaultKindLaw {
     }
 }
 
-/// A memory-technology fault model: per-cell failure law, fault-map
-/// distribution, and operating-point parameterisation.
-///
-/// Implementations must be deterministic functions of the RNG passed to
-/// [`FaultBackend::sample_into`]: the parallel pipeline hands every
-/// Monte-Carlo sample an RNG derived from `(campaign seed, sample index)`,
-/// and bit-identical campaigns at any worker count follow only if backends
-/// never draw randomness from anywhere else.
-///
-/// See the [module documentation](self) for a worked custom-backend example.
-pub trait FaultBackend: fmt::Debug + Send + Sync {
-    /// Short technology name (`"sram-vdd"`, `"dram-retention"`, `"mlc-nvm"`).
-    fn name(&self) -> &'static str;
-
-    /// Memory geometry the backend generates fault maps for.
-    fn config(&self) -> MemoryConfig;
-
-    /// Marginal per-cell fault probability at the current operating point.
-    fn p_cell(&self) -> f64;
-
-    /// The operating point the failure law was evaluated at.
-    fn operating_point(&self) -> OperatingPoint;
-
-    /// Draws a fault map with exactly `n_faults` faulty cells, placed
-    /// according to the backend's spatial law, into a reusable
-    /// [`DieScratch`] arena — the one way a die is drawn. The in-tree
-    /// backends place faults in the arena's own buffers, so steady-state
-    /// generation never allocates; a custom backend may instead build a map
-    /// and install it with [`DieScratch::replace_map`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::InvalidParameter`] when `n_faults` exceeds the
-    /// cell count, or propagates map-construction errors.
-    fn sample_into(
-        &self,
-        rng: &mut StdRng,
-        n_faults: usize,
-        scratch: &mut DieScratch,
-    ) -> Result<(), MemError>;
-
-    /// Draws a fault map with exactly `n_faults` faults into a fresh arena
-    /// and returns it: [`FaultBackend::sample_into`] for one-off draws,
-    /// consuming the RNG identically. Records no metrics.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`FaultBackend::sample_into`].
-    fn sample_with_count(&self, rng: &mut StdRng, n_faults: usize) -> Result<FaultMap, MemError> {
-        let mut scratch = DieScratch::new(self.config());
-        self.sample_into(rng, n_faults, &mut scratch)?;
-        Ok(scratch.into_map())
-    }
-
-    /// Distribution of the die failure count `N` implied by the per-cell
-    /// law (binomial over the marginal `p_cell`; for spatially correlated
-    /// backends this is the matched-marginal approximation used to weight
-    /// Monte-Carlo samples).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::InvalidProbability`] when the backend's `p_cell`
-    /// is outside `[0, 1]`.
-    fn failure_distribution(&self) -> Result<FailureCountDistribution, MemError> {
-        FailureCountDistribution::for_memory(self.config(), self.p_cell())
-    }
-}
-
-impl<B: FaultBackend + ?Sized> FaultBackend for &B {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn config(&self) -> MemoryConfig {
-        (**self).config()
-    }
-
-    fn p_cell(&self) -> f64 {
-        (**self).p_cell()
-    }
-
-    fn operating_point(&self) -> OperatingPoint {
-        (**self).operating_point()
-    }
-
-    fn sample_into(
-        &self,
-        rng: &mut StdRng,
-        n_faults: usize,
-        scratch: &mut DieScratch,
-    ) -> Result<(), MemError> {
-        (**self).sample_into(rng, n_faults, scratch)
-    }
-
-    fn failure_distribution(&self) -> Result<FailureCountDistribution, MemError> {
-        (**self).failure_distribution()
-    }
-}
-
-/// Identifier of an in-tree backend technology (the `--backend` CLI axis).
+/// Identifier of a backend technology (the `--backend` CLI axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// SRAM under voltage scaling (the paper's model).
@@ -461,7 +290,7 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// All in-tree backend technologies.
+    /// All backend technologies.
     pub const ALL: [BackendKind; 3] = [BackendKind::Sram, BackendKind::Dram, BackendKind::Mlc];
 
     /// Canonical technology name.
@@ -496,11 +325,16 @@ impl FromStr for BackendKind {
     }
 }
 
-/// One of the three in-tree backends behind a single `Copy` type.
+/// A memory-technology fault model — per-cell failure law, fault-map
+/// distribution and operating point — as one `Copy` type with one variant
+/// per technology, the value the `--backend` flag of the figure binaries
+/// selects and every campaign draws its dies from.
 ///
-/// Useful wherever the backend is chosen at runtime (the `--backend` flag of
-/// the figure binaries); statically-typed code can use the concrete backend
-/// structs directly.
+/// Draws are deterministic functions of the RNG passed to
+/// [`Backend::sample_into`]: the parallel pipeline hands every Monte-Carlo
+/// sample an RNG derived from `(campaign seed, sample index)`, and
+/// bit-identical campaigns at any worker count follow because no backend
+/// draws randomness from anywhere else.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Backend {
     /// SRAM voltage-scaling failures.
@@ -582,18 +416,16 @@ impl Backend {
             BackendKind::Mlc => Ok(Backend::Mlc(MlcNvmBackend::new(config, 12.0, 86_400.0)?)),
         }
     }
-}
 
-impl FaultBackend for Backend {
-    fn name(&self) -> &'static str {
-        match self {
-            Backend::Sram(b) => b.name(),
-            Backend::Dram(b) => b.name(),
-            Backend::Mlc(b) => b.name(),
-        }
+    /// Short technology name (`"sram-vdd"`, `"dram-retention"`, `"mlc-nvm"`).
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        self.kind().name()
     }
 
-    fn config(&self) -> MemoryConfig {
+    /// Memory geometry the backend generates fault maps for.
+    #[must_use]
+    pub fn config(&self) -> MemoryConfig {
         match self {
             Backend::Sram(b) => b.config(),
             Backend::Dram(b) => b.config(),
@@ -601,7 +433,9 @@ impl FaultBackend for Backend {
         }
     }
 
-    fn p_cell(&self) -> f64 {
+    /// Marginal per-cell fault probability at the current operating point.
+    #[must_use]
+    pub fn p_cell(&self) -> f64 {
         match self {
             Backend::Sram(b) => b.p_cell(),
             Backend::Dram(b) => b.p_cell(),
@@ -609,7 +443,9 @@ impl FaultBackend for Backend {
         }
     }
 
-    fn operating_point(&self) -> OperatingPoint {
+    /// The operating point the failure law was evaluated at.
+    #[must_use]
+    pub fn operating_point(&self) -> OperatingPoint {
         match self {
             Backend::Sram(b) => b.operating_point(),
             Backend::Dram(b) => b.operating_point(),
@@ -617,7 +453,17 @@ impl FaultBackend for Backend {
         }
     }
 
-    fn sample_into(
+    /// Draws a fault map with exactly `n_faults` faulty cells, placed
+    /// according to the technology's spatial law, into a reusable
+    /// [`DieScratch`] arena — the one way a die is drawn. Every placement
+    /// writes the arena's own buffers, so steady-state generation never
+    /// allocates.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::InvalidParameter`] when `n_faults` exceeds the
+    /// cell count.
+    pub fn sample_into(
         &self,
         rng: &mut StdRng,
         n_faults: usize,
@@ -629,23 +475,35 @@ impl FaultBackend for Backend {
             Backend::Mlc(b) => b.sample_into(rng, n_faults, scratch),
         }
     }
-}
 
-impl From<SramVddBackend> for Backend {
-    fn from(value: SramVddBackend) -> Self {
-        Backend::Sram(value)
+    /// Draws a fault map with exactly `n_faults` faults into a fresh arena
+    /// and returns it: [`Backend::sample_into`] for one-off draws,
+    /// consuming the RNG identically. Records no metrics.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Backend::sample_into`].
+    pub fn sample_with_count(
+        &self,
+        rng: &mut StdRng,
+        n_faults: usize,
+    ) -> Result<FaultMap, MemError> {
+        let mut scratch = DieScratch::new(self.config());
+        self.sample_into(rng, n_faults, &mut scratch)?;
+        Ok(scratch.into_map())
     }
-}
 
-impl From<DramRetentionBackend> for Backend {
-    fn from(value: DramRetentionBackend) -> Self {
-        Backend::Dram(value)
-    }
-}
-
-impl From<MlcNvmBackend> for Backend {
-    fn from(value: MlcNvmBackend) -> Self {
-        Backend::Mlc(value)
+    /// Distribution of the die failure count `N` implied by the per-cell
+    /// law (binomial over the marginal `p_cell`; for spatially correlated
+    /// backends this is the matched-marginal approximation used to weight
+    /// Monte-Carlo samples).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::InvalidProbability`] when the backend's `p_cell`
+    /// is outside `[0, 1]`.
+    pub fn failure_distribution(&self) -> Result<FailureCountDistribution, MemError> {
+        FailureCountDistribution::for_memory(self.config(), self.p_cell())
     }
 }
 
@@ -705,11 +563,11 @@ where
 
 /// Allocating hash-set placements: test oracles for the arena's bitmap
 /// placement that share none of its bookkeeping. Each consumes the RNG as
-/// the backend's [`FaultBackend::sample_into`] does, tracks taken cells in a
+/// the backend's [`Backend::sample_into`] does, tracks taken cells in a
 /// `HashSet` and sorts its faults.
 #[cfg(test)]
 pub(crate) mod reference {
-    use super::{Backend, FaultBackend, FaultKindLaw};
+    use super::{Backend, FaultKindLaw};
     use crate::config::MemoryConfig;
     use crate::fault::{Fault, FaultMap};
     use rand::rngs::StdRng;
@@ -885,12 +743,7 @@ mod tests {
             drift_time_s: 86_400.0,
         };
         assert!(op.label().contains("12.0sigma"));
-        let op = OperatingPoint::Custom {
-            parameter: 3.0,
-            unit: "km",
-        };
-        assert_eq!(op.to_string(), "knob=3km");
-        assert_eq!(op.primary_value(), 3.0);
+        assert_eq!(op.to_string(), op.label());
     }
 
     #[test]

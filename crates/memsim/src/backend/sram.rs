@@ -1,6 +1,6 @@
 //! The paper's SRAM voltage-scaling backend.
 
-use super::{FaultBackend, FaultKindLaw, OperatingPoint};
+use super::{FaultKindLaw, OperatingPoint};
 use crate::config::MemoryConfig;
 use crate::error::MemError;
 use crate::failure_model::{CellFailureModel, NOMINAL_VDD};
@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// SRAM bit-cell failures exposed by supply-voltage scaling — the paper's
-/// fault model behind the [`FaultBackend`] interface.
+/// fault model, the [`Backend::Sram`](super::Backend::Sram) technology.
 ///
 /// The per-cell law is the analytical Gaussian noise-margin model
 /// ([`CellFailureModel`]): `P_cell(V_DD) = Φ(−z(V_DD))`. Faults are placed
@@ -22,7 +22,7 @@ use rand::Rng;
 /// # Example
 ///
 /// ```
-/// use faultmit_memsim::backend::{FaultBackend, SramVddBackend};
+/// use faultmit_memsim::backend::SramVddBackend;
 /// use faultmit_memsim::{CellFailureModel, MemoryConfig};
 ///
 /// # fn main() -> Result<(), faultmit_memsim::MemError> {
@@ -149,26 +149,28 @@ impl SramVddBackend {
         }
         Ok(total)
     }
-}
 
-impl FaultBackend for SramVddBackend {
-    fn name(&self) -> &'static str {
-        "sram-vdd"
-    }
-
-    fn config(&self) -> MemoryConfig {
+    /// Memory geometry the backend generates fault maps for.
+    #[must_use]
+    pub(super) fn config(&self) -> MemoryConfig {
         self.config
     }
 
-    fn p_cell(&self) -> f64 {
+    /// Marginal per-cell fault probability at the current operating point.
+    #[must_use]
+    pub fn p_cell(&self) -> f64 {
         self.p_cell
     }
 
-    fn operating_point(&self) -> OperatingPoint {
+    /// The operating point the failure law was evaluated at.
+    #[must_use]
+    pub(super) fn operating_point(&self) -> OperatingPoint {
         OperatingPoint::SramVdd { vdd: self.vdd }
     }
 
-    fn sample_into(
+    /// This technology's placement, the draw of
+    /// [`Backend::sample_into`](super::Backend::sample_into).
+    pub(super) fn sample_into(
         &self,
         rng: &mut StdRng,
         n_faults: usize,
@@ -192,11 +194,17 @@ impl FaultBackend for SramVddBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Backend;
     use crate::fault::{FaultKind, FaultMap};
     use rand::SeedableRng;
 
     fn config() -> MemoryConfig {
         MemoryConfig::new(64, 32).unwrap()
+    }
+
+    /// The SRAM backend at `p_cell`, as the campaign draws it.
+    fn backend(p_cell: f64) -> Backend {
+        Backend::Sram(SramVddBackend::with_p_cell(config(), p_cell).unwrap())
     }
 
     #[test]
@@ -244,7 +252,7 @@ mod tests {
         // Cell indices (row · 32 + col) the historical iid sampler drew; the
         // published SRAM figures rest on this exact RNG schedule.
         let cells = |map: &FaultMap| map.iter().map(|f| f.row * 32 + f.col).collect::<Vec<_>>();
-        let backend = SramVddBackend::with_p_cell(config(), 1e-3).unwrap();
+        let backend = backend(1e-3);
         let pinned: [[usize; 12]; 2] = [
             [
                 213, 689, 787, 880, 1205, 1208, 1226, 1450, 1452, 1532, 1996, 2021,
@@ -279,7 +287,7 @@ mod tests {
 
     #[test]
     fn faults_are_always_observable_bit_flips() {
-        let backend = SramVddBackend::with_p_cell(config(), 1e-3).unwrap();
+        let backend = backend(1e-3);
         let mut rng = StdRng::seed_from_u64(3);
         let map = backend.sample_with_count(&mut rng, 100).unwrap();
         assert!(map.iter().all(|f| f.kind == FaultKind::BitFlip));
@@ -287,7 +295,7 @@ mod tests {
 
     #[test]
     fn fault_locations_are_spread_over_rows() {
-        let backend = SramVddBackend::with_p_cell(config(), 1e-3).unwrap();
+        let backend = backend(1e-3);
         let mut rng = StdRng::seed_from_u64(6);
         let map = backend.sample_with_count(&mut rng, 256).unwrap();
         // With 2048 cells and 256 faults, faults should span many rows.
@@ -296,8 +304,7 @@ mod tests {
 
     #[test]
     fn random_stuck_at_law_produces_both_polarities() {
-        let backend = SramVddBackend::with_p_cell(config(), 1e-3)
-            .unwrap()
+        let backend = backend(1e-3)
             .with_kind_law(FaultKindLaw::RandomStuckAt)
             .unwrap();
         let mut rng = StdRng::seed_from_u64(4);
@@ -316,13 +323,12 @@ mod tests {
 
     #[test]
     fn kind_law_changes_behaviour_but_not_positions() {
-        let flip = SramVddBackend::with_p_cell(config(), 1e-3).unwrap();
+        let flip = backend(1e-3);
         let stuck = flip
             .with_kind_law(FaultKindLaw::AsymmetricStuckAt {
                 p_stuck_at_zero: 1.0,
             })
             .unwrap();
-        assert_eq!(stuck.kind_law(), stuck.kind_law());
         let map_flip = flip
             .sample_with_count(&mut StdRng::seed_from_u64(11), 50)
             .unwrap();

@@ -21,7 +21,6 @@ pub const MAX_WORD_BITS: usize = 64;
 /// # fn main() -> Result<(), faultmit_memsim::MemError> {
 /// let config = MemoryConfig::new(4096, 32)?;
 /// assert_eq!(config.total_cells(), 131_072);
-/// assert_eq!(config.capacity_bytes(), 16 * 1024);
 /// # Ok(())
 /// # }
 /// ```
@@ -52,29 +51,6 @@ impl MemoryConfig {
         Ok(Self { rows, word_bits })
     }
 
-    /// Creates a configuration from a capacity in bytes and a word width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::InvalidGeometry`] if the capacity is not an exact
-    /// multiple of the word size or any derived parameter is invalid.
-    pub fn from_capacity(capacity_bytes: usize, word_bits: usize) -> Result<Self, MemError> {
-        if word_bits == 0 || !word_bits.is_multiple_of(8) {
-            return Err(MemError::InvalidGeometry {
-                reason: format!("word width {word_bits} must be a positive multiple of 8"),
-            });
-        }
-        let word_bytes = word_bits / 8;
-        if capacity_bytes == 0 || !capacity_bytes.is_multiple_of(word_bytes) {
-            return Err(MemError::InvalidGeometry {
-                reason: format!(
-                    "capacity {capacity_bytes} B is not a multiple of the {word_bytes} B word size"
-                ),
-            });
-        }
-        Self::new(capacity_bytes / word_bytes, word_bits)
-    }
-
     /// The 16 KB, 32-bit-word memory used throughout the paper's evaluation.
     #[must_use]
     pub fn paper_16kb() -> Self {
@@ -100,13 +76,6 @@ impl MemoryConfig {
     #[must_use]
     pub fn total_cells(&self) -> usize {
         self.rows * self.word_bits
-    }
-
-    /// Capacity in bytes (rounded down for word widths that are not a
-    /// multiple of 8).
-    #[must_use]
-    pub fn capacity_bytes(&self) -> usize {
-        self.rows * self.word_bits / 8
     }
 
     /// A mask with the low `word_bits` bits set.
@@ -213,7 +182,6 @@ mod tests {
         assert_eq!(c.rows(), 4096);
         assert_eq!(c.word_bits(), 32);
         assert_eq!(c.total_cells(), 131_072);
-        assert_eq!(c.capacity_bytes(), 16 * 1024);
     }
 
     #[test]
@@ -222,15 +190,6 @@ mod tests {
         assert!(MemoryConfig::new(16, 0).is_err());
         assert!(MemoryConfig::new(16, 65).is_err());
         assert!(MemoryConfig::new(16, 64).is_ok());
-    }
-
-    #[test]
-    fn from_capacity_round_trips() {
-        let c = MemoryConfig::from_capacity(16 * 1024, 32).unwrap();
-        assert_eq!(c, MemoryConfig::paper_16kb());
-        assert!(MemoryConfig::from_capacity(10, 32).is_err());
-        assert!(MemoryConfig::from_capacity(0, 32).is_err());
-        assert!(MemoryConfig::from_capacity(64, 7).is_err());
     }
 
     #[test]

@@ -10,13 +10,12 @@
 //! * [`CellFailureModel`] — an analytical Gaussian noise-margin model of the
 //!   bit-cell failure probability `P_cell(V_DD)` replacing the paper's
 //!   SPICE/importance-sampling flow (Fig. 2).
-//! * [`backend`] — the [`FaultBackend`] abstraction over memory
-//!   technologies: [`SramVddBackend`] (the paper's model: iid Floyd
-//!   placement of bit-flips), [`DramRetentionBackend`] (exponential
-//!   weak-cell retention times, spatially clustered faults) and
-//!   [`MlcNvmBackend`] (drift-broadened level margins, level-dependent
-//!   asymmetric bit errors). See the module docs for a worked
-//!   "add your own backend" example.
+//! * [`backend`] — the [`Backend`] over memory technologies, one variant
+//!   each: [`SramVddBackend`] (the paper's model: iid Floyd placement of
+//!   bit-flips), [`DramRetentionBackend`] (exponential weak-cell retention
+//!   times, spatially clustered faults) and [`MlcNvmBackend`]
+//!   (drift-broadened level margins, level-dependent asymmetric bit
+//!   errors).
 //! * [`image`] — data images: the [`ImageSpec`] catalogue (zeros, ones,
 //!   uniform-random, sparse, application matrices) and its stored words
 //!   ([`ImageSpec::words`]), against which data-aware campaigns evaluate
@@ -74,8 +73,8 @@ pub mod voltage;
 
 pub use array::{corrupt_word, SramArray};
 pub use backend::{
-    Backend, BackendKind, DramRetentionBackend, FaultBackend, FaultKindLaw, MlcNvmBackend,
-    OperatingPoint, SramVddBackend,
+    Backend, BackendKind, DramRetentionBackend, FaultKindLaw, MlcNvmBackend, OperatingPoint,
+    SramVddBackend,
 };
 pub use bist::{BistReport, MarchBist, RowFaultReport};
 pub use config::MemoryConfig;

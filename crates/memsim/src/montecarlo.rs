@@ -5,7 +5,7 @@
 //! `Pr(N = n)` (Eq. (4)). [`FailureCountDistribution`] is that binomial law
 //! of the number of failures in a memory of `M` cells with failure
 //! probability `P_cell`. The fault maps themselves come from a
-//! [`FaultBackend`](crate::backend::FaultBackend): a whole die is
+//! [`Backend`](crate::backend::Backend): a whole die is
 //! `backend.sample_with_count(rng, n)` at a count `n` drawn from
 //! `backend.failure_distribution()?.sample(rng)`.
 

@@ -30,7 +30,7 @@ pub fn repair_yield(dies: &[FaultMap], spare_rows: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{FaultBackend, SramVddBackend};
+    use crate::backend::{Backend, SramVddBackend};
     use crate::config::MemoryConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -44,7 +44,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         // Whole dies: a binomial failure count, then that many iid faults.
         let mut dies = |p_cell: f64| -> Vec<FaultMap> {
-            let backend = SramVddBackend::with_p_cell(config(), p_cell).unwrap();
+            let backend = Backend::Sram(SramVddBackend::with_p_cell(config(), p_cell).unwrap());
             let counts = backend.failure_distribution().unwrap();
             (0..200)
                 .map(|_| {

@@ -15,7 +15,7 @@
 //! increment whenever a generation call grows any tracked container, so a
 //! regression test can pin them flat across a long campaign tail.
 
-use crate::backend::FaultBackend;
+use crate::backend::Backend;
 use crate::config::MemoryConfig;
 use crate::dieblock::{
     pack_event, transpose_events, BlockRowEntry, DieBlock, LaneCell, BLOCK_DIES,
@@ -93,17 +93,8 @@ impl DieScratch {
         self.map
     }
 
-    /// Replaces the arena's fault map wholesale: the way a custom
-    /// [`FaultBackend::sample_into`] installs a map it built itself. The
-    /// arena then holds a freshly allocated map, so a generation call that
-    /// replaces it counts as a realloc event whenever the capacity changes.
-    pub fn replace_map(&mut self, map: FaultMap) {
-        self.map = map;
-    }
-
-    /// How many generation calls grew a tracked container (or replaced the
-    /// map wholesale). Flat after warm-up ⇔ steady-state die generation is
-    /// allocation-free.
+    /// How many generation calls grew a tracked container. Flat after
+    /// warm-up ⇔ steady-state die generation is allocation-free.
     #[must_use]
     pub fn realloc_events(&self) -> u64 {
         self.realloc_events
@@ -144,9 +135,9 @@ impl DieScratch {
     ///
     /// Propagates the backend's sampling errors (e.g. `n_faults` exceeding
     /// the cell count).
-    pub fn generate<B: FaultBackend + ?Sized>(
+    pub fn generate(
         &mut self,
-        backend: &B,
+        backend: &Backend,
         rng: &mut StdRng,
         n_faults: usize,
     ) -> Result<&FaultMap, MemError> {
@@ -162,9 +153,9 @@ impl DieScratch {
     ///
     /// Propagates the backend's sampling errors (e.g. `n_faults` exceeding
     /// the cell count).
-    pub fn generate_with_policy<B: FaultBackend + ?Sized>(
+    pub fn generate_with_policy(
         &mut self,
-        backend: &B,
+        backend: &Backend,
         rng: &mut StdRng,
         n_faults: usize,
         policy: MapPolicy,
@@ -267,9 +258,9 @@ impl BlockScratch {
     ///
     /// Rejects plans longer than [`BLOCK_DIES`] samples and propagates the
     /// backend's sampling errors.
-    pub fn generate_block<B: FaultBackend + ?Sized>(
+    pub fn generate_block(
         &mut self,
-        backend: &B,
+        backend: &Backend,
         seeder: &StreamSeeder,
         plan: &[PlannedSample],
         policy: Option<MapPolicy>,
@@ -412,54 +403,6 @@ mod tests {
                 check(&backend, seed, amount, &format!("{kind}, seed {seed}"));
             }
         }
-    }
-
-    #[test]
-    fn custom_backends_install_their_own_maps() {
-        // A backend that builds its map itself hands it to the arena with
-        // `replace_map`; every draw then returns exactly that map.
-        #[derive(Debug)]
-        struct Diagonal(MemoryConfig);
-        impl FaultBackend for Diagonal {
-            fn name(&self) -> &'static str {
-                "diagonal"
-            }
-            fn config(&self) -> MemoryConfig {
-                self.0
-            }
-            fn p_cell(&self) -> f64 {
-                1e-3
-            }
-            fn operating_point(&self) -> crate::backend::OperatingPoint {
-                crate::backend::OperatingPoint::Custom {
-                    parameter: 0.0,
-                    unit: "",
-                }
-            }
-            fn sample_into(
-                &self,
-                _rng: &mut StdRng,
-                n_faults: usize,
-                scratch: &mut DieScratch,
-            ) -> Result<(), MemError> {
-                let faults = (0..n_faults).map(|i| Fault::bit_flip(i, i % 32));
-                scratch.replace_map(FaultMap::from_faults(self.0, faults)?);
-                Ok(())
-            }
-        }
-        let backend = Diagonal(config());
-        let expected =
-            FaultMap::from_faults(config(), (0..5).map(|i| Fault::bit_flip(i, i))).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(backend.sample_with_count(&mut rng, 5).unwrap(), expected);
-        let mut scratch = DieScratch::new(config());
-        for policy in [MapPolicy::Unrestricted, MapPolicy::SingleFaultPerRow] {
-            let map = scratch
-                .generate_with_policy(&backend, &mut rng, 5, policy)
-                .unwrap();
-            assert_eq!(map, &expected, "{policy:?}");
-        }
-        assert!(backend.sample_with_count(&mut rng, 200).is_err());
     }
 
     #[test]

@@ -222,48 +222,19 @@ pub fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
     sample.round().clamp(0.0, n as f64) as u64
 }
 
-/// Summary statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampleSummary {
-    /// Number of observations.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population variance.
-    pub variance: f64,
-    /// Minimum observation.
-    pub min: f64,
-    /// Maximum observation.
-    pub max: f64,
-}
-
-/// Computes summary statistics over a slice of observations.
-///
-/// Returns `None` for an empty slice.
-#[must_use]
-pub fn summarize(values: &[f64]) -> Option<SampleSummary> {
-    if values.is_empty() {
-        return None;
-    }
-    let count = values.len();
-    let mean = values.iter().sum::<f64>() / count as f64;
-    let variance = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / count as f64;
-    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    Some(SampleSummary {
-        count,
-        mean,
-        variance,
-        min,
-        max,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The mean and population variance of a sample.
+    fn moments(values: &[f64]) -> (f64, f64) {
+        let count = values.len() as f64;
+        let mean = values.iter().sum::<f64>() / count;
+        let variance = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / count;
+        (mean, variance)
+    }
 
     #[test]
     fn ln_gamma_matches_factorials() {
@@ -344,13 +315,9 @@ mod tests {
         let samples: Vec<f64> = (0..20_000)
             .map(|_| sample_standard_normal(&mut rng))
             .collect();
-        let summary = summarize(&samples).unwrap();
-        assert!(summary.mean.abs() < 0.03, "mean = {}", summary.mean);
-        assert!(
-            (summary.variance - 1.0).abs() < 0.05,
-            "var = {}",
-            summary.variance
-        );
+        let (mean, variance) = moments(&samples);
+        assert!(mean.abs() < 0.03, "mean = {mean}");
+        assert!((variance - 1.0).abs() < 0.05, "var = {variance}");
     }
 
     #[test]
@@ -361,8 +328,8 @@ mod tests {
         let draws: Vec<f64> = (0..5000)
             .map(|_| sample_binomial(&mut rng, n, p) as f64)
             .collect();
-        let summary = summarize(&draws).unwrap();
-        assert!((summary.mean - 20.0).abs() < 0.6, "mean = {}", summary.mean);
+        let (mean, _) = moments(&draws);
+        assert!((mean - 20.0).abs() < 0.6, "mean = {mean}");
     }
 
     #[test]
@@ -373,12 +340,8 @@ mod tests {
         let draws: Vec<f64> = (0..2000)
             .map(|_| sample_binomial(&mut rng, n, p) as f64)
             .collect();
-        let summary = summarize(&draws).unwrap();
-        assert!(
-            (summary.mean - 131.07).abs() < 2.5,
-            "mean = {}",
-            summary.mean
-        );
+        let (mean, _) = moments(&draws);
+        assert!((mean - 131.07).abs() < 2.5, "mean = {mean}");
     }
 
     #[test]
@@ -387,16 +350,5 @@ mod tests {
         assert_eq!(sample_binomial(&mut rng, 100, 0.0), 0);
         assert_eq!(sample_binomial(&mut rng, 100, 1.0), 100);
         assert_eq!(sample_binomial(&mut rng, 0, 0.5), 0);
-    }
-
-    #[test]
-    fn summarize_empty_is_none() {
-        assert!(summarize(&[]).is_none());
-        let s = summarize(&[2.0]).unwrap();
-        assert_eq!(s.count, 1);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.variance, 0.0);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 2.0);
     }
 }

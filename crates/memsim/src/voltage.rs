@@ -79,18 +79,6 @@ impl VoltageScaledDie {
         &self.model
     }
 
-    /// Whether the cell at `(row, col)` fails at supply voltage `vdd`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a range error when the location is outside the array.
-    pub fn cell_fails_at(&self, row: usize, col: usize, vdd: f64) -> Result<bool, MemError> {
-        self.config.check_row(row)?;
-        self.config.check_col(col)?;
-        let deviation = self.deviations[self.config.cell_index(row, col)];
-        Ok(deviation < -self.model.margin_z(vdd))
-    }
-
     /// Derives the fault map exposed at supply voltage `vdd`.
     ///
     /// Faulty cells are modelled as bit-flips (an observable error for any
@@ -117,25 +105,6 @@ impl VoltageScaledDie {
     pub fn failure_count_at(&self, vdd: f64) -> usize {
         let threshold = -self.model.margin_z(vdd);
         self.deviations.iter().filter(|&&d| d < threshold).count()
-    }
-
-    /// The lowest voltage (within the model's calibrated range, sampled at
-    /// `steps` points) at which the die has at most `max_failures` failing
-    /// cells. Returns `None` if even the highest voltage exposes more
-    /// failures than allowed.
-    #[must_use]
-    pub fn min_vdd_for_failure_budget(&self, max_failures: usize, steps: usize) -> Option<f64> {
-        let (lo, hi) = self.model.voltage_range();
-        let steps = steps.max(2);
-        let mut best = None;
-        for i in 0..steps {
-            let vdd = lo + (hi - lo) * i as f64 / (steps - 1) as f64;
-            if self.failure_count_at(vdd) <= max_failures {
-                best = Some(vdd);
-                break;
-            }
-        }
-        best
     }
 }
 
@@ -261,29 +230,6 @@ mod tests {
                 "vdd = {vdd}: observed {observed}, expected {expected}"
             );
         }
-    }
-
-    #[test]
-    fn cell_fails_at_is_consistent_with_map() {
-        let die = die();
-        let map = die.fault_map_at(0.65).unwrap();
-        for fault in map.iter().take(20) {
-            assert!(die.cell_fails_at(fault.row, fault.col, 0.65).unwrap());
-        }
-        assert!(die.cell_fails_at(1000, 0, 0.65).is_err());
-        assert!(die.cell_fails_at(0, 99, 0.65).is_err());
-    }
-
-    #[test]
-    fn min_vdd_for_failure_budget_is_monotone_in_budget() {
-        let die = die();
-        let tight = die.min_vdd_for_failure_budget(0, 41);
-        let loose = die.min_vdd_for_failure_budget(1000, 41);
-        if let (Some(tight), Some(loose)) = (tight, loose) {
-            assert!(loose <= tight + 1e-9);
-        }
-        // A huge budget is always satisfiable at the lowest voltage.
-        assert!(loose.is_some());
     }
 
     #[test]

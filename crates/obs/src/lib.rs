@@ -225,13 +225,13 @@ pub enum Stage {
     Transpose,
     /// Evaluating schemes against generated dies.
     Observe,
-    /// Recording every evaluated die of a shard into its accumulator, in
+    /// Folding every evaluated die of a shard into its accumulator, in
     /// plan order, once the chunks are done (one call per die).
     Reduce,
-    /// Merging chunk results. The campaign runner records every die into
-    /// one accumulator ([`Stage::Reduce`]) instead of merging per-chunk
-    /// ones, so nothing records this stage any more; it stays so that
-    /// metrics reports and checkpoint snapshots keep their shape.
+    /// Merging chunk results. A shard's dies are folded into one
+    /// accumulator ([`Stage::Reduce`]) instead of merging per-chunk ones,
+    /// so nothing records this stage any more; it stays so that metrics
+    /// reports and checkpoint snapshots keep their shape.
     Merge,
     /// Reading shard checkpoints back: file read, parse and the cross-shard
     /// merge in the `campaign_merge`/`campaign_run` drivers.

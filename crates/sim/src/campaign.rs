@@ -9,25 +9,23 @@
 //!
 //! The work is split into fixed-size chunks that worker threads claim
 //! dynamically. Each sample derives its RNG from the campaign seed and its
-//! global index ([`StreamSeeder`]), and every die is recorded into the
-//! shard's accumulator in plan order once the chunks are done, so a
-//! campaign is **bit-identical at any worker count** — the property the
+//! global index ([`StreamSeeder`]), and a shard hands back its dies in plan
+//! order with each chunk's metrics ([`ShardSamples`]), so a campaign is
+//! **bit-identical at any worker count** — the property the
 //! serial-vs-parallel regression tests pin down.
 //!
-//! Campaigns are generic over the fault-generating [`FaultBackend`]: the
-//! default [`SramVddBackend`] reproduces the paper's iid voltage-scaling
-//! model bit-for-bit, while `DramRetentionBackend` / `MlcNvmBackend` (or
-//! any user-defined backend) swap in structured, non-iid fault processes
-//! without touching the campaign protocol — determinism and paired
-//! comparison hold for every backend because per-sample RNG streams depend
-//! only on `(seed, sample index)`.
+//! Dies come from the configured [`Backend`]: SRAM reproduces the paper's
+//! iid voltage-scaling model bit-for-bit, while DRAM retention and MLC NVM
+//! swap in structured, non-iid fault processes without touching the
+//! campaign protocol — determinism and paired comparison hold for every
+//! technology because per-sample RNG streams depend only on
+//! `(seed, sample index)`.
 
-use crate::accumulate::{Accumulator, PairedSample};
 use crate::error::{RunError, SimError};
 use crate::executor::{run_chunked_with, Parallelism};
 use faultmit_core::MitigationScheme;
 use faultmit_memsim::{
-    BlockScratch, DieBlock, FailureCountDistribution, FaultBackend, FaultMap, ImageSpec, MapPolicy,
+    Backend, BlockScratch, DieBlock, FailureCountDistribution, FaultMap, ImageSpec, MapPolicy,
     MemoryConfig, OperatingPoint, PlannedSample, SramVddBackend, StreamSeeder, BLOCK_DIES,
 };
 use faultmit_obs as obs;
@@ -47,9 +45,9 @@ pub const N_MAX_COVERAGE: f64 = 0.99;
 /// configuration), so it can be partitioned into `shard_count` disjoint
 /// chunk ranges and each range evaluated by a separate process — or a
 /// separate machine, since per-sample RNG streams derive from
-/// `(seed, global sample index)` alone. Accumulators of the shards merged
-/// **in shard order** are bit-identical to the monolithic run: the
-/// monolithic path *is* the `0/1` shard ([`ShardSpec::solo`]).
+/// `(seed, global sample index)` alone. The shards' samples taken **in
+/// shard order** are the monolithic run's: the monolithic path *is* the
+/// `0/1` shard ([`ShardSpec::solo`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShardSpec {
     shard_index: usize,
@@ -152,6 +150,31 @@ impl FromStr for ShardSpec {
     }
 }
 
+/// What one shard run evaluated, as data — returned by both runners
+/// ([`Campaign::run_shard`], [`Campaign::run_shard_blocks`]) and folded by
+/// the caller (`faultmit-analysis`'s `CatalogueAccumulator`).
+///
+/// The dies of the shards of a campaign, taken in shard order, are the dies
+/// of the monolithic run in plan order, each with the same metrics, at any
+/// worker count, chunk size and kernel.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardSamples {
+    /// Metrics per die: the size of the evaluated scheme catalogue.
+    pub scheme_count: usize,
+    /// The shard's dies in plan order: global sample index and fault count.
+    pub dies: Vec<PlannedSample>,
+    /// The statistical weight of a die with `n` faults, at index `n`:
+    /// `Pr(N = n) / samples_per_count` over the binomial sweep, or
+    /// `1 / samples_per_count` at the one count of an exact-failure
+    /// campaign (0 at every other count). Every shard holds the same table.
+    pub weights: Vec<f64>,
+    /// Each of the shard's chunks' metrics, in chunk order: die after die
+    /// in plan order, `scheme_count` values per die (`metrics[s]` of
+    /// `schemes[s]`). The buffers are not joined, so together they split
+    /// `dies` at the campaign's chunk boundaries.
+    pub chunks: Vec<Vec<f64>>,
+}
+
 /// Telemetry of one shard run, returned by both runners
 /// ([`Campaign::run_shard`], [`Campaign::run_shard_blocks`]). Results are
 /// bit-identical whatever is recorded — the stats are observability, not
@@ -223,12 +246,11 @@ impl FromStr for KernelKind {
     }
 }
 
-/// Configuration of a fault-injection campaign, generic over the
-/// fault-generating [`FaultBackend`] (default: the paper's SRAM model, so
-/// existing `(memory, p_cell)` call sites are unchanged and bit-identical).
+/// Configuration of a fault-injection campaign over the dies of one
+/// [`Backend`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CampaignConfig<B: FaultBackend = SramVddBackend> {
-    backend: B,
+pub struct CampaignConfig {
+    backend: Backend,
     samples_per_count: usize,
     max_failures: Option<u64>,
     exact_failures: Option<u64>,
@@ -239,10 +261,10 @@ pub struct CampaignConfig<B: FaultBackend = SramVddBackend> {
     kernel: KernelKind,
 }
 
-impl CampaignConfig<SramVddBackend> {
+impl CampaignConfig {
     /// Creates a campaign over an SRAM memory with the given geometry and
-    /// cell failure probability — the legacy constructor, equivalent to
-    /// [`CampaignConfig::for_backend`] with
+    /// cell failure probability — the paper's model, shorthand for
+    /// [`CampaignConfig::for_backend`] with a [`Backend::Sram`] built by
     /// [`SramVddBackend::with_p_cell`].
     ///
     /// Defaults: 100 fault maps per failure count, failure counts up to the
@@ -260,11 +282,9 @@ impl CampaignConfig<SramVddBackend> {
                 reason: format!("cell failure probability {p_cell} outside [0, 1]"),
             });
         }
-        Self::for_backend(SramVddBackend::with_p_cell(memory, p_cell)?)
+        Self::for_backend(Backend::Sram(SramVddBackend::with_p_cell(memory, p_cell)?))
     }
-}
 
-impl<B: FaultBackend> CampaignConfig<B> {
     /// Creates a campaign drawing dies from the given backend, with the
     /// same defaults as [`CampaignConfig::new`].
     ///
@@ -272,7 +292,7 @@ impl<B: FaultBackend> CampaignConfig<B> {
     ///
     /// Returns [`SimError::InvalidParameter`] when the backend reports a
     /// per-cell fault probability outside `[0, 1]`.
-    pub fn for_backend(backend: B) -> Result<Self, SimError> {
+    pub fn for_backend(backend: Backend) -> Result<Self, SimError> {
         let p_cell = backend.p_cell();
         if !(0.0..=1.0).contains(&p_cell) || p_cell.is_nan() {
             return Err(SimError::InvalidParameter {
@@ -381,7 +401,7 @@ impl<B: FaultBackend> CampaignConfig<B> {
 
     /// The fault-generating backend under study.
     #[must_use]
-    pub fn backend(&self) -> &B {
+    pub fn backend(&self) -> &Backend {
         &self.backend
     }
 
@@ -448,23 +468,22 @@ impl<B: FaultBackend> CampaignConfig<B> {
     }
 }
 
-/// The parallel fault-injection campaign engine, generic over the
-/// fault-generating backend.
+/// The parallel fault-injection campaign engine.
 #[derive(Debug, Clone)]
-pub struct Campaign<B: FaultBackend = SramVddBackend> {
-    config: CampaignConfig<B>,
+pub struct Campaign {
+    config: CampaignConfig,
 }
 
-impl<B: FaultBackend> Campaign<B> {
+impl Campaign {
     /// Creates an engine for the given configuration.
     #[must_use]
-    pub fn new(config: CampaignConfig<B>) -> Self {
+    pub fn new(config: CampaignConfig) -> Self {
         Self { config }
     }
 
     /// The campaign configuration.
     #[must_use]
-    pub fn config(&self) -> &CampaignConfig<B> {
+    pub fn config(&self) -> &CampaignConfig {
         &self.config
     }
 
@@ -537,10 +556,9 @@ impl<B: FaultBackend> Campaign<B> {
     /// Runs one shard of the campaign: only the chunks of
     /// [`ShardSpec::chunk_range`] are generated and evaluated, but chunk
     /// boundaries and per-sample RNG streams are computed from the *global*
-    /// plan, so shard accumulators merged in shard order (in the sense of
-    /// [`Accumulator::merge`]) are **bit-identical** to the monolithic
-    /// ([`ShardSpec::solo`]) run — including order-sensitive floating-point
-    /// weight sums — for every backend and any worker count.
+    /// plan, so the shards' [`ShardSamples`] taken in shard order are
+    /// **bit-identical** to the monolithic ([`ShardSpec::solo`]) run's —
+    /// dies, weights and metrics — for every backend and any worker count.
     ///
     /// `evaluate(fault_map, metrics)` is called once per die and must write
     /// `metrics[s]`, the metric of `schemes[s]` on that die, for every
@@ -550,29 +568,25 @@ impl<B: FaultBackend> Campaign<B> {
     /// returns `Ok::<(), Infallible>(())`.
     ///
     /// Chunks do not accumulate: each returns its dies' metrics as one flat
-    /// buffer in plan order, and once every chunk is done the shard records
-    /// each die of each chunk, in plan order, into `accumulator` (the
-    /// [`faultmit_obs::Stage::Reduce`] stage), which it returns. A fresh
-    /// accumulator therefore ends up holding exactly the shard's dies, in
-    /// the order a serial run records them.
+    /// buffer in plan order, and the shard returns the buffers as they are,
+    /// with its planned dies and the per-count weights, for the caller to
+    /// fold (a zero-scheme campaign still lists every die).
     ///
     /// # Errors
     ///
     /// Returns [`RunError::Sim`] for pipeline errors and [`RunError::Eval`]
     /// with the first evaluator error in deterministic (chunk-order)
     /// position within the shard.
-    pub fn run_shard<S, F, A, E>(
+    pub fn run_shard<S, F, E>(
         &self,
         schemes: &[S],
         seed: u64,
         shard: ShardSpec,
         evaluate: F,
-        accumulator: A,
-    ) -> Result<(A, ShardStats), RunError<E>>
+    ) -> Result<(ShardSamples, ShardStats), RunError<E>>
     where
         S: MitigationScheme + Sync,
         F: Fn(&FaultMap, &mut [f64]) -> Result<(), E> + Sync,
-        A: Accumulator,
         E: Send,
     {
         self.run_chunks(
@@ -581,7 +595,6 @@ impl<B: FaultBackend> Campaign<B> {
             shard,
             evaluate,
             None::<fn(&S, &DieBlock<'_>, &mut [f64])>,
-            accumulator,
         )
     }
 
@@ -593,64 +606,53 @@ impl<B: FaultBackend> Campaign<B> {
     /// [`Campaign::run_shard`] instead, so any `(samples, chunk size,
     /// shard)` plan still works.
     ///
-    /// Chunk boundaries, per-sample RNG streams, weights and record order
-    /// are those of [`Campaign::run_shard`]; when the two evaluators agree
-    /// per die, the accumulator is **bit-identical** to it at any worker
-    /// count and shard split.
+    /// Chunk boundaries, per-sample RNG streams, weights and die order are
+    /// those of [`Campaign::run_shard`]; when the two evaluators agree per
+    /// die, the samples are **bit-identical** to its at any worker count
+    /// and shard split.
     ///
     /// # Errors
     ///
     /// Same contract as [`Campaign::run_shard`].
-    pub fn run_shard_blocks<S, F, G, A, E>(
+    pub fn run_shard_blocks<S, F, G, E>(
         &self,
         schemes: &[S],
         seed: u64,
         shard: ShardSpec,
         evaluate: F,
         evaluate_block: G,
-        accumulator: A,
-    ) -> Result<(A, ShardStats), RunError<E>>
+    ) -> Result<(ShardSamples, ShardStats), RunError<E>>
     where
         S: MitigationScheme + Sync,
         F: Fn(&FaultMap, &mut [f64]) -> Result<(), E> + Sync,
         G: Fn(&S, &DieBlock<'_>, &mut [f64]) + Sync,
-        A: Accumulator,
         E: Send,
     {
-        self.run_chunks(
-            schemes,
-            seed,
-            shard,
-            evaluate,
-            Some(evaluate_block),
-            accumulator,
-        )
+        self.run_chunks(schemes, seed, shard, evaluate, Some(evaluate_block))
     }
 
     /// The one body behind both runners: plan, seeding, chunk ownership,
-    /// recorder propagation, per-stage timing and the plan-order record
-    /// pass. Without a block evaluator every die takes the per-die path.
-    fn run_chunks<S, F, G, A, E>(
+    /// recorder propagation and per-stage timing. Without a block evaluator
+    /// every die takes the per-die path.
+    fn run_chunks<S, F, G, E>(
         &self,
         schemes: &[S],
         seed: u64,
         shard: ShardSpec,
         evaluate: F,
         evaluate_block: Option<G>,
-        mut accumulator: A,
-    ) -> Result<(A, ShardStats), RunError<E>>
+    ) -> Result<(ShardSamples, ShardStats), RunError<E>>
     where
         S: MitigationScheme + Sync,
         F: Fn(&FaultMap, &mut [f64]) -> Result<(), E> + Sync,
         G: Fn(&S, &DieBlock<'_>, &mut [f64]) + Sync,
-        A: Accumulator,
         E: Send,
     {
         // The calling thread's recorder (if any) is re-installed on every
         // worker so hot-path counters land in one place regardless of the
         // thread the chunk happens to run on.
         let recorder = obs::current();
-        let (plan, weights) = self.plan_and_weights()?;
+        let (mut plan, weights) = self.plan_and_weights()?;
 
         let backend = &self.config.backend;
         let seeder = StreamSeeder::new(seed);
@@ -762,44 +764,33 @@ impl<B: FaultBackend> Campaign<B> {
             },
         );
 
-        // The record pass: every die of every chunk, in plan order, into the
-        // one accumulator. A zero-scheme campaign still records each die.
-        let mut mark = Instant::now();
         let mut generate_nanos = 0u64;
-        let mut recorded = 0u64;
-        let mut sample = PairedSample {
-            sample_index: 0,
-            n_faults: 0,
-            weight: 0.0,
-            metrics: Vec::with_capacity(scheme_count),
-        };
-        for (chunk_index, result) in owned_chunks.zip(chunk_results) {
+        let mut chunks = Vec::with_capacity(chunk_results.len());
+        for result in chunk_results {
             let chunk = result?;
             generate_nanos += chunk.generate_nanos;
-            let dies = chunk_dies(chunk_index);
-            for (die, planned) in dies.iter().enumerate() {
-                sample.sample_index = planned.index;
-                sample.n_faults = planned.n_faults;
-                sample.weight = weights[planned.n_faults as usize];
-                sample.metrics.clear();
-                sample.metrics.extend_from_slice(
-                    &chunk.metrics[die * scheme_count..(die + 1) * scheme_count],
-                );
-                accumulator.record(&sample);
-            }
-            recorded += dies.len() as u64;
+            chunks.push(chunk.metrics);
         }
-        obs::add_stage(obs::Stage::Reduce, lap(&mut mark), recorded);
+        // The shard's own dies: its chunks' contiguous run of the plan.
+        let end = (owned_chunks.end * chunk_size).min(plan.len());
+        plan.truncate(end);
+        plan.drain(..(owned_chunks.start * chunk_size).min(end));
+        let samples = ShardSamples {
+            scheme_count,
+            dies: plan,
+            weights,
+            chunks,
+        };
         let stats = ShardStats {
             // The same integer nanoseconds and the same conversion as
             // `MetricsSnapshot::stage_seconds`.
             generation_seconds: generate_nanos as f64 / 1e9,
         };
-        Ok((accumulator, stats))
+        Ok((samples, stats))
     }
 }
 
-/// What one chunk hands back to the record pass.
+/// What one chunk hands back to the shard.
 struct ChunkOutput {
     /// The chunk's dies' metrics, die after die in plan order, one per
     /// scheme.
@@ -835,45 +826,76 @@ fn build_plan(max_failures: u64, samples_per_count: usize) -> Vec<PlannedSample>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accumulate::CollectRecords;
     use faultmit_core::Scheme;
 
-    /// Test-side shorthand for running infallible evaluators into
-    /// [`CollectRecords`].
-    trait Records {
-        fn records(
+    /// Shard runs with their chunk buffers joined and, for several shards,
+    /// their dies and metrics concatenated in shard order: the view that
+    /// holds across chunk sizes and shard splits.
+    #[derive(Debug, PartialEq)]
+    struct Joined {
+        dies: Vec<PlannedSample>,
+        weights: Vec<f64>,
+        metrics: Vec<f64>,
+    }
+
+    impl Joined {
+        fn of(runs: impl IntoIterator<Item = ShardSamples>) -> Self {
+            let mut joined = Joined {
+                dies: Vec::new(),
+                weights: Vec::new(),
+                metrics: Vec::new(),
+            };
+            for run in runs {
+                joined.dies.extend(run.dies);
+                joined.weights = run.weights;
+                joined.metrics.extend(run.chunks.concat());
+            }
+            joined
+        }
+
+        /// The dies with their metrics, `width` per die.
+        fn rows(&self, width: usize) -> impl Iterator<Item = (&PlannedSample, &[f64])> {
+            self.dies.iter().zip(self.metrics.chunks(width))
+        }
+
+        fn weight(&self, die: &PlannedSample) -> f64 {
+            self.weights[die.n_faults as usize]
+        }
+    }
+
+    /// Test-side shorthand for running infallible evaluators.
+    trait Samples {
+        fn samples(
             &self,
             schemes: &[Scheme],
             seed: u64,
             shard: ShardSpec,
             evaluate: impl Fn(&FaultMap, &mut [f64]) + Sync,
-        ) -> CollectRecords;
+        ) -> ShardSamples;
 
         fn solo(
             &self,
             schemes: &[Scheme],
             seed: u64,
             evaluate: impl Fn(&FaultMap, &mut [f64]) + Sync,
-        ) -> CollectRecords {
-            self.records(schemes, seed, ShardSpec::solo(), evaluate)
+        ) -> Joined {
+            Joined::of([self.samples(schemes, seed, ShardSpec::solo(), evaluate)])
         }
     }
 
-    impl<B: FaultBackend> Records for Campaign<B> {
-        fn records(
+    impl Samples for Campaign {
+        fn samples(
             &self,
             schemes: &[Scheme],
             seed: u64,
             shard: ShardSpec,
             evaluate: impl Fn(&FaultMap, &mut [f64]) + Sync,
-        ) -> CollectRecords {
+        ) -> ShardSamples {
             let evaluate = |map: &FaultMap, metrics: &mut [f64]| {
                 evaluate(map, metrics);
                 Ok::<(), std::convert::Infallible>(())
             };
-            self.run_shard(schemes, seed, shard, evaluate, CollectRecords::new())
-                .unwrap()
-                .0
+            self.run_shard(schemes, seed, shard, evaluate).unwrap().0
         }
     }
 
@@ -921,24 +943,30 @@ mod tests {
                 *metric = map.fault_count() as f64 + scheme.extra_bits_per_row() as f64;
             }
         });
-        assert_eq!(result.records.len(), 60);
-        for record in &result.records {
-            assert_eq!(record.metrics.len(), 2);
+        assert_eq!(result.dies.len(), 60);
+        assert_eq!(result.metrics.len(), 120);
+        for (die, metrics) in result.rows(2) {
             // Same die for both schemes: the metrics differ exactly by the
             // extra-bits term, proving the map is shared.
-            assert_eq!(record.metrics[1] - record.metrics[0], 7.0);
-            assert_eq!(record.metrics[0], record.n_faults as f64);
+            assert_eq!(metrics[1] - metrics[0], 7.0);
+            assert_eq!(metrics[0], die.n_faults as f64);
         }
     }
 
     #[test]
-    fn records_arrive_in_global_sample_order() {
+    fn samples_arrive_in_global_sample_order() {
         let campaign = Campaign::new(config().with_parallelism(Parallelism::threads(4)));
-        let result = campaign.solo(&[Scheme::unprotected32()], 2, |map, metrics| {
-            metrics.fill(map.fault_count() as f64)
-        });
-        let indices: Vec<u64> = result.records.iter().map(|r| r.sample_index).collect();
+        let result = campaign.samples(
+            &[Scheme::unprotected32()],
+            2,
+            ShardSpec::solo(),
+            |map, metrics| metrics.fill(map.fault_count() as f64),
+        );
+        let indices: Vec<u64> = result.dies.iter().map(|die| die.index).collect();
         assert_eq!(indices, (0..60).collect::<Vec<u64>>());
+        // Chunks of 4 dies, one metric each, not joined.
+        assert_eq!(result.chunks.len(), 15);
+        assert!(result.chunks.iter().all(|chunk| chunk.len() == 4));
     }
 
     #[test]
@@ -979,20 +1007,19 @@ mod tests {
                 reference,
                 "chunks of {chunk_size}"
             );
-            let mut merged = CollectRecords::new();
-            for shard in ShardSpec::all(3) {
+            let merged = Joined::of(ShardSpec::all(3).map(|shard| {
                 let range = campaign.shard_sample_range(shard).unwrap();
                 if chunk_size == 7 && shard.shard_index() > 0 {
                     assert_ne!(range.start % 10, 0, "shard {shard} starts a stratum");
                 }
-                merged.merge(campaign.records(&schemes, 3, shard, evaluate));
-            }
+                campaign.samples(&schemes, 3, shard, evaluate)
+            }));
             assert_eq!(merged, reference, "chunks of {chunk_size}, 3 shards");
         }
     }
 
     #[test]
-    fn zero_scheme_campaigns_record_every_planned_die() {
+    fn zero_scheme_campaigns_list_every_planned_die() {
         for (chunk_size, workers) in [(4, 1), (7, 3)] {
             let campaign = Campaign::new(
                 config()
@@ -1000,20 +1027,13 @@ mod tests {
                     .with_parallelism(Parallelism::threads(workers)),
             );
             let no_schemes: [Scheme; 0] = [];
-            let result = campaign.solo(&no_schemes, 5, |_, metrics| {
+            let result = campaign.samples(&no_schemes, 5, ShardSpec::solo(), |_, metrics| {
                 assert!(metrics.is_empty());
             });
-            let indices: Vec<u64> = result.records.iter().map(|r| r.sample_index).collect();
-            assert_eq!(indices, (0..60).collect::<Vec<u64>>());
-            assert!(result.records.iter().all(|r| r.metrics.is_empty()));
-            let counts: Vec<u64> = result.records.iter().map(|r| r.n_faults).collect();
-            assert_eq!(
-                counts,
-                build_plan(6, 10)
-                    .iter()
-                    .map(|p| p.n_faults)
-                    .collect::<Vec<_>>()
-            );
+            assert_eq!(result.scheme_count, 0);
+            assert_eq!(result.dies, build_plan(6, 10));
+            assert_eq!(result.chunks.len(), 60usize.div_ceil(chunk_size));
+            assert!(result.chunks.iter().all(Vec::is_empty));
         }
     }
 
@@ -1024,9 +1044,10 @@ mod tests {
         let result = campaign.solo(&[Scheme::unprotected32()], 5, |_, metrics| {
             metrics.fill(0.0)
         });
-        for record in &result.records {
-            let expected = distribution.pmf(record.n_faults) / 10.0;
-            assert!((record.weight - expected).abs() <= 1e-18 + expected * 1e-12);
+        assert_eq!(result.weights.len(), 7);
+        for die in &result.dies {
+            let expected = distribution.pmf(die.n_faults) / 10.0;
+            assert!((result.weight(die) - expected).abs() <= 1e-18 + expected * 1e-12);
         }
     }
 
@@ -1037,7 +1058,7 @@ mod tests {
             // Under the policy SECDED corrects every die.
             metrics[0] = Scheme::secded32().observe(map, 0, 0).value as f64;
         });
-        assert!(!result.records.is_empty());
+        assert!(!result.dies.is_empty());
     }
 
     #[test]
@@ -1046,11 +1067,11 @@ mod tests {
         let result = campaign.solo(&[Scheme::unprotected32()], 9, |map, metrics| {
             metrics.fill(map.fault_count() as f64)
         });
-        assert_eq!(result.records.len(), 10);
-        for record in &result.records {
-            assert_eq!(record.n_faults, 5);
-            assert_eq!(record.metrics[0], 5.0);
-            assert!((record.weight - 0.1).abs() < 1e-15);
+        assert_eq!(result.dies.len(), 10);
+        assert_eq!(result.weights, [0.0, 0.0, 0.0, 0.0, 0.0, 0.1]);
+        for (die, metrics) in result.rows(1) {
+            assert_eq!(die.n_faults, 5);
+            assert_eq!(metrics[0], 5.0);
         }
     }
 
@@ -1069,7 +1090,6 @@ mod tests {
                     Ok(())
                 }
             },
-            CollectRecords::new(),
         );
         assert_eq!(result.unwrap_err(), RunError::Eval("too many faults"));
     }
@@ -1086,8 +1106,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_constructor_is_bit_identical_to_the_sram_backend_path() {
-        use faultmit_memsim::SramVddBackend;
+    fn sram_shorthand_is_bit_identical_to_the_sram_backend_path() {
         let memory = MemoryConfig::new(128, 32).unwrap();
         let legacy = Campaign::new(
             CampaignConfig::new(memory, 1e-3)
@@ -1096,10 +1115,12 @@ mod tests {
                 .with_max_failures(6),
         );
         let explicit = Campaign::new(
-            CampaignConfig::for_backend(SramVddBackend::with_p_cell(memory, 1e-3).unwrap())
-                .unwrap()
-                .with_samples_per_count(10)
-                .with_max_failures(6),
+            CampaignConfig::for_backend(Backend::Sram(
+                SramVddBackend::with_p_cell(memory, 1e-3).unwrap(),
+            ))
+            .unwrap()
+            .with_samples_per_count(10)
+            .with_max_failures(6),
         );
         let schemes = [Scheme::unprotected32()];
         let evaluate = |map: &FaultMap, metrics: &mut [f64]| metrics.fill(map.fault_count() as f64);
@@ -1110,7 +1131,7 @@ mod tests {
 
     #[test]
     fn campaigns_run_identically_on_every_backend_at_any_worker_count() {
-        use faultmit_memsim::{Backend, BackendKind};
+        use faultmit_memsim::BackendKind;
         let memory = MemoryConfig::new(128, 32).unwrap();
         let schemes = [Scheme::unprotected32(), Scheme::shuffle32(3).unwrap()];
         let evaluate = |map: &FaultMap, metrics: &mut [f64]| metrics.fill(map.fault_count() as f64);
@@ -1126,7 +1147,7 @@ mod tests {
             let threaded = Campaign::new(base.with_parallelism(Parallelism::threads(4)))
                 .solo(&schemes, 13, evaluate);
             assert_eq!(serial, threaded, "{kind} diverges across worker counts");
-            assert_eq!(serial.records.len(), 40, "{kind}");
+            assert_eq!(serial.dies.len(), 40, "{kind}");
         }
     }
 
@@ -1188,12 +1209,10 @@ mod tests {
         };
         let monolithic = campaign.solo(&schemes, 19, evaluate);
         for shard_count in [1usize, 2, 3, 7, 64] {
-            let mut merged = CollectRecords::new();
-            for index in 0..shard_count {
-                let shard = ShardSpec::new(index, shard_count).unwrap();
-                let part = campaign.records(&schemes, 19, shard, evaluate);
-                merged.merge(part);
-            }
+            let merged = Joined::of(
+                ShardSpec::all(shard_count)
+                    .map(|shard| campaign.samples(&schemes, 19, shard, evaluate)),
+            );
             assert_eq!(merged, monolithic, "{shard_count} shards diverge");
         }
     }
@@ -1223,15 +1242,9 @@ mod tests {
         let schemes = [Scheme::unprotected32()];
         let evaluate = |map: &FaultMap, metrics: &mut [f64]| metrics.fill(map.fault_count() as f64);
         let monolithic = campaign.solo(&schemes, 5, evaluate);
-        let mut merged = CollectRecords::new();
-        for index in 0..3 {
-            merged.merge(campaign.records(
-                &schemes,
-                5,
-                ShardSpec::new(index, 3).unwrap(),
-                evaluate,
-            ));
-        }
+        let merged = Joined::of(
+            ShardSpec::all(3).map(|shard| campaign.samples(&schemes, 5, shard, evaluate)),
+        );
         assert_eq!(merged, monolithic);
     }
 
@@ -1264,10 +1277,10 @@ mod tests {
     fn block_scheduling_matches_the_per_sample_pipeline() {
         // A per-die metric computable from both representations: the die's
         // fault count. The block path must reproduce the per-sample path's
-        // records exactly — indices, weights, metric values, order — for
+        // samples exactly — indices, weights, metric values, order — for
         // non-multiple-of-block-width plans, any shard split and both map
         // policies.
-        use faultmit_memsim::{for_each_die, Backend, BackendKind};
+        use faultmit_memsim::{for_each_die, BackendKind};
         let count_block = |_: &Scheme, block: &DieBlock<'_>, out: &mut [f64]| {
             out[..block.die_count()].fill(0.0);
             for row in block.rows() {
@@ -1299,23 +1312,12 @@ mod tests {
                     metrics.fill(map.fault_count() as f64)
                 });
                 for shard_count in [1usize, 3] {
-                    let mut merged = CollectRecords::new();
-                    for index in 0..shard_count {
-                        let shard = ShardSpec::new(index, shard_count).unwrap();
-                        merged.merge(
-                            campaign
-                                .run_shard_blocks(
-                                    &schemes,
-                                    23,
-                                    shard,
-                                    count_sample,
-                                    count_block,
-                                    CollectRecords::new(),
-                                )
-                                .unwrap()
-                                .0,
-                        );
-                    }
+                    let merged = Joined::of(ShardSpec::all(shard_count).map(|shard| {
+                        campaign
+                            .run_shard_blocks(&schemes, 23, shard, count_sample, count_block)
+                            .unwrap()
+                            .0
+                    }));
                     assert_eq!(merged, reference, "{kind} {policy:?} {shard_count} shards");
                 }
             }
@@ -1328,20 +1330,18 @@ mod tests {
         // must still match.
         let campaign = Campaign::new(config().with_chunk_size(1));
         let schemes = [Scheme::unprotected32()];
-        let reference = campaign.solo(&schemes, 3, |map, metrics| {
-            metrics.fill(map.fault_count() as f64)
-        });
+        let count = |map: &FaultMap, metrics: &mut [f64]| metrics.fill(map.fault_count() as f64);
+        let reference = campaign.samples(&schemes, 3, ShardSpec::solo(), count);
         let blocks = campaign
             .run_shard_blocks(
                 &schemes,
                 3,
                 ShardSpec::solo(),
                 |map, metrics| {
-                    metrics.fill(map.fault_count() as f64);
+                    count(map, metrics);
                     Ok::<(), std::convert::Infallible>(())
                 },
                 |_, _, _| panic!("single-sample groups must use the scalar tail"),
-                CollectRecords::new(),
             )
             .unwrap()
             .0;
@@ -1352,7 +1352,7 @@ mod tests {
     fn generation_seconds_are_the_recorded_generate_stage() {
         // One clock: the stats report exactly the nanoseconds the chunks
         // flush to the Generate stage, for both runners at any worker
-        // count; the record pass is timed as the Reduce stage.
+        // count.
         use std::sync::Arc;
         let schemes = [Scheme::unprotected32()];
         let count = |map: &FaultMap, metrics: &mut [f64]| {
@@ -1374,19 +1374,12 @@ mod tests {
                     let _guard = obs::install(&recorder);
                     if blocks {
                         campaign
-                            .run_shard_blocks(
-                                &schemes,
-                                4,
-                                ShardSpec::solo(),
-                                count,
-                                count_block,
-                                CollectRecords::new(),
-                            )
+                            .run_shard_blocks(&schemes, 4, ShardSpec::solo(), count, count_block)
                             .unwrap()
                             .1
                     } else {
                         campaign
-                            .run_shard(&schemes, 4, ShardSpec::solo(), count, CollectRecords::new())
+                            .run_shard(&schemes, 4, ShardSpec::solo(), count)
                             .unwrap()
                             .1
                     }
@@ -1398,17 +1391,13 @@ mod tests {
                     recorded.stage_seconds(obs::Stage::Generate).to_bits(),
                     "{workers} workers, blocks {blocks}"
                 );
-                // The record pass after the chunks is the Reduce stage, one
-                // call per recorded die.
-                assert_eq!(recorded.stage_calls(obs::Stage::Reduce), 60);
-                assert!(recorded.stage_seconds(obs::Stage::Reduce) > 0.0);
             }
         }
     }
 
     #[test]
     fn single_fault_per_row_policy_works_for_structured_backends() {
-        use faultmit_memsim::{Backend, DramRetentionBackend, SramVddBackend};
+        use faultmit_memsim::DramRetentionBackend;
         // Clustered placement collides often, and so do 4 iid faults in a
         // 32-row array; the redraw budget must still deliver single-fault
         // rows for these low counts.
@@ -1428,12 +1417,12 @@ mod tests {
             let result = campaign.solo(&[Scheme::unprotected32()], 3, |map, metrics| {
                 metrics.fill(map.max_faults_per_row() as f64)
             });
-            for record in &result.records {
+            for (die, metrics) in result.rows(1) {
                 assert!(
-                    record.metrics[0] <= 1.0,
+                    metrics[0] <= 1.0,
                     "{}: sample {} kept a multi-fault row",
                     backend.name(),
-                    record.sample_index
+                    die.index
                 );
             }
         }

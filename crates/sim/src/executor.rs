@@ -46,24 +46,17 @@ impl Parallelism {
     }
 }
 
-/// Runs `work(chunk_index)` for every index in `0..chunk_count` using up to
-/// `workers` threads and returns the results **in chunk-index order**.
+/// Runs `work(state, chunk_index)` for every index in `0..chunk_count`
+/// using up to `workers` threads and returns the results **in chunk-index
+/// order**.
 ///
 /// The schedule (which thread runs which chunk) is dynamic, but since each
 /// chunk's work is self-contained and results are reordered by index, the
-/// output is independent of the worker count and of scheduling.
-pub fn run_chunked<T, F>(chunk_count: usize, workers: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_chunked_with(chunk_count, workers, || (), |(), index| work(index))
-}
-
-/// [`run_chunked`] with **per-worker scratch state**: every worker thread
-/// builds one `S` via `make_state` and threads it through all the chunks it
-/// claims, so warm buffers (e.g. a `DieScratch` arena) survive from chunk to
-/// chunk instead of being rebuilt per chunk.
+/// output is independent of the worker count and of scheduling. Every
+/// worker thread builds one **per-worker scratch state** `S` via
+/// `make_state` and threads it through all the chunks it claims, so warm
+/// buffers (e.g. a `DieScratch` arena) survive from chunk to chunk instead
+/// of being rebuilt per chunk.
 ///
 /// Determinism is unaffected: scratch state may only hold reusable storage,
 /// never anything the chunk's *result* depends on — each chunk's output must
@@ -134,7 +127,7 @@ mod tests {
     #[test]
     fn results_come_back_in_chunk_order() {
         for workers in [1usize, 2, 4, 8] {
-            let out = run_chunked(37, workers, |i| i * i);
+            let out = run_chunked_with(37, workers, || (), |(), i| i * i);
             assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
         }
     }
@@ -142,10 +135,15 @@ mod tests {
     #[test]
     fn every_chunk_runs_exactly_once() {
         let calls = AtomicU64::new(0);
-        let out = run_chunked(100, 4, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            i
-        });
+        let out = run_chunked_with(
+            100,
+            4,
+            || (),
+            |(), i| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                i
+            },
+        );
         assert_eq!(calls.load(Ordering::Relaxed), 100);
         let distinct: HashSet<usize> = out.into_iter().collect();
         assert_eq!(distinct.len(), 100);
@@ -153,7 +151,7 @@ mod tests {
 
     #[test]
     fn zero_chunks_is_a_no_op() {
-        let out: Vec<usize> = run_chunked(0, 4, |i| i);
+        let out: Vec<usize> = run_chunked_with(0, 4, || (), |(), i| i);
         assert!(out.is_empty());
     }
 

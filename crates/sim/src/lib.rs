@@ -11,23 +11,22 @@
 //!   *every* scheme of the catalogue in one pass, so schemes are compared on
 //!   identical fault populations (the protocol stressed by
 //!   heterogeneous-reliability-memory studies).
-//! * **Plan-order reduction** — worker threads return each chunk's metrics
-//!   as a flat buffer, and the shard records every die into one
-//!   [`Accumulator`] in plan order, so the reduction is the serial one at
-//!   any worker count; accumulators of shards merge in shard order
-//!   ([`Accumulator::merge`]).
+//! * **Samples as data** — worker threads return each chunk's metrics as a
+//!   flat buffer, and a shard returns its dies in plan order with those
+//!   buffers ([`ShardSamples`]), whatever the worker count; the caller folds
+//!   them (the analysis crate's `CatalogueAccumulator`), shard after shard
+//!   in shard order.
 //!
-//! Campaigns are generic over the fault-generating
-//! [`faultmit_memsim::FaultBackend`]: [`CampaignConfig::new`] keeps the
-//! paper's SRAM voltage-scaling model (bit-identical to the historical
-//! pipeline), while [`CampaignConfig::for_backend`] runs the identical
-//! protocol against DRAM-retention, MLC-NVM or user-defined fault
-//! processes.
+//! Dies come from a [`faultmit_memsim::Backend`]:
+//! [`CampaignConfig::new`] keeps the paper's SRAM voltage-scaling model
+//! (bit-identical to the historical pipeline), while
+//! [`CampaignConfig::for_backend`] runs the identical protocol against DRAM
+//! retention or MLC NVM.
 //!
 //! ```
 //! use faultmit_core::{MitigationScheme, Scheme};
 //! use faultmit_memsim::MemoryConfig;
-//! use faultmit_sim::{Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec};
+//! use faultmit_sim::{Campaign, CampaignConfig, Parallelism, ShardSpec};
 //! use std::convert::Infallible;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,7 +37,7 @@
 //! let campaign = Campaign::new(config);
 //! let schemes = [Scheme::unprotected32(), Scheme::shuffle32(5)?];
 //! // One call per die fills one metric per scheme.
-//! let (records, stats) = campaign.run_shard(
+//! let (samples, stats) = campaign.run_shard(
 //!     &schemes,
 //!     42,
 //!     ShardSpec::solo(),
@@ -48,11 +47,10 @@
 //!         }
 //!         Ok::<(), Infallible>(())
 //!     },
-//!     CollectRecords::new(),
 //! )?;
 //! // 4 failure counts × 5 samples, each evaluated under both schemes.
-//! assert_eq!(records.records.len(), 20);
-//! assert!(records.records.iter().all(|r| r.metrics.len() == 2));
+//! assert_eq!(samples.dies.len(), 20);
+//! assert_eq!(samples.chunks.concat().len(), 20 * 2);
 //! // Generation is timed in worker-seconds whether or not a metrics
 //! // recorder is installed.
 //! assert!(stats.generation_seconds >= 0.0);
@@ -64,14 +62,14 @@
 //!
 //! A campaign is a *plan over sample-index ranges*, so it can be split into
 //! [`ShardSpec`] shards whose chunk ranges tile the global plan: each shard
-//! is an independent process (or machine), and shard accumulators merged in
-//! shard order are **bit-identical** to the monolithic run — monolithic
+//! is an independent process (or machine), and the shards' samples taken in
+//! shard order are **bit-identical** to the monolithic run's — monolithic
 //! execution is just the `0/1` shard ([`ShardSpec::solo`]). In-process:
 //!
 //! ```
 //! use faultmit_core::Scheme;
 //! use faultmit_memsim::MemoryConfig;
-//! use faultmit_sim::{Accumulator, Campaign, CampaignConfig, CollectRecords, ShardSpec};
+//! use faultmit_sim::{Campaign, CampaignConfig, ShardSpec};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = CampaignConfig::new(MemoryConfig::new(256, 32)?, 1e-3)?
@@ -84,14 +82,18 @@
 //!     metrics.fill(map.fault_count() as f64);
 //!     Ok::<(), std::convert::Infallible>(())
 //! };
-//! let run = |shard| campaign.run_shard(&schemes, 7, shard, metric, CollectRecords::new());
+//! let run = |shard| campaign.run_shard(&schemes, 7, shard, metric);
 //!
 //! let (monolithic, _) = run(ShardSpec::solo())?;
-//! let mut merged = CollectRecords::new();
+//! let (mut dies, mut metrics) = (Vec::new(), Vec::new());
 //! for index in 0..3 {
-//!     merged.merge(run(ShardSpec::new(index, 3)?)?.0);
+//!     let (shard, _) = run(ShardSpec::new(index, 3)?)?;
+//!     dies.extend(shard.dies);
+//!     metrics.extend(shard.chunks.concat());
 //! }
-//! assert_eq!(merged, monolithic); // bit-identical, not just statistically equal
+//! // Bit-identical, not just statistically equal.
+//! assert_eq!(dies, monolithic.dies);
+//! assert_eq!(metrics, monolithic.chunks.concat());
 //! # Ok(())
 //! # }
 //! ```
@@ -120,13 +122,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod accumulate;
 pub mod campaign;
 pub mod error;
 pub mod executor;
 
-pub use accumulate::{Accumulator, CollectRecords, PairedSample};
-pub use campaign::{Campaign, CampaignConfig, KernelKind, ShardSpec, ShardStats, N_MAX_COVERAGE};
+pub use campaign::{
+    Campaign, CampaignConfig, KernelKind, ShardSamples, ShardSpec, ShardStats, N_MAX_COVERAGE,
+};
 pub use error::{RunError, SimError};
-pub use executor::{run_chunked, run_chunked_with, Parallelism};
+pub use executor::{run_chunked_with, Parallelism};
 pub use faultmit_memsim::MapPolicy;

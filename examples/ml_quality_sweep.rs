@@ -13,7 +13,7 @@
 use faultmit::analysis::report::Table;
 use faultmit::apps::{Benchmark, QualityEvaluator};
 use faultmit::core::{MitigationScheme, Scheme};
-use faultmit::memsim::{FaultBackend, SramVddBackend};
+use faultmit::memsim::{Backend, SramVddBackend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,7 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .build()?;
         let baseline = evaluator.baseline_quality()?;
         // The paper's iid fault placement; P_cell only labels the backend.
-        let sram = SramVddBackend::with_p_cell(evaluator.memory_config(), 1e-3)?;
+        let sram = Backend::Sram(SramVddBackend::with_p_cell(
+            evaluator.memory_config(),
+            1e-3,
+        )?);
 
         let mut headers = vec!["scheme".to_owned()];
         headers.extend(fault_counts.iter().map(|n| format!("{n} faults")));

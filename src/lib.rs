@@ -18,8 +18,8 @@
 //! | [`memsim`] | SRAM functional model, fault maps, `P_cell(V_DD)` model, BIST, Monte-Carlo die sampling, stream-split seeding, and the [`memsim::backend`] fault-technology layer (SRAM voltage scaling, DRAM retention, MLC NVM) |
 //! | [`ecc`] | Hamming SECDED (H(39,32), H(22,16)) and priority-ECC baselines |
 //! | [`core`] | segment geometry, FM-LUT, barrel shifter, [`ShuffledMemory`], the [`Scheme`] catalogue |
-//! | [`sim`] | the parallel fault-injection pipeline: deterministic per-sample RNG streams, paired scheme evaluation, mergeable accumulators, backend-generic campaigns |
-//! | [`analysis`] | MSE quality model (Eq. 6), yield criterion (Eq. 3–5), pipeline-backed Monte-Carlo engine, weighted CDFs |
+//! | [`sim`] | the parallel fault-injection pipeline: deterministic per-sample RNG streams, paired scheme evaluation, shard samples returned as data, campaigns on every memory technology |
+//! | [`analysis`] | MSE quality model (Eq. 6), yield criterion (Eq. 3–5), pipeline-backed Monte-Carlo engine, the mergeable per-stratum accumulator, weighted CDFs |
 //! | [`hwmodel`] | analytical 28 nm read-power / delay / area overhead model (Fig. 6) |
 //! | [`apps`] | Elasticnet, PCA, KNN benchmarks with synthetic datasets and the pipeline-backed Fig. 7 harness (per-technology via the backend axis) |
 //!
@@ -27,14 +27,14 @@
 //! the ablations, the Fig. 8 backend matrix) runs through one engine,
 //! [`sim::Campaign`]: each sampled die derives its RNG from the campaign
 //! seed and its global sample index, every protection scheme is scored on
-//! the *same* die (paired comparison), and chunk results merge in
-//! deterministic order — so campaigns are bit-identical whether they run on
-//! one worker thread or many. Campaigns are generic over the
-//! [`memsim::FaultBackend`] that generates the dies: the default
-//! [`memsim::SramVddBackend`] reproduces the paper's model bit-for-bit,
-//! while [`memsim::DramRetentionBackend`] / [`memsim::MlcNvmBackend`] run
-//! the identical protocol against clustered retention failures or
-//! level-dependent MLC read errors.
+//! the *same* die (paired comparison), and a shard's dies come back in plan
+//! order whatever the worker count — so campaigns are bit-identical whether
+//! they run on one worker thread or many. The dies come from a
+//! [`memsim::Backend`], one variant per memory technology: SRAM voltage
+//! scaling ([`memsim::SramVddBackend`]) reproduces the paper's model
+//! bit-for-bit, while DRAM retention ([`memsim::DramRetentionBackend`]) and
+//! MLC NVM ([`memsim::MlcNvmBackend`]) run the identical protocol against
+//! clustered retention failures or level-dependent MLC read errors.
 //!
 //! # Quickstart
 //!

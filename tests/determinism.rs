@@ -1,14 +1,14 @@
 //! Determinism regression tests of the parallel fault-injection pipeline:
 //! the same campaign seed must produce **bit-identical** results whether the
 //! campaign runs serially or on N worker threads, at any chunk size, across
-//! every layer that feeds the figures (raw records, per-count CDFs, combined
+//! every layer that feeds the figures (raw samples, per-count CDFs, combined
 //! `EmpiricalCdf`s, application quality).
 
 mod common;
 #[path = "common/strata.rs"]
 mod strata;
 
-use common::{per_scheme, Records};
+use common::{per_scheme, Samples};
 use faultmit::analysis::{memory_mse, MonteCarloEngine};
 use faultmit::apps::{Benchmark, QualityEvaluator};
 use faultmit::core::Scheme;
@@ -54,7 +54,7 @@ fn raw_record_stream_is_independent_of_chunking_and_workers() {
         .with_samples_per_count(15)
         .with_max_failures(8);
 
-    let reference = Campaign::new(base.with_parallelism(Parallelism::Serial)).records(
+    let reference = Campaign::new(base.with_parallelism(Parallelism::Serial)).samples(
         &schemes,
         SEED,
         ShardSpec::solo(),
@@ -66,7 +66,7 @@ fn raw_record_stream_is_independent_of_chunking_and_workers() {
             base.with_parallelism(Parallelism::threads(workers))
                 .with_chunk_size(chunk_size),
         )
-        .records(
+        .samples(
             &schemes,
             SEED,
             ShardSpec::solo(),
@@ -86,13 +86,13 @@ fn different_seeds_produce_different_populations() {
         .unwrap()
         .with_samples_per_count(10)
         .with_max_failures(5);
-    let a = Campaign::new(config).records(
+    let a = Campaign::new(config).samples(
         &scheme,
         1,
         ShardSpec::solo(),
         per_scheme(&scheme, memory_mse),
     );
-    let b = Campaign::new(config).records(
+    let b = Campaign::new(config).samples(
         &scheme,
         2,
         ShardSpec::solo(),
@@ -116,20 +116,20 @@ fn every_backend_is_bit_identical_serial_vs_threaded_at_any_chunk_size() {
             .with_samples_per_count(12)
             .with_max_failures(10);
 
-        let reference = Campaign::new(base.with_parallelism(Parallelism::Serial)).records(
+        let reference = Campaign::new(base.with_parallelism(Parallelism::Serial)).samples(
             &schemes,
             SEED,
             ShardSpec::solo(),
             per_scheme(&schemes, memory_mse),
         );
-        assert_eq!(reference.records.len(), 120, "{kind}");
+        assert_eq!(reference.dies.len(), 120, "{kind}");
 
         for (workers, chunk_size) in [(2usize, 1usize), (4, 7), (8, 64)] {
             let variant = Campaign::new(
                 base.with_parallelism(Parallelism::threads(workers))
                     .with_chunk_size(chunk_size),
             )
-            .records(
+            .samples(
                 &schemes,
                 SEED,
                 ShardSpec::solo(),
@@ -228,7 +228,7 @@ fn application_quality_campaign_is_bit_identical_serial_vs_threaded() {
     };
     let schemes = [Scheme::unprotected32(), Scheme::secded32()];
     let run = |eval: QualityEvaluator| {
-        let sram = SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap();
+        let sram = Backend::Sram(SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap());
         let (state, _) = eval
             .quality_shard_on(&schemes, &sram, 5, 3, SEED, ShardSpec::solo())
             .unwrap();

@@ -6,7 +6,7 @@ use faultmit::analysis::{memory_mse, MonteCarloEngine};
 use faultmit::core::{MitigationScheme, Scheme, SegmentGeometry, ShuffledMemory};
 use faultmit::ecc::{DecodeOutcome, EccMemory, PeccMemory};
 use faultmit::memsim::{
-    Fault, FaultBackend, FaultMap, MarchBist, MemoryConfig, SramArray, SramVddBackend,
+    Backend, Fault, FaultMap, MarchBist, MemoryConfig, SramArray, SramVddBackend,
 };
 use faultmit::sim::CampaignConfig;
 use rand::rngs::StdRng;
@@ -15,7 +15,7 @@ use rand::SeedableRng;
 /// One die: a binomial failure count, then that many iid faults.
 fn sample_die(rows: usize, p_cell: f64, seed: u64) -> FaultMap {
     let config = MemoryConfig::new(rows, 32).unwrap();
-    let backend = SramVddBackend::with_p_cell(config, p_cell).unwrap();
+    let backend = Backend::Sram(SramVddBackend::with_p_cell(config, p_cell).unwrap());
     let mut rng = StdRng::seed_from_u64(seed);
     let n_faults = backend.failure_distribution().unwrap().sample(&mut rng) as usize;
     backend.sample_with_count(&mut rng, n_faults).unwrap()

@@ -5,16 +5,15 @@
 
 use faultmit::analysis::memory_mse;
 use faultmit::core::{MitigationScheme, Scheme, SegmentGeometry, ShuffledMemory};
-use faultmit::memsim::{FaultBackend, FaultKindLaw, MemoryConfig, SramVddBackend, VddSweep};
+use faultmit::memsim::{Backend, FaultKindLaw, MemoryConfig, SramVddBackend, VddSweep};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const ROWS: usize = 256;
 
 /// The paper's iid placement with the given cell behaviour.
-fn sampler(law: FaultKindLaw) -> SramVddBackend {
-    SramVddBackend::with_p_cell(MemoryConfig::new(ROWS, 32).unwrap(), 1e-3)
-        .unwrap()
+fn sampler(law: FaultKindLaw) -> Backend {
+    Backend::Sram(SramVddBackend::with_p_cell(MemoryConfig::new(ROWS, 32).unwrap(), 1e-3).unwrap())
         .with_kind_law(law)
         .unwrap()
 }

@@ -11,14 +11,14 @@
 
 mod common;
 
-use common::{per_scheme, Records};
+use common::{per_scheme, Joined, Samples};
 use faultmit::analysis::{block_mse_into, memory_mse, memory_mse_for_data, CatalogueMse};
 use faultmit::core::Scheme;
 use faultmit::memsim::{
     Backend, BackendKind, BlockScratch, DieBlock, DieScratch, FaultKindLaw, FaultMap, ImageSpec,
     MemoryConfig, PlannedSample, StreamSeeder, BLOCK_DIES,
 };
-use faultmit::sim::{Campaign, CampaignConfig, CollectRecords, MapPolicy, Parallelism, ShardSpec};
+use faultmit::sim::{Campaign, CampaignConfig, MapPolicy, Parallelism, ShardSpec};
 
 use std::convert::Infallible;
 
@@ -53,7 +53,7 @@ fn images() -> Vec<ImageSpec> {
     ]
 }
 
-fn campaign_config(backend: Backend) -> CampaignConfig<Backend> {
+fn campaign_config(backend: Backend) -> CampaignConfig {
     CampaignConfig::for_backend(backend)
         .unwrap()
         .with_samples_per_count(5)
@@ -61,22 +61,19 @@ fn campaign_config(backend: Backend) -> CampaignConfig<Backend> {
         .with_parallelism(Parallelism::Serial)
 }
 
-fn assert_records_bit_identical(a: &CollectRecords, b: &CollectRecords, context: &str) {
-    assert_eq!(a.records.len(), b.records.len(), "{context}: record count");
-    for (x, y) in a.records.iter().zip(&b.records) {
-        assert_eq!(x.sample_index, y.sample_index, "{context}");
-        assert_eq!(x.n_faults, y.n_faults, "{context}");
-        assert_eq!(x.weight.to_bits(), y.weight.to_bits(), "{context}");
-        assert_eq!(x.metrics.len(), y.metrics.len(), "{context}");
-        for (m, n) in x.metrics.iter().zip(&y.metrics) {
-            // to_bits: -0.0 vs +0.0 and NaN payloads must match exactly.
-            assert_eq!(
-                m.to_bits(),
-                n.to_bits(),
-                "{context}: sample {} metric {m} vs {n}",
-                x.sample_index
-            );
-        }
+fn assert_samples_bit_identical(a: &Joined, b: &Joined, context: &str) {
+    assert_eq!(a.dies, b.dies, "{context}: dies");
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&a.weights), bits(&b.weights), "{context}: weights");
+    assert_eq!(a.metrics.len(), b.metrics.len(), "{context}: metric count");
+    // to_bits: -0.0 vs +0.0 and NaN payloads must match exactly.
+    let (x, y) = (bits(&a.metrics), bits(&b.metrics));
+    if let Some(i) = (0..x.len()).find(|&i| x[i] != y[i]) {
+        let die = &a.dies[i * a.dies.len() / x.len()];
+        panic!(
+            "{context}: sample {} metric {} vs {}",
+            die.index, a.metrics[i], b.metrics[i]
+        );
     }
 }
 
@@ -101,7 +98,7 @@ fn sparse_mse_kernel_is_bit_identical_to_the_scalar_kernel() {
 
                     // Dense baseline: the generic observe path over a dense
                     // image vector.
-                    let scalar = Campaign::new(campaign_config(backend)).records(
+                    let scalar = Campaign::new(campaign_config(backend)).samples(
                         &schemes,
                         SEED,
                         ShardSpec::solo(),
@@ -113,14 +110,14 @@ fn sparse_mse_kernel_is_bit_identical_to_the_scalar_kernel() {
                     // Sparse kernel: one row-group walk per die over the
                     // catalogue, single-fault rows scored from the table,
                     // per-faulty-row image gather.
-                    let fused = Campaign::new(campaign_config(backend)).records(
+                    let fused = Campaign::new(campaign_config(backend)).samples(
                         &schemes,
                         SEED,
                         ShardSpec::solo(),
                         |map, metrics| walk.mse_into(map, |row| words[row], metrics),
                     );
 
-                    assert_records_bit_identical(
+                    assert_samples_bit_identical(
                         &scalar,
                         &fused,
                         &format!("{context} (catalogue walk)"),
@@ -142,17 +139,17 @@ fn zeros_background_kernels_agree_under_every_map_policy() {
         for policy in [MapPolicy::Unrestricted, MapPolicy::SingleFaultPerRow] {
             let backend = Backend::at_p_cell(kind, memory, 1e-3).unwrap();
             let config = campaign_config(backend).with_map_policy(policy);
-            let scalar = Campaign::new(config).records(
+            let scalar = Campaign::new(config).samples(
                 &schemes,
                 SEED,
                 ShardSpec::solo(),
                 per_scheme(&schemes, memory_mse),
             );
             let fused =
-                Campaign::new(config).records(&schemes, SEED, ShardSpec::solo(), |map, metrics| {
+                Campaign::new(config).samples(&schemes, SEED, ShardSpec::solo(), |map, metrics| {
                     walk.mse_into(map, |_| 0, metrics)
                 });
-            assert_records_bit_identical(&scalar, &fused, &format!("{kind} {policy:?} walk"));
+            assert_samples_bit_identical(&scalar, &fused, &format!("{kind} {policy:?} walk"));
         }
     }
 }
@@ -182,7 +179,7 @@ fn catalogue_walk_is_bit_identical_on_multi_fault_dies() {
                     .with_samples_per_count(3)
                     .with_max_failures(40)
                     .with_parallelism(Parallelism::Serial);
-                let dense = Campaign::new(config).records(
+                let dense = Campaign::new(config).samples(
                     &schemes,
                     SEED,
                     ShardSpec::solo(),
@@ -191,7 +188,7 @@ fn catalogue_walk_is_bit_identical_on_multi_fault_dies() {
                     }),
                 );
                 let (single_rows, multi_rows) = (AtomicUsize::new(0), AtomicUsize::new(0));
-                let fused = Campaign::new(config).records(
+                let fused = Campaign::new(config).samples(
                     &schemes,
                     SEED,
                     ShardSpec::solo(),
@@ -207,7 +204,7 @@ fn catalogue_walk_is_bit_identical_on_multi_fault_dies() {
                         walk.mse_into(map, |row| words[row], metrics);
                     },
                 );
-                assert_records_bit_identical(&dense, &fused, &context);
+                assert_samples_bit_identical(&dense, &fused, &context);
                 assert!(
                     single_rows.into_inner() > 0 && multi_rows.into_inner() > 0,
                     "{context}: the sweep must mix single- and multi-fault rows"
@@ -226,7 +223,7 @@ fn arena_reuse_is_bit_identical_across_worker_counts() {
     let backend = Backend::at_p_cell(BackendKind::Sram, memory, 1e-3).unwrap();
     let walk = CatalogueMse::new(&schemes, memory.word_bits());
     let evaluate = |map: &_, metrics: &mut [f64]| walk.mse_into(map, |_| 0, metrics);
-    let reference = Campaign::new(campaign_config(backend)).records(
+    let reference = Campaign::new(campaign_config(backend)).samples(
         &schemes,
         SEED,
         ShardSpec::solo(),
@@ -238,8 +235,8 @@ fn arena_reuse_is_bit_identical_across_worker_counts() {
                 .with_parallelism(Parallelism::threads(workers))
                 .with_chunk_size(3),
         )
-        .records(&schemes, SEED, ShardSpec::solo(), evaluate);
-        assert_records_bit_identical(&reference, &threaded, &format!("{workers} workers"));
+        .samples(&schemes, SEED, ShardSpec::solo(), evaluate);
+        assert_samples_bit_identical(&reference, &threaded, &format!("{workers} workers"));
     }
 }
 
@@ -266,16 +263,16 @@ impl SweepRng {
 
 /// Runs `campaign` on `spec`'s image through the dense evaluator, the
 /// sparse catalogue walk and the bit-sliced block kernel, and requires the
-/// three record streams to agree bit for bit, sample for sample.
+/// three sample streams to agree bit for bit, sample for sample.
 fn assert_kernels_agree(
-    campaign: &Campaign<Backend>,
+    campaign: &Campaign,
     schemes: &[Scheme],
     memory: MemoryConfig,
     spec: ImageSpec,
     context: &str,
 ) {
     let words = spec.words(memory).unwrap();
-    let scalar = campaign.records(
+    let scalar = campaign.samples(
         schemes,
         SEED,
         ShardSpec::solo(),
@@ -288,17 +285,11 @@ fn assert_kernels_agree(
         walk.mse_into(map, |row| words[row], metrics);
         Ok::<(), Infallible>(())
     };
-    let sparse = campaign
-        .run_shard(
-            schemes,
-            SEED,
-            ShardSpec::solo(),
-            walk_die,
-            CollectRecords::new(),
-        )
+    let sparse = Joined::of([campaign
+        .run_shard(schemes, SEED, ShardSpec::solo(), walk_die)
         .unwrap()
-        .0;
-    let bitsliced = campaign
+        .0]);
+    let bitsliced = Joined::of([campaign
         .run_shard_blocks(
             schemes,
             SEED,
@@ -307,13 +298,12 @@ fn assert_kernels_agree(
             |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
                 block_mse_into(scheme, block, |row| words[row], out);
             },
-            CollectRecords::new(),
         )
         .unwrap()
-        .0;
+        .0]);
 
-    assert_records_bit_identical(&scalar, &sparse, context);
-    assert_records_bit_identical(&scalar, &bitsliced, context);
+    assert_samples_bit_identical(&scalar, &sparse, context);
+    assert_samples_bit_identical(&scalar, &bitsliced, context);
 }
 
 /// The bit-sliced block kernel joins the equivalence family: across a

@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{per_scheme, Records};
+use common::{per_scheme, Samples};
 use faultmit::analysis::memory_mse;
 use faultmit::core::{Scheme, SegmentGeometry};
 use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
@@ -51,24 +51,24 @@ fn shuffling_never_exceeds_unprotected_mse_on_shared_dies() {
             .with_samples_per_count(samples_per_count)
             .with_max_failures(max_failures)
             .with_parallelism(Parallelism::threads(2));
-        let records = Campaign::new(config).records(
+        let samples = Campaign::new(config).samples(
             &schemes,
             0xBEEF ^ case,
             ShardSpec::solo(),
             per_scheme(&schemes, memory_mse),
         );
 
-        assert!(!records.records.is_empty());
-        for record in &records.records {
-            let (unprotected, shuffled) = (record.metrics[0], record.metrics[1]);
+        assert!(!samples.dies.is_empty());
+        for (die, metrics) in samples.dies.iter().zip(samples.metrics.chunks(2)) {
+            let (unprotected, shuffled) = (metrics[0], metrics[1]);
             assert!(
                 shuffled <= unprotected * (1.0 + 1e-12) + 1e-12,
                 "case {case}: W={} nFM={} die {} with {} faults: \
                  shuffle MSE {shuffled} > unprotected {unprotected}",
                 memory.word_bits(),
                 geometry.n_fm(),
-                record.sample_index,
-                record.n_faults,
+                die.index,
+                die.n_faults,
             );
         }
     }
@@ -91,22 +91,22 @@ fn shuffling_never_exceeds_unprotected_mse_on_any_backend() {
                 .with_samples_per_count(6)
                 .with_max_failures(16)
                 .with_parallelism(Parallelism::threads(2));
-            let records = Campaign::new(config).records(
+            let samples = Campaign::new(config).samples(
                 &schemes,
                 0xBAC2 + n_fm as u64,
                 ShardSpec::solo(),
                 per_scheme(&schemes, memory_mse),
             );
 
-            assert!(!records.records.is_empty(), "{kind}");
-            for record in &records.records {
-                let (unprotected, shuffled) = (record.metrics[0], record.metrics[1]);
+            assert!(!samples.dies.is_empty(), "{kind}");
+            for (die, metrics) in samples.dies.iter().zip(samples.metrics.chunks(2)) {
+                let (unprotected, shuffled) = (metrics[0], metrics[1]);
                 assert!(
                     shuffled <= unprotected * (1.0 + 1e-12) + 1e-12,
                     "{kind} nFM={n_fm}: die {} with {} faults: \
                      shuffle MSE {shuffled} > unprotected {unprotected}",
-                    record.sample_index,
-                    record.n_faults,
+                    die.index,
+                    die.n_faults,
                 );
             }
         }
@@ -124,20 +124,23 @@ fn finer_segments_never_lose_on_shared_single_fault_dies() {
         .with_samples_per_count(10)
         .with_max_failures(6)
         .with_map_policy(faultmit::sim::MapPolicy::SingleFaultPerRow);
-    let records = Campaign::new(config).records(
+    let samples = Campaign::new(config).samples(
         &schemes,
         0x51CE,
         ShardSpec::solo(),
         per_scheme(&schemes, memory_mse),
     );
 
-    for record in &records.records {
-        for pair in record.metrics.windows(2) {
+    for (die, metrics) in samples
+        .dies
+        .iter()
+        .zip(samples.metrics.chunks(schemes.len()))
+    {
+        for pair in metrics.windows(2) {
             assert!(
                 pair[1] <= pair[0] * (1.0 + 1e-12) + 1e-12,
-                "die {}: finer segments regressed ({:?})",
-                record.sample_index,
-                record.metrics,
+                "die {}: finer segments regressed ({metrics:?})",
+                die.index,
             );
         }
     }

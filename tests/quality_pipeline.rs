@@ -4,7 +4,7 @@
 
 use faultmit::apps::{Benchmark, QualityEvaluator};
 use faultmit::core::Scheme;
-use faultmit::memsim::{Fault, FaultBackend, FaultMap, SramVddBackend};
+use faultmit::memsim::{Backend, Fault, FaultMap, SramVddBackend};
 use faultmit::sim::ShardSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -96,7 +96,7 @@ fn fig7_ordering_no_correction_vs_shuffle_on_random_fault_maps() {
     // paper's observation that nFM=2 already beats P-ECC).
     let eval = evaluator(Benchmark::Elasticnet);
     let baseline = eval.baseline_quality().unwrap();
-    let sram = SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap();
+    let sram = Backend::Sram(SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap());
     let mut rng = StdRng::seed_from_u64(31);
 
     let mut sums = [0.0f64; 3]; // unprotected, pecc, shuffle2
@@ -139,7 +139,7 @@ fn quality_cdf_campaign_produces_weighted_distributions() {
         .build()
         .unwrap();
     let schemes = [Scheme::shuffle32(1).unwrap()];
-    let sram = SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap();
+    let sram = Backend::Sram(SramVddBackend::with_p_cell(eval.memory_config(), 1e-3).unwrap());
     let (state, _) = eval
         .quality_shard_on(&schemes, &sram, 4, 3, 17, ShardSpec::solo())
         .unwrap();

@@ -1,6 +1,6 @@
 //! Shard-merge bit-identity gates for the distributed campaign path: for
 //! every fault backend, a campaign split into K shards and merged in shard
-//! order must be **bit-identical** to the monolithic run — raw record
+//! order must be **bit-identical** to the monolithic run — raw sample
 //! streams, per-count CDF sketches and their order-sensitive floating-point
 //! weight sums alike — at any worker count. Monolithic execution must
 //! itself be the 0/1 shard, not a separate code path.
@@ -9,13 +9,11 @@ mod common;
 #[path = "common/strata.rs"]
 mod strata;
 
-use common::{per_scheme, Records};
+use common::{per_scheme, Joined, Samples};
 use faultmit::analysis::{memory_mse, CatalogueAccumulator, MonteCarloEngine};
 use faultmit::core::Scheme;
 use faultmit::memsim::{Backend, BackendKind, MemoryConfig};
-use faultmit::sim::{
-    Accumulator, Campaign, CampaignConfig, CollectRecords, Parallelism, ShardSpec,
-};
+use faultmit::sim::{Campaign, CampaignConfig, Parallelism, ShardSpec};
 use strata::assert_same_strata;
 
 const SEED: u64 = 0x5AAD_0003;
@@ -23,7 +21,7 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
 
 #[test]
 fn every_backend_shards_bit_identically_at_every_split() {
-    // The raw-record layer: the shard union must reproduce the exact global
+    // The raw-sample layer: the shard union must reproduce the exact global
     // sample stream for iid (SRAM), clustered (DRAM) and level-weighted
     // (MLC) fault processes alike.
     let memory = MemoryConfig::new(512, 32).unwrap();
@@ -37,25 +35,21 @@ fn every_backend_shards_bit_identically_at_every_split() {
                 .with_max_failures(10)
                 .with_chunk_size(5),
         );
-        let monolithic = campaign.records(
-            &schemes,
-            SEED,
-            ShardSpec::solo(),
-            per_scheme(&schemes, memory_mse),
-        );
-        assert_eq!(monolithic.records.len(), 120, "{kind}");
+        let evaluate = |map: &_, metrics: &mut [f64]| {
+            per_scheme(&schemes, memory_mse)(map, metrics);
+            Ok::<(), std::convert::Infallible>(())
+        };
+        let run = |shard| {
+            campaign
+                .run_shard(&schemes, SEED, shard, evaluate)
+                .unwrap()
+                .0
+        };
+        let monolithic = Joined::of([run(ShardSpec::solo())]);
+        assert_eq!(monolithic.dies.len(), 120, "{kind}");
 
         for shard_count in SHARD_COUNTS {
-            let mut merged = CollectRecords::new();
-            for index in 0..shard_count {
-                let shard = ShardSpec::new(index, shard_count).unwrap();
-                merged.merge(campaign.records(
-                    &schemes,
-                    SEED,
-                    shard,
-                    per_scheme(&schemes, memory_mse),
-                ));
-            }
+            let merged = Joined::of(ShardSpec::all(shard_count).map(run));
             assert_eq!(merged, monolithic, "{kind}: {shard_count} shards diverge");
         }
     }
@@ -157,13 +151,13 @@ fn shards_are_worker_count_independent() {
             .with_max_failures(6)
             .with_chunk_size(3);
         let shard = ShardSpec::new(1, 3).unwrap();
-        let serial = Campaign::new(base.with_parallelism(Parallelism::Serial)).records(
+        let serial = Campaign::new(base.with_parallelism(Parallelism::Serial)).samples(
             &schemes,
             SEED,
             shard,
             per_scheme(&schemes, memory_mse),
         );
-        let threaded = Campaign::new(base.with_parallelism(Parallelism::threads(4))).records(
+        let threaded = Campaign::new(base.with_parallelism(Parallelism::threads(4))).samples(
             &schemes,
             SEED,
             shard,
@@ -172,7 +166,7 @@ fn shards_are_worker_count_independent() {
         assert_eq!(serial, threaded, "{kind}");
         // The shard evaluated exactly its own sample range.
         let range = Campaign::new(base).shard_sample_range(shard).unwrap();
-        let indices: Vec<u64> = serial.records.iter().map(|r| r.sample_index).collect();
+        let indices: Vec<u64> = serial.dies.iter().map(|die| die.index).collect();
         assert_eq!(indices, range.collect::<Vec<u64>>(), "{kind}");
     }
 }

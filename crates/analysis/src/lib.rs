@@ -4,7 +4,7 @@
 //! criterion — and the machinery behind its Fig. 5:
 //!
 //! * [`mse`] — the local mean-square-error quality function of Eq. (6),
-//!   evaluated for any [`MitigationScheme`](faultmit_core::MitigationScheme);
+//!   evaluated for any [`Scheme`](faultmit_core::Scheme);
 //! * [`EmpiricalCdf`] — weighted empirical cumulative distribution functions
 //!   over quality samples;
 //! * [`YieldModel`] — the joint probability of Eq. (3)–(5): combining the

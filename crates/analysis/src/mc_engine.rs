@@ -16,7 +16,7 @@ use crate::accumulate::CatalogueAccumulator;
 use crate::error::AnalysisError;
 use crate::mse::{block_mse_into, CatalogueMse};
 use crate::yield_model::YieldModel;
-use faultmit_core::MitigationScheme;
+use faultmit_core::Scheme;
 use faultmit_memsim::{DieBlock, ImageSpec};
 use faultmit_obs as obs;
 use faultmit_sim::{Campaign, CampaignConfig, KernelKind, RunError, ShardSpec, ShardStats};
@@ -25,8 +25,7 @@ use std::convert::Infallible;
 /// The outcome of evaluating one protection scheme in a Monte-Carlo campaign.
 #[derive(Debug, Clone)]
 pub struct SchemeMseResult {
-    /// Human-readable scheme name (as reported by
-    /// [`MitigationScheme::name`]).
+    /// Human-readable scheme name (as reported by [`Scheme::name`]).
     pub scheme_name: String,
     /// The full yield model, for quality-vs-yield queries. Its combined
     /// CDF at MSE 0 ([`YieldModel::combined_cdf`]) is the weighted MSE CDF
@@ -94,9 +93,9 @@ impl MonteCarloEngine {
     /// # Errors
     ///
     /// Propagates the first error encountered.
-    pub fn run_catalogue<S: MitigationScheme + Sync>(
+    pub fn run_catalogue(
         &self,
-        schemes: &[S],
+        schemes: &[Scheme],
         seed: u64,
     ) -> Result<Vec<SchemeMseResult>, AnalysisError> {
         let (state, _) =
@@ -125,9 +124,9 @@ impl MonteCarloEngine {
     /// width differs from the memory's or `data` has fewer entries than the
     /// memory has rows, propagates the configured image's materialisation
     /// error, and propagates campaign errors.
-    pub fn run_catalogue_shard_on_image_stats<S: MitigationScheme + Sync>(
+    pub fn run_catalogue_shard_on_image_stats(
         &self,
-        schemes: &[S],
+        schemes: &[Scheme],
         seed: u64,
         shard: ShardSpec,
         data: Option<&[u64]>,
@@ -174,15 +173,14 @@ impl MonteCarloEngine {
     /// kernel returns the identical per-die squared-error sums in the
     /// identical order, so the folded accumulator is bit-identical across
     /// [`KernelKind`] choices.
-    fn run_kernel<S, W>(
+    fn run_kernel<W>(
         &self,
-        schemes: &[S],
+        schemes: &[Scheme],
         seed: u64,
         shard: ShardSpec,
         written: W,
     ) -> Result<(CatalogueAccumulator, ShardStats), AnalysisError>
     where
-        S: MitigationScheme + Sync,
         W: Fn(usize) -> u64 + Sync,
     {
         let walk = CatalogueMse::new(schemes, self.config().memory().word_bits());
@@ -203,7 +201,7 @@ impl MonteCarloEngine {
                     seed,
                     shard,
                     evaluate,
-                    |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
+                    |scheme: &Scheme, block: &DieBlock<'_>, out: &mut [f64]| {
                         block_mse_into(scheme, block, &written, out);
                     },
                 )
@@ -225,9 +223,9 @@ impl MonteCarloEngine {
     /// Returns [`AnalysisError::InvalidParameter`] when the state tracks a
     /// different number of schemes than the catalogue, and propagates
     /// distribution errors.
-    pub fn results_from_state<S: MitigationScheme + Sync>(
+    pub fn results_from_state(
         &self,
-        schemes: &[S],
+        schemes: &[Scheme],
         state: CatalogueAccumulator,
     ) -> Result<Vec<SchemeMseResult>, AnalysisError> {
         if state.scheme_count() != schemes.len() {
@@ -256,7 +254,6 @@ impl MonteCarloEngine {
 mod tests {
     use super::*;
     use crate::cdf::EmpiricalCdf;
-    use faultmit_core::Scheme;
     use faultmit_memsim::MemoryConfig;
     use faultmit_sim::Parallelism;
 

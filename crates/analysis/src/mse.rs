@@ -17,23 +17,21 @@
 //! paper's bit-flip injection model.
 //!
 //! The dense evaluators ([`memory_mse`], [`memory_mse_for_data`]) read
-//! each row through [`observe`](faultmit_core::MitigationScheme::observe),
-//! which for the paper's [`Scheme`](faultmit_core::Scheme)s is the dense
-//! reference the two campaign kernels are gated against. The sparse
-//! kernel, [`CatalogueMse`], scores a whole scheme catalogue in one walk
-//! over a die's sorted row groups: it hands each scheme its row slice
-//! through the row evaluator
-//! [`observe_sparse`](faultmit_core::MitigationScheme::observe_sparse) (or
-//! a single-fault table) and gathers written words only for fault-bearing
-//! rows. The bit-sliced kernel, [`block_mse_into`], evaluates a whole
-//! transposed die block at once. All accumulate per-row contributions in
-//! ascending row order, so their results are **bit-identical** (the
-//! `kernel_equivalence` integration suite pins this).
+//! each row through [`Scheme::observe`], the dense reference the two
+//! campaign kernels are gated against. The sparse kernel, [`CatalogueMse`],
+//! scores a whole scheme catalogue in one walk over a die's sorted row
+//! groups: it scores single-fault rows from a table of every scheme's
+//! [`Scheme::single_fault`] entries, hands each scheme the slice of a row
+//! with several faults through the row evaluator [`Scheme::observe_sparse`],
+//! and gathers written words only for fault-bearing rows. The bit-sliced
+//! kernel, [`block_mse_into`], evaluates a whole transposed die block at
+//! once through [`Scheme::observe_block`]. All accumulate per-row
+//! contributions in ascending row order, so their results are
+//! **bit-identical** (the `kernel_equivalence` integration suite pins
+//! this).
 
-use faultmit_core::{MitigationScheme, SingleFault};
-use faultmit_memsim::{
-    for_each_die, DieBlock, Fault, FaultKind, FaultMap, ResidualLanes, BLOCK_DIES,
-};
+use faultmit_core::{Scheme, SingleFault};
+use faultmit_memsim::{for_each_die, DieBlock, FaultKind, FaultMap, ResidualLanes, BLOCK_DIES};
 use faultmit_obs as obs;
 
 /// Exact `4^b` for every data-bit position, precomputed so the hot
@@ -84,7 +82,7 @@ pub fn word_squared_error(written: u64, observed: u64) -> f64 {
 ///
 /// Rows without faults contribute zero, so only faulty rows are visited.
 #[must_use]
-pub fn memory_mse<S: MitigationScheme + ?Sized>(scheme: &S, faults: &FaultMap) -> f64 {
+pub fn memory_mse(scheme: &Scheme, faults: &FaultMap) -> f64 {
     let rows = faults.config().rows() as f64;
     let total: f64 = faults
         .faulty_rows()
@@ -101,11 +99,7 @@ pub fn memory_mse<S: MitigationScheme + ?Sized>(scheme: &S, faults: &FaultMap) -
 ///
 /// Panics if `data` has fewer entries than the memory has rows.
 #[must_use]
-pub fn memory_mse_for_data<S: MitigationScheme + ?Sized>(
-    scheme: &S,
-    faults: &FaultMap,
-    data: &[u64],
-) -> f64 {
+pub fn memory_mse_for_data(scheme: &Scheme, faults: &FaultMap, data: &[u64]) -> f64 {
     let rows = faults.config().rows();
     assert!(
         data.len() >= rows,
@@ -122,16 +116,6 @@ pub fn memory_mse_for_data<S: MitigationScheme + ?Sized>(
     total / rows as f64
 }
 
-/// Squared error of one fault-bearing row through the scheme's row
-/// evaluator.
-fn sparse_row_error<S: MitigationScheme + ?Sized>(
-    scheme: &S,
-    row_faults: &[Fault],
-    stored: u64,
-) -> f64 {
-    word_squared_error(stored, scheme.observe_sparse(row_faults, stored).value)
-}
-
 /// The data bits a fault of `kind` corrupts when `stored` is written,
 /// wherever a scheme makes it surface: all of them for a flip, and for a
 /// stuck-at cell those the word holds opposite to the stuck value.
@@ -144,20 +128,16 @@ fn exposed_bits(kind: FaultKind, stored: u64) -> u64 {
     }
 }
 
-/// [`CatalogueMse::bits`] marker of a slot whose scheme has no entry.
-const NO_ENTRY: u8 = u8::MAX;
-
 /// The sparse MSE kernel for a whole scheme catalogue: one walk over a
 /// die's fault-bearing rows scores every scheme, with rows in the outer
 /// loop and schemes in the inner one.
 ///
 /// A row holding a single fault — about 98 % of fault rows at Fig. 5
 /// densities — is scored from a table built once per catalogue through
-/// [`MitigationScheme::single_fault`]: the row adds `4^b` when the fault
-/// surfaces at data bit `b` (a stuck-at cell only when the written bit
-/// differs from its stuck value) and `+0.0` otherwise. Rows with several
-/// faults, and columns a scheme has no entry for, go through the scheme's
-/// row evaluator, [`observe_sparse`](MitigationScheme::observe_sparse).
+/// [`Scheme::single_fault`]: the row adds `4^b` when the fault surfaces at
+/// data bit `b` (a stuck-at cell only when the written bit differs from its
+/// stuck value) and `+0.0` otherwise. Rows with several faults go through
+/// each scheme's row evaluator, [`Scheme::observe_sparse`].
 ///
 /// Each scheme's total starts at `-0.0` (the IEEE additive identity, which
 /// `Iterator::sum::<f64>` folds from, so a fault-free die yields the dense
@@ -166,47 +146,36 @@ const NO_ENTRY: u8 = u8::MAX;
 /// is bit-identical to [`memory_mse_for_data`] of `schemes[s]` on the same
 /// words.
 #[derive(Debug)]
-pub struct CatalogueMse<'a, S> {
-    schemes: &'a [S],
-    /// Columns the table covers: the memory's word width.
-    columns: usize,
+pub struct CatalogueMse<'a> {
+    schemes: &'a [Scheme],
     /// Slot `col * schemes.len() + s` belongs to `schemes[s]` and a lone
     /// fault at column `col`, so one row reads one contiguous run. `terms`
     /// holds what the row adds when the fault corrupts the bit it surfaces
     /// at: `4^b`, or `+0.0` when the scheme corrects it.
     terms: Vec<f64>,
-    /// The data bit each slot's fault surfaces at (0 when corrected), or
-    /// [`NO_ENTRY`].
+    /// The data bit each slot's fault surfaces at (0 when corrected).
     bits: Vec<u8>,
-    /// Every slot has an entry, so a lone flip — which corrupts whatever
-    /// bit it surfaces at — adds its column's `terms` as they stand.
-    complete: bool,
 }
 
-impl<'a, S: MitigationScheme> CatalogueMse<'a, S> {
+impl<'a> CatalogueMse<'a> {
     /// Builds the single-fault table of `schemes` over the `word_bits`
     /// columns of the memory the dies are drawn for.
     ///
     /// # Panics
     ///
-    /// Panics if a scheme's entry names a data bit past a 64-bit word.
+    /// Panics if a scheme's word is narrower than `word_bits`.
     #[must_use]
-    pub fn new(schemes: &'a [S], word_bits: usize) -> Self {
-        let (terms, bits): (Vec<f64>, Vec<u8>) = (0..word_bits)
+    pub fn new(schemes: &'a [Scheme], word_bits: usize) -> Self {
+        let (terms, bits) = (0..word_bits)
             .flat_map(|col| schemes.iter().map(move |scheme| scheme.single_fault(col)))
             .map(|entry| match entry {
-                Some(SingleFault::Corrected) => (0.0, 0),
-                Some(SingleFault::SurfacesAt(b)) => {
-                    assert!(b < 64, "a single-fault entry names data bit {b}");
-                    (POW4[b], b as u8)
-                }
-                None => (0.0, NO_ENTRY),
+                SingleFault::Corrected => (0.0, 0),
+                // A data bit of a word of at most 64 bits.
+                SingleFault::SurfacesAt(b) => (POW4[b], b as u8),
             })
             .unzip();
         Self {
             schemes,
-            columns: word_bits,
-            complete: !bits.contains(&NO_ENTRY),
             terms,
             bits,
         }
@@ -214,12 +183,12 @@ impl<'a, S: MitigationScheme> CatalogueMse<'a, S> {
 
     /// Writes the MSE of `schemes[s]` on the die `faults` to `out[s]`, with
     /// `written` supplying the stored word of a fault-bearing row. A row
-    /// whose only fault is a flip needs no word when every scheme has table
-    /// entries: a flip corrupts any word.
+    /// whose only fault is a flip needs no word: a flip corrupts any word.
     ///
     /// # Panics
     ///
-    /// Panics if `out` holds fewer entries than the catalogue has schemes.
+    /// Panics if `out` holds fewer entries than the catalogue has schemes,
+    /// or if the die holds a fault outside the table's columns.
     pub fn mse_into<W>(&self, faults: &FaultMap, written: W, out: &mut [f64])
     where
         W: Fn(usize) -> u64,
@@ -229,22 +198,20 @@ impl<'a, S: MitigationScheme> CatalogueMse<'a, S> {
         out.fill(-0.0);
         for (row, row_faults) in faults.rows_with_faults() {
             match row_faults {
-                [fault] if fault.col < self.columns => {
+                [fault] => {
                     let slots = fault.col * count..(fault.col + 1) * count;
                     let terms = &self.terms[slots.clone()];
-                    if fault.kind == FaultKind::BitFlip && self.complete {
+                    if fault.kind == FaultKind::BitFlip {
                         for (total, term) in out.iter_mut().zip(terms) {
                             *total += *term;
                         }
                         continue;
                     }
-                    let stored = written(row);
-                    let exposed = exposed_bits(fault.kind, stored);
-                    let slots = terms.iter().zip(&self.bits[slots]).zip(self.schemes);
-                    for (total, ((term, &bit), scheme)) in out.iter_mut().zip(slots) {
-                        *total += if bit == NO_ENTRY {
-                            sparse_row_error(scheme, row_faults, stored)
-                        } else if (exposed >> bit) & 1 == 1 {
+                    let exposed = exposed_bits(fault.kind, written(row));
+                    for (total, (term, &bit)) in
+                        out.iter_mut().zip(terms.iter().zip(&self.bits[slots]))
+                    {
+                        *total += if (exposed >> bit) & 1 == 1 {
                             *term
                         } else {
                             0.0
@@ -254,7 +221,10 @@ impl<'a, S: MitigationScheme> CatalogueMse<'a, S> {
                 _ => {
                     let stored = written(row);
                     for (total, scheme) in out.iter_mut().zip(self.schemes) {
-                        *total += sparse_row_error(scheme, row_faults, stored);
+                        *total += word_squared_error(
+                            stored,
+                            scheme.observe_sparse(row_faults, stored).value,
+                        );
                     }
                 }
             }
@@ -270,25 +240,22 @@ impl<'a, S: MitigationScheme> CatalogueMse<'a, S> {
 /// of a transposed [`DieBlock`] in one walk over its faulty rows, writing
 /// die `j`'s MSE to `out[j]`.
 ///
-/// Per row the scheme's lane-parallel
-/// [`observe_block`](MitigationScheme::observe_block) produces per-data-bit
-/// residual-error lanes; the reduction then scatters each residual lane's
-/// `4^col` weight into per-die row partials in ascending column order,
-/// touching every residual bit exactly once. Bit-identity with the sparse
-/// kernel holds by construction: the visit set is fault **presence** per
-/// die (exactly the rows `rows_with_faults` hands the sparse kernel), rows
-/// are walked in the same ascending order, each die's sum starts from the
-/// same `-0.0` IEEE additive identity, and the column-order scatter folds
-/// the identical diff bits in the identical LSB-first order
-/// `word_squared_error(0, diff)` would. Schemes without a block path are
-/// evaluated per die through their row evaluator.
+/// Per row the scheme's lane-parallel [`Scheme::observe_block`] produces
+/// per-data-bit residual-error lanes; the reduction then scatters each
+/// residual lane's `4^col` weight into per-die row partials in ascending
+/// column order, touching every residual bit exactly once. Bit-identity
+/// with the sparse kernel holds by construction: the visit set is fault
+/// **presence** per die (exactly the rows `rows_with_faults` hands the
+/// sparse kernel), rows are walked in the same ascending order, each die's
+/// sum starts from the same `-0.0` IEEE additive identity, and the
+/// column-order scatter folds the identical diff bits in the identical
+/// LSB-first order `word_squared_error(0, diff)` would.
 ///
 /// # Panics
 ///
 /// Panics if `out` is shorter than the block's die count.
-pub fn block_mse_into<S, W>(scheme: &S, block: &DieBlock<'_>, written: W, out: &mut [f64])
+pub fn block_mse_into<W>(scheme: &Scheme, block: &DieBlock<'_>, written: W, out: &mut [f64])
 where
-    S: MitigationScheme + ?Sized,
     W: Fn(usize) -> u64,
 {
     let dies = block.die_count();
@@ -308,44 +275,12 @@ where
     // cleared sparsely through the seen-die mask after each row.
     let mut row_err = [0.0f64; BLOCK_DIES];
     let mut residual = ResidualLanes::new();
-    // Block-observer vs whole-row-fallback tallies, flushed once per block.
+    // Block rows evaluated, flushed once per block.
     let mut block_rows = 0u64;
-    let mut fallback_rows = 0u64;
-    let mut fallback_dies = 0u64;
     for row in block.rows() {
-        let stored = written(row.row);
         residual.clear();
-        if scheme.observe_block(row.cells, stored, &mut residual) {
-            block_rows += 1;
-        } else {
-            // Per-die fallback through the row evaluator: rebuild each dirty
-            // die's sorted fault slice on the stack.
-            fallback_rows += 1;
-            let mut scratch = [Fault::bit_flip(0, 0); 64];
-            for_each_die(row.dirty, |die| {
-                fallback_dies += 1;
-                let mut len = 0;
-                for cell in row.cells {
-                    if (cell.presence() >> die) & 1 != 0 {
-                        let kind = if (cell.flips >> die) & 1 != 0 {
-                            FaultKind::BitFlip
-                        } else if (cell.stuck_value >> die) & 1 != 0 {
-                            FaultKind::StuckAtOne
-                        } else {
-                            FaultKind::StuckAtZero
-                        };
-                        scratch[len] = Fault::new(row.row, cell.col as usize, kind);
-                        len += 1;
-                    }
-                }
-                let mut diff = stored ^ scheme.observe_sparse(&scratch[..len], stored).value;
-                while diff != 0 {
-                    let col = diff.trailing_zeros() as usize;
-                    diff &= diff - 1;
-                    residual.accumulate(col, 1u64 << die);
-                }
-            });
-        }
+        scheme.observe_block(row.cells, written(row.row), &mut residual);
+        block_rows += 1;
         // Scatter the residual into per-die partials in ascending column
         // order — the same LSB-first `4^b` fold `word_squared_error` applies
         // to a gathered diff, so each partial is bit-identical to it.
@@ -365,10 +300,6 @@ where
         for_each_die(seen, |die| row_err[die] = 0.0);
     }
     obs::count(obs::Counter::ObserveBlockRows, block_rows);
-    if fallback_rows != 0 {
-        obs::count(obs::Counter::ObserveFallbackRows, fallback_rows);
-        obs::count(obs::Counter::ObserveFallbackDies, fallback_dies);
-    }
     for (slot, total) in out[..dies].iter_mut().zip(totals.iter()) {
         *slot = *total / rows;
     }
@@ -377,8 +308,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultmit_core::Scheme;
+    use faultmit_core::SegmentGeometry;
     use faultmit_memsim::{Fault, MemoryConfig};
+
+    /// The shift ablation's naive vote at every `n_FM` of a 32-bit word.
+    fn naive32() -> impl Iterator<Item = Scheme> {
+        (1..=5).map(|n_fm| Scheme::NaiveShuffle(SegmentGeometry::new(32, n_fm).unwrap()))
+    }
 
     fn map(faults: &[Fault]) -> FaultMap {
         let config = MemoryConfig::new(64, 32).unwrap();
@@ -516,6 +452,7 @@ mod tests {
         // memory makes the die's MSE the row's term itself (`x / 1.0`).
         let mut narrow = Scheme::fig5_catalogue();
         narrow.extend(Scheme::fig7_catalogue());
+        narrow.extend(naive32());
         let wide = [
             Scheme::Unprotected { word_bits: 64 },
             Scheme::PriorityEcc {
@@ -529,10 +466,6 @@ mod tests {
             let config = MemoryConfig::new(1, bits).unwrap();
             let mask = u64::MAX >> (64 - bits);
             let walk = CatalogueMse::new(schemes, bits);
-            assert!(
-                walk.complete,
-                "in-tree schemes have an entry for every column"
-            );
             let mut out = vec![f64::NAN; schemes.len()];
             for col in 0..bits {
                 let mut words = vec![0, mask];
@@ -565,30 +498,7 @@ mod tests {
     #[test]
     fn catalogue_walk_is_bit_identical_to_the_dense_evaluators() {
         // Empty, single-fault, multi-fault and stuck-at rows, zeros and two
-        // data images; a custom scheme without table entries rides along
-        // and must agree through its row evaluator.
-        struct Invert;
-        impl MitigationScheme for Invert {
-            fn name(&self) -> String {
-                "invert".to_owned()
-            }
-            fn word_bits(&self) -> usize {
-                32
-            }
-            fn observe_sparse(
-                &self,
-                row_faults: &[Fault],
-                written: u64,
-            ) -> faultmit_core::ObservedWord {
-                let value = row_faults
-                    .iter()
-                    .fold(written, |w, fault| w ^ (1u64 << fault.col));
-                faultmit_core::ObservedWord {
-                    value,
-                    reliable: true,
-                }
-            }
-        }
+        // data images, for the catalogue schemes and the naive vote.
         let cases: Vec<Vec<Fault>> = vec![
             vec![],
             vec![Fault::bit_flip(5, 31)],
@@ -605,11 +515,9 @@ mod tests {
                 .map(|r| Fault::new(r % 9, (r * 5) % 32, FaultKind::ALL[r % 3]))
                 .collect(),
         ];
-        let mut owned = Scheme::fig5_catalogue();
-        owned.push(Scheme::secded32());
-        let mut schemes: Vec<&dyn MitigationScheme> =
-            owned.iter().map(|s| s as &dyn MitigationScheme).collect();
-        schemes.push(&Invert);
+        let mut schemes = Scheme::fig5_catalogue();
+        schemes.push(Scheme::secded32());
+        schemes.extend(naive32());
         let walk = CatalogueMse::new(&schemes, 32);
         let images: [Vec<u64>; 2] = [
             (0..64u64)
@@ -650,7 +558,7 @@ mod tests {
         // deliberately non-multiple-of-64 block size.
         let dies = 37u64;
         use faultmit_memsim::{
-            Backend, BackendKind, BlockScratch, DieScratch, FaultKindLaw, PlannedSample,
+            Backend, BackendKind, BlockScratch, DieScratch, FaultKindLaw, MapPolicy, PlannedSample,
             StreamSeeder,
         };
         let config = MemoryConfig::new(128, 32).unwrap();
@@ -660,6 +568,7 @@ mod tests {
             .collect();
         let mut schemes = Scheme::fig5_catalogue();
         schemes.push(Scheme::secded32());
+        schemes.extend(naive32());
         for kind in BackendKind::ALL {
             for law in [
                 FaultKindLaw::AlwaysFlip,
@@ -688,7 +597,12 @@ mod tests {
                         let mut reference = DieScratch::new(config);
                         let mut rng = seeder.rng_for_sample(planned.index);
                         let map = reference
-                            .generate(&backend, &mut rng, planned.n_faults as usize)
+                            .generate_with_policy(
+                                &backend,
+                                &mut rng,
+                                planned.n_faults as usize,
+                                MapPolicy::Unrestricted,
+                            )
                             .unwrap();
                         assert_eq!(
                             out[j].to_bits(),
@@ -699,46 +613,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn block_kernel_falls_back_for_schemes_without_a_block_path() {
-        use faultmit_memsim::{Backend, BackendKind, BlockScratch, PlannedSample, StreamSeeder};
-        // A scheme with no block path goes through the per-die fallback
-        // inside the block reduction and still agrees.
-        struct SparseOnly;
-        impl MitigationScheme for SparseOnly {
-            fn name(&self) -> String {
-                "sparse-only".to_owned()
-            }
-            fn word_bits(&self) -> usize {
-                32
-            }
-            fn observe_sparse(
-                &self,
-                row_faults: &[Fault],
-                written: u64,
-            ) -> faultmit_core::ObservedWord {
-                Scheme::unprotected32().observe_sparse(row_faults, written)
-            }
-        }
-        let config = MemoryConfig::new(64, 32).unwrap();
-        let seeder = StreamSeeder::new(11);
-        let backend = Backend::at_p_cell(BackendKind::Sram, config, 1e-3).unwrap();
-        let plan: Vec<PlannedSample> = (0..16u64)
-            .map(|index| PlannedSample { index, n_faults: 8 })
-            .collect();
-        let mut scratch = BlockScratch::new(config);
-        let block = scratch
-            .generate_block(&backend, &seeder, &plan, None)
-            .unwrap();
-        let mut out = vec![0.0f64; plan.len()];
-        block_mse_into(&SparseOnly, &block, |_| 0, &mut out);
-        let mut expected = vec![0.0f64; plan.len()];
-        block_mse_into(&Scheme::unprotected32(), &block, |_| 0, &mut expected);
-        for (a, b) in out.iter().zip(&expected) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 }

@@ -21,7 +21,7 @@
 use crate::error::AppError;
 use crate::fixedpoint::FixedPointFormat;
 use crate::linalg::Matrix;
-use faultmit_core::MitigationScheme;
+use faultmit_core::Scheme;
 use faultmit_memsim::FaultMap;
 
 /// A matrix quantised to its storage words, together with the matrix a
@@ -62,13 +62,13 @@ impl StoredMatrix {
 
 /// Stores values through a protection scheme backed by a faulty memory.
 #[derive(Debug, Clone)]
-pub struct FaultyStore<'a, S: MitigationScheme> {
-    scheme: &'a S,
+pub struct FaultyStore<'a> {
+    scheme: &'a Scheme,
     faults: &'a FaultMap,
     format: FixedPointFormat,
 }
 
-impl<'a, S: MitigationScheme> FaultyStore<'a, S> {
+impl<'a> FaultyStore<'a> {
     /// Creates a store for the given scheme, fault map and fixed-point
     /// format.
     ///
@@ -77,7 +77,7 @@ impl<'a, S: MitigationScheme> FaultyStore<'a, S> {
     /// Returns [`AppError::InvalidParameter`] when the fixed-point word width
     /// does not match the scheme's word width or the fault-map geometry.
     pub fn new(
-        scheme: &'a S,
+        scheme: &'a Scheme,
         faults: &'a FaultMap,
         format: FixedPointFormat,
     ) -> Result<Self, AppError> {
@@ -152,7 +152,7 @@ impl<'a, S: MitigationScheme> FaultyStore<'a, S> {
     /// in, bit-identical to [`FaultyStore::round_trip_matrix`] on the
     /// original matrix. Words in fault-free rows are never read, which is
     /// sound because a scheme delivers such a word intact (the empty-slice
-    /// contract of [`MitigationScheme::observe_sparse`]).
+    /// contract of [`Scheme::observe_sparse`]).
     ///
     /// # Panics
     ///
@@ -180,7 +180,6 @@ impl<'a, S: MitigationScheme> FaultyStore<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultmit_core::Scheme;
     use faultmit_memsim::{Fault, MemoryConfig};
 
     fn fault_map(faults: &[Fault]) -> FaultMap {

@@ -47,7 +47,7 @@ use crate::metrics::{accuracy_score, explained_variance_score, normalized_qualit
 use crate::pca::Pca;
 use crate::preprocessing::{train_test_split, Standardizer};
 use faultmit_analysis::{CatalogueAccumulator, EmpiricalCdf, YieldModel};
-use faultmit_core::MitigationScheme;
+use faultmit_core::Scheme;
 use faultmit_memsim::{Backend, FaultMap, MemoryConfig};
 use faultmit_sim::{Campaign, CampaignConfig, MapPolicy, Parallelism, ShardSpec, ShardStats};
 
@@ -229,9 +229,9 @@ impl QualityEvaluator {
     /// # Errors
     ///
     /// Propagates dataset/model errors.
-    pub fn quality_with_fault_map<S: MitigationScheme>(
+    pub fn quality_with_fault_map(
         &self,
-        scheme: &S,
+        scheme: &Scheme,
         faults: &FaultMap,
     ) -> Result<f64, AppError> {
         self.prepare()?.quality(scheme, faults)
@@ -266,9 +266,9 @@ impl QualityEvaluator {
     ///
     /// Returns [`AppError::InvalidParameter`] on a geometry mismatch, and
     /// propagates sampling and evaluation errors.
-    pub fn quality_shard_on<S: MitigationScheme + Sync>(
+    pub fn quality_shard_on(
         &self,
-        schemes: &[S],
+        schemes: &[Scheme],
         backend: &Backend,
         max_failures: u64,
         samples_per_count: usize,
@@ -310,9 +310,9 @@ impl QualityEvaluator {
     ///
     /// Returns [`AppError::InvalidParameter`] on geometry or catalogue-size
     /// mismatches, and propagates baseline evaluation errors.
-    pub fn quality_results_from_state<S: MitigationScheme + Sync>(
+    pub fn quality_results_from_state(
         &self,
-        schemes: &[S],
+        schemes: &[Scheme],
         backend: &Backend,
         state: CatalogueAccumulator,
     ) -> Result<Vec<QualityCdfResult>, AppError> {
@@ -431,7 +431,7 @@ impl PreparedBenchmark {
     /// Raw quality when the training data passes through `faults` under
     /// `scheme`. A read-back that changes no word is the baseline's input
     /// bit for bit, so it scores the baseline without a refit.
-    fn quality<S: MitigationScheme>(&self, scheme: &S, faults: &FaultMap) -> Result<f64, AppError> {
+    fn quality(&self, scheme: &Scheme, faults: &FaultMap) -> Result<f64, AppError> {
         match FaultyStore::new(scheme, faults, FixedPointFormat::q15_16())?.read_back(&self.train) {
             Some(train) => self.model.fit_and_score(&train),
             None => Ok(self.baseline),
@@ -493,7 +493,6 @@ impl Model {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultmit_core::Scheme;
     use faultmit_memsim::{BackendKind, Fault};
 
     fn evaluator(benchmark: Benchmark) -> QualityEvaluator {

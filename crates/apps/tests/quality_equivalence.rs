@@ -20,7 +20,7 @@ use faultmit_apps::{
     Benchmark, ElasticNet, FaultyStore, FixedPointFormat, KnnClassifier, Matrix, Pca,
     QualityEvaluator, StoredMatrix,
 };
-use faultmit_core::{MitigationScheme, Scheme};
+use faultmit_core::Scheme;
 use faultmit_memsim::{Backend, BackendKind, Fault, FaultMap, MemoryConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

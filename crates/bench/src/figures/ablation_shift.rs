@@ -8,10 +8,8 @@ use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::{format_sci, Table};
 use faultmit_analysis::MonteCarloEngine;
-use faultmit_core::{
-    rotate_left, rotate_right, MitigationScheme, ObservedWord, Scheme, SegmentGeometry,
-};
-use faultmit_memsim::{corrupt_word, Backend, Fault, MemoryConfig};
+use faultmit_core::{Scheme, SegmentGeometry};
+use faultmit_memsim::{Backend, MemoryConfig};
 use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec};
 use std::fmt::Write as _;
 
@@ -36,43 +34,6 @@ impl ToJson for AblationRow {
             ("mse_optimal", self.mse_optimal.to_json()),
             ("improvement_factor", self.improvement_factor.to_json()),
         ])
-    }
-}
-
-/// Bit-shuffling with the naive multi-fault policy: align the least
-/// significant segment to the most significant faulty cell. It has no
-/// single-fault table, so the catalogue walk scores each of its rows through
-/// its row evaluator.
-#[derive(Debug, Clone, Copy)]
-struct NaiveShuffle(SegmentGeometry);
-
-impl MitigationScheme for NaiveShuffle {
-    fn name(&self) -> String {
-        format!("naive bit-shuffle nFM={}", self.0.n_fm())
-    }
-
-    fn word_bits(&self) -> usize {
-        self.0.word_bits()
-    }
-
-    fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> ObservedWord {
-        // The slice is sorted by column, so the MSB fault is the last one.
-        let Some(msb_fault) = row_faults.last() else {
-            return ObservedWord::intact(written);
-        };
-        let x_fm = self.0.segment_of_bit(msb_fault.col);
-        let shift = self
-            .0
-            .shift_amount(x_fm)
-            .expect("segment index is in range");
-        let mut stored = rotate_right(written, shift, self.0.word_bits());
-        for fault in row_faults {
-            stored = corrupt_word(stored, fault.col, fault.kind);
-        }
-        ObservedWord {
-            value: rotate_left(stored, shift, self.0.word_bits()),
-            reliable: true,
-        }
     }
 }
 
@@ -168,10 +129,8 @@ impl FigureDef for AblationShiftDef {
             .into_iter()
             .map(|(n_fm, faults_per_map)| {
                 let geometry = SegmentGeometry::new(32, n_fm)?;
-                // Paired catalogue walk: both policies score identical dies.
-                let naive = NaiveShuffle(geometry);
-                let optimal = Scheme::BitShuffle(geometry);
-                let schemes: [&(dyn MitigationScheme + Sync); 2] = [&naive, &optimal];
+                // Paired catalogue walk: both votes score identical dies.
+                let schemes = [Scheme::NaiveShuffle(geometry), Scheme::BitShuffle(geometry)];
                 let (accumulator, stats) = point_campaign(spec, parallelism, faults_per_map)?
                     .run_catalogue_shard_on_image_stats(
                         &schemes,
@@ -282,87 +241,5 @@ the gap widens as rows accumulate several faults."
             document: series.to_json(),
             report,
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use faultmit_memsim::{FaultKind, FaultMap};
-
-    /// The naive policy's dense evaluator from before it moved to the row
-    /// path: the row's columns read from the map, each fault looked up.
-    fn dense_naive(
-        geometry: SegmentGeometry,
-        faults: &FaultMap,
-        row: usize,
-        written: u64,
-    ) -> ObservedWord {
-        let columns = faults.faulty_columns(row);
-        let Some(&msb_fault) = columns.last() else {
-            return ObservedWord::intact(written);
-        };
-        let x_fm = geometry.segment_of_bit(msb_fault);
-        let shift = geometry
-            .shift_amount(x_fm)
-            .expect("segment index is in range");
-        let mut stored = rotate_right(written, shift, geometry.word_bits());
-        for col in columns {
-            if let Some(kind) = faults.fault_at(row, col) {
-                stored = corrupt_word(stored, col, kind);
-            }
-        }
-        ObservedWord {
-            value: rotate_left(stored, shift, geometry.word_bits()),
-            reliable: true,
-        }
-    }
-
-    #[test]
-    fn naive_row_evaluator_matches_the_dense_reference() {
-        // Every sweep point's n_FM, on the empty row, every lone fault of
-        // every kind and random rows of 2..=32 faults of mixed kinds.
-        let config = MemoryConfig::new(4, 32).unwrap();
-        let mut state = 0x0A1B_5EEDu64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let mut rows: Vec<Vec<Fault>> = vec![Vec::new()];
-        for col in 0..32 {
-            rows.extend(FaultKind::ALL.map(|kind| vec![Fault::new(1, col, kind)]));
-        }
-        for count in 2..=32usize {
-            for _ in 0..6 {
-                let mut cols: Vec<usize> = (0..32).collect();
-                for i in 0..count {
-                    cols.swap(i, i + next() as usize % (32 - i));
-                }
-                rows.push(
-                    cols[..count]
-                        .iter()
-                        .map(|&col| Fault::new(1, col, FaultKind::ALL[next() as usize % 3]))
-                        .collect(),
-                );
-            }
-        }
-        for n_fm in [1usize, 2, 3, 5] {
-            let geometry = SegmentGeometry::new(32, n_fm).unwrap();
-            let naive = NaiveShuffle(geometry);
-            for faults in &rows {
-                let map = FaultMap::from_faults(config, faults.iter().copied()).unwrap();
-                let mut words = vec![0, 0xFFFF_FFFF, 0xDEAD_BEEF, 0x8000_0001];
-                words.extend((0..4).map(|_| next() & 0xFFFF_FFFF));
-                for written in words {
-                    assert_eq!(
-                        naive.observe_sparse(map.row_faults(1), written),
-                        dense_naive(geometry, &map, 1, written),
-                        "nFM {n_fm} written {written:#x} faults {faults:?}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -9,7 +9,7 @@ use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::{format_percent, format_sci, Table};
 use faultmit_analysis::{CatalogueAccumulator, MonteCarloEngine, SchemeMseResult};
-use faultmit_core::{MitigationScheme, Scheme};
+use faultmit_core::Scheme;
 use faultmit_memsim::{Backend, MemoryConfig};
 use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec, ShardStats};
 use std::fmt::Write as _;
@@ -184,11 +184,7 @@ impl FigureDef for Fig5Def {
         let (accumulator, stats) = campaign.run_shard_stats(shard)?;
         Ok(ShardRun {
             panels: vec![PanelState::Catalogue {
-                scheme_names: campaign
-                    .schemes
-                    .iter()
-                    .map(MitigationScheme::name)
-                    .collect(),
+                scheme_names: campaign.schemes.iter().map(Scheme::name).collect(),
                 accumulator,
             }],
             generation_seconds: Some(stats.generation_seconds),

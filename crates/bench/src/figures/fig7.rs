@@ -10,7 +10,7 @@ use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::{format_percent, Table};
 use faultmit_analysis::CatalogueAccumulator;
 use faultmit_apps::{Benchmark, QualityCdfResult, QualityEvaluator};
-use faultmit_core::{MitigationScheme, Scheme};
+use faultmit_core::Scheme;
 use faultmit_memsim::{Backend, BackendKind, MemoryConfig};
 use faultmit_sim::{Parallelism, ShardSpec, N_MAX_COVERAGE};
 use std::fmt::Write as _;
@@ -242,11 +242,7 @@ impl FigureDef for Fig7Def {
         shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {
         let campaign = Fig7Campaign::from_spec(spec, parallelism)?;
-        let scheme_names: Vec<String> = campaign
-            .schemes
-            .iter()
-            .map(MitigationScheme::name)
-            .collect();
+        let scheme_names: Vec<String> = campaign.schemes.iter().map(Scheme::name).collect();
         let (states, generation_seconds) = campaign.run_shard_stats(shard)?;
         Ok(ShardRun {
             panels: states

@@ -9,7 +9,7 @@ use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::{format_percent, format_sci, Table};
 use faultmit_analysis::MonteCarloEngine;
-use faultmit_core::MitigationScheme;
+use faultmit_core::Scheme;
 use faultmit_memsim::{
     Backend, BackendKind, CellFailureModel, DramRetentionBackend, MemoryConfig, MlcNvmBackend,
     SramVddBackend,
@@ -166,7 +166,7 @@ impl FigureDef for Fig8Def {
         shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {
         let schemes = spec_schemes();
-        let scheme_names: Vec<String> = schemes.iter().map(MitigationScheme::name).collect();
+        let scheme_names: Vec<String> = schemes.iter().map(Scheme::name).collect();
         let mut generation_seconds = 0.0;
         let panels = panel_engines(spec, parallelism)?
             .into_iter()

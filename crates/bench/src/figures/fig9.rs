@@ -20,7 +20,7 @@ use crate::cli::RunOptions;
 use crate::json::{JsonValue, ToJson};
 use faultmit_analysis::report::{format_percent, format_sci, Table};
 use faultmit_analysis::{CatalogueAccumulator, MonteCarloEngine, SchemeMseResult};
-use faultmit_core::MitigationScheme;
+use faultmit_core::Scheme;
 use faultmit_memsim::image::{AppImage, ImageSpec};
 use faultmit_memsim::{Backend, BackendKind, FaultKindLaw, MemoryConfig};
 use faultmit_sim::{CampaignConfig, Parallelism, ShardSpec, ShardStats, N_MAX_COVERAGE};
@@ -291,7 +291,7 @@ impl FigureDef for Fig9Def {
         parallelism: Parallelism,
         shard: ShardSpec,
     ) -> Result<ShardRun, FigureError> {
-        let scheme_names: Vec<String> = spec_schemes().iter().map(MitigationScheme::name).collect();
+        let scheme_names: Vec<String> = spec_schemes().iter().map(Scheme::name).collect();
         // One materialisation per distinct image, shared across the
         // backend and law axes of the matrix.
         let words_by_image: Vec<(ImageSpec, Option<Vec<u64>>)> = spec_images(spec)

@@ -19,10 +19,11 @@
 //! * [`rotate_right`] / [`rotate_left`] — the write/read barrel shifter;
 //! * [`ShuffledMemory`] — a complete protected memory coupling an
 //!   [`SramArray`](faultmit_memsim::SramArray) with an FM-LUT and the shifter;
-//! * [`MitigationScheme`] and the [`Scheme`] catalogue — a uniform interface
-//!   over *no protection*, *SECDED ECC*, *P-ECC* and *bit-shuffling*, used by
-//!   the analysis and application crates to compare all schemes on identical
-//!   fault maps;
+//! * the [`Scheme`] catalogue — one closed type over *no protection*,
+//!   *SECDED ECC*, *P-ECC*, *bit-shuffling* and the shift ablation's naive
+//!   shuffle, used by the analysis and application crates to compare all
+//!   schemes on identical fault maps ([`MitigationScheme`] is a vestigial
+//!   alias of it);
 //! * [`error_magnitude`] — the closed-form worst-case error magnitude per
 //!   faulty bit position (Fig. 4).
 //!

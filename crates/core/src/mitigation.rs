@@ -1,11 +1,12 @@
-//! A uniform interface over all protection schemes compared in the paper.
+//! The protection schemes compared in the paper, behind one closed type.
 //!
 //! The paper's Monte-Carlo evaluations (Fig. 5 and Fig. 7) compare *no
 //! protection*, *H(39,32) SECDED ECC*, *H(22,16) P-ECC* and *bit-shuffling
 //! with various segment sizes* on identical fault maps drawn over the data
-//! array. [`MitigationScheme`] captures the per-word behaviour each scheme
-//! exhibits for a given set of faulty data columns, and [`Scheme`] is the
-//! concrete catalogue of all configurations used in the paper.
+//! array; the shift ablation adds bit-shuffling with a naive shift vote.
+//! [`Scheme`] is that catalogue, a closed enum: each variant answers what a
+//! word reads back as for a given set of faulty data columns, and a new
+//! scheme family is a new variant.
 //!
 //! Modelling note: fault maps are expressed over the `W` data columns of the
 //! array. ECC parity columns are not separately faulted; this matches the
@@ -48,7 +49,7 @@ impl ObservedWord {
 
 /// Where a fault that sits alone in its row ends up after a scheme's read
 /// path — one entry of the single-fault table the catalogue MSE walk scores
-/// single-fault rows from (see [`MitigationScheme::single_fault`]).
+/// single-fault rows from (see [`Scheme::single_fault`]).
 ///
 /// The entry depends on the faulty column only, never on the fault kind or
 /// the stored word: a stuck-at cell surfaces at the same data bit as a
@@ -62,120 +63,21 @@ pub enum SingleFault {
     SurfacesAt(usize),
 }
 
-/// Behaviour of a fault-mitigation scheme on a single memory word.
-///
-/// A scheme answers one question per faulty row: what the stored word reads
-/// back as once the scheme has corrected or shifted it. That answer is
-/// [`observe_sparse`](MitigationScheme::observe_sparse), the one evaluator an
-/// implementor writes besides [`name`](MitigationScheme::name) and
-/// [`word_bits`](MitigationScheme::word_bits). The provided methods derive
-/// from it: [`observe`](MitigationScheme::observe) reads a row of a whole
-/// fault map through it, and [`single_fault`](MitigationScheme::single_fault)
-/// and [`observe_block`](MitigationScheme::observe_block) are optional
-/// accelerations of the MSE kernels, whose defaults send every row back to
-/// it.
-pub trait MitigationScheme {
-    /// Human-readable name used in reports ("no-correction", "H(22,16) P-ECC",
-    /// "bit-shuffle nFM=2", ...).
-    fn name(&self) -> String;
-
-    /// Width of the data word the scheme protects.
-    fn word_bits(&self) -> usize;
-
-    /// The value the application observes when `written` is stored in a row
-    /// whose faults are `row_faults`.
-    ///
-    /// `row_faults` is a single row's faults sorted by ascending column —
-    /// exactly what [`FaultMap::row_faults`] returns — in a memory whose
-    /// words are [`word_bits`](MitigationScheme::word_bits) wide; a scheme
-    /// may panic on a column outside its word. The empty slice must read
-    /// back [`ObservedWord::intact`]`(written)`: readers that visit only
-    /// fault-bearing rows rely on it (the MSE kernels and the sparse
-    /// `FaultyStore::read_back` of the application crate).
-    fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> ObservedWord;
-
-    /// The value the application observes when `written` was stored at `row`
-    /// of a memory with the given fault map: by default,
-    /// [`observe_sparse`](MitigationScheme::observe_sparse) on the row's
-    /// faults. [`Scheme`] overrides it with its dense reference evaluator.
-    fn observe(&self, faults: &FaultMap, row: usize, written: u64) -> ObservedWord {
-        self.observe_sparse(faults.row_faults(row), written)
-    }
-
-    /// Lane-parallel (bit-sliced) evaluation of one faulty row across up to
-    /// 64 dies at once.
-    ///
-    /// `cells` is one row's transposed lane cells, sorted by ascending
-    /// column — what a [`DieBlock`](faultmit_memsim::DieBlock) row carries.
-    /// When a scheme answers `true` it has OR-ed, for every die `j` of the
-    /// block and every data bit `c`, bit `j` into lane `c` of `residual`
-    /// exactly when `observe_sparse` on die `j`'s row would deliver a value
-    /// whose bit `c` differs from `written` — i.e.
-    /// [`ResidualLanes::gather_die`]`(j)` equals `written ^ observed.value`.
-    /// `false` means the scheme has no block path and the caller evaluates
-    /// each die through `observe_sparse`; the default always answers
-    /// `false`, so custom schemes stay correct without opting in.
-    fn observe_block(
-        &self,
-        cells: &[LaneCell],
-        written: u64,
-        residual: &mut ResidualLanes,
-    ) -> bool {
-        let _ = (cells, written, residual);
-        false
-    }
-
-    /// What a read returns when the row's only fault sits at physical
-    /// column `col`.
-    ///
-    /// `Some(entry)` must agree with
-    /// [`observe_sparse`](MitigationScheme::observe_sparse) on the
-    /// one-fault slice for every fault kind and written word:
-    /// [`SingleFault::Corrected`] means the read returns `written`, and
-    /// [`SingleFault::SurfacesAt`]`(b)` means it returns `written` with bit
-    /// `b` flipped — always for a bit-flip, and for a stuck-at cell exactly
-    /// when bit `b` of `written` differs from the stuck value. `None`
-    /// means "no entry": callers score the row through `observe_sparse`
-    /// instead. The default has no entries, so custom schemes stay correct
-    /// without opting in.
-    fn single_fault(&self, col: usize) -> Option<SingleFault> {
-        let _ = col;
-        None
-    }
-}
-
-impl<T: MitigationScheme + ?Sized> MitigationScheme for &T {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn word_bits(&self) -> usize {
-        (**self).word_bits()
-    }
-
-    fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> ObservedWord {
-        (**self).observe_sparse(row_faults, written)
-    }
-
-    fn observe(&self, faults: &FaultMap, row: usize, written: u64) -> ObservedWord {
-        (**self).observe(faults, row, written)
-    }
-
-    fn observe_block(
-        &self,
-        cells: &[LaneCell],
-        written: u64,
-        residual: &mut ResidualLanes,
-    ) -> bool {
-        (**self).observe_block(cells, written, residual)
-    }
-
-    fn single_fault(&self, col: usize) -> Option<SingleFault> {
-        (**self).single_fault(col)
-    }
-}
+/// The former name of [`Scheme`], from when the schemes shared an open
+/// trait. Vestigial: the benchmark harness under `perfbench/` still names
+/// it, and it goes with that harness's next definition change (ROADMAP
+/// item 8).
+pub type MitigationScheme = Scheme;
 
 /// The catalogue of protection schemes evaluated in the paper.
+///
+/// A scheme answers one question per faulty row: what the stored word reads
+/// back as once the scheme has corrected or shifted it. That answer is the
+/// row evaluator [`observe_sparse`](Scheme::observe_sparse);
+/// [`observe`](Scheme::observe) is its dense reference over a whole fault
+/// map, and [`single_fault`](Scheme::single_fault) and
+/// [`observe_block`](Scheme::observe_block) are the MSE kernels' single-fault
+/// table entry and lane-parallel path, which every variant has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheme {
     /// No protection at all: every fault reaches the application.
@@ -196,8 +98,15 @@ pub enum Scheme {
         /// Number of protected most-significant bits.
         protected_bits: usize,
     },
-    /// Significance-driven bit-shuffling with the given segment geometry.
+    /// Significance-driven bit-shuffling with the given segment geometry:
+    /// each row's shift is the FM-LUT vote of Eq. (2), the one that makes
+    /// the error magnitude smallest.
     BitShuffle(SegmentGeometry),
+    /// Bit-shuffling with the shift ablation's naive vote: each row aligns
+    /// its least significant segment to the segment of its most significant
+    /// faulty cell. It differs from [`Scheme::BitShuffle`] only on rows with
+    /// several faults.
+    NaiveShuffle(SegmentGeometry),
 }
 
 impl Scheme {
@@ -285,7 +194,8 @@ impl Scheme {
                     1u64 << bit
                 }
             }
-            Scheme::BitShuffle(geometry) => {
+            // A lone fault gets the same shift under either vote.
+            Scheme::BitShuffle(geometry) | Scheme::NaiveShuffle(geometry) => {
                 crate::error_magnitude::worst_case_error_magnitude(*geometry, bit)
             }
         }
@@ -301,7 +211,7 @@ impl Scheme {
             Scheme::PriorityEcc { protected_bits, .. } => {
                 Self::secded_code(*protected_bits).parity_bits()
             }
-            Scheme::BitShuffle(geometry) => geometry.n_fm(),
+            Scheme::BitShuffle(geometry) | Scheme::NaiveShuffle(geometry) => geometry.n_fm(),
         }
     }
 
@@ -333,7 +243,7 @@ impl Scheme {
     /// The one evaluator of a fault-bearing row, from its column masks. The
     /// sparse path folds a row slice into them and the block kernel gathers
     /// them per die from the lane cells; either way the result equals
-    /// [`MitigationScheme::observe`] on the map the masks describe.
+    /// [`Scheme::observe`] on the map the masks describe.
     fn observe_masks(&self, masks: RowMasks, written: u64) -> ObservedWord {
         match self {
             Scheme::Unprotected { .. } => ObservedWord {
@@ -372,11 +282,20 @@ impl Scheme {
                     }
                 }
             }
-            Scheme::BitShuffle(geometry) => {
+            Scheme::BitShuffle(geometry) | Scheme::NaiveShuffle(geometry) => {
                 let word_bits = geometry.word_bits();
+                let x_fm = match self {
+                    // The segment of the highest faulty column; the empty
+                    // mask (which has no error to place) keeps segment 0.
+                    Scheme::NaiveShuffle(_) => masks
+                        .faulty
+                        .checked_ilog2()
+                        .map_or(0, |msb| geometry.segment_of_bit(msb as usize)),
+                    _ => FmLut::choose_shift(*geometry, masks.faulty),
+                };
                 let shift = geometry
-                    .shift_amount(FmLut::choose_shift(*geometry, masks.faulty))
-                    .expect("choose_shift returns a valid segment index");
+                    .shift_amount(x_fm)
+                    .expect("the vote returns a valid segment index");
                 // The error at physical column c surfaces at data bit
                 // (c + shift) mod W after the un-rotate.
                 let error = masks.observable_error(rotate_right(written, shift, word_bits));
@@ -384,6 +303,300 @@ impl Scheme {
                     value: written ^ rotate_left(error, shift, word_bits),
                     reliable: true,
                 }
+            }
+        }
+    }
+
+    /// Human-readable name used in reports ("no-correction", "H(22,16) P-ECC",
+    /// "bit-shuffle nFM=2", ...). Shard checkpoints store it.
+    #[must_use]
+    pub fn name(&self) -> String {
+        match self {
+            Scheme::Unprotected { .. } => "no-correction".to_owned(),
+            Scheme::Secded { word_bits } => {
+                let code = Self::secded_code(*word_bits);
+                format!("H({},{}) SECDED", code.codeword_bits(), word_bits)
+            }
+            Scheme::PriorityEcc {
+                word_bits,
+                protected_bits,
+            } => {
+                let code = Self::secded_code(*protected_bits);
+                format!(
+                    "H({},{}) P-ECC on {word_bits}-bit words",
+                    code.codeword_bits(),
+                    protected_bits
+                )
+            }
+            Scheme::BitShuffle(geometry) => {
+                format!("bit-shuffle nFM={}", geometry.n_fm())
+            }
+            Scheme::NaiveShuffle(geometry) => {
+                format!("naive bit-shuffle nFM={}", geometry.n_fm())
+            }
+        }
+    }
+
+    /// Width of the data word the scheme protects.
+    #[must_use]
+    pub fn word_bits(&self) -> usize {
+        match self {
+            Scheme::Unprotected { word_bits } | Scheme::Secded { word_bits } => *word_bits,
+            Scheme::PriorityEcc { word_bits, .. } => *word_bits,
+            Scheme::BitShuffle(geometry) | Scheme::NaiveShuffle(geometry) => geometry.word_bits(),
+        }
+    }
+
+    /// The value the application observes when `written` was stored at `row`
+    /// of a memory with the given fault map: the dense reference evaluator.
+    /// It lists the row's columns and looks each fault up in the map,
+    /// independently of the column masks
+    /// [`observe_sparse`](Scheme::observe_sparse) folds, and the tests hold
+    /// the row evaluator to it.
+    #[must_use]
+    pub fn observe(&self, faults: &FaultMap, row: usize, written: u64) -> ObservedWord {
+        let columns = faults.faulty_columns(row);
+        let Some(&msb_fault) = columns.last() else {
+            return ObservedWord::intact(written);
+        };
+        match self {
+            Scheme::Unprotected { .. } => ObservedWord {
+                value: Self::corrupt(faults, row, written),
+                reliable: true,
+            },
+            Scheme::Secded { .. } => {
+                let corrupted = Self::corrupt(faults, row, written);
+                let error_bits = (corrupted ^ written).count_ones();
+                if error_bits <= 1 {
+                    // A single observable error is corrected by SECDED.
+                    ObservedWord::intact(written)
+                } else {
+                    // Double (or worse) error: detected but not corrected.
+                    ObservedWord {
+                        value: corrupted,
+                        reliable: false,
+                    }
+                }
+            }
+            Scheme::PriorityEcc {
+                word_bits,
+                protected_bits,
+            } => {
+                let corrupted = Self::corrupt(faults, row, written);
+                let msb_mask = Self::pecc_msb_mask(*word_bits, *protected_bits);
+                let msb_errors = ((corrupted ^ written) & msb_mask).count_ones();
+                if msb_errors <= 1 {
+                    // The protected slice is repaired; LSB errors pass through.
+                    ObservedWord {
+                        value: (written & msb_mask) | (corrupted & !msb_mask),
+                        reliable: true,
+                    }
+                } else {
+                    ObservedWord {
+                        value: corrupted,
+                        reliable: false,
+                    }
+                }
+            }
+            Scheme::BitShuffle(geometry) | Scheme::NaiveShuffle(geometry) => {
+                let x_fm = match self {
+                    Scheme::NaiveShuffle(_) => geometry.segment_of_bit(msb_fault),
+                    _ => {
+                        let faulty = columns.iter().fold(0, |mask, &col| mask | 1 << col);
+                        FmLut::choose_shift(*geometry, faulty)
+                    }
+                };
+                let shift = geometry
+                    .shift_amount(x_fm)
+                    .expect("the vote returns a valid segment index");
+                let stored = rotate_right(written, shift, geometry.word_bits());
+                let corrupted = Self::corrupt(faults, row, stored);
+                ObservedWord {
+                    value: rotate_left(corrupted, shift, geometry.word_bits()),
+                    reliable: true,
+                }
+            }
+        }
+    }
+
+    /// The value the application observes when `written` is stored in a row
+    /// whose faults are `row_faults`: the one row evaluator.
+    ///
+    /// `row_faults` is a single row's faults sorted by ascending column —
+    /// exactly what [`FaultMap::row_faults`] returns — in a memory whose
+    /// words are [`word_bits`](Scheme::word_bits) wide. The empty slice reads
+    /// back [`ObservedWord::intact`]`(written)`: readers that visit only
+    /// fault-bearing rows rely on it (the MSE kernels and the sparse
+    /// `FaultyStore::read_back` of the application crate).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault's column lies outside the scheme's word.
+    #[must_use]
+    pub fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> ObservedWord {
+        self.observe_masks(RowMasks::from_faults(row_faults, self.word_bits()), written)
+    }
+
+    /// Lane-parallel (bit-sliced) evaluation of one faulty row across up to
+    /// 64 dies at once.
+    ///
+    /// `cells` is one row's transposed lane cells, sorted by ascending
+    /// column — what a [`DieBlock`](faultmit_memsim::DieBlock) row carries.
+    /// For every die `j` of the block and every data bit `c`, bit `j` is
+    /// OR-ed into lane `c` of `residual` exactly when
+    /// [`observe_sparse`](Scheme::observe_sparse) on die `j`'s row would
+    /// deliver a value whose bit `c` differs from `written` — i.e.
+    /// [`ResidualLanes::gather_die`]`(j)` equals `written ^ observed.value`.
+    pub fn observe_block(&self, cells: &[LaneCell], written: u64, residual: &mut ResidualLanes) {
+        match self {
+            Scheme::Unprotected { .. } => {
+                // Every observable error reaches the application unchanged.
+                for cell in cells {
+                    residual.accumulate(cell.col as usize, lane_observable_error(cell, written));
+                }
+            }
+            Scheme::Secded { .. } => {
+                // Every die's syndrome weight at once: a carry-save fold
+                // over the per-column error lanes answers "two or more
+                // observable errors?" per die; only those dies keep their
+                // corruption.
+                let mut counter = LaneCounter::new();
+                for cell in cells {
+                    counter.add(lane_observable_error(cell, written));
+                }
+                let uncorrectable = counter.at_least_two();
+                if uncorrectable != 0 {
+                    for cell in cells {
+                        residual.accumulate(
+                            cell.col as usize,
+                            lane_observable_error(cell, written) & uncorrectable,
+                        );
+                    }
+                }
+            }
+            Scheme::PriorityEcc {
+                word_bits,
+                protected_bits,
+            } => {
+                // The correction radius only counts protected-MSB errors;
+                // LSB errors always pass through.
+                let msb_mask = Self::pecc_msb_mask(*word_bits, *protected_bits);
+                let mut counter = LaneCounter::new();
+                for cell in cells {
+                    if (msb_mask >> cell.col) & 1 == 1 {
+                        counter.add(lane_observable_error(cell, written));
+                    }
+                }
+                let uncorrectable = counter.at_least_two();
+                for cell in cells {
+                    let err = lane_observable_error(cell, written);
+                    let lane = if (msb_mask >> cell.col) & 1 == 1 {
+                        err & uncorrectable
+                    } else {
+                        err
+                    };
+                    residual.accumulate(cell.col as usize, lane);
+                }
+            }
+            Scheme::BitShuffle(geometry) | Scheme::NaiveShuffle(geometry) => {
+                let word_bits = geometry.word_bits();
+                // The FM-LUT vote keys on fault *presence* (BIST sees stuck
+                // cells whether or not the stored data exposes them).
+                let mut presence = LaneCounter::new();
+                for cell in cells {
+                    presence.add(cell.presence());
+                }
+                let singles = presence.exactly_one();
+                let multi = presence.at_least_two();
+                if singles != 0 {
+                    // A single-fault die shifts by its fault's segment under
+                    // either vote, and its residual can only surface at its
+                    // own faulty cell (its presence lane is zero everywhere
+                    // else). One pass therefore serves every single-fault
+                    // die: the cell's column fixes the segment — and thus
+                    // the shift — for all dies voting on it at once.
+                    for cell in cells {
+                        let group = cell.presence() & singles;
+                        if group == 0 {
+                            continue;
+                        }
+                        let shift = geometry
+                            .shift_amount(geometry.segment_of_bit(cell.col as usize))
+                            .expect("segment_of_bit returns a valid segment index");
+                        let stored = rotate_right(written, shift, word_bits);
+                        // A physical error at column c surfaces at data
+                        // position (c + shift) mod W after the un-rotate.
+                        let lane = lane_observable_error(cell, stored) & group;
+                        if lane != 0 {
+                            let data_pos = (cell.col as usize + shift) & (word_bits - 1);
+                            residual.accumulate(data_pos, lane);
+                        }
+                    }
+                }
+                if multi != 0 {
+                    // A die with several faulty cells in the row is
+                    // evaluated on its own, from the column masks gathered
+                    // out of the lane cells, like a sparse row.
+                    let mut fallback_dies = 0u64;
+                    for_each_die(multi, |die| {
+                        fallback_dies += 1;
+                        let observed =
+                            self.observe_masks(RowMasks::from_lanes(cells, die), written);
+                        let mut diff = written ^ observed.value;
+                        while diff != 0 {
+                            let col = diff.trailing_zeros() as usize;
+                            diff &= diff - 1;
+                            residual.accumulate(col, 1u64 << die);
+                        }
+                    });
+                    obs::count(obs::Counter::ObserveFallbackDies, fallback_dies);
+                }
+            }
+        }
+    }
+
+    /// What a read returns when the row's only fault sits at physical
+    /// column `col`: the entry agrees with
+    /// [`observe_sparse`](Scheme::observe_sparse) on the one-fault slice for
+    /// every fault kind and written word. [`SingleFault::Corrected`] means
+    /// the read returns `written`, and [`SingleFault::SurfacesAt`]`(b)` means
+    /// it returns `written` with bit `b` flipped — always for a bit-flip,
+    /// and for a stuck-at cell exactly when bit `b` of `written` differs
+    /// from the stuck value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col` lies outside the scheme's word.
+    #[must_use]
+    pub fn single_fault(&self, col: usize) -> SingleFault {
+        let word_bits = self.word_bits();
+        assert!(
+            col < word_bits,
+            "fault column {col} outside a {word_bits}-bit word"
+        );
+        match self {
+            Scheme::Unprotected { .. } => SingleFault::SurfacesAt(col),
+            // One observable error is corrected; an unobservable one
+            // leaves nothing to correct.
+            Scheme::Secded { .. } => SingleFault::Corrected,
+            Scheme::PriorityEcc {
+                word_bits,
+                protected_bits,
+            } => {
+                if (Self::pecc_msb_mask(*word_bits, *protected_bits) >> col) & 1 == 1 {
+                    SingleFault::Corrected
+                } else {
+                    SingleFault::SurfacesAt(col)
+                }
+            }
+            // The lone fault picks the shift under either vote; after the
+            // un-rotate its error surfaces at data position (col + shift)
+            // mod W, where the stored bit is the written word's bit.
+            Scheme::BitShuffle(geometry) | Scheme::NaiveShuffle(geometry) => {
+                let shift = geometry
+                    .shift_amount(geometry.segment_of_bit(col))
+                    .expect("segment_of_bit returns a valid segment index");
+                SingleFault::SurfacesAt((col + shift) & (word_bits - 1))
             }
         }
     }
@@ -455,252 +668,6 @@ fn lane_observable_error(cell: &LaneCell, stored: u64) -> u64 {
     cell.flips | (cell.stuck & (cell.stuck_value ^ stored_lane))
 }
 
-impl MitigationScheme for Scheme {
-    fn name(&self) -> String {
-        match self {
-            Scheme::Unprotected { .. } => "no-correction".to_owned(),
-            Scheme::Secded { word_bits } => {
-                let code = Self::secded_code(*word_bits);
-                format!("H({},{}) SECDED", code.codeword_bits(), word_bits)
-            }
-            Scheme::PriorityEcc {
-                word_bits,
-                protected_bits,
-            } => {
-                let code = Self::secded_code(*protected_bits);
-                format!(
-                    "H({},{}) P-ECC on {word_bits}-bit words",
-                    code.codeword_bits(),
-                    protected_bits
-                )
-            }
-            Scheme::BitShuffle(geometry) => {
-                format!("bit-shuffle nFM={}", geometry.n_fm())
-            }
-        }
-    }
-
-    fn word_bits(&self) -> usize {
-        match self {
-            Scheme::Unprotected { word_bits } | Scheme::Secded { word_bits } => *word_bits,
-            Scheme::PriorityEcc { word_bits, .. } => *word_bits,
-            Scheme::BitShuffle(geometry) => geometry.word_bits(),
-        }
-    }
-
-    /// The dense reference evaluator: it lists the row's columns and looks
-    /// each fault up in the map, independently of the column masks
-    /// `observe_sparse` folds, and the tests hold the row evaluator to it.
-    fn observe(&self, faults: &FaultMap, row: usize, written: u64) -> ObservedWord {
-        let columns = faults.faulty_columns(row);
-        if columns.is_empty() {
-            return ObservedWord::intact(written);
-        }
-        match self {
-            Scheme::Unprotected { .. } => ObservedWord {
-                value: Self::corrupt(faults, row, written),
-                reliable: true,
-            },
-            Scheme::Secded { .. } => {
-                let corrupted = Self::corrupt(faults, row, written);
-                let error_bits = (corrupted ^ written).count_ones();
-                if error_bits <= 1 {
-                    // A single observable error is corrected by SECDED.
-                    ObservedWord::intact(written)
-                } else {
-                    // Double (or worse) error: detected but not corrected.
-                    ObservedWord {
-                        value: corrupted,
-                        reliable: false,
-                    }
-                }
-            }
-            Scheme::PriorityEcc {
-                word_bits,
-                protected_bits,
-            } => {
-                let corrupted = Self::corrupt(faults, row, written);
-                let msb_mask = Self::pecc_msb_mask(*word_bits, *protected_bits);
-                let msb_errors = ((corrupted ^ written) & msb_mask).count_ones();
-                if msb_errors <= 1 {
-                    // The protected slice is repaired; LSB errors pass through.
-                    ObservedWord {
-                        value: (written & msb_mask) | (corrupted & !msb_mask),
-                        reliable: true,
-                    }
-                } else {
-                    ObservedWord {
-                        value: corrupted,
-                        reliable: false,
-                    }
-                }
-            }
-            Scheme::BitShuffle(geometry) => {
-                let faulty = columns.iter().fold(0, |mask, &col| mask | 1 << col);
-                let x_fm = FmLut::choose_shift(*geometry, faulty);
-                let shift = geometry
-                    .shift_amount(x_fm)
-                    .expect("choose_shift returns a valid segment index");
-                let stored = rotate_right(written, shift, geometry.word_bits());
-                let corrupted = Self::corrupt(faults, row, stored);
-                ObservedWord {
-                    value: rotate_left(corrupted, shift, geometry.word_bits()),
-                    reliable: true,
-                }
-            }
-        }
-    }
-
-    fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> ObservedWord {
-        self.observe_masks(RowMasks::from_faults(row_faults, self.word_bits()), written)
-    }
-
-    fn observe_block(
-        &self,
-        cells: &[LaneCell],
-        written: u64,
-        residual: &mut ResidualLanes,
-    ) -> bool {
-        match self {
-            Scheme::Unprotected { .. } => {
-                // Every observable error reaches the application unchanged.
-                for cell in cells {
-                    residual.accumulate(cell.col as usize, lane_observable_error(cell, written));
-                }
-            }
-            Scheme::Secded { .. } => {
-                // Every die's syndrome weight at once: a carry-save fold
-                // over the per-column error lanes answers "two or more
-                // observable errors?" per die; only those dies keep their
-                // corruption.
-                let mut counter = LaneCounter::new();
-                for cell in cells {
-                    counter.add(lane_observable_error(cell, written));
-                }
-                let uncorrectable = counter.at_least_two();
-                if uncorrectable != 0 {
-                    for cell in cells {
-                        residual.accumulate(
-                            cell.col as usize,
-                            lane_observable_error(cell, written) & uncorrectable,
-                        );
-                    }
-                }
-            }
-            Scheme::PriorityEcc {
-                word_bits,
-                protected_bits,
-            } => {
-                // The correction radius only counts protected-MSB errors;
-                // LSB errors always pass through.
-                let msb_mask = Self::pecc_msb_mask(*word_bits, *protected_bits);
-                let mut counter = LaneCounter::new();
-                for cell in cells {
-                    if (msb_mask >> cell.col) & 1 == 1 {
-                        counter.add(lane_observable_error(cell, written));
-                    }
-                }
-                let uncorrectable = counter.at_least_two();
-                for cell in cells {
-                    let err = lane_observable_error(cell, written);
-                    let lane = if (msb_mask >> cell.col) & 1 == 1 {
-                        err & uncorrectable
-                    } else {
-                        err
-                    };
-                    residual.accumulate(cell.col as usize, lane);
-                }
-            }
-            Scheme::BitShuffle(geometry) => {
-                let word_bits = geometry.word_bits();
-                // The FM-LUT vote keys on fault *presence* (BIST sees stuck
-                // cells whether or not the stored data exposes them).
-                let mut presence = LaneCounter::new();
-                for cell in cells {
-                    presence.add(cell.presence());
-                }
-                let singles = presence.exactly_one();
-                let multi = presence.at_least_two();
-                if singles != 0 {
-                    // A single-fault die shifts by its fault's segment, and
-                    // its residual can only surface at its own faulty cell
-                    // (its presence lane is zero everywhere else). One pass
-                    // therefore serves every single-fault die: the cell's
-                    // column fixes the segment — and thus the shift — for
-                    // all dies voting on it at once.
-                    for cell in cells {
-                        let group = cell.presence() & singles;
-                        if group == 0 {
-                            continue;
-                        }
-                        let shift = geometry
-                            .shift_amount(geometry.segment_of_bit(cell.col as usize))
-                            .expect("segment_of_bit returns a valid segment index");
-                        let stored = rotate_right(written, shift, word_bits);
-                        // A physical error at column c surfaces at data
-                        // position (c + shift) mod W after the un-rotate.
-                        let lane = lane_observable_error(cell, stored) & group;
-                        if lane != 0 {
-                            let data_pos = (cell.col as usize + shift) & (word_bits - 1);
-                            residual.accumulate(data_pos, lane);
-                        }
-                    }
-                }
-                if multi != 0 {
-                    // A die with several faulty cells in the row is
-                    // evaluated on its own, from the column masks gathered
-                    // out of the lane cells, like a sparse row.
-                    let mut fallback_dies = 0u64;
-                    for_each_die(multi, |die| {
-                        fallback_dies += 1;
-                        let observed =
-                            self.observe_masks(RowMasks::from_lanes(cells, die), written);
-                        let mut diff = written ^ observed.value;
-                        while diff != 0 {
-                            let col = diff.trailing_zeros() as usize;
-                            diff &= diff - 1;
-                            residual.accumulate(col, 1u64 << die);
-                        }
-                    });
-                    obs::count(obs::Counter::ObserveFallbackDies, fallback_dies);
-                }
-            }
-        }
-        true
-    }
-
-    fn single_fault(&self, col: usize) -> Option<SingleFault> {
-        if col >= self.word_bits() {
-            return None;
-        }
-        Some(match self {
-            Scheme::Unprotected { .. } => SingleFault::SurfacesAt(col),
-            // One observable error is corrected; an unobservable one
-            // leaves nothing to correct.
-            Scheme::Secded { .. } => SingleFault::Corrected,
-            Scheme::PriorityEcc {
-                word_bits,
-                protected_bits,
-            } => {
-                if (Self::pecc_msb_mask(*word_bits, *protected_bits) >> col) & 1 == 1 {
-                    SingleFault::Corrected
-                } else {
-                    SingleFault::SurfacesAt(col)
-                }
-            }
-            // The lone fault picks the shift; after the un-rotate its error
-            // surfaces at data position (col + shift) mod W, where the
-            // stored bit is the written word's bit.
-            Scheme::BitShuffle(geometry) => {
-                let shift = geometry
-                    .shift_amount(geometry.segment_of_bit(col))
-                    .expect("segment_of_bit returns a valid segment index");
-                SingleFault::SurfacesAt((col + shift) & (geometry.word_bits() - 1))
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -747,7 +714,7 @@ mod tests {
     }
 
     /// Every scheme shape at one word width: no protection, SECDED, P-ECC
-    /// on the top half and bit-shuffling at every `n_FM`.
+    /// on the top half and bit-shuffling under both votes at every `n_FM`.
     fn schemes_for_width(word_bits: usize) -> Vec<Scheme> {
         let mut schemes = vec![
             Scheme::Unprotected { word_bits },
@@ -757,9 +724,15 @@ mod tests {
                 protected_bits: word_bits / 2,
             },
         ];
-        let geometries = SegmentGeometry::all_for_word(word_bits).unwrap();
-        schemes.extend(geometries.into_iter().map(Scheme::BitShuffle));
+        for geometry in SegmentGeometry::all_for_word(word_bits).unwrap() {
+            schemes.extend([Scheme::BitShuffle(geometry), Scheme::NaiveShuffle(geometry)]);
+        }
         schemes
+    }
+
+    /// The shift ablation's naive vote at every `n_FM` of a 32-bit word.
+    fn naive32() -> impl Iterator<Item = Scheme> {
+        (1..=5).map(|n_fm| Scheme::NaiveShuffle(SegmentGeometry::new(32, n_fm).unwrap()))
     }
 
     /// Written words for a width: the extremes, a mixed word and the two
@@ -780,6 +753,11 @@ mod tests {
         assert_eq!(Scheme::secded32().name(), "H(39,32) SECDED");
         assert!(Scheme::pecc32().name().contains("H(22,16) P-ECC"));
         assert_eq!(Scheme::shuffle32(3).unwrap().name(), "bit-shuffle nFM=3");
+        let geometry = SegmentGeometry::new(32, 2).unwrap();
+        assert_eq!(
+            Scheme::NaiveShuffle(geometry).name(),
+            "naive bit-shuffle nFM=2"
+        );
     }
 
     #[test]
@@ -799,6 +777,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut schemes = Scheme::fig5_catalogue();
         schemes.extend(Scheme::fig7_catalogue());
+        schemes.extend(naive32());
         let mut rng = StdRng::seed_from_u64(761);
         let mut maps = vec![map(&[])];
         for _ in 0..24 {
@@ -943,9 +922,9 @@ mod tests {
     #[test]
     fn observe_sparse_matches_observe_for_every_scheme() {
         // The row evaluator must equal the dense reference on the map whose
-        // row slice was passed in — for every catalogue scheme, every kind
-        // mix, and both sparse and dense rows.
-        let cases: Vec<Vec<Fault>> = vec![
+        // row slice was passed in — for every catalogue scheme and the naive
+        // vote, every kind mix, and both sparse and dense rows.
+        let mut cases: Vec<Vec<Fault>> = vec![
             vec![],
             vec![Fault::bit_flip(0, 31)],
             vec![Fault::stuck_at_one(0, 5), Fault::stuck_at_zero(0, 9)],
@@ -957,8 +936,20 @@ mod tests {
             ],
             (0..32).map(|col| Fault::bit_flip(0, col)).collect(),
         ];
+        // Every lone fault of every kind, and random rows of 2..=32 faults
+        // of mixed kinds.
+        for col in 0..32 {
+            cases.extend(FaultKind::ALL.map(|kind| vec![Fault::new(0, col, kind)]));
+        }
+        let mut next_row = lcg(0x0A1B_5EED);
+        for count in 2..=32 {
+            for _ in 0..6 {
+                cases.push(dense_row(&mut next_row, 32, count));
+            }
+        }
         let mut schemes = Scheme::fig5_catalogue();
         schemes.push(Scheme::secded32());
+        schemes.extend(naive32());
         // Dense multi-fault rows of mixed kinds, two faults up to a full
         // row, on 32- and 64-bit words, against every scheme shape.
         let mut next = lcg(0x5EA5_E0B5);
@@ -973,8 +964,10 @@ mod tests {
         for faults in &cases {
             let map = map(faults);
             let slice = map.row_faults(0);
+            let mut words = vec![0u64, 0xFFFF_FFFF, 0xDEAD_BEEF, 0x8000_0001];
+            words.extend((0..4).map(|_| next_row() & 0xFFFF_FFFF));
             for scheme in &schemes {
-                for &written in &[0u64, 0xFFFF_FFFF, 0xDEAD_BEEF, 0x8000_0001] {
+                for &written in &words {
                     assert_eq!(
                         scheme.observe_sparse(slice, written),
                         scheme.observe(&map, 0, written),
@@ -1002,52 +995,44 @@ mod tests {
     }
 
     #[test]
-    fn provided_observe_reads_the_row_through_observe_sparse() {
-        // A custom scheme writes only the row evaluator; `observe` reads a
-        // map's row through it.
-        struct Invert;
-        impl MitigationScheme for Invert {
-            fn name(&self) -> String {
-                "invert".to_owned()
-            }
-            fn word_bits(&self) -> usize {
-                32
-            }
-            fn observe_sparse(&self, row_faults: &[Fault], written: u64) -> ObservedWord {
-                ObservedWord {
-                    value: row_faults.iter().fold(written, |w, f| w ^ (1 << f.col)),
-                    reliable: true,
-                }
-            }
-        }
+    fn observe_reads_a_map_row_as_observe_sparse_reads_its_slice() {
         let faults = map(&[
             Fault::bit_flip(2, 0),
             Fault::stuck_at_one(2, 7),
             Fault::bit_flip(5, 31),
         ]);
-        for row in 0..16 {
-            for written in written_words(32) {
-                assert_eq!(
-                    Invert.observe(&faults, row, written),
-                    Invert.observe_sparse(faults.row_faults(row), written),
-                    "row {row} written {written:#x}"
-                );
-            }
-        }
-        assert_eq!(Invert.observe(&faults, 2, 0).value, 0b1000_0001);
-        assert_eq!(Invert.observe(&faults, 3, 9), ObservedWord::intact(9));
-        // The blanket `&T` impl forwards the concrete scheme's row
-        // evaluator and its dense `observe`.
         let scheme = Scheme::unprotected32();
-        let by_ref: &dyn MitigationScheme = &scheme;
         assert_eq!(
-            (&by_ref).observe_sparse(&[Fault::bit_flip(0, 3)], 0),
+            scheme.observe_sparse(&[Fault::bit_flip(0, 3)], 0),
             ObservedWord {
                 value: 1 << 3,
                 reliable: true
             }
         );
-        assert_eq!((&by_ref).observe(&faults, 5, 0).value, 1 << 31);
+        assert_eq!(scheme.observe(&faults, 5, 0).value, 1 << 31);
+        assert_eq!(scheme.observe(&faults, 2, 0).value, 0b1000_0001);
+        assert_eq!(scheme.observe(&faults, 3, 9), ObservedWord::intact(9));
+    }
+
+    #[test]
+    fn the_two_votes_shift_a_straddling_pair_apart() {
+        // At n_FM = 1 the word has two 16-bit segments. Flips at columns
+        // 15 and 16 straddle them: the naive vote aligns to the MSB fault's
+        // segment and rotates by 16, which lands column 15 on data bit 31,
+        // while the FM-LUT vote keeps the row unshifted.
+        let geometry = SegmentGeometry::new(32, 1).unwrap();
+        let faults = map(&[Fault::bit_flip(0, 15), Fault::bit_flip(0, 16)]);
+        for (scheme, value) in [
+            (Scheme::NaiveShuffle(geometry), 1 | 1 << 31),
+            (Scheme::BitShuffle(geometry), 1 << 15 | 1 << 16),
+        ] {
+            let expected = ObservedWord {
+                value,
+                reliable: true,
+            };
+            assert_eq!(scheme.observe_sparse(faults.row_faults(0), 0), expected);
+            assert_eq!(scheme.observe(&faults, 0, 0), expected, "{}", scheme.name());
+        }
     }
 
     #[test]
@@ -1131,7 +1116,7 @@ mod tests {
                 for scheme in &schemes {
                     for written in written_words(word_bits) {
                         let mut residual = ResidualLanes::new();
-                        assert!(scheme.observe_block(&cells, written, &mut residual));
+                        scheme.observe_block(&cells, written, &mut residual);
                         for (die, faults) in dies.iter().enumerate() {
                             let observed = scheme.observe_sparse(faults, written);
                             assert_eq!(
@@ -1148,64 +1133,29 @@ mod tests {
     }
 
     #[test]
-    fn observe_block_default_falls_back() {
-        struct Passthrough;
-        impl MitigationScheme for Passthrough {
-            fn name(&self) -> String {
-                "passthrough".to_owned()
-            }
-            fn word_bits(&self) -> usize {
-                32
-            }
-            fn observe_sparse(&self, _: &[Fault], written: u64) -> ObservedWord {
-                ObservedWord::intact(written)
-            }
-        }
+    fn in_tree_schemes_have_a_block_path_and_single_fault_entries() {
         let mut residual = ResidualLanes::new();
-        assert!(!Passthrough.observe_block(&[], 0, &mut residual));
-        // The blanket `&T` impl forwards the concrete scheme's block path.
-        let scheme = Scheme::unprotected32();
-        let by_ref: &dyn MitigationScheme = &scheme;
         let cell = LaneCell {
             col: 3,
             flips: 0b1,
             stuck: 0,
             stuck_value: 0,
         };
-        assert!((&by_ref).observe_block(&[cell], 0, &mut residual));
+        Scheme::unprotected32().observe_block(&[cell], 0, &mut residual);
         assert_eq!(residual.gather_die(0), 1 << 3);
+        // The analysis crate pins every entry against `observe_sparse`.
+        assert_eq!(Scheme::pecc32().single_fault(31), SingleFault::Corrected);
+        assert_eq!(
+            Scheme::shuffle32(5).unwrap().single_fault(3),
+            SingleFault::SurfacesAt(0),
+            "nFM=5 rotates a lone bit-3 fault down to bit 0"
+        );
     }
 
     #[test]
-    fn single_fault_default_has_no_entries() {
-        struct Passthrough;
-        impl MitigationScheme for Passthrough {
-            fn name(&self) -> String {
-                "passthrough".to_owned()
-            }
-            fn word_bits(&self) -> usize {
-                32
-            }
-            fn observe_sparse(&self, _: &[Fault], written: u64) -> ObservedWord {
-                ObservedWord::intact(written)
-            }
-        }
-        assert_eq!(Passthrough.single_fault(0), None);
-        // In-tree schemes have entries for their own columns only; the
-        // analysis crate pins every entry against `observe_sparse`.
-        assert_eq!(
-            Scheme::pecc32().single_fault(31),
-            Some(SingleFault::Corrected)
-        );
-        assert_eq!(Scheme::pecc32().single_fault(32), None);
-        // The blanket `&T` impl forwards the concrete scheme's entries.
-        let scheme = Scheme::shuffle32(5).unwrap();
-        let by_ref: &dyn MitigationScheme = &scheme;
-        assert_eq!(
-            (&by_ref).single_fault(3),
-            Some(SingleFault::SurfacesAt(0)),
-            "nFM=5 rotates a lone bit-3 fault down to bit 0"
-        );
+    #[should_panic(expected = "fault column 32 outside a 32-bit word")]
+    fn single_fault_panics_on_a_column_outside_the_word() {
+        let _ = Scheme::pecc32().single_fault(32);
     }
 
     #[test]
@@ -1228,8 +1178,8 @@ mod tests {
         );
         let lsb = FaultMap::from_faults(config, [Fault::bit_flip(3, 31)]).unwrap();
         assert_eq!(scheme.observe(&lsb, 3, 0).value, 1 << 31);
-        assert_eq!(scheme.single_fault(63), Some(SingleFault::Corrected));
-        assert_eq!(scheme.single_fault(31), Some(SingleFault::SurfacesAt(31)));
+        assert_eq!(scheme.single_fault(63), SingleFault::Corrected);
+        assert_eq!(scheme.single_fault(31), SingleFault::SurfacesAt(31));
         // Two protected-half errors are detected, not corrected.
         let double =
             FaultMap::from_faults(config, [Fault::bit_flip(3, 63), Fault::bit_flip(3, 40)])

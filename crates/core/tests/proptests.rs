@@ -5,9 +5,7 @@
 //! The offline build has no `proptest`, so each property is exercised over a
 //! seeded random sweep.
 
-use faultmit_core::{
-    rotate_left, rotate_right, FmLut, MitigationScheme, Scheme, SegmentGeometry, ShuffledMemory,
-};
+use faultmit_core::{rotate_left, rotate_right, FmLut, Scheme, SegmentGeometry, ShuffledMemory};
 use faultmit_memsim::{Fault, FaultKind, FaultMap, MemoryConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -166,12 +166,6 @@ impl DramRetentionBackend {
         self.temperature_c
     }
 
-    /// The weak-cell population fraction.
-    #[must_use]
-    pub fn weak_cell_fraction(&self) -> f64 {
-        self.weak_cell_fraction
-    }
-
     /// Mean weak-cell retention time (s) at the current temperature:
     /// `τ(T) = 2 s · 2^(−(T − 45)/10)`.
     #[must_use]

@@ -395,28 +395,6 @@ impl Backend {
         })
     }
 
-    /// Builds the backend of the given kind at its reference operating point
-    /// (nominal-minus-margin voltage for SRAM, 64 ms refresh at 45 °C for
-    /// DRAM, one-day drift for MLC NVM).
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter validation errors (none occur for a valid
-    /// geometry).
-    pub fn reference(kind: BackendKind, config: MemoryConfig) -> Result<Self, MemError> {
-        match kind {
-            BackendKind::Sram => Ok(Backend::Sram(SramVddBackend::at_vdd(
-                config,
-                crate::failure_model::CellFailureModel::default_28nm(),
-                0.75,
-            )?)),
-            BackendKind::Dram => Ok(Backend::Dram(DramRetentionBackend::new(
-                config, 64.0, 45.0,
-            )?)),
-            BackendKind::Mlc => Ok(Backend::Mlc(MlcNvmBackend::new(config, 12.0, 86_400.0)?)),
-        }
-    }
-
     /// Short technology name (`"sram-vdd"`, `"dram-retention"`, `"mlc-nvm"`).
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -678,16 +656,6 @@ mod tests {
             );
             let dist = backend.failure_distribution().unwrap();
             assert!((dist.p_cell() - backend.p_cell()).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn reference_operating_points_are_valid() {
-        for kind in BackendKind::ALL {
-            let backend = Backend::reference(kind, config()).unwrap();
-            let p = backend.p_cell();
-            assert!(p > 0.0 && p < 1.0, "{kind}: p_cell = {p}");
-            assert!(!backend.operating_point().label().is_empty());
         }
     }
 

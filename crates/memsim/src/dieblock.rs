@@ -352,7 +352,12 @@ mod tests {
             .map(|planned| {
                 let mut rng = seeder.rng_for_sample(planned.index);
                 reference
-                    .generate(backend, &mut rng, planned.n_faults as usize)
+                    .generate_with_policy(
+                        backend,
+                        &mut rng,
+                        planned.n_faults as usize,
+                        MapPolicy::Unrestricted,
+                    )
                     .unwrap()
                     .iter()
                     .collect()

@@ -259,7 +259,7 @@ impl FaultMap {
 
     /// The faults of `row` as a contiguous slice, sorted by column — the
     /// zero-copy row view sparse evaluation kernels consume (see
-    /// `MitigationScheme::observe_sparse` in `faultmit-core`).
+    /// `Scheme::observe_sparse` in `faultmit-core`).
     #[must_use]
     pub fn row_faults(&self, row: usize) -> &[Fault] {
         &self.faults[self.row_range(row)]

@@ -57,9 +57,9 @@ pub enum MapPolicy {
 /// heap allocation.
 ///
 /// Create one per worker thread ([`DieScratch::new`]), then call
-/// [`DieScratch::generate_with_policy`] (or [`DieScratch::generate`] for an
-/// unrestricted die) once per die. The resulting [`FaultMap`] view is
-/// borrowed from the arena and valid until the next generation call.
+/// [`DieScratch::generate_with_policy`] once per die. The resulting
+/// [`FaultMap`] view is borrowed from the arena and valid until the next
+/// generation call.
 #[derive(Debug)]
 pub struct DieScratch {
     /// The die's fault map, cleared (capacity kept) between generations.
@@ -126,22 +126,6 @@ impl DieScratch {
 
     fn capacity_signature(&self) -> [usize; 2] {
         [self.map.capacity(), self.cells.capacity()]
-    }
-
-    /// Generates one die with exactly `n_faults` faults into the arena
-    /// under [`MapPolicy::Unrestricted`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's sampling errors (e.g. `n_faults` exceeding
-    /// the cell count).
-    pub fn generate(
-        &mut self,
-        backend: &Backend,
-        rng: &mut StdRng,
-        n_faults: usize,
-    ) -> Result<&FaultMap, MemError> {
-        self.generate_with_policy(backend, rng, n_faults, MapPolicy::Unrestricted)
     }
 
     /// Generates one die with exactly `n_faults` faults into the arena under
@@ -214,12 +198,6 @@ impl BlockScratch {
             rows: Vec::new(),
             realloc_events: 0,
         }
-    }
-
-    /// The wrapped per-sample arena.
-    #[must_use]
-    pub fn scalar(&self) -> &DieScratch {
-        &self.scalar
     }
 
     /// Mutable access to the wrapped per-sample arena — the campaign
@@ -333,7 +311,9 @@ mod tests {
                 let mut rng_scratch = StdRng::seed_from_u64(seed);
                 let mut rng_fresh = StdRng::seed_from_u64(seed);
                 let fresh = reference::sample(&backend, &mut rng_fresh, 25);
-                let reused = scratch.generate(&backend, &mut rng_scratch, 25).unwrap();
+                let reused = scratch
+                    .generate_with_policy(&backend, &mut rng_scratch, 25, MapPolicy::Unrestricted)
+                    .unwrap();
                 assert_eq!(reused, &fresh, "{kind}, seed {seed}");
             }
         }
@@ -363,7 +343,9 @@ mod tests {
             let mut rng_fresh = StdRng::seed_from_u64(seed);
             let mut rng_scratch = StdRng::seed_from_u64(seed);
             let fresh = reference::sample(backend, &mut rng_fresh, amount);
-            let reused = scratch.generate(backend, &mut rng_scratch, amount).unwrap();
+            let reused = scratch
+                .generate_with_policy(backend, &mut rng_scratch, amount, MapPolicy::Unrestricted)
+                .unwrap();
             assert_eq!(reused, &fresh, "{context}");
             assert_eq!(
                 rng_scratch.gen::<u64>(),
@@ -417,13 +399,17 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(7);
                 // Warm-up: containers grow to their high-water capacities.
                 for n in [40usize, 40, 40, 40] {
-                    scratch.generate(&backend, &mut rng, n).unwrap();
+                    scratch
+                        .generate_with_policy(&backend, &mut rng, n, MapPolicy::Unrestricted)
+                        .unwrap();
                 }
                 let warm = scratch.realloc_events();
                 // Steady state at or below the high-water fault count: no
                 // growth over a long campaign tail.
                 for i in 0..2000usize {
-                    scratch.generate(&backend, &mut rng, i % 41).unwrap();
+                    scratch
+                        .generate_with_policy(&backend, &mut rng, i % 41, MapPolicy::Unrestricted)
+                        .unwrap();
                 }
                 assert_eq!(
                     scratch.realloc_events(),
@@ -485,11 +471,18 @@ mod tests {
             let mut scratch = DieScratch::new(small);
             let mut rng = StdRng::seed_from_u64(1);
             assert!(
-                scratch.generate(&backend, &mut rng, 33).is_err(),
+                scratch
+                    .generate_with_policy(&backend, &mut rng, 33, MapPolicy::Unrestricted)
+                    .is_err(),
                 "{kind}: 33 faults in 32 cells must be rejected"
             );
             // The arena stays usable after a rejected request.
-            assert!(scratch.generate(&backend, &mut rng, 32).is_ok(), "{kind}");
+            assert!(
+                scratch
+                    .generate_with_policy(&backend, &mut rng, 32, MapPolicy::Unrestricted)
+                    .is_ok(),
+                "{kind}"
+            );
             assert_eq!(scratch.map().fault_count(), 32, "{kind}");
         }
     }

@@ -106,11 +106,15 @@ pub enum Counter {
     /// Faulty block rows evaluated through the lane-parallel block
     /// observer.
     ObserveBlockRows,
-    /// Faulty block rows a scheme declined lane-parallel evaluation for
-    /// (whole-row scalar fallback).
+    /// Faulty block rows a scheme declined lane-parallel evaluation for.
+    /// Nothing records it: every scheme has a block path. It stays because
+    /// the benchmark harness under `perfbench/` reads it through
+    /// [`MetricsSnapshot::observe_fallback_rate`] (vestigial until ROADMAP
+    /// item 8).
     ObserveFallbackRows,
-    /// Individual dies evaluated through the per-die scalar fallback
-    /// inside an otherwise lane-parallel row.
+    /// Dies evaluated one at a time, from their column masks, inside an
+    /// otherwise lane-parallel row: the bit-shuffle schemes' multi-fault
+    /// dies.
     ObserveFallbackDies,
     /// ECC reads of fault-free rows that took the `decode_clean` fast
     /// path.
@@ -551,7 +555,8 @@ impl MetricsSnapshot {
     }
 
     /// Fraction of faulty block rows that fell back to whole-row scalar
-    /// evaluation (`None` when no block rows were observed).
+    /// evaluation (`None` when no block rows were observed). Every scheme
+    /// has a block path, so it reads 0 whenever it reads at all.
     #[must_use]
     pub fn observe_fallback_rate(&self) -> Option<f64> {
         let block = self.counter(Counter::ObserveBlockRows);

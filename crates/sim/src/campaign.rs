@@ -23,7 +23,7 @@
 
 use crate::error::{RunError, SimError};
 use crate::executor::{run_chunked_with, Parallelism};
-use faultmit_core::MitigationScheme;
+use faultmit_core::Scheme;
 use faultmit_memsim::{
     Backend, BlockScratch, DieBlock, FailureCountDistribution, FaultMap, ImageSpec, MapPolicy,
     MemoryConfig, OperatingPoint, PlannedSample, SramVddBackend, StreamSeeder, BLOCK_DIES,
@@ -120,12 +120,16 @@ impl ShardSpec {
     ///
     /// Ranges of consecutive shards tile `0..chunk_count` exactly (balanced
     /// to within one chunk), so concatenating all shards in shard order
-    /// reproduces the monolithic chunk sequence.
+    /// reproduces the monolithic chunk sequence: shard `i` of `K` starts at
+    /// chunk `floor(i · chunk_count / K)`, for any `K` up to `usize::MAX`.
     #[must_use]
     pub fn chunk_range(&self, chunk_count: usize) -> Range<usize> {
-        let start = self.shard_index * chunk_count / self.shard_count;
-        let end = (self.shard_index + 1) * chunk_count / self.shard_count;
-        start..end
+        // The product of two `usize`s is exact in `u128`, and the quotient
+        // is at most `chunk_count`.
+        let bound = |index: usize| {
+            (index as u128 * chunk_count as u128 / self.shard_count as u128) as usize
+        };
+        bound(self.shard_index)..bound(self.shard_index + 1)
     }
 }
 
@@ -487,16 +491,6 @@ impl Campaign {
         &self.config
     }
 
-    /// The number of chunks the campaign's work list is split into — the
-    /// granularity at which [`ShardSpec::chunk_range`] partitions work.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from building the failure distribution.
-    pub fn chunk_count(&self) -> Result<usize, SimError> {
-        Ok(self.plan_len()?.div_ceil(self.config.chunk_size))
-    }
-
     /// The global sample-index range the given shard evaluates.
     ///
     /// Shard ranges are disjoint and tile `0..total samples` in shard
@@ -577,15 +571,14 @@ impl Campaign {
     /// Returns [`RunError::Sim`] for pipeline errors and [`RunError::Eval`]
     /// with the first evaluator error in deterministic (chunk-order)
     /// position within the shard.
-    pub fn run_shard<S, F, E>(
+    pub fn run_shard<F, E>(
         &self,
-        schemes: &[S],
+        schemes: &[Scheme],
         seed: u64,
         shard: ShardSpec,
         evaluate: F,
     ) -> Result<(ShardSamples, ShardStats), RunError<E>>
     where
-        S: MitigationScheme + Sync,
         F: Fn(&FaultMap, &mut [f64]) -> Result<(), E> + Sync,
         E: Send,
     {
@@ -594,7 +587,7 @@ impl Campaign {
             seed,
             shard,
             evaluate,
-            None::<fn(&S, &DieBlock<'_>, &mut [f64])>,
+            None::<fn(&Scheme, &DieBlock<'_>, &mut [f64])>,
         )
     }
 
@@ -614,18 +607,17 @@ impl Campaign {
     /// # Errors
     ///
     /// Same contract as [`Campaign::run_shard`].
-    pub fn run_shard_blocks<S, F, G, E>(
+    pub fn run_shard_blocks<F, G, E>(
         &self,
-        schemes: &[S],
+        schemes: &[Scheme],
         seed: u64,
         shard: ShardSpec,
         evaluate: F,
         evaluate_block: G,
     ) -> Result<(ShardSamples, ShardStats), RunError<E>>
     where
-        S: MitigationScheme + Sync,
         F: Fn(&FaultMap, &mut [f64]) -> Result<(), E> + Sync,
-        G: Fn(&S, &DieBlock<'_>, &mut [f64]) + Sync,
+        G: Fn(&Scheme, &DieBlock<'_>, &mut [f64]) + Sync,
         E: Send,
     {
         self.run_chunks(schemes, seed, shard, evaluate, Some(evaluate_block))
@@ -634,18 +626,17 @@ impl Campaign {
     /// The one body behind both runners: plan, seeding, chunk ownership,
     /// recorder propagation and per-stage timing. Without a block evaluator
     /// every die takes the per-die path.
-    fn run_chunks<S, F, G, E>(
+    fn run_chunks<F, G, E>(
         &self,
-        schemes: &[S],
+        schemes: &[Scheme],
         seed: u64,
         shard: ShardSpec,
         evaluate: F,
         evaluate_block: Option<G>,
     ) -> Result<(ShardSamples, ShardStats), RunError<E>>
     where
-        S: MitigationScheme + Sync,
         F: Fn(&FaultMap, &mut [f64]) -> Result<(), E> + Sync,
-        G: Fn(&S, &DieBlock<'_>, &mut [f64]) + Sync,
+        G: Fn(&Scheme, &DieBlock<'_>, &mut [f64]) + Sync,
         E: Send,
     {
         // The calling thread's recorder (if any) is re-installed on every
@@ -826,7 +817,6 @@ fn build_plan(max_failures: u64, samples_per_count: usize) -> Vec<PlannedSample>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultmit_core::Scheme;
 
     /// Shard runs with their chunk buffers joined and, for several shards,
     /// their dies and metrics concatenated in shard order: the view that
@@ -1196,6 +1186,27 @@ mod tests {
                 assert_eq!(next, chunk_count);
             }
         }
+        // The most shards a spec can name: shard `i` of `K` still starts at
+        // `floor(i·c/K)`. With `K = 2^64 − 1`, `i·c/K` is `c/K` at `i = 1`,
+        // `c/2 ∓ c/2K` at `i = K/2 = 2^63 − 1` and `i + 1 = 2^63`, and
+        // `c − c/K` at `i = K − 1`, so for `0 < c < K` the floors are 0,
+        // `⌈c/2⌉ − 1`, `⌊c/2⌋` and `c − 1`; for `c = K` each is `i`.
+        #[cfg(target_pointer_width = "64")]
+        {
+            let k = usize::MAX;
+            let range =
+                |index: usize, chunks: usize| ShardSpec::new(index, k).unwrap().chunk_range(chunks);
+            for c in [1usize, 2, 3, 5, 37, 1 << 40, usize::MAX - 1] {
+                assert_eq!(range(0, c), 0..0, "{c} chunks");
+                assert_eq!(range(k / 2, c), c.div_ceil(2) - 1..c / 2, "{c} chunks");
+                assert_eq!(range(k - 1, c), c - 1..c, "{c} chunks");
+            }
+            assert_eq!(range(0, 0), 0..0);
+            assert_eq!(range(k - 1, 0), 0..0);
+            assert_eq!(range(0, k), 0..1);
+            assert_eq!(range(k / 2, k), k / 2..k / 2 + 1);
+            assert_eq!(range(k - 1, k), k - 1..k);
+        }
     }
 
     #[test]
@@ -1222,7 +1233,6 @@ mod tests {
         let campaign = Campaign::new(config());
         let total = campaign.shard_sample_range(ShardSpec::solo()).unwrap();
         assert_eq!(total, 0..60);
-        assert_eq!(campaign.chunk_count().unwrap(), 15);
         for shard_count in [2usize, 3, 7, 100] {
             let mut next = 0;
             for index in 0..shard_count {

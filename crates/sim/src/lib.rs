@@ -8,9 +8,9 @@
 //!   its RNG from the campaign seed and its global sample index
 //!   ([`faultmit_memsim::StreamSeeder`]), never from execution order.
 //! * **Paired scheme comparison** — each sampled die is evaluated under
-//!   *every* scheme of the catalogue in one pass, so schemes are compared on
-//!   identical fault populations (the protocol stressed by
-//!   heterogeneous-reliability-memory studies).
+//!   *every* scheme of the catalogue (a slice of `faultmit_core::Scheme`)
+//!   in one pass, so schemes are compared on identical fault populations
+//!   (the protocol stressed by heterogeneous-reliability-memory studies).
 //! * **Samples as data** — worker threads return each chunk's metrics as a
 //!   flat buffer, and a shard returns its dies in plan order with those
 //!   buffers ([`ShardSamples`]), whatever the worker count; the caller folds
@@ -24,7 +24,7 @@
 //! retention or MLC NVM.
 //!
 //! ```
-//! use faultmit_core::{MitigationScheme, Scheme};
+//! use faultmit_core::Scheme;
 //! use faultmit_memsim::MemoryConfig;
 //! use faultmit_sim::{Campaign, CampaignConfig, Parallelism, ShardSpec};
 //! use std::convert::Infallible;

@@ -12,7 +12,7 @@
 
 use faultmit::analysis::report::Table;
 use faultmit::apps::{Benchmark, QualityEvaluator};
-use faultmit::core::{MitigationScheme, Scheme};
+use faultmit::core::Scheme;
 use faultmit::memsim::{Backend, SramVddBackend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -8,7 +8,7 @@
 //! ```
 
 use faultmit::analysis::memory_mse;
-use faultmit::core::{MitigationScheme, Scheme, SegmentGeometry, ShuffledMemory};
+use faultmit::core::{Scheme, SegmentGeometry, ShuffledMemory};
 use faultmit::memsim::{Fault, FaultMap, MarchBist, MemoryConfig, SramArray};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

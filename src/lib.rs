@@ -17,7 +17,7 @@
 //! | [`obs`] | allocation-free observability: typed counters, fixed-bucket histograms, pipeline-stage spans and deterministic [`obs::MetricsSnapshot`]s |
 //! | [`memsim`] | SRAM functional model, fault maps, `P_cell(V_DD)` model, BIST, Monte-Carlo die sampling, stream-split seeding, and the [`memsim::backend`] fault-technology layer (SRAM voltage scaling, DRAM retention, MLC NVM) |
 //! | [`ecc`] | Hamming SECDED (H(39,32), H(22,16)) and priority-ECC baselines |
-//! | [`core`] | segment geometry, FM-LUT, barrel shifter, [`ShuffledMemory`], the [`Scheme`] catalogue |
+//! | [`core`] | segment geometry, FM-LUT, barrel shifter, [`ShuffledMemory`], and [`Scheme`], the one closed type over every protection scheme (no protection, SECDED, P-ECC, bit-shuffling and the ablation's naive shuffle) |
 //! | [`sim`] | the parallel fault-injection pipeline: deterministic per-sample RNG streams, paired scheme evaluation, shard samples returned as data, campaigns on every memory technology |
 //! | [`analysis`] | MSE quality model (Eq. 6), yield criterion (Eq. 3–5), pipeline-backed Monte-Carlo engine, the mergeable per-stratum accumulator, weighted CDFs |
 //! | [`hwmodel`] | analytical 28 nm read-power / delay / area overhead model (Fig. 6) |
@@ -27,7 +27,8 @@
 //! the ablations, the Fig. 8 backend matrix) runs through one engine,
 //! [`sim::Campaign`]: each sampled die derives its RNG from the campaign
 //! seed and its global sample index, every protection scheme is scored on
-//! the *same* die (paired comparison), and a shard's dies come back in plan
+//! the *same* die (paired comparison; a catalogue is a slice of
+//! [`Scheme`]s), and a shard's dies come back in plan
 //! order whatever the worker count — so campaigns are bit-identical whether
 //! they run on one worker thread or many. The dies come from a
 //! [`memsim::Backend`], one variant per memory technology: SRAM voltage
@@ -68,7 +69,7 @@ pub use faultmit_memsim as memsim;
 pub use faultmit_obs as obs;
 pub use faultmit_sim as sim;
 
-pub use faultmit_core::{MitigationScheme, Scheme, SegmentGeometry, ShuffledMemory};
+pub use faultmit_core::{Scheme, SegmentGeometry, ShuffledMemory};
 pub use faultmit_memsim::{Fault, FaultKind, FaultMap, MemoryConfig, SramArray};
 
 #[cfg(test)]
@@ -76,7 +77,7 @@ mod tests {
     #[test]
     fn re_exports_are_wired() {
         let scheme = crate::Scheme::secded32();
-        assert_eq!(crate::core::MitigationScheme::word_bits(&scheme), 32);
+        assert_eq!(crate::core::Scheme::word_bits(&scheme), 32);
         let config = crate::MemoryConfig::paper_16kb();
         assert_eq!(config.total_cells(), 131_072);
     }

@@ -1,15 +1,15 @@
 //! Helpers shared by the integration suites.
 
-use faultmit::core::MitigationScheme;
+use faultmit::core::Scheme;
 use faultmit::memsim::{FaultMap, PlannedSample};
 use faultmit::sim::{Campaign, ShardSamples, ShardSpec};
 use std::convert::Infallible;
 
 /// Adapts a per-scheme metric to the campaign's per-die catalogue
 /// evaluator: `metrics[s]` becomes `metric(&schemes[s], map)`.
-pub fn per_scheme<'a, S: Sync>(
-    schemes: &'a [S],
-    metric: impl Fn(&S, &FaultMap) -> f64 + Sync + 'a,
+pub fn per_scheme<'a>(
+    schemes: &'a [Scheme],
+    metric: impl Fn(&Scheme, &FaultMap) -> f64 + Sync + 'a,
 ) -> impl Fn(&FaultMap, &mut [f64]) + Sync + 'a {
     move |map, metrics| {
         for (slot, scheme) in metrics.iter_mut().zip(schemes) {
@@ -52,9 +52,9 @@ impl Joined {
 /// Runs campaigns with an infallible per-die evaluator.
 pub trait Samples {
     /// The samples of one shard of the campaign.
-    fn samples<S: MitigationScheme + Sync>(
+    fn samples(
         &self,
-        schemes: &[S],
+        schemes: &[Scheme],
         seed: u64,
         shard: ShardSpec,
         evaluate: impl Fn(&FaultMap, &mut [f64]) + Sync,
@@ -62,9 +62,9 @@ pub trait Samples {
 }
 
 impl Samples for Campaign {
-    fn samples<S: MitigationScheme + Sync>(
+    fn samples(
         &self,
-        schemes: &[S],
+        schemes: &[Scheme],
         seed: u64,
         shard: ShardSpec,
         evaluate: impl Fn(&FaultMap, &mut [f64]) + Sync,

@@ -8,7 +8,7 @@
 mod strata;
 
 use faultmit::analysis::{memory_mse, memory_mse_for_data, MonteCarloEngine};
-use faultmit::core::{MitigationScheme, Scheme};
+use faultmit::core::Scheme;
 use faultmit::memsim::{Backend, BackendKind, FaultKindLaw, ImageSpec, MemoryConfig, StreamSeeder};
 use faultmit::sim::CampaignConfig;
 use strata::assert_same_strata;

@@ -3,7 +3,7 @@
 //! on identical dies.
 
 use faultmit::analysis::{memory_mse, MonteCarloEngine};
-use faultmit::core::{MitigationScheme, Scheme, SegmentGeometry, ShuffledMemory};
+use faultmit::core::{Scheme, SegmentGeometry, ShuffledMemory};
 use faultmit::ecc::{DecodeOutcome, EccMemory, PeccMemory};
 use faultmit::memsim::{
     Backend, Fault, FaultMap, MarchBist, MemoryConfig, SramArray, SramVddBackend,

@@ -4,7 +4,7 @@
 //! for stuck-at as well as bit-flip cell behaviour.
 
 use faultmit::analysis::memory_mse;
-use faultmit::core::{MitigationScheme, Scheme, SegmentGeometry, ShuffledMemory};
+use faultmit::core::{Scheme, SegmentGeometry, ShuffledMemory};
 use faultmit::memsim::{Backend, FaultKindLaw, MemoryConfig, SramVddBackend, VddSweep};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -5,7 +5,8 @@
 //! 64-die `DieBlock` lanes with a per-die tail) must be
 //! **bit-identical** to the dense `observe`-based evaluators (`memory_mse`,
 //! `memory_mse_for_data`) on every backend, image, and fault-kind law,
-//! including dies with multi-fault rows; the campaign's reusable arenas —
+//! including dies with multi-fault rows and the shift ablation's naive vote
+//! (`Scheme::NaiveShuffle`); the campaign's reusable arenas —
 //! per-die and transposed alike — must reach zero steady-state heap
 //! traffic.
 
@@ -13,7 +14,7 @@ mod common;
 
 use common::{per_scheme, Joined, Samples};
 use faultmit::analysis::{block_mse_into, memory_mse, memory_mse_for_data, CatalogueMse};
-use faultmit::core::Scheme;
+use faultmit::core::{Scheme, SegmentGeometry};
 use faultmit::memsim::{
     Backend, BackendKind, BlockScratch, DieBlock, DieScratch, FaultKindLaw, FaultMap, ImageSpec,
     MemoryConfig, PlannedSample, StreamSeeder, BLOCK_DIES,
@@ -51,6 +52,14 @@ fn images() -> Vec<ImageSpec> {
         ImageSpec::UniformRandom { seed: 3 },
         ImageSpec::Sparse { seed: 3 },
     ]
+}
+
+/// `schemes` plus the shift ablation's naive vote at each of its `n_FM`.
+fn with_naive_votes(mut schemes: Vec<Scheme>) -> Vec<Scheme> {
+    schemes.extend(
+        [1, 2, 3, 5].map(|n_fm| Scheme::NaiveShuffle(SegmentGeometry::new(32, n_fm).unwrap())),
+    );
+    schemes
 }
 
 fn campaign_config(backend: Backend) -> CampaignConfig {
@@ -161,7 +170,7 @@ fn zeros_background_kernels_agree_under_every_map_policy() {
 #[test]
 fn catalogue_walk_is_bit_identical_on_multi_fault_dies() {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    let mut schemes = Scheme::fig5_catalogue();
+    let mut schemes = with_naive_votes(Scheme::fig5_catalogue());
     schemes.push(Scheme::secded32());
     let memory = MemoryConfig::new(24, 32).unwrap();
     let walk = CatalogueMse::new(&schemes, memory.word_bits());
@@ -315,7 +324,7 @@ fn assert_kernels_agree(
 /// ECC point, where every die holds one fault per four cells.
 #[test]
 fn bitsliced_kernel_is_bit_identical_across_a_randomized_sweep() {
-    let schemes = Scheme::fig5_catalogue();
+    let schemes = with_naive_votes(Scheme::fig5_catalogue());
     let mut sweep = SweepRng(SEED | 1);
     for kind in BackendKind::ALL {
         for law in kind_laws() {
@@ -389,13 +398,17 @@ fn die_generation_reaches_zero_allocation_steady_state() {
         // Warm-up: let every buffer grow to the campaign's peak demand.
         for sample in 0..8u64 {
             let mut rng = seeder.rng_for_sample(sample);
-            scratch.generate(&backend, &mut rng, 48).unwrap();
+            scratch
+                .generate_with_policy(&backend, &mut rng, 48, MapPolicy::Unrestricted)
+                .unwrap();
         }
         let after_warmup = scratch.realloc_events();
         for sample in 8..308u64 {
             let mut rng = seeder.rng_for_sample(sample);
             let n = 1 + (sample as usize * 7) % 48;
-            scratch.generate(&backend, &mut rng, n).unwrap();
+            scratch
+                .generate_with_policy(&backend, &mut rng, n, MapPolicy::Unrestricted)
+                .unwrap();
         }
         assert_eq!(
             scratch.realloc_events(),

@@ -39,6 +39,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_code)]
 
 pub mod accumulate;
 pub mod cdf;

@@ -58,6 +58,18 @@ impl StoredMatrix {
     pub fn clean(&self) -> &Matrix {
         &self.clean
     }
+
+    /// The clean read-back with the given words ([`FaultyStore::changed_words`])
+    /// decoded in place.
+    #[must_use]
+    pub fn patched(&self, changed: &[(usize, u64)]) -> Matrix {
+        let mut patched = self.clean.clone();
+        let data = patched.as_mut_slice();
+        for &(index, word) in changed {
+            data[index] = self.format.decode(word);
+        }
+        patched
+    }
 }
 
 /// Stores values through a protection scheme backed by a faulty memory.
@@ -159,21 +171,32 @@ impl<'a> FaultyStore<'a> {
     /// Panics when `stored` was quantised with a different format.
     #[must_use]
     pub fn read_back(&self, stored: &StoredMatrix) -> Option<Matrix> {
+        let changed = self.changed_words(stored);
+        (!changed.is_empty()).then(|| stored.patched(&changed))
+    }
+
+    /// The words of `stored` that read back changed, as (element index,
+    /// word read back), row by fault-bearing row: two read-backs are the
+    /// same matrix exactly when these lists are equal.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `stored` was quantised with a different format.
+    #[must_use]
+    pub fn changed_words(&self, stored: &StoredMatrix) -> Vec<(usize, u64)> {
         assert_eq!(stored.format, self.format, "stored with another format");
         let rows = self.faults.config().rows();
-        let mut patched: Option<Matrix> = None;
+        let mut changed = Vec::new();
         for (row, row_faults) in self.faults.rows_with_faults() {
             for index in (row..stored.words.len()).step_by(rows) {
                 let written = stored.words[index];
                 let observed = self.scheme.observe_sparse(row_faults, written);
                 if observed.value != written {
-                    patched
-                        .get_or_insert_with(|| stored.clean.clone())
-                        .as_mut_slice()[index] = self.format.decode(observed.value);
+                    changed.push((index, observed.value));
                 }
             }
         }
-        patched
+        changed
     }
 }
 

@@ -48,6 +48,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_code)]
 
 pub mod datasets;
 pub mod elasticnet;

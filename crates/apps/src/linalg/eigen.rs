@@ -4,6 +4,12 @@
 //! cyclic Jacobi method is simple, numerically robust for the small feature
 //! dimensionalities of the paper's datasets (≤ 500), and requires no external
 //! dependencies.
+//!
+//! The sweeps are most of a PCA fit, so their loop is compiled twice: as
+//! plain Rust and, on x86-64, for AVX2, which [`jacobi_eigen`] picks at run
+//! time when the CPU has it. Only element-wise loops get wider (no fused
+//! multiply-add, no reassociated sum), so both copies round every operation
+//! alike and return the same bits.
 
 use crate::error::AppError;
 use crate::linalg::matrix::Matrix;
@@ -42,6 +48,48 @@ pub struct EigenDecomposition {
 /// # }
 /// ```
 pub fn jacobi_eigen(matrix: &Matrix, max_sweeps: usize) -> Result<EigenDecomposition, AppError> {
+    eigen_with(matrix, max_sweeps, dispatched_sweeps)
+}
+
+/// The sweep loop a [`jacobi_eigen`] call runs: the AVX2 copy when the CPU
+/// has AVX2, the plain one otherwise.
+fn dispatched_sweeps(
+    a: &mut [f64],
+    vt: &mut [f64],
+    n: usize,
+    tolerance: f64,
+    max_sweeps: usize,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `jacobi_sweeps_avx2` needs AVX2, and
+        // `is_x86_feature_detected!` just found it on the running CPU.
+        #[allow(unsafe_code)]
+        return unsafe { jacobi_sweeps_avx2(a, vt, n, tolerance, max_sweeps) };
+    }
+    jacobi_sweeps(a, vt, n, tolerance, max_sweeps)
+}
+
+/// [`jacobi_sweeps`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn jacobi_sweeps_avx2(
+    a: &mut [f64],
+    vt: &mut [f64],
+    n: usize,
+    tolerance: f64,
+    max_sweeps: usize,
+) -> bool {
+    jacobi_sweeps(a, vt, n, tolerance, max_sweeps)
+}
+
+/// Validates `matrix`, runs `sweeps` on it and orders the eigenpairs:
+/// [`jacobi_eigen`] with the sweep loop given.
+fn eigen_with(
+    matrix: &Matrix,
+    max_sweeps: usize,
+    sweeps: fn(&mut [f64], &mut [f64], usize, f64, usize) -> bool,
+) -> Result<EigenDecomposition, AppError> {
     let n = matrix.rows();
     if matrix.cols() != n {
         return Err(AppError::DimensionMismatch {
@@ -68,36 +116,10 @@ pub fn jacobi_eigen(matrix: &Matrix, max_sweeps: usize) -> Result<EigenDecomposi
     // q of V, which are the contiguous rows p and q of Vᵀ.
     let mut vt = Matrix::identity(n);
     let tolerance = 1e-12 * scale;
-
-    for _sweep in 0..max_sweeps {
-        if off_diagonal_norm(&a) < tolerance {
-            return Ok(sort_descending(a, vt, n));
-        }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = a.get(p, q);
-                if apq.abs() < tolerance / (n as f64) {
-                    continue;
-                }
-                let app = a.get(p, p);
-                let aqq = a.get(q, q);
-                let theta = 0.5 * (aqq - app) / apq;
-                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
-                let c = 1.0 / (t * t + 1.0).sqrt();
-                let s = t * c;
-
-                // A = Jᵀ·A·J: columns p and q first, then rows p and q of
-                // the updated matrix; V accumulates the column rotations,
-                // element for element as rows of Vᵀ.
-                rotate_columns(a.as_mut_slice(), n, p, q, c, s);
-                rotate_rows(a.as_mut_slice(), n, p, q, c, s);
-                rotate_rows(vt.as_mut_slice(), n, p, q, c, s);
-            }
-        }
-    }
-
-    // Final convergence check after the sweep budget.
-    if off_diagonal_norm(&a) < tolerance.max(1e-9 * scale) {
+    let converged = sweeps(a.as_mut_slice(), vt.as_mut_slice(), n, tolerance, max_sweeps)
+        // Final convergence check after the sweep budget.
+        || off_diagonal_norm(a.as_slice(), n) < tolerance.max(1e-9 * scale);
+    if converged {
         Ok(sort_descending(a, vt, n))
     } else {
         Err(AppError::DidNotConverge {
@@ -107,12 +129,52 @@ pub fn jacobi_eigen(matrix: &Matrix, max_sweeps: usize) -> Result<EigenDecomposi
     }
 }
 
-/// Frobenius norm of the strict upper triangle of a square matrix, summed
-/// row by row.
-fn off_diagonal_norm(a: &Matrix) -> f64 {
+/// Runs up to `max_sweeps` cyclic sweeps on the row-major `n × n` matrix
+/// `a`, accumulating the rotations into `vt` (Vᵀ); `true` once a sweep
+/// starts with the off-diagonal norm below `tolerance`.
+#[inline(always)]
+fn jacobi_sweeps(
+    a: &mut [f64],
+    vt: &mut [f64],
+    n: usize,
+    tolerance: f64,
+    max_sweeps: usize,
+) -> bool {
+    for _sweep in 0..max_sweeps {
+        if off_diagonal_norm(a, n) < tolerance {
+            return true;
+        }
+        for p in 0..n {
+            for q in (p + 1)..n {
+                let apq = a[p * n + q];
+                if apq.abs() < tolerance / (n as f64) {
+                    continue;
+                }
+                let app = a[p * n + p];
+                let aqq = a[q * n + q];
+                let theta = 0.5 * (aqq - app) / apq;
+                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
+                let c = 1.0 / (t * t + 1.0).sqrt();
+                let s = t * c;
+
+                // A = Jᵀ·A·J: columns p and q first, then rows p and q of
+                // the updated matrix; V accumulates the column rotations,
+                // element for element as rows of Vᵀ.
+                rotate_columns(a, n, p, q, c, s);
+                rotate_rows(a, n, p, q, c, s);
+                rotate_rows(vt, n, p, q, c, s);
+            }
+        }
+    }
+    false
+}
+
+/// Frobenius norm of the strict upper triangle of a row-major `n × n`
+/// matrix, summed row by row.
+#[inline(always)]
+fn off_diagonal_norm(a: &[f64], n: usize) -> f64 {
     // `max(1)` keeps the chunk size valid for the empty 0×0 matrix.
-    a.as_slice()
-        .chunks_exact(a.cols().max(1))
+    a.chunks_exact(n.max(1))
         .enumerate()
         .flat_map(|(i, row)| &row[i + 1..])
         .map(|x| x.powi(2))
@@ -122,6 +184,7 @@ fn off_diagonal_norm(a: &Matrix) -> f64 {
 
 /// Rotates columns `p` and `q` of a row-major `n`-column matrix by the
 /// Jacobi rotation `(c, s)`.
+#[inline(always)]
 fn rotate_columns(data: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
     for row in data.chunks_exact_mut(n) {
         let (xp, xq) = (row[p], row[q]);
@@ -132,6 +195,7 @@ fn rotate_columns(data: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64
 
 /// Rotates rows `p < q` of a row-major `n`-column matrix by the Jacobi
 /// rotation `(c, s)`.
+#[inline(always)]
 fn rotate_rows(data: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
     let (head, tail) = data.split_at_mut(q * n);
     let row_p = &mut head[p * n..(p + 1) * n];
@@ -164,6 +228,51 @@ fn sort_descending(a: Matrix, vt: Matrix, n: usize) -> EigenDecomposition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::test_inputs::{fig7_pca_training_matrix, random_matrix};
+
+    /// Holds [`jacobi_eigen`] (the AVX2 copy on a CPU that has it) to the
+    /// sweep body called directly, which this call site compiles without
+    /// AVX2: the same values and vectors bit for bit, or the same error.
+    fn assert_dispatch_matches_body(m: &Matrix, max_sweeps: usize) {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        match (
+            jacobi_eigen(m, max_sweeps),
+            eigen_with(m, max_sweeps, jacobi_sweeps),
+        ) {
+            (Ok(dispatched), Ok(body)) => {
+                assert_eq!(bits(&dispatched.values), bits(&body.values));
+                assert_eq!(
+                    bits(dispatched.vectors.as_slice()),
+                    bits(body.vectors.as_slice())
+                );
+            }
+            (dispatched, body) => assert_eq!(dispatched, body),
+        }
+    }
+
+    #[test]
+    fn dispatched_sweeps_are_bit_identical_to_the_body() {
+        assert_dispatch_matches_body(&Matrix::zeros(0, 0), 200);
+        assert_dispatch_matches_body(&Matrix::from_rows(&[vec![3.5]]).unwrap(), 200);
+        let mut diagonal = Matrix::zeros(7, 7);
+        for i in 0..7 {
+            diagonal.set(i, i, (i * i) as f64 - 4.0);
+        }
+        assert_dispatch_matches_body(&diagonal, 200);
+        let covariance = fig7_pca_training_matrix().covariance().unwrap();
+        assert_eq!((covariance.rows(), covariance.cols()), (40, 40));
+        assert_dispatch_matches_body(&covariance, 200);
+        // Odd sizes leave a tail after every vector width.
+        for n in (3..=41).step_by(2) {
+            let m = random_matrix(n, n, n as u64);
+            let symmetric = m.matmul(&m.transpose()).unwrap();
+            assert_dispatch_matches_body(&symmetric, 200);
+        }
+        // A zero budget takes the `DidNotConverge` path.
+        let budgetless = jacobi_eigen(&covariance, 0);
+        assert!(matches!(budgetless, Err(AppError::DidNotConverge { .. })));
+        assert_dispatch_matches_body(&covariance, 0);
+    }
 
     #[test]
     fn diagonal_matrix_returns_sorted_diagonal() {

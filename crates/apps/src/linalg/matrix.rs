@@ -182,14 +182,19 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, other.cols);
+        let width = other.cols;
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
+            let out_row = &mut out.data[i * width..(i + 1) * width];
+            for (k, &a) in self.data[i * self.cols..(i + 1) * self.cols]
+                .iter()
+                .enumerate()
+            {
                 if a == 0.0 {
                     continue;
                 }
-                for j in 0..other.cols {
-                    out.data[i * other.cols + j] += a * other.get(k, j);
+                let other_row = &other.data[k * width..(k + 1) * width];
+                for (out, &b) in out_row.iter_mut().zip(other_row) {
+                    *out += a * b;
                 }
             }
         }
@@ -260,31 +265,27 @@ impl Matrix {
     }
 
     /// [`Matrix::covariance`] about the already computed
-    /// [`Matrix::column_means`].
+    /// [`Matrix::column_means`]. Its rank-1 loop is compiled twice, like
+    /// the Jacobi sweeps ([`crate::linalg::eigen`]): as plain Rust and, on
+    /// x86-64, for AVX2, picked at run time, with the same bits.
     pub(crate) fn covariance_about(&self, means: &[f64]) -> Result<Matrix, AppError> {
+        self.covariance_with(means, dispatched_rank1_updates)
+    }
+
+    /// [`Matrix::covariance_about`] with the rank-1 loop given.
+    fn covariance_with(
+        &self,
+        means: &[f64],
+        rank1_updates: fn(&[f64], usize, &[f64], &mut [f64]),
+    ) -> Result<Matrix, AppError> {
         if self.rows == 0 {
             return Err(AppError::DimensionMismatch {
                 reason: "covariance of an empty matrix".to_owned(),
             });
         }
-        // Accumulate the upper triangle one centred row at a time (a rank-1
-        // update per row): entry (i, j) still sums its products in row order
-        // from 0.0, and the inner loop runs over contiguous `j`.
         let n = self.cols;
-        let mut centred = vec![0.0; n];
         let mut cov = Matrix::zeros(n, n);
-        for r in 0..self.rows {
-            let row = &self.data[r * n..(r + 1) * n];
-            for ((c, x), mean) in centred.iter_mut().zip(row).zip(means) {
-                *c = x - mean;
-            }
-            for (i, &xi) in centred.iter().enumerate() {
-                let acc = &mut cov.data[i * n + i..(i + 1) * n];
-                for (acc, &xj) in acc.iter_mut().zip(&centred[i..]) {
-                    *acc += xi * xj;
-                }
-            }
-        }
+        rank1_updates(&self.data, n, means, &mut cov.data);
         let rows = self.rows as f64;
         for i in 0..n {
             for j in i..n {
@@ -331,9 +332,76 @@ impl Matrix {
     }
 }
 
+/// The rank-1 loop a [`Matrix::covariance_about`] call runs: the AVX2
+/// copy when the CPU has AVX2, the plain one otherwise.
+fn dispatched_rank1_updates(data: &[f64], n: usize, means: &[f64], upper: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `rank1_updates_avx2` needs AVX2, and
+        // `is_x86_feature_detected!` just found it on the running CPU.
+        #[allow(unsafe_code)]
+        return unsafe { rank1_updates_avx2(data, n, means, upper) };
+    }
+    rank1_updates(data, n, means, upper);
+}
+
+/// [`rank1_updates`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn rank1_updates_avx2(data: &[f64], n: usize, means: &[f64], upper: &mut [f64]) {
+    rank1_updates(data, n, means, upper);
+}
+
+/// Adds the outer product of every centred row of the row-major `n`-column
+/// `data` to the upper triangle of the zeroed `n × n` matrix `upper`, one
+/// row at a time: entry (i, j) sums its products in row order from 0.0, and
+/// the inner loop runs over contiguous `j`.
+#[inline(always)]
+fn rank1_updates(data: &[f64], n: usize, means: &[f64], upper: &mut [f64]) {
+    let mut centred = vec![0.0; n];
+    for row in data.chunks_exact(n.max(1)) {
+        for ((c, x), mean) in centred.iter_mut().zip(row).zip(means) {
+            *c = x - mean;
+        }
+        for (i, &xi) in centred.iter().enumerate() {
+            let acc = &mut upper[i * n + i..(i + 1) * n];
+            for (acc, &xj) in acc.iter_mut().zip(&centred[i..]) {
+                *acc += xi * xj;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::test_inputs::{fig7_pca_training_matrix, random_matrix};
+
+    /// Holds [`Matrix::covariance`] (the AVX2 copy on a CPU that has it) to
+    /// the rank-1 body called directly, which this call site compiles
+    /// without AVX2: the same bits, or the same error.
+    fn assert_dispatch_matches_body(m: &Matrix) {
+        let body = m.covariance_with(&m.column_means(), rank1_updates);
+        match (m.covariance(), body) {
+            (Ok(dispatched), Ok(body)) => {
+                let bits =
+                    |c: &Matrix| c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&dispatched), bits(&body));
+            }
+            (dispatched, body) => assert_eq!(dispatched, body),
+        }
+    }
+
+    #[test]
+    fn dispatched_rank1_updates_are_bit_identical_to_the_body() {
+        assert_dispatch_matches_body(&Matrix::zeros(0, 0));
+        assert_dispatch_matches_body(&Matrix::from_rows(&[vec![3.5]]).unwrap());
+        assert_dispatch_matches_body(&fig7_pca_training_matrix());
+        // Odd widths leave a tail after every vector width.
+        for cols in (3..=41).step_by(2) {
+            assert_dispatch_matches_body(&random_matrix(2 * cols + 1, cols, cols as u64));
+        }
+    }
 
     fn sample() -> Matrix {
         Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap()

@@ -19,8 +19,11 @@
 //! [`QualityEvaluator::quality_with_fault_map`] alike, therefore prepares
 //! the benchmark once (dataset, split, standardised partitions, storage
 //! words, baseline); each (die, scheme) evaluation reads back just the
-//! die's fault-bearing rows ([`FaultyStore::read_back`]) and refits only
-//! when a word changed.
+//! die's fault-bearing rows ([`FaultyStore::changed_words`]), and a die
+//! refits once per distinct read-back: a scheme that changes no word
+//! scores the baseline, and schemes whose changed words are equal (say,
+//! no correction, P-ECC and the shuffles on a lone fault in the low
+//! columns) share one fit.
 //!
 //! A refit does only the work its read-back needs, with the same bytes as
 //! a fresh fit:
@@ -33,7 +36,8 @@
 //! * PCA fits from scratch, but its covariance accumulates row-major
 //!   rank-1 updates and its Jacobi solver rotates the transposed
 //!   eigenvector matrix row-wise ([`crate::linalg`]): those inner loops run
-//!   over contiguous memory, in the original operation order.
+//!   over contiguous memory, in the original operation order, and at AVX2
+//!   width on a CPU that has it.
 //! * Elastic net fits from scratch.
 
 use crate::datasets::{HarDataset, MadelonDataset, WineQualityDataset};
@@ -234,7 +238,10 @@ impl QualityEvaluator {
         scheme: &Scheme,
         faults: &FaultMap,
     ) -> Result<f64, AppError> {
-        self.prepare()?.quality(scheme, faults)
+        let mut quality = [0.0];
+        self.prepare()?
+            .qualities(std::slice::from_ref(scheme), faults, &mut quality)?;
+        Ok(quality[0])
     }
 
     /// Runs one shard of the paired Fig. 7 campaign over a whole scheme
@@ -293,9 +300,9 @@ impl QualityEvaluator {
 
         let (samples, stats) =
             Campaign::new(config).run_shard(schemes, seed, shard, |faults, metrics| {
-                for (metric, scheme) in metrics.iter_mut().zip(schemes) {
-                    let quality = prepared.quality(scheme, faults)?;
-                    *metric = normalized_quality(quality, baseline);
+                prepared.qualities(schemes, faults, metrics)?;
+                for metric in metrics.iter_mut() {
+                    *metric = normalized_quality(*metric, baseline);
                 }
                 Ok::<(), AppError>(())
             })?;
@@ -428,14 +435,60 @@ struct PreparedBenchmark {
 }
 
 impl PreparedBenchmark {
-    /// Raw quality when the training data passes through `faults` under
-    /// `scheme`. A read-back that changes no word is the baseline's input
-    /// bit for bit, so it scores the baseline without a refit.
-    fn quality(&self, scheme: &Scheme, faults: &FaultMap) -> Result<f64, AppError> {
-        match FaultyStore::new(scheme, faults, FixedPointFormat::q15_16())?.read_back(&self.train) {
-            Some(train) => self.model.fit_and_score(&train),
-            None => Ok(self.baseline),
+    /// Writes `qualities[s]`, the raw quality when the training data passes
+    /// through `faults` under `schemes[s]`, for every scheme. A read-back
+    /// that changes no word is the baseline's input bit for bit, so it
+    /// scores the baseline without a refit; every other distinct read-back
+    /// is fitted once, and the schemes that share it share its score.
+    fn qualities(
+        &self,
+        schemes: &[Scheme],
+        faults: &FaultMap,
+        qualities: &mut [f64],
+    ) -> Result<(), AppError> {
+        let read_backs = DieReadBacks::new(&self.train, schemes, faults)?;
+        let mut scores = Vec::with_capacity(read_backs.distinct.len());
+        for changed in &read_backs.distinct {
+            scores.push(self.model.fit_and_score(&self.train.patched(changed))?);
         }
+        for (quality, of_scheme) in qualities.iter_mut().zip(&read_backs.of_scheme) {
+            *quality = of_scheme.map_or(self.baseline, |k| scores[k]);
+        }
+        Ok(())
+    }
+}
+
+/// The distinct read-backs of one die under a scheme catalogue, each as its
+/// changed words ([`FaultyStore::changed_words`]): equal lists are the same
+/// training matrix bit for bit, so no read-back is kept as a matrix.
+struct DieReadBacks {
+    /// Each distinct non-clean read-back once, in first-scheme order.
+    distinct: Vec<Vec<(usize, u64)>>,
+    /// Per scheme, its read-back's index in `distinct`, or `None` when it
+    /// changes no word.
+    of_scheme: Vec<Option<usize>>,
+}
+
+impl DieReadBacks {
+    fn new(train: &StoredMatrix, schemes: &[Scheme], faults: &FaultMap) -> Result<Self, AppError> {
+        let mut read_backs = DieReadBacks {
+            distinct: Vec::new(),
+            of_scheme: Vec::with_capacity(schemes.len()),
+        };
+        for scheme in schemes {
+            let changed =
+                FaultyStore::new(scheme, faults, FixedPointFormat::q15_16())?.changed_words(train);
+            let index = if changed.is_empty() {
+                None
+            } else if let Some(k) = read_backs.distinct.iter().position(|seen| *seen == changed) {
+                Some(k)
+            } else {
+                read_backs.distinct.push(changed);
+                Some(read_backs.distinct.len() - 1)
+            };
+            read_backs.of_scheme.push(index);
+        }
+        Ok(read_backs)
     }
 }
 
@@ -632,6 +685,39 @@ mod tests {
         let wrong = Backend::at_p_cell(BackendKind::Sram, MemoryConfig::new(64, 32).unwrap(), 1e-3)
             .unwrap();
         assert!(quality_cdfs(&eval, &schemes, &wrong, 3, 2, 19).is_err());
+    }
+
+    #[test]
+    fn a_die_is_fitted_once_per_distinct_read_back() {
+        let eval = evaluator(Benchmark::Pca);
+        let prepared = eval.prepare().unwrap();
+        // No correction, P-ECC, n_FM = 1, n_FM = 2, SECDED.
+        let schemes = Scheme::fig7_catalogue();
+        let lone_flip =
+            |col| FaultMap::from_faults(eval.memory_config(), [Fault::bit_flip(0, col)]).unwrap();
+
+        // Column 3 is in the unprotected low half and in the least
+        // significant segment of both shuffles: the four schemes that
+        // refit read back one matrix, and SECDED corrects the flip.
+        let low = DieReadBacks::new(&prepared.train, &schemes, &lone_flip(3)).unwrap();
+        assert_eq!(low.distinct.len(), 1);
+        assert_eq!(low.of_scheme, [Some(0), Some(0), Some(0), Some(0), None]);
+
+        // P-ECC protects column 20, and both shuffles move it to bit 4.
+        let faults = lone_flip(20);
+        let high = DieReadBacks::new(&prepared.train, &schemes, &faults).unwrap();
+        assert_eq!(high.distinct.len(), 2);
+        assert_eq!(high.of_scheme, [Some(0), None, Some(1), Some(1), None]);
+
+        // The shared fits score what a fit per scheme scores.
+        let mut shared = vec![0.0; schemes.len()];
+        prepared.qualities(&schemes, &faults, &mut shared).unwrap();
+        for (scheme, shared) in schemes.iter().zip(&shared) {
+            let alone = eval.quality_with_fault_map(scheme, &faults).unwrap();
+            assert_eq!(shared.to_bits(), alone.to_bits(), "{}", scheme.name());
+        }
+        assert_eq!(shared[2].to_bits(), shared[3].to_bits());
+        assert_eq!(shared[1].to_bits(), prepared.baseline.to_bits());
     }
 
     #[test]

@@ -52,6 +52,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_code)]
 
 pub mod error;
 pub mod error_magnitude;

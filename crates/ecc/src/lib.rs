@@ -36,6 +36,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_code)]
 
 pub mod code;
 pub mod error;

@@ -53,6 +53,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_code)]
 
 pub mod array;
 pub mod backend;

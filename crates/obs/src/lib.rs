@@ -78,6 +78,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_code)]
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};

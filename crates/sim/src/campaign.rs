@@ -499,20 +499,47 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Propagates errors from building the failure distribution.
+    /// Returns [`SimError::InvalidParameter`] when the campaign's die count
+    /// overflows `usize`, and propagates errors from building the failure
+    /// distribution.
     pub fn shard_sample_range(&self, shard: ShardSpec) -> Result<Range<u64>, SimError> {
         let plan_len = self.plan_len()?;
         let chunks = shard.chunk_range(plan_len.div_ceil(self.config.chunk_size));
-        let start = (chunks.start * self.config.chunk_size).min(plan_len);
-        let end = (chunks.end * self.config.chunk_size).min(plan_len);
+        // The last chunk may end past `usize::MAX` when the plan ends near it.
+        let start = chunks
+            .start
+            .saturating_mul(self.config.chunk_size)
+            .min(plan_len);
+        let end = chunks
+            .end
+            .saturating_mul(self.config.chunk_size)
+            .min(plan_len);
         Ok(start as u64..end as u64)
     }
 
+    /// The number of dies in the global plan: `samples_per_count`, times
+    /// `N_max` unless the failure count is exact.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidParameter`] when the die count overflows
+    /// `usize`, and propagates errors from building the failure
+    /// distribution.
     fn plan_len(&self) -> Result<usize, SimError> {
-        Ok(match self.config.exact_failures {
-            Some(_) => self.config.samples_per_count,
-            None => self.config.effective_max_failures()? as usize * self.config.samples_per_count,
-        })
+        let samples_per_count = self.config.samples_per_count;
+        if self.config.exact_failures.is_some() {
+            return Ok(samples_per_count);
+        }
+        let max_failures = self.config.effective_max_failures()?;
+        usize::try_from(max_failures)
+            .ok()
+            .and_then(|counts| counts.checked_mul(samples_per_count))
+            .ok_or_else(|| SimError::InvalidParameter {
+                reason: format!(
+                    "{max_failures} failure counts of {samples_per_count} samples each \
+                     overflow the plan's die count"
+                ),
+            })
     }
 
     /// The global work list and the per-failure-count sample weights, built
@@ -522,6 +549,7 @@ impl Campaign {
     /// shard of every kernel builds the identical plan.
     fn plan_and_weights(&self) -> Result<(Vec<PlannedSample>, Vec<f64>), SimError> {
         let _plan_span = obs::span(obs::Stage::Plan);
+        let plan_len = self.plan_len()?;
         let distribution = self.config.failure_distribution()?;
         let samples_per_count = self.config.samples_per_count;
         Ok(match self.config.exact_failures {
@@ -538,7 +566,7 @@ impl Campaign {
             }
             None => {
                 let max_failures = self.config.effective_max_failures()?;
-                let plan = build_plan(max_failures, samples_per_count);
+                let plan = build_plan(max_failures, samples_per_count, plan_len);
                 let weights = (0..=max_failures)
                     .map(|n| distribution.pmf(n) / samples_per_count as f64)
                     .collect();
@@ -800,9 +828,10 @@ fn lap(mark: &mut Instant) -> u64 {
 }
 
 /// The campaign's work list: `samples_per_count` samples for every failure
-/// count `1..=max_failures`, with globally unique, dense sample indices.
-fn build_plan(max_failures: u64, samples_per_count: usize) -> Vec<PlannedSample> {
-    let mut plan = Vec::with_capacity(max_failures as usize * samples_per_count);
+/// count `1..=max_failures`, with globally unique, dense sample indices;
+/// `plan_len` is their number, [`Campaign::plan_len`].
+fn build_plan(max_failures: u64, samples_per_count: usize, plan_len: usize) -> Vec<PlannedSample> {
+    let mut plan = Vec::with_capacity(plan_len);
     for n in 1..=max_failures {
         for k in 0..samples_per_count as u64 {
             plan.push(PlannedSample {
@@ -916,7 +945,7 @@ mod tests {
 
     #[test]
     fn plan_indices_are_dense_and_unique() {
-        let plan = build_plan(5, 7);
+        let plan = build_plan(5, 7, 35);
         assert_eq!(plan.len(), 35);
         for (i, sample) in plan.iter().enumerate() {
             assert_eq!(sample.index, i as u64);
@@ -1021,7 +1050,7 @@ mod tests {
                 assert!(metrics.is_empty());
             });
             assert_eq!(result.scheme_count, 0);
-            assert_eq!(result.dies, build_plan(6, 10));
+            assert_eq!(result.dies, build_plan(6, 10, 60));
             assert_eq!(result.chunks.len(), 60usize.div_ceil(chunk_size));
             assert!(result.chunks.iter().all(Vec::is_empty));
         }
@@ -1244,6 +1273,39 @@ mod tests {
             }
             assert_eq!(next, 60);
         }
+    }
+
+    /// A die count past `usize::MAX` is refused before any plan is built,
+    /// by the range query and the runner alike, and a count up to it is
+    /// ranged without wrapping.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn plans_whose_die_count_overflows_are_refused() {
+        let campaign = Campaign::new(
+            config()
+                .with_samples_per_count(1 << 63)
+                .with_max_failures(2),
+        );
+        assert!(matches!(
+            campaign.shard_sample_range(ShardSpec::solo()),
+            Err(SimError::InvalidParameter { .. })
+        ));
+        let evaluate = |_: &FaultMap, _: &mut [f64]| Ok::<(), std::convert::Infallible>(());
+        assert!(matches!(
+            campaign.run_shard(&[Scheme::unprotected32()], 5, ShardSpec::solo(), evaluate),
+            Err(RunError::Sim(SimError::InvalidParameter { .. }))
+        ));
+        // A plan of `usize::MAX` dies fits, but its last chunk of 4 ends
+        // past `usize::MAX`.
+        let campaign = Campaign::new(
+            config()
+                .with_samples_per_count(usize::MAX)
+                .with_max_failures(1),
+        );
+        assert_eq!(
+            campaign.shard_sample_range(ShardSpec::solo()).unwrap(),
+            0..u64::MAX
+        );
     }
 
     #[test]

@@ -121,6 +121,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_code)]
 
 pub mod campaign;
 pub mod error;

@@ -59,6 +59,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_code)]
 
 pub use faultmit_analysis as analysis;
 pub use faultmit_apps as apps;

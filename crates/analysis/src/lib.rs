@@ -53,5 +53,5 @@ pub use accumulate::CatalogueAccumulator;
 pub use cdf::EmpiricalCdf;
 pub use error::AnalysisError;
 pub use mc_engine::{MonteCarloEngine, SchemeMseResult};
-pub use mse::{block_mse_into, memory_mse, memory_mse_for_data, word_squared_error, CatalogueMse};
+pub use mse::{memory_mse, memory_mse_for_data, word_squared_error, CatalogueMse};
 pub use yield_model::{QualityBand, YieldModel};

@@ -14,7 +14,7 @@
 
 use crate::accumulate::CatalogueAccumulator;
 use crate::error::AnalysisError;
-use crate::mse::{block_mse_into, CatalogueMse};
+use crate::mse::CatalogueMse;
 use crate::yield_model::YieldModel;
 use faultmit_core::Scheme;
 use faultmit_memsim::{DieBlock, ImageSpec};
@@ -168,11 +168,11 @@ impl MonteCarloEngine {
 
     /// Dispatches one shard of the paired campaign to the configured
     /// evaluation kernel ([`CampaignConfig::kernel`]), with `written`
-    /// supplying the stored word of every row. The sparse kernel scores
-    /// each die's whole catalogue in one [`CatalogueMse`] walk. Every
-    /// kernel returns the identical per-die squared-error sums in the
-    /// identical order, so the folded accumulator is bit-identical across
-    /// [`KernelKind`] choices.
+    /// supplying the stored word of every row. Both kernels score the whole
+    /// catalogue in one [`CatalogueMse`] walk: the sparse kernel per die,
+    /// the bit-sliced kernel per block of dies. Every kernel returns the
+    /// identical per-die squared-error sums in the identical order, so the
+    /// folded accumulator is bit-identical across [`KernelKind`] choices.
     fn run_kernel<W>(
         &self,
         schemes: &[Scheme],
@@ -201,8 +201,8 @@ impl MonteCarloEngine {
                     seed,
                     shard,
                     evaluate,
-                    |scheme: &Scheme, block: &DieBlock<'_>, out: &mut [f64]| {
-                        block_mse_into(scheme, block, &written, out);
+                    |block: &DieBlock<'_>, metrics: &mut [f64]| {
+                        walk.block_mse_into(block, &written, metrics);
                     },
                 )
             }

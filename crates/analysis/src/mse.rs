@@ -18,21 +18,23 @@
 //!
 //! The dense evaluators ([`memory_mse`], [`memory_mse_for_data`]) read
 //! each row through [`Scheme::observe`], the dense reference the two
-//! campaign kernels are gated against. The sparse kernel, [`CatalogueMse`],
-//! scores a whole scheme catalogue in one walk over a die's sorted row
-//! groups: it scores single-fault rows from a table of every scheme's
-//! [`Scheme::single_fault`] entries, hands each scheme the slice of a row
-//! with several faults through the row evaluator [`Scheme::observe_sparse`],
-//! and gathers written words only for fault-bearing rows. The bit-sliced
-//! kernel, [`block_mse_into`], evaluates a whole transposed die block at
-//! once through [`Scheme::observe_block`]. All accumulate per-row
-//! contributions in ascending row order, so their results are
-//! **bit-identical** (the `kernel_equivalence` integration suite pins
-//! this).
+//! campaign kernels are gated against. Both kernels run one walk of
+//! [`CatalogueMse`], which scores a whole scheme catalogue per faulty row:
+//! a row with a single fault from a table of every scheme's
+//! [`Scheme::single_fault`] entries, a row with several faults through each
+//! scheme's row evaluator [`Scheme::observe_sparse`], with written words
+//! gathered only for fault-bearing rows. The sparse kernel
+//! ([`CatalogueMse::mse_into`]) walks one die's sorted row groups; the
+//! bit-sliced kernel ([`CatalogueMse::block_mse_into`]) walks a transposed
+//! block of up to 64 dies once, splitting each row's dies into lone-fault
+//! and multi-fault lanes. All accumulate per-row contributions in
+//! ascending row order, so their results are **bit-identical** (the
+//! `kernel_equivalence` integration suite pins this).
 
 use faultmit_core::{Scheme, SingleFault};
-use faultmit_memsim::{for_each_die, DieBlock, FaultKind, FaultMap, ResidualLanes, BLOCK_DIES};
+use faultmit_memsim::{for_each_die, DieBlock, Fault, FaultKind, FaultMap};
 use faultmit_obs as obs;
+use std::ops::Range;
 
 /// Exact `4^b` for every data-bit position, precomputed so the hot
 /// squared-error loop avoids `powi`.
@@ -128,9 +130,10 @@ fn exposed_bits(kind: FaultKind, stored: u64) -> u64 {
     }
 }
 
-/// The sparse MSE kernel for a whole scheme catalogue: one walk over a
-/// die's fault-bearing rows scores every scheme, with rows in the outer
-/// loop and schemes in the inner one.
+/// The MSE kernel for a whole scheme catalogue: one walk over the
+/// fault-bearing rows of a die ([`mse_into`](Self::mse_into)) or of a
+/// transposed die block ([`block_mse_into`](Self::block_mse_into)) scores
+/// every scheme, with rows in the outer loop and schemes in the inner one.
 ///
 /// A row holding a single fault — about 98 % of fault rows at Fig. 5
 /// densities — is scored from a table built once per catalogue through
@@ -142,9 +145,9 @@ fn exposed_bits(kind: FaultKind, stored: u64) -> u64 {
 /// Each scheme's total starts at `-0.0` (the IEEE additive identity, which
 /// `Iterator::sum::<f64>` folds from, so a fault-free die yields the dense
 /// evaluators' bits) and folds its rows in ascending row order, and every
-/// table entry adds the exact term `word_squared_error` would, so `out[s]`
-/// is bit-identical to [`memory_mse_for_data`] of `schemes[s]` on the same
-/// words.
+/// table entry adds the exact term `word_squared_error` would, so the MSE
+/// of `schemes[s]` is bit-identical to [`memory_mse_for_data`] of
+/// `schemes[s]` on the same words.
 #[derive(Debug)]
 pub struct CatalogueMse<'a> {
     schemes: &'a [Scheme],
@@ -193,115 +196,133 @@ impl<'a> CatalogueMse<'a> {
     where
         W: Fn(usize) -> u64,
     {
-        let count = self.schemes.len();
-        let out = &mut out[..count];
+        let out = &mut out[..self.schemes.len()];
         out.fill(-0.0);
         for (row, row_faults) in faults.rows_with_faults() {
             match row_faults {
-                [fault] => {
-                    let slots = fault.col * count..(fault.col + 1) * count;
-                    let terms = &self.terms[slots.clone()];
-                    if fault.kind == FaultKind::BitFlip {
-                        for (total, term) in out.iter_mut().zip(terms) {
-                            *total += *term;
-                        }
-                        continue;
-                    }
-                    let exposed = exposed_bits(fault.kind, written(row));
-                    for (total, (term, &bit)) in
-                        out.iter_mut().zip(terms.iter().zip(&self.bits[slots]))
-                    {
-                        *total += if (exposed >> bit) & 1 == 1 {
-                            *term
-                        } else {
-                            0.0
-                        };
-                    }
-                }
-                _ => {
-                    let stored = written(row);
-                    for (total, scheme) in out.iter_mut().zip(self.schemes) {
-                        *total += word_squared_error(
-                            stored,
-                            scheme.observe_sparse(row_faults, stored).value,
-                        );
-                    }
-                }
+                [fault] if fault.kind == FaultKind::BitFlip => self.add_flip(out, fault.col),
+                [fault] => self.add_stuck(out, fault.col, exposed_bits(fault.kind, written(row))),
+                _ => self.add_observed(out, row_faults, written(row)),
             }
         }
-        let rows = faults.config().rows() as f64;
-        for total in out {
-            *total /= rows;
+        divide_by_rows(out, faults.config().rows());
+    }
+
+    /// Writes the MSE of every scheme on every die of `block` to `out`, die
+    /// after die: `out[j * schemes.len() + s]` is that of `schemes[s]` on
+    /// die `j`, bit-identical to what [`mse_into`](Self::mse_into) writes
+    /// for the die.
+    ///
+    /// One walk over the block's rows serves the whole catalogue. Each row
+    /// reads its stored word once and splits its dies by the cells'
+    /// presence lanes: a die whose only fault in the row is this cell adds
+    /// the cell's run of table terms, and a die with several faults has
+    /// them gathered from the row's cells and scored through each scheme's
+    /// [`Scheme::observe_sparse`], as `mse_into` scores such a row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` holds fewer entries than the block's dies times the
+    /// catalogue's schemes, or if a die holds a fault outside the table's
+    /// columns.
+    pub fn block_mse_into<W>(&self, block: &DieBlock<'_>, written: W, out: &mut [f64])
+    where
+        W: Fn(usize) -> u64,
+    {
+        let count = self.schemes.len();
+        let out = &mut out[..block.die_count() * count];
+        out.fill(-0.0);
+        let die = |j: usize| j * count..(j + 1) * count;
+        // One die's faults in one row, at most one per column of the word.
+        let mut gathered = [Fault::bit_flip(0, 0); 64];
+        let (mut block_rows, mut multi_fault_dies) = (0u64, 0u64);
+        for row in block.rows() {
+            block_rows += 1;
+            let stored = written(row.row);
+            // Dies with a second fault in the row: seen at an earlier cell
+            // and present again at this one.
+            let (mut seen, mut multi) = (0u64, 0u64);
+            for cell in row.cells {
+                multi |= seen & cell.presence();
+                seen |= cell.presence();
+            }
+            for cell in row.cells {
+                let col = cell.col as usize;
+                for_each_die(cell.flips & !multi, |j| {
+                    self.add_flip(&mut out[die(j)], col)
+                });
+                let stuck = cell.stuck & !multi;
+                for (dies, kind) in [
+                    (stuck & !cell.stuck_value, FaultKind::StuckAtZero),
+                    (stuck & cell.stuck_value, FaultKind::StuckAtOne),
+                ] {
+                    let exposed = exposed_bits(kind, stored);
+                    for_each_die(dies, |j| self.add_stuck(&mut out[die(j)], col, exposed));
+                }
+            }
+            for_each_die(multi, |j| {
+                multi_fault_dies += 1;
+                let mut len = 0;
+                for cell in row.cells {
+                    if let Some(kind) = cell.fault_kind(j) {
+                        gathered[len] = Fault::new(row.row, cell.col as usize, kind);
+                        len += 1;
+                    }
+                }
+                self.add_observed(&mut out[die(j)], &gathered[..len], stored);
+            });
+        }
+        obs::count(obs::Counter::ObserveBlockRows, block_rows);
+        obs::count(obs::Counter::ObserveFallbackDies, multi_fault_dies);
+        divide_by_rows(out, block.config().rows());
+    }
+
+    /// The table slots of a lone fault at `col`, one per scheme.
+    #[inline]
+    fn slots(&self, col: usize) -> Range<usize> {
+        col * self.schemes.len()..(col + 1) * self.schemes.len()
+    }
+
+    /// Adds the row term of a lone flip at `col` to one die's totals: a
+    /// flip corrupts any word.
+    #[inline]
+    fn add_flip(&self, totals: &mut [f64], col: usize) {
+        for (total, term) in totals.iter_mut().zip(&self.terms[self.slots(col)]) {
+            *total += *term;
+        }
+    }
+
+    /// Adds the row term of a lone stuck-at cell at `col` to one die's
+    /// totals: the table term where the stored word exposes the bit it
+    /// surfaces at (`exposed`, from [`exposed_bits`]), `+0.0` elsewhere.
+    #[inline]
+    fn add_stuck(&self, totals: &mut [f64], col: usize, exposed: u64) {
+        let slots = self.slots(col);
+        let (terms, bits) = (&self.terms[slots.clone()], &self.bits[slots]);
+        for (total, (term, &bit)) in totals.iter_mut().zip(terms.iter().zip(bits)) {
+            *total += if (exposed >> bit) & 1 == 1 {
+                *term
+            } else {
+                0.0
+            };
+        }
+    }
+
+    /// Adds each scheme's squared error on a row holding `row_faults` and
+    /// storing `stored` to one die's totals.
+    #[inline]
+    fn add_observed(&self, totals: &mut [f64], row_faults: &[Fault], stored: u64) {
+        for (total, scheme) in totals.iter_mut().zip(self.schemes) {
+            *total += word_squared_error(stored, scheme.observe_sparse(row_faults, stored).value);
         }
     }
 }
 
-/// Bit-sliced twin of [`CatalogueMse`] for one scheme: evaluates all dies
-/// of a transposed [`DieBlock`] in one walk over its faulty rows, writing
-/// die `j`'s MSE to `out[j]`.
-///
-/// Per row the scheme's lane-parallel [`Scheme::observe_block`] produces
-/// per-data-bit residual-error lanes; the reduction then scatters each
-/// residual lane's `4^col` weight into per-die row partials in ascending
-/// column order, touching every residual bit exactly once. Bit-identity
-/// with the sparse kernel holds by construction: the visit set is fault
-/// **presence** per die (exactly the rows `rows_with_faults` hands the
-/// sparse kernel), rows are walked in the same ascending order, each die's
-/// sum starts from the same `-0.0` IEEE additive identity, and the
-/// column-order scatter folds the identical diff bits in the identical
-/// LSB-first order `word_squared_error(0, diff)` would.
-///
-/// # Panics
-///
-/// Panics if `out` is shorter than the block's die count.
-pub fn block_mse_into<W>(scheme: &Scheme, block: &DieBlock<'_>, written: W, out: &mut [f64])
-where
-    W: Fn(usize) -> u64,
-{
-    let dies = block.die_count();
-    assert!(
-        out.len() >= dies,
-        "output slice holds {} dies but the block has {dies}",
-        out.len()
-    );
-    let rows = block.config().rows() as f64;
-    // One running sum per die, each starting from the -0.0 additive
-    // identity the scalar kernels fold from. Stack storage sized by the
-    // block width: the block path allocates nothing in steady state.
-    let mut totals = [-0.0f64; BLOCK_DIES];
-    // Per-row squared-error partials, scattered column-by-column so every
-    // residual bit is touched exactly once (a per-die `gather_die` walk
-    // would re-scan the full column mask once per dirty die). Entries are
-    // cleared sparsely through the seen-die mask after each row.
-    let mut row_err = [0.0f64; BLOCK_DIES];
-    let mut residual = ResidualLanes::new();
-    // Block rows evaluated, flushed once per block.
-    let mut block_rows = 0u64;
-    for row in block.rows() {
-        residual.clear();
-        scheme.observe_block(row.cells, written(row.row), &mut residual);
-        block_rows += 1;
-        // Scatter the residual into per-die partials in ascending column
-        // order — the same LSB-first `4^b` fold `word_squared_error` applies
-        // to a gathered diff, so each partial is bit-identical to it.
-        let mut seen = 0u64;
-        let mut mask = residual.colmask();
-        while mask != 0 {
-            let col = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let lane = residual.lane(col);
-            seen |= lane;
-            for_each_die(lane, |die| row_err[die] += POW4[col]);
-        }
-        // Visit exactly the dies whose map holds a fault in this row — the
-        // sparse kernel's visit set — even when their residual is zero
-        // (silent stuck-at faults still contribute a +0.0 term).
-        for_each_die(row.dirty, |die| totals[die] += row_err[die]);
-        for_each_die(seen, |die| row_err[die] = 0.0);
-    }
-    obs::count(obs::Counter::ObserveBlockRows, block_rows);
-    for (slot, total) in out[..dies].iter_mut().zip(totals.iter()) {
-        *slot = *total / rows;
+/// Turns per-die squared-error sums into the MSE of Eq. (6).
+fn divide_by_rows(totals: &mut [f64], rows: usize) {
+    let rows = rows as f64;
+    for total in totals {
+        *total /= rows;
     }
 }
 
@@ -309,7 +330,7 @@ where
 mod tests {
     use super::*;
     use faultmit_core::SegmentGeometry;
-    use faultmit_memsim::{Fault, MemoryConfig};
+    use faultmit_memsim::MemoryConfig;
 
     /// The shift ablation's naive vote at every `n_FM` of a 32-bit word.
     fn naive32() -> impl Iterator<Item = Scheme> {
@@ -515,9 +536,7 @@ mod tests {
                 .map(|r| Fault::new(r % 9, (r * 5) % 32, FaultKind::ALL[r % 3]))
                 .collect(),
         ];
-        let mut schemes = Scheme::fig5_catalogue();
-        schemes.push(Scheme::secded32());
-        schemes.extend(naive32());
+        let schemes = walk_catalogue();
         let walk = CatalogueMse::new(&schemes, 32);
         let images: [Vec<u64>; 2] = [
             (0..64u64)
@@ -551,68 +570,215 @@ mod tests {
         }
     }
 
+    /// The block walk's metrics, die after die, against the catalogue walk
+    /// and the dense evaluator on each die alone, bit for bit.
+    fn assert_block_walk_matches(
+        schemes: &[Scheme],
+        block: &DieBlock<'_>,
+        dies: &[FaultMap],
+        image: &[u64],
+        context: &str,
+    ) {
+        let walk = CatalogueMse::new(schemes, block.config().word_bits());
+        let count = schemes.len();
+        let mut out = vec![f64::NAN; dies.len() * count];
+        walk.block_mse_into(block, |row| image[row], &mut out);
+        let mut alone = vec![f64::NAN; count];
+        for (j, die) in dies.iter().enumerate() {
+            walk.mse_into(die, |row| image[row], &mut alone);
+            for (s, scheme) in schemes.iter().enumerate() {
+                let got = out[j * count + s].to_bits();
+                assert_eq!(
+                    got,
+                    alone[s].to_bits(),
+                    "{context} {} die {j}",
+                    scheme.name()
+                );
+                assert_eq!(
+                    got,
+                    memory_mse_for_data(scheme, die, image).to_bits(),
+                    "{context} {} die {j} (dense)",
+                    scheme.name()
+                );
+            }
+        }
+    }
+
+    /// The catalogue of the walk tests: Fig. 5's, SECDED and the naive
+    /// vote at every `n_FM`.
+    fn walk_catalogue() -> Vec<Scheme> {
+        let mut schemes = Scheme::fig5_catalogue();
+        schemes.push(Scheme::secded32());
+        schemes.extend(naive32());
+        schemes
+    }
+
     #[test]
-    fn block_kernel_is_bit_identical_to_the_dense_evaluator() {
-        // Every die of a block must reproduce the dense evaluator's MSE bit
-        // for bit, across backends, kind laws and catalogue schemes. A
-        // deliberately non-multiple-of-64 block size.
-        let dies = 37u64;
+    fn block_walk_is_bit_identical_to_the_catalogue_walk_and_the_dense_evaluator() {
+        // Blocks of 2, 37 and 64 dies on every backend and kind law, over
+        // zeros and a data image: up to 30 faults in 128 rows gives most
+        // dies rows with several faults.
         use faultmit_memsim::{
             Backend, BackendKind, BlockScratch, DieScratch, FaultKindLaw, MapPolicy, PlannedSample,
             StreamSeeder,
         };
         let config = MemoryConfig::new(128, 32).unwrap();
         let seeder = StreamSeeder::new(0x4B17_51CE);
-        let image: Vec<u64> = (0..128u64)
-            .map(|r| r.wrapping_mul(0x9E37) & 0xFFFF_FFFF)
-            .collect();
-        let mut schemes = Scheme::fig5_catalogue();
-        schemes.push(Scheme::secded32());
-        schemes.extend(naive32());
-        for kind in BackendKind::ALL {
-            for law in [
-                FaultKindLaw::AlwaysFlip,
-                FaultKindLaw::AsymmetricStuckAt {
-                    p_stuck_at_zero: 0.5,
-                },
-            ] {
-                let backend = Backend::at_p_cell(kind, config, 1e-3)
-                    .unwrap()
-                    .with_kind_law(law)
-                    .unwrap();
-                let plan: Vec<PlannedSample> = (0..dies)
-                    .map(|index| PlannedSample {
-                        index,
-                        n_faults: 1 + (index * 5) % 30,
-                    })
-                    .collect();
-                let mut scratch = BlockScratch::new(config);
-                let block = scratch
-                    .generate_block(&backend, &seeder, &plan, None)
-                    .unwrap();
-                let mut out = vec![0.0f64; plan.len()];
-                for scheme in &schemes {
-                    block_mse_into(scheme, &block, |row| image[row], &mut out);
-                    for (j, planned) in plan.iter().enumerate() {
-                        let mut reference = DieScratch::new(config);
-                        let mut rng = seeder.rng_for_sample(planned.index);
-                        let map = reference
-                            .generate_with_policy(
-                                &backend,
-                                &mut rng,
-                                planned.n_faults as usize,
-                                MapPolicy::Unrestricted,
-                            )
-                            .unwrap();
-                        assert_eq!(
-                            out[j].to_bits(),
-                            memory_mse_for_data(scheme, map, &image).to_bits(),
-                            "{kind} {law:?} {} die {j}",
-                            scheme.name()
-                        );
+        let images = [
+            vec![0u64; 128],
+            (0..128u64)
+                .map(|r| r.wrapping_mul(0x9E37) & 0xFFFF_FFFF)
+                .collect(),
+        ];
+        let schemes = walk_catalogue();
+        let mut scratch = BlockScratch::new(config);
+        let mut reference = DieScratch::new(config);
+        for dies in [2u64, 37, 64] {
+            for kind in BackendKind::ALL {
+                for law in [
+                    FaultKindLaw::AlwaysFlip,
+                    FaultKindLaw::AsymmetricStuckAt {
+                        p_stuck_at_zero: 0.5,
+                    },
+                ] {
+                    let backend = Backend::at_p_cell(kind, config, 1e-3)
+                        .unwrap()
+                        .with_kind_law(law)
+                        .unwrap();
+                    let plan: Vec<PlannedSample> = (0..dies)
+                        .map(|index| PlannedSample {
+                            index,
+                            n_faults: 1 + (index * 5) % 30,
+                        })
+                        .collect();
+                    let maps: Vec<FaultMap> = plan
+                        .iter()
+                        .map(|planned| {
+                            let mut rng = seeder.rng_for_sample(planned.index);
+                            reference
+                                .generate_with_policy(
+                                    &backend,
+                                    &mut rng,
+                                    planned.n_faults as usize,
+                                    MapPolicy::Unrestricted,
+                                )
+                                .unwrap()
+                                .clone()
+                        })
+                        .collect();
+                    let block = scratch
+                        .generate_block(&backend, &seeder, &plan, None)
+                        .unwrap();
+                    for image in &images {
+                        let context = format!("{dies} dies, {kind} {law:?}");
+                        assert_block_walk_matches(&schemes, &block, &maps, image, &context);
                     }
                 }
             }
+        }
+    }
+
+    /// Six dies by hand over a 16-row memory: in row 3, dies 1, 2 and 4
+    /// hold two or three faults and share cells with the lone faults of
+    /// dies 3 and 5, and die 3's lone stuck-at-one cell is silent under the
+    /// data image; die 0 is fault-free.
+    fn hand_built_dies() -> Vec<FaultMap> {
+        let config = MemoryConfig::new(16, 32).unwrap();
+        [
+            vec![],
+            vec![
+                Fault::stuck_at_one(3, 2),
+                Fault::bit_flip(3, 31),
+                Fault::bit_flip(7, 9),
+            ],
+            vec![
+                Fault::bit_flip(3, 2),
+                Fault::stuck_at_zero(3, 15),
+                Fault::bit_flip(3, 16),
+            ],
+            vec![Fault::stuck_at_one(3, 5), Fault::stuck_at_zero(12, 0)],
+            vec![Fault::stuck_at_zero(3, 15), Fault::bit_flip(3, 31)],
+            vec![Fault::stuck_at_zero(3, 31), Fault::bit_flip(7, 9)],
+        ]
+        .into_iter()
+        .map(|faults| FaultMap::from_faults(config, faults).unwrap())
+        .collect()
+    }
+
+    #[test]
+    fn block_walk_is_bit_identical_on_a_hand_built_block() {
+        use faultmit_memsim::BlockScratch;
+        let dies = hand_built_dies();
+        let mut scratch = BlockScratch::new(dies[0].config());
+        let block = scratch.transpose_maps(&dies).unwrap();
+        // Row 3 stores bit 5 set (die 3's stuck-at-one reads it back
+        // intact) and bit 31 set (die 5's stuck-at-zero corrupts it).
+        let mut image: Vec<u64> = (0..16u64)
+            .map(|r| r.wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF)
+            .collect();
+        image[3] = 1 << 31 | 1 << 5 | 1 << 2;
+        let silent = Scheme::unprotected32();
+        assert_eq!(memory_mse_for_data(&silent, &dies[3], &image), 0.0);
+        assert_block_walk_matches(&walk_catalogue(), &block, &dies, &image, "by hand");
+        assert_block_walk_matches(&walk_catalogue(), &block, &dies, &[0; 16], "by hand, zeros");
+    }
+
+    #[test]
+    fn block_walk_is_bit_identical_on_dense_64_bit_rows() {
+        // Rows of 0 to 64 faults of mixed kinds on 64-bit words, a full
+        // row included, under every scheme shape of that width.
+        use faultmit_memsim::BlockScratch;
+        let config = MemoryConfig::new(4, 64).unwrap();
+        let dies: Vec<FaultMap> = [0usize, 1, 2, 17, 33, 63, 64]
+            .iter()
+            .enumerate()
+            .map(|(j, &count)| {
+                // `37 c mod 64` permutes the columns, so `count` of them
+                // fall below `count`.
+                let faults = (0..64)
+                    .filter(|c| (c * 37 + j * 11) % 64 < count)
+                    .map(|c| Fault::new(2, c, FaultKind::ALL[(c + j) % 3]));
+                FaultMap::from_faults(config, faults).unwrap()
+            })
+            .collect();
+        let mut schemes = vec![
+            Scheme::Unprotected { word_bits: 64 },
+            Scheme::Secded { word_bits: 64 },
+            Scheme::PriorityEcc {
+                word_bits: 64,
+                protected_bits: 32,
+            },
+        ];
+        for geometry in SegmentGeometry::all_for_word(64).unwrap() {
+            schemes.extend([Scheme::BitShuffle(geometry), Scheme::NaiveShuffle(geometry)]);
+        }
+        let mut scratch = BlockScratch::new(config);
+        let block = scratch.transpose_maps(&dies).unwrap();
+        let image = [0, u64::MAX, 0xDEAD_BEEF_0BAD_F00D, 1 << 63 | 1];
+        assert_block_walk_matches(&schemes, &block, &dies, &image, "64-bit rows");
+        assert_block_walk_matches(&schemes, &block, &dies, &[0; 4], "64-bit rows, zeros");
+    }
+
+    #[test]
+    fn one_block_walk_counts_each_row_and_each_multi_fault_die_once() {
+        // Whatever the catalogue's size: rows 3, 7 and 12 once each, and
+        // the (die, row) pairs (1, 3), (2, 3) and (4, 3) once each.
+        use faultmit_memsim::BlockScratch;
+        use std::sync::Arc;
+        let dies = hand_built_dies();
+        let mut scratch = BlockScratch::new(dies[0].config());
+        let block = scratch.transpose_maps(&dies).unwrap();
+        for schemes in [vec![Scheme::unprotected32()], walk_catalogue()] {
+            let walk = CatalogueMse::new(&schemes, 32);
+            let mut out = vec![0.0; dies.len() * schemes.len()];
+            let recorder = Arc::new(obs::Recorder::new());
+            {
+                let _guard = obs::install(&recorder);
+                walk.block_mse_into(&block, |_| 0, &mut out);
+            }
+            let recorded = recorder.snapshot();
+            assert_eq!(recorded.counter(obs::Counter::ObserveBlockRows), 3);
+            assert_eq!(recorded.counter(obs::Counter::ObserveFallbackDies), 3);
         }
     }
 }

@@ -285,8 +285,8 @@ fn sum_opt(a: Option<f64>, b: Option<f64>) -> Option<f64> {
 }
 
 /// Renders the `--metrics` output document: the aggregated telemetry plus
-/// the derived rates operators actually read (`observe_block` fallback
-/// rate, per-stage time split, samples per second).
+/// the derived rates operators actually read (block-row fallback rate,
+/// per-stage time split, samples per second).
 ///
 /// The per-stage split, `derived.stage_seconds`, is in worker-seconds:
 /// each stage's wall spans summed over the workers that recorded them, so

@@ -19,11 +19,8 @@ use crate::error::CoreError;
 use crate::fmlut::FmLut;
 use crate::segment::SegmentGeometry;
 use crate::shifter::{rotate_left, rotate_right};
-use faultmit_ecc::{HammingSecded, LaneCounter, SecdedCode};
-use faultmit_memsim::{
-    corrupt_word, for_each_die, Fault, FaultKind, FaultMap, LaneCell, ResidualLanes,
-};
-use faultmit_obs as obs;
+use faultmit_ecc::{HammingSecded, SecdedCode};
+use faultmit_memsim::{corrupt_word, Fault, FaultKind, FaultMap};
 
 /// The word an application observes after a faulty read, plus whether the
 /// protection scheme still vouches for it.
@@ -75,9 +72,8 @@ pub type MitigationScheme = Scheme;
 /// back as once the scheme has corrected or shifted it. That answer is the
 /// row evaluator [`observe_sparse`](Scheme::observe_sparse);
 /// [`observe`](Scheme::observe) is its dense reference over a whole fault
-/// map, and [`single_fault`](Scheme::single_fault) and
-/// [`observe_block`](Scheme::observe_block) are the MSE kernels' single-fault
-/// table entry and lane-parallel path, which every variant has.
+/// map, and [`single_fault`](Scheme::single_fault) is the MSE kernels'
+/// single-fault table entry, which every variant has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheme {
     /// No protection at all: every fault reaches the application.
@@ -240,10 +236,16 @@ impl Scheme {
         (u64::MAX >> (64 - protected_bits)) << (word_bits - protected_bits)
     }
 
-    /// The one evaluator of a fault-bearing row, from its column masks. The
-    /// sparse path folds a row slice into them and the block kernel gathers
-    /// them per die from the lane cells; either way the result equals
-    /// [`Scheme::observe`] on the map the masks describe.
+    /// The one evaluator of a fault-bearing row, from the column masks
+    /// [`observe_sparse`](Scheme::observe_sparse) folds its row slice into;
+    /// the result equals [`Scheme::observe`] on the map the masks describe.
+    ///
+    /// Kept out of line so that `observe_sparse`, the fold around it, stays
+    /// small enough to inline into the MSE kernels' per-scheme loops:
+    /// inlined here, it left `observe_sparse` a call of its own and the
+    /// traced observe stage of `fig5_paper` about 8 % slower (2-vCPU
+    /// x86-64 host with AVX2).
+    #[inline(never)]
     fn observe_masks(&self, masks: RowMasks, written: u64) -> ObservedWord {
         match self {
             Scheme::Unprotected { .. } => ObservedWord {
@@ -437,124 +439,6 @@ impl Scheme {
         self.observe_masks(RowMasks::from_faults(row_faults, self.word_bits()), written)
     }
 
-    /// Lane-parallel (bit-sliced) evaluation of one faulty row across up to
-    /// 64 dies at once.
-    ///
-    /// `cells` is one row's transposed lane cells, sorted by ascending
-    /// column — what a [`DieBlock`](faultmit_memsim::DieBlock) row carries.
-    /// For every die `j` of the block and every data bit `c`, bit `j` is
-    /// OR-ed into lane `c` of `residual` exactly when
-    /// [`observe_sparse`](Scheme::observe_sparse) on die `j`'s row would
-    /// deliver a value whose bit `c` differs from `written` — i.e.
-    /// [`ResidualLanes::gather_die`]`(j)` equals `written ^ observed.value`.
-    pub fn observe_block(&self, cells: &[LaneCell], written: u64, residual: &mut ResidualLanes) {
-        match self {
-            Scheme::Unprotected { .. } => {
-                // Every observable error reaches the application unchanged.
-                for cell in cells {
-                    residual.accumulate(cell.col as usize, lane_observable_error(cell, written));
-                }
-            }
-            Scheme::Secded { .. } => {
-                // Every die's syndrome weight at once: a carry-save fold
-                // over the per-column error lanes answers "two or more
-                // observable errors?" per die; only those dies keep their
-                // corruption.
-                let mut counter = LaneCounter::new();
-                for cell in cells {
-                    counter.add(lane_observable_error(cell, written));
-                }
-                let uncorrectable = counter.at_least_two();
-                if uncorrectable != 0 {
-                    for cell in cells {
-                        residual.accumulate(
-                            cell.col as usize,
-                            lane_observable_error(cell, written) & uncorrectable,
-                        );
-                    }
-                }
-            }
-            Scheme::PriorityEcc {
-                word_bits,
-                protected_bits,
-            } => {
-                // The correction radius only counts protected-MSB errors;
-                // LSB errors always pass through.
-                let msb_mask = Self::pecc_msb_mask(*word_bits, *protected_bits);
-                let mut counter = LaneCounter::new();
-                for cell in cells {
-                    if (msb_mask >> cell.col) & 1 == 1 {
-                        counter.add(lane_observable_error(cell, written));
-                    }
-                }
-                let uncorrectable = counter.at_least_two();
-                for cell in cells {
-                    let err = lane_observable_error(cell, written);
-                    let lane = if (msb_mask >> cell.col) & 1 == 1 {
-                        err & uncorrectable
-                    } else {
-                        err
-                    };
-                    residual.accumulate(cell.col as usize, lane);
-                }
-            }
-            Scheme::BitShuffle(geometry) | Scheme::NaiveShuffle(geometry) => {
-                let word_bits = geometry.word_bits();
-                // The FM-LUT vote keys on fault *presence* (BIST sees stuck
-                // cells whether or not the stored data exposes them).
-                let mut presence = LaneCounter::new();
-                for cell in cells {
-                    presence.add(cell.presence());
-                }
-                let singles = presence.exactly_one();
-                let multi = presence.at_least_two();
-                if singles != 0 {
-                    // A single-fault die shifts by its fault's segment under
-                    // either vote, and its residual can only surface at its
-                    // own faulty cell (its presence lane is zero everywhere
-                    // else). One pass therefore serves every single-fault
-                    // die: the cell's column fixes the segment — and thus
-                    // the shift — for all dies voting on it at once.
-                    for cell in cells {
-                        let group = cell.presence() & singles;
-                        if group == 0 {
-                            continue;
-                        }
-                        let shift = geometry
-                            .shift_amount(geometry.segment_of_bit(cell.col as usize))
-                            .expect("segment_of_bit returns a valid segment index");
-                        let stored = rotate_right(written, shift, word_bits);
-                        // A physical error at column c surfaces at data
-                        // position (c + shift) mod W after the un-rotate.
-                        let lane = lane_observable_error(cell, stored) & group;
-                        if lane != 0 {
-                            let data_pos = (cell.col as usize + shift) & (word_bits - 1);
-                            residual.accumulate(data_pos, lane);
-                        }
-                    }
-                }
-                if multi != 0 {
-                    // A die with several faulty cells in the row is
-                    // evaluated on its own, from the column masks gathered
-                    // out of the lane cells, like a sparse row.
-                    let mut fallback_dies = 0u64;
-                    for_each_die(multi, |die| {
-                        fallback_dies += 1;
-                        let observed =
-                            self.observe_masks(RowMasks::from_lanes(cells, die), written);
-                        let mut diff = written ^ observed.value;
-                        while diff != 0 {
-                            let col = diff.trailing_zeros() as usize;
-                            diff &= diff - 1;
-                            residual.accumulate(col, 1u64 << die);
-                        }
-                    });
-                    obs::count(obs::Counter::ObserveFallbackDies, fallback_dies);
-                }
-            }
-        }
-    }
-
     /// What a read returns when the row's only fault sits at physical
     /// column `col`: the entry agrees with
     /// [`observe_sparse`](Scheme::observe_sparse) on the one-fault slice for
@@ -638,34 +522,12 @@ impl RowMasks {
         masks
     }
 
-    /// Die `die`'s masks, gathered from one row's lane cells in one pass.
-    fn from_lanes(cells: &[LaneCell], die: usize) -> Self {
-        let mut masks = Self::default();
-        for cell in cells {
-            masks.faulty |= ((cell.presence() >> die) & 1) << cell.col;
-            masks.flips |= ((cell.flips >> die) & 1) << cell.col;
-            masks.stuck_one |= (((cell.stuck & cell.stuck_value) >> die) & 1) << cell.col;
-        }
-        masks
-    }
-
     /// The columns whose read of `stored` differs from it: every flip, and
     /// each stuck cell whose value differs from the stored bit.
     #[inline]
     fn observable_error(&self, stored: u64) -> u64 {
         self.flips | (self.faulty & !self.flips & (stored ^ self.stuck_one))
     }
-}
-
-/// The *observable-error* lane of one transposed cell: bit `j` set ⇔ die
-/// `j`'s read of `stored` at this cell's column differs from `stored` — a
-/// bit-flip always corrupts, a stuck cell only when its stuck value differs
-/// from the stored bit.
-#[inline]
-fn lane_observable_error(cell: &LaneCell, stored: u64) -> u64 {
-    // Broadcast the stored bit to every die lane (all-ones iff the bit is 1).
-    let stored_lane = 0u64.wrapping_sub((stored >> cell.col) & 1);
-    cell.flips | (cell.stuck & (cell.stuck_value ^ stored_lane))
 }
 
 #[cfg(test)]
@@ -1042,107 +904,7 @@ mod tests {
     }
 
     #[test]
-    fn observe_block_matches_observe_sparse_for_every_scheme() {
-        // Build a 64-die row population with a deterministic LCG, transpose
-        // it into lane cells by hand, and require the residual of every die
-        // to equal `written ^ observe_sparse(...).value` bit for bit —
-        // covering single-fault dies, fault-heavy dies, silent stuck cells
-        // and fault-free dies in the same block. The dense rounds give die
-        // `j` `13·j mod (W + 1)` faults of mixed kinds, up to a full row,
-        // on 32- and 64-bit words.
-        let mut next = lcg(0xB10C_5EED);
-        let mut catalogue = Scheme::fig5_catalogue();
-        catalogue.push(Scheme::secded32());
-        // The P-ECC protected-width sweep, up to the whole word.
-        catalogue.extend((1..=8).map(|i| Scheme::PriorityEcc {
-            word_bits: 32,
-            protected_bits: 4 * i,
-        }));
-        for (word_bits, dense) in [(32usize, false), (32, true), (64, true)] {
-            let mut schemes = schemes_for_width(word_bits);
-            if word_bits == 32 {
-                schemes.extend(&catalogue);
-            }
-            for round in 0..8u64 {
-                let mut dies: Vec<Vec<Fault>> = Vec::new();
-                for die in 0..64usize {
-                    if dense {
-                        dies.push(dense_row(
-                            &mut next,
-                            word_bits,
-                            (13 * die) % (word_bits + 1),
-                        ));
-                        continue;
-                    }
-                    // Die j gets j % 5 faults (die 0 stays fault-free on
-                    // purpose).
-                    let mut faults: Vec<Fault> = Vec::new();
-                    for _ in 0..die % 5 {
-                        let col = (next() as usize) % word_bits;
-                        if faults.iter().any(|f| f.col == col) {
-                            continue;
-                        }
-                        faults.push(Fault::new(0, col, random_kind(&mut next)));
-                    }
-                    faults.sort_by_key(|f| f.col);
-                    dies.push(faults);
-                }
-                // Hand-rolled transposition into sorted lane cells.
-                let mut cells: Vec<LaneCell> = Vec::new();
-                for col in 0..word_bits as u32 {
-                    let mut cell = LaneCell {
-                        col,
-                        flips: 0,
-                        stuck: 0,
-                        stuck_value: 0,
-                    };
-                    for (die, faults) in dies.iter().enumerate() {
-                        for fault in faults.iter().filter(|f| f.col == col as usize) {
-                            let bit = 1u64 << die;
-                            match fault.kind {
-                                FaultKind::BitFlip => cell.flips |= bit,
-                                FaultKind::StuckAtOne => {
-                                    cell.stuck |= bit;
-                                    cell.stuck_value |= bit;
-                                }
-                                FaultKind::StuckAtZero => cell.stuck |= bit,
-                            }
-                        }
-                    }
-                    if cell.flips | cell.stuck != 0 {
-                        cells.push(cell);
-                    }
-                }
-                for scheme in &schemes {
-                    for written in written_words(word_bits) {
-                        let mut residual = ResidualLanes::new();
-                        scheme.observe_block(&cells, written, &mut residual);
-                        for (die, faults) in dies.iter().enumerate() {
-                            let observed = scheme.observe_sparse(faults, written);
-                            assert_eq!(
-                                residual.gather_die(die),
-                                written ^ observed.value,
-                                "W {word_bits}, round {round}, {}, die {die}, written {written:#x}, faults {faults:?}",
-                                scheme.name()
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn in_tree_schemes_have_a_block_path_and_single_fault_entries() {
-        let mut residual = ResidualLanes::new();
-        let cell = LaneCell {
-            col: 3,
-            flips: 0b1,
-            stuck: 0,
-            stuck_value: 0,
-        };
-        Scheme::unprotected32().observe_block(&[cell], 0, &mut residual);
-        assert_eq!(residual.gather_die(0), 1 << 3);
+    fn in_tree_schemes_have_single_fault_entries() {
         // The analysis crate pins every entry against `observe_sparse`.
         assert_eq!(Scheme::pecc32().single_fault(31), SingleFault::Corrected);
         assert_eq!(

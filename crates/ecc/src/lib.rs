@@ -12,10 +12,11 @@
 //! * [`EccMemory`] / [`PeccMemory`] — protected memories that couple a codec
 //!   with a faulty [`SramArray`](faultmit_memsim::SramArray) storing the
 //!   widened codewords.
-//! * [`LaneCounter`] — a carry-save popcount saturating at two over `u64`
-//!   lanes: the bit-sliced primitive behind the whole-block (64 dies at
-//!   once) SECDED / P-ECC correction-radius test of the block evaluation
-//!   kernel.
+//!
+//! The Monte-Carlo kernels do not run these codecs: `faultmit-core`'s
+//! schemes answer a faulty word's SECDED / P-ECC outcome from the count of
+//! its observable errors, and the end-to-end tests hold that model to the
+//! codecs here.
 //!
 //! # Example
 //!
@@ -41,13 +42,11 @@
 pub mod code;
 pub mod error;
 pub mod hamming;
-pub mod lanes;
 pub mod memory;
 pub mod pecc;
 
 pub use code::{DecodeOutcome, Decoded, SecdedCode};
 pub use error::EccError;
 pub use hamming::HammingSecded;
-pub use lanes::LaneCounter;
 pub use memory::{EccMemory, PeccMemory};
 pub use pecc::PriorityEcc;

@@ -19,18 +19,21 @@
 //!
 //! Cells are grouped by row ([`BlockRow`]), rows ascend, and cells within a
 //! row ascend by column — the same deterministic order the flat
-//! [`FaultMap`](crate::FaultMap) guarantees. Each row also carries a `dirty`
-//! lane (`flips | stuck` OR-ed over its cells): bit `j` set means die `j`
-//! has at least one fault in this row, i.e. the per-die sparse kernel would
-//! have *visited* the row. Block reductions must use `dirty` (fault
-//! **presence**, not observable error) as their visit predicate so they
-//! reproduce the sparse kernel's `-0.0 + 0.0` accumulation bit for bit.
+//! [`FaultMap`](crate::FaultMap) guarantees. The union of a row's
+//! [`LaneCell::presence`] lanes is the dies with at least one fault in the
+//! row, the dies whose per-die sparse walk *visits* the row. Block
+//! reductions must visit exactly those (fault **presence**, not observable
+//! error) to reproduce the sparse kernel's `-0.0 + 0.0` accumulation bit
+//! for bit.
 //!
-//! With this layout one bitwise operation on a lane does the work of
-//! [`BLOCK_DIES`] scalar dies, which is how the mitigation schemes'
-//! `observe_block` paths (in `faultmit-core`) evaluate a whole block per
-//! row walk. [`for_each_die`] visits a lane's set dies in ascending order,
-//! matching the per-sample kernels' reduction order.
+//! With this layout one bitwise operation on a lane answers a question for
+//! [`BLOCK_DIES`] dies at once. The catalogue walk of `faultmit-analysis`
+//! (`CatalogueMse::block_mse_into`) walks each block row once for the
+//! whole catalogue: the cells' presence lanes split the row's dies into
+//! those with one fault there, scored from the single-fault table, and
+//! those with several, whose faults it gathers from the cells.
+//! [`for_each_die`] visits a lane's set dies in ascending order, matching
+//! the per-sample kernels' reduction order.
 //!
 //! # Why RNG stream order is preserved (the generation contract)
 //!
@@ -59,8 +62,7 @@ use crate::config::MemoryConfig;
 use crate::fault::FaultKind;
 
 /// Dies per transposed [`DieBlock`]: one bit of a `u64` lane per die. The
-/// campaign executor groups its samples into blocks of this many dies and
-/// sizes its per-scheme block output matrix by it.
+/// campaign executor groups its samples into blocks of this many dies.
 pub const BLOCK_DIES: usize = 64;
 
 /// Visits every die whose bit is set in `lanes`, in ascending die order.
@@ -92,22 +94,35 @@ pub struct LaneCell {
 
 impl LaneCell {
     /// Dies that have *any* fault at this cell — the fault-presence lane
-    /// that drives row-visit bookkeeping and the bit-shuffle FM-LUT vote.
+    /// that splits a row's dies into lone-fault and multi-fault ones.
     #[must_use]
     #[inline]
     pub fn presence(&self) -> u64 {
         self.flips | self.stuck
     }
+
+    /// The kind of die `die`'s fault at this cell, if it has one there.
+    #[must_use]
+    #[inline]
+    pub fn fault_kind(&self, die: usize) -> Option<FaultKind> {
+        if (self.flips >> die) & 1 == 1 {
+            Some(FaultKind::BitFlip)
+        } else if (self.stuck >> die) & 1 == 0 {
+            None
+        } else if (self.stuck_value >> die) & 1 == 1 {
+            Some(FaultKind::StuckAtOne)
+        } else {
+            Some(FaultKind::StuckAtZero)
+        }
+    }
 }
 
-/// One faulty row of a block: its index, its fault-presence (`dirty`) lane,
-/// and its transposed cells sorted by ascending column.
+/// One faulty row of a block: its index and its transposed cells sorted by
+/// ascending column.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockRow<'a> {
     /// Row (word address) within the memory.
     pub row: usize,
-    /// Bit `j` set ⇔ die `j` has at least one fault in this row.
-    pub dirty: u64,
     /// The row's lane cells, ascending by column.
     pub cells: &'a [LaneCell],
 }
@@ -118,7 +133,6 @@ pub(crate) struct BlockRowEntry {
     pub(crate) row: usize,
     pub(crate) start: u32,
     pub(crate) end: u32,
-    pub(crate) dirty: u64,
 }
 
 /// A transposed view over up to [`BLOCK_DIES`] generated dies, borrowed from
@@ -170,7 +184,6 @@ impl<'a> DieBlock<'a> {
     pub fn rows(&self) -> impl Iterator<Item = BlockRow<'a>> + '_ {
         self.rows.iter().map(|entry| BlockRow {
             row: entry.row,
-            dirty: entry.dirty,
             cells: &self.cells[entry.start as usize..entry.end as usize],
         })
     }
@@ -209,7 +222,6 @@ pub(crate) fn transpose_events(
                 row,
                 start: cells.len() as u32,
                 end: cells.len() as u32,
-                dirty: 0,
             });
         }
         let entry = rows.last_mut().expect("a row entry was just ensured");
@@ -235,88 +247,6 @@ pub(crate) fn transpose_events(
             }
             _ => cell.flips |= die_bit,
         }
-        entry.dirty |= die_bit;
-    }
-}
-
-/// Per-data-column residual-error lanes for one row of a block: bit `j` of
-/// lane `c` says the word die `j` observes differs from the written word at
-/// data bit `c`, after the mitigation scheme has done its work.
-///
-/// The buffer is fixed-size stack storage (64 `u64` lanes, 512 bytes) and
-/// clears sparsely through its column mask, so per-row reuse is
-/// allocation-free.
-#[derive(Debug, Clone)]
-pub struct ResidualLanes {
-    lanes: [u64; 64],
-    colmask: u64,
-}
-
-impl Default for ResidualLanes {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ResidualLanes {
-    /// An all-clear residual buffer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            lanes: [0; 64],
-            colmask: 0,
-        }
-    }
-
-    /// Clears every touched lane (sparse: only columns in the mask).
-    pub fn clear(&mut self) {
-        let mut mask = self.colmask;
-        while mask != 0 {
-            let col = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            self.lanes[col] = 0;
-        }
-        self.colmask = 0;
-    }
-
-    /// ORs `lane` into data column `col` (no-op for an all-zero lane, so
-    /// the column mask stays tight).
-    #[inline]
-    pub fn accumulate(&mut self, col: usize, lane: u64) {
-        if lane != 0 {
-            self.lanes[col] |= lane;
-            self.colmask |= 1u64 << col;
-        }
-    }
-
-    /// Mask of data columns holding at least one residual error.
-    #[must_use]
-    pub fn colmask(&self) -> u64 {
-        self.colmask
-    }
-
-    /// The raw residual lane for data column `col`: bit `j` says die `j`
-    /// observes an error at this data bit. Columns outside
-    /// [`colmask`](Self::colmask) read as zero.
-    #[must_use]
-    #[inline]
-    pub fn lane(&self, col: usize) -> u64 {
-        self.lanes[col]
-    }
-
-    /// Transposes die `die`'s residual lanes back into a per-word diff: bit
-    /// `c` of the result is bit `die` of lane `c`.
-    #[must_use]
-    #[inline]
-    pub fn gather_die(&self, die: usize) -> u64 {
-        let mut diff = 0u64;
-        let mut mask = self.colmask;
-        while mask != 0 {
-            let col = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            diff |= ((self.lanes[col] >> die) & 1) << col;
-        }
-        diff
     }
 }
 
@@ -324,6 +254,7 @@ impl ResidualLanes {
 mod tests {
     use super::*;
     use crate::backend::{Backend, BackendKind, FaultKindLaw};
+    use crate::fault::FaultMap;
     use crate::scratch::{BlockScratch, DieScratch, MapPolicy};
     use crate::seeder::{PlannedSample, StreamSeeder};
 
@@ -371,19 +302,8 @@ mod tests {
         for row in block.rows() {
             for cell in row.cells {
                 for (die, faults) in rebuilt.iter_mut().enumerate() {
-                    let fault = if (cell.flips >> die) & 1 != 0 {
-                        Some(crate::fault::Fault::bit_flip(row.row, cell.col as usize))
-                    } else if (cell.stuck >> die) & 1 != 0 {
-                        Some(if (cell.stuck_value >> die) & 1 != 0 {
-                            crate::fault::Fault::stuck_at_one(row.row, cell.col as usize)
-                        } else {
-                            crate::fault::Fault::stuck_at_zero(row.row, cell.col as usize)
-                        })
-                    } else {
-                        None
-                    };
-                    if let Some(fault) = fault {
-                        faults.push(fault);
+                    if let Some(kind) = cell.fault_kind(die) {
+                        faults.push(crate::fault::Fault::new(row.row, cell.col as usize, kind));
                     }
                 }
             }
@@ -414,12 +334,19 @@ mod tests {
                     .unwrap();
                 assert_eq!(block.die_count(), 40);
                 assert_eq!(untranspose(&block), expected, "{kind} {law:?}");
+                // The same dies, transposed from maps the caller holds.
+                let maps: Vec<FaultMap> = expected
+                    .iter()
+                    .map(|faults| FaultMap::from_faults(config(), faults.iter().copied()).unwrap())
+                    .collect();
+                let block = scratch.transpose_maps(&maps).unwrap();
+                assert_eq!(untranspose(&block), expected, "{kind} {law:?} (maps)");
             }
         }
     }
 
     #[test]
-    fn block_rows_ascend_and_dirty_matches_presence() {
+    fn block_rows_ascend_and_hold_faults() {
         let seeder = StreamSeeder::new(7);
         let backend = Backend::at_p_cell(BackendKind::Sram, config(), 1e-3).unwrap();
         let mut scratch = BlockScratch::new(config());
@@ -447,8 +374,7 @@ mod tests {
                 );
                 presence |= cell.presence();
             }
-            assert_eq!(row.dirty, presence);
-            assert_ne!(row.dirty, 0, "rows without faults must not be listed");
+            assert_ne!(presence, 0, "rows without faults must not be listed");
         }
     }
 
@@ -496,6 +422,12 @@ mod tests {
         assert!(scratch
             .generate_block(&backend, &seeder, &plan(0, BLOCK_DIES, 1), None)
             .is_ok());
+        let empty = FaultMap::new(config());
+        assert!(scratch
+            .transpose_maps(&vec![empty.clone(); BLOCK_DIES + 1])
+            .is_err());
+        let other = FaultMap::new(MemoryConfig::new(64, 32).unwrap());
+        assert!(scratch.transpose_maps(&[empty, other]).is_err());
     }
 
     #[test]
@@ -509,25 +441,5 @@ mod tests {
         for_each_die((1 << 3) | (1 << 40) | (1 << 63), |d| visited.push(d));
         assert_eq!(visited, vec![3, 40, 63]);
         for_each_die(0, |_| panic!("an empty lane has no dies"));
-    }
-
-    #[test]
-    fn residual_lanes_round_trip_and_clear_sparsely() {
-        let mut residual = ResidualLanes::new();
-        residual.accumulate(3, 0b101);
-        residual.accumulate(3, 0b010);
-        residual.accumulate(31, 1 << 63);
-        residual.accumulate(9, 0); // no-op
-        assert_eq!(residual.colmask(), (1 << 3) | (1 << 31));
-        assert_eq!(residual.gather_die(0), 1 << 3);
-        assert_eq!(residual.gather_die(1), 1 << 3);
-        assert_eq!(residual.gather_die(2), 1 << 3);
-        assert_eq!(residual.gather_die(63), 1 << 31);
-        assert_eq!(residual.gather_die(5), 0);
-        residual.clear();
-        assert_eq!(residual.colmask(), 0);
-        for die in 0..64 {
-            assert_eq!(residual.gather_die(die), 0);
-        }
     }
 }

@@ -29,9 +29,8 @@
 //!   producing the per-row report that seeds the bit-shuffling FM-LUT.
 //! * [`dieblock`] — transposed (bit-sliced) die blocks: up to
 //!   [`BLOCK_DIES`] (64) planned samples packed into `u64` lanes
-//!   ([`DieBlock`], [`LaneCell`], [`ResidualLanes`]) for the lane-parallel
-//!   evaluation kernel, generated from the same per-sample RNG streams as
-//!   the scalar paths.
+//!   ([`DieBlock`], [`LaneCell`]) for the bit-sliced evaluation kernel,
+//!   generated from the same per-sample RNG streams as the scalar paths.
 //!
 //! # Example
 //!
@@ -79,7 +78,7 @@ pub use backend::{
 };
 pub use bist::{BistReport, MarchBist, RowFaultReport};
 pub use config::MemoryConfig;
-pub use dieblock::{for_each_die, BlockRow, DieBlock, LaneCell, ResidualLanes, BLOCK_DIES};
+pub use dieblock::{for_each_die, BlockRow, DieBlock, LaneCell, BLOCK_DIES};
 pub use error::MemError;
 pub use failure_model::{CellFailureModel, FailureModelBuilder};
 pub use fault::{Fault, FaultKind, FaultMap};

@@ -243,14 +243,7 @@ impl BlockScratch {
         plan: &[PlannedSample],
         policy: Option<MapPolicy>,
     ) -> Result<DieBlock<'_>, MemError> {
-        if plan.len() > BLOCK_DIES {
-            return Err(MemError::InvalidParameter {
-                reason: format!(
-                    "die block plan of {} samples exceeds the {BLOCK_DIES}-die block width",
-                    plan.len(),
-                ),
-            });
-        }
+        check_block_width(plan.len())?;
         let policy = policy.unwrap_or_default();
         let before = self.capacity_signature();
         self.events.clear();
@@ -262,11 +255,39 @@ impl BlockScratch {
                 planned.n_faults as usize,
                 policy,
             )?;
-            self.events.extend(
-                map.iter()
-                    .map(|fault| pack_event(fault.row, fault.col, die, fault.kind)),
-            );
+            push_events(&mut self.events, die, map);
         }
+        Ok(self.transpose(plan.len(), before))
+    }
+
+    /// Transposes dies the caller holds into one [`DieBlock`], die `j` of
+    /// the block being `dies[j]`, as [`generate_block`](Self::generate_block)
+    /// transposes the dies it draws. The view borrows the arena and is
+    /// valid until the next generation call.
+    ///
+    /// # Errors
+    ///
+    /// Rejects more than [`BLOCK_DIES`] dies, and dies whose geometry is
+    /// not the arena's.
+    pub fn transpose_maps(&mut self, dies: &[FaultMap]) -> Result<DieBlock<'_>, MemError> {
+        check_block_width(dies.len())?;
+        let config = self.scalar.map.config();
+        if let Some(map) = dies.iter().find(|map| map.config() != config) {
+            return Err(MemError::InvalidParameter {
+                reason: format!("a die of {:?} in a block of {config:?} dies", map.config()),
+            });
+        }
+        let before = self.capacity_signature();
+        self.events.clear();
+        for (die, map) in dies.iter().enumerate() {
+            push_events(&mut self.events, die, map);
+        }
+        Ok(self.transpose(dies.len(), before))
+    }
+
+    /// Sorts the packed events of `dies` dies into the block view, counting
+    /// the block and any growth of the buffers since `before`.
+    fn transpose(&mut self, dies: usize, before: [usize; 3]) -> DieBlock<'_> {
         let transpose_span = obs::span(obs::Stage::Transpose);
         // Events arrive die-major; the packed layout sorts to the
         // `(row, col, die)` order the transposition reads.
@@ -278,13 +299,28 @@ impl BlockScratch {
             self.realloc_events += 1;
             obs::count(obs::Counter::ReallocEvents, 1);
         }
-        Ok(DieBlock::new(
-            &self.rows,
-            &self.cells,
-            plan.len(),
-            self.scalar.map.config(),
-        ))
+        DieBlock::new(&self.rows, &self.cells, dies, self.scalar.map.config())
     }
+}
+
+/// Refuses a block of more than [`BLOCK_DIES`] dies.
+fn check_block_width(dies: usize) -> Result<(), MemError> {
+    if dies > BLOCK_DIES {
+        return Err(MemError::InvalidParameter {
+            reason: format!(
+                "die block plan of {dies} samples exceeds the {BLOCK_DIES}-die block width"
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// Packs die `die`'s faults as transposition events.
+fn push_events(events: &mut Vec<u64>, die: usize, map: &FaultMap) {
+    events.extend(
+        map.iter()
+            .map(|fault| pack_event(fault.row, fault.col, die, fault.kind)),
+    );
 }
 
 #[cfg(test)]

@@ -104,18 +104,19 @@ pub enum Counter {
     DispatchSparse,
     /// Campaign shard runs dispatched to the bit-sliced kernel.
     DispatchBitsliced,
-    /// Faulty block rows evaluated through the lane-parallel block
-    /// observer.
+    /// Faulty block rows the bit-sliced kernel's catalogue walk visited:
+    /// one per row of each transposed block, whatever the catalogue's size.
     ObserveBlockRows,
     /// Faulty block rows a scheme declined lane-parallel evaluation for.
-    /// Nothing records it: every scheme has a block path. It stays because
+    /// Nothing records it: the block walk declines no row. It stays because
     /// the benchmark harness under `perfbench/` reads it through
     /// [`MetricsSnapshot::observe_fallback_rate`] (vestigial until ROADMAP
     /// item 8).
     ObserveFallbackRows,
-    /// Dies evaluated one at a time, from their column masks, inside an
-    /// otherwise lane-parallel row: the bit-shuffle schemes' multi-fault
-    /// dies.
+    /// The bit-sliced kernel's (die, row) pairs with two or more faults,
+    /// whose faults the catalogue walk gathers from the row's lane cells
+    /// for every scheme's row evaluator: one per pair, whatever the
+    /// catalogue's size.
     ObserveFallbackDies,
     /// ECC reads of fault-free rows that took the `decode_clean` fast
     /// path.
@@ -556,8 +557,8 @@ impl MetricsSnapshot {
     }
 
     /// Fraction of faulty block rows that fell back to whole-row scalar
-    /// evaluation (`None` when no block rows were observed). Every scheme
-    /// has a block path, so it reads 0 whenever it reads at all.
+    /// evaluation (`None` when no block rows were observed). The block
+    /// walk declines no row, so it reads 0 whenever it reads at all.
     #[must_use]
     pub fn observe_fallback_rate(&self) -> Option<f64> {
         let block = self.counter(Counter::ObserveBlockRows);

@@ -205,8 +205,8 @@ pub enum KernelKind {
     #[default]
     Sparse,
     /// The bit-sliced kernel: up to [`BLOCK_DIES`] dies transposed into
-    /// `u64` lanes and evaluated together through `observe_block`, with a
-    /// scalar tail for leftover samples.
+    /// `u64` lanes and evaluated together, one walk per block for the whole
+    /// catalogue, with a scalar tail for leftover samples.
     Bitsliced,
 }
 
@@ -522,15 +522,25 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidParameter`] when the die count overflows
-    /// `usize`, and propagates errors from building the failure
+    /// Returns [`SimError::InvalidParameter`] when a planned failure count
+    /// exceeds the memory's cells (no die can hold it) or the die count
+    /// overflows `usize`, and propagates errors from building the failure
     /// distribution.
     fn plan_len(&self) -> Result<usize, SimError> {
         let samples_per_count = self.config.samples_per_count;
+        let max_failures = match self.config.exact_failures {
+            Some(n) => n,
+            None => self.config.effective_max_failures()?,
+        };
+        let cells = self.config.memory().total_cells();
+        if max_failures > cells as u64 {
+            return Err(SimError::InvalidParameter {
+                reason: format!("{max_failures} failures exceed the {cells} cells of a die"),
+            });
+        }
         if self.config.exact_failures.is_some() {
             return Ok(samples_per_count);
         }
-        let max_failures = self.config.effective_max_failures()?;
         usize::try_from(max_failures)
             .ok()
             .and_then(|counts| counts.checked_mul(samples_per_count))
@@ -547,6 +557,12 @@ impl Campaign {
     /// failure count (weight `1 / samples_per_count` each), or at every
     /// count `1..=N_max` weighted `Pr(N = n) / samples_per_count`. Every
     /// shard of every kernel builds the identical plan.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidParameter`] for a plan [`Campaign::plan_len`]
+    /// refuses or whose dies cannot be allocated, and propagates errors from
+    /// building the failure distribution.
     fn plan_and_weights(&self) -> Result<(Vec<PlannedSample>, Vec<f64>), SimError> {
         let _plan_span = obs::span(obs::Stage::Plan);
         let plan_len = self.plan_len()?;
@@ -554,19 +570,19 @@ impl Campaign {
         let samples_per_count = self.config.samples_per_count;
         Ok(match self.config.exact_failures {
             Some(n) => {
-                let plan: Vec<PlannedSample> = (0..samples_per_count as u64)
-                    .map(|k| PlannedSample {
-                        index: k,
-                        n_faults: n,
-                    })
-                    .collect();
+                let mut plan = reserve_plan(plan_len)?;
+                plan.extend((0..samples_per_count as u64).map(|k| PlannedSample {
+                    index: k,
+                    n_faults: n,
+                }));
+                // `n` is at most the memory's cells, a `usize`.
                 let mut weights = vec![0.0; n as usize + 1];
                 weights[n as usize] = 1.0 / samples_per_count as f64;
                 (plan, weights)
             }
             None => {
                 let max_failures = self.config.effective_max_failures()?;
-                let plan = build_plan(max_failures, samples_per_count, plan_len);
+                let plan = build_plan(max_failures, samples_per_count, plan_len)?;
                 let weights = (0..=max_failures)
                     .map(|n| distribution.pmf(n) / samples_per_count as f64)
                     .collect();
@@ -615,14 +631,16 @@ impl Campaign {
             seed,
             shard,
             evaluate,
-            None::<fn(&Scheme, &DieBlock<'_>, &mut [f64])>,
+            None::<fn(&DieBlock<'_>, &mut [f64])>,
         )
     }
 
     /// Runs one shard through the **bit-sliced** evaluation pipeline: each
     /// chunk's samples are grouped into transposed [`DieBlock`]s of up to
-    /// [`BLOCK_DIES`] dies, and `evaluate_block(scheme, block, out)` fills
-    /// `out[j]` with die `j`'s metric for all dies at once. Degenerate
+    /// [`BLOCK_DIES`] dies, and `evaluate_block(block, metrics)` writes the
+    /// metrics of all the block's dies at once, die after die: `metrics[j *
+    /// schemes.len() + s]` is the metric of `schemes[s]` on die `j`, what
+    /// `evaluate` writes to `metrics[s]` for that die alone. Degenerate
     /// single-sample groups take the per-die `evaluate` of
     /// [`Campaign::run_shard`] instead, so any `(samples, chunk size,
     /// shard)` plan still works.
@@ -645,7 +663,7 @@ impl Campaign {
     ) -> Result<(ShardSamples, ShardStats), RunError<E>>
     where
         F: Fn(&FaultMap, &mut [f64]) -> Result<(), E> + Sync,
-        G: Fn(&Scheme, &DieBlock<'_>, &mut [f64]) + Sync,
+        G: Fn(&DieBlock<'_>, &mut [f64]) + Sync,
         E: Send,
     {
         self.run_chunks(schemes, seed, shard, evaluate, Some(evaluate_block))
@@ -664,7 +682,7 @@ impl Campaign {
     ) -> Result<(ShardSamples, ShardStats), RunError<E>>
     where
         F: Fn(&FaultMap, &mut [f64]) -> Result<(), E> + Sync,
-        G: Fn(&Scheme, &DieBlock<'_>, &mut [f64]) + Sync,
+        G: Fn(&DieBlock<'_>, &mut [f64]) + Sync,
         E: Send,
     {
         // The calling thread's recorder (if any) is re-installed on every
@@ -689,17 +707,18 @@ impl Campaign {
         let workers = self.config.parallelism.worker_count();
         let policy = self.config.map_policy;
         let scheme_count = schemes.len();
-        let (group_width, block_len) = match evaluate_block {
-            Some(_) => (BLOCK_DIES, scheme_count * BLOCK_DIES),
-            None => (1, 0),
+        let group_width = if evaluate_block.is_some() {
+            BLOCK_DIES
+        } else {
+            1
         };
 
         // Per-worker scratch: one warm arena (the per-die `DieScratch` plus
-        // the block transposition buffers) and the per-scheme block output
-        // matrix, both reused across every chunk the worker claims. Scratch
-        // holds storage only — each chunk's result stays a pure function of
-        // its index (evaluators overwrite every metric of every die), so
-        // bit-identity at any worker count is unaffected.
+        // the block transposition buffers), reused across every chunk the
+        // worker claims. Scratch holds storage only — each chunk's result
+        // stays a pure function of its index (evaluators overwrite every
+        // metric of every die), so bit-identity at any worker count is
+        // unaffected.
         let chunk_results: Vec<Result<ChunkOutput, RunError<E>>> = run_chunked_with(
             owned_chunks.len(),
             workers,
@@ -707,10 +726,9 @@ impl Campaign {
                 (
                     recorder.as_ref().map(obs::install),
                     BlockScratch::new(backend.config()),
-                    vec![0.0f64; block_len],
                 )
             },
-            |(_recorder_guard, scratch, block_out), local_index| {
+            |(_recorder_guard, scratch), local_index| {
                 let dies = chunk_dies(owned_chunks.start + local_index);
                 // The chunk's metrics, die after die in plan order.
                 let mut chunk_metrics = vec![0.0f64; dies.len() * scheme_count];
@@ -729,19 +747,11 @@ impl Campaign {
                                 .generate_block(backend, &seeder, group, Some(policy))
                                 .map_err(SimError::from)?;
                             generate += lap(&mut mark);
-                            for (s, scheme) in schemes.iter().enumerate() {
-                                evaluate_block(
-                                    scheme,
-                                    &block,
-                                    &mut block_out[s * BLOCK_DIES..(s + 1) * BLOCK_DIES],
-                                );
-                            }
-                            for j in 0..group.len() {
-                                let metrics = &mut chunk_metrics[slot(next_die + j)];
-                                for (s, metric) in metrics.iter_mut().enumerate() {
-                                    *metric = block_out[s * BLOCK_DIES + j];
-                                }
-                            }
+                            let first = slot(next_die).start;
+                            evaluate_block(
+                                &block,
+                                &mut chunk_metrics[first..first + group.len() * scheme_count],
+                            );
                             next_die += group.len();
                             observe += lap(&mut mark);
                         }
@@ -830,8 +840,12 @@ fn lap(mark: &mut Instant) -> u64 {
 /// The campaign's work list: `samples_per_count` samples for every failure
 /// count `1..=max_failures`, with globally unique, dense sample indices;
 /// `plan_len` is their number, [`Campaign::plan_len`].
-fn build_plan(max_failures: u64, samples_per_count: usize, plan_len: usize) -> Vec<PlannedSample> {
-    let mut plan = Vec::with_capacity(plan_len);
+fn build_plan(
+    max_failures: u64,
+    samples_per_count: usize,
+    plan_len: usize,
+) -> Result<Vec<PlannedSample>, SimError> {
+    let mut plan = reserve_plan(plan_len)?;
     for n in 1..=max_failures {
         for k in 0..samples_per_count as u64 {
             plan.push(PlannedSample {
@@ -840,7 +854,22 @@ fn build_plan(max_failures: u64, samples_per_count: usize, plan_len: usize) -> V
             });
         }
     }
-    plan
+    Ok(plan)
+}
+
+/// An empty plan with room for `plan_len` dies.
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidParameter`] when that room cannot be
+/// allocated.
+fn reserve_plan(plan_len: usize) -> Result<Vec<PlannedSample>, SimError> {
+    let mut plan = Vec::new();
+    plan.try_reserve_exact(plan_len)
+        .map_err(|error| SimError::InvalidParameter {
+            reason: format!("a plan of {plan_len} dies cannot be allocated: {error}"),
+        })?;
+    Ok(plan)
 }
 
 #[cfg(test)]
@@ -945,7 +974,7 @@ mod tests {
 
     #[test]
     fn plan_indices_are_dense_and_unique() {
-        let plan = build_plan(5, 7, 35);
+        let plan = build_plan(5, 7, 35).unwrap();
         assert_eq!(plan.len(), 35);
         for (i, sample) in plan.iter().enumerate() {
             assert_eq!(sample.index, i as u64);
@@ -1050,7 +1079,7 @@ mod tests {
                 assert!(metrics.is_empty());
             });
             assert_eq!(result.scheme_count, 0);
-            assert_eq!(result.dies, build_plan(6, 10, 60));
+            assert_eq!(result.dies, build_plan(6, 10, 60).unwrap());
             assert_eq!(result.chunks.len(), 60usize.div_ceil(chunk_size));
             assert!(result.chunks.iter().all(Vec::is_empty));
         }
@@ -1308,6 +1337,52 @@ mod tests {
         );
     }
 
+    /// Failure counts no die can hold, and plans whose dies fit `usize`
+    /// but whose reservation overflows `isize`, are refused with an error
+    /// before anything is allocated.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn plans_no_die_or_no_allocation_can_hold_are_refused() {
+        let evaluate = |_: &FaultMap, _: &mut [f64]| Ok::<(), std::convert::Infallible>(());
+        let refused = |config: CampaignConfig| {
+            let run = Campaign::new(config).run_shard(
+                &[Scheme::unprotected32()],
+                5,
+                ShardSpec::solo(),
+                evaluate,
+            );
+            match run {
+                Err(RunError::Sim(SimError::InvalidParameter { reason })) => reason,
+                other => panic!("expected a refused plan, got {other:?}"),
+            }
+        };
+        // 128 × 32 cells: 4 097 failures fit no die.
+        let reason = refused(
+            config()
+                .with_samples_per_count(1)
+                .with_max_failures(u64::MAX),
+        );
+        assert!(reason.contains("4096 cells"), "{reason}");
+        assert!(matches!(
+            Campaign::new(config().with_max_failures(4097)).shard_sample_range(ShardSpec::solo()),
+            Err(SimError::InvalidParameter { .. })
+        ));
+        let reason = refused(config().with_exact_failures(u64::MAX));
+        assert!(reason.contains("4096 cells"), "{reason}");
+        // 2^62 dies of 16 bytes each, swept or at one count.
+        for config in [
+            config()
+                .with_samples_per_count(1 << 61)
+                .with_max_failures(2),
+            config()
+                .with_samples_per_count(1 << 62)
+                .with_exact_failures(4),
+        ] {
+            let reason = refused(config);
+            assert!(reason.contains("cannot be allocated"), "{reason}");
+        }
+    }
+
     #[test]
     fn exact_failure_campaigns_shard_identically() {
         let campaign = Campaign::new(config().with_exact_failures(4));
@@ -1353,11 +1428,17 @@ mod tests {
         // non-multiple-of-block-width plans, any shard split and both map
         // policies.
         use faultmit_memsim::{for_each_die, BackendKind};
-        let count_block = |_: &Scheme, block: &DieBlock<'_>, out: &mut [f64]| {
-            out[..block.die_count()].fill(0.0);
+        let schemes = [Scheme::unprotected32(), Scheme::shuffle32(3).unwrap()];
+        let width = schemes.len();
+        let count_block = |block: &DieBlock<'_>, out: &mut [f64]| {
+            out[..block.die_count() * width].fill(0.0);
             for row in block.rows() {
                 for cell in row.cells {
-                    for_each_die(cell.presence(), |die| out[die] += 1.0);
+                    for_each_die(cell.presence(), |die| {
+                        for metric in &mut out[die * width..(die + 1) * width] {
+                            *metric += 1.0;
+                        }
+                    });
                 }
             }
         };
@@ -1365,7 +1446,6 @@ mod tests {
             metrics.fill(map.fault_count() as f64);
             Ok::<(), std::convert::Infallible>(())
         };
-        let schemes = [Scheme::unprotected32(), Scheme::shuffle32(3).unwrap()];
         for kind in [BackendKind::Sram, BackendKind::Dram] {
             for policy in [MapPolicy::Unrestricted, MapPolicy::SingleFaultPerRow] {
                 let backend =
@@ -1413,7 +1493,7 @@ mod tests {
                     count(map, metrics);
                     Ok::<(), std::convert::Infallible>(())
                 },
-                |_, _, _| panic!("single-sample groups must use the scalar tail"),
+                |_, _| panic!("single-sample groups must use the scalar tail"),
             )
             .unwrap()
             .0;
@@ -1431,7 +1511,7 @@ mod tests {
             metrics.fill(map.fault_count() as f64);
             Ok::<(), std::convert::Infallible>(())
         };
-        let count_block = |_: &Scheme, block: &DieBlock<'_>, out: &mut [f64]| {
+        let count_block = |block: &DieBlock<'_>, out: &mut [f64]| {
             out[..block.die_count()].fill(0.0);
         };
         for workers in [1usize, 4] {

@@ -13,7 +13,7 @@
 mod common;
 
 use common::{per_scheme, Joined, Samples};
-use faultmit::analysis::{block_mse_into, memory_mse, memory_mse_for_data, CatalogueMse};
+use faultmit::analysis::{memory_mse, memory_mse_for_data, CatalogueMse};
 use faultmit::core::{Scheme, SegmentGeometry};
 use faultmit::memsim::{
     Backend, BackendKind, BlockScratch, DieBlock, DieScratch, FaultKindLaw, FaultMap, ImageSpec,
@@ -304,8 +304,8 @@ fn assert_kernels_agree(
             SEED,
             ShardSpec::solo(),
             walk_die,
-            |scheme, block: &DieBlock<'_>, out: &mut [f64]| {
-                block_mse_into(scheme, block, |row| words[row], out);
+            |block: &DieBlock<'_>, out: &mut [f64]| {
+                walk.block_mse_into(block, |row| words[row], out);
             },
         )
         .unwrap()
